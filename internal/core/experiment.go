@@ -82,7 +82,7 @@ type Experiment struct {
 	General  []string
 	WebFiles []string // every scraped .v file (uncurated pre-training pool)
 
-	ProtCorpus *similarity.Corpus
+	ProtCorpus *similarity.Snapshot
 	Prompts    []similarity.Prompt
 
 	ScrapeStats ScrapeStats
@@ -187,7 +187,7 @@ func New(cfg Config) (*Experiment, error) {
 		names[i] = pf.Name
 		texts[i] = pf.Body
 	}
-	e.ProtCorpus = similarity.NewCorpusWorkers(names, texts, cfg.Workers)
+	e.ProtCorpus = similarity.SealCorpus(names, texts, cfg.Workers)
 
 	var promptNames, promptTexts []string
 	for _, pi := range world.PlacedProtected {

@@ -128,7 +128,7 @@ func (r Report) ScoreDistribution() []float64 {
 // cfg.Workers goroutines; results keep prompt order, making the Report
 // byte-identical to a serial run. Generators must be safe for concurrent
 // Generate calls (internal/lm models are: sampling is read-only).
-func RunBenchmark(model string, gen Generator, corpus *Corpus, prompts []Prompt, cfg BenchmarkConfig) Report {
+func RunBenchmark(model string, gen Generator, corpus *Snapshot, prompts []Prompt, cfg BenchmarkConfig) Report {
 	rep := Report{Model: model, NumPrompts: len(prompts)}
 	rep.Results = par.MapSlice(cfg.Workers, prompts, func(p Prompt) ProbeResult {
 		g := gen.Generate(p.Text, cfg.MaxTokens)

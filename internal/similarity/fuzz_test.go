@@ -1,9 +1,13 @@
 package similarity
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -53,11 +57,11 @@ func FuzzScoringEquivalence(f *testing.F) {
 			texts[rng.Intn(n)] = query + "\nwire fuzz_tail = 1'b1;\n"
 		}
 		workers := 1 + int(seed&3)
-		c := NewCorpusWorkers(names, texts, workers)
+		c := BuildSegment(names, texts, workers)
 
 		for _, k := range []int{1, 3, n} {
-			pruned := c.searchTopK(query, k, searchPruned)
-			exhaustive := c.searchTopK(query, k, searchExhaustive)
+			pruned := c.searchTopK(query, k, searchPruned, nil)
+			exhaustive := c.searchTopK(query, k, searchExhaustive, nil)
 			if len(pruned) != len(exhaustive) {
 				t.Fatalf("k=%d: pruned %d matches, exhaustive %d", k, len(pruned), len(exhaustive))
 			}
@@ -79,7 +83,7 @@ func FuzzScoringEquivalence(f *testing.F) {
 				oracleMax = oracle[i]
 			}
 		}
-		best := c.Best(query)
+		best := SnapshotOf([]*Segment{c}, nil).Best(query)
 		if best.Index < 0 {
 			if oracleMax > tol {
 				t.Fatalf("Best found nothing but oracle max is %v", oracleMax)
@@ -158,6 +162,93 @@ func FuzzScoringEquivalence(f *testing.F) {
 				if sk[i] != fk[i] {
 					t.Fatalf("k=%d rank %d: segmented %+v != rebuilt %+v", k, i, sk[i], fk[i])
 				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeSegment feeds DecodeSegment bytes it did not write. Seeds are
+// valid encodings (built, merged, empty); for any mutation either the
+// decoder rejects it with ErrCorruptSnapshot, or what it accepted is a
+// segment every consumer can use: Best and TopK run, it merges with
+// itself, and it re-encodes to exactly the input (so an accepted encoding
+// is canonical). Either way decoding allocates no more than a small
+// multiple of the input — a count field cannot make it reserve memory the
+// sections do not back.
+//
+// Run with -fuzzminimizetime 0: the engine otherwise spends its default 60 s
+// per interesting input shrinking four byte slices one byte at a time, and
+// a short run executes nothing else.
+func FuzzDecodeSegment(f *testing.F) {
+	addSeed := func(g *Segment) {
+		secs := g.EncodeSections()
+		f.Add(secs[0], secs[1], secs[2], secs[3])
+	}
+	g := BuildSegment(
+		[]string{"a.v", "b.v", "empty.v"},
+		[]string{
+			"module a(input x, output y); assign y = ~x; endmodule",
+			"module b(input x, output y); assign y = x & x; endmodule",
+			"", // a name with no postings
+		}, 1)
+	addSeed(g)
+	addSeed(MergeSegments([]*Segment{g, g}, [][]uint64{{0b001}, nil}))
+	addSeed(BuildSegment(nil, nil, 1))
+
+	f.Fuzz(func(t *testing.T, s0, s1, s2, s3 []byte) {
+		in := [][]byte{s0, s1, s2, s3}
+		size := uint64(len(s0) + len(s1) + len(s2) + len(s3))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := DecodeSegment(in)
+		runtime.ReadMemStats(&after)
+		// Worst legitimate ratio: an 80-byte postingList per 4-byte empty
+		// list, a map entry per 8-byte dictionary entry. The constant
+		// covers the 256-entry byte table and the fuzz worker's own noise.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 48*size+64<<10 {
+			t.Fatalf("decoding %d input bytes allocated %d", size, got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("decode error %v is not ErrCorruptSnapshot", err)
+			}
+			return
+		}
+
+		// Queries made of the segment's own terms, in id order (roughly the
+		// first document's token order, so bigrams resolve too).
+		terms := make([]string, len(g.postings))
+		for term, id := range g.termIDs {
+			terms[id] = term
+		}
+		all := strings.Join(terms, " ")
+		snap := SnapshotOf([]*Segment{g}, nil)
+		for _, q := range []string{all, all[:len(all)/2], "module m(input clk); endmodule", ""} {
+			best := snap.Best(q)
+			top := snap.TopK(q, 5)
+			if len(top) > 0 && best.Index < 0 {
+				t.Fatalf("TopK found %+v but Best found nothing", top[0])
+			}
+			for _, m := range append(top, best) {
+				if m.Index >= g.Docs() {
+					t.Fatalf("match %+v outside the segment's %d docs", m, g.Docs())
+				}
+			}
+		}
+
+		// MergeSegments returns nil when no document is live.
+		if merged := MergeSegments([]*Segment{g, g}, nil); merged == nil {
+			if g.Docs() != 0 {
+				t.Fatalf("self-merge of %d docs produced no segment", g.Docs())
+			}
+		} else if got := merged.Docs(); got != 2*g.Docs() {
+			t.Fatalf("self-merge holds %d docs, want %d", got, 2*g.Docs())
+		}
+
+		out := g.EncodeSections()
+		for i := range in {
+			if !bytes.Equal(out[i], in[i]) {
+				t.Fatalf("section %d re-encodes differently: accepted %x, wrote %x", i, in[i], out[i])
 			}
 		}
 	})

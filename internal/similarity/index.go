@@ -52,7 +52,7 @@ func IndexFromSnapshot(s *Snapshot) *Index {
 			if deadBit(ss.dead, d) {
 				continue
 			}
-			name := ss.seg.c.names[d]
+			name := ss.seg.names[d]
 			ix.byName[name] = append(ix.byName[name], docLoc{ss.seg, d})
 		}
 	}
@@ -66,7 +66,7 @@ func (ix *Index) Append(seg *Segment) {
 	ix.deads = append(ix.deads, nil)
 	ix.lives = append(ix.lives, seg.Docs())
 	for d := int32(0); d < int32(seg.Docs()); d++ {
-		name := seg.c.names[d]
+		name := seg.names[d]
 		ix.byName[name] = append(ix.byName[name], docLoc{seg, d})
 	}
 }
@@ -178,7 +178,7 @@ func (ix *Index) ReplaceRun(i, j int, merged *Segment) {
 				if deadBit(dead, d) {
 					continue
 				}
-				locs := ix.byName[seg.c.names[d]]
+				locs := ix.byName[seg.names[d]]
 				for li := range locs {
 					if locs[li].seg == seg && locs[li].doc == d {
 						locs[li] = docLoc{merged, local}

@@ -38,7 +38,8 @@ func bruteBest(names, texts []string, query string) Match {
 
 // The indexed Best must match a brute-force cosine scan on random corpora:
 // same score within float tolerance, and the same document unless two
-// documents tie at the top.
+// documents tie at the top. Each corpus is built twice — batch and by
+// incremental SegmentBuilder.Add — and the two must agree exactly.
 func TestIndexBestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -54,6 +55,10 @@ func TestIndexBestMatchesBruteForce(t *testing.T) {
 			texts[7] = texts[2]
 		}
 		corpus := NewCorpus(names, texts)
+		inc := SnapshotOf(buildSegmented(names, texts, []int{n}), nil)
+		if inc.Len() != corpus.Len() {
+			t.Fatalf("trial %d: incremental build has %d docs, batch %d", trial, inc.Len(), corpus.Len())
+		}
 		for q := 0; q < 10; q++ {
 			var query string
 			if q%3 == 0 {
@@ -62,6 +67,9 @@ func TestIndexBestMatchesBruteForce(t *testing.T) {
 				query = randDoc(rng, 60, 10+rng.Intn(80))
 			}
 			got := corpus.Best(query)
+			if ib := inc.Best(query); ib != got {
+				t.Fatalf("trial %d query %d: incremental %+v != batch %+v", trial, q, ib, got)
+			}
 			want := bruteBest(names, texts, query)
 			if math.Abs(got.Score-want.Score) > 1e-9 {
 				t.Fatalf("trial %d query %d: score %v != brute %v", trial, q, got.Score, want.Score)
@@ -131,32 +139,6 @@ func TestIndexTopKMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// Incremental Add must index documents identically to batch construction.
-func TestIndexIncrementalAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	texts := make([]string, 20)
-	names := make([]string, 20)
-	for i := range texts {
-		names[i] = fmt.Sprintf("d%d", i)
-		texts[i] = randDoc(rng, 40, 50)
-	}
-	batch := NewCorpus(names, texts)
-	inc := NewCorpus(nil, nil)
-	for i := range texts {
-		inc.Add(names[i], texts[i])
-	}
-	if batch.Len() != inc.Len() {
-		t.Fatal("length mismatch")
-	}
-	for q := 0; q < 8; q++ {
-		query := randDoc(rng, 40, 30)
-		a, b := batch.Best(query), inc.Best(query)
-		if a != b {
-			t.Fatalf("query %d: %+v != %+v", q, a, b)
 		}
 	}
 }

@@ -2,22 +2,48 @@
 
 package similarity
 
-// Block-max pruned scoring: exact top-k retrieval that skips most of the
-// index on selective queries instead of touching every posting of every
-// query term.
+// Exact top-k scoring: one pruned routine and one exhaustive accumulator.
 //
-// The starting point is MaxScore/WAND-style pruning over the doc-ordered
-// posting lists, with the block-max metadata postingList.add maintains
-// incrementally. One twist matters for this corpus: similarity here is
-// tf-only cosine — there is no idf — so corpus-universal terms (Verilog
-// keywords, punctuation) carry enormous upper bounds. Classic MaxScore,
-// which keeps the highest-bound terms essential, would surface every
-// document as a candidate and prune nothing on whole-file audit queries.
-// The hot path (k == 1, behind Best and BestBatch) therefore splits the
-// query's posting lists three ways and scores by gathering rather than by
-// cursor merging:
+//   - k == 1 (Best, BestBatch — every audit) on a segment of at least
+//     pruneMinDocs documents runs searchPrunedBest, the gather engine
+//     below, which skips most of the index on selective queries and ends
+//     in the accumulator when it detects that pruning is not paying.
+//   - Everything else — k > 1 (TopK), tiny segments — runs
+//     finishExhaustive, the classic accumulator over every posting of
+//     every query term.
 //
-//   - Dense lists (document frequency == corpus size; posting position
+// Measured at the commit that deleted the k > 1 MaxScore DAAT engine
+// (PR 13; p50 µs per query over 256 queries x 3, one segment, this repo's
+// 2-vCPU VM; DAAT at k == 1 forced by a scratch patch). "diverse" is
+// internal/serve's BenchmarkServeAuditLargeCorpus corpus, "bench" is
+// bench/'s protected corpus; near-dup is a corpus file with one line
+// changed, novel a freshly generated module:
+//
+//	                          k=10             k=1
+//	corpus, query             DAAT  exhaust.   gather  exhaust.  DAAT
+//	diverse  1 000 near-dup    102        50       29        43    80
+//	diverse  1 000 novel        53        37       31        29    43
+//	diverse 16 000 near-dup    579       532       57       489   534
+//	diverse 16 000 novel       471       443      405       387   380
+//	bench    8 000 near-dup    529       473      424       450   523
+//	bench    8 000 novel       222       195      179       172   184
+//
+// DAAT lost to the accumulator in every k=10 cell, so it paid no rent and
+// went; the gather engine is 8.6x faster than the accumulator on diverse
+// near-duplicates and within 7% of it where it bails, so it stays.
+// bench/README.md has current numbers (similarity.topk10_us,
+// similarity.best_neardup_us, similarity.best_novel_us).
+//
+// Why a special engine at all: similarity here is tf-only cosine — there
+// is no idf — so corpus-universal terms (Verilog keywords, punctuation)
+// carry enormous upper bounds. Classic MaxScore, which keeps the
+// highest-bound terms essential, would surface every document as a
+// candidate and prune nothing on whole-file audit queries. The gather
+// engine therefore splits the query's posting lists three ways and scores
+// by gathering rather than by cursor merging, using the block-max
+// metadata postingList.add maintains:
+//
+//   - Dense lists (document frequency == segment size; posting position
 //     therefore equals doc id) never generate candidates. Their per-block
 //     maxima align with document blocks and collapse into one shared
 //     per-block bound: the most ALL dense terms together can contribute
@@ -59,35 +85,29 @@ package similarity
 // rests on two invariants:
 //
 //  1. Bit-identical sums. A fully evaluated document accumulates its dot
-//     product in exactly the order the exhaustive path uses, so the kept
-//     scores are not merely close — they are the same float64s.
+//     product in exactly the order the exhaustive accumulator uses, so the
+//     kept scores are not merely close — they are the same float64s.
 //  2. Conservative bounds. Upper bounds are inflated and the threshold
 //     deflated by a slack factor covering worst-case float64 summation
 //     error (bounds and scores are sums in different orders, so exact
 //     comparison would be unsound), and a candidate is pruned only when
 //     its bound is STRICTLY below the threshold — so only documents
-//     provably worse than the k-th best are ever skipped. Ties are never
+//     provably worse than the best are ever skipped. Ties are never
 //     pruned: a tying document always reaches full evaluation, where the
 //     heap's lowest-index tie rule (matchWorse) decides, independent of
 //     visit order. That strictness is also what makes threshold priming
 //     sound: pushing a real document's exact score early can never cause
 //     a different document with an equal or better score to be skipped.
 //
-// k > 1 (TopK) uses the classic MaxScore DAAT partition over all cursors
-// — the same bounds, threshold discipline, and canonical evaluation,
-// without the dense split (a size-k heap makes the k == 1 path's
-// re-push-idempotence argument unavailable).
-//
-// Worst case, the corpus is so homogeneous that no threshold separates
+// Worst case, the segment is so homogeneous that no threshold separates
 // documents (every doc scores within the bounds' slack of the best — the
-// adversarial case for any exact pruner). Both paths detect that pruning
-// is not paying and fall back to the exhaustive accumulator, bounding the
-// regression to a small constant factor while keeping the large wins on
-// selective workloads.
+// adversarial case for any exact pruner). The gather engine detects that
+// pruning is not paying and falls back to the exhaustive accumulator,
+// bounding the regression to a small constant factor while keeping the
+// large wins on selective workloads.
 
 import (
 	"container/heap"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -101,19 +121,17 @@ const (
 	blockMask  = blockSize - 1
 	blockShift = 6
 
-	// pruneMinDocs is the corpus size below which searchAuto uses the
-	// exhaustive accumulator: pruning bookkeeping cannot pay for itself
-	// on tiny corpora. (Results are identical either way — the pruned
-	// path is bit-exact — this is purely a latency knob.)
+	// pruneMinDocs is the segment size below which searchAuto uses the
+	// exhaustive accumulator even for k == 1: pruning bookkeeping cannot
+	// pay for itself on tiny segments. (Results are identical either way —
+	// the pruned path is bit-exact — this is purely a latency knob.)
 	pruneMinDocs = 96
 
-	// bailMinCandidates / bailEvalNum / bailEvalDen: after this many
-	// threshold-guarded candidates, if more than bailEvalNum/bailEvalDen
-	// of them required full evaluation, the corpus is too homogeneous
-	// for pruning and the search switches to the exhaustive accumulator.
-	bailMinCandidates = 24
-	bailEvalNum       = 3
-	bailEvalDen       = 4
+	// bailEvalDen: once the gather engine has read more than
+	// 1/bailEvalDen of the query's postings, the segment is too
+	// homogeneous for pruning and the search switches to the exhaustive
+	// accumulator.
+	bailEvalDen = 4
 
 	// epsUlp is one float64 ulp at 1.0; the slack factors scale it by the
 	// number of terms in a sum (plus margin) to bound accumulated
@@ -121,8 +139,9 @@ const (
 	epsUlp = 2.3e-16
 )
 
-// Search modes. Best/TopK use searchAuto; tests force a path to compare
-// the two bit-for-bit.
+// Search modes. Best/TopK use searchAuto; tests force an engine to compare
+// the two bit-for-bit (searchPruned forces the gather engine at k == 1 on
+// any segment size; at k > 1 there is only the accumulator).
 const (
 	searchAuto = iota
 	searchPruned
@@ -185,48 +204,14 @@ func ResetPruneStats() {
 
 // pruneCursor is one query term's posting-list view: the doc-ordered
 // postings, block maxima, the query-side count, and the term's global
-// upper bound contribution. The k > 1 DAAT path also uses it as a cursor
-// via pos/seek; the k == 1 gather path never moves pos.
+// upper bound contribution. There is no position: both engines read lists
+// by streaming, by doc-indexed access (dense) or by binary search.
 type pruneCursor struct {
 	docs []int32
 	ws   []float64
 	bmax []float64
 	qw   float64
 	ub   float64 // qw * tmax, raw (slack applied at comparison sites)
-	pos  int
-}
-
-// seek advances the cursor to the first posting with doc >= d (galloping
-// from the current position, so total seek cost over a query is
-// O(len * log) regardless of stride).
-func (cur *pruneCursor) seek(d int32) {
-	docs := cur.docs
-	n := len(docs)
-	pos := cur.pos
-	if pos >= n || docs[pos] >= d {
-		return
-	}
-	step := 1
-	next := pos + 1
-	for next < n && docs[next] < d {
-		pos = next
-		next += step
-		step <<= 1
-	}
-	hi := next
-	if hi > n {
-		hi = n
-	}
-	lo := pos + 1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if docs[mid] < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	cur.pos = lo
 }
 
 // searchScratch holds the per-search allocations, pooled across queries.
@@ -246,7 +231,7 @@ type searchScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
 
-// accPool recycles per-document accumulators (sized to the corpus).
+// accPool recycles per-document accumulators (sized to the segment).
 var accPool = sync.Pool{New: func() any { return new([]float64) }}
 
 func getAcc(n int) *[]float64 {
@@ -265,30 +250,29 @@ func deadBit(dead []uint64, d int32) bool {
 	return dead != nil && dead[d>>6]&(1<<(uint32(d)&63)) != 0
 }
 
-// searchTopK is the one scoring engine behind Best and TopK: exact top-k
-// matches, best first. mode selects the path (searchAuto decides by corpus
-// size); both paths return bit-identical results.
-func (c *Corpus) searchTopK(text string, k int, mode int) []Match {
-	return c.searchTopKDead(text, k, mode, nil)
-}
-
-// searchTopKDead is searchTopK with a tombstone bitmap: dead documents
+// searchTopK is the one scoring entry behind Best and TopK: exact top-k
+// matches over the segment's live documents, best first, indices
+// segment-local. mode selects the engine (searchAuto: the gather engine for
+// k == 1 on at least pruneMinDocs documents, the exhaustive accumulator
+// for everything else); every choice returns bit-identical results.
+//
+// dead is the snapshot's tombstone bitmap for this segment: dead documents
 // never reach the heap AND never set the pruning threshold (a dead doc's
 // score raising theta could wrongly prune a live doc), so the result is
-// bit-identical to scoring a corpus that never contained them. dead may
+// bit-identical to scoring a segment that never contained them. dead may
 // be nil (no tombstones — the common case, zero overhead on the scan
 // loops beyond one predictable branch).
-func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []Match {
-	if k <= 0 || len(c.names) == 0 {
+func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
+	if k <= 0 || len(g.names) == 0 {
 		return nil
 	}
-	if k > len(c.names) {
-		k = len(c.names)
+	if k > len(g.names) {
+		k = len(g.names)
 	}
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
 
-	qts, qnorm := c.resolveQuery(text, sc.qts)
+	qts, qnorm := g.resolveQuery(text, sc.qts)
 	sc.qts = qts[:0]
 	if qnorm == 0 {
 		return nil
@@ -301,7 +285,7 @@ func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []M
 	curs := sc.curs[:0]
 	totalPostings := 0
 	for _, qt := range qts {
-		pl := &c.postings[qtermID(qt)]
+		pl := &g.postings[qtermID(qt)]
 		if len(pl.docs) == 0 {
 			continue
 		}
@@ -323,7 +307,7 @@ func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []M
 		h = make(matchHeap, 0, k)
 	}
 
-	usePruned := mode == searchPruned || (mode == searchAuto && len(c.names) >= pruneMinDocs)
+	usePruned := k == 1 && (mode == searchPruned || (mode == searchAuto && len(g.names) >= pruneMinDocs))
 	statsOn := pruneStatsOn.Load()
 	if statsOn {
 		pruneCounters.total.Add(uint64(totalPostings))
@@ -334,13 +318,10 @@ func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []M
 		}
 	}
 
-	switch {
-	case !usePruned:
-		h = c.finishExhaustive(curs, -1, h, k, qnorm, statsOn, dead)
-	case k == 1:
-		h = c.searchPrunedBest(sc, totalPostings, h, qnorm, statsOn, dead)
-	default:
-		h = c.searchPrunedDAAT(sc, totalPostings, h, k, qnorm, statsOn, dead)
+	if usePruned {
+		h = g.searchPrunedBest(sc, totalPostings, h, qnorm, statsOn, dead)
+	} else {
+		h = g.finishExhaustive(curs, h, k, qnorm, statsOn, dead)
 	}
 	sc.h = h
 
@@ -415,10 +396,10 @@ func evalCanonical(curs []pruneCursor, tail []float64, nDocs int, d int32, theta
 // canonical evaluation per touched document. The size-1 heap makes every
 // push of an already-known document a no-op, which is what lets priming
 // and the exhaustive fallbacks re-score documents freely.
-func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchHeap, qnorm float64, statsOn bool, dead []uint64) matchHeap {
+func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h matchHeap, qnorm float64, statsOn bool, dead []uint64) matchHeap {
 	curs := sc.curs
 	n := len(curs)
-	nDocs := len(c.names)
+	nDocs := len(g.names)
 
 	// Slack factors: any bound is a sum of at most n products, so one
 	// multiplicative inflation covers its worst-case rounding deficit;
@@ -478,7 +459,7 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 	if len(ord) == 0 {
 		// Every list is dense: no sparse list to surface candidates, so
 		// the whole corpus must be scored anyway.
-		return c.finishExhaustive(curs, -1, h, 1, qnorm, statsOn, dead)
+		return g.finishExhaustive(curs, h, 1, qnorm, statsOn, dead)
 	}
 	sortSparseByRatio(ord, curs)
 
@@ -525,10 +506,10 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 			pruneCounters.bailouts.Add(1)
 		}
 		flushStats(cands)
-		// The gather never moved cursor positions, so the accumulator
-		// streams the whole corpus; re-pushing the document the heap
-		// already holds is a no-op (same score, same index).
-		return c.finishExhaustive(curs, -1, h, 1, qnorm, statsOn, dead)
+		// The accumulator streams the whole segment; re-pushing the
+		// document the heap already holds is a no-op (same score, same
+		// index).
+		return g.finishExhaustive(curs, h, 1, qnorm, statsOn, dead)
 	}
 	// hopeless reports whether the final completeness sweep could ever
 	// pass: it can only if every dense block bound ends strictly below the
@@ -649,7 +630,7 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 			acc, _ := evalCanonical(curs, tail, nDocs, d, -1)
 			visited += uint64(n)
 			if acc > 0 {
-				pushMatch(&h, 1, Match{Name: c.names[d], Index: int(d), Score: acc / qnorm})
+				pushMatch(&h, 1, Match{Name: g.names[d], Index: int(d), Score: acc / qnorm})
 			}
 			if pi == 0 {
 				// A fresh candidate against a homogeneous corpus is decided
@@ -756,7 +737,7 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 		visited += uint64(n)
 		fullEvals++
 		if !abandoned && av > 0 {
-			if pushMatch(&h, 1, Match{Name: c.names[d], Index: int(d), Score: av / qnorm}) {
+			if pushMatch(&h, 1, Match{Name: g.names[d], Index: int(d), Score: av / qnorm}) {
 				updateTheta()
 			}
 		}
@@ -789,201 +770,6 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 		}
 	}
 	flushStats(uint64(len(touched)))
-	return h
-}
-
-// searchPrunedDAAT is the k > 1 MaxScore engine: document-at-a-time
-// cursor merging over all posting lists, a non-essential prefix absorbed
-// by the running k-th-best threshold, per-candidate bounds from exact
-// essential reads, and canonical full evaluation for survivors. It bails
-// to the exhaustive accumulator for the remaining document range when
-// pruning is not paying.
-func (c *Corpus) searchPrunedDAAT(sc *searchScratch, totalPostings int, h matchHeap, k int, qnorm float64, statsOn bool, dead []uint64) matchHeap {
-	curs := sc.curs
-	n := len(curs)
-
-	slack := float64(n+32) * epsUlp
-	inflate := 1 + slack
-	deflate := 1 - slack
-
-	ord := sc.ord[:0]
-	for i := range curs {
-		ord = append(ord, int32(i))
-	}
-	sortSparseByRatio(ord, curs)
-	sc.ord = ord
-
-	// pref[i]: raw sum of the absorbed-prefix upper bounds ord[:i+1].
-	pref := sc.pref[:0]
-	cum := 0.0
-	for _, ci := range ord {
-		cum += curs[ci].ub
-		pref = append(pref, cum)
-	}
-	sc.pref = pref
-
-	tail := canonicalTails(sc, inflate)
-
-	nonEss := 0
-	var visited, candidates, fullEvals, blockSkips uint64
-	evalBudget := uint64(totalPostings) / bailEvalDen
-	var guardedCands, guardedEvals uint64
-	lastDoc := int32(-1)
-
-	// thetaAcc: the k-th best dot product, deflated (see searchPrunedBest).
-	thetaAcc := -1.0
-	updateTheta := func() {
-		if len(h) == k {
-			if t := h[0].Score * qnorm * deflate; t > thetaAcc {
-				thetaAcc = t
-			}
-		}
-	}
-
-	flushStats := func() {
-		if statsOn {
-			pruneCounters.visited.Add(visited)
-			pruneCounters.candidates.Add(candidates)
-			pruneCounters.fullEvals.Add(fullEvals)
-			pruneCounters.blockSkips.Add(blockSkips)
-		}
-	}
-
-	for {
-		// Grow the non-essential prefix as the threshold rises. Documents
-		// appearing only in absorbed lists are bounded by pref and never
-		// surface — that is sound because the check held (with the then-
-		// current, only-ever-lower threshold) at the moment the frontier
-		// passed them.
-		if thetaAcc >= 0 {
-			for nonEss < n && pref[nonEss]*inflate < thetaAcc {
-				nonEss++
-			}
-		}
-		if nonEss == n {
-			break // no document can reach the top k on any term
-		}
-		prefPart := 0.0
-		if nonEss > 0 {
-			prefPart = pref[nonEss-1]
-		}
-
-		// With a single essential cursor, skip whole blocks whose bmax
-		// cannot lift any document past the threshold.
-		if nonEss == n-1 && thetaAcc >= 0 {
-			cur := &curs[ord[n-1]]
-			for cur.pos < len(cur.docs) {
-				b := cur.pos >> blockShift
-				if (prefPart+cur.qw*cur.bmax[b])*inflate < thetaAcc {
-					next := (b + 1) << blockShift
-					if next > len(cur.docs) {
-						next = len(cur.docs)
-					}
-					cur.pos = next
-					blockSkips++
-					continue
-				}
-				break
-			}
-		}
-
-		// Next candidate: minimum current doc across essential cursors.
-		d := int32(math.MaxInt32)
-		for _, ci := range ord[nonEss:] {
-			cur := &curs[ci]
-			if cur.pos < len(cur.docs) && cur.docs[cur.pos] < d {
-				d = cur.docs[cur.pos]
-			}
-		}
-		if d == math.MaxInt32 {
-			break // essential cursors exhausted
-		}
-		lastDoc = d
-		if deadBit(dead, d) {
-			// Tombstoned: advance past it without scoring — its score must
-			// never reach the heap or set the threshold.
-			for _, ci := range ord[nonEss:] {
-				cur := &curs[ci]
-				if cur.pos < len(cur.docs) && cur.docs[cur.pos] == d {
-					cur.pos++
-				}
-			}
-			continue
-		}
-		candidates++
-
-		// Candidate bound: everything the absorbed prefix could add plus
-		// the candidate's EXACT essential contributions (each essential
-		// cursor is already positioned on d, so the exact weight is as
-		// cheap as its block max and far tighter).
-		if thetaAcc >= 0 {
-			bound := prefPart
-			for _, ci := range ord[nonEss:] {
-				cur := &curs[ci]
-				if cur.pos < len(cur.docs) && cur.docs[cur.pos] == d {
-					bound += cur.qw * cur.ws[cur.pos]
-				}
-			}
-			guardedCands++
-			if bound*inflate < thetaAcc {
-				for _, ci := range ord[nonEss:] {
-					cur := &curs[ci]
-					if cur.pos < len(cur.docs) && cur.docs[cur.pos] == d {
-						cur.pos++
-						visited++
-					}
-				}
-				continue
-			}
-		}
-
-		// Full evaluation in canonical query order — the bit-identical
-		// twin of the exhaustive accumulator's per-doc sum — with early
-		// abandonment against the canonical-order tail bounds.
-		acc := 0.0
-		abandoned := false
-		fullEvals++
-		if thetaAcc >= 0 {
-			guardedEvals++
-		}
-		for i := range curs {
-			cur := &curs[i]
-			cur.seek(d)
-			visited++
-			if cur.pos < len(cur.docs) && cur.docs[cur.pos] == d {
-				acc += cur.qw * cur.ws[cur.pos]
-				cur.pos++
-			}
-			if thetaAcc >= 0 && acc+tail[i+1] < thetaAcc {
-				for j := i + 1; j < n; j++ {
-					cj := &curs[j]
-					if cj.pos < len(cj.docs) && cj.docs[cj.pos] == d {
-						cj.pos++
-					}
-				}
-				abandoned = true
-				break
-			}
-		}
-		if !abandoned && acc > 0 {
-			if pushMatch(&h, k, Match{Name: c.names[d], Index: int(d), Score: acc / qnorm}) {
-				updateTheta()
-			}
-		}
-
-		// Bailout: pruning is not separating documents (homogeneous
-		// corpus) — finish with the streaming accumulator instead of
-		// paying per-candidate DAAT overhead for every remaining doc.
-		if visited > evalBudget ||
-			(guardedCands >= bailMinCandidates && guardedEvals*bailEvalDen >= guardedCands*bailEvalNum) {
-			if statsOn {
-				pruneCounters.bailouts.Add(1)
-			}
-			flushStats()
-			return c.finishExhaustive(curs, lastDoc, h, k, qnorm, statsOn, dead)
-		}
-	}
-	flushStats()
 	return h
 }
 
@@ -1044,24 +830,23 @@ func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 	}
 }
 
-// finishExhaustive scores every document with index > from against the
-// cursors' remaining postings using the classic accumulator — the same
-// adds in the same canonical order as ever — and folds the results into
-// the heap in ascending doc order (so tie resolution matches the pruned
-// paths and the historical TopK exactly). from = -1 scores the whole
-// corpus: that IS the exhaustive path Best/TopK always had.
-func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k int, qnorm float64, statsOn bool, dead []uint64) matchHeap {
-	nDocs := len(c.names)
+// finishExhaustive is the exhaustive engine: the classic accumulator over
+// every posting of every query term — the same adds in the same canonical
+// order as ever — folded into the heap in ascending doc order (so tie
+// resolution matches the gather engine and the historical TopK exactly).
+// The gather engine also ends here when it bails; re-pushing the document
+// its size-1 heap already holds is a no-op.
+func (g *Segment) finishExhaustive(curs []pruneCursor, h matchHeap, k int, qnorm float64, statsOn bool, dead []uint64) matchHeap {
+	nDocs := len(g.names)
 	accp := getAcc(nDocs)
 	defer accPool.Put(accp)
 	acc := *accp
-	start := int(from) + 1
 	var visited uint64
 	for i := 0; i < len(curs); {
 		cur := &curs[i]
-		cur.seek(from + 1)
 		if len(cur.docs) != nDocs {
-			docs, ws, qw := cur.docs[cur.pos:], cur.ws[cur.pos:], cur.qw
+			docs, qw := cur.docs, cur.qw
+			ws := cur.ws[:len(docs)] // one bound, checks eliminated below
 			visited += uint64(len(docs))
 			for j, doc := range docs {
 				acc[doc] += qw * ws[j]
@@ -1069,7 +854,7 @@ func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k
 			i++
 			continue
 		}
-		// Run of adjacent dense cursors: docs[j] == j, so each suffix is a
+		// Run of adjacent dense cursors: docs[j] == j, so each list is a
 		// sequential fused walk with no index loads, and adjacent lists can
 		// share one pass over the accumulator. Within the pass each
 		// document's additions happen one list at a time in ascending
@@ -1077,44 +862,41 @@ func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k
 		// bit-identical to the one-list-at-a-time walk.
 		run := i + 1
 		for run < len(curs) && len(curs[run].docs) == nDocs {
-			curs[run].seek(from + 1)
 			run++
 		}
-		a := acc[start:]
 		for ; i+3 < run; i += 4 {
-			w0, q0 := curs[i].ws[start:], curs[i].qw
-			w1, q1 := curs[i+1].ws[start:], curs[i+1].qw
-			w2, q2 := curs[i+2].ws[start:], curs[i+2].qw
-			w3, q3 := curs[i+3].ws[start:], curs[i+3].qw
-			w0, w1, w2, w3 = w0[:len(a)], w1[:len(a)], w2[:len(a)], w3[:len(a)]
+			w0, q0 := curs[i].ws, curs[i].qw
+			w1, q1 := curs[i+1].ws, curs[i+1].qw
+			w2, q2 := curs[i+2].ws, curs[i+2].qw
+			w3, q3 := curs[i+3].ws, curs[i+3].qw
+			w0, w1, w2, w3 = w0[:len(acc)], w1[:len(acc)], w2[:len(acc)], w3[:len(acc)]
 			// Two documents per step: each document's additions stay in
 			// list order (the canonical order — bit-exactness), but the
 			// two chains are independent, which hides the FP-add latency
 			// the one-document-at-a-time walk stalls on.
 			j := 0
-			for ; j+1 < len(a); j += 2 {
-				t0 := a[j] + q0*w0[j]
-				t1 := a[j+1] + q0*w0[j+1]
+			for ; j+1 < len(acc); j += 2 {
+				t0 := acc[j] + q0*w0[j]
+				t1 := acc[j+1] + q0*w0[j+1]
 				t0 += q1 * w1[j]
 				t1 += q1 * w1[j+1]
 				t0 += q2 * w2[j]
 				t1 += q2 * w2[j+1]
-				a[j] = t0 + q3*w3[j]
-				a[j+1] = t1 + q3*w3[j+1]
+				acc[j] = t0 + q3*w3[j]
+				acc[j+1] = t1 + q3*w3[j+1]
 			}
-			if j < len(a) {
-				t := a[j] + q0*w0[j]
+			if j < len(acc) {
+				t := acc[j] + q0*w0[j]
 				t += q1 * w1[j]
 				t += q2 * w2[j]
-				a[j] = t + q3*w3[j]
+				acc[j] = t + q3*w3[j]
 			}
-			visited += uint64(4 * len(a))
+			visited += uint64(4 * len(acc))
 		}
 		for ; i < run; i++ {
-			ws, qw := curs[i].ws[start:], curs[i].qw
-			ws = ws[:len(a)]
+			ws, qw := curs[i].ws[:len(acc)], curs[i].qw
 			for j, w := range ws {
-				a[j] += qw * w
+				acc[j] += qw * w
 			}
 			visited += uint64(len(ws))
 		}
@@ -1129,8 +911,8 @@ func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k
 		// strict comparisons keep the earlier (lower) index, exactly the
 		// heap's tie rule.
 		bestRaw, bestScore, bestIdx := 0.0, 0.0, -1
-		for i := start; i < nDocs; i++ {
-			if a := acc[i]; a > bestRaw {
+		for i, a := range acc {
+			if a > bestRaw {
 				if deadBit(dead, int32(i)) {
 					continue // tombstoned: must not win or raise the bar
 				}
@@ -1141,16 +923,15 @@ func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k
 			}
 		}
 		if bestIdx >= 0 {
-			pushMatch(&h, 1, Match{Name: c.names[bestIdx], Index: bestIdx, Score: bestScore})
+			pushMatch(&h, 1, Match{Name: g.names[bestIdx], Index: bestIdx, Score: bestScore})
 		}
 		return h
 	}
-	for i := start; i < nDocs; i++ {
-		a := acc[i]
+	for i, a := range acc {
 		if a == 0 || deadBit(dead, int32(i)) {
 			continue
 		}
-		pushMatch(&h, k, Match{Name: c.names[i], Index: i, Score: a / qnorm})
+		pushMatch(&h, k, Match{Name: g.names[i], Index: i, Score: a / qnorm})
 	}
 	return h
 }

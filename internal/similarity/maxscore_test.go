@@ -95,13 +95,13 @@ func TestPrunedBitExactEquivalence(t *testing.T) {
 		}
 		for qi, q := range queries {
 			for _, k := range []int{1, 2, 10, n} {
-				pruned := cc.c.searchTopK(q, k, searchPruned)
-				exhaustive := cc.c.searchTopK(q, k, searchExhaustive)
+				pruned := cc.c.Segment(0).searchTopK(q, k, searchPruned, nil)
+				exhaustive := cc.c.Segment(0).searchTopK(q, k, searchExhaustive, nil)
 				matchesEqual(t, fmt.Sprintf("%s q%d k%d", cc.name, qi, k), pruned, exhaustive)
 			}
 			// And the public surface agrees with both.
 			best := cc.c.Best(q)
-			if top := cc.c.searchTopK(q, 1, searchPruned); len(top) > 0 {
+			if top := cc.c.Segment(0).searchTopK(q, 1, searchPruned, nil); len(top) > 0 {
 				if best != top[0] {
 					t.Fatalf("%s q%d: Best %+v != pruned top1 %+v", cc.name, qi, best, top[0])
 				}
@@ -131,8 +131,8 @@ func TestPrunedTieDeterminism(t *testing.T) {
 	c := NewCorpus(names, texts)
 	for qi, q := range base {
 		for _, k := range []int{1, 5, 40} {
-			pruned := c.searchTopK(q, k, searchPruned)
-			exhaustive := c.searchTopK(q, k, searchExhaustive)
+			pruned := c.Segment(0).searchTopK(q, k, searchPruned, nil)
+			exhaustive := c.Segment(0).searchTopK(q, k, searchExhaustive, nil)
 			matchesEqual(t, fmt.Sprintf("q%d k%d", qi, k), pruned, exhaustive)
 			if pruned[0].Index != qi {
 				t.Fatalf("q%d: tie must resolve to lowest index %d, got %d", qi, qi, pruned[0].Index)
@@ -200,7 +200,9 @@ func TestGiantRepetitiveQuery(t *testing.T) {
 	if !(m.Score > 0 && m.Score <= 1.0000000001) {
 		t.Fatalf("repetitive query score out of range: %v", m.Score)
 	}
-	matchesEqual(t, "giant", c.searchTopK(q, 5, searchPruned), c.searchTopK(q, 5, searchExhaustive))
+	for _, k := range []int{1, 5} {
+		matchesEqual(t, "giant", c.Segment(0).searchTopK(q, k, searchPruned, nil), c.Segment(0).searchTopK(q, k, searchExhaustive, nil))
+	}
 }
 
 // The unknown-unigram id space is capped at maxUnknownIDs so bigram
@@ -226,7 +228,9 @@ func TestUnknownIDCapOverflow(t *testing.T) {
 	if m.Index != 7 || m.Name != names[7] {
 		t.Fatalf("capped-unknowns best = %+v, want doc 7", m)
 	}
-	matchesEqual(t, "capped", c.searchTopK(q, 4, searchPruned), c.searchTopK(q, 4, searchExhaustive))
+	for _, k := range []int{1, 4} {
+		matchesEqual(t, "capped", c.Segment(0).searchTopK(q, k, searchPruned, nil), c.Segment(0).searchTopK(q, k, searchExhaustive, nil))
+	}
 
 	// All-unknown query under the cap: still a clean no-match.
 	if got := c.Best("only unknown words here nothing indexed"); got.Index != -1 {
@@ -239,8 +243,7 @@ func TestUnknownIDCapOverflow(t *testing.T) {
 // yields byte-identical matches.
 func TestBestBatchDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	_, texts, c := buildDiverse(21, 250)
-	s := c.Seal()
+	_, texts, s := buildDiverse(21, 250)
 	queries := make([]string, 64)
 	for i := range queries {
 		switch i % 4 {
@@ -296,13 +299,12 @@ func TestPruneStatsMajoritySkipped(t *testing.T) {
 // Decoded snapshots rebuild block-max metadata identical to the builder's
 // incremental maintenance.
 func TestDecodeRebuildsBlockMeta(t *testing.T) {
-	_, texts, c := buildDiverse(41, 300)
-	s := c.Seal()
-	seg, err := DecodeSegment(s.EncodeSections())
+	_, texts, s := buildDiverse(41, 300)
+	c := s.Segment(0)
+	dc, err := DecodeSegment(c.EncodeSections())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := seg.c
 	if len(dc.postings) != len(c.postings) {
 		t.Fatalf("postings count %d != %d", len(dc.postings), len(c.postings))
 	}
@@ -320,17 +322,19 @@ func TestDecodeRebuildsBlockMeta(t *testing.T) {
 			}
 		}
 	}
-	// And the decoded corpus answers pruned queries identically.
+	// And the decoded segment answers pruned queries identically.
 	for _, q := range []string{texts[12], texts[99] + " extra"} {
-		matchesEqual(t, "decoded", dc.searchTopK(q, 5, searchPruned), c.searchTopK(q, 5, searchPruned))
+		for _, k := range []int{1, 5} {
+			matchesEqual(t, "decoded", dc.searchTopK(q, k, searchPruned, nil), c.searchTopK(q, k, searchPruned, nil))
+		}
 	}
 }
 
-// Out-of-order postings are structural corruption now that DAAT cursors
-// rely on ascending doc ids.
+// Out-of-order postings are structural corruption: dense-list detection
+// and the binary searches rely on ascending doc ids.
 func TestDecodeRejectsUnsortedPostings(t *testing.T) {
 	c := NewCorpus([]string{"a", "b"}, []string{"alpha beta", "alpha gamma"})
-	secs := c.Seal().EncodeSections()
+	secs := c.EncodeSections()
 	// Section 3 layout: nPost u32, then per list: n u32, docs..., weights...
 	// The "alpha" list has docs [0, 1] at offsets 8 and 12; swap them.
 	post := append([]byte(nil), secs[3]...)
@@ -359,7 +363,7 @@ func benchNearDup(b *testing.B, mode int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ms := c.searchTopK(queries[i%len(queries)], 1, mode); len(ms) == 0 {
+		if ms := c.Segment(0).searchTopK(queries[i%len(queries)], 1, mode, nil); len(ms) == 0 {
 			b.Fatal("no match")
 		}
 	}

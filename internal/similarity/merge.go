@@ -25,16 +25,15 @@ type mergeBuf struct {
 //
 //freehw:hotpath
 func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
-	out := &Corpus{termIDs: map[string]int32{}, pairIDs: map[uint64]int32{}}
+	out := newSegment()
 	var bufs []mergeBuf
 
 	next := int32(0) // merged doc id being assigned
-	for si, g := range segs {
+	for si, src := range segs {
 		var dead []uint64
 		if si < len(deads) {
 			dead = deads[si]
 		}
-		src := g.c
 
 		// Recover the segment's dictionaries as id-indexed arrays. Index
 		// assignment into preallocated slices keeps map iteration order
@@ -51,8 +50,8 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		}
 
 		// Map each live source doc to its merged id.
-		remap := make([]int32, src.Len())
-		for d := int32(0); d < int32(src.Len()); d++ {
+		remap := make([]int32, src.Docs())
+		for d := int32(0); d < int32(src.Docs()); d++ {
 			if deadBit(dead, d) {
 				remap[d] = -1
 				continue
@@ -113,38 +112,22 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		pl.ws = bufs[i].ws
 		pl.rebuildBlockMeta()
 	}
-	return out.sealSegment()
+	return out.seal()
 }
 
-// mergeIntern assigns (or finds) the merged-corpus postings id for source
-// id, given the source's id-indexed dictionaries. For a bigram, both
+// mergeIntern assigns (or finds) the merged segment's postings id for
+// source id, given the source's id-indexed dictionaries. For a bigram, both
 // component unigrams must already be interned in out — guaranteed by the
 // ascending-id merge order whenever the bigram has a live occurrence.
 // Returns -1 if a component is missing (only possible for fully-dead
 // lists, which the caller never interns).
-func mergeIntern(out *Corpus, id int, terms []string, pairs []uint64, isPair []bool, srcToOut []int32) int32 {
+func mergeIntern(out *Segment, id int, terms []string, pairs []uint64, isPair []bool, srcToOut []int32) int32 {
 	if !isPair[id] {
-		t := terms[id]
-		if outID, ok := out.termIDs[t]; ok {
-			return outID
-		}
-		outID := int32(len(out.postings))
-		out.termIDs[t] = outID
-		out.postings = append(out.postings, postingList{})
-		return outID
+		return out.uniID(terms[id])
 	}
-	a := int32(pairs[id] >> 32)
-	b := int32(uint32(pairs[id]))
-	oa, ob := srcToOut[a], srcToOut[b]
+	oa, ob := srcToOut[int32(pairs[id]>>32)], srcToOut[int32(uint32(pairs[id]))]
 	if oa < 0 || ob < 0 {
 		return -1
 	}
-	key := pairKey(oa, ob)
-	if outID, ok := out.pairIDs[key]; ok {
-		return outID
-	}
-	outID := int32(len(out.postings))
-	out.pairIDs[key] = outID
-	out.postings = append(out.postings, postingList{})
-	return outID
+	return out.pairID(oa, ob)
 }

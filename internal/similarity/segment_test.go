@@ -99,15 +99,31 @@ func segQueries(texts []string, rng *rand.Rand) []string {
 }
 
 // Segmented snapshots with no tombstones match the full rebuild exactly,
-// across segment counts.
+// across segment counts — on a diverse corpus (the gather engine prunes)
+// and on a small shared-vocabulary one (below pruneMinDocs, every document
+// scores against every query).
 func TestSegmentedMatchesFullRebuild(t *testing.T) {
-	names, texts, _ := buildDiverse(91, 160)
 	rng := rand.New(rand.NewSource(7))
-	queries := segQueries(texts, rng)
-	for _, parts := range []int{1, 2, 3, 5, 9, 32} {
-		sizes := splitSizes(len(texts), parts, rng)
-		snap := SnapshotOf(buildSegmented(names, texts, sizes), nil)
-		assertSnapshotEquiv(t, fmt.Sprintf("parts=%d", parts), snap, names, texts, queries)
+	names, texts, _ := buildDiverse(91, 160)
+	hNames := make([]string, 30)
+	hTexts := make([]string, 30)
+	for i := range hTexts {
+		hNames[i] = fmt.Sprintf("d%d", i)
+		hTexts[i] = randDoc(rng, 40, 30+rng.Intn(80))
+	}
+	for _, cc := range []struct {
+		name         string
+		names, texts []string
+	}{{"diverse", names, texts}, {"homog", hNames, hTexts}} {
+		queries := segQueries(cc.texts, rng)
+		for i := 0; i < 10; i++ {
+			queries = append(queries, randDoc(rng, 60, 10+rng.Intn(50)))
+		}
+		for _, parts := range []int{1, 2, 3, 5, 9, 32} {
+			sizes := splitSizes(len(cc.texts), parts, rng)
+			snap := SnapshotOf(buildSegmented(cc.names, cc.texts, sizes), nil)
+			assertSnapshotEquiv(t, fmt.Sprintf("%s parts=%d", cc.name, parts), snap, cc.names, cc.texts, queries)
+		}
 	}
 }
 

@@ -84,11 +84,9 @@ func (r *reader) done() bool { return !r.err && r.off == len(r.b) }
 // write while concurrent queries run, because a sealed segment is
 // immutable.
 func (g *Segment) EncodeSections() [][]byte {
-	c := g.c
-
 	// Section 0: document names.
-	names := appendU32(nil, uint32(len(c.names)))
-	for _, n := range c.names {
+	names := appendU32(nil, uint32(len(g.names)))
+	for _, n := range g.names {
 		names = appendU32(names, uint32(len(n)))
 		names = append(names, n...)
 	}
@@ -98,8 +96,8 @@ func (g *Segment) EncodeSections() [][]byte {
 		term string
 		id   int32
 	}
-	terms := make([]termEntry, 0, len(c.termIDs))
-	for t, id := range c.termIDs {
+	terms := make([]termEntry, 0, len(g.termIDs))
+	for t, id := range g.termIDs {
 		terms = append(terms, termEntry{t, id})
 	}
 	sort.Slice(terms, func(i, j int) bool { return terms[i].id < terms[j].id })
@@ -116,8 +114,8 @@ func (g *Segment) EncodeSections() [][]byte {
 		key uint64
 		id  int32
 	}
-	pairs := make([]pairEntry, 0, len(c.pairIDs))
-	for k, id := range c.pairIDs {
+	pairs := make([]pairEntry, 0, len(g.pairIDs))
+	for k, id := range g.pairIDs {
 		pairs = append(pairs, pairEntry{k, id})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
@@ -129,9 +127,9 @@ func (g *Segment) EncodeSections() [][]byte {
 
 	// Section 3: postings lists — parallel doc/weight arrays, weights as
 	// raw IEEE-754 bits so scoring after a reload is bit-identical.
-	post := appendU32(nil, uint32(len(c.postings)))
-	for i := range c.postings {
-		pl := &c.postings[i]
+	post := appendU32(nil, uint32(len(g.postings)))
+	for i := range g.postings {
+		pl := &g.postings[i]
 		post = appendU32(post, uint32(len(pl.docs)))
 		for _, d := range pl.docs {
 			post = appendU32(post, uint32(d))
@@ -168,26 +166,31 @@ func DecodeSnapshot(sections [][]byte) (*Snapshot, error) {
 }
 
 // DecodeSegment reconstructs a sealed segment from EncodeSections
-// output. Every structural invariant is re-validated — section count,
-// lengths, id ranges, postings/dictionary agreement — so a section that
-// passed its checksum but was encoded by a buggy or hostile writer still
-// fails with ErrCorruptSnapshot instead of producing an index that
-// panics at query time.
+// output. Every structural invariant the builder guarantees is
+// re-validated — section count, lengths, id ranges, weights in (0, 1],
+// ascending doc and dictionary order, each postings id named by exactly
+// one dictionary entry, bigram keys made of earlier unigram ids — so a
+// section that passed its checksum but was encoded by a buggy or hostile
+// writer still fails with ErrCorruptSnapshot instead of producing an index
+// that panics at query or merge time, and an accepted encoding is the only
+// one of its segment (re-encoding reproduces it byte for byte). Counts are
+// checked against the bytes their entries need at minimum before anything
+// is allocated, which bounds memory to a small multiple of the input.
 func DecodeSegment(sections [][]byte) (*Segment, error) {
 	if len(sections) != SnapshotSections {
 		return nil, ErrCorruptSnapshot
 	}
-	c := &Corpus{termIDs: map[string]int32{}, pairIDs: map[uint64]int32{}, sealed: true}
+	g := newSegment()
 
 	// Names.
 	r := &reader{b: sections[0]}
 	nNames := int(r.u32())
-	if r.err || nNames < 0 || nNames > len(sections[0]) {
+	if r.err || nNames < 0 || nNames > len(sections[0])/4 {
 		return nil, ErrCorruptSnapshot
 	}
-	c.names = make([]string, 0, nNames)
+	g.names = make([]string, 0, nNames)
 	for i := 0; i < nNames; i++ {
-		c.names = append(c.names, string(r.bytes(int(r.u32()))))
+		g.names = append(g.names, string(r.bytes(int(r.u32()))))
 	}
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
@@ -196,33 +199,40 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	// Postings first: the dictionaries validate their ids against its size.
 	r = &reader{b: sections[3]}
 	nPost := int(r.u32())
-	if r.err || nPost < 0 || nPost > len(sections[3]) {
+	if r.err || nPost < 0 || nPost > len(sections[3])/4 {
 		return nil, ErrCorruptSnapshot
 	}
-	c.postings = make([]postingList, nPost)
+	g.postings = make([]postingList, nPost)
 	for i := 0; i < nPost; i++ {
 		n := int(r.u32())
-		if r.err || n < 0 || n > len(sections[3]) {
+		if r.err || n < 0 || n > (len(r.b)-r.off)/12 {
 			return nil, ErrCorruptSnapshot
 		}
-		pl := &c.postings[i]
+		pl := &g.postings[i]
 		pl.docs = make([]int32, n)
 		pl.ws = make([]float64, n)
 		for j := 0; j < n; j++ {
 			d := int32(r.u32())
-			if int(d) < 0 || int(d) >= len(c.names) {
+			if int(d) < 0 || int(d) >= len(g.names) {
 				return nil, ErrCorruptSnapshot
 			}
-			// Doc-ordered lists are what the DAAT cursors and the pruned
-			// search's tie rule rely on; the builder always writes them
-			// ascending, so anything else is corruption.
+			// Doc-ordered lists are what the dense-list detection, the
+			// binary searches and the tie rule rely on; the builder always
+			// writes them ascending, so anything else is corruption.
 			if j > 0 && d <= pl.docs[j-1] {
 				return nil, ErrCorruptSnapshot
 			}
 			pl.docs[j] = d
 		}
 		for j := 0; j < n; j++ {
-			pl.ws[j] = math.Float64frombits(r.u64())
+			// A weight is count/norm of a document containing the term, so
+			// it lies in (0, 1]; the pruning bounds and the "zero means
+			// untouched" accumulators assume exactly that. Rejects NaN too.
+			w := math.Float64frombits(r.u64())
+			if !(w > 0 && w <= 1) {
+				return nil, ErrCorruptSnapshot
+			}
+			pl.ws[j] = w
 		}
 		// Block-max metadata is derived state and deliberately not
 		// serialized (the format — and every old snapshot file — stays
@@ -233,48 +243,60 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 
-	// Unigram dictionary.
+	// Unigram dictionary, in ascending id order. isUni marks the ids it
+	// assigned: the bigram dictionary may neither reuse them nor build a
+	// key from anything else.
+	isUni := make([]bool, nPost)
 	r = &reader{b: sections[1]}
 	nTerms := int(r.u32())
-	if r.err || nTerms < 0 || nTerms > len(sections[1]) {
+	if r.err || nTerms < 0 || nTerms > len(sections[1])/8 {
 		return nil, ErrCorruptSnapshot
 	}
-	for i := 0; i < nTerms; i++ {
+	for i, prev := 0, int32(-1); i < nTerms; i++ {
 		id := int32(r.u32())
 		term := string(r.bytes(int(r.u32())))
-		if r.err || int(id) < 0 || int(id) >= nPost {
+		if r.err || id <= prev || int(id) >= nPost {
 			return nil, ErrCorruptSnapshot
 		}
-		if _, dup := c.termIDs[term]; dup {
+		if _, dup := g.termIDs[term]; dup {
 			return nil, ErrCorruptSnapshot
 		}
-		c.termIDs[term] = id
+		g.termIDs[term] = id
+		isUni[id] = true
+		prev = id
 	}
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
 	}
 
-	// Bigram dictionary.
+	// Bigram dictionary, in ascending id order. A bigram is interned after
+	// both its unigrams (MergeSegments relies on it), so a key's halves are
+	// unigram ids below the bigram's own.
 	r = &reader{b: sections[2]}
 	nPairs := int(r.u32())
-	if r.err || nPairs < 0 || nPairs > len(sections[2]) {
+	if r.err || nPairs < 0 || nPairs > len(sections[2])/12 {
 		return nil, ErrCorruptSnapshot
 	}
-	for i := 0; i < nPairs; i++ {
+	for i, prev := 0, int32(-1); i < nPairs; i++ {
 		key := r.u64()
 		id := int32(r.u32())
-		if r.err || int(id) < 0 || int(id) >= nPost {
+		if r.err || id <= prev || int(id) >= nPost || isUni[id] {
 			return nil, ErrCorruptSnapshot
 		}
-		if _, dup := c.pairIDs[key]; dup {
+		if a, b := key>>32, key&0xffffffff; a >= uint64(id) || b >= uint64(id) || !isUni[a] || !isUni[b] {
 			return nil, ErrCorruptSnapshot
 		}
-		c.pairIDs[key] = id
+		if _, dup := g.pairIDs[key]; dup {
+			return nil, ErrCorruptSnapshot
+		}
+		g.pairIDs[key] = id
+		prev = id
 	}
-	if !r.done() {
+	// Ids ascend within each dictionary and never overlap, so together
+	// they name every postings list exactly when the counts add up.
+	if !r.done() || nTerms+nPairs != nPost {
 		return nil, ErrCorruptSnapshot
 	}
 
-	c.buildByteIDs()
-	return &Segment{c: c}, nil
+	return g.seal(), nil
 }

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -122,6 +123,34 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 		"trailing garbage":    mutate(func(s [][]byte) { s[0] = append(s[0], 0xFF) }),
 		"huge name count":     mutate(func(s [][]byte) { s[0][0], s[0][1], s[0][2], s[0][3] = 0xFF, 0xFF, 0xFF, 0x7F }),
 		"doc out of range":    mutate(func(s [][]byte) { s[3][8] = 0xEE }),
+		// The first list's first weight follows its count and doc ids; the
+		// sign bit is the top bit of the last byte.
+		"negative weight": mutate(func(s [][]byte) {
+			n := int(binary.LittleEndian.Uint32(s[3][4:]))
+			s[3][8+4*n+7] |= 0x80
+		}),
+		// Dictionary sections: u32 count, then (u32 id, u32 len, term) or
+		// (u64 key, u32 id) entries in id order. A bigram key naming ids no
+		// unigram owns used to decode and then panic MergeSegments.
+		"hostile bigram key": mutate(func(s [][]byte) {
+			binary.LittleEndian.PutUint64(s[2][4:], 0x7fffffff<<32|0x7ffffffe)
+		}),
+		"bigram key of bigram ids": mutate(func(s [][]byte) {
+			id := uint64(binary.LittleEndian.Uint32(s[2][12:]))
+			binary.LittleEndian.PutUint64(s[2][16:], id<<32|id)
+		}),
+		"id in both dictionaries": mutate(func(s [][]byte) { copy(s[2][12:16], s[1][4:8]) }),
+		"id in no dictionary": mutate(func(s [][]byte) {
+			binary.LittleEndian.PutUint32(s[2], binary.LittleEndian.Uint32(s[2])-1)
+			s[2] = s[2][:len(s[2])-12]
+		}),
+		"dictionary out of id order": mutate(func(s [][]byte) {
+			second := 12 + int(binary.LittleEndian.Uint32(s[1][8:]))
+			var first [4]byte
+			copy(first[:], s[1][4:8])
+			copy(s[1][4:8], s[1][second:second+4])
+			copy(s[1][second:], first[:])
+		}),
 	}
 	for name, secs := range cases {
 		if _, err := DecodeSnapshot(secs); !errors.Is(err, ErrCorruptSnapshot) {

@@ -17,8 +17,6 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
-
-	"freehw/internal/par"
 )
 
 // DefaultThreshold is the paper's violation threshold.
@@ -164,15 +162,15 @@ func Cosine(a, b Vector) float64 {
 // product against raw query counts needs only the query norm at the end.
 //
 // Postings are always in strictly ascending doc order (documents index in
-// insertion order), which makes every list a ready-made DAAT cursor. On
-// top of that order the list carries block-max metadata: tmax is the
+// insertion order): a dense list (one posting per document) is therefore a
+// doc-indexed array, and any list can be binary-searched for one document.
+// On top of that order the list carries block-max metadata: tmax is the
 // largest weight anywhere in the list and bmax[b] the largest weight in
 // block b of blockSize consecutive postings. Both are maintained
-// incrementally by add — O(1) per posting, valid at every instant — so
-// batch builds, incremental Add, and snapshot decode all share one code
-// path and there is no seal-time rebuild for a concurrent reader to race.
-// The metadata is derived state: serialization intentionally omits it
-// (DecodeSnapshot reconstructs it), keeping the snapshot format unchanged.
+// incrementally by add — O(1) per posting — so batch builds and
+// incremental Add share one code path. The metadata is derived state:
+// serialization intentionally omits it (DecodeSegment and MergeSegments
+// reconstruct it), keeping the snapshot format unchanged.
 type postingList struct {
 	docs []int32
 	ws   []float64
@@ -210,142 +208,6 @@ func (pl *postingList) rebuildBlockMeta() {
 		}
 	}
 }
-
-// Corpus is an indexed collection of protected documents. Unigram terms
-// are interned as int32 postings ids; bigrams are keyed by the pair of
-// their unigram ids, so neither indexing nor querying ever materializes a
-// concatenated bigram string — the dominant cost of the pre-PR-5 query
-// path. A Corpus under construction is single-writer: Add must not race
-// with reads. Seal it into a Snapshot for concurrent serving.
-type Corpus struct {
-	names    []string
-	termIDs  map[string]int32 // unigram term -> postings id
-	pairIDs  map[uint64]int32 // unigram id pair -> bigram postings id
-	byteIDs  []int32          // single-byte term -> id (-1 absent); sealed only
-	postings []postingList    // unigrams and bigrams share one id space
-	sealed   bool
-}
-
-// buildByteIDs precomputes the dictionary ids of all 256 single-byte
-// terms. Verilog text is punctuation-dense — `;`, `(`, `=`, `,` are a
-// large share of every query's tokens — and a direct table turns each of
-// those lookups into one array read instead of a string-map probe. Built
-// only when the corpus seals (the dictionary is frozen from then on);
-// an unsealed corpus keeps the plain map path.
-func (c *Corpus) buildByteIDs() {
-	t := make([]int32, 256)
-	var buf [1]byte
-	for i := range t {
-		buf[0] = byte(i)
-		if id, ok := c.termIDs[string(buf[:])]; ok {
-			t[i] = id
-		} else {
-			t[i] = -1
-		}
-	}
-	c.byteIDs = t
-}
-
-// NewCorpus builds a corpus; names and texts run in parallel. See
-// NewCorpusWorkers.
-func NewCorpus(names, texts []string) *Corpus {
-	return NewCorpusWorkers(names, texts, 0)
-}
-
-// NewCorpusWorkers builds a corpus with bounded concurrency (workers <= 0
-// means GOMAXPROCS). Per-document tokenization fans out; dictionary
-// interning and index insertion stay sequential in document order, so the
-// built index is identical regardless of worker count.
-func NewCorpusWorkers(names, texts []string, workers int) *Corpus {
-	c := &Corpus{termIDs: map[string]int32{}, pairIDs: map[uint64]int32{}}
-	tokLists := par.Map(workers, len(texts), func(i int) []string {
-		return Tokenize(texts[i])
-	})
-	for i, toks := range tokLists {
-		name := ""
-		if i < len(names) {
-			name = names[i]
-		}
-		c.addToks(name, toks)
-		tokLists[i] = nil // release each document's tokens as it lands
-	}
-	return c
-}
-
-// Add appends one document to the index.
-func (c *Corpus) Add(name, text string) {
-	c.addToks(name, Tokenize(text))
-}
-
-// uniID interns a unigram term, assigning the next postings id on first
-// sight.
-func (c *Corpus) uniID(t string) int32 {
-	id, ok := c.termIDs[t]
-	if !ok {
-		id = int32(len(c.postings))
-		c.termIDs[t] = id
-		c.postings = append(c.postings, postingList{})
-	}
-	return id
-}
-
-// pairKey packs two unigram ids into the bigram dictionary key.
-func pairKey(a, b int32) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// pairID interns a bigram by its unigram id pair.
-func (c *Corpus) pairID(a, b int32) int32 {
-	k := pairKey(a, b)
-	id, ok := c.pairIDs[k]
-	if !ok {
-		id = int32(len(c.postings))
-		c.pairIDs[k] = id
-		c.postings = append(c.postings, postingList{})
-	}
-	return id
-}
-
-func (c *Corpus) addToks(name string, toks []string) {
-	if c.sealed {
-		panic("similarity: Add on a sealed Corpus")
-	}
-	doc := int32(len(c.names))
-	c.names = append(c.names, name)
-	if len(toks) == 0 {
-		return // empty document: no postings, unreachable by any query
-	}
-	tids := make([]int32, len(toks))
-	for i, t := range toks {
-		tids[i] = c.uniID(t)
-	}
-	counts := make(map[int32]float64, 2*len(toks))
-	order := make([]int32, 0, 2*len(toks))
-	bump := func(id int32) {
-		if _, ok := counts[id]; !ok {
-			order = append(order, id)
-		}
-		counts[id]++
-	}
-	for i, id := range tids {
-		bump(id)
-		if i+1 < len(tids) {
-			bump(c.pairID(id, tids[i+1]))
-		}
-	}
-	// Counts are integers, so the norm is exact regardless of sum order.
-	var sum float64
-	for _, v := range counts {
-		sum += v * v //freehw:nolint mapord -- integer counts, exact in any order (see comment above)
-	}
-	norm := math.Sqrt(sum)
-	for _, id := range order {
-		c.postings[id].add(doc, counts[id]/norm)
-	}
-}
-
-// Len returns the number of indexed documents.
-func (c *Corpus) Len() int { return len(c.names) }
 
 // Match is the best corpus match for a query.
 type Match struct {
@@ -480,7 +342,7 @@ var unknownPool = sync.Pool{New: func() any { return make(map[string]uint64) }}
 // has never seen cannot appear in any corpus bigram either, so its
 // bigrams are skipped without a lookup. qts reuses buf's capacity when it
 // fits, so a pooled caller pays no per-query slice allocation.
-func (c *Corpus) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm float64) {
+func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm float64) {
 	// Count one key per unigram and bigram occurrence. Unigram keys are
 	// the effective id (< 2^32, dictionary id or interned unknown), bigram
 	// keys pack the pair shifted into the upper half (>= 2^32) — the
@@ -511,12 +373,12 @@ func (c *Corpus) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm fl
 	prev, seen := uint64(0), false
 	tokensRaw(text, func(t string, hasUpper bool) {
 		var e uint64
-		if len(t) == 1 && c.byteIDs != nil {
+		if len(t) == 1 {
 			ch := t[0]
 			if hasUpper {
 				ch += 'a' - 'A' // a 1-byte token with upper IS a single A-Z letter
 			}
-			if id := c.byteIDs[ch]; id >= 0 {
+			if id := g.byteIDs[ch]; id >= 0 {
 				e = uint64(id)
 				tab.bump(e)
 				if seen {
@@ -541,7 +403,7 @@ func (c *Corpus) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm fl
 				b = append(b, ch)
 			}
 			tab.low = b
-			if id, ok := c.termIDs[string(b)]; ok {
+			if id, ok := g.termIDs[string(b)]; ok {
 				e = uint64(id)
 			} else {
 				if unknown == nil {
@@ -553,7 +415,7 @@ func (c *Corpus) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm fl
 				}
 				e = lid
 			}
-		} else if id, ok := c.termIDs[t]; ok {
+		} else if id, ok := g.termIDs[t]; ok {
 			e = uint64(id)
 		} else {
 			if unknown == nil {
@@ -589,47 +451,13 @@ func (c *Corpus) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm fl
 		default: // bigram
 			a, b := (k>>32)-1, k&0xffffffff
 			if a < unknownBase && b < unknownBase {
-				if id, ok := c.pairIDs[a<<32|b]; ok {
+				if id, ok := g.pairIDs[a<<32|b]; ok {
 					qts = append(qts, packQterm(id, v))
 				}
 			}
 		}
 	}
 	return qts, math.Sqrt(sum)
-}
-
-// score accumulates per-document dot products for the query's terms, in
-// canonical query order. Only documents sharing at least one term
-// with the query are touched; the returned accumulator holds
-// dot(query, doc)/norm(doc), so dividing by the query norm yields cosine.
-// qnorm is 0 for empty queries.
-func (c *Corpus) score(text string) (acc []float64, qnorm float64) {
-	qts, qnorm := c.resolveQuery(text, nil)
-	if qnorm == 0 || len(c.names) == 0 {
-		return nil, qnorm
-	}
-	acc = make([]float64, len(c.names))
-	for _, qt := range qts {
-		w := qtermW(qt)
-		pl := &c.postings[qtermID(qt)]
-		docs := pl.docs
-		ws := pl.ws[:len(docs)] // one bound, checks eliminated below
-		for k, doc := range docs {
-			acc[doc] += w * ws[k]
-		}
-	}
-	return acc, qnorm
-}
-
-// Best returns the closest corpus document to the query text, or
-// Match{Name: "", Index: -1, Score: 0} when nothing scores above zero —
-// the documented no-match value callers must check before using Index.
-// Ties resolve to the lowest document index.
-func (c *Corpus) Best(text string) Match {
-	if ms := c.searchTopK(text, 1, searchAuto); len(ms) > 0 {
-		return ms[0]
-	}
-	return Match{Index: -1}
 }
 
 // matchWorse orders matches weakest-first: lower score, then higher index
@@ -654,16 +482,4 @@ func (h *matchHeap) Pop() any {
 	m := old[n-1]
 	*h = old[:n-1]
 	return m
-}
-
-// TopK returns the k closest matches, best first (score descending, index
-// ascending on ties), using a bounded heap instead of sorting every score.
-// Only documents that share at least one term with the query qualify: a
-// zero cosine is "no match", so the result holds min(k, matching docs)
-// entries rather than padding with arbitrary low-index corpus files.
-func (c *Corpus) TopK(text string, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
-	return c.searchTopK(text, k, searchAuto)
 }

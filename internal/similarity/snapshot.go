@@ -106,17 +106,19 @@ func (ss *snapSeg) selectLive(r int) int32 {
 	panic("similarity: live rank out of range")
 }
 
-// Seal freezes the corpus and returns its immutable read view as a
-// single-segment snapshot. Sealing transfers ownership: any later Add on
-// the underlying Corpus panics, so a writer cannot silently mutate an
-// index that concurrent readers hold.
-func (c *Corpus) Seal() *Snapshot {
-	return newSnapshot([]*Segment{c.sealSegment()}, nil)
-}
+// Corpus is the offline API's old name for a snapshot. Reproduction code
+// (RunBenchmark, core.Experiment) audits against a one-segment Snapshot
+// through the same Best/TopK the server runs; the alias and NewCorpus stay
+// only because bench/'s frozen offline oracle compiles against them.
+type Corpus = Snapshot
 
-// SealCorpus builds and seals a corpus in one step (see NewCorpusWorkers).
+// NewCorpus is SealCorpus(names, texts, 0).
+func NewCorpus(names, texts []string) *Corpus { return SealCorpus(names, texts, 0) }
+
+// SealCorpus builds one sealed segment from the documents (see
+// BuildSegment for workers) and returns it as a snapshot.
 func SealCorpus(names, texts []string, workers int) *Snapshot {
-	return NewCorpusWorkers(names, texts, workers).Seal()
+	return newSnapshot([]*Segment{BuildSegment(names, texts, workers)}, nil)
 }
 
 // SnapshotOf composes pre-built segments and tombstone bitmaps into a
@@ -147,32 +149,29 @@ func (s *Snapshot) Name(i int) string {
 	for si := range s.segs {
 		ss := &s.segs[si]
 		if i < ss.offset+ss.live {
-			return ss.seg.c.names[ss.selectLive(i-ss.offset)]
+			return ss.seg.names[ss.selectLive(i-ss.offset)]
 		}
 	}
 	panic("similarity: document index out of range")
 }
 
 // Best returns the closest live document to the query text, or
-// Match{Name: "", Index: -1, Score: 0} when nothing scores above zero.
-// Each segment runs the exact block-max scorer with its tombstone bitmap;
-// candidates merge on (score descending, global index ascending) — the
-// same tie rule as a single corpus, made consistent by the global
+// Match{Name: "", Index: -1, Score: 0} when nothing scores above zero —
+// the documented no-match value callers must check before using Index.
+// Each segment runs the exact scorer with its tombstone bitmap; candidates
+// merge on (score descending, global index ascending) — the tie rule
+// within a segment, made consistent across segments by the global
 // live-rank indexing.
 //
 //freehw:hotpath
 func (s *Snapshot) Best(text string) Match {
-	if len(s.segs) == 1 && s.segs[0].dead == nil {
-		// Single segment, no tombstones: the pre-segmentation fast path.
-		return s.segs[0].seg.c.Best(text)
-	}
 	best := Match{Index: -1}
 	for si := range s.segs {
 		ss := &s.segs[si]
 		if ss.live == 0 {
 			continue
 		}
-		ms := ss.seg.c.searchTopKDead(text, 1, searchAuto, ss.dead)
+		ms := ss.seg.searchTopK(text, 1, searchAuto, ss.dead)
 		if len(ms) == 0 {
 			continue
 		}
@@ -187,15 +186,14 @@ func (s *Snapshot) Best(text string) Match {
 
 // TopK returns the k closest live matches, best first (score descending,
 // index ascending on ties). Only documents sharing at least one term with
-// the query qualify — identical semantics to Corpus.TopK.
+// the query qualify: a zero cosine is "no match", so the result holds
+// min(k, matching docs) entries rather than padding with arbitrary
+// low-index corpus files.
 //
 //freehw:hotpath
 func (s *Snapshot) TopK(text string, k int) []Match {
 	if k <= 0 || s.total == 0 {
 		return nil
-	}
-	if len(s.segs) == 1 && s.segs[0].dead == nil {
-		return s.segs[0].seg.c.TopK(text, k)
 	}
 	var all []Match
 	for si := range s.segs {
@@ -203,7 +201,7 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 		if ss.live == 0 {
 			continue
 		}
-		ms := ss.seg.c.searchTopKDead(text, k, searchAuto, ss.dead)
+		ms := ss.seg.searchTopK(text, k, searchAuto, ss.dead)
 		for _, m := range ms {
 			m.Index = ss.offset + ss.liveRank(int32(m.Index))
 			all = append(all, m)
@@ -211,7 +209,7 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 	}
 	// Per-segment lists carry exact scores (bit-identical to the full
 	// rebuild's), so a plain sort on (score desc, index asc) reproduces
-	// the single-corpus heap order exactly.
+	// the one-segment heap order exactly.
 	slices.SortFunc(all, func(a, b Match) int {
 		if a.Score != b.Score {
 			if a.Score > b.Score {

@@ -7,55 +7,32 @@ import (
 	"testing"
 )
 
-func TestSealedCorpusRejectsAdd(t *testing.T) {
-	c := NewCorpus([]string{"a"}, []string{"alpha beta"})
-	snap := c.Seal()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add on a sealed corpus should panic")
-		}
-	}()
-	_ = snap
-	c.Add("b", "gamma delta")
-}
-
-// Snapshot reads must return exactly what the underlying corpus returns.
-func TestSnapshotMatchesCorpus(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 30
-	names := make([]string, n)
-	texts := make([]string, n)
-	for i := range texts {
-		names[i] = fmt.Sprintf("d%d", i)
-		texts[i] = randDoc(rng, 40, 30+rng.Intn(80))
+// The sealed-writer guarantee: once Seal has handed the segment to
+// readers, the builder can no longer write to it — Add panics, and the
+// attempt leaves the sealed segment's verdicts untouched.
+func TestSealedBuilderRejectsAdd(t *testing.T) {
+	b := NewSegmentBuilder()
+	b.Add("a", "alpha beta")
+	b.Add("b", "alpha gamma delta")
+	snap := SnapshotOf([]*Segment{b.Seal()}, nil)
+	queries := []string{"alpha beta", "gamma delta", "alpha"}
+	var want [][]Match
+	for _, q := range queries {
+		want = append(want, append(snap.TopK(q, 2), snap.Best(q)))
 	}
-	c := NewCorpus(names, texts)
-	// Score queries before sealing: sealing must not change any verdict.
-	queries := make([]string, 10)
-	wantBest := make([]Match, len(queries))
-	wantTopK := make([][]Match, len(queries))
-	for q := range queries {
-		queries[q] = randDoc(rng, 60, 10+rng.Intn(50))
-		wantBest[q] = c.Best(queries[q])
-		wantTopK[q] = c.TopK(queries[q], 5)
-	}
-	snap := c.Seal()
-	if snap.Len() != n || snap.Name(3) != "d3" {
-		t.Fatalf("snapshot shape: len=%d name3=%q", snap.Len(), snap.Name(3))
-	}
-	for q, query := range queries {
-		if got := snap.Best(query); got != wantBest[q] {
-			t.Fatalf("query %d: snapshot best %+v != corpus best %+v", q, got, wantBest[q])
-		}
-		got := snap.TopK(query, 5)
-		if len(got) != len(wantTopK[q]) {
-			t.Fatalf("query %d: topk len %d != %d", q, len(got), len(wantTopK[q]))
-		}
-		for i := range got {
-			if got[i] != wantTopK[q][i] {
-				t.Fatalf("query %d rank %d: %+v != %+v", q, i, got[i], wantTopK[q][i])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Add on a sealed builder should panic")
 			}
-		}
+		}()
+		b.Add("c", "alpha beta gamma delta")
+	}()
+	if snap.Len() != 2 {
+		t.Fatalf("sealed segment grew to %d docs", snap.Len())
+	}
+	for i, q := range queries {
+		requireSameMatches(t, q, append(snap.TopK(q, 2), snap.Best(q)), want[i])
 	}
 }
 
