@@ -202,10 +202,12 @@ func FuzzDecodeSegment(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		g, err := DecodeSegment(in)
 		runtime.ReadMemStats(&after)
-		// Worst legitimate ratio: an 80-byte postingList per 4-byte empty
-		// list, a map entry per 8-byte dictionary entry. The constant
+		// Worst ratios: an offset, a tmax and an isUni flag (13 bytes) per
+		// 4-byte empty list; a presized map slot (up to ~57 bytes when the
+		// table rounds up) per claimed term, which costs 8 bytes of
+		// dictionary and 4 of the list count it may not exceed. The constant
 		// covers the 256-entry byte table and the fuzz worker's own noise.
-		if got := after.TotalAlloc - before.TotalAlloc; got > 48*size+64<<10 {
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8*size+64<<10 {
 			t.Fatalf("decoding %d input bytes allocated %d", size, got)
 		}
 		if err != nil {
@@ -217,7 +219,7 @@ func FuzzDecodeSegment(f *testing.F) {
 
 		// Queries made of the segment's own terms, in id order (roughly the
 		// first document's token order, so bigrams resolve too).
-		terms := make([]string, len(g.postings))
+		terms := make([]string, g.lists())
 		for term, id := range g.termIDs {
 			terms[id] = term
 		}

@@ -1,0 +1,183 @@
+package similarity
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"freehw/internal/corpus"
+)
+
+// protectedDocs returns n documents of bench/'s protected-corpus shape.
+func protectedDocs(n int) (names, texts []string) {
+	for _, p := range corpus.BuildProtectedCorpus(1, n) {
+		names = append(names, p.Name)
+		texts = append(texts, p.Source)
+	}
+	return names, texts
+}
+
+func requireSameSections(t *testing.T, ctx string, got, want [][]byte) {
+	t.Helper()
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: section %d differs from BuildSegment's (%d vs %d bytes)", ctx, i, len(got[i]), len(want[i]))
+		}
+	}
+}
+
+// Every way of producing a segment over the same documents — batch build,
+// per-document Add then Seal, decoding an encoding, merging any split of
+// the documents — fills the arenas identically: the encodings agree byte
+// for byte.
+func TestLayoutEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	dNames, dTexts, _ := buildDiverse(97, 150)
+	dTexts[0], dTexts[77], dTexts[149] = "", "", "" // empty documents, first and last included
+	dNames[5], dNames[6] = dNames[4], dNames[4]     // duplicate names
+	hNames := make([]string, 200)                   // shared vocabulary: dense lists, several blocks
+	hTexts := make([]string, 200)
+	for i := range hTexts {
+		hNames[i] = fmt.Sprintf("h%d", i%150)
+		hTexts[i] = "module m ; " + randDoc(rng, 30, 20+rng.Intn(60))
+	}
+	for _, cc := range []struct {
+		name         string
+		names, texts []string
+	}{{"diverse", dNames, dTexts}, {"homog", hNames, hTexts}, {"none", nil, nil}, {"only empty", []string{"e"}, []string{""}}} {
+		built := BuildSegment(cc.names, cc.texts, 3)
+		want := built.EncodeSections()
+		if cc.name == "homog" && (len(built.dense) == 0 || len(built.bmax) != 4*len(built.dense)) {
+			t.Fatalf("homog: %d dense lists with %d block maxima, want 4 each", len(built.dense), len(built.bmax))
+		}
+		requireSameSections(t, cc.name+" Add+Seal", buildSegmented(cc.names, cc.texts, []int{len(cc.texts)})[0].EncodeSections(), want)
+		dec, err := DecodeSegment(want)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", cc.name, err)
+		}
+		requireSameSections(t, cc.name+" decoded", dec.EncodeSections(), want)
+		for _, parts := range []int{1, 2, 7} {
+			if len(cc.texts) == 0 {
+				break
+			}
+			segs := buildSegmented(cc.names, cc.texts, splitSizes(len(cc.texts), parts, rng))
+			requireSameSections(t, fmt.Sprintf("%s merged from %d", cc.name, parts), MergeSegments(segs, nil).EncodeSections(), want)
+		}
+	}
+}
+
+// A merge that drops tombstoned documents assigns dictionary ids in an
+// order no rebuild reproduces, so it is pinned against the bytes
+// MergeSegments wrote for the same run and bitmaps at the commit before
+// postings moved into arenas (the hash was recorded there), and must
+// survive its own round trips.
+func TestTombstonedMergeBytesUnchanged(t *testing.T) {
+	const recorded = "ef42207e9a94efcba11d3a2a6510b4b5cccbed3d3752f6e750bf676ab32f4137"
+	names, texts, _ := buildDiverse(131, 300)
+	rng := rand.New(rand.NewSource(131))
+	segs := buildSegmented(names, texts, splitSizes(len(texts), 5, rng))
+	deads := make([][]uint64, len(segs))
+	for i, g := range segs {
+		deads[i] = make([]uint64, (g.Docs()+63)/64)
+		for d := 0; d < g.Docs(); d++ {
+			if rng.Intn(4) == 0 {
+				deads[i][d/64] |= 1 << (d % 64)
+			}
+		}
+	}
+	merged := MergeSegments(segs, deads)
+	want := merged.EncodeSections()
+	h := sha256.New()
+	for _, sec := range want {
+		h.Write(sec)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != recorded {
+		t.Fatalf("tombstoned merge encodes to %s, recorded %s", got, recorded)
+	}
+	dec, err := DecodeSegment(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSections(t, "decoded", dec.EncodeSections(), want)
+	requireSameSections(t, "merged again", MergeSegments([]*Segment{merged}, nil).EncodeSections(), want)
+}
+
+// heldBy reports the heap bytes and heap objects that the value build
+// returns keeps alive once everything else build allocated is collected.
+func heldBy(build func() any) (bytes, objects int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), int64(after.HeapObjects) - int64(before.HeapObjects)
+}
+
+// A sealed segment's postings are a fixed number of allocations however
+// many lists it has: what it holds beyond them is its dictionary and name
+// strings and the maps' tables. One allocation per list — this segment has
+// several lists per distinct unigram — cannot hide under that bound.
+func TestSealedSegmentObjectCount(t *testing.T) {
+	names, texts := protectedDocs(2000)
+	var g *Segment
+	_, objects := heldBy(func() any {
+		g = BuildSegment(names, texts, 1)
+		return g
+	})
+	distinctNames := map[string]bool{}
+	for _, n := range names {
+		distinctNames[n] = true
+	}
+	bound := int64(len(g.termIDs) + len(distinctNames) + 64)
+	if objects > bound {
+		t.Fatalf("sealed segment of %d lists holds %d heap objects, want <= %d (%d unigrams + %d names + 64)",
+			g.lists(), objects, bound, len(g.termIDs), len(distinctNames))
+	}
+	if int64(g.lists()) < 2*bound {
+		t.Fatalf("%d lists against a bound of %d: the corpus no longer separates per-list allocation", g.lists(), bound)
+	}
+	t.Logf("%d docs, %d lists, %d postings: %d heap objects (bound %d)", g.Docs(), g.lists(), len(g.docs), objects, bound)
+}
+
+// BenchmarkBuildSegment builds bench/'s base corpus (8 000 protected
+// documents) the way a full publish does, and reports what the sealed
+// segment then costs to keep.
+func BenchmarkBuildSegment(b *testing.B) {
+	names, texts := protectedDocs(8000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildSegment(names, texts, 0)
+	}
+	b.StopTimer()
+	var g *Segment
+	live, objects := heldBy(func() any {
+		g = BuildSegment(names, texts, 0)
+		return g
+	})
+	b.ReportMetric(float64(live)/float64(len(g.docs)), "live-B/posting")
+	b.ReportMetric(float64(objects), "objects/segment")
+}
+
+// BenchmarkDecodeSegment decodes that segment's sections — the restart path.
+func BenchmarkDecodeSegment(b *testing.B) {
+	names, texts := protectedDocs(8000)
+	sections := BuildSegment(names, texts, 0).EncodeSections()
+	size := 0
+	for _, sec := range sections {
+		size += len(sec)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSegment(sections); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

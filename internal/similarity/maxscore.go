@@ -41,7 +41,7 @@ package similarity
 // candidate and prune nothing on whole-file audit queries. The gather
 // engine therefore splits the query's posting lists three ways and scores
 // by gathering rather than by cursor merging, using the block-max
-// metadata postingList.add maintains:
+// metadata Segment.seal derives:
 //
 //   - Dense lists (document frequency == segment size; posting position
 //     therefore equals doc id) never generate candidates. Their per-block
@@ -114,9 +114,9 @@ import (
 )
 
 const (
-	// blockSize postings share one bmax entry. Small enough that a block
-	// skip is fine-grained, large enough that the metadata is ~1.5% of
-	// the postings.
+	// blockSize postings of a dense list share one bmax entry. Small enough
+	// that a block skip is fine-grained, large enough that the metadata is
+	// ~1.5% of the list.
 	blockSize  = 64
 	blockMask  = blockSize - 1
 	blockShift = 6
@@ -203,9 +203,10 @@ func ResetPruneStats() {
 }
 
 // pruneCursor is one query term's posting-list view: the doc-ordered
-// postings, block maxima, the query-side count, and the term's global
-// upper bound contribution. There is no position: both engines read lists
-// by streaming, by doc-indexed access (dense) or by binary search.
+// postings, the block maxima if the list is dense (nil otherwise), the
+// query-side count, and the term's global upper bound contribution. There
+// is no position: both engines read lists by streaming, by doc-indexed
+// access (dense) or by binary search.
 type pruneCursor struct {
 	docs []int32
 	ws   []float64
@@ -284,17 +285,21 @@ func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Matc
 	// preserves the relative order, so per-document sums stay canonical.
 	curs := sc.curs[:0]
 	totalPostings := 0
+	blocks := (len(g.names) + blockMask) >> blockShift
 	for _, qt := range qts {
-		pl := &g.postings[qtermID(qt)]
-		if len(pl.docs) == 0 {
+		id := qtermID(qt)
+		lo, hi := g.off[id], g.off[id+1]
+		if lo == hi {
 			continue
 		}
 		qw := qtermW(qt)
-		curs = append(curs, pruneCursor{
-			docs: pl.docs, ws: pl.ws, bmax: pl.bmax,
-			qw: qw, ub: qw * pl.tmax,
-		})
-		totalPostings += len(pl.docs)
+		cur := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], qw: qw, ub: qw * g.tmax[id]}
+		if len(cur.docs) == len(g.names) {
+			i, _ := slices.BinarySearch(g.dense, id)
+			cur.bmax = g.bmax[i*blocks : (i+1)*blocks]
+		}
+		curs = append(curs, cur)
+		totalPostings += len(cur.docs)
 	}
 	sc.curs = curs
 	n := len(curs)

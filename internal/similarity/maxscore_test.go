@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -296,8 +297,7 @@ func TestPruneStatsMajoritySkipped(t *testing.T) {
 		st.Candidates, st.FullEvals, st.BlockSkips, st.Bailouts)
 }
 
-// Decoded snapshots rebuild block-max metadata identical to the builder's
-// incremental maintenance.
+// Decoded snapshots rebuild block-max metadata identical to the builder's.
 func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	_, texts, s := buildDiverse(41, 300)
 	c := s.Segment(0)
@@ -305,21 +305,15 @@ func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dc.postings) != len(c.postings) {
-		t.Fatalf("postings count %d != %d", len(dc.postings), len(c.postings))
+	if len(c.dense) == 0 || len(c.bmax) != len(c.dense)*((c.Docs()+blockMask)>>blockShift) {
+		t.Fatalf("built segment: %d dense lists, %d block maxima over %d docs", len(c.dense), len(c.bmax), c.Docs())
 	}
-	for i := range c.postings {
-		a, b := &c.postings[i], &dc.postings[i]
-		if a.tmax != b.tmax {
-			t.Fatalf("postings %d: tmax %v != %v", i, b.tmax, a.tmax)
-		}
-		if len(a.bmax) != len(b.bmax) {
-			t.Fatalf("postings %d: bmax len %d != %d", i, len(b.bmax), len(a.bmax))
-		}
-		for j := range a.bmax {
-			if a.bmax[j] != b.bmax[j] {
-				t.Fatalf("postings %d block %d: %v != %v", i, j, b.bmax[j], a.bmax[j])
-			}
+	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.bmax, c.bmax) {
+		t.Fatal("decoded tmax/dense/bmax differ from the builder's")
+	}
+	for id, m := range c.tmax {
+		if want := slices.Max(c.ws[c.off[id]:c.off[id+1]]); m != want {
+			t.Fatalf("list %d: tmax %v, largest weight %v", id, m, want)
 		}
 	}
 	// And the decoded segment answers pruned queries identically.

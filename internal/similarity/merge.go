@@ -9,13 +9,6 @@ package similarity
 // Because scoring is corpus-dictionary-independent (see segment.go), the
 // merged segment produces bit-identical verdicts to the inputs.
 
-// mergeBuf accumulates one merged posting list; docs arrive ascending by
-// construction (see MergeSegments), so no sort is needed.
-type mergeBuf struct {
-	docs []int32
-	ws   []float64
-}
-
 // MergeSegments compacts segs[0..n-1] (an adjacent run, in snapshot order)
 // with their tombstone bitmaps into a single fresh segment holding only
 // the live documents, renumbered 0..live-1 in (ordinal, doc-id) order.
@@ -23,10 +16,17 @@ type mergeBuf struct {
 // so it is safe outside any lock; the caller revalidates the run before
 // splicing the result in (see Index.RunStable / ReplaceRun).
 //
+// Two passes over the sources, count then fill: the first renumbers the
+// live documents, re-interns every list that keeps a posting and counts
+// what it keeps, the second copies the surviving postings straight into
+// the merged segment's arenas.
+//
 //freehw:hotpath
 func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 	out := newSegment()
-	var bufs []mergeBuf
+	remaps := make([][]int32, len(segs))   // per source: doc id -> merged id, -1 dead
+	srcToOut := make([][]int32, len(segs)) // per source: postings id -> merged id, -1 dropped
+	counts := make([]uint32, 2)            // merged list id's postings at [id+2], see layout
 
 	next := int32(0) // merged doc id being assigned
 	for si, src := range segs {
@@ -34,22 +34,8 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		if si < len(deads) {
 			dead = deads[si]
 		}
+		terms, pairs, isPair := src.dictByID()
 
-		// Recover the segment's dictionaries as id-indexed arrays. Index
-		// assignment into preallocated slices keeps map iteration order
-		// irrelevant (freehw-vet: mapord).
-		terms := make([]string, len(src.postings))
-		pairs := make([]uint64, len(src.postings))
-		isPair := make([]bool, len(src.postings))
-		for t, id := range src.termIDs {
-			terms[id] = t
-		}
-		for k, id := range src.pairIDs {
-			pairs[id] = k
-			isPair[id] = true
-		}
-
-		// Map each live source doc to its merged id.
 		remap := make([]int32, src.Docs())
 		for d := int32(0); d < int32(src.Docs()); d++ {
 			if deadBit(dead, d) {
@@ -60,74 +46,70 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			next++
 			out.names = append(out.names, src.names[d])
 		}
+		remaps[si] = remap
 
 		// Re-intern postings ids in ascending source-id order. Within a
 		// document, every bigram was interned after its component unigrams
 		// (addToks adds unigrams first), so when we reach a bigram id, both
 		// component terms of any LIVE occurrence already exist in out —
-		// srcToOut resolves them. Lists whose docs are all tombstoned are
+		// toOut resolves them. Lists whose docs are all tombstoned are
 		// dropped entirely; a bigram over such a list cannot have a live
 		// occurrence either, so the skip is safe.
-		srcToOut := make([]int32, len(src.postings))
-		for id := range src.postings {
-			srcToOut[id] = -1
-		}
-		for id := 0; id < len(src.postings); id++ {
-			pl := &src.postings[id]
-			var buf *mergeBuf
-			var outID int32 = -1
-			for j, d := range pl.docs {
-				nd := remap[d]
-				if nd < 0 {
-					continue
+		toOut := make([]int32, src.lists())
+		for id := range toOut {
+			toOut[id] = -1
+			live := uint32(0)
+			for _, d := range src.docs[src.off[id]:src.off[id+1]] {
+				if remap[d] >= 0 {
+					live++
 				}
-				if outID < 0 {
-					outID = mergeIntern(out, id, terms, pairs, isPair, srcToOut)
-					if outID < 0 {
-						break // unreachable for a live doc; defensive
-					}
-					srcToOut[id] = outID
-					for int(outID) >= len(bufs) {
-						bufs = append(bufs, mergeBuf{})
-					}
-					buf = &bufs[outID]
-				}
-				buf.docs = append(buf.docs, nd)
-				buf.ws = append(buf.ws, pl.ws[j])
 			}
+			if live == 0 {
+				continue
+			}
+			var outID int32
+			if !isPair[id] {
+				outID = out.uniID(terms[id])
+			} else {
+				oa, ob := toOut[pairs[id]>>32], toOut[uint32(pairs[id])]
+				if oa < 0 || ob < 0 {
+					continue // unreachable for a live doc; defensive
+				}
+				outID = out.pairID(oa, ob)
+			}
+			toOut[id] = outID
+			if int(outID)+2 == len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[outID+2] += live
 		}
+		srcToOut[si] = toOut
 	}
 
 	if next == 0 {
 		return nil
 	}
 
-	// Assemble posting lists. Each buffer's docs are already ascending:
-	// per source segment they ascend (remap is monotone over live docs),
-	// and later segments' remapped ids all exceed earlier segments'.
-	out.postings = make([]postingList, len(bufs))
-	for i := range bufs {
-		pl := &out.postings[i]
-		pl.docs = bufs[i].docs
-		pl.ws = bufs[i].ws
-		pl.rebuildBlockMeta()
+	// Each list fills ascending: per source segment its docs ascend (remap
+	// is monotone over live docs), and later segments' remapped ids all
+	// exceed earlier segments'. Weights are copied as they are.
+	cur := out.layout(counts)
+	for si, src := range segs {
+		remap := remaps[si]
+		for id, outID := range srcToOut[si] {
+			if outID < 0 {
+				continue
+			}
+			p := cur[outID+1]
+			for j := src.off[id]; j < src.off[id+1]; j++ {
+				if nd := remap[src.docs[j]]; nd >= 0 {
+					out.docs[p] = nd
+					out.ws[p] = src.ws[j]
+					p++
+				}
+			}
+			cur[outID+1] = p
+		}
 	}
 	return out.seal()
-}
-
-// mergeIntern assigns (or finds) the merged segment's postings id for
-// source id, given the source's id-indexed dictionaries. For a bigram, both
-// component unigrams must already be interned in out — guaranteed by the
-// ascending-id merge order whenever the bigram has a live occurrence.
-// Returns -1 if a component is missing (only possible for fully-dead
-// lists, which the caller never interns).
-func mergeIntern(out *Segment, id int, terms []string, pairs []uint64, isPair []bool, srcToOut []int32) int32 {
-	if !isPair[id] {
-		return out.uniID(terms[id])
-	}
-	oa, ob := srcToOut[int32(pairs[id]>>32)], srcToOut[int32(uint32(pairs[id]))]
-	if oa < 0 || ob < 0 {
-		return -1
-	}
-	return out.pairID(oa, ob)
 }

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"slices"
 
 	"freehw/internal/par"
 )
@@ -29,16 +30,37 @@ import (
 // MergeSegments or DecodeSegment and are never written again, so any
 // number of readers may query one concurrently.
 //
+// Postings live in three flat, pointer-free arenas shared by every list:
+// list id's are docs[off[id]:off[id+1]], documents strictly ascending
+// (documents index in insertion order), with the tf(term, doc)/norm(doc)
+// weights parallel in ws — 12 packed bytes per posting for the accumulator
+// walk, and a dot product against raw query counts needs only the query
+// norm at the end. Ascending order makes a dense list (one posting per
+// document) a doc-indexed array and lets any list be binary-searched for
+// one document. However many lists a segment has there is nothing per list
+// for the collector to trace, and the arrays are what a segment file's
+// postings section holds.
+//
+// tmax, dense and bmax are derived by seal, never serialized: tmax[id] is
+// list id's largest weight, dense the ids of the dense lists, ascending,
+// and bmax their block maxima (the gather engine reads no others) —
+// dense[i]'s at bmax[i*blocks:(i+1)*blocks], one per blockSize postings.
+//
 // The zero id means "not yet assigned": internal/snapstore assigns a
 // store-unique id the first time the segment is persisted, and the id
 // never changes afterwards.
 type Segment struct {
-	names    []string
-	termIDs  map[string]int32 // unigram term -> postings id
-	pairIDs  map[uint64]int32 // unigram id pair -> bigram postings id
-	byteIDs  []int32          // single-byte term -> id (-1 absent)
-	postings []postingList    // unigrams and bigrams share one id space
-	id       uint64
+	names   []string
+	termIDs map[string]int32 // unigram term -> postings id
+	pairIDs map[uint64]int32 // unigram id pair -> bigram postings id
+	byteIDs []int32          // single-byte term -> id (-1 absent)
+	off     []uint32         // lists+1 arena offsets; unigrams and bigrams share one id space
+	docs    []int32
+	ws      []float64
+	tmax    []float64
+	dense   []int32
+	bmax    []float64
+	id      uint64
 }
 
 func newSegment() *Segment {
@@ -65,14 +87,17 @@ func (g *Segment) SetID(id uint64) {
 // enclosing snapshot has tombstoned — tombstones live above the segment).
 func (g *Segment) Docs() int { return len(g.names) }
 
+// lists returns the number of posting lists: every list is named by
+// exactly one dictionary entry.
+func (g *Segment) lists() int { return len(g.termIDs) + len(g.pairIDs) }
+
 // uniID interns a unigram term, assigning the next postings id on first
 // sight. Interning is construction-time only (builder, merge).
 func (g *Segment) uniID(t string) int32 {
 	id, ok := g.termIDs[t]
 	if !ok {
-		id = int32(len(g.postings))
+		id = int32(g.lists())
 		g.termIDs[t] = id
-		g.postings = append(g.postings, postingList{})
 	}
 	return id
 }
@@ -87,19 +112,72 @@ func (g *Segment) pairID(a, b int32) int32 {
 	k := pairKey(a, b)
 	id, ok := g.pairIDs[k]
 	if !ok {
-		id = int32(len(g.postings))
+		id = int32(g.lists())
 		g.pairIDs[k] = id
-		g.postings = append(g.postings, postingList{})
 	}
 	return id
 }
 
-// seal precomputes the dictionary ids of all 256 single-byte terms and
+// dictByID recovers the dictionaries as id-indexed arrays: list id is the
+// unigram terms[id], or, where isPair[id], the bigram of unigram ids
+// pairs[id]. Index assignment into preallocated slices keeps map iteration
+// order irrelevant (freehw-vet: mapord).
+func (g *Segment) dictByID() (terms []string, pairs []uint64, isPair []bool) {
+	terms = make([]string, g.lists())
+	pairs = make([]uint64, g.lists())
+	isPair = make([]bool, g.lists())
+	for t, id := range g.termIDs {
+		terms[id] = t
+	}
+	for k, id := range g.pairIDs {
+		pairs[id] = k
+		isPair[id] = true
+	}
+	return terms, pairs, isPair
+}
+
+// layout allocates the arenas for the per-list posting counts in n (list
+// id's at n[id+2]; lists+2 slots) and returns n rewritten into fill
+// cursors: list id's next posting goes to cur[id+1]. Once every counted
+// posting is placed cur[id+1] has reached list id+1's start, so cur[:lists+1]
+// ends up as the offset table and is installed as g.off here.
+func (g *Segment) layout(n []uint32) (cur []uint32) {
+	total := uint64(0)
+	for i := 2; i < len(n); i++ {
+		total += uint64(n[i])
+		if total > math.MaxUint32 {
+			panic("similarity: segment exceeds 2^32 postings")
+		}
+		n[i] = uint32(total)
+	}
+	g.off = n[:len(n)-1]
+	g.docs = make([]int32, total)
+	g.ws = make([]float64, total)
+	return n
+}
+
+// seal derives the block-max metadata from the filled arenas and
+// precomputes the dictionary ids of all 256 single-byte terms, then
 // returns the now-frozen segment. Verilog text is punctuation-dense — `;`,
 // `(`, `=`, `,` are a large share of every query's tokens — and a direct
 // table turns each of those lookups into one array read instead of a
 // string-map probe.
 func (g *Segment) seal() *Segment {
+	g.tmax = make([]float64, g.lists())
+	for id := range g.tmax {
+		ws := g.ws[g.off[id]:g.off[id+1]]
+		if len(ws) == 0 {
+			continue // only a decoded segment can name a list nothing is in
+		}
+		g.tmax[id] = slices.Max(ws)
+		if len(ws) == len(g.names) {
+			g.dense = append(g.dense, int32(id))
+			for ; len(ws) > blockSize; ws = ws[blockSize:] {
+				g.bmax = append(g.bmax, slices.Max(ws[:blockSize]))
+			}
+			g.bmax = append(g.bmax, slices.Max(ws))
+		}
+	}
 	g.byteIDs = make([]int32, 256)
 	var buf [1]byte
 	for i := range g.byteIDs {
@@ -114,70 +192,104 @@ func (g *Segment) seal() *Segment {
 }
 
 // SegmentBuilder is the only mutable index state: it accumulates documents
-// into a new segment with O(document) work per Add — tokenize, intern
-// against the segment-local dictionary, append postings. Peak memory is
-// the segment's own index — the builder never retains document text —
-// which is what lets the serving layer stream an NDJSON upload of any size
-// straight into a bounded segment. Single-writer; Seal hands the segment
-// over to concurrent readers and ends the builder's life.
+// with O(document) work per Add — tokenize, intern against the
+// segment-local dictionary, append the document's distinct terms and
+// weights to a doc-major log — and Seal transposes the log into the
+// segment's term-major arenas with one counting sort. Peak memory is the
+// log plus the arenas it becomes — the builder never retains document
+// text — which is what lets the serving layer stream an NDJSON upload of
+// any size straight into a bounded segment. Single-writer; Seal hands the
+// segment over to concurrent readers and ends the builder's life.
 type SegmentBuilder struct {
-	seg *Segment // nil once sealed
+	seg     *Segment  // names and dictionaries; nil once sealed
+	ids     []int32   // the log: each document's distinct postings ids, documents back to back
+	weights []float64 // parallel to ids
+	ends    []int     // per document: where its run in ids ends
+	cnt     []uint32  // per postings id: occurrences in the document being added, zero between Adds
+	tids    []int32   // per token of the document being added: its unigram id
 }
 
 // NewSegmentBuilder returns an empty builder.
 func NewSegmentBuilder() *SegmentBuilder { return &SegmentBuilder{seg: newSegment()} }
 
-// Add appends one document. O(len(text)). Panics after Seal: a writer must
-// not be able to mutate an index that concurrent readers hold.
+// open returns the segment under construction. Panics after Seal: a writer
+// must not be able to mutate an index that concurrent readers hold.
+func (b *SegmentBuilder) open(op string) *Segment {
+	if b.seg == nil {
+		panic("similarity: " + op + " on a sealed SegmentBuilder")
+	}
+	return b.seg
+}
+
+// Add appends one document. O(len(text)). Panics after Seal.
 func (b *SegmentBuilder) Add(name, text string) { b.addToks(name, Tokenize(text)) }
 
 func (b *SegmentBuilder) addToks(name string, toks []string) {
-	g := b.seg
-	if g == nil {
-		panic("similarity: Add on a sealed SegmentBuilder")
-	}
-	doc := int32(len(g.names))
+	g := b.open("Add")
 	g.names = append(g.names, name)
-	if len(toks) == 0 {
-		return // empty document: no postings, unreachable by any query
+	// Every unigram is interned before any of the document's bigrams: a
+	// bigram's id exceeds both its unigrams', which MergeSegments and
+	// DecodeSegment rely on.
+	b.tids = b.tids[:0]
+	for _, t := range toks {
+		b.tids = append(b.tids, g.uniID(t))
 	}
-	tids := make([]int32, len(toks))
-	for i, t := range toks {
-		tids[i] = g.uniID(t)
+	if need := g.lists() + len(toks); need > len(b.cnt) { // room for every bigram to be new
+		b.cnt = append(b.cnt, make([]uint32, need-len(b.cnt))...)
 	}
-	counts := make(map[int32]float64, 2*len(toks))
-	order := make([]int32, 0, 2*len(toks))
+	start := len(b.ids)
 	bump := func(id int32) {
-		if _, ok := counts[id]; !ok {
-			order = append(order, id)
+		if b.cnt[id] == 0 {
+			b.ids = append(b.ids, id)
 		}
-		counts[id]++
+		b.cnt[id]++
 	}
-	for i, id := range tids {
+	for i, id := range b.tids {
 		bump(id)
-		if i+1 < len(tids) {
-			bump(g.pairID(id, tids[i+1]))
+		if i+1 < len(b.tids) {
+			bump(g.pairID(id, b.tids[i+1]))
 		}
 	}
-	// Counts are integers, so the norm is exact regardless of sum order.
+	// Counts are integers, so the norm is exact regardless of sum order. An
+	// empty document logs nothing: no postings, unreachable by any query.
 	var sum float64
-	for _, v := range counts {
-		sum += v * v //freehw:nolint mapord -- integer counts, exact in any order (see comment above)
+	for _, id := range b.ids[start:] {
+		c := float64(b.cnt[id])
+		sum += c * c
 	}
 	norm := math.Sqrt(sum)
-	for _, id := range order {
-		g.postings[id].add(doc, counts[id]/norm)
+	for _, id := range b.ids[start:] {
+		b.weights = append(b.weights, float64(b.cnt[id])/norm)
+		b.cnt[id] = 0
 	}
+	b.ends = append(b.ends, len(b.ids))
 }
 
-// Len returns the number of documents added so far.
-func (b *SegmentBuilder) Len() int { return len(b.seg.names) }
+// Len returns the number of documents added so far. Panics after Seal.
+func (b *SegmentBuilder) Len() int { return len(b.open("Len").names) }
 
 // Seal freezes the accumulated documents into an immutable segment and
-// drops the builder's reference to it.
+// drops the builder's reference to it. The log is doc-major and lists are
+// term-major, so this is one counting sort keyed by postings id; documents
+// are placed in log order, which leaves every list ascending.
 func (b *SegmentBuilder) Seal() *Segment {
-	g := b.seg
-	b.seg = nil
+	g := b.open("Seal")
+	n := make([]uint32, g.lists()+2)
+	for _, id := range b.ids {
+		n[id+2]++
+	}
+	cur := g.layout(n)
+	lo := 0
+	for doc, end := range b.ends {
+		for j := lo; j < end; j++ {
+			p := cur[b.ids[j]+1]
+			cur[b.ids[j]+1] = p + 1
+			g.docs[p] = int32(doc)
+			g.ws[p] = b.weights[j]
+		}
+		lo = end
+	}
+	*b = SegmentBuilder{}
 	return g.seal()
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
 )
 
 // Segment serialization: the sealed index structure — names, the unigram
@@ -80,61 +79,52 @@ func (r *reader) bytes(n int) []byte {
 func (r *reader) done() bool { return !r.err && r.off == len(r.b) }
 
 // EncodeSections serializes the segment into its four structural
-// sections. The result aliases nothing in the segment; it is safe to
-// write while concurrent queries run, because a sealed segment is
-// immutable.
+// sections, each allocated once at its exact size. The result aliases
+// nothing in the segment; it is safe to write while concurrent queries
+// run, because a sealed segment is immutable.
 func (g *Segment) EncodeSections() [][]byte {
 	// Section 0: document names.
-	names := appendU32(nil, uint32(len(g.names)))
+	size := 4
+	for _, n := range g.names {
+		size += 4 + len(n)
+	}
+	names := appendU32(make([]byte, 0, size), uint32(len(g.names)))
 	for _, n := range g.names {
 		names = appendU32(names, uint32(len(n)))
 		names = append(names, n...)
 	}
 
-	// Section 1: unigram dictionary, in postings-id order for determinism.
-	type termEntry struct {
-		term string
-		id   int32
+	// Sections 1 and 2: the unigram dictionary and the bigram dictionary
+	// (unigram-id pair -> postings id), each in postings-id order for
+	// determinism.
+	terms, pairs, isPair := g.dictByID()
+	size = 4 + 8*len(g.termIDs)
+	for t := range g.termIDs {
+		size += len(t)
 	}
-	terms := make([]termEntry, 0, len(g.termIDs))
-	for t, id := range g.termIDs {
-		terms = append(terms, termEntry{t, id})
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].id < terms[j].id })
-	uni := appendU32(nil, uint32(len(terms)))
-	for _, e := range terms {
-		uni = appendU32(uni, uint32(e.id))
-		uni = appendU32(uni, uint32(len(e.term)))
-		uni = append(uni, e.term...)
-	}
-
-	// Section 2: bigram dictionary (unigram-id pair -> postings id), in
-	// postings-id order.
-	type pairEntry struct {
-		key uint64
-		id  int32
-	}
-	pairs := make([]pairEntry, 0, len(g.pairIDs))
-	for k, id := range g.pairIDs {
-		pairs = append(pairs, pairEntry{k, id})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	bi := appendU32(nil, uint32(len(pairs)))
-	for _, e := range pairs {
-		bi = appendU64(bi, e.key)
-		bi = appendU32(bi, uint32(e.id))
+	uni := appendU32(make([]byte, 0, size), uint32(len(g.termIDs)))
+	bi := appendU32(make([]byte, 0, 4+12*len(g.pairIDs)), uint32(len(g.pairIDs)))
+	for id, pair := range isPair {
+		if pair {
+			bi = appendU64(bi, pairs[id])
+			bi = appendU32(bi, uint32(id))
+		} else {
+			uni = appendU32(uni, uint32(id))
+			uni = appendU32(uni, uint32(len(terms[id])))
+			uni = append(uni, terms[id]...)
+		}
 	}
 
 	// Section 3: postings lists — parallel doc/weight arrays, weights as
 	// raw IEEE-754 bits so scoring after a reload is bit-identical.
-	post := appendU32(nil, uint32(len(g.postings)))
-	for i := range g.postings {
-		pl := &g.postings[i]
-		post = appendU32(post, uint32(len(pl.docs)))
-		for _, d := range pl.docs {
+	post := appendU32(make([]byte, 0, 4+4*g.lists()+12*len(g.docs)), uint32(g.lists()))
+	for id := 0; id < g.lists(); id++ {
+		lo, hi := g.off[id], g.off[id+1]
+		post = appendU32(post, hi-lo)
+		for _, d := range g.docs[lo:hi] {
 			post = appendU32(post, uint32(d))
 		}
-		for _, w := range pl.ws {
+		for _, w := range g.ws[lo:hi] {
 			post = appendU64(post, math.Float64bits(w))
 		}
 	}
@@ -180,7 +170,7 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	if len(sections) != SnapshotSections {
 		return nil, ErrCorruptSnapshot
 	}
-	g := newSegment()
+	g := &Segment{}
 
 	// Names.
 	r := &reader{b: sections[0]}
@@ -197,21 +187,28 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	}
 
 	// Postings first: the dictionaries validate their ids against its size.
+	// A list spends 4 bytes on its count and 12 on each posting, so the
+	// section's length fixes the arenas' size before any list is read; the
+	// lists are then validated as they land in them.
 	r = &reader{b: sections[3]}
 	nPost := int(r.u32())
-	if r.err || nPost < 0 || nPost > len(sections[3])/4 {
+	if r.err || nPost < 0 || nPost > (len(sections[3])-4)/4 {
 		return nil, ErrCorruptSnapshot
 	}
-	g.postings = make([]postingList, nPost)
-	for i := 0; i < nPost; i++ {
+	total := (len(sections[3]) - 4 - 4*nPost) / 12
+	if uint64(total) > math.MaxUint32 { // more postings than off can address
+		return nil, ErrCorruptSnapshot
+	}
+	g.off = make([]uint32, nPost+1)
+	g.docs = make([]int32, total)
+	g.ws = make([]float64, total)
+	for i, p := 0, 0; i < nPost; i++ {
 		n := int(r.u32())
-		if r.err || n < 0 || n > (len(r.b)-r.off)/12 {
+		if r.err || n < 0 || n > total-p {
 			return nil, ErrCorruptSnapshot
 		}
-		pl := &g.postings[i]
-		pl.docs = make([]int32, n)
-		pl.ws = make([]float64, n)
-		for j := 0; j < n; j++ {
+		docs, ws := g.docs[p:p+n], g.ws[p:p+n]
+		for j := range docs {
 			d := int32(r.u32())
 			if int(d) < 0 || int(d) >= len(g.names) {
 				return nil, ErrCorruptSnapshot
@@ -219,12 +216,12 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 			// Doc-ordered lists are what the dense-list detection, the
 			// binary searches and the tie rule rely on; the builder always
 			// writes them ascending, so anything else is corruption.
-			if j > 0 && d <= pl.docs[j-1] {
+			if j > 0 && d <= docs[j-1] {
 				return nil, ErrCorruptSnapshot
 			}
-			pl.docs[j] = d
+			docs[j] = d
 		}
-		for j := 0; j < n; j++ {
+		for j := range ws {
 			// A weight is count/norm of a document containing the term, so
 			// it lies in (0, 1]; the pruning bounds and the "zero means
 			// untouched" accumulators assume exactly that. Rejects NaN too.
@@ -232,12 +229,10 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 			if !(w > 0 && w <= 1) {
 				return nil, ErrCorruptSnapshot
 			}
-			pl.ws[j] = w
+			ws[j] = w
 		}
-		// Block-max metadata is derived state and deliberately not
-		// serialized (the format — and every old snapshot file — stays
-		// valid); rebuild it deterministically from the weights.
-		pl.rebuildBlockMeta()
+		p += n
+		g.off[i+1] = uint32(p)
 	}
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
@@ -249,9 +244,10 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	isUni := make([]bool, nPost)
 	r = &reader{b: sections[1]}
 	nTerms := int(r.u32())
-	if r.err || nTerms < 0 || nTerms > len(sections[1])/8 {
+	if r.err || nTerms < 0 || nTerms > len(sections[1])/8 || nTerms > nPost {
 		return nil, ErrCorruptSnapshot
 	}
+	g.termIDs = make(map[string]int32, nTerms)
 	for i, prev := 0, int32(-1); i < nTerms; i++ {
 		id := int32(r.u32())
 		term := string(r.bytes(int(r.u32())))
@@ -274,9 +270,12 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	// unigram ids below the bigram's own.
 	r = &reader{b: sections[2]}
 	nPairs := int(r.u32())
-	if r.err || nPairs < 0 || nPairs > len(sections[2])/12 {
+	// Ids ascend within each dictionary and never overlap, so together
+	// they name every postings list exactly when the counts add up.
+	if r.err || nPairs > len(sections[2])/12 || nTerms+nPairs != nPost {
 		return nil, ErrCorruptSnapshot
 	}
+	g.pairIDs = make(map[uint64]int32, nPairs)
 	for i, prev := 0, int32(-1); i < nPairs; i++ {
 		key := r.u64()
 		id := int32(r.u32())
@@ -292,11 +291,12 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		g.pairIDs[key] = id
 		prev = id
 	}
-	// Ids ascend within each dictionary and never overlap, so together
-	// they name every postings list exactly when the counts add up.
-	if !r.done() || nTerms+nPairs != nPost {
+	if !r.done() {
 		return nil, ErrCorruptSnapshot
 	}
 
+	// Block-max metadata is derived state and deliberately not serialized
+	// (the format — and every old snapshot file — stays valid); seal rebuilds
+	// it deterministically from the weights.
 	return g.seal(), nil
 }

@@ -156,59 +156,6 @@ func Cosine(a, b Vector) float64 {
 	return dot / (a.norm * b.norm)
 }
 
-// postingList holds one term's postings as parallel arrays — documents and
-// tf(term, doc)/norm(doc) weights — so the accumulator walk streams 12
-// packed bytes per posting instead of a padded 16-byte struct, and a dot
-// product against raw query counts needs only the query norm at the end.
-//
-// Postings are always in strictly ascending doc order (documents index in
-// insertion order): a dense list (one posting per document) is therefore a
-// doc-indexed array, and any list can be binary-searched for one document.
-// On top of that order the list carries block-max metadata: tmax is the
-// largest weight anywhere in the list and bmax[b] the largest weight in
-// block b of blockSize consecutive postings. Both are maintained
-// incrementally by add — O(1) per posting — so batch builds and
-// incremental Add share one code path. The metadata is derived state:
-// serialization intentionally omits it (DecodeSegment and MergeSegments
-// reconstruct it), keeping the snapshot format unchanged.
-type postingList struct {
-	docs []int32
-	ws   []float64
-	bmax []float64 // per-block max weight, block b covers postings [b*blockSize, (b+1)*blockSize)
-	tmax float64   // max weight in the whole list
-}
-
-func (pl *postingList) add(doc int32, w float64) {
-	if len(pl.docs)&blockMask == 0 {
-		pl.bmax = append(pl.bmax, w)
-	} else if b := len(pl.bmax) - 1; w > pl.bmax[b] {
-		pl.bmax[b] = w
-	}
-	if w > pl.tmax {
-		pl.tmax = w
-	}
-	pl.docs = append(pl.docs, doc)
-	pl.ws = append(pl.ws, w)
-}
-
-// rebuildBlockMeta recomputes bmax/tmax from the weights — the decode-time
-// counterpart of add's incremental maintenance, producing identical
-// metadata for identical weights.
-func (pl *postingList) rebuildBlockMeta() {
-	pl.bmax = pl.bmax[:0]
-	pl.tmax = 0
-	for j, w := range pl.ws {
-		if j&blockMask == 0 {
-			pl.bmax = append(pl.bmax, w)
-		} else if b := len(pl.bmax) - 1; w > pl.bmax[b] {
-			pl.bmax[b] = w
-		}
-		if w > pl.tmax {
-			pl.tmax = w
-		}
-	}
-}
-
 // Match is the best corpus match for a query.
 type Match struct {
 	Name  string

@@ -8,8 +8,9 @@ import (
 )
 
 // The sealed-writer guarantee: once Seal has handed the segment to
-// readers, the builder can no longer write to it — Add panics, and the
-// attempt leaves the sealed segment's verdicts untouched.
+// readers, the builder can no longer write to it — Add, Len and Seal panic
+// by name (Len used to dereference the nil segment), and the attempts leave
+// the sealed segment's verdicts untouched.
 func TestSealedBuilderRejectsAdd(t *testing.T) {
 	b := NewSegmentBuilder()
 	b.Add("a", "alpha beta")
@@ -20,14 +21,20 @@ func TestSealedBuilderRejectsAdd(t *testing.T) {
 	for _, q := range queries {
 		want = append(want, append(snap.TopK(q, 2), snap.Best(q)))
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Add on a sealed builder should panic")
-			}
+	for op, call := range map[string]func(){
+		"Add":  func() { b.Add("c", "alpha beta gamma delta") },
+		"Len":  func() { b.Len() },
+		"Seal": func() { b.Seal() },
+	} {
+		func() {
+			defer func() {
+				if got, want := recover(), "similarity: "+op+" on a sealed SegmentBuilder"; got != want {
+					t.Fatalf("%s on a sealed builder: recovered %v, want panic %q", op, got, want)
+				}
+			}()
+			call()
 		}()
-		b.Add("c", "alpha beta gamma delta")
-	}()
+	}
 	if snap.Len() != 2 {
 		t.Fatalf("sealed segment grew to %d docs", snap.Len())
 	}

@@ -1,6 +1,7 @@
 package snapstore
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	if err := st.Save(1, snap); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(encodeFile(1, snap))))
+	b.SetBytes(int64(len(bytes.Join(encodeFile(1, snap), nil))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +40,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if err := st.Save(1, snap); err != nil {
 		b.Fatal(err)
 	}
-	size := len(encodeFile(1, snap)) + len(encodeSegFile(snap.Segment(0)))
+	size := len(bytes.Join(encodeFile(1, snap), nil)) + len(bytes.Join(encodeSegFile(snap.Segment(0)), nil))
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()

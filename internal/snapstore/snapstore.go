@@ -160,26 +160,21 @@ func (st *Store) SegPath(id uint64) string {
 }
 
 // encodeContainer builds the checksummed file image shared by every store
-// file: magic, format version, a u64 identity, and checksummed sections.
-func encodeContainer(magic string, id uint64, sections [][]byte) []byte {
+// file — magic, format version, a u64 identity, and checksummed sections —
+// as the pieces to write in order: the header, then the sections
+// themselves, never copied into one buffer.
+func encodeContainer(magic string, id uint64, sections [][]byte) [][]byte {
 	header := make([]byte, 0, 4+1+8+4+len(sections)*8+4)
 	header = append(header, magic...)
 	header = append(header, formatVersion)
 	header = binary.LittleEndian.AppendUint64(header, id)
 	header = binary.LittleEndian.AppendUint32(header, uint32(len(sections)))
-	total := 0
 	for _, sec := range sections {
 		header = binary.LittleEndian.AppendUint32(header, uint32(len(sec)))
 		header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(sec, castagnoli))
-		total += len(sec)
 	}
 	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(header, castagnoli))
-	out := make([]byte, 0, len(header)+total)
-	out = append(out, header...)
-	for _, sec := range sections {
-		out = append(out, sec...)
-	}
-	return out
+	return append([][]byte{header}, sections...)
 }
 
 // decodeContainer validates every checksum and returns the magic, the
@@ -233,7 +228,7 @@ func decodeContainer(data []byte) (magic string, id uint64, sections [][]byte, e
 }
 
 // encodeSegFile builds one segment's file image.
-func encodeSegFile(g *similarity.Segment) []byte {
+func encodeSegFile(g *similarity.Segment) [][]byte {
 	return encodeContainer(segMagic, g.ID(), g.EncodeSections())
 }
 
@@ -258,7 +253,7 @@ func decodeSegFile(data []byte) (*similarity.Segment, uint64, error) {
 
 // encodeFile builds one version's descriptor file image: the ordered
 // segment list with per-segment doc counts and tombstone bitmaps.
-func encodeFile(version uint64, snap *similarity.Snapshot) []byte {
+func encodeFile(version uint64, snap *similarity.Snapshot) [][]byte {
 	desc := binary.LittleEndian.AppendUint32(nil, uint32(snap.Segments()))
 	for i := 0; i < snap.Segments(); i++ {
 		g := snap.Segment(i)
@@ -346,21 +341,23 @@ func (st *Store) loadSegment(id uint64) (*similarity.Segment, error) {
 	return seg, nil
 }
 
-// writeDurable writes data crash-safely to path: temp file in the same
-// directory, fsync, atomic rename, directory fsync. The failpoints fire
-// at each boundary a real crash could land on.
-func (st *Store) writeDurable(path string, data []byte, fpAfterWrite, fpAfterSync string) error {
+// writeDurable writes a file image — its pieces back to back — crash-safely
+// to path: temp file in the same directory, fsync, atomic rename, directory
+// fsync. The failpoints fire at each boundary a real crash could land on.
+func (st *Store) writeDurable(path string, image [][]byte, fpAfterWrite, fpAfterSync string) error {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close() //freehw:nolint errflow -- best-effort close on a path already returning the write error
-		return err
+	for _, piece := range image {
+		if _, err := f.Write(piece); err != nil {
+			f.Close() //freehw:nolint errflow -- best-effort close on a path already returning the write error
+			return err
+		}
 	}
 	if err := failpoint.Inject(fpAfterWrite); err != nil {
-		f.Close() //freehw:nolint errflow -- best-effort close on a simulated-crash path; the injected error is the one that matters
+		f.Close()  //freehw:nolint errflow -- best-effort close on a simulated-crash path; the injected error is the one that matters
 		return err // crash: temp written, never synced or renamed
 	}
 	if err := f.Sync(); err != nil {
@@ -439,7 +436,7 @@ func (st *Store) Save(version uint64, snap *similarity.Snapshot) error {
 	manifest = append(manifest, formatVersion)
 	manifest = binary.LittleEndian.AppendUint64(manifest, version)
 	manifest = binary.LittleEndian.AppendUint32(manifest, crc32.Checksum(manifest, castagnoli))
-	if err := st.writeDurable(filepath.Join(st.dir, manifestName), manifest, FPAfterManifestTemp, FPAfterManifestSync); err != nil {
+	if err := st.writeDurable(filepath.Join(st.dir, manifestName), [][]byte{manifest}, FPAfterManifestTemp, FPAfterManifestSync); err != nil {
 		return err
 	}
 	if err := failpoint.Inject(FPAfterSave); err != nil {

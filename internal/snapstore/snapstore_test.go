@@ -1,6 +1,7 @@
 package snapstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -183,6 +184,32 @@ func TestTruncationEveryOffset(t *testing.T) {
 	}
 }
 
+// testdata/seg-golden.fhs is a segment file written by the commit before
+// postings moved into flat arenas (five documents: a duplicate name, an
+// empty document, upper case, a non-ASCII rune; segment id 0x2a). The
+// format did not move: the file loads, and what it loads to writes the same
+// bytes, CRCs included.
+func TestGoldenSegmentFile(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "seg-golden.fhs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, id, err := decodeSegFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 0x2a || seg.ID() != 0x2a || seg.Docs() != 5 {
+		t.Fatalf("golden segment: file id %#x, segment id %#x, %d docs", id, seg.ID(), seg.Docs())
+	}
+	if got := bytes.Join(encodeSegFile(seg), nil); !bytes.Equal(got, golden) {
+		t.Fatalf("golden segment re-encodes to %d bytes that differ from the file's %d", len(got), len(golden))
+	}
+	snap := similarity.SnapshotOf([]*similarity.Segment{seg}, nil)
+	if m := snap.Best("module ctr(input clk, input rst, output reg [3:0] q);"); m.Name != "ctr.v" {
+		t.Fatalf("golden segment answers %+v, want ctr.v", m)
+	}
+}
+
 // A corrupt manifest must not take the store down: LoadLatest falls back
 // to scanning for the newest valid snapshot file.
 func TestCorruptManifestScansFiles(t *testing.T) {
@@ -359,7 +386,7 @@ func TestLegacyFormatLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, texts := testSnapshot(t, 13, 18)
-	legacy := encodeContainer(legacyMagic, 3, snap.EncodeSections())
+	legacy := bytes.Join(encodeContainer(legacyMagic, 3, snap.EncodeSections()), nil)
 	if err := os.WriteFile(st.snapPath(3), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
