@@ -83,6 +83,12 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
+		// Files the build would not compile here (//go:build, _GOARCH
+		// suffixes) stay out: a function with one body per architecture is
+		// otherwise a redeclaration to the type checker.
+		if ok, err := build.Default.MatchFile(abs, name); err == nil && !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", importPath, err)

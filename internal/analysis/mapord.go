@@ -16,10 +16,12 @@ import (
 // these turns a byte-identical contract into a coin flip.
 //
 // Order-insensitive bodies — writes into another map, set membership
-// tests, max/min folds over integers — are not flagged. An append is
-// excused when the same function later sorts the destination slice
-// (sort.* or slices.Sort* mentioning the slice after the loop), the
-// keys-then-sort idiom.
+// tests, max/min folds over integers — are not flagged, and neither is an
+// append or float update whose destination is rooted in a variable
+// declared inside the loop body: it starts afresh every iteration, so it
+// carries nothing from one key to the next. An append is excused when the
+// same function later sorts the destination slice (sort.* or slices.Sort*
+// mentioning the slice after the loop), the keys-then-sort idiom.
 var MapOrd = &Analyzer{
 	Name: "mapord",
 	Doc:  "flags nondeterministic map iteration feeding slices, writers, or float sums",
@@ -74,7 +76,7 @@ func checkMapOrdFunc(pass *Pass, fn *ast.FuncDecl) {
 func checkMapOrdAssign(pass *Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, mapName string, stmt *ast.AssignStmt) {
 	pkg := pass.Pkg
 	// x op= y accumulation.
-	if len(stmt.Lhs) == 1 && isFloat(pkg.Info.TypeOf(stmt.Lhs[0])) {
+	if len(stmt.Lhs) == 1 && isFloat(pkg.Info.TypeOf(stmt.Lhs[0])) && !bodyLocal(pkg, rng, stmt.Lhs[0]) {
 		switch stmt.Tok {
 		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 			pass.Reportf(stmt.Pos(),
@@ -101,7 +103,7 @@ func checkMapOrdAssign(pass *Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, mapName
 			continue
 		}
 		dst := types.ExprString(stmt.Lhs[i])
-		if dst == "_" {
+		if dst == "_" || bodyLocal(pkg, rng, stmt.Lhs[i]) {
 			continue
 		}
 		if sortedAfter(pkg, fn, rng.End(), dst) {
@@ -110,6 +112,35 @@ func checkMapOrdAssign(pass *Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, mapName
 		pass.Reportf(stmt.Pos(),
 			"range over map %s appends to %s with no sort/canonicalization before it escapes",
 			mapName, dst)
+	}
+}
+
+// bodyLocal reports whether e — an identifier, possibly under field
+// selectors, indexing or parentheses — is rooted in a variable declared
+// inside rng's body. A pointer dereference, explicit or through a selector,
+// ends the search: what a body-local pointer points at need not be local.
+func bodyLocal(pkg *Package, rng *ast.RangeStmt, e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			t := pkg.Info.TypeOf(x.X)
+			if t == nil {
+				return false
+			}
+			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
+				return false
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			obj := pkg.Info.ObjectOf(x)
+			return obj != nil && rng.Body.Pos() <= obj.Pos() && obj.Pos() < rng.Body.End()
+		default:
+			return false
+		}
 	}
 }
 

@@ -103,3 +103,32 @@ func mapToMap(m map[string]int) map[string]int {
 	}
 	return out
 }
+
+type series struct{ values []float64 }
+
+func appendToBodyLocalCopy(m map[string]float64, out map[string]series) {
+	for k, v := range m {
+		s := out[k]
+		s.values = append(s.values, v) // ok: s is declared in the body and stored back under the range key
+		out[k] = s
+	}
+}
+
+func scaleBodyLocalSlice(m map[string][]float64) map[string][]float64 {
+	out := map[string][]float64{}
+	for k, v := range m {
+		ms := append([]float64(nil), v...)
+		for i := range ms {
+			ms[i] *= 1000 // ok: ms is declared in the body; nothing accumulates across keys
+		}
+		out[k] = ms
+	}
+	return out
+}
+
+func bodyLocalPointerStillAccumulates(m map[string]float64, total *float64) {
+	for _, v := range m {
+		p := total
+		*p += v // want `accumulates float \*p`
+	}
+}

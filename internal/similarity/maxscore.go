@@ -12,27 +12,28 @@ package similarity
 //     finishExhaustive, the classic accumulator over every posting of
 //     every query term.
 //
-// Measured at the commit that deleted the k > 1 MaxScore DAAT engine
-// (PR 13; p50 µs per query over 256 queries x 3, one segment, this repo's
-// 2-vCPU VM; DAAT at k == 1 forced by a scratch patch). "diverse" is
+// Measured at the commit that made majority lists doc-indexed (PR 15; p50
+// µs per query over 256 queries x 3, one segment, this repo's 2-vCPU VM,
+// parent commit -> this one in the same session). "diverse" is
 // internal/serve's BenchmarkServeAuditLargeCorpus corpus, "bench" is
 // bench/'s protected corpus; near-dup is a corpus file with one line
 // changed, novel a freshly generated module:
 //
-//	                          k=10             k=1
-//	corpus, query             DAAT  exhaust.   gather  exhaust.  DAAT
-//	diverse  1 000 near-dup    102        50       29        43    80
-//	diverse  1 000 novel        53        37       31        29    43
-//	diverse 16 000 near-dup    579       532       57       489   534
-//	diverse 16 000 novel       471       443      405       387   380
-//	bench    8 000 near-dup    529       473      424       450   523
-//	bench    8 000 novel       222       195      179       172   184
+//	                          k=10          k=1           k=1
+//	corpus, query             exhaustive    gather        exhaustive
+//	diverse  1 000 near-dup    76 ->  59     40 ->  33     60 ->  42
+//	diverse  1 000 novel       55 ->  48     50 ->  42     44 ->  38
+//	diverse 16 000 near-dup   702 -> 605     77 ->  75    617 -> 511
+//	diverse 16 000 novel      630 -> 578    555 -> 529    537 -> 490
+//	bench    8 000 near-dup   658 -> 481    641 -> 406    596 -> 401
+//	bench    8 000 novel      327 -> 201    277 -> 148    271 -> 137
 //
-// DAAT lost to the accumulator in every k=10 cell, so it paid no rent and
-// went; the gather engine is 8.6x faster than the accumulator on diverse
-// near-duplicates and within 7% of it where it bails, so it stays.
-// bench/README.md has current numbers (similarity.topk10_us,
-// similarity.best_neardup_us, similarity.best_novel_us).
+// The gather engine is 7x faster than the accumulator on diverse
+// near-duplicates and within 10% of it where it bails, so it stays. (A k > 1
+// MaxScore DAAT engine lost to the accumulator in every cell and was deleted
+// in PR 13; ROADMAP item 3 has that table.) bench/README.md has current
+// numbers (similarity.topk10_us, similarity.best_neardup_us,
+// similarity.best_novel_us).
 //
 // Why a special engine at all: similarity here is tf-only cosine — there
 // is no idf — so corpus-universal terms (Verilog keywords, punctuation)
@@ -43,13 +44,18 @@ package similarity
 // by gathering rather than by cursor merging, using the block-max
 // metadata Segment.seal derives:
 //
-//   - Dense lists (document frequency == segment size; posting position
-//     therefore equals doc id) never generate candidates. Their per-block
-//     maxima align with document blocks and collapse into one shared
-//     per-block bound: the most ALL dense terms together can contribute
-//     to any document in that block. And because a dense list is a
-//     doc-indexed array, any single document's exact dense contribution
-//     is one O(1) read per list — no cursor, no search.
+//   - Dense lists — at least half the segment's documents, 2·df >= docs,
+//     the one definition Segment.seal applies, which also stores each of
+//     them doc-indexed (Segment.dws, +0 for a document outside the list) —
+//     never generate candidates. Their per-block maxima align with document
+//     blocks and collapse into one shared per-block bound: the most ALL
+//     dense terms together can contribute to any document in that block
+//     (the maximum over a row with zeros in it is still an upper bound).
+//     And because a row is doc-indexed, any single document's exact dense
+//     contribution is one O(1) read per list — no cursor, no search. On a
+//     homogeneous corpus most postings outside the total lists sit in
+//     lists that are nearly everywhere; counted as sparse they were
+//     "essential" and streamed, and the bail-out came late.
 //   - The cheapest sparse lists — ordered by upper bound per posting, the
 //     absorption order that buys the most skipped postings per unit of
 //     threshold budget — are absorbed into a non-essential prefix while
@@ -104,7 +110,12 @@ package similarity
 // adversarial case for any exact pruner). The gather engine detects that
 // pruning is not paying and falls back to the exhaustive accumulator,
 // bounding the regression to a small constant factor while keeping the
-// large wins on selective workloads.
+// large wins on selective workloads. A novel candidate — 97% of what a
+// clean model sends — always ends there, so the accumulator is the audit:
+// a scatter per sparse list, and per dense list one axpy over its row
+// (SSE2 on amd64; BenchmarkAxpy reads 2.5 µs per 8 000-slot row against
+// 5.3 µs for the Go loop). Adding q·(+0) to a non-negative sum is an exact
+// no-op, so a row's zeros cost bandwidth and no bits.
 
 import (
 	"container/heap"
@@ -152,8 +163,9 @@ const (
 // while EnablePruneStats(true) is set; zero-cost one atomic load per query
 // otherwise). PostingsTotal counts every posting of every resolved query
 // term; PostingsVisited counts the ones actually read (streamed, probed,
-// or fetched for an exact dense refinement). The difference is the work
-// pruning skipped.
+// or fetched for an exact dense refinement) — postings, so a dense list
+// streamed as a doc-indexed row counts its document frequency, not the
+// row's slots. The difference is the work pruning skipped.
 type PruneStats struct {
 	Queries         uint64 // scored queries (pruned path only)
 	Exhaustive      uint64 // queries answered by the exhaustive fallback
@@ -203,10 +215,12 @@ func ResetPruneStats() {
 }
 
 // pruneCursor is one query term's posting-list view: the doc-ordered
-// postings, the block maxima if the list is dense (nil otherwise), the
-// query-side count, and the term's global upper bound contribution. There
-// is no position: both engines read lists by streaming, by doc-indexed
-// access (dense) or by binary search.
+// postings, the query-side count, and the term's global upper bound
+// contribution. For a dense list bmax is its block maxima (nil otherwise)
+// and ws is its doc-indexed row of Segment.dws, not its arena weights; docs
+// still says which documents are in it. There is no position: both engines
+// read lists by streaming, by doc-indexed access (dense) or by binary
+// search.
 type pruneCursor struct {
 	docs []int32
 	ws   []float64
@@ -214,6 +228,14 @@ type pruneCursor struct {
 	qw   float64
 	ub   float64 // qw * tmax, raw (slack applied at comparison sites)
 }
+
+// Every accumulation below is written acc += float64(q * w). The Go spec
+// lets an implementation fuse x*y + z into one FMA, which skips the
+// product's rounding, and the compilers for arm64, ppc64, s390x and riscv64
+// do; an explicit conversion forbids it. Scores, and testdata/verdicts.golden,
+// are then the same float64s on every GOARCH (the conversion costs nothing
+// on amd64, which never fuses), and the same ones axpy's separate MULPD and
+// ADDPD produce.
 
 // searchScratch holds the per-search allocations, pooled across queries.
 type searchScratch struct {
@@ -285,7 +307,8 @@ func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Matc
 	// preserves the relative order, so per-document sums stay canonical.
 	curs := sc.curs[:0]
 	totalPostings := 0
-	blocks := (len(g.names) + blockMask) >> blockShift
+	nDocs := len(g.names)
+	blocks := (nDocs + blockMask) >> blockShift
 	for _, qt := range qts {
 		id := qtermID(qt)
 		lo, hi := g.off[id], g.off[id+1]
@@ -294,8 +317,8 @@ func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Matc
 		}
 		qw := qtermW(qt)
 		cur := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], qw: qw, ub: qw * g.tmax[id]}
-		if len(cur.docs) == len(g.names) {
-			i, _ := slices.BinarySearch(g.dense, id)
+		if i, ok := slices.BinarySearch(g.dense, id); ok {
+			cur.ws = g.dws[i*nDocs : (i+1)*nDocs]
 			cur.bmax = g.bmax[i*blocks : (i+1)*blocks]
 		}
 		curs = append(curs, cur)
@@ -377,16 +400,16 @@ func canonicalTails(sc *searchScratch, inflate float64) []float64 {
 // evalCanonical computes document d's exact dot product — every query
 // term, in canonical query order, the bit-identical twin of the
 // exhaustive accumulator's per-doc sum — without moving any cursor
-// position. Dense lists (len == nDocs, so posting position == doc id) are
-// read directly; the rest binary-search. With theta >= 0 it abandons
-// early (reporting abandoned=true) once the partial sum plus the
+// position. Dense lists are read at ws[d] (+0, which changes nothing, when
+// d is not in the list); the rest binary-search. With theta >= 0 it
+// abandons early (reporting abandoned=true) once the partial sum plus the
 // canonical tail bound cannot reach theta.
-func evalCanonical(curs []pruneCursor, tail []float64, nDocs int, d int32, theta float64) (acc float64, abandoned bool) {
+func evalCanonical(curs []pruneCursor, tail []float64, d int32, theta float64) (acc float64, abandoned bool) {
 	for i := range curs {
-		if len(curs[i].docs) == nDocs {
-			acc += curs[i].qw * curs[i].ws[d]
+		if curs[i].bmax != nil {
+			acc += float64(curs[i].qw * curs[i].ws[d])
 		} else if j, ok := binSearchDocs(curs[i].docs, d); ok {
-			acc += curs[i].qw * curs[i].ws[j]
+			acc += float64(curs[i].qw * curs[i].ws[j])
 		}
 		if theta >= 0 && acc+tail[i+1] < theta {
 			return acc, true
@@ -428,11 +451,9 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 	ord := sc.ord[:0]
 	dord := sc.dord[:0]
 	for i := range curs {
-		if len(curs[i].docs) == nDocs {
+		if curs[i].bmax != nil {
 			dord = append(dord, int32(i))
-			for b, bm := range curs[i].bmax {
-				denseBmax[b] += curs[i].qw * bm
-			}
+			axpy(denseBmax, curs[i].bmax, curs[i].qw)
 		} else {
 			ord = append(ord, int32(i))
 		}
@@ -632,7 +653,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 			primeDocs[j], cnts[j] = d, ct
 		}
 		for pi, d := range primeDocs[:nPrime] {
-			acc, _ := evalCanonical(curs, tail, nDocs, d, -1)
+			acc, _ := evalCanonical(curs, tail, d, -1)
 			visited += uint64(n)
 			if acc > 0 {
 				pushMatch(&h, 1, Match{Name: g.names[d], Index: int(d), Score: acc / qnorm})
@@ -674,7 +695,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 	}
 
 	// If most of the index would be streamed anyway, pruning cannot pay:
-	// go straight to the fused exhaustive accumulator.
+	// go straight to the exhaustive accumulator.
 	if uint64(essPostings) > uint64(totalPostings)/2 {
 		return bailExhaustive(0)
 	}
@@ -694,7 +715,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 			if acc[d] == 0 {
 				touched = append(touched, d)
 			}
-			acc[d] += qw * cur.ws[j]
+			acc[d] += float64(qw * cur.ws[j])
 		}
 	}
 	sc.touch = touched
@@ -716,8 +737,8 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 			}
 			if nDense > 0 {
 				// The block bound straddles the threshold. Dense lists are
-				// doc-indexed (docs[j] == j), so the document's EXACT dense
-				// contribution is one O(1) read per dense list — swap reads
+				// doc-indexed, so the document's EXACT dense contribution is
+				// one O(1) read per dense list — swap reads
 				// in for upper bounds, most uncertain list first, until the
 				// bound drops strictly below the threshold or every list is
 				// exact (then a full evaluation is truly warranted).
@@ -726,8 +747,11 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 				pruned := false
 				for i, di := range dord {
 					cur := &curs[di]
-					exact += cur.qw * cur.ws[d]
-					visited++
+					w := cur.ws[d]
+					exact += float64(cur.qw * w)
+					if w != 0 {
+						visited++ // a posting; a +0 slot is a document outside the list
+					}
 					if (base+exact+dtail[i+1])*inflate < thetaAcc {
 						pruned = true
 						break
@@ -738,7 +762,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 				}
 			}
 		}
-		av, abandoned := evalCanonical(curs, tail, nDocs, d, thetaAcc)
+		av, abandoned := evalCanonical(curs, tail, d, thetaAcc)
 		visited += uint64(n)
 		fullEvals++
 		if !abandoned && av > 0 {
@@ -839,71 +863,26 @@ func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 // every posting of every query term — the same adds in the same canonical
 // order as ever — folded into the heap in ascending doc order (so tie
 // resolution matches the gather engine and the historical TopK exactly).
-// The gather engine also ends here when it bails; re-pushing the document
-// its size-1 heap already holds is a no-op.
+// A sparse list scatters its postings; a dense one adds its whole row, the
+// +0 slots of documents outside it included, which leaves those documents'
+// sums as they were. The gather engine also ends here when it bails;
+// re-pushing the document its size-1 heap already holds is a no-op.
 func (g *Segment) finishExhaustive(curs []pruneCursor, h matchHeap, k int, qnorm float64, statsOn bool, dead []uint64) matchHeap {
-	nDocs := len(g.names)
-	accp := getAcc(nDocs)
+	accp := getAcc(len(g.names))
 	defer accPool.Put(accp)
 	acc := *accp
 	var visited uint64
-	for i := 0; i < len(curs); {
+	for i := range curs {
 		cur := &curs[i]
-		if len(cur.docs) != nDocs {
-			docs, qw := cur.docs, cur.qw
-			ws := cur.ws[:len(docs)] // one bound, checks eliminated below
-			visited += uint64(len(docs))
-			for j, doc := range docs {
-				acc[doc] += qw * ws[j]
-			}
-			i++
+		visited += uint64(len(cur.docs)) // postings, not the slots of a dense row
+		if cur.bmax != nil {
+			axpy(acc, cur.ws, cur.qw)
 			continue
 		}
-		// Run of adjacent dense cursors: docs[j] == j, so each list is a
-		// sequential fused walk with no index loads, and adjacent lists can
-		// share one pass over the accumulator. Within the pass each
-		// document's additions happen one list at a time in ascending
-		// cursor order — the canonical order — so the sums stay
-		// bit-identical to the one-list-at-a-time walk.
-		run := i + 1
-		for run < len(curs) && len(curs[run].docs) == nDocs {
-			run++
-		}
-		for ; i+3 < run; i += 4 {
-			w0, q0 := curs[i].ws, curs[i].qw
-			w1, q1 := curs[i+1].ws, curs[i+1].qw
-			w2, q2 := curs[i+2].ws, curs[i+2].qw
-			w3, q3 := curs[i+3].ws, curs[i+3].qw
-			w0, w1, w2, w3 = w0[:len(acc)], w1[:len(acc)], w2[:len(acc)], w3[:len(acc)]
-			// Two documents per step: each document's additions stay in
-			// list order (the canonical order — bit-exactness), but the
-			// two chains are independent, which hides the FP-add latency
-			// the one-document-at-a-time walk stalls on.
-			j := 0
-			for ; j+1 < len(acc); j += 2 {
-				t0 := acc[j] + q0*w0[j]
-				t1 := acc[j+1] + q0*w0[j+1]
-				t0 += q1 * w1[j]
-				t1 += q1 * w1[j+1]
-				t0 += q2 * w2[j]
-				t1 += q2 * w2[j+1]
-				acc[j] = t0 + q3*w3[j]
-				acc[j+1] = t1 + q3*w3[j+1]
-			}
-			if j < len(acc) {
-				t := acc[j] + q0*w0[j]
-				t += q1 * w1[j]
-				t += q2 * w2[j]
-				acc[j] = t + q3*w3[j]
-			}
-			visited += uint64(4 * len(acc))
-		}
-		for ; i < run; i++ {
-			ws, qw := curs[i].ws[:len(acc)], curs[i].qw
-			for j, w := range ws {
-				acc[j] += qw * w
-			}
-			visited += uint64(len(ws))
+		docs, qw := cur.docs, cur.qw
+		ws := cur.ws[:len(docs)] // one bound, checks eliminated below
+		for j, doc := range docs {
+			acc[doc] += float64(qw * ws[j])
 		}
 	}
 	if statsOn {
@@ -939,4 +918,15 @@ func (g *Segment) finishExhaustive(curs []pruneCursor, h matchHeap, k int, qnorm
 		pushMatch(&h, k, Match{Name: g.names[i], Index: i, Score: a / qnorm})
 	}
 	return h
+}
+
+// axpyGo is acc[i] += q*ws[i] for every i: one dense list's share of the
+// exhaustive pass. It defines what axpy computes — the assembly on amd64 is
+// tested against it bit for bit — and is axpy everywhere else. len(ws) must
+// be at least len(acc).
+func axpyGo(acc, ws []float64, q float64) {
+	ws = ws[:len(acc)]
+	for i, w := range ws {
+		acc[i] += float64(q * w)
+	}
 }

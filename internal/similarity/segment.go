@@ -35,16 +35,22 @@ import (
 // (documents index in insertion order), with the tf(term, doc)/norm(doc)
 // weights parallel in ws — 12 packed bytes per posting for the accumulator
 // walk, and a dot product against raw query counts needs only the query
-// norm at the end. Ascending order makes a dense list (one posting per
-// document) a doc-indexed array and lets any list be binary-searched for
-// one document. However many lists a segment has there is nothing per list
-// for the collector to trace, and the arrays are what a segment file's
-// postings section holds.
+// norm at the end. Ascending order lets any list be binary-searched for one
+// document. However many lists a segment has there is nothing per list for
+// the collector to trace, and the arrays are what a segment file's postings
+// section holds.
 //
-// tmax, dense and bmax are derived by seal, never serialized: tmax[id] is
-// list id's largest weight, dense the ids of the dense lists, ascending,
-// and bmax their block maxima (the gather engine reads no others) —
-// dense[i]'s at bmax[i*blocks:(i+1)*blocks], one per blockSize postings.
+// tmax, dense, dws and bmax are derived by seal, never serialized. tmax[id]
+// is list id's largest weight. A list is dense when it holds at least half
+// the segment's documents (2·df >= docs); dense names those lists,
+// ascending, and each is stored a second time doc-indexed: dense[i]'s weight
+// for document d is dws[i*docs+d], +0 where d is not in the list. Adding
+// q·(+0) to a non-negative sum changes no bit of it, so the scorer reads a
+// row for any document without a search and accumulates a whole row with
+// one axpy. A row's 8·docs bytes are at most 4/3 of the 12·df its list
+// already costs in the arenas. bmax holds the rows' block maxima (the gather
+// engine reads no others) — dense[i]'s at bmax[i*blocks:(i+1)*blocks], one
+// per blockSize documents.
 //
 // The zero id means "not yet assigned": internal/snapstore assigns a
 // store-unique id the first time the segment is persisted, and the id
@@ -59,6 +65,7 @@ type Segment struct {
 	ws      []float64
 	tmax    []float64
 	dense   []int32
+	dws     []float64
 	bmax    []float64
 	id      uint64
 }
@@ -156,13 +163,14 @@ func (g *Segment) layout(n []uint32) (cur []uint32) {
 	return n
 }
 
-// seal derives the block-max metadata from the filled arenas and
+// seal derives tmax and the dense form from the filled arenas and
 // precomputes the dictionary ids of all 256 single-byte terms, then
 // returns the now-frozen segment. Verilog text is punctuation-dense — `;`,
 // `(`, `=`, `,` are a large share of every query's tokens — and a direct
 // table turns each of those lookups into one array read instead of a
 // string-map probe.
 func (g *Segment) seal() *Segment {
+	nDocs := len(g.names)
 	g.tmax = make([]float64, g.lists())
 	for id := range g.tmax {
 		ws := g.ws[g.off[id]:g.off[id+1]]
@@ -170,12 +178,21 @@ func (g *Segment) seal() *Segment {
 			continue // only a decoded segment can name a list nothing is in
 		}
 		g.tmax[id] = slices.Max(ws)
-		if len(ws) == len(g.names) {
+		if 2*len(ws) >= nDocs {
 			g.dense = append(g.dense, int32(id))
-			for ; len(ws) > blockSize; ws = ws[blockSize:] {
-				g.bmax = append(g.bmax, slices.Max(ws[:blockSize]))
-			}
-			g.bmax = append(g.bmax, slices.Max(ws))
+		}
+	}
+	blocks := (nDocs + blockMask) >> blockShift
+	g.dws = make([]float64, len(g.dense)*nDocs)
+	g.bmax = make([]float64, len(g.dense)*blocks)
+	for i, id := range g.dense {
+		row := g.dws[i*nDocs : (i+1)*nDocs]
+		lo, hi := g.off[id], g.off[id+1]
+		for j, d := range g.docs[lo:hi] {
+			row[d] = g.ws[int(lo)+j]
+		}
+		for b := range blocks {
+			g.bmax[i*blocks+b] = slices.Max(row[b*blockSize : min((b+1)*blockSize, nDocs)])
 		}
 	}
 	g.byteIDs = make([]int32, 256)
