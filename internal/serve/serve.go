@@ -315,9 +315,9 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:   cfg,
-		store: vcache.NewStore(cfg.Curation.Dedup),
-		snaps: cfg.Store,
+		cfg:       cfg,
+		store:     vcache.NewStore(cfg.Curation.Dedup),
+		snaps:     cfg.Store,
 		queue:     make(chan *auditJob, cfg.QueueDepth),
 		bulk:      make(chan struct{}, cfg.MaxInflightBulk),
 		stop:      make(chan struct{}),

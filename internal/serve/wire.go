@@ -104,6 +104,7 @@ type CorpusRepo struct {
 //   - "curated": the FreeSet funnel output (license gate, dedup,
 //     copyright screen, syntax check)
 //   - "all": every extracted Verilog file
+//
 // Mode selects the publish semantics:
 //
 //   - "replace" (default): the request's documents become the whole
@@ -191,15 +192,15 @@ type StatsResponse struct {
 	// append one each; the background merger compacts them back down.
 	Segments       int   `json:"segments"`
 	Audits         int64 `json:"audits"`
-	AuditCacheHits int64   `json:"audit_cache_hits"`
-	SyntaxChecks   int64   `json:"syntax_checks"`
-	Scans          int64   `json:"scans"`
-	Filters        int64   `json:"filters"`
-	CorpusPosts    int64   `json:"corpus_posts"`
-	Rejected       int64   `json:"rejected"`
-	Violations     int64   `json:"violations"`
-	Batches        int64   `json:"batches"`
-	BatchedAudits  int64   `json:"batched_audits"`
+	AuditCacheHits int64 `json:"audit_cache_hits"`
+	SyntaxChecks   int64 `json:"syntax_checks"`
+	Scans          int64 `json:"scans"`
+	Filters        int64 `json:"filters"`
+	CorpusPosts    int64 `json:"corpus_posts"`
+	Rejected       int64 `json:"rejected"`
+	Violations     int64 `json:"violations"`
+	Batches        int64 `json:"batches"`
+	BatchedAudits  int64 `json:"batched_audits"`
 	// QPS is request throughput over a sliding 60-second window (shorter
 	// while uptime is below 60s), not a lifetime average.
 	QPS float64 `json:"qps"`

@@ -13,33 +13,44 @@ import (
 	"freehw/internal/corpus"
 )
 
-// requireAxpyEqualsGo runs axpy and axpyGo over copies of acc and demands
-// the same bits in every slot, the slots around the operands included.
-func requireAxpyEqualsGo(t *testing.T, ctx string, acc, ws []float64, q float64) {
+// requireAxpyRunEqual runs axpyRun (the assembly on amd64), axpyRunGo and one
+// acc[i] += q*w loop per row over copies of acc and demands the same bits in
+// every slot, the guard slots either side of acc included.
+func requireAxpyRunEqual(t *testing.T, ctx string, acc, rows []float64, offs []int, qs []float64) {
 	t.Helper()
 	const pad = 3
-	got := make([]float64, len(acc)+2*pad)
-	for i := range got {
-		got[i] = -7
+	n := len(acc)
+	padded := func() []float64 {
+		buf := make([]float64, n+2*pad)
+		for i := range buf {
+			buf[i] = -7
+		}
+		copy(buf[pad:], acc)
+		return buf
 	}
-	copy(got[pad:], acc)
-	want := slices.Clone(got)
-	axpy(got[pad:pad+len(acc)], ws, q)
-	axpyGo(want[pad:pad+len(acc)], ws, q)
+	got, viaGo, want := padded(), padded(), padded()
+	axpyRun(got[pad:pad+n], rows, offs, qs)
+	axpyRunGo(viaGo[pad:pad+n], rows, offs, qs)
+	for r, off := range offs {
+		for i, w := range rows[off : off+n] {
+			want[pad+i] += float64(qs[r] * w)
+		}
+	}
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: slot %d: axpy %x (%g), reference %x (%g)", ctx, i-pad,
-				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(viaGo[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: slot %d: axpyRun %x (%g), axpyRunGo %x (%g), row-at-a-time reference %x (%g)", ctx, i-pad,
+				math.Float64bits(got[i]), got[i], math.Float64bits(viaGo[i]), viaGo[i], math.Float64bits(want[i]), want[i])
 		}
 	}
 }
 
-// The assembly and the Go loop are the same function: every tail length
-// around the 8-wide body, a corpus-sized row, operands that start on odd
-// 8-byte boundaries, +0 slots, subnormal weights and the largest query
-// count a qterm can carry.
-func TestAxpyMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
+// The assembly, the Go loop and a row-at-a-time pass are the same function:
+// every tail length around the 16-wide body, a tile and a corpus-sized row,
+// runs of no rows up to a novel query's 38, operands that start on odd
+// 8-byte boundaries, +0 slots, subnormal weights and the largest query count
+// a qterm can carry. A row that would end past rows is a panic, not a read.
+func TestAxpyRunMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
 	weight := func() float64 {
 		switch rng.Intn(5) {
 		case 0:
@@ -51,39 +62,68 @@ func TestAxpyMatchesReference(t *testing.T) {
 		}
 		return 1 / math.Sqrt(float64(1+rng.Intn(1<<20)))
 	}
-	qs := []float64{1, 2, 3, 17, 1 << 20, math.MaxUint32}
-	lengths := []int{8000}
+	counts := []float64{1, 2, 3, 17, 1 << 20, math.MaxUint32}
+	lengths := []int{1024, 8000}
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		accBuf := make([]float64, n+4)
-		wsBuf := make([]float64, n+4)
-		for ao := 0; ao < 3; ao++ {
-			for wo := 0; wo < 3; wo++ {
-				acc, ws := accBuf[ao:ao+n], wsBuf[wo:wo+n]
-				for i := range ws {
-					ws[i] = weight()
+		for _, nRows := range []int{0, 1, 2, 3, 5, 8, 38} {
+			accBuf := make([]float64, n+2)
+			rows := make([]float64, nRows*(n+3)+1)
+			for i := range rows {
+				rows[i] = weight()
+			}
+			offs, qs := make([]int, nRows), make([]float64, nRows+1)
+			for ao := 0; ao < 3; ao++ {
+				acc := accBuf[ao : ao+n]
+				for i := range acc {
 					acc[i] = 0
 					if rng.Intn(3) > 0 {
 						acc[i] = float64(rng.Intn(1000)) * weight()
 					}
 				}
-				q := qs[rng.Intn(len(qs))]
-				requireAxpyEqualsGo(t, fmt.Sprintf("n=%d acc+%d ws+%d q=%g", n, ao, wo, q), acc, ws, q)
+				for r := range offs {
+					offs[r] = rng.Intn(len(rows) - n + 1) // any 8-byte boundary; rows may overlap or repeat
+					qs[r] = counts[rng.Intn(len(counts))]
+				}
+				requireAxpyRunEqual(t, fmt.Sprintf("n=%d rows=%d acc+%d", n, nRows, ao), acc, rows, offs, qs)
 			}
 		}
 	}
-	// ws longer than acc is the contract's other legal shape.
-	requireAxpyEqualsGo(t, "long ws", []float64{1, 2, 3}, []float64{.5, .25, .125, 9, 9, 9, 9, 9, 9}, 3)
+
+	rows := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, bad := range []struct {
+		name string
+		offs []int
+		qs   []float64
+	}{
+		{"one slot past rows", []int{0, 6}, []float64{1, 1}},
+		{"negative offset", []int{2, -1}, []float64{1, 1}},
+		{"fewer counts than rows", []int{0, 1}, []float64{1}},
+	} {
+		acc := []float64{-7, 10, 20, 30, -7}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: axpyRun returned", bad.name)
+				}
+			}()
+			axpyRun(acc[1:4], rows, bad.offs, bad.qs)
+		}()
+		if !slices.Equal(acc, []float64{-7, 10, 20, 30, -7}) {
+			t.Fatalf("%s: acc is %v after the panic", bad.name, acc)
+		}
+	}
 }
 
-// FuzzAxpy: any finite non-negative operands, any length and alignment.
-func FuzzAxpy(f *testing.F) {
-	f.Add([]byte{}, uint32(1), uint8(0))
-	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5)), uint32(3), uint8(1))
-	f.Add(make([]byte, 16*19), uint32(math.MaxUint32), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, q uint32, off uint8) {
+// FuzzAxpyRun: any finite non-negative operands, any length, alignment, row
+// count and row placement.
+func FuzzAxpyRun(f *testing.F) {
+	f.Add([]byte{}, uint32(1), uint8(0), uint8(0))
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5)), uint32(3), uint8(1), uint8(1))
+	f.Add(make([]byte, 16*19*4), uint32(math.MaxUint32), uint8(2), uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, q uint32, off, nRows uint8) {
 		vals := make([]float64, len(data)/8)
 		for i := range vals {
 			v := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
@@ -92,30 +132,53 @@ func FuzzAxpy(f *testing.F) {
 			}
 			vals[i] = v
 		}
-		n := len(vals) / 2
+		n := len(vals) / 3
 		o := min(int(off%4), n)
-		requireAxpyEqualsGo(t, "fuzz", vals[o:n], vals[n+o:], float64(q))
+		acc, rows := vals[o:n], vals[n:]
+		offs, qs := make([]int, nRows%40), make([]float64, nRows%40)
+		for r := range offs {
+			offs[r] = (int(off) + 7*r) % (len(rows) - len(acc) + 1)
+			qs[r] = float64(q >> (r % 32))
+		}
+		requireAxpyRunEqual(t, "fuzz", acc, rows, offs, qs)
 	})
 }
 
-// BenchmarkAxpy is one dense row of bench/'s 8 000-document corpus through
-// the accumulator, counting 24 bytes moved per slot (two loads, one store).
-func BenchmarkAxpy(b *testing.B) {
-	const n = 8000
-	acc, ws := make([]float64, n), make([]float64, n)
-	for i := range ws {
-		ws[i] = 1 / float64(i+2)
+// BenchmarkAxpyRun adds runs of 1, 5 and 38 rows — a lone row, a mean run,
+// every dense list of a novel query on bench/'s corpus — to one accTile
+// accumulator from tiles that stay in L2 (what the 2nd to 16th query of a
+// group see) and to a corpus-sized accumulator from 8 000-slot rows streamed
+// out of 5 MB (what a lone query sees). A slot is one multiply-add.
+func BenchmarkAxpyRun(b *testing.B) {
+	const nDocs, nDense = 8000, 79 // bench/'s corpus: 79 dense lists
+	dws := make([]float64, nDense*nDocs)
+	for i := range dws {
+		dws[i] = 1 / float64(i%nDocs+2)
 	}
-	for _, bc := range []struct {
-		name string
-		fn   func(acc, ws []float64, q float64)
-	}{{"axpy", axpy}, {"go", axpyGo}} { // the same loop twice where axpy has no assembly
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bc.fn(acc, ws, 3)
-			}
-			b.ReportMetric(24*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
-		})
+	for _, nRows := range []int{1, 5, 38} {
+		qs := make([]float64, nRows)
+		for r := range qs {
+			qs[r] = float64(r + 1)
+		}
+		for _, bc := range []struct {
+			name  string
+			slots int
+		}{{"tile", accTile}, {"stream", nDocs}} {
+			b.Run(fmt.Sprintf("rows=%d/%s", nRows, bc.name), func(b *testing.B) {
+				acc := make([]float64, bc.slots)
+				offs := make([]int, nRows)
+				for i := 0; i < b.N; i++ {
+					for r := range offs {
+						offs[r] = r * nDocs // tile: the same 8 KB of each row every time
+						if bc.slots == nDocs {
+							offs[r] = (i*nRows + r) % nDense * nDocs
+						}
+					}
+					axpyRun(acc, dws, offs, qs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows*bc.slots), "ns/slot")
+			})
+		}
 	}
 }
 
@@ -230,7 +293,11 @@ func TestSealDerivesDenseForm(t *testing.T) {
 // product added at a time. It shares resolveQuery with the engines and
 // nothing else — no dense form, no accumulator, no heap.
 func canonicalOracle(g *Segment, query string, k int, dead []uint64) []Match {
-	qts, qnorm := g.resolveQuery(query, nil)
+	return oracleTopK(g, oracleDocs(g), query, k, dead)
+}
+
+// oracleDocs is g's postings as one term -> weight map per document.
+func oracleDocs(g *Segment) []map[int32]float64 {
 	byDoc := make([]map[int32]float64, g.Docs())
 	for d := range byDoc {
 		byDoc[d] = map[int32]float64{}
@@ -240,6 +307,11 @@ func canonicalOracle(g *Segment, query string, k int, dead []uint64) []Match {
 			byDoc[g.docs[p]][int32(id)] = g.ws[p]
 		}
 	}
+	return byDoc
+}
+
+func oracleTopK(g *Segment, byDoc []map[int32]float64, query string, k int, dead []uint64) []Match {
+	qts, qnorm := g.resolveQuery(query, nil)
 	out := []Match{}
 	for d, m := range byDoc {
 		acc := 0.0
@@ -325,11 +397,152 @@ func TestMajorityListsBitExact(t *testing.T) {
 	assertSnapshotEquiv(t, "tombstoned", SnapshotOf([]*Segment{g}, [][]uint64{dead}), liveNames, liveTexts, queries)
 }
 
+// A group of queries shares one tiled pass, a lone one takes the untiled
+// pass, and neither changes a bit. Homogeneous corpora — every query bails
+// to the accumulator — one document short of a tile, exactly one tile, one
+// document over, and two and a half tiles; as one segment and as three;
+// a fifth of the documents tombstoned, among them the one the near-duplicate
+// queries would win with and the documents either side of the first tile
+// edge. Every BestBatch slot equals Best of its text, and every Best and
+// TopK equals the map-based canonical-order oracle over a rebuild of the
+// live documents, which shares no code with the accumulator.
+func TestBatchSharesOnePass(t *testing.T) {
+	EnablePruneStats(true)
+	ResetPruneStats()
+	defer EnablePruneStats(false)
+	same := func(a, b Match) bool {
+		return a.Name == b.Name && a.Index == b.Index && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+	}
+	for _, n := range []int{accTile - 1, accTile, accTile + 1, 2500} {
+		rng := rand.New(rand.NewSource(int64(1700 + n)))
+		names := make([]string, n)
+		texts := make([]string, n)
+		for d := range texts {
+			names[d] = fmt.Sprintf("h%d", d)
+			var sb strings.Builder
+			for range 1 + rng.Intn(3) {
+				for v := 0; v < 30; v++ {
+					if rng.Intn(100) < 50+(49*v)/29 { // majority term v: 50 % ... 99 % of documents
+						fmt.Fprintf(&sb, "t%d ", v)
+					}
+					if rng.Intn(100) < 1+v { // minority term v: sparse lists resumed at every tile edge
+						fmt.Fprintf(&sb, "s%d ", v)
+					}
+				}
+			}
+			fmt.Fprintf(&sb, "own%d", d)
+			texts[d] = sb.String()
+		}
+		const winner = 700
+		twin := n - 3 // the tombstoned winner's live copy: never a tile-edge document
+		texts[twin] = texts[winner]
+		dead := make([]bool, n)
+		for _, d := range []int{winner, accTile - 1, accTile} {
+			if d < n {
+				dead[d] = true
+			}
+		}
+		var liveNames, liveTexts []string
+		for d := range texts {
+			if !dead[d] && d != twin && rng.Intn(5) == 0 {
+				dead[d] = true
+			}
+			if !dead[d] {
+				liveNames, liveTexts = append(liveNames, names[d]), append(liveTexts, texts[d])
+			}
+		}
+		bitmap := func(lo, hi int) []uint64 {
+			bm := make([]uint64, (hi-lo+63)/64)
+			for d := lo; d < hi; d++ {
+				if dead[d] {
+					bm[(d-lo)>>6] |= 1 << ((d - lo) & 63)
+				}
+			}
+			return bm
+		}
+		cuts := []int{0, n / 2, n/2 + n/3, n}
+		var segs []*Segment
+		var deads [][]uint64
+		for i := 0; i+1 < len(cuts); i++ {
+			segs = append(segs, BuildSegment(names[cuts[i]:cuts[i+1]], texts[cuts[i]:cuts[i+1]], 1))
+			deads = append(deads, bitmap(cuts[i], cuts[i+1]))
+		}
+		snaps := []struct {
+			name string
+			*Snapshot
+		}{
+			{"one segment", SnapshotOf([]*Segment{BuildSegment(names, texts, 1)}, [][]uint64{bitmap(0, n)})},
+			{"three segments", SnapshotOf(segs, deads)},
+		}
+
+		pool := []string{"", "zz_unknown qq_unknown", texts[winner], texts[winner] + " t3 t3 unseen_x", texts[accTile-2] + " s4"}
+		for len(pool) < 24 {
+			var sb strings.Builder
+			for range 20 + rng.Intn(60) {
+				switch v := rng.Intn(30); rng.Intn(5) {
+				case 0:
+					fmt.Fprintf(&sb, "s%d ", v)
+				case 1:
+					fmt.Fprintf(&sb, "novel%d ", rng.Intn(1000))
+				default:
+					fmt.Fprintf(&sb, "t%d ", v)
+				}
+			}
+			pool = append(pool, sb.String())
+		}
+		live := BuildSegment(liveNames, liveTexts, 1)
+		liveDocs := oracleDocs(live)
+		wantBest := map[string]Match{}
+		for _, q := range pool {
+			top := oracleTopK(live, liveDocs, q, 5, nil)
+			wantBest[q] = Match{Index: -1}
+			if len(top) > 0 {
+				wantBest[q] = top[0]
+			}
+			for _, snap := range snaps {
+				ctx := fmt.Sprintf("%d docs, %s, %q", n, snap.name, q)
+				if got := snap.Best(q); !same(got, wantBest[q]) {
+					t.Fatalf("%s: Best %+v, oracle %+v", ctx, got, wantBest[q])
+				}
+				matchesEqual(t, ctx+" TopK(5)", snap.TopK(q, 5), top)
+			}
+		}
+		if w := wantBest[texts[winner]]; w.Name != names[twin] || w.Score < 0.999 {
+			t.Fatalf("%d docs: a copy of tombstoned document %d matches %+v, want its twin %s", n, winner, w, names[twin])
+		}
+
+		for _, size := range []int{1, 2, accBatch - 1, accBatch, accBatch + 1, 2*accBatch + 1} {
+			group := make([]string, size)
+			for i := range group {
+				group[i] = pool[rng.Intn(len(pool))]
+			}
+			if size > 2 {
+				group[size-1] = group[1] // a repeated text, whatever the draw
+			}
+			for _, snap := range snaps {
+				for _, workers := range []int{1, 2, 0} {
+					got := snap.BestBatch(workers, group)
+					for i, q := range group {
+						if !same(got[i], wantBest[q]) || !same(got[i], snap.Best(q)) {
+							t.Fatalf("%d docs, %s, group of %d, workers %d: slot %d is %+v, Best %+v, oracle %+v",
+								n, snap.name, size, workers, i, got[i], snap.Best(q), wantBest[q])
+						}
+					}
+				}
+			}
+		}
+	}
+	if st := ReadPruneStats(); st.Bailouts*2 < st.Queries {
+		t.Fatalf("only %d of %d pruned searches ended in the accumulator: the corpora are not homogeneous", st.Bailouts, st.Queries)
+	}
+}
+
 // BenchmarkBestBenchCorpus is Snapshot.Best on bench/'s corpus with
 // bench/'s two candidate shapes (bench/inputs.go's coldStream): a freshly
 // generated module, and a protected file with one line replaced. ns/posting
 // divides by the postings of the query's resolved terms — what the
-// exhaustive accumulator would read.
+// exhaustive accumulator would read. batch16 is BestBatch over the same
+// shapes.
 func BenchmarkBestBenchCorpus(b *testing.B) {
 	names, texts := protectedDocs(8000)
 	g := BuildSegment(names, texts, 0)
@@ -366,4 +579,24 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(read), "ns/posting")
 		})
 	}
+	// publish_mixed's request: 16 sibling candidates, one in ten a near-
+	// duplicate, through BestBatch on one worker.
+	batches := make([][]string, 16)
+	for bi := range batches {
+		for i := 0; i < accBatch; i++ {
+			shape := "novel"
+			if rng.Intn(10) == 0 {
+				shape = "neardup"
+			}
+			batches[bi] = append(batches[bi], shapes[shape](bi*accBatch+i))
+		}
+	}
+	b.Run("batch16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if ms := snap.BestBatch(1, batches[i%len(batches)]); ms[0].Index < 0 {
+				b.Fatal("no match")
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
+	})
 }

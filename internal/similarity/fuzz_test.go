@@ -33,7 +33,9 @@ import (
 // A third phase pins the segmented index (PR 9): the same documents split
 // into a fuzzed number of segments, with a fuzzed tombstone pattern and a
 // fuzzed adjacent merge, must return Best/TopK BIT-identical (== on the
-// float64 scores) to a single-segment full rebuild of the live documents.
+// float64 scores) to a single-segment full rebuild of the live documents —
+// and BestBatch over the query and three siblings must return what Best
+// returns for each.
 func FuzzScoringEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), "module top(input clk); wire a = b ^ c; endmodule")
 	f.Add(int64(42), uint8(3), "assign out = in1 & in2;")
@@ -152,6 +154,19 @@ func FuzzScoringEquivalence(f *testing.F) {
 		}
 		if sb, fb := snap.Best(query), full.Best(query); sb != fb {
 			t.Fatalf("segmented Best %+v != rebuilt %+v (parts=%d)", sb, fb, parts)
+		}
+		// The query among three siblings, as a generation harness sends them:
+		// one pass per segment for the group, the same answers one by one.
+		group := []string{
+			texts[srng.Intn(n)] + "\nwire sibling_tail;",
+			query,
+			diverseVerilog(srng, int(seed&0xffff)+n),
+			query + " " + texts[srng.Intn(n)],
+		}
+		for i, m := range snap.BestBatch(workers, group) {
+			if sb, fb := snap.Best(group[i]), full.Best(group[i]); m != sb || m != fb {
+				t.Fatalf("BestBatch slot %d %+v != segmented Best %+v / rebuilt Best %+v (parts=%d)", i, m, sb, fb, parts)
+			}
 		}
 		for _, k := range []int{1, 3, n} {
 			sk, fk := snap.TopK(query, k), full.TopK(query, k)

@@ -6,34 +6,33 @@ package similarity
 //
 //   - k == 1 (Best, BestBatch — every audit) on a segment of at least
 //     pruneMinDocs documents runs searchPrunedBest, the gather engine
-//     below, which skips most of the index on selective queries and ends
-//     in the accumulator when it detects that pruning is not paying.
-//   - Everything else — k > 1 (TopK), tiny segments — runs
-//     finishExhaustive, the classic accumulator over every posting of
-//     every query term.
-//
-// Measured at the commit that made majority lists doc-indexed (PR 15; p50
-// µs per query over 256 queries x 3, one segment, this repo's 2-vCPU VM,
-// parent commit -> this one in the same session). "diverse" is
-// internal/serve's BenchmarkServeAuditLargeCorpus corpus, "bench" is
-// bench/'s protected corpus; near-dup is a corpus file with one line
-// changed, novel a freshly generated module:
-//
-//	                          k=10          k=1           k=1
-//	corpus, query             exhaustive    gather        exhaustive
-//	diverse  1 000 near-dup    76 ->  59     40 ->  33     60 ->  42
-//	diverse  1 000 novel       55 ->  48     50 ->  42     44 ->  38
-//	diverse 16 000 near-dup   702 -> 605     77 ->  75    617 -> 511
-//	diverse 16 000 novel      630 -> 578    555 -> 529    537 -> 490
-//	bench    8 000 near-dup   658 -> 481    641 -> 406    596 -> 401
-//	bench    8 000 novel      327 -> 201    277 -> 148    271 -> 137
+//     below, which skips most of the index on selective queries and asks
+//     for the accumulator when it detects that pruning is not paying.
+//   - Everything else — k > 1 (TopK), tiny segments, every bail-out — ends
+//     in accumulate, the classic accumulator over every posting of every
+//     query term, run once per GROUP of queries: searchBatch resolves up
+//     to accBatch texts and lets the ones that need the accumulator wait
+//     for each other. Sibling completions read mostly the same dense rows,
+//     so the pass cuts the documents into tiles of accTile and every
+//     waiting query finishes a tile before any moves on — the first pulls
+//     a tile of each row in, the rest find it in L2, and each query's 8 KB
+//     of accumulator stays in L1. A document belongs to one tile, and there
+//     a query adds its lists to it in canonical order exactly as it would
+//     over the whole range, so which documents share a tile and which
+//     queries share a pass change no sum. Within a tile, dense lists
+//     adjacent in canonical order are added as one run (axpyRun) with the
+//     accumulator held in registers; the first sparse list ends the run, so
+//     which rows share a run reorders no document's adds either. A lone
+//     query takes one tile of every document: short tiles cost the hardware
+//     prefetcher its streams and buy it nothing.
 //
 // The gather engine is 7x faster than the accumulator on diverse
-// near-duplicates and within 10% of it where it bails, so it stays. (A k > 1
-// MaxScore DAAT engine lost to the accumulator in every cell and was deleted
-// in PR 13; ROADMAP item 3 has that table.) bench/README.md has current
-// numbers (similarity.topk10_us, similarity.best_neardup_us,
-// similarity.best_novel_us).
+// near-duplicates (75 against 511 µs at 16 000 documents) and within 10% of
+// it where it bails, so it stays; a k > 1 MaxScore DAAT engine lost to the
+// accumulator in every cell and was deleted in PR 13. ROADMAP's decision
+// records have both tables; bench/README.md has current numbers
+// (similarity.topk10_us, best_neardup_us, best_novel_us,
+// bestbatch_us_per_cand).
 //
 // Why a special engine at all: similarity here is tf-only cosine — there
 // is no idf — so corpus-universal terms (Verilog keywords, punctuation)
@@ -111,11 +110,10 @@ package similarity
 // pruning is not paying and falls back to the exhaustive accumulator,
 // bounding the regression to a small constant factor while keeping the
 // large wins on selective workloads. A novel candidate — 97% of what a
-// clean model sends — always ends there, so the accumulator is the audit:
-// a scatter per sparse list, and per dense list one axpy over its row
-// (SSE2 on amd64; BenchmarkAxpy reads 2.5 µs per 8 000-slot row against
-// 5.3 µs for the Go loop). Adding q·(+0) to a non-negative sum is an exact
-// no-op, so a row's zeros cost bandwidth and no bits.
+// clean model sends — always ends there, so the accumulator is the audit: a
+// scatter per sparse list and one axpyRun per run of dense rows (SSE2 on
+// amd64). Adding q·(+0) to a non-negative sum is an exact no-op, so a row's
+// zeros cost bandwidth and no bits.
 
 import (
 	"container/heap"
@@ -143,6 +141,14 @@ const (
 	// homogeneous for pruning and the search switches to the exhaustive
 	// accumulator.
 	bailEvalDen = 4
+
+	// accBatch queries at most share one accumulator pass, accTile documents
+	// at a time: a tile of every dense row a novel query adds (38 on bench/'s
+	// corpus: 300 KB) stays in L2 until the last query of the group has added
+	// it. Tiles of 512 and 2 048 measured within noise of 1 024; 256 was ~12%
+	// slower.
+	accBatch = 16
+	accTile  = 1024
 
 	// epsUlp is one float64 ulp at 1.0; the slack factors scale it by the
 	// number of terms in a sum (plus margin) to bound accumulated
@@ -216,15 +222,16 @@ func ResetPruneStats() {
 
 // pruneCursor is one query term's posting-list view: the doc-ordered
 // postings, the query-side count, and the term's global upper bound
-// contribution. For a dense list bmax is its block maxima (nil otherwise)
-// and ws is its doc-indexed row of Segment.dws, not its arena weights; docs
-// still says which documents are in it. There is no position: both engines
-// read lists by streaming, by doc-indexed access (dense) or by binary
-// search.
+// contribution. For a dense list row is its index in Segment.dense (-1
+// otherwise) and ws is its doc-indexed row of Segment.dws, not its arena
+// weights; docs still says which documents are in it. There is no position
+// here: the gather engine reads lists by streaming, by doc-indexed access
+// (dense) or by binary search, and the accumulator keeps where each sparse
+// list stopped at the last tile edge in searchScratch.pos.
 type pruneCursor struct {
 	docs []int32
 	ws   []float64
-	bmax []float64
+	row  int32
 	qw   float64
 	ub   float64 // qw * tmax, raw (slack applied at comparison sites)
 }
@@ -234,10 +241,12 @@ type pruneCursor struct {
 // product's rounding, and the compilers for arm64, ppc64, s390x and riscv64
 // do; an explicit conversion forbids it. Scores, and testdata/verdicts.golden,
 // are then the same float64s on every GOARCH (the conversion costs nothing
-// on amd64, which never fuses), and the same ones axpy's separate MULPD and
-// ADDPD produce.
+// on amd64, which never fuses), and the same ones axpyRun's separate MULPD
+// and ADDPD produce.
 
-// searchScratch holds the per-search allocations, pooled across queries.
+// searchScratch holds one query's state from resolution to result, pooled
+// across queries: its cursors, the gather engine's work arrays, and what the
+// accumulator carries from tile to tile.
 type searchScratch struct {
 	qts   []uint64
 	curs  []pruneCursor
@@ -250,21 +259,50 @@ type searchScratch struct {
 	dtail []float64
 	prime []int32
 	h     matchHeap
+	qnorm float64
+
+	acc  []float64 // the gather engine's per-document sums, then one tile of the accumulator's
+	offs []int     // dense cursors in canonical order: where each one's row starts in dws (or bmax)
+	qs   []float64 // and their query counts
+	pos  []int32   // per cursor: the first posting of a sparse list at or past the current tile
 }
 
 var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
 
-// accPool recycles per-document accumulators (sized to the segment).
-var accPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func getAcc(n int) *[]float64 {
-	p := accPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+// zeros returns *buf, a scratch array, as n zeros.
+func zeros[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	*p = (*p)[:n]
-	clear(*p)
-	return p
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// denseRun fills sc.offs and sc.qs for the dense cursors, in canonical
+// order: stride slots per row, so nDocs addresses Segment.dws and the block
+// count Segment.bmax.
+func (sc *searchScratch) denseRun(stride int) (offs []int, qs []float64) {
+	offs, qs = sc.offs[:0], sc.qs[:0]
+	for i := range sc.curs {
+		if cur := &sc.curs[i]; cur.row >= 0 {
+			offs = append(offs, int(cur.row)*stride)
+			qs = append(qs, cur.qw)
+		}
+	}
+	sc.offs, sc.qs = offs, qs
+	return offs, qs
+}
+
+// drain empties the heap into a new slice, best first, and returns the
+// scratch to the pool.
+func (sc *searchScratch) drain() []Match {
+	out := make([]Match, len(sc.h))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(&sc.h).(Match)
+	}
+	scratchPool.Put(sc)
+	return out
 }
 
 // deadBit reports whether doc d is tombstoned in the bitmap (nil = no
@@ -273,11 +311,23 @@ func deadBit(dead []uint64, d int32) bool {
 	return dead != nil && dead[d>>6]&(1<<(uint32(d)&63)) != 0
 }
 
-// searchTopK is the one scoring entry behind Best and TopK: exact top-k
-// matches over the segment's live documents, best first, indices
-// segment-local. mode selects the engine (searchAuto: the gather engine for
-// k == 1 on at least pruneMinDocs documents, the exhaustive accumulator
-// for everything else); every choice returns bit-identical results.
+// searchTopK is searchBatch for one text.
+func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
+	var out [1][]Match
+	g.searchBatch([]string{text}, k, mode, dead, out[:])
+	return out[0]
+}
+
+// searchBatch is the one scoring entry behind Best, TopK and BestBatch:
+// out[i] receives the exact top-k matches of texts[i] over the segment's
+// live documents, best first, indices segment-local (nil when the query or
+// the segment is empty). At most accBatch texts; out is the caller's, so a
+// single query allocates nothing a batch needs. mode selects the engine
+// (searchAuto: the gather engine for k == 1 on at least pruneMinDocs
+// documents, the accumulator for everything else); every choice returns
+// bit-identical results. Each query resolves and runs the gather engine on
+// its own; the ones that need the accumulator — k > 1, tiny segments, every
+// bail-out — wait, and share one pass (see accumulate).
 //
 // dead is the snapshot's tombstone bitmap for this segment: dead documents
 // never reach the heap AND never set the pruning threshold (a dead doc's
@@ -285,79 +335,82 @@ func deadBit(dead []uint64, d int32) bool {
 // bit-identical to scoring a segment that never contained them. dead may
 // be nil (no tombstones — the common case, zero overhead on the scan
 // loops beyond one predictable branch).
-func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
-	if k <= 0 || len(g.names) == 0 {
-		return nil
-	}
-	if k > len(g.names) {
-		k = len(g.names)
-	}
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
-
-	qts, qnorm := g.resolveQuery(text, sc.qts)
-	sc.qts = qts[:0]
-	if qnorm == 0 {
-		return nil
-	}
-
-	// Build cursors in canonical query order (qts is in the query's
-	// first-appearance order): the canonical evaluation order. Terms with
-	// empty posting lists cannot contribute and are dropped — dropping
-	// preserves the relative order, so per-document sums stay canonical.
-	curs := sc.curs[:0]
-	totalPostings := 0
+func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, out [][]Match) {
+	clear(out)
 	nDocs := len(g.names)
-	blocks := (nDocs + blockMask) >> blockShift
-	for _, qt := range qts {
-		id := qtermID(qt)
-		lo, hi := g.off[id], g.off[id+1]
-		if lo == hi {
+	if k <= 0 || nDocs == 0 {
+		return
+	}
+	k = min(k, nDocs)
+	usePruned := k == 1 && (mode == searchPruned || (mode == searchAuto && nDocs >= pruneMinDocs))
+	statsOn := pruneStatsOn.Load()
+	var wait [accBatch]*searchScratch
+	var slot [accBatch]int
+	nWait := 0
+	for ti, text := range texts {
+		sc := scratchPool.Get().(*searchScratch)
+		qts, qnorm := g.resolveQuery(text, sc.qts)
+		sc.qts = qts[:0]
+		if qnorm == 0 {
+			scratchPool.Put(sc)
 			continue
 		}
-		qw := qtermW(qt)
-		cur := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], qw: qw, ub: qw * g.tmax[id]}
-		if i, ok := slices.BinarySearch(g.dense, id); ok {
-			cur.ws = g.dws[i*nDocs : (i+1)*nDocs]
-			cur.bmax = g.bmax[i*blocks : (i+1)*blocks]
+		sc.qnorm = qnorm
+
+		// Build cursors in canonical query order (qts is in the query's
+		// first-appearance order): the canonical evaluation order. Terms with
+		// empty posting lists cannot contribute and are dropped — dropping
+		// preserves the relative order, so per-document sums stay canonical.
+		curs := sc.curs[:0]
+		totalPostings := 0
+		for _, qt := range qts {
+			id := qtermID(qt)
+			lo, hi := g.off[id], g.off[id+1]
+			if lo == hi {
+				continue
+			}
+			qw := qtermW(qt)
+			cur := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, qw: qw, ub: qw * g.tmax[id]}
+			if i, ok := slices.BinarySearch(g.dense, id); ok {
+				cur.ws = g.dws[i*nDocs : (i+1)*nDocs]
+				cur.row = int32(i)
+			}
+			curs = append(curs, cur)
+			totalPostings += len(cur.docs)
 		}
-		curs = append(curs, cur)
-		totalPostings += len(cur.docs)
-	}
-	sc.curs = curs
-	n := len(curs)
-	if n == 0 {
-		return []Match{}
-	}
-
-	h := sc.h[:0]
-	if cap(h) < k {
-		h = make(matchHeap, 0, k)
-	}
-
-	usePruned := k == 1 && (mode == searchPruned || (mode == searchAuto && len(g.names) >= pruneMinDocs))
-	statsOn := pruneStatsOn.Load()
-	if statsOn {
-		pruneCounters.total.Add(uint64(totalPostings))
-		if usePruned {
-			pruneCounters.queries.Add(1)
-		} else {
-			pruneCounters.exhaustive.Add(1)
+		sc.curs = curs
+		if len(curs) == 0 {
+			scratchPool.Put(sc)
+			out[ti] = []Match{}
+			continue
 		}
-	}
 
-	if usePruned {
-		h = g.searchPrunedBest(sc, totalPostings, h, qnorm, statsOn, dead)
-	} else {
-		h = g.finishExhaustive(curs, h, k, qnorm, statsOn, dead)
+		sc.h = sc.h[:0]
+		if cap(sc.h) < k {
+			sc.h = make(matchHeap, 0, k)
+		}
+		if statsOn {
+			pruneCounters.total.Add(uint64(totalPostings))
+			if usePruned {
+				pruneCounters.queries.Add(1)
+			} else {
+				pruneCounters.exhaustive.Add(1)
+			}
+		}
+		if usePruned && g.searchPrunedBest(sc, totalPostings, statsOn, dead) {
+			out[ti] = sc.drain()
+			continue
+		}
+		wait[nWait], slot[nWait] = sc, ti
+		nWait++
 	}
-	sc.h = h
-
-	out := make([]Match, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Match)
+	if nWait == 0 {
+		return
 	}
-	return out
+	g.accumulate(wait[:nWait], k, statsOn, dead)
+	for i, sc := range wait[:nWait] {
+		out[slot[i]] = sc.drain()
+	}
 }
 
 // pushMatch offers m to the bounded heap, returning true if the heap
@@ -406,7 +459,7 @@ func canonicalTails(sc *searchScratch, inflate float64) []float64 {
 // canonical tail bound cannot reach theta.
 func evalCanonical(curs []pruneCursor, tail []float64, d int32, theta float64) (acc float64, abandoned bool) {
 	for i := range curs {
-		if curs[i].bmax != nil {
+		if curs[i].row >= 0 {
 			acc += float64(curs[i].qw * curs[i].ws[d])
 		} else if j, ok := binSearchDocs(curs[i].docs, d); ok {
 			acc += float64(curs[i].qw * curs[i].ws[j])
@@ -421,13 +474,17 @@ func evalCanonical(curs []pruneCursor, tail []float64, d int32, theta float64) (
 // searchPrunedBest is the k == 1 gather engine (see the package comment):
 // dense/sparse split, threshold priming, absorbed-prefix partition, one
 // streaming gather of the essential sparse postings, then bound → refine →
-// canonical evaluation per touched document. The size-1 heap makes every
-// push of an already-known document a no-op, which is what lets priming
-// and the exhaustive fallbacks re-score documents freely.
-func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h matchHeap, qnorm float64, statsOn bool, dead []uint64) matchHeap {
+// canonical evaluation per touched document. The size-1 heap, sc.h, makes
+// every push of an already-known document a no-op, which is what lets
+// priming and the accumulator re-score documents freely. It reports whether
+// the heap holds the answer; false means the query needs the accumulator
+// (every list dense, or pruning not paying), which the caller runs — for
+// this query alone or for a group of them — over the heap as it was left.
+func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn bool, dead []uint64) (done bool) {
 	curs := sc.curs
 	n := len(curs)
 	nDocs := len(g.names)
+	qnorm := sc.qnorm
 
 	// Slack factors: any bound is a sum of at most n products, so one
 	// multiplicative inflation covers its worst-case rounding deficit;
@@ -441,25 +498,22 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 	// Dense/sparse split: dense lists fold into one shared per-document-
 	// block bound and a list of doc-indexed arrays for exact refinement.
 	nBlocks := (nDocs + blockMask) >> blockShift
-	denseBmax := sc.dense
-	if cap(denseBmax) < nBlocks {
-		denseBmax = make([]float64, nBlocks)
-	}
-	denseBmax = denseBmax[:nBlocks]
-	clear(denseBmax)
-	sc.dense = denseBmax
+	denseBmax := zeros(&sc.dense, nBlocks)
 	ord := sc.ord[:0]
 	dord := sc.dord[:0]
 	for i := range curs {
-		if curs[i].bmax != nil {
+		if curs[i].row >= 0 {
 			dord = append(dord, int32(i))
-			axpy(denseBmax, curs[i].bmax, curs[i].qw)
 		} else {
 			ord = append(ord, int32(i))
 		}
 	}
 	sc.ord, sc.dord = ord, dord
 	nDense := len(dord)
+	// A block's bound is the sum, in canonical order, of every dense list's
+	// block maximum times its query count: the rows of bmax added as one run.
+	boffs, qs := sc.denseRun(nBlocks)
+	axpyRun(denseBmax, g.bmax, boffs, qs)
 	denseBmaxMax := 0.0
 	for _, v := range denseBmax {
 		if v > denseBmaxMax {
@@ -485,7 +539,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 	if len(ord) == 0 {
 		// Every list is dense: no sparse list to surface candidates, so
 		// the whole corpus must be scored anyway.
-		return g.finishExhaustive(curs, h, 1, qnorm, statsOn, dead)
+		return false
 	}
 	sortSparseByRatio(ord, curs)
 
@@ -512,8 +566,8 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 	// tiny) remaining tail bound. <0 means no threshold yet.
 	thetaAcc := -1.0
 	updateTheta := func() {
-		if len(h) == 1 {
-			if t := h[0].Score * qnorm * deflate; t > thetaAcc {
+		if len(sc.h) == 1 {
+			if t := sc.h[0].Score * qnorm * deflate; t > thetaAcc {
 				thetaAcc = t
 			}
 		}
@@ -527,15 +581,15 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 			pruneCounters.blockSkips.Add(blockSkips)
 		}
 	}
-	bailExhaustive := func(cands uint64) matchHeap {
+	// bail gives up on pruning: the accumulator streams the whole segment,
+	// and re-pushing the document the heap already holds is a no-op (same
+	// score, same index).
+	bail := func(cands uint64) bool {
 		if statsOn {
 			pruneCounters.bailouts.Add(1)
 		}
 		flushStats(cands)
-		// The accumulator streams the whole segment; re-pushing the
-		// document the heap already holds is a no-op (same score, same
-		// index).
-		return g.finishExhaustive(curs, h, 1, qnorm, statsOn, dead)
+		return false
 	}
 	// hopeless reports whether the final completeness sweep could ever
 	// pass: it can only if every dense block bound ends strictly below the
@@ -656,7 +710,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 			acc, _ := evalCanonical(curs, tail, d, -1)
 			visited += uint64(n)
 			if acc > 0 {
-				pushMatch(&h, 1, Match{Name: g.names[d], Index: int(d), Score: acc / qnorm})
+				pushMatch(&sc.h, 1, Match{Name: g.names[d], Index: int(d), Score: acc / qnorm})
 			}
 			if pi == 0 {
 				// A fresh candidate against a homogeneous corpus is decided
@@ -664,7 +718,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 				// bounds and the remaining evaluations would be wasted.
 				updateTheta()
 				if hopeless() {
-					return bailExhaustive(0)
+					return bail(0)
 				}
 			}
 		}
@@ -672,7 +726,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 
 	updateTheta()
 	if hopeless() {
-		return bailExhaustive(0)
+		return bail(0)
 	}
 
 	// Fixed partition: absorb the cheapest sparse lists while their
@@ -695,18 +749,16 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 	}
 
 	// If most of the index would be streamed anyway, pruning cannot pay:
-	// go straight to the exhaustive accumulator.
+	// go straight to the accumulator.
 	if uint64(essPostings) > uint64(totalPostings)/2 {
-		return bailExhaustive(0)
+		return bail(0)
 	}
 
-	// Gather: stream the essential sparse postings once into a pooled
+	// Gather: stream the essential sparse postings once into the scratch's
 	// per-document accumulator, recording each document on first touch
 	// (all contributions are positive, so zero means untouched). The
 	// touched order is a deterministic function of corpus and query.
-	accp := getAcc(nDocs)
-	defer accPool.Put(accp)
-	acc := *accp
+	acc := zeros(&sc.acc, nDocs)
 	touched := sc.touch[:0]
 	for _, ci := range ord[nonEss:] {
 		cur := &curs[ci]
@@ -766,7 +818,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 		visited += uint64(n)
 		fullEvals++
 		if !abandoned && av > 0 {
-			if pushMatch(&h, 1, Match{Name: g.names[d], Index: int(d), Score: av / qnorm}) {
+			if pushMatch(&sc.h, 1, Match{Name: g.names[d], Index: int(d), Score: av / qnorm}) {
 				updateTheta()
 			}
 		}
@@ -774,7 +826,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 		// corpus) — the budget bounds the damage to a fraction of one
 		// exhaustive pass before switching to it.
 		if visited > evalBudget {
-			return bailExhaustive(uint64(len(touched)))
+			return bail(uint64(len(touched)))
 		}
 	}
 
@@ -795,11 +847,11 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, h match
 			}
 		}
 		if flagged {
-			return bailExhaustive(uint64(len(touched)))
+			return bail(uint64(len(touched)))
 		}
 	}
 	flushStats(uint64(len(touched)))
-	return h
+	return true
 }
 
 // binSearchDocs finds d in a sorted doc-id list.
@@ -859,74 +911,128 @@ func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 	}
 }
 
-// finishExhaustive is the exhaustive engine: the classic accumulator over
-// every posting of every query term — the same adds in the same canonical
-// order as ever — folded into the heap in ascending doc order (so tie
-// resolution matches the gather engine and the historical TopK exactly).
-// A sparse list scatters its postings; a dense one adds its whole row, the
-// +0 slots of documents outside it included, which leaves those documents'
-// sums as they were. The gather engine also ends here when it bails;
-// re-pushing the document its size-1 heap already holds is a no-op.
-func (g *Segment) finishExhaustive(curs []pruneCursor, h matchHeap, k int, qnorm float64, statsOn bool, dead []uint64) matchHeap {
-	accp := getAcc(len(g.names))
-	defer accPool.Put(accp)
-	acc := *accp
-	var visited uint64
-	for i := range curs {
-		cur := &curs[i]
-		visited += uint64(len(cur.docs)) // postings, not the slots of a dense row
-		if cur.bmax != nil {
-			axpy(acc, cur.ws, cur.qw)
-			continue
-		}
-		docs, qw := cur.docs, cur.qw
-		ws := cur.ws[:len(docs)] // one bound, checks eliminated below
-		for j, doc := range docs {
-			acc[doc] += float64(qw * ws[j])
+// accumulate is the exhaustive engine: the classic accumulator over every
+// posting of every query term — the same adds in the same canonical order as
+// ever — folded into each query's heap in ascending doc order (so tie
+// resolution matches the gather engine and the historical TopK exactly), for
+// up to accBatch queries in one tiled pass over the documents (the package
+// comment says why tiles and runs change no sum). A sparse list scatters its
+// postings, resuming at each tile where it stopped at the last; a dense one
+// adds its row, the +0 slots of documents outside it included, which leaves
+// those documents' sums as they were. The gather engine's bail-outs end here
+// too; re-pushing the document a size-1 heap already holds is a no-op.
+func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead []uint64) {
+	nDocs := len(g.names)
+	tile := accTile
+	if len(queries) == 1 {
+		tile = nDocs
+	}
+	for _, sc := range queries {
+		zeros(&sc.acc, min(tile, nDocs))
+		sc.denseRun(nDocs)
+		zeros(&sc.pos, len(sc.curs))
+		if statsOn {
+			var visited uint64
+			for i := range sc.curs {
+				visited += uint64(len(sc.curs[i].docs)) // postings, not the slots of a dense row
+			}
+			pruneCounters.visited.Add(visited)
 		}
 	}
-	if statsOn {
-		pruneCounters.visited.Add(visited)
-	}
-	if k == 1 {
-		// Single-best scan on raw accumulator values: the division by
-		// qnorm is monotone, so it only needs to run when the raw maximum
-		// improves — and when two raw values round to the same score, the
-		// strict comparisons keep the earlier (lower) index, exactly the
-		// heap's tie rule.
-		bestRaw, bestScore, bestIdx := 0.0, 0.0, -1
-		for i, a := range acc {
-			if a > bestRaw {
-				if deadBit(dead, int32(i)) {
-					continue // tombstoned: must not win or raise the bar
+	for lo := 0; lo < nDocs; lo += tile {
+		hi := min(lo+tile, nDocs)
+		for _, sc := range queries {
+			acc := sc.acc[:hi-lo]
+			if lo > 0 {
+				clear(acc)
+			}
+			curs, di := sc.curs, 0
+			for i := 0; i < len(curs); {
+				cur := &curs[i]
+				if cur.row >= 0 {
+					run := 1
+					for i+run < len(curs) && curs[i+run].row >= 0 {
+						run++
+					}
+					axpyRun(acc, g.dws[lo:], sc.offs[di:di+run], sc.qs[di:di+run])
+					di += run
+					i += run
+					continue
 				}
-				bestRaw = a
-				if s := a / qnorm; s > bestScore {
-					bestScore, bestIdx = s, i
+				p, qw := int(sc.pos[i]), cur.qw
+				docs := cur.docs
+				ws := cur.ws[:len(docs)] // one bound, checks eliminated below
+				for ; p < len(docs) && int(docs[p]) < hi; p++ {
+					acc[int(docs[p])-lo] += float64(qw * ws[p])
 				}
+				sc.pos[i] = int32(p)
+				i++
+			}
+			if k == 1 {
+				// Single-best scan on raw accumulator values: the division by
+				// qnorm is monotone, so it only needs to run when the raw maximum
+				// improves — and when two raw values round to the same score, the
+				// strict comparisons keep the earlier (lower) index, exactly the
+				// heap's tie rule, which also settles the tile's best against the
+				// earlier tiles'.
+				bestRaw, bestScore, bestIdx := 0.0, 0.0, -1
+				for i, a := range acc {
+					if a > bestRaw {
+						if deadBit(dead, int32(lo+i)) {
+							continue // tombstoned: must not win or raise the bar
+						}
+						bestRaw = a
+						if s := a / sc.qnorm; s > bestScore {
+							bestScore, bestIdx = s, lo+i
+						}
+					}
+				}
+				if bestIdx >= 0 {
+					pushMatch(&sc.h, 1, Match{Name: g.names[bestIdx], Index: bestIdx, Score: bestScore})
+				}
+				continue
+			}
+			for i, a := range acc {
+				if a == 0 || deadBit(dead, int32(lo+i)) {
+					continue
+				}
+				pushMatch(&sc.h, k, Match{Name: g.names[lo+i], Index: lo + i, Score: a / sc.qnorm})
 			}
 		}
-		if bestIdx >= 0 {
-			pushMatch(&h, 1, Match{Name: g.names[bestIdx], Index: bestIdx, Score: bestScore})
-		}
-		return h
 	}
-	for i, a := range acc {
-		if a == 0 || deadBit(dead, int32(i)) {
-			continue
-		}
-		pushMatch(&h, k, Match{Name: g.names[i], Index: i, Score: a / qnorm})
-	}
-	return h
 }
 
-// axpyGo is acc[i] += q*ws[i] for every i: one dense list's share of the
-// exhaustive pass. It defines what axpy computes — the assembly on amd64 is
-// tested against it bit for bit — and is axpy everywhere else. len(ws) must
-// be at least len(acc).
-func axpyGo(acc, ws []float64, q float64) {
-	ws = ws[:len(acc)]
-	for i, w := range ws {
-		acc[i] += float64(q * w)
+// axpyRun is acc[i] += qs[r]*rows[offs[r]+i] for every row r of the run in
+// order and every i: what a run of dense lists adjacent in canonical order
+// adds to one tile of the accumulator, or every dense list to the gather
+// engine's block bounds. Per slot it performs exactly the additions of one
+// row-at-a-time pass, in the same order; the point of taking the rows
+// together is that acc is loaded and stored once per run, not once per row
+// (SSE2 on amd64, the accumulator in registers sixteen slots at a time; the
+// Go loop elsewhere). A lone query's rows stream from memory and the pass is
+// bound by that bandwidth, which is why nothing wider than SSE2 is used; a
+// group's rows come from L2, and there the saved loads and stores are a
+// third of the work (BenchmarkAxpyRun). It panics rather than read outside
+// rows: the assembly behind it checks nothing.
+func axpyRun(acc, rows []float64, offs []int, qs []float64) {
+	if len(qs) < len(offs) {
+		panic("similarity: axpyRun has fewer counts than rows")
+	}
+	for _, off := range offs {
+		if off < 0 || off > len(rows)-len(acc) {
+			panic("similarity: axpyRun row outside rows")
+		}
+	}
+	axpyRunBody(acc, rows, offs, qs)
+}
+
+// axpyRunGo defines what axpyRun computes — the assembly on amd64 is tested
+// against it bit for bit — and is its body everywhere else.
+func axpyRunGo(acc, rows []float64, offs []int, qs []float64) {
+	for r, off := range offs {
+		q := qs[r]
+		for i, w := range rows[off : off+len(acc)] {
+			acc[i] += float64(q * w)
+		}
 	}
 }

@@ -158,30 +158,44 @@ func (s *Snapshot) Name(i int) string {
 // Best returns the closest live document to the query text, or
 // Match{Name: "", Index: -1, Score: 0} when nothing scores above zero —
 // the documented no-match value callers must check before using Index.
-// Each segment runs the exact scorer with its tombstone bitmap; candidates
-// merge on (score descending, global index ascending) — the tie rule
-// within a segment, made consistent across segments by the global
-// live-rank indexing.
 //
 //freehw:hotpath
 func (s *Snapshot) Best(text string) Match {
-	best := Match{Index: -1}
+	var out [1]Match
+	s.bestGroup([]string{text}, out[:])
+	return out[0]
+}
+
+// bestGroup is Best for up to accBatch texts at once: out[i] = Best(texts[i]).
+// Each segment is handed the whole group with its tombstone bitmap, so the
+// queries that end in its accumulator share one pass; candidates merge on
+// (score descending, global index ascending) — the tie rule within a
+// segment, made consistent across segments by the global live-rank
+// indexing.
+//
+//freehw:hotpath
+func (s *Snapshot) bestGroup(texts []string, out []Match) {
+	for i := range out {
+		out[i] = Match{Index: -1}
+	}
+	var found [accBatch][]Match
 	for si := range s.segs {
 		ss := &s.segs[si]
 		if ss.live == 0 {
 			continue
 		}
-		ms := ss.seg.searchTopK(text, 1, searchAuto, ss.dead)
-		if len(ms) == 0 {
-			continue
-		}
-		m := ms[0]
-		m.Index = ss.offset + ss.liveRank(int32(m.Index))
-		if best.Index < 0 || m.Score > best.Score {
-			best = m
+		ss.seg.searchBatch(texts, 1, searchAuto, ss.dead, found[:len(texts)])
+		for i, ms := range found[:len(texts)] {
+			if len(ms) == 0 {
+				continue
+			}
+			m := ms[0]
+			m.Index = ss.offset + ss.liveRank(int32(m.Index))
+			if out[i].Index < 0 || m.Score > out[i].Score {
+				out[i] = m
+			}
 		}
 	}
-	return best
 }
 
 // TopK returns the k closest live matches, best first (score descending,
@@ -228,10 +242,12 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 // BestBatch scores a batch of queries in one pass over the snapshot:
 // identical texts are deduplicated — generation pipelines resample the
 // same candidate, and every duplicate shares one scoring — and the
-// distinct queries fan out across at most workers goroutines (<= 0 means
-// GOMAXPROCS). Each query resolves against the dictionary once and runs
-// the exact Best accumulator walk, so results are byte-identical to
-// calling Best per text, in input order.
+// distinct queries go through the scorer in groups of up to accBatch, the
+// groups fanned out across at most workers goroutines (<= 0 means
+// GOMAXPROCS) and sized so that every worker has one. Each query resolves
+// against the dictionary once per segment and adds what Best adds, in the
+// same order, so results are byte-identical to calling Best per text, in
+// input order.
 func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 	if len(texts) == 0 {
 		return nil
@@ -253,8 +269,13 @@ func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 		}
 		slot[i] = j
 	}
-	scored := par.Map(workers, len(distinct), func(i int) Match {
-		return s.Best(distinct[i])
+	scored := make([]Match, len(distinct))
+	w := par.Workers(workers)
+	size := min(accBatch, (len(distinct)+w-1)/w)
+	par.ForEach(workers, (len(distinct)+size-1)/size, func(gi int) {
+		lo := gi * size
+		hi := min(lo+size, len(distinct))
+		s.bestGroup(distinct[lo:hi], scored[lo:hi])
 	})
 	out := make([]Match, len(texts))
 	for i := range texts {
