@@ -5,9 +5,8 @@
 //
 // Endpoints: POST /v1/audit, /v1/audit/batch, /v1/filter, /v1/syntax,
 // /v1/scan, /v1/corpus (JSON or streaming NDJSON; ?version=N rolls back),
-// GET /v1/stats, /v1/healthz, /v1/readyz; the unversioned legacy paths
-// are byte-identical aliases (see internal/serve and the README's /v1 API
-// reference and Operations section).
+// GET /v1/stats, /v1/healthz, /v1/readyz (see internal/serve and the
+// README's /v1 API reference and Operations section).
 //
 // Usage:
 //
@@ -21,7 +20,7 @@
 // crash-safely before it serves, and a restart replays the newest good
 // version (warm restart). The served index otherwise starts from -corpus
 // (a directory of .v/.vh files indexed verbatim) and/or -protected (n
-// simulated protected files, deterministic in -seed); POST /corpus
+// simulated protected files, deterministic in -seed); POST /v1/corpus
 // replaces it at runtime. SIGINT/SIGTERM drains gracefully: readiness
 // flips to 503, in-flight audits complete, then the process exits.
 package main
@@ -141,7 +140,7 @@ func main() {
 		}
 		log.Printf("published initial corpus: %d documents (version %d)", indexed, version)
 	case s.Replay().Version == 0:
-		log.Printf("starting with an empty corpus; POST /corpus to publish one")
+		log.Printf("starting with an empty corpus; POST /v1/corpus to publish one")
 	}
 
 	// A configured http.Server instead of the bare ListenAndServe default:

@@ -51,7 +51,7 @@ func BenchmarkServeAudit(b *testing.B) {
 		i := rand.Int()
 		for pb.Next() {
 			i++
-			r := httptest.NewRequest(http.MethodPost, "/audit", bytes.NewReader(bodies[i%distinct]))
+			r := httptest.NewRequest(http.MethodPost, "/v1/audit", bytes.NewReader(bodies[i%distinct]))
 			w := httptest.NewRecorder()
 			s.Handler().ServeHTTP(w, r)
 			if w.Code == http.StatusTooManyRequests {
@@ -331,7 +331,7 @@ func BenchmarkServeAuditCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := httptest.NewRequest(http.MethodPost, "/audit", bytes.NewReader(bodies[i]))
+		r := httptest.NewRequest(http.MethodPost, "/v1/audit", bytes.NewReader(bodies[i]))
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, r)
 		if w.Code != http.StatusOK {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -10,45 +11,52 @@ import (
 	"freehw/internal/similarity"
 )
 
+// auditRequestCases is the parser's equivalence table, and the seed corpus
+// of FuzzParseAuditRequest.
+var auditRequestCases = []string{
+	`{"code":"module m(); endmodule"}`,
+	`{"code":"line1\nline2\ttab \"quoted\" back\\slash"}`,
+	`{"code":"html <= >> & escapes"}`,
+	`{"code":"unicode é 中"}`,
+	`{"code":"slash \/ bell \b feed \f cr \r"}`,
+	`{"code":"x","top_k":5}`,
+	`{"code":"x","top_k":-3}`,
+	`{"code":"x","threshold":0.8}`,
+	`{"code":"x","threshold":0.125,"top_k":2}`,
+	`{"code":"x","threshold":1e-7}`,
+	`{"code":"x","threshold":2.5e10}`,
+	`{"code":"x","threshold":0}`,
+	`{"code":"x","threshold":-0.5}`,
+	`  { "code" : "spaced" , "top_k" : 1 }  `,
+	`{}`,
+	`{"code":""}`,
+	// Inputs the fast path must refuse or both must reject; what
+	// matters is agreement, checked below either way.
+	`{"code":"x","top_k":1.5}`,
+	`{"code":"x","top_k":01}`,
+	`{"code":"x","threshold":01.5}`,
+	`{"code":"x","threshold":+1}`,
+	`{"code":"x","threshold":.5}`,
+	`{"code":"x","threshold":1.}`,
+	`{"code":"x","unknown_field":3}`,
+	`{"code":"x"`,
+	`{"code":"x"} trailing`,
+	`{"code":"bad \q escape"}`,
+	`{"code":"surrogate 𝄞 pair"}`,
+	`[1,2]`,
+	`null`,
+	``,
+	// Input ending inside a string that has no escape yet: these two
+	// panicked the parser (PR 18); `{"code":"abc` above never did.
+	`{"`,
+	`{"code":"`,
+}
+
 // The hand-rolled request parser must either decode exactly what
 // encoding/json decodes, or refuse (ok=false) so the caller falls back.
 // It must never return ok=true with a different result.
 func TestParseAuditRequestEquivalence(t *testing.T) {
-	cases := []string{
-		`{"code":"module m(); endmodule"}`,
-		`{"code":"line1\nline2\ttab \"quoted\" back\\slash"}`,
-		`{"code":"html <= >> & escapes"}`,
-		`{"code":"unicode é 中"}`,
-		`{"code":"slash \/ bell \b feed \f cr \r"}`,
-		`{"code":"x","top_k":5}`,
-		`{"code":"x","top_k":-3}`,
-		`{"code":"x","threshold":0.8}`,
-		`{"code":"x","threshold":0.125,"top_k":2}`,
-		`{"code":"x","threshold":1e-7}`,
-		`{"code":"x","threshold":2.5e10}`,
-		`{"code":"x","threshold":0}`,
-		`{"code":"x","threshold":-0.5}`,
-		`  { "code" : "spaced" , "top_k" : 1 }  `,
-		`{}`,
-		`{"code":""}`,
-		// Inputs the fast path must refuse or both must reject; what
-		// matters is agreement, checked below either way.
-		`{"code":"x","top_k":1.5}`,
-		`{"code":"x","top_k":01}`,
-		`{"code":"x","threshold":01.5}`,
-		`{"code":"x","threshold":+1}`,
-		`{"code":"x","threshold":.5}`,
-		`{"code":"x","threshold":1.}`,
-		`{"code":"x","unknown_field":3}`,
-		`{"code":"x"`,
-		`{"code":"x"} trailing`,
-		`{"code":"bad \q escape"}`,
-		`{"code":"surrogate 𝄞 pair"}`,
-		`[1,2]`,
-		`null`,
-		``,
-	}
-	for _, tc := range cases {
+	for _, tc := range auditRequestCases {
 		var fast AuditRequest
 		ok := parseAuditRequest([]byte(tc), &fast)
 		var ref AuditRequest
@@ -66,52 +74,61 @@ func TestParseAuditRequestEquivalence(t *testing.T) {
 	}
 }
 
+// A body that ends inside a string is a 400 carrying encoding/json's own
+// message — not a parser panic answered 500 by the recover middleware.
+func TestTruncatedAuditBodyIsBadJSON(t *testing.T) {
+	s := NewServer(DefaultConfig())
+	defer s.Close()
+	for _, body := range []string{`{"`, `{"code":"`} {
+		code, raw := do(t, s.Handler(), http.MethodPost, "/v1/audit", "application/json", []byte(body))
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil {
+			t.Fatalf("%q: %v: %s", body, err, raw)
+		}
+		want := "bad request: " + json.Unmarshal([]byte(body), new(AuditRequest)).Error()
+		if code != http.StatusBadRequest || er.Error.Code != "bad_json" || er.Error.Message != want {
+			t.Errorf("%q = %d %+v, want 400 bad_json %q", body, code, er.Error, want)
+		}
+	}
+}
+
+// auditResponseCases is the encoder's equivalence table, and the seed
+// corpus of FuzzWriteAuditFast.
+var auditResponseCases = []struct {
+	res       auditResult
+	threshold float64
+	cached    bool
+}{
+	{auditResult{best: similarity.Match{Name: "d1.v", Index: 1, Score: 0.875}, version: 3, length: 500}, 0.8, false},
+	{auditResult{best: similarity.Match{Name: "top.v", Index: 0, Score: 1}, version: 1, length: 1}, 0.8, true},
+	{auditResult{best: similarity.Match{Index: -1}}, 0.8, false},
+	{auditResult{best: similarity.Match{Name: "x.v", Index: 7, Score: 3.0e-7}, version: 2, length: 9}, 0.5, false},
+	{auditResult{best: similarity.Match{Name: "x.v", Index: 7, Score: 0.3333333333333333}, version: 2, length: 9}, 0.125, false},
+	{
+		auditResult{
+			best: similarity.Match{Name: "a.v", Index: 0, Score: 0.9},
+			matches: []similarity.Match{
+				{Name: "a.v", Index: 0, Score: 0.9},
+				{Name: "b.v", Index: 1, Score: 0.25},
+			},
+			version: 5, length: 2,
+		},
+		0.8, false,
+	},
+}
+
 // The hand-rolled response encoder must emit bytes identical to
 // encoding/json for every response it accepts.
 func TestWriteAuditFastEquivalence(t *testing.T) {
-	cases := []struct {
-		res       auditResult
-		threshold float64
-		cached    bool
-	}{
-		{auditResult{best: similarity.Match{Name: "d1.v", Index: 1, Score: 0.875}, version: 3, length: 500}, 0.8, false},
-		{auditResult{best: similarity.Match{Name: "top.v", Index: 0, Score: 1}, version: 1, length: 1}, 0.8, true},
-		{auditResult{best: similarity.Match{Index: -1}}, 0.8, false},
-		{auditResult{best: similarity.Match{Name: "x.v", Index: 7, Score: 3.0e-7}, version: 2, length: 9}, 0.5, false},
-		{auditResult{best: similarity.Match{Name: "x.v", Index: 7, Score: 0.3333333333333333}, version: 2, length: 9}, 0.125, false},
-		{
-			auditResult{
-				best: similarity.Match{Name: "a.v", Index: 0, Score: 0.9},
-				matches: []similarity.Match{
-					{Name: "a.v", Index: 0, Score: 0.9},
-					{Name: "b.v", Index: 1, Score: 0.25},
-				},
-				version: 5, length: 2,
-			},
-			0.8, false,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range auditResponseCases {
 		violation := tc.res.best.Index >= 0 && tc.res.best.Score >= tc.threshold
 		w := httptest.NewRecorder()
 		if !writeAuditFast(w, &tc.res, tc.threshold, violation, tc.cached) {
 			t.Errorf("%+v: fast encoder refused a plain-ASCII response", tc.res)
 			continue
 		}
-		resp := AuditResponse{
-			Best:          matchJSON(tc.res.best),
-			Violation:     violation,
-			Threshold:     tc.threshold,
-			CorpusVersion: tc.res.version,
-			CorpusLen:     tc.res.length,
-			Cached:        tc.cached,
-			NoMatch:       tc.res.best.Index < 0,
-		}
-		for _, m := range tc.res.matches {
-			resp.Matches = append(resp.Matches, AuditMatch{Name: m.Name, Index: m.Index, Score: m.Score})
-		}
 		ref := httptest.NewRecorder()
-		writeJSON(ref, 200, resp)
+		writeJSON(ref, 200, auditResponse(&tc.res, tc.threshold, violation, tc.cached))
 		if w.Body.String() != ref.Body.String() {
 			t.Errorf("wire bytes diverge:\nfast: %q\njson: %q", w.Body.String(), ref.Body.String())
 		}

@@ -79,7 +79,7 @@ endmodule
 `
 	// Empty corpus: audit answers, nothing matches.
 	var audit AuditResponse
-	if code := httpPost("/audit", AuditRequest{Code: protected}, &audit); code != http.StatusOK {
+	if code := httpPost("/v1/audit", AuditRequest{Code: protected}, &audit); code != http.StatusOK {
 		t.Fatalf("audit on empty corpus: %d", code)
 	}
 	if audit.Best != nil || audit.Violation || audit.CorpusVersion != 0 {
@@ -88,7 +88,7 @@ endmodule
 
 	// Publish a corpus of documents.
 	var cr CorpusResponse
-	if code := httpPost("/corpus", CorpusRequest{Documents: []CorpusDocument{
+	if code := httpPost("/v1/corpus", CorpusRequest{Documents: []CorpusDocument{
 		{Name: "secret_core.v", Text: protected},
 		{Name: "other.v", Text: "module other(input x, output y); assign y = ~x; endmodule"},
 	}}, &cr); code != http.StatusOK {
@@ -104,7 +104,7 @@ endmodule
 		[]string{"secret_core.v", "other.v"},
 		[]string{protected, "module other(input x, output y); assign y = ~x; endmodule"})
 	want := offline.Best(protected)
-	if code := httpPost("/audit", AuditRequest{Code: protected}, &audit); code != http.StatusOK {
+	if code := httpPost("/v1/audit", AuditRequest{Code: protected}, &audit); code != http.StatusOK {
 		t.Fatalf("audit: %d", code)
 	}
 	if audit.Best == nil || !audit.Violation || audit.CorpusVersion != 1 {
@@ -115,17 +115,17 @@ endmodule
 	}
 	// The same candidate again is a memo hit with the identical verdict.
 	var again AuditResponse
-	httpPost("/audit", AuditRequest{Code: protected}, &again)
+	httpPost("/v1/audit", AuditRequest{Code: protected}, &again)
 	if !again.Cached || *again.Best != *audit.Best {
 		t.Fatalf("repeat audit not cached or diverged: %+v vs %+v", again, audit)
 	}
 	// Clean code does not violate.
-	httpPost("/audit", AuditRequest{Code: clean}, &audit)
+	httpPost("/v1/audit", AuditRequest{Code: clean}, &audit)
 	if audit.Violation {
 		t.Fatalf("clean candidate flagged: %+v", audit)
 	}
 	// TopK returns ordered matches without zero-score padding.
-	httpPost("/audit", AuditRequest{Code: protected, TopK: 5}, &audit)
+	httpPost("/v1/audit", AuditRequest{Code: protected, TopK: 5}, &audit)
 	if len(audit.Matches) == 0 || audit.Matches[0].Score < 0.99 {
 		t.Fatalf("topk audit = %+v", audit)
 	}
@@ -136,35 +136,35 @@ endmodule
 	}
 	// An absurd client-supplied top_k must be clamped to the corpus size,
 	// not pre-allocate a heap of that capacity.
-	httpPost("/audit", AuditRequest{Code: protected, TopK: 2_000_000_000}, &audit)
+	httpPost("/v1/audit", AuditRequest{Code: protected, TopK: 2_000_000_000}, &audit)
 	if len(audit.Matches) == 0 || len(audit.Matches) > 2 || !audit.Violation {
 		t.Fatalf("huge top_k audit = %+v", audit)
 	}
 
 	// Syntax: good and bad.
 	var syn SyntaxResponse
-	httpPost("/syntax", SyntaxRequest{Code: clean}, &syn)
+	httpPost("/v1/syntax", SyntaxRequest{Code: clean}, &syn)
 	if !syn.OK || syn.Error != "" {
 		t.Fatalf("clean syntax = %+v", syn)
 	}
-	httpPost("/syntax", SyntaxRequest{Code: "module broken(input a; assign"}, &syn)
+	httpPost("/v1/syntax", SyntaxRequest{Code: "module broken(input a; assign"}, &syn)
 	if syn.OK || syn.Error == "" {
 		t.Fatalf("broken syntax = %+v", syn)
 	}
 
 	// Scan: protected header flagged, clean file not.
 	var scan ScanResponse
-	httpPost("/scan", ScanRequest{Code: protected}, &scan)
+	httpPost("/v1/scan", ScanRequest{Code: protected}, &scan)
 	if !scan.Protected || len(scan.Reasons) == 0 || scan.Company == "" {
 		t.Fatalf("protected scan = %+v", scan)
 	}
-	httpPost("/scan", ScanRequest{Code: clean}, &scan)
+	httpPost("/v1/scan", ScanRequest{Code: clean}, &scan)
 	if scan.Protected {
 		t.Fatalf("clean scan = %+v", scan)
 	}
 
 	// Stats reflect the traffic.
-	sr, err := http.Get(ts.URL + "/stats")
+	sr, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +184,14 @@ endmodule
 	}
 
 	// Error paths: wrong method, bad JSON, empty corpus post.
-	if gr, _ := http.Get(ts.URL + "/audit"); gr.StatusCode != http.StatusMethodNotAllowed {
+	if gr, _ := http.Get(ts.URL + "/v1/audit"); gr.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /audit = %d", gr.StatusCode)
 	}
-	br, _ := http.Post(ts.URL+"/audit", "application/json", strings.NewReader("{not json"))
+	br, _ := http.Post(ts.URL+"/v1/audit", "application/json", strings.NewReader("{not json"))
 	if br.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON = %d", br.StatusCode)
 	}
-	er, _ := http.Post(ts.URL+"/corpus", "application/json", strings.NewReader("{}"))
+	er, _ := http.Post(ts.URL+"/v1/corpus", "application/json", strings.NewReader("{}"))
 	if er.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty corpus post = %d", er.StatusCode)
 	}
@@ -233,7 +233,7 @@ endmodule
 		req := upload
 		req.Index = tc.mode
 		var cr CorpusResponse
-		if code := postJSON(t, s.Handler(), "/corpus", req, &cr); code != http.StatusOK {
+		if code := postJSON(t, s.Handler(), "/v1/corpus", req, &cr); code != http.StatusOK {
 			t.Fatalf("%s: corpus post = %d", tc.mode, code)
 		}
 		if cr.Indexed != tc.indexed {
@@ -245,7 +245,7 @@ endmodule
 		// In protected mode the protected file must be auditable.
 		if tc.mode == "protected" {
 			var audit AuditResponse
-			postJSON(t, s.Handler(), "/audit", AuditRequest{Code: protected}, &audit)
+			postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: protected}, &audit)
 			if !audit.Violation || audit.Best == nil || !strings.Contains(audit.Best.Name, "hs_crypt") {
 				t.Fatalf("protected upload not served: %+v", audit)
 			}
@@ -279,7 +279,7 @@ func TestAuditBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = postJSON(t, s.Handler(), "/audit", AuditRequest{Code: fmt.Sprintf("module q%d(); endmodule", i)}, nil)
+			codes[i] = postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: fmt.Sprintf("module q%d(); endmodule", i)}, nil)
 		}(i)
 		if i == 0 {
 			<-entered // dispatcher holds request 0 mid-batch; queue is empty again
@@ -291,7 +291,7 @@ func TestAuditBackpressure(t *testing.T) {
 		}
 	}
 	// Queue full, dispatcher blocked: the next audit must shed.
-	if code := postJSON(t, s.Handler(), "/audit", AuditRequest{Code: "module q2(); endmodule"}, nil); code != http.StatusTooManyRequests {
+	if code := postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: "module q2(); endmodule"}, nil); code != http.StatusTooManyRequests {
 		t.Fatalf("expected 429, got %d", code)
 	}
 	close(release)
@@ -302,7 +302,7 @@ func TestAuditBackpressure(t *testing.T) {
 		}
 	}
 	var stats StatsResponse
-	r := httptest.NewRequest(http.MethodGet, "/stats", nil)
+	r := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, r)
 	json.Unmarshal(w.Body.Bytes(), &stats)
@@ -360,7 +360,7 @@ func TestConcurrentAuditDuringPublish(t *testing.T) {
 			for i := range docSets[v] {
 				docs = append(docs, CorpusDocument{Name: nameSets[v][i], Text: docSets[v][i]})
 			}
-			if code := postJSON(t, s.Handler(), "/corpus", CorpusRequest{Index: "all", Documents: docs}, &cr); code != http.StatusOK {
+			if code := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: docs}, &cr); code != http.StatusOK {
 				t.Errorf("publish v%d: %d", v, code)
 			}
 			if cr.Version != int64(v) {
@@ -386,7 +386,7 @@ func TestConcurrentAuditDuringPublish(t *testing.T) {
 				i++
 				q := queries[grng.Intn(len(queries))]
 				body, _ := json.Marshal(AuditRequest{Code: q})
-				r := httptest.NewRequest(http.MethodPost, "/audit", bytes.NewReader(body))
+				r := httptest.NewRequest(http.MethodPost, "/v1/audit", bytes.NewReader(body))
 				w := httptest.NewRecorder()
 				s.Handler().ServeHTTP(w, r)
 				switch w.Code {
@@ -431,7 +431,7 @@ func TestConcurrentAuditDuringPublish(t *testing.T) {
 	}
 	// After the last publish settles, audits answer from version 4.
 	var final AuditResponse
-	postJSON(t, s.Handler(), "/audit", AuditRequest{Code: queries[0]}, &final)
+	postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: queries[0]}, &final)
 	if final.CorpusVersion != versions {
 		t.Fatalf("final version = %d", final.CorpusVersion)
 	}

@@ -55,73 +55,26 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// Every legacy endpoint is a byte-identical alias of its /v1 counterpart:
-// the same request sequence against two identically configured servers
-// must produce the same bodies on either path family.
-func TestV1LegacyParity(t *testing.T) {
-	newSrv := func() *Server { return NewServer(DefaultConfig()) }
-	legacy, v1 := newSrv(), newSrv()
-	defer legacy.Close()
-	defer v1.Close()
-
-	corpusBody := mustJSON(t, CorpusRequest{
-		Index: "all",
-		Documents: []CorpusDocument{
-			{Name: "secret_core.v", Text: v1Protected},
-		},
-		Repos: []CorpusRepo{{Name: "acme/ip", SPDX: "MIT", Files: []CorpusFile{
-			{Path: "rtl/clean.v", Content: v1Clean},
-			{Path: "rtl/broken.v", Content: v1Broken},
-		}}},
-	})
-	steps := []struct {
-		method       string
-		legacyPath   string
-		v1Path       string
-		body         []byte
-		wantStatus   int
-		timeSensitve bool
-	}{
-		{http.MethodPost, "/corpus", "/v1/corpus", corpusBody, http.StatusOK, false},
-		{http.MethodPost, "/audit", "/v1/audit", mustJSON(t, AuditRequest{Code: v1Protected}), http.StatusOK, false},
-		// Repeat: the memo hit (cached=true) must alias identically too.
-		{http.MethodPost, "/audit", "/v1/audit", mustJSON(t, AuditRequest{Code: v1Protected}), http.StatusOK, false},
-		{http.MethodPost, "/audit", "/v1/audit", mustJSON(t, AuditRequest{Code: v1Clean, TopK: 3}), http.StatusOK, false},
-		{http.MethodPost, "/syntax", "/v1/syntax", mustJSON(t, SyntaxRequest{Code: v1Broken}), http.StatusOK, false},
-		{http.MethodPost, "/scan", "/v1/scan", mustJSON(t, ScanRequest{Code: v1Protected}), http.StatusOK, false},
-		// Error envelopes alias as well.
-		{http.MethodGet, "/audit", "/v1/audit", nil, http.StatusMethodNotAllowed, false},
-		{http.MethodPost, "/corpus", "/v1/corpus", []byte("{not json"), http.StatusBadRequest, false},
-		{http.MethodGet, "/stats", "/v1/stats", nil, http.StatusOK, true},
+// The unversioned aliases (/audit, /corpus, ...) were removed in PR 18:
+// they answer the structured 404 like any unknown path.
+func TestUnversionedPathsGone(t *testing.T) {
+	s := NewServer(DefaultConfig())
+	defer s.Close()
+	rows := []struct{ method, path string }{
+		{http.MethodPost, "/audit"},
+		{http.MethodPost, "/syntax"},
+		{http.MethodPost, "/scan"},
+		{http.MethodPost, "/corpus"},
+		{http.MethodGet, "/stats"},
 	}
-	for i, st := range steps {
-		lCode, lBody := do(t, legacy.Handler(), st.method, st.legacyPath, "application/json", st.body)
-		vCode, vBody := do(t, v1.Handler(), st.method, st.v1Path, "application/json", st.body)
-		if lCode != st.wantStatus || vCode != st.wantStatus {
-			t.Fatalf("step %d (%s): status legacy=%d v1=%d want %d\nlegacy: %s\nv1: %s",
-				i, st.legacyPath, lCode, vCode, st.wantStatus, lBody, vBody)
+	for _, row := range rows {
+		code, body := do(t, s.Handler(), row.method, row.path, "application/json", mustJSON(t, AuditRequest{Code: v1Clean}))
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("%s: %v: %s", row.path, err, body)
 		}
-		if st.timeSensitve {
-			// Stats carry wall-clock fields; compare the deterministic ones.
-			var ls, vs StatsResponse
-			if err := json.Unmarshal(lBody, &ls); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(vBody, &vs); err != nil {
-				t.Fatal(err)
-			}
-			ls.UptimeSeconds, vs.UptimeSeconds = 0, 0
-			ls.QPS, vs.QPS = 0, 0
-			ls.AuditP50Ms, vs.AuditP50Ms = 0, 0
-			ls.AuditP99Ms, vs.AuditP99Ms = 0, 0
-			if ls != vs {
-				t.Fatalf("step %d: stats diverged:\nlegacy %+v\nv1     %+v", i, ls, vs)
-			}
-			continue
-		}
-		if !bytes.Equal(lBody, vBody) {
-			t.Fatalf("step %d: %s and %s bodies diverged:\nlegacy: %s\nv1:     %s",
-				i, st.legacyPath, st.v1Path, lBody, vBody)
+		if code != http.StatusNotFound || er.Error.Code != "not_found" {
+			t.Errorf("%s %s = %d %+v, want 404 not_found", row.method, row.path, code, er.Error)
 		}
 	}
 }

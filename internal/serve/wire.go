@@ -6,10 +6,8 @@ import "freehw/internal/pipeline"
 // generation pipeline (AutoVCoder/VFlow-style samplers, CI gates, editor
 // plugins) can call the service without a client library.
 //
-// The versioned surface lives under /v1 (/v1/audit, /v1/audit/batch,
-// /v1/filter, /v1/corpus, /v1/syntax, /v1/scan, /v1/stats); the legacy
-// unversioned paths are thin aliases of the same handlers and return
-// byte-identical bodies.
+// The surface lives under /v1 (/v1/audit, /v1/audit/batch, /v1/filter,
+// /v1/corpus, /v1/syntax, /v1/scan, /v1/stats).
 
 // AuditRequest asks for the §III-A infringement verdict on one candidate
 // completion.
@@ -228,9 +226,8 @@ type ErrorDetail struct {
 	CurrentVersion uint64 `json:"current_version,omitempty"`
 }
 
-// ErrorResponse is the uniform structured envelope of every non-2xx reply,
-// on legacy and /v1 paths alike (including the mux-level 404 and the 429 +
-// Retry-After shed response).
+// ErrorResponse is the uniform structured envelope of every non-2xx reply
+// (including the mux-level 404 and the 429 + Retry-After shed response).
 type ErrorResponse struct {
 	Error ErrorDetail `json:"error"`
 }
