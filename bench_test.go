@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper, plus the
-// ablations called out in DESIGN.md. Each bench prints the rows it
+// stage and dataset ablations. Each bench prints the rows it
 // reproduces once, then measures the underlying computation so `go test
 // -bench` doubles as the experiment harness. Run the flagship scale with
 // cmd/repro; these use a reduced world so the full suite stays tractable.
@@ -246,7 +246,7 @@ func BenchmarkCurationPipeline(b *testing.B) {
 // cache disabled: every iteration recomputes every per-file analysis, so
 // this isolates the per-file compute — the QuickCheck syntax pre-check
 // with its parser fallback, the single-pass license scans, the batched
-// MinHash kernel, and sharded LSH insertion — from the cache win (compare
+// MinHash kernel, and LSH insertion — from the cache win (compare
 // against BenchmarkCurationPipeline).
 func BenchmarkCurationPipelineCold(b *testing.B) {
 	e, _ := benchEnv(b)

@@ -7,12 +7,14 @@
 // Usage:
 //
 //	freeset-curate [-scale 0.5] [-seed 1] [-out dir] [-rate 0]
-//	               [-shards 0] [-no-cache] [-cache-budget 0] [-repeat 1]
+//	               [-no-cache] [-cache-budget 0] [-repeat 1]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -25,75 +27,88 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("freeset-curate: ")
-	var (
-		scale   = flag.Float64("scale", 0.5, "world scale (1.0 = 1:100 of the paper's snapshot)")
-		seed    = flag.Int64("seed", 1, "world seed")
-		out     = flag.String("out", "", "directory to write the curated dataset into")
-		rate    = flag.Int("rate", 0, "simulated API rate limit (requests per 50ms; 0 = off)")
-		shards  = flag.Int("shards", 0, "LSH dedup shard count (0 = one per core)")
-		noCache = flag.Bool("no-cache", false, "disable the content-hash verdict cache")
-		budget  = flag.Int64("cache-budget", 0, "verdict cache byte budget (segmented-LRU eviction; 0 = unbounded)")
-		repeat  = flag.Int("repeat", 1, "re-run the FreeSet funnel n times (warm-cache timing)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "freeset-curate:", err)
+		}
+		os.Exit(1)
+	}
+}
 
+// run is main with its arguments and streams passed in: the report goes to
+// stdout, progress and flag errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "freeset-curate: ", 0)
+	fs := flag.NewFlagSet("freeset-curate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		scale   = fs.Float64("scale", 0.5, "world scale (1.0 = 1:100 of the paper's snapshot)")
+		seed    = fs.Int64("seed", 1, "world seed")
+		out     = fs.String("out", "", "directory to write the curated dataset into")
+		rate    = fs.Int("rate", 0, "simulated API rate limit (requests per 50ms; 0 = off)")
+		noCache = fs.Bool("no-cache", false, "disable the content-hash verdict cache")
+		budget  = fs.Int64("cache-budget", 0, "verdict cache byte budget (segmented-LRU eviction; 0 = unbounded)")
+		repeat  = fs.Int("repeat", 1, "re-run the FreeSet funnel n times (warm-cache timing)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	// core.New applies the budget to the shared verdict store, which the
+	// re-runs below read through as well.
 	cfg := core.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.GitRateLimit = *rate
-	cfg.LSHShards = *shards
 	cfg.NoCache = *noCache
 	cfg.CacheBudget = *budget
 	e, err := core.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("scraped %d repos with %d API requests (%d window splits, %d rate waits)",
+	logger.Printf("scraped %d repos with %d API requests (%d window splits, %d rate waits)",
 		e.ScrapeStats.Repos, e.ScrapeStats.Requests, e.ScrapeStats.WindowSplits, e.ScrapeStats.RateWaits)
 
+	opt := curation.FreeSetOptions()
+	opt.NoCache = *noCache
 	for r := 1; r < *repeat; r++ {
-		opt := curation.FreeSetOptions()
-		opt.Shards = *shards
-		opt.NoCache = *noCache
-		opt.CacheBudget = *budget
 		start := time.Now()
 		res := curation.Run(e.Repos, opt)
-		log.Printf("funnel re-run %d: %d files in %v", r, res.FinalFiles, time.Since(start))
+		logger.Printf("funnel re-run %d: %d files in %v", r, res.FinalFiles, time.Since(start))
 	}
 	if !*noCache {
-		st := vcache.Shared(curation.FreeSetOptions().Dedup).Stats()
-		log.Printf("verdict cache: %d entries (~%d KB), %d hits, %d misses, %d evictions",
+		st := vcache.Shared(opt.Dedup).Stats()
+		logger.Printf("verdict cache: %d entries (~%d KB), %d hits, %d misses, %d evictions",
 			st.Entries, st.Bytes>>10, st.Hits, st.Misses, st.Evictions)
 	}
 
-	fmt.Println("===== Funnel =====")
-	fmt.Print(e.FreeSet.FunnelReport(*scale))
-	fmt.Println("\n===== Table I =====")
+	fmt.Fprintln(stdout, "===== Funnel =====")
+	fmt.Fprint(stdout, e.FreeSet.FunnelReport(*scale))
+	fmt.Fprintln(stdout, "\n===== Table I =====")
 	rows := append(curation.PriorWorkRows(), curation.PaperFreeSetRow(), e.FreeSet.FreeSetRow("FreeSet (measured)"))
-	fmt.Print(curation.RenderTableI(rows))
+	fmt.Fprint(stdout, curation.RenderTableI(rows))
 
 	if len(e.FreeSet.CopyrightFindings) > 0 {
-		fmt.Println("\n===== Copyright findings (sample) =====")
+		fmt.Fprintln(stdout, "\n===== Copyright findings (sample) =====")
 		for i, cf := range e.FreeSet.CopyrightFindings {
 			if i >= 10 {
-				fmt.Printf("  ... and %d more\n", len(e.FreeSet.CopyrightFindings)-10)
+				fmt.Fprintf(stdout, "  ... and %d more\n", len(e.FreeSet.CopyrightFindings)-10)
 				break
 			}
-			fmt.Printf("  %s: %s %v\n", cf.Key, cf.Company, cf.Reasons)
+			fmt.Fprintf(stdout, "  %s: %s %v\n", cf.Key, cf.Company, cf.Reasons)
 			for _, h := range cf.SensitiveHits {
-				fmt.Printf("    sensitive content: %s\n", h)
+				fmt.Fprintf(stdout, "    sensitive content: %s\n", h)
 			}
 		}
 	}
 
 	if *out != "" {
 		if err := writeDataset(*out, e.FreeSet); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("wrote %d files (%d bytes) to %s", e.FreeSet.FinalFiles, e.FreeSet.Bytes, *out)
+		logger.Printf("wrote %d files (%d bytes) to %s", e.FreeSet.FinalFiles, e.FreeSet.Bytes, *out)
 	}
+	return nil
 }
 
 func writeDataset(dir string, res *curation.Result) error {

@@ -3,7 +3,7 @@
 // using LLMs" (DAC 2025).
 //
 // It re-exports the experiment-facing API; the implementation lives in the
-// internal packages (see DESIGN.md for the system inventory):
+// internal packages (README "Architecture" has the full inventory):
 //
 //   - internal/vlog    — Verilog lexer/parser (the curation syntax filter)
 //   - internal/vsim    — event-driven 4-state Verilog simulator

@@ -85,14 +85,13 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// The whole pipeline must be byte-identical across LSH shard counts,
-// verdict-cache temperatures, cache byte budgets (unbounded / tight /
-// effectively zero), and the QuickCheck syntax pre-check on or off: kept
-// file bytes, funnel counts, the rendered Figure 3, and Table II may not
-// depend on how the dedup index is sharded, on whether per-file verdicts
-// were computed or replayed from cache, on what the eviction clock
-// dropped, or on which path decided a syntax verdict.
-func TestShardAndCacheDeterminism(t *testing.T) {
+// The whole pipeline must be byte-identical across verdict-cache
+// temperatures, cache byte budgets (unbounded / tight / effectively zero),
+// and the QuickCheck syntax pre-check on or off: kept file bytes, funnel
+// counts, the rendered Figure 3, and Table II may not depend on whether
+// per-file verdicts were computed or replayed from cache, on what the
+// eviction clock dropped, or on which path decided a syntax verdict.
+func TestCacheAndQuickCheckDeterminism(t *testing.T) {
 	defer vcache.ResetShared() // budget variants mutate the shared store
 	type artifacts struct {
 		fileBytes []string // kept FreeSet file contents, in order
@@ -101,13 +100,12 @@ func TestShardAndCacheDeterminism(t *testing.T) {
 		figure3   string
 		tableII   string
 	}
-	run := func(shards int, noCache bool, budget int64, quickCheck bool) artifacts {
+	run := func(noCache bool, budget int64, quickCheck bool) artifacts {
 		if !quickCheck {
 			vlog.SetQuickCheck(false)
 			defer vlog.SetQuickCheck(true)
 		}
 		cfg := detConfig(4)
-		cfg.LSHShards = shards
 		cfg.NoCache = noCache
 		cfg.CacheBudget = budget
 		e, err := New(cfg)
@@ -134,24 +132,22 @@ func TestShardAndCacheDeterminism(t *testing.T) {
 		}
 	}
 
-	base := run(1, true, 0, true) // single shard, no cache: the reference
+	base := run(true, 0, true) // no cache: the reference
 	variants := []struct {
 		name       string
-		shards     int
 		noCache    bool
 		budget     int64
 		quickCheck bool
 	}{
-		{"shards=8 cold", 8, true, 0, true},
-		{"shards=3 cache cold-or-warm", 3, false, 0, true},
-		{"shards=8 cache warm", 8, false, 0, true}, // shared store warmed by the previous run
-		{"quickcheck off, cold", 1, true, 0, false},
-		{"budget tight", 4, false, 256 << 10, true},
-		{"budget zero", 8, false, 1, true}, // every entry evicted on insert
-		{"quickcheck off, budget tight", 3, false, 256 << 10, false},
+		{"cache cold-or-warm", false, 0, true},
+		{"cache warm", false, 0, true}, // shared store warmed by the previous run
+		{"quickcheck off, cold", true, 0, false},
+		{"budget tight", false, 256 << 10, true},
+		{"budget zero", false, 1, true}, // every entry evicted on insert
+		{"quickcheck off, budget tight", false, 256 << 10, false},
 	}
 	for _, v := range variants {
-		got := run(v.shards, v.noCache, v.budget, v.quickCheck)
+		got := run(v.noCache, v.budget, v.quickCheck)
 		if !reflect.DeepEqual(base.fileBytes, got.fileBytes) {
 			t.Errorf("%s: kept file bytes diverged", v.name)
 		}
@@ -201,17 +197,14 @@ func TestCurationWorkerDeterminism(t *testing.T) {
 func TestSharedExtractionMatchesStandaloneRuns(t *testing.T) {
 	e := smallExperiment(t)
 	dopt := curation.FreeSetOptions().Dedup
-	ex := curation.Extract(e.Repos, dopt, 4)
+	ex := curation.ExtractWithCache(e.Repos, dopt, 4, vcache.Shared(dopt))
 	for _, opt := range []curation.Options{
 		curation.FreeSetOptions(),
 		curation.VeriGenLikeOptions(),
 		{Mask: curation.StageMask{SkipCopyright: true}, Dedup: dopt},
 		{Mask: curation.StageMask{SkipDedup: true}},
 	} {
-		shared, err := curation.RunExtracted(ex, opt)
-		if err != nil {
-			t.Fatalf("mask %+v: %v", opt.Mask, err)
-		}
+		shared := curation.RunExtracted(ex, opt)
 		standalone := curation.Run(e.Repos, opt)
 		if !reflect.DeepEqual(shared.Keys(), standalone.Keys()) {
 			t.Fatalf("mask %+v: kept files diverged", opt.Mask)

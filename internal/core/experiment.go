@@ -42,16 +42,13 @@ type Config struct {
 	// Workers bounds concurrency everywhere (0 = GOMAXPROCS). Every result
 	// is identical for any worker count; see the determinism tests.
 	Workers int
-	// LSHShards is the curation dedup index's shard count (0 = one per
-	// core). Every result is identical for any shard count.
-	LSHShards int
 	// NoCache disables the process-wide content-hash verdict cache during
 	// curation. Results are identical either way; repeated experiments
 	// over the same world are much faster with the cache on.
 	NoCache bool
 	// CacheBudget bounds the verdict cache's approximate resident bytes
 	// (0 leaves the store unchanged, negative removes any bound). Results
-	// are identical at any budget; see curation.Options.CacheBudget.
+	// are identical at any budget; only cache hit rates change.
 	CacheBudget int64
 }
 
@@ -151,13 +148,7 @@ func New(cfg Config) (*Experiment, error) {
 	funnels := par.Map(outerWorkers, len(funnelOpts), func(i int) *curation.Result {
 		opt := funnelOpts[i]
 		opt.Workers = innerWorkers
-		opt.Shards = cfg.LSHShards
-		res, err := curation.RunExtracted(ex, opt)
-		if err != nil {
-			// The options carry no cache overrides, so this cannot happen.
-			panic("core: " + err.Error())
-		}
-		return res
+		return curation.RunExtracted(ex, opt)
 	})
 	e.FreeSet, e.VeriGenLike, e.DirtyLicensed = funnels[0], funnels[1], funnels[2]
 
@@ -228,7 +219,7 @@ type ModelSpec struct {
 }
 
 // DefaultZoo mirrors Figure 3's model set. LeakFiles and sample budgets are
-// the calibration knobs documented in DESIGN.md; the causal structure
+// the calibration knobs; the causal structure
 // (dirty datasets raise violation rates, FreeSet does not) is fixed.
 func DefaultZoo() []ModelSpec {
 	return []ModelSpec{

@@ -3,7 +3,7 @@
 // design families, license and proprietary headers, repository layouts with
 // duplicates and junk files, and the copyright-protected corpus used by the
 // infringement benchmark. It stands in for GitHub's ~1.3M real Verilog
-// files (see DESIGN.md, substitution table).
+// files.
 package corpus
 
 import (

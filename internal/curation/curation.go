@@ -10,14 +10,13 @@
 // funnel variants — FreeSet, the VeriGen-style comparison corpus, the
 // license-only ablation — without recomputing any per-file work, and
 // repeated curation runs over overlapping corpora skip the per-file work
-// entirely. Every per-file stage fans out across CPUs, de-duplication
-// inserts through a sharded LSH index, and order-sensitive aggregation
-// stays sequential, keeping outputs byte-identical to a serial run at any
-// worker/shard count and any cache temperature.
+// entirely. Every per-file stage fans out across CPUs; LSH insertion and
+// the other order-sensitive aggregation stay sequential, keeping outputs
+// byte-identical to a serial run at any worker count and any cache
+// temperature.
 package curation
 
 import (
-	"errors"
 	"strings"
 	"time"
 
@@ -40,8 +39,8 @@ type FileRecord struct {
 // Key returns repo-qualified path.
 func (f FileRecord) Key() string { return f.Repo + "/" + f.Path }
 
-// StageMask disables individual funnel stages (ablation A1 in DESIGN.md).
-// It is sugar for composing a subset of the pipeline's paper stages; see
+// StageMask disables individual funnel stages (the stage ablation). It is
+// sugar for composing a subset of the pipeline's paper stages; see
 // Stages.
 type StageMask struct {
 	SkipLicense   bool
@@ -51,15 +50,15 @@ type StageMask struct {
 }
 
 // Stages composes the funnel's pipeline stages for a mask: the paper's
-// four stages in Figure 1 order, minus the skipped ones. dopt and shards
-// configure the dedup stage (see Options.Shards).
-func (m StageMask) Stages(dopt dedup.Options, shards int) []pipeline.Stage {
+// four stages in Figure 1 order, minus the skipped ones. dopt configures
+// the dedup stage.
+func (m StageMask) Stages(dopt dedup.Options) []pipeline.Stage {
 	var stages []pipeline.Stage
 	if !m.SkipLicense {
 		stages = append(stages, pipeline.License())
 	}
 	if !m.SkipDedup {
-		stages = append(stages, pipeline.Dedup(dopt, shards))
+		stages = append(stages, pipeline.Dedup(dopt))
 	}
 	if !m.SkipCopyright {
 		stages = append(stages, pipeline.Copyright())
@@ -81,30 +80,11 @@ type Options struct {
 	// Workers bounds per-file concurrency (0 = GOMAXPROCS). Any worker
 	// count produces the same Result.
 	Workers int
-	// Shards is the LSH shard count for the dedup index (0 = one per
-	// core). Any shard count produces the same Result.
-	Shards int
-	// Cache overrides the verdict cache Run extracts through; nil selects
-	// the process-wide vcache.Shared store for the dedup options. An
-	// Extraction's cache is fixed at Extract time, so RunExtracted cannot
-	// honor a different store: it errors when Cache is set to anything but
-	// the Extraction's own cache (pass the store to ExtractWithCache
-	// instead).
-	Cache *vcache.Store
-	// NoCache disables cross-run verdict caching entirely (per-extraction
-	// memoization still applies). Ignored when Cache is set. RunExtracted
-	// errors when NoCache is set but the Extraction was built with a
-	// store — the caching decision was made at Extract time.
+	// NoCache makes Run extract without the process-wide verdict cache
+	// (per-extraction memoization still applies). Only Run reads it: an
+	// Extraction owns its cache, chosen at ExtractWithCache, and whoever
+	// owns a store bounds it with its SetBudget.
 	NoCache bool
-	// CacheBudget bounds the verdict cache's approximate resident bytes
-	// (vcache segmented-LRU eviction); 0 leaves the store's current budget
-	// untouched, negative removes any bound. Run and RunExtracted both
-	// apply it to the resolved store (opt.Cache, the process-wide shared
-	// store, or the Extraction's cache), so a long-lived server curating
-	// many disjoint corpora stops growing without bound; with caching
-	// disabled there is nothing to bound and the field is a no-op. Results
-	// are byte-identical at any budget; only cache hit rates change.
-	CacheBudget int64
 }
 
 // CopyrightFinding records one removed protected file.
@@ -233,35 +213,25 @@ type Extraction struct {
 	repos    []extractedRepo
 	dedupOpt dedup.Options
 	workers  int
-	cache    *vcache.Store
 }
 
-// Extract classifies repository licenses and collects Verilog files. dopt
-// fixes the de-duplication parameters every subsequent RunExtracted uses
-// (all funnel variants must share them for the memoized shingles to be
-// valid). Repository-level work fans out across workers. Verdicts are
-// cached through the process-wide store for dopt; use ExtractWithCache to
-// pick a different store or disable caching.
-func Extract(repos []gitsim.RepoData, dopt dedup.Options, workers int) *Extraction {
-	return ExtractWithCache(repos, dopt, workers, vcache.Shared(dopt))
-}
-
-// ExtractWithCache is Extract with an explicit verdict cache. A nil store
-// disables cross-run caching: each file gets a standalone memo entry, so
-// behavior matches caching but nothing outlives the Extraction. The store
-// must be keyed by dopt (vcache.Shared(dopt) or vcache.NewStore(dopt)); a
-// store built for different dedup parameters would replay artifacts that
-// are invalid here, so it is replaced with a fresh extraction-local store
-// rather than silently corrupting the kept set.
+// ExtractWithCache classifies repository licenses and collects Verilog
+// files. dopt fixes the de-duplication parameters every subsequent
+// RunExtracted uses (all funnel variants must share them for the memoized
+// shingles to be valid). Repository-level work fans out across workers.
+// Verdicts are cached through store for the life of the Extraction; no
+// later option changes that. A nil store disables cross-run caching: each
+// file gets a standalone memo entry, so behavior matches caching but
+// nothing outlives the Extraction. The store must be keyed by dopt
+// (vcache.Shared(dopt) or vcache.NewStore(dopt)); a store built for
+// different dedup parameters would replay artifacts that are invalid here,
+// so it is replaced with a fresh extraction-local store rather than
+// silently corrupting the kept set.
 func ExtractWithCache(repos []gitsim.RepoData, dopt dedup.Options, workers int, store *vcache.Store) *Extraction {
 	if store != nil && !store.Compatible(dopt) {
 		store = vcache.NewStore(dopt)
 	}
-	ex := &Extraction{
-		dedupOpt: dopt,
-		workers:  workers,
-		cache:    store,
-	}
+	ex := &Extraction{dedupOpt: dopt, workers: workers}
 	entryFor := func(content string) *vcache.Entry {
 		if store == nil {
 			return vcache.NewEntry()
@@ -289,10 +259,6 @@ func ExtractWithCache(repos []gitsim.RepoData, dopt dedup.Options, workers int, 
 	})
 	return ex
 }
-
-// Cache returns the verdict store the extraction reads through (nil when
-// caching is disabled).
-func (ex *Extraction) Cache() *vcache.Store { return ex.cache }
 
 // Files returns every extracted Verilog file in scrape order (no year
 // filtering), for consumers that need the raw pool — e.g. assembling
@@ -326,34 +292,12 @@ func (ex *Extraction) ProtectedFiles() []*ExtractedFile {
 	return out
 }
 
-// validateFor rejects option combinations an Extraction cannot honor: the
-// verdict cache is fixed at Extract time, so a conflicting Cache/NoCache
-// request would otherwise be silently ignored (the pre-PR-5 footgun).
-func (opt *Options) validateFor(ex *Extraction) error {
-	if opt.Cache != nil && opt.Cache != ex.cache {
-		return errors.New("curation: Options.Cache differs from the Extraction's cache, which is fixed at Extract time (pass the store to ExtractWithCache)")
-	}
-	if opt.NoCache && opt.Cache == nil && ex.cache != nil {
-		return errors.New("curation: Options.NoCache set but the Extraction was built with a verdict cache (pass a nil store to ExtractWithCache)")
-	}
-	return nil
-}
-
 // RunExtracted executes the funnel over an Extraction as a pipeline of the
 // paper's stages (opt.Mask selecting the subset; see StageMask.Stages).
-// The Extraction's dedup parameters are authoritative (opt.Dedup is
-// ignored); all other Options apply. Cache/NoCache must agree with the
-// Extraction's own cache (fixed at Extract time) or RunExtracted errors
-// instead of silently ignoring them; a nonzero CacheBudget is applied to
-// the Extraction's cache. Calls may run concurrently over the same
-// Extraction.
-func RunExtracted(ex *Extraction, opt Options) (*Result, error) {
-	if err := opt.validateFor(ex); err != nil {
-		return nil, err
-	}
-	if opt.CacheBudget != 0 && ex.cache != nil {
-		ex.cache.SetBudget(max(opt.CacheBudget, 0))
-	}
+// The Extraction's dedup parameters and cache are authoritative (opt.Dedup
+// and opt.NoCache are ignored); Mask, MaxRepoYear and Workers apply. Calls
+// may run concurrently over the same Extraction.
+func RunExtracted(ex *Extraction, opt Options) *Result {
 	workers := opt.Workers
 	if workers == 0 {
 		workers = ex.workers
@@ -390,7 +334,7 @@ func RunExtracted(ex *Extraction, opt Options) (*Result, error) {
 			Entry:    f.entry,
 		}
 	}
-	rep := pipeline.Execute(workers, opt.Mask.Stages(ex.dedupOpt, opt.Shards), cands)
+	rep := pipeline.Execute(workers, opt.Mask.Stages(ex.dedupOpt), cands)
 
 	// Funnel counts derive from the stage timings (candidates in/kept),
 	// byte-identical to the pre-pipeline accounting.
@@ -422,33 +366,17 @@ func RunExtracted(ex *Extraction, opt Options) (*Result, error) {
 	}
 	res.Files = final
 	res.FinalFiles = len(final)
-	return res, nil
+	return res
 }
 
-// Run executes the funnel over scraped repositories. The verdict cache is
-// opt.Cache when set, disabled when opt.NoCache, and the process-wide
-// shared store for opt.Dedup otherwise; a nonzero opt.CacheBudget is
-// applied to the resolved store before extraction.
+// Run executes the funnel over scraped repositories, extracting through
+// the process-wide shared verdict store for opt.Dedup unless opt.NoCache.
 func Run(repos []gitsim.RepoData, opt Options) *Result {
-	store := opt.Cache
-	if store == nil && !opt.NoCache {
+	var store *vcache.Store
+	if !opt.NoCache {
 		store = vcache.Shared(opt.Dedup)
 	}
-	if store != nil && opt.CacheBudget != 0 {
-		store.SetBudget(max(opt.CacheBudget, 0))
-	}
-	ex := ExtractWithCache(repos, opt.Dedup, opt.Workers, store)
-	// The cache knobs are fully resolved into the Extraction at this point
-	// (including ExtractWithCache's documented replacement of a store built
-	// for different dedup parameters), so clear them rather than asking
-	// RunExtracted to re-validate fields it no longer needs to honor.
-	opt.Cache, opt.NoCache, opt.CacheBudget = nil, false, 0
-	res, err := RunExtracted(ex, opt)
-	if err != nil {
-		// Unreachable: the cleared options cannot conflict.
-		panic("curation: " + err.Error())
-	}
-	return res
+	return RunExtracted(ExtractWithCache(repos, opt.Dedup, opt.Workers, store), opt)
 }
 
 // FreeSetOptions returns the full-funnel paper defaults.

@@ -3,6 +3,7 @@ package curation
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -217,89 +218,52 @@ func TestTableIRendering(t *testing.T) {
 	}
 }
 
-// RunExtracted must honor or explicitly reject every Cache/NoCache/
-// CacheBudget combination instead of silently ignoring fields (the
-// pre-PR-5 footgun): the cache is fixed at Extract time, so conflicting
-// overrides error, agreeing ones run, and budgets apply to the
-// extraction's own store.
-func TestRunExtractedCacheOptionEnforcement(t *testing.T) {
+// An Extraction owns its cache: RunExtracted reads through the store given
+// to ExtractWithCache whatever Options says, a store built for other dedup
+// parameters is replaced rather than replayed, Run's NoCache leaves the
+// process-wide store alone, and none of it moves the result.
+func TestExtractionOwnsItsCache(t *testing.T) {
 	_, repos := scrapeWorld(t, 0.02)
 	dopt := FreeSetOptions().Dedup
 	store := vcache.NewStore(dopt)
-	other := vcache.NewStore(dopt)
 	cached := ExtractWithCache(repos, dopt, 2, store)
 	uncached := ExtractWithCache(repos, dopt, 2, nil)
 
-	cases := []struct {
-		name    string
-		ex      *Extraction
-		opt     Options
-		wantErr bool
-	}{
-		{"zero options", cached, Options{}, false},
-		{"matching cache", cached, Options{Cache: store}, false},
-		{"conflicting cache", cached, Options{Cache: other}, true},
-		{"cache set on uncached extraction", uncached, Options{Cache: other}, true},
-		{"nocache on cached extraction", cached, Options{NoCache: true}, true},
-		{"nocache on uncached extraction", uncached, Options{NoCache: true}, false},
-		// Cache wins over NoCache (documented), so the pair is consistent.
-		{"matching cache plus nocache", cached, Options{Cache: store, NoCache: true}, false},
-		{"budget on cached extraction", cached, Options{CacheBudget: 1 << 20}, false},
-		{"budget on uncached extraction", uncached, Options{CacheBudget: 1 << 20}, false},
-		{"unbounding budget", cached, Options{CacheBudget: -1}, false},
+	base := RunExtracted(uncached, Options{})
+	if base.FinalFiles == 0 {
+		t.Fatal("empty result")
 	}
-	for _, tc := range cases {
-		res, err := RunExtracted(tc.ex, tc.opt)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("%s: expected error, got result %+v", tc.name, res)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: unexpected error: %v", tc.name, err)
-			continue
-		}
-		if res.FinalFiles == 0 {
-			t.Errorf("%s: empty result", tc.name)
+	same := func(name string, res *Result) {
+		t.Helper()
+		if !reflect.DeepEqual(res.Keys(), base.Keys()) || res.AfterDedup != base.AfterDedup {
+			t.Fatalf("%s: result diverged from the uncached run: %d vs %d files", name, res.FinalFiles, base.FinalFiles)
 		}
 	}
-	// Budgets actually land on the extraction's store.
-	if _, err := RunExtracted(cached, Options{CacheBudget: 123 << 10}); err != nil {
-		t.Fatal(err)
+	same("cached extraction, NoCache ignored", RunExtracted(cached, Options{NoCache: true}))
+	filled := store.Stats()
+	if filled.Entries == 0 || filled.Misses == 0 {
+		t.Fatalf("the extraction's store was not used: %+v", filled)
 	}
-	if got := store.Budget(); got != 123<<10 {
-		t.Fatalf("budget not applied: %d", got)
-	}
-	if _, err := RunExtracted(cached, Options{CacheBudget: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := store.Budget(); got != 0 {
-		t.Fatalf("negative budget must unbound: %d", got)
-	}
-	// Run resolves the cache knobs itself and must keep accepting every
-	// combination it accepted before the enforcement landed — including a
-	// store built for different dedup parameters, which ExtractWithCache
-	// documents it replaces (pre-PR-5 behavior, must not panic).
-	incompatible := vcache.NewStore(dedup.Options{Threshold: 0.85, Seed: 99, ShingleK: 3})
-	if res := Run(repos, Options{Cache: incompatible, Dedup: dopt}); res.FinalFiles == 0 {
-		t.Fatal("Run with an incompatible cache returned an empty result")
-	}
-	if res := Run(repos, Options{NoCache: true, Dedup: dopt, CacheBudget: 1 << 20}); res.FinalFiles == 0 {
-		t.Fatal("Run with NoCache+CacheBudget returned an empty result")
+	same("cached extraction, warm", RunExtracted(cached, Options{}))
+	if st := store.Stats(); st.Entries != filled.Entries {
+		t.Fatalf("a second run over the same extraction grew the store: %d -> %d entries", filled.Entries, st.Entries)
 	}
 
-	// Results are identical across the accepted combinations.
-	base, err := RunExtracted(cached, Options{})
-	if err != nil {
-		t.Fatal(err)
+	incompatible := vcache.NewStore(dedup.Options{Threshold: 0.85, Seed: 99, ShingleK: 3})
+	same("incompatible store", RunExtracted(ExtractWithCache(repos, dopt, 2, incompatible), Options{}))
+	if st := incompatible.Stats(); st.Entries != 0 {
+		t.Fatalf("a store keyed by other dedup parameters was filled: %+v", st)
 	}
-	viaNil, err := RunExtracted(uncached, Options{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
+
+	vcache.ResetShared()
+	defer vcache.ResetShared()
+	same("Run, NoCache", Run(repos, Options{NoCache: true, Dedup: dopt}))
+	if st := vcache.Shared(dopt).Stats(); st.Entries != 0 {
+		t.Fatalf("Run with NoCache filled the shared store: %+v", st)
 	}
-	if len(base.Files) != len(viaNil.Files) || base.FinalFiles != viaNil.FinalFiles {
-		t.Fatalf("cached vs uncached results diverged: %d vs %d", base.FinalFiles, viaNil.FinalFiles)
+	same("Run, shared store", Run(repos, Options{Dedup: dopt}))
+	if st := vcache.Shared(dopt).Stats(); st.Entries != filled.Entries {
+		t.Fatalf("Run filled the shared store with %d entries, the explicit store holds %d", st.Entries, filled.Entries)
 	}
 }
 

@@ -3,14 +3,17 @@
 // hashing, and exact Jaccard verification, following the method VeriGen
 // describes and the paper adopts (§III-D: MinHash + Jaccard at threshold
 // 0.85, LSH for efficient candidate lookup).
+//
+// There is one index and one insertion order: documents are offered one at
+// a time, the first offered is the one kept, and a duplicate names the most
+// similar kept document — on a Jaccard tie the first kept document met,
+// bands ascending. Nothing here depends on a worker count.
 package dedup
 
 import (
 	"slices"
 	"sort"
 	"strings"
-
-	"freehw/internal/par"
 )
 
 // FNV-1a 64-bit parameters. Shingle and band hashing inline the algorithm
@@ -149,9 +152,6 @@ func NewMinHasher(n int, seed uint64) *MinHasher {
 	return m
 }
 
-// N returns the signature length.
-func (m *MinHasher) N() int { return len(m.a) }
-
 // Sign is implemented in sign.go (register-blocked batched kernel).
 
 // SigSimilarity estimates Jaccard similarity from two signatures.
@@ -206,7 +206,7 @@ func (opt Options) normalize() Options {
 
 // Prepared is the per-document precomputation an Index consumes: shingles,
 // MinHash signature, and per-band LSH hashes. Preparing documents is
-// side-effect free, so a batch can be prepared concurrently and fed to a
+// side-effect free, so a batch can be prepared concurrently and fed to the
 // sequential Index insert that preserves first-seen-kept order.
 type Prepared struct {
 	Shingles ShingleSet
@@ -221,38 +221,23 @@ type Preparer struct {
 	bands    int
 	rows     int
 	shingleK int
-	workers  int
 }
 
 // NewPreparer builds a Preparer for opt.
 func NewPreparer(opt Options) *Preparer {
-	return NewPreparerWorkers(opt, 1)
-}
-
-// NewPreparerWorkers builds a Preparer that may fan the signing of very
-// large documents (>= parallelSignMin shingles) across workers (<= 0
-// resolves to GOMAXPROCS, matching every other worker knob). Output is
-// byte-identical to NewPreparer's at any worker count.
-func NewPreparerWorkers(opt Options, workers int) *Preparer {
 	opt = opt.normalize()
 	return &Preparer{
 		hasher:   NewMinHasher(opt.Permutations, opt.Seed+0x5eed),
 		bands:    opt.Bands,
 		rows:     opt.Permutations / opt.Bands,
 		shingleK: opt.ShingleK,
-		workers:  par.Workers(workers),
 	}
 }
 
 // Prepare computes a document's shingles, signature, and band hashes.
 func (p *Preparer) Prepare(text string) Prepared {
 	sh := Shingles(text, p.shingleK)
-	var sig Signature
-	if p.workers > 1 && len(sh) >= parallelSignMin {
-		sig = p.hasher.SignParallel(sh, p.workers)
-	} else {
-		sig = p.hasher.Sign(sh)
-	}
+	sig := p.hasher.Sign(sh)
 	bands := make([]uint64, p.bands)
 	for b := 0; b < p.bands; b++ {
 		h := uint64(fnvOffset64)
@@ -270,20 +255,22 @@ func (p *Preparer) Prepare(text string) Prepared {
 
 // Index is a banded LSH index over MinHash signatures. Two documents become
 // dedup candidates when they agree on all rows of at least one band; the
-// exact Jaccard over shingles then decides.
+// exact Jaccard over shingles then decides. Insertion is sequential and in
+// offer order: only kept documents are candidates, so a duplicate of a
+// duplicate is kept when it matches no kept document. An Index is not safe
+// for concurrent use; what scales with cores is Preparer.Prepare, which
+// callers fan out ahead of the inserts.
 type Index struct {
 	prep      *Preparer
 	threshold float64
 
-	buckets []map[uint64][]int // per band: band-hash -> doc ids
+	buckets []map[uint64][]int // per band: band-hash -> kept doc ids, ascending
 	docs    []doc
 }
 
 type doc struct {
-	id       int
 	key      string
 	shingles ShingleSet
-	sig      Signature
 }
 
 // Options configures an Index.
@@ -294,6 +281,12 @@ type Options struct {
 	ShingleK     int     // tokens per shingle (default 5)
 	Seed         uint64
 }
+
+// NewShardedIndex is NewIndex. The two ints were the shard and worker counts
+// of a second, wave-parallel insertion that was deleted (ROADMAP decision
+// records, PR 19); the name and signature stay only because frozen bench/
+// compiles against them, and go in the next benchmark PR.
+func NewShardedIndex(opt Options, _, _ int) *Index { return NewIndex(opt) }
 
 // NewIndex builds an empty LSH index.
 func NewIndex(opt Options) *Index {
@@ -309,9 +302,6 @@ func NewIndex(opt Options) *Index {
 	return idx
 }
 
-// Threshold returns the Jaccard duplicate threshold.
-func (x *Index) Threshold() float64 { return x.threshold }
-
 // Len returns the number of retained (unique) documents.
 func (x *Index) Len() int { return len(x.docs) }
 
@@ -322,7 +312,10 @@ func (x *Index) Preparer() *Preparer { return x.prep }
 // AddResult reports what happened to a document offered to the index.
 type AddResult struct {
 	Unique bool
-	// DupOfKey is the retained document this one duplicates (when !Unique).
+	// DupOfKey is the retained document this one duplicates (when !Unique):
+	// the most similar kept candidate, and among candidates that tie on
+	// Jaccard the first one met, scanning bands in ascending order and each
+	// bucket in insertion order.
 	DupOfKey string
 	// Similarity is the verified Jaccard similarity to DupOfKey.
 	Similarity float64
@@ -358,11 +351,21 @@ func (x *Index) AddPrepared(key string, p Prepared) AddResult {
 		return AddResult{Unique: false, DupOfKey: x.docs[bestID].key, Similarity: bestSim}
 	}
 	id := len(x.docs)
-	x.docs = append(x.docs, doc{id: id, key: key, shingles: p.Shingles, sig: p.Sig})
+	x.docs = append(x.docs, doc{key: key, shingles: p.Shingles})
 	for b := range x.buckets {
 		x.buckets[b][p.Bands[b]] = append(x.buckets[b][p.Bands[b]], id)
 	}
 	return AddResult{Unique: true}
+}
+
+// AddAll offers documents in order through AddPrepared; the result at index
+// i reports document i's fate.
+func (x *Index) AddAll(keys []string, preps []Prepared) []AddResult {
+	out := make([]AddResult, len(keys))
+	for i := range keys {
+		out[i] = x.AddPrepared(keys[i], preps[i])
+	}
+	return out
 }
 
 // Keys returns the retained document keys in insertion order.
@@ -374,37 +377,8 @@ func (x *Index) Keys() []string {
 	return out
 }
 
-// Dedup is a convenience wrapper: it feeds texts through a fresh index and
-// returns the indices of retained documents, in order.
-func Dedup(texts []string, opt Options) []int {
-	idx := NewIndex(opt)
-	var kept []int
-	for i, t := range texts {
-		if idx.Add("", t).Unique {
-			kept = append(kept, i)
-		}
-	}
-	return kept
-}
-
 // PairSimilarity computes the exact Jaccard similarity of two texts using
 // the index's shingling parameters.
 func (x *Index) PairSimilarity(a, b string) float64 {
 	return Jaccard(Shingles(a, x.prep.shingleK), Shingles(b, x.prep.shingleK))
-}
-
-// TopBucketSizes reports the largest LSH bucket sizes (diagnostics for the
-// curation report).
-func (x *Index) TopBucketSizes(n int) []int {
-	var sizes []int
-	for _, band := range x.buckets {
-		for _, ids := range band {
-			sizes = append(sizes, len(ids))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	if len(sizes) > n {
-		sizes = sizes[:n]
-	}
-	return sizes
 }

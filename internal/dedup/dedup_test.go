@@ -3,6 +3,7 @@ package dedup
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,19 @@ func TestIndexNearDuplicates(t *testing.T) {
 	}
 }
 
+// keptIndices feeds texts through a fresh index and returns the indices of
+// the retained documents, in order.
+func keptIndices(texts []string, opt Options) []int {
+	idx := NewIndex(opt)
+	var kept []int
+	for i, t := range texts {
+		if idx.Add("", t).Unique {
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
 func TestDedupOrderPreserved(t *testing.T) {
 	texts := []string{
 		"aaa bbb ccc ddd eee fff ggg hhh",
@@ -111,7 +125,7 @@ func TestDedupOrderPreserved(t *testing.T) {
 		"aaa bbb ccc ddd eee fff ggg hhh", // dup of 0
 		"nine ten eleven twelve thirteen fourteen fifteen sixteen",
 	}
-	kept := Dedup(texts, Options{Seed: 9})
+	kept := keptIndices(texts, Options{Seed: 9})
 	want := []int{0, 1, 3}
 	if len(kept) != len(want) {
 		t.Fatalf("kept %v", kept)
@@ -132,8 +146,8 @@ func TestIndexDeterminism(t *testing.T) {
 	// Inject duplicates.
 	texts[10] = texts[3]
 	texts[40] = texts[22]
-	a := Dedup(texts, Options{Seed: 5})
-	b := Dedup(texts, Options{Seed: 5})
+	a := keptIndices(texts, Options{Seed: 5})
+	b := keptIndices(texts, Options{Seed: 5})
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic: %d vs %d", len(a), len(b))
 	}
@@ -176,15 +190,116 @@ func TestIndexSelfDuplicateProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkIndexAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	texts := make([]string, 256)
-	for i := range texts {
-		texts[i] = strings.Join(randWords(rng, 200), " ")
+// corpusWithDups builds a synthetic corpus with exact duplicates, near
+// duplicates (including duplicates-of-duplicates, which exercise the
+// "only kept documents are candidates" rule), and unique documents.
+func corpusWithDups(seed int64, n int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var out []string
+	fresh := func() []string {
+		words := make([]string, 120)
+		for i := range words {
+			words[i] = fmt.Sprintf("w%04d", rng.Intn(3000))
+		}
+		return words
 	}
-	b.ResetTimer()
+	var bases [][]string
+	for len(out) < n {
+		switch {
+		case len(bases) == 0 || rng.Float64() < 0.4:
+			b := fresh()
+			bases = append(bases, b)
+			out = append(out, strings.Join(b, " "))
+		case rng.Float64() < 0.5:
+			// Exact duplicate of a prior document.
+			out = append(out, out[rng.Intn(len(out))])
+		default:
+			// Near duplicate of a prior base, mutation rate around the
+			// threshold so some land just above and some just below.
+			b := bases[rng.Intn(len(bases))]
+			m := make([]string, len(b))
+			copy(m, b)
+			for k := 0; k < 1+rng.Intn(8); k++ {
+				m[rng.Intn(len(m))] = fmt.Sprintf("mut%05d", rng.Intn(99999))
+			}
+			bases = append(bases, m)
+			out = append(out, strings.Join(m, " "))
+		}
+	}
+	return out
+}
+
+// AddAll must decide every document as the quadratic definition does: kept
+// iff no *kept* earlier document reaches the threshold on exact Jaccard. A
+// rejected document is not a candidate, so a duplicate of a duplicate is
+// kept when it matches no kept document; the corpora must contain such a
+// case or the test proves nothing.
+func TestAddAllOnlyKeptDocumentsAreCandidates(t *testing.T) {
+	dupOfDupKept := 0
+	for _, seed := range []int64{1, 2, 3} {
+		texts := corpusWithDups(seed, 700)
+		opt := Options{Seed: 1, Threshold: 0.85}
+		idx := NewIndex(opt)
+		prep := idx.Preparer()
+		keys := make([]string, len(texts))
+		preps := make([]Prepared, len(texts))
+		for i, tx := range texts {
+			keys[i] = fmt.Sprintf("doc%04d", i)
+			preps[i] = prep.Prepare(tx)
+		}
+		got := idx.AddAll(keys, preps)
+
+		var kept, rejected []int
+		var wantKeys []string
+		for i := range texts {
+			best := 0.0
+			for _, j := range kept {
+				best = max(best, Jaccard(preps[i].Shingles, preps[j].Shingles))
+			}
+			unique := best < opt.Threshold
+			if got[i].Unique != unique {
+				t.Fatalf("seed %d doc %d: unique=%v, quadratic reference says %v (best %.3f)", seed, i, got[i].Unique, unique, best)
+			}
+			if !unique {
+				if got[i].Similarity != best {
+					t.Fatalf("seed %d doc %d: similarity %v, want %v", seed, i, got[i].Similarity, best)
+				}
+				rejected = append(rejected, i)
+				continue
+			}
+			for _, j := range rejected {
+				if Jaccard(preps[i].Shingles, preps[j].Shingles) >= opt.Threshold {
+					dupOfDupKept++
+					break
+				}
+			}
+			kept = append(kept, i)
+			wantKeys = append(wantKeys, keys[i])
+		}
+		if !reflect.DeepEqual(idx.Keys(), wantKeys) || idx.Len() != len(wantKeys) {
+			t.Fatalf("seed %d: kept keys diverged from the quadratic reference", seed)
+		}
+	}
+	if dupOfDupKept == 0 {
+		t.Fatal("no kept document duplicates a rejected one; the corpora do not exercise the rule")
+	}
+}
+
+// A batch consisting only of duplicates of a kept document must not grow
+// the index, and each result names that document.
+func TestAddAllAllDuplicates(t *testing.T) {
 	idx := NewIndex(Options{Seed: 1})
-	for i := 0; i < b.N; i++ {
-		idx.Add("k", texts[i%len(texts)])
+	prep := idx.Preparer()
+	text := strings.Repeat("some padded verilog-ish words here ", 30)
+	idx.AddPrepared("orig", prep.Prepare(text))
+	keys := []string{"a", "b", "c"}
+	preps := []Prepared{prep.Prepare(text), prep.Prepare(text), prep.Prepare(text)}
+	for i, r := range idx.AddAll(keys, preps) {
+		if r.Unique || r.DupOfKey != "orig" {
+			t.Fatalf("doc %d: %+v", i, r)
+		}
+	}
+	if idx.Len() != 1 {
+		t.Fatalf("index grew to %d", idx.Len())
 	}
 }

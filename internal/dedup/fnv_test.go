@@ -109,25 +109,3 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 		}
 	}
 }
-
-func benchText() string {
-	rng := rand.New(rand.NewSource(2))
-	return strings.Join(randWords(rng, 400), " ")
-}
-
-func BenchmarkShingles(b *testing.B) {
-	text := benchText()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Shingles(text, 5)
-	}
-}
-
-func BenchmarkPrepare(b *testing.B) {
-	text := benchText()
-	p := NewPreparer(Options{Seed: 1})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Prepare(text)
-	}
-}

@@ -1,7 +1,5 @@
 package dedup
 
-import "freehw/internal/par"
-
 // The MinHash signing kernel. The naive loop (for each shingle, scan all
 // permutations) streams the whole signature through the store buffer once
 // per shingle. The batched kernel below instead fixes a small block of
@@ -18,43 +16,12 @@ import "freehw/internal/par"
 // amd64 general-purpose register file.
 const signBlock = 4
 
-// parallelSignMin is the shingle count above which Prepare fans a single
-// document's signing across workers. Below it the fan-out overhead beats
-// the win; typical curated files sit far below, so per-file parallel
-// signing only kicks in for pathological megafiles.
-const parallelSignMin = 1 << 13
-
-// Sign computes the MinHash signature of a shingle set.
+// Sign computes the MinHash signature of a shingle set, in signBlock-wide
+// register blocks.
 func (m *MinHasher) Sign(shingles ShingleSet) Signature {
 	sig := make(Signature, len(m.a))
-	m.signRange(sig, shingles, 0, len(m.a))
-	return sig
-}
-
-// SignParallel computes the same signature as Sign, fanning contiguous
-// permutation ranges across at most workers goroutines. Ranges are
-// disjoint, so the output is byte-identical to Sign at any worker count.
-func (m *MinHasher) SignParallel(shingles ShingleSet, workers int) Signature {
-	n := len(m.a)
-	w := par.Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return m.Sign(shingles)
-	}
-	sig := make(Signature, n)
-	par.ForEach(w, w, func(c int) {
-		m.signRange(sig, shingles, c*n/w, (c+1)*n/w)
-	})
-	return sig
-}
-
-// signRange fills sig[lo:hi] with the minima of permutations [lo,hi) over
-// shingles, in signBlock-wide register blocks.
-func (m *MinHasher) signRange(sig Signature, shingles ShingleSet, lo, hi int) {
-	i := lo
-	for ; i+signBlock <= hi; i += signBlock {
+	i := 0
+	for ; i+signBlock <= len(sig); i += signBlock {
 		a0, a1, a2, a3 := m.a[i], m.a[i+1], m.a[i+2], m.a[i+3]
 		b0, b1, b2, b3 := m.b[i], m.b[i+1], m.b[i+2], m.b[i+3]
 		m0, m1, m2, m3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
@@ -74,7 +41,7 @@ func (m *MinHasher) signRange(sig Signature, shingles ShingleSet, lo, hi int) {
 		}
 		sig[i], sig[i+1], sig[i+2], sig[i+3] = m0, m1, m2, m3
 	}
-	for ; i < hi; i++ {
+	for ; i < len(sig); i++ {
 		a, b := m.a[i], m.b[i]
 		mn := ^uint64(0)
 		for _, x := range shingles {
@@ -84,4 +51,5 @@ func (m *MinHasher) signRange(sig Signature, shingles ShingleSet, lo, hi int) {
 		}
 		sig[i] = mn
 	}
+	return sig
 }

@@ -47,67 +47,3 @@ func TestSignMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-func TestSignParallelMatchesSign(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewMinHasher(128, 42)
-	for _, sz := range []int{0, 3, 1000, parallelSignMin + 1} {
-		sh := randShingles(rng, sz)
-		want := m.Sign(sh)
-		for _, workers := range []int{1, 2, 3, 8, 200} {
-			got := m.SignParallel(sh, workers)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("size=%d workers=%d: SignParallel[%d] = %#x, want %#x", sz, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// Large documents must take the parallel-signing path inside Prepare and
-// still produce identical artifacts to a serial Preparer.
-func TestPreparerWorkersIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	words := make([]byte, 0, 1<<18)
-	for i := 0; i < parallelSignMin+500; i++ {
-		words = append(words, 'a'+byte(rng.Intn(26)), 'a'+byte(rng.Intn(26)), ' ')
-	}
-	text := string(words)
-	opt := Options{Seed: 3}
-	serial := NewPreparer(opt).Prepare(text)
-	parallel := NewPreparerWorkers(opt, 8).Prepare(text)
-	if len(serial.Sig) != len(parallel.Sig) {
-		t.Fatal("signature length diverged")
-	}
-	for i := range serial.Sig {
-		if serial.Sig[i] != parallel.Sig[i] {
-			t.Fatalf("sig[%d] diverged", i)
-		}
-	}
-	for i := range serial.Bands {
-		if serial.Bands[i] != parallel.Bands[i] {
-			t.Fatalf("band[%d] diverged", i)
-		}
-	}
-}
-
-func BenchmarkMinHashSign(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	m := NewMinHasher(128, 1)
-	sh := randShingles(rng, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Sign(sh)
-	}
-}
-
-func BenchmarkMinHashSignNaive(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	m := NewMinHasher(128, 1)
-	sh := randShingles(rng, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveSign(m, sh)
-	}
-}

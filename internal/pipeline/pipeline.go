@@ -15,9 +15,13 @@
 // a candidate that already flowed through any funnel (offline or online)
 // costs a hash lookup.
 //
-// Determinism: verdicts depend only on candidate content/order and stage
-// configuration — never on worker count or cache temperature. The curation
-// determinism suite pins this transitively.
+// Determinism: verdicts, reason strings included, depend only on candidate
+// content/order and stage configuration — never on worker count or cache
+// temperature. The one place order decides a string is dedup's
+// "duplicate-of:<key>": it names the most similar kept candidate and, when
+// several tie on Jaccard, the first one the sequential LSH probe meets
+// (bands ascending, then insertion order). The curation determinism suite
+// pins the rest transitively.
 package pipeline
 
 import (

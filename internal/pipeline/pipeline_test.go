@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,9 @@ import (
 )
 
 func dopt() dedup.Options { return dedup.Options{Threshold: 0.85, Seed: 1} }
+
+// paperStages is the paper's funnel in Figure 1 order.
+func paperStages() []Stage { return []Stage{License(), Dedup(dopt()), Copyright(), Syntax()} }
 
 func cand(key, content string, licensed bool) *Candidate {
 	return &Candidate{Key: key, Content: content, Licensed: licensed}
@@ -40,7 +44,7 @@ func TestPaperFunnelVerdicts(t *testing.T) {
 		cand("protected.v", protectedMod, true),
 		cand("broken.v", brokenMod, true),
 	}
-	rep := Execute(2, Paper(dopt(), 0), cands)
+	rep := Execute(2, paperStages(), cands)
 	if len(rep.Verdicts) != len(cands) {
 		t.Fatalf("got %d verdicts for %d candidates", len(rep.Verdicts), len(cands))
 	}
@@ -135,7 +139,7 @@ func TestExecuteDeterminism(t *testing.T) {
 	var base *Report
 	for _, workers := range []int{1, 2, 8} {
 		for _, store := range []*vcache.Store{nil, vcache.NewStore(dopt())} {
-			rep := Execute(workers, Paper(dopt(), workers), build(store))
+			rep := Execute(workers, paperStages(), build(store))
 			for i := range rep.Stages {
 				rep.Stages[i].Duration = 0
 			}
@@ -150,6 +154,57 @@ func TestExecuteDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d store=%v: stage shape diverged", workers, store != nil)
 			}
 		}
+	}
+}
+
+// When two kept documents tie on Jaccard against a later duplicate, the
+// reason names the same one at any worker count: Q is 111/121 from both A
+// and B, which are 106/126 from each other and so both kept. The fillers
+// put A 256 candidates ahead of B and Q, which is where the deleted
+// wave-parallel insertion named A at four workers and B at one.
+func TestDedupTieReasonIndependentOfWorkers(t *testing.T) {
+	words := func(prefix string) []string {
+		w := make([]string, 120)
+		for i := range w {
+			w[i] = fmt.Sprintf("%s%03d", prefix, i)
+		}
+		return w
+	}
+	a, b, q := words("w"), words("w"), words("w")
+	b[30], b[90], q[30] = "x030", "x090", "x030"
+	var texts, keys []string
+	add := func(key string, w []string) {
+		keys = append(keys, key)
+		texts = append(texts, strings.Join(w, " "))
+	}
+	add("A", a)
+	for i := 0; i < 255; i++ {
+		add(fmt.Sprintf("filler%03d", i), words(fmt.Sprintf("f%03d_", i)))
+	}
+	add("B", b)
+	add("Q", q)
+	named := map[string]int{}
+	for seed := uint64(1); seed <= 32; seed++ {
+		stages := []Stage{Dedup(dedup.Options{Threshold: 0.85, Seed: seed})}
+		run := func(workers int) []Verdict {
+			cands := make([]*Candidate, len(texts))
+			for i := range texts {
+				cands[i] = cand(keys[i], texts[i], true)
+			}
+			return Execute(workers, stages, cands).Verdicts
+		}
+		one, four := run(1), run(4)
+		if !reflect.DeepEqual(one, four) {
+			t.Fatalf("seed %d: verdicts differ between 1 and 4 workers: Q is %+v vs %+v", seed, one[len(one)-1], four[len(four)-1])
+		}
+		vb, vq := one[len(one)-2], one[len(one)-1]
+		if !vb.Accept || vq.Accept || len(vq.Reasons) != 1 {
+			t.Fatalf("seed %d: B %+v, Q %+v; want B kept and Q a duplicate", seed, vb, vq)
+		}
+		named[vq.Reasons[0]]++
+	}
+	if named["dedup:duplicate-of:A"] == 0 || named["dedup:duplicate-of:B"] == 0 || len(named) != 2 {
+		t.Fatalf("Q's reasons over the seeds = %v; want both A and B named, or the tie is not exercised", named)
 	}
 }
 
@@ -191,14 +246,14 @@ func TestSimilarityStage(t *testing.T) {
 // A lone candidate through the dedup stage is trivially unique; an
 // executed empty pipeline accepts everything without stages.
 func TestDegenerateExecutions(t *testing.T) {
-	if out := Dedup(dopt(), 0).Evaluate(cand("solo.v", cleanMod, true)); out.Reject {
+	if out := Dedup(dopt()).Evaluate(cand("solo.v", cleanMod, true)); out.Reject {
 		t.Fatalf("lone dedup candidate rejected: %+v", out)
 	}
 	rep := Execute(1, nil, []*Candidate{cand("a.v", brokenMod, false)})
 	if !rep.Verdicts[0].Accept || len(rep.Stages) != 0 {
 		t.Fatalf("stageless execution = %+v", rep)
 	}
-	rep = Execute(4, Paper(dopt(), 0), nil)
+	rep = Execute(4, paperStages(), nil)
 	if len(rep.Verdicts) != 0 || len(rep.Stages) != 4 {
 		t.Fatalf("empty-candidate execution = %+v", rep)
 	}

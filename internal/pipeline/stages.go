@@ -37,12 +37,13 @@ func License() Stage { return licenseStage{} }
 
 // dedupStage removes MinHash/LSH near-duplicates (Jaccard >= threshold,
 // §III-B): the first-seen candidate is kept, later ones reject with a
-// reason naming the retained key. Verdicts depend on candidate order, so
-// the stage is a BatchStage; a fresh index is built per execution.
+// reason naming the retained key — the most similar kept candidate and, on
+// a Jaccard tie, the first one the index meets (dedup.AddResult). Verdicts
+// depend on candidate order, so the stage is a BatchStage; a fresh index
+// is built per execution.
 type dedupStage struct {
-	opt    dedup.Options
-	shards int
-	prep   *dedup.Preparer
+	opt  dedup.Options
+	prep *dedup.Preparer
 }
 
 func (d *dedupStage) Name() string { return StageDedup }
@@ -55,9 +56,8 @@ func (d *dedupStage) Evaluate(c *Candidate) Outcome {
 
 func (d *dedupStage) EvaluateBatch(workers int, cands []*Candidate) []Outcome {
 	// Shingle + MinHash + band hashes fan out (memoized by content hash);
-	// the sharded LSH index then ingests in order through its deterministic
-	// wave insertion, so the first-seen document is always the one retained
-	// at any shard/worker count.
+	// the LSH index then ingests sequentially in candidate order, so the
+	// outcomes, reasons included, cannot depend on the worker count.
 	par.ForEach(workers, len(cands), func(i int) {
 		cands[i].memo().Prepared(cands[i].Content, d.prep)
 	})
@@ -67,8 +67,7 @@ func (d *dedupStage) EvaluateBatch(workers int, cands []*Candidate) []Outcome {
 		keys[i] = c.Key
 		preps[i] = c.Entry.Prepared(c.Content, d.prep)
 	}
-	idx := dedup.NewShardedIndex(d.opt, d.shards, workers)
-	results := idx.AddAll(keys, preps)
+	results := dedup.NewIndex(d.opt).AddAll(keys, preps)
 	outs := make([]Outcome, len(cands))
 	for i, r := range results {
 		if !r.Unique {
@@ -78,13 +77,12 @@ func (d *dedupStage) EvaluateBatch(workers int, cands []*Candidate) []Outcome {
 	return outs
 }
 
-// Dedup returns the de-duplication stage for the given parameters. shards
-// is the LSH shard count (0 = one per core); any shard count produces the
-// same verdicts. Candidates' cached dedup artifacts must have been
-// computed under the same artifact-relevant options (vcache enforces this
-// by keying stores on them).
-func Dedup(opt dedup.Options, shards int) Stage {
-	return &dedupStage{opt: opt, shards: shards, prep: dedup.NewPreparer(opt)}
+// Dedup returns the de-duplication stage for the given parameters.
+// Candidates' cached dedup artifacts must have been computed under the
+// same artifact-relevant options (vcache enforces this by keying stores on
+// them).
+func Dedup(opt dedup.Options) Stage {
+	return &dedupStage{opt: opt, prep: dedup.NewPreparer(opt)}
 }
 
 // copyrightStage rejects files the per-file copyright screen flags
@@ -178,7 +176,9 @@ func Similarity(snap *similarity.Snapshot, threshold float64) Stage {
 }
 
 // Paper returns the paper's four-stage funnel in Figure 1 order: license
-// gate, de-duplication, copyright screen, syntax filter.
-func Paper(dopt dedup.Options, shards int) []Stage {
-	return []Stage{License(), Dedup(dopt, shards), Copyright(), Syntax()}
+// gate, de-duplication, copyright screen, syntax filter. The int was the
+// dedup shard count and is ignored; the signature stays only because
+// frozen bench/ compiles against it, and goes in the next benchmark PR.
+func Paper(dopt dedup.Options, _ int) []Stage {
+	return []Stage{License(), Dedup(dopt), Copyright(), Syntax()}
 }

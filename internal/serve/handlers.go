@@ -220,7 +220,7 @@ func (s *Server) stagesFor(names []string, st *corpusState, threshold float64) (
 		case pipeline.StageLicense:
 			stages = append(stages, pipeline.License())
 		case pipeline.StageDedup:
-			stages = append(stages, pipeline.Dedup(s.cfg.Curation.Dedup, s.cfg.Curation.Shards))
+			stages = append(stages, pipeline.Dedup(s.cfg.Curation.Dedup))
 		case pipeline.StageCopyright:
 			stages = append(stages, pipeline.Copyright())
 		case pipeline.StageSyntax:
@@ -416,17 +416,11 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 				repos[i].Files = append(repos[i].Files, gitsim.RepoFile{Path: f.Path, Content: f.Content})
 			}
 		}
-		opt := s.cfg.Curation
 		// The server owns its verdict store; funnel runs always read
-		// through it, so any client-facing cache knobs in cfg.Curation are
-		// overridden here rather than conflicting with the extraction.
-		opt.Cache, opt.NoCache, opt.CacheBudget = s.store, false, 0
+		// through it.
+		opt := s.cfg.Curation
 		ex := curation.ExtractWithCache(repos, opt.Dedup, opt.Workers, s.store)
-		res, err := curation.RunExtracted(ex, opt)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "internal", "curation: "+err.Error())
-			return
-		}
+		res := curation.RunExtracted(ex, opt)
 		resp.Funnel = &FunnelCounts{
 			ReposSeen:        res.ReposSeen,
 			ReposLicensed:    res.ReposLicensed,

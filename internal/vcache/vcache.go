@@ -420,7 +420,7 @@ func Shared(dopt dedup.Options) *Store {
 
 // ResetShared drops every process-wide store (tests, or servers that want
 // a hard corpus boundary; for a standing memory bound prefer SetBudget on
-// the shared store, wired through curation.Options.CacheBudget).
+// the shared store).
 func ResetShared() {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
