@@ -29,7 +29,10 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -44,26 +47,44 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	log.SetFlags(0) // internal/serve logs through the standard logger
 	log.SetPrefix("freeset-serve: ")
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal during drain kills immediately via default handling
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "freeset-serve:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is main with its arguments and log stream passed in: it serves until ctx
+// is cancelled, drains, and returns. It logs the address it bound (-addr :0).
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	logger := log.New(stderr, "freeset-serve: ", 0)
+	fs := flag.NewFlagSet("freeset-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":8844", "listen address")
-		dir       = flag.String("corpus", "", "directory of .v/.vh files to serve as the initial protected corpus")
-		protected = flag.Int("protected", 0, "generate n simulated protected files into the initial corpus")
-		seed      = flag.Int64("seed", 1, "seed for -protected generation")
-		workers   = flag.Int("workers", 0, "scoring concurrency per batch (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 256, "audit queue depth before 429 backpressure")
-		batch     = flag.Int("batch", 32, "max audits coalesced into one snapshot pass")
-		threshold = flag.Float64("threshold", 0, "violation cosine threshold (0 = paper's 0.8)")
-		budget    = flag.Int64("cache-budget", 0, "verdict cache byte budget (0 = default 256 MiB, negative = unbounded)")
-		dataDir   = flag.String("data-dir", "", "directory for durable corpus snapshots (empty = in-memory only)")
-		retain    = flag.Int("retain", 3, "snapshot versions kept on disk for rollback (<= 0 keeps all)")
-		grace     = flag.Duration("shutdown-grace", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
-		mergeMax  = flag.Int("merge-max-segs", 0, "background merger's target segment count (0 = default 8)")
-		mergeDead = flag.Float64("merge-dead-frac", 0, "tombstoned fraction that triggers segment compaction (0 = default 0.5)")
-		mergeOff  = flag.Bool("merge-disable", false, "disable the background segment merger")
+		addr      = fs.String("addr", ":8844", "listen address")
+		dir       = fs.String("corpus", "", "directory of .v/.vh files to serve as the initial protected corpus")
+		protected = fs.Int("protected", 0, "generate n simulated protected files into the initial corpus")
+		seed      = fs.Int64("seed", 1, "seed for -protected generation")
+		workers   = fs.Int("workers", 0, "scoring concurrency per batch (0 = GOMAXPROCS)")
+		queue     = fs.Int("queue", 256, "audit queue depth before 429 backpressure")
+		batch     = fs.Int("batch", 32, "max audits coalesced into one snapshot pass")
+		threshold = fs.Float64("threshold", 0, "violation cosine threshold (0 = paper's 0.8)")
+		budget    = fs.Int64("cache-budget", 0, "verdict cache byte budget (0 = default 256 MiB, negative = unbounded)")
+		dataDir   = fs.String("data-dir", "", "directory for durable corpus snapshots (empty = in-memory only)")
+		retain    = fs.Int("retain", 3, "snapshot versions kept on disk for rollback (<= 0 keeps all)")
+		grace     = fs.Duration("shutdown-grace", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
+		mergeMax  = fs.Int("merge-max-segs", 0, "background merger's target segment count (0 = default 8)")
+		mergeDead = fs.Float64("merge-dead-frac", 0, "tombstoned fraction that triggers segment compaction (0 = default 0.5)")
+		mergeOff  = fs.Bool("merge-disable", false, "disable the background segment merger")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := serve.DefaultConfig()
 	cfg.Workers = *workers
@@ -79,7 +100,7 @@ func main() {
 	if *dataDir != "" {
 		st, err := snapstore.Open(*dataDir, *retain)
 		if err != nil {
-			log.Fatalf("open snapshot store: %v", err)
+			return fmt.Errorf("open snapshot store: %w", err)
 		}
 		cfg.Store = st
 	}
@@ -87,15 +108,15 @@ func main() {
 	defer s.Close()
 	if rep := s.Replay(); cfg.Store != nil {
 		if rep.Err != nil {
-			log.Printf("snapshot replay: store error, starting empty: %v", rep.Err)
+			logger.Printf("snapshot replay: store error, starting empty: %v", rep.Err)
 		}
 		if len(rep.Skipped) > 0 {
-			log.Printf("snapshot replay: skipped corrupt version(s) %v", rep.Skipped)
+			logger.Printf("snapshot replay: skipped corrupt version(s) %v", rep.Skipped)
 		}
 		if rep.Version > 0 {
-			log.Printf("warm restart: replayed corpus version %d (%d documents) from %s", rep.Version, rep.Docs, *dataDir)
+			logger.Printf("warm restart: replayed corpus version %d (%d documents) from %s", rep.Version, rep.Docs, *dataDir)
 		} else {
-			log.Printf("no usable snapshot in %s; starting empty", *dataDir)
+			logger.Printf("no usable snapshot in %s; starting empty", *dataDir)
 		}
 	}
 
@@ -121,7 +142,7 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *protected > 0 {
@@ -132,15 +153,15 @@ func main() {
 	}
 	switch {
 	case len(texts) > 0 && s.Replay().Version > 0:
-		log.Printf("ignoring -corpus/-protected seed: replayed snapshot version %d takes precedence", s.Replay().Version)
+		logger.Printf("ignoring -corpus/-protected seed: replayed snapshot version %d takes precedence", s.Replay().Version)
 	case len(texts) > 0:
 		version, indexed, err := s.PublishDocuments(names, texts)
 		if err != nil {
-			log.Fatalf("publish initial corpus: %v", err)
+			return fmt.Errorf("publish initial corpus: %w", err)
 		}
-		log.Printf("published initial corpus: %d documents (version %d)", indexed, version)
+		logger.Printf("published initial corpus: %d documents (version %d)", indexed, version)
 	case s.Replay().Version == 0:
-		log.Printf("starting with an empty corpus; POST /v1/corpus to publish one")
+		logger.Printf("starting with an empty corpus; POST /v1/corpus to publish one")
 	}
 
 	// A configured http.Server instead of the bare ListenAndServe default:
@@ -148,42 +169,41 @@ func main() {
 	// client can pin a connection, and Shutdown gives SIGINT/SIGTERM a
 	// drain path instead of dropping in-flight audits on the floor.
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s (queue %d, batch %d, threshold %.2f, shutdown grace %s)",
-		*addr, cfg.QueueDepth, cfg.MaxBatch, cfg.Threshold, *grace)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	logger.Printf("serving on %s (queue %d, batch %d, threshold %.2f, shutdown grace %s)",
+		ln.Addr(), cfg.QueueDepth, cfg.MaxBatch, cfg.Threshold, *grace)
 
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal during drain kills immediately via default handling
 
 	// Graceful drain: readiness 503s first so load balancers stop routing,
 	// then the listener closes and every in-flight request — including
 	// audits waiting on the dispatcher — completes before exit.
-	log.Printf("shutdown signal received; draining (grace %s)", *grace)
+	logger.Printf("shutdown signal received; draining (grace %s)", *grace)
 	s.Drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
+		logger.Printf("http shutdown: %v", err)
 	}
 	if err := s.Quiesce(shutdownCtx); err != nil {
-		log.Printf("audit queue drain: %v", err)
+		logger.Printf("audit queue drain: %v", err)
 	}
 	s.Close()
-	log.Printf("drained; exiting")
+	logger.Printf("drained; exiting")
+	return nil
 }

@@ -38,6 +38,18 @@ import (
 // which the audit hot path would pay on every call.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// maxPooledBody is the largest buffer bodyBufPool takes back: a buffer keeps
+// what its largest body grew it to, so uncapped, one 7 MB /v1/filter body
+// parks 8–16 MB in the pool for as long as traffic keeps it warm.
+const maxPooledBody = 1 << 20
+
+func putBodyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyBufPool.Put(buf)
+	}
+}
+
 // decode reads a POSTed JSON body under the configured size cap. It replies
 // on failure and reports whether the handler should continue. The body is
 // slurped into a pooled buffer and unmarshalled from there — same syntax
@@ -49,10 +61,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, out any) bool {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := bodyBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		bodyBufPool.Put(buf)
-	}()
+	defer putBodyBuf(buf)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		writeBodyErr(w, "bad request", err)
 		return false
@@ -78,15 +87,95 @@ func writeBodyErr(w http.ResponseWriter, what string, err error) {
 	writeErr(w, http.StatusBadRequest, "bad_json", what+": "+err.Error())
 }
 
-// decodeNDJSON reads a streaming newline-delimited corpus upload into req:
-// each line is one CorpusLine (a document, a removal, or a repo), decoded
-// incrementally under the body-size cap; index and publish modes come from
-// the ?index= and ?mode= query parameters. With a non-nil builder (delta
-// mode), document lines feed the segment builder directly — the upload is
-// tokenized line by line and never accumulated, so peak memory is one
-// segment's postings, not the request body. It replies on failure and
-// reports whether the handler should continue.
-func (s *Server) decodeNDJSON(w http.ResponseWriter, r *http.Request, req *CorpusRequest, builder *similarity.SegmentBuilder) bool {
+// errDuplicateDocuments refuses a second "documents" key: the first one's are
+// already in the segment builder, so the last cannot win as in json.Unmarshal.
+var errDuplicateDocuments = errors.New(`a second "documents" key`)
+
+// decodeCorpus walks a JSON CorpusRequest body as json.Unmarshal would read
+// it — keys in any order and matched case-insensitively, unknown keys
+// skipped, null leaving a field as it was — except that the documents array
+// is never held: each CorpusDocument is decoded and handed to add before the
+// next is read, so CorpusRequest.Documents stays empty and memory is one
+// document, not the upload. The other fields decode into req. A syntax error
+// can surface after documents were added; the caller drops what it built.
+func decodeCorpus(body io.Reader, req *CorpusRequest, add func(name, text string)) error {
+	dec := json.NewDecoder(body)
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok == json.Delim('{') {
+		seenDocuments := false
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			switch k, _ := key.(string); {
+			case strings.EqualFold(k, "documents"):
+				if seenDocuments {
+					return errDuplicateDocuments
+				}
+				seenDocuments = true
+				err = decodeDocuments(dec, add)
+			case strings.EqualFold(k, "index"):
+				err = dec.Decode(&req.Index)
+			case strings.EqualFold(k, "mode"):
+				err = dec.Decode(&req.Mode)
+			case strings.EqualFold(k, "remove"):
+				err = dec.Decode(&req.Remove)
+			case strings.EqualFold(k, "repos"):
+				err = dec.Decode(&req.Repos)
+			default:
+				var skipped json.RawMessage
+				err = dec.Decode(&skipped)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if _, err := dec.Token(); err != nil { // the closing brace
+			return err
+		}
+	} else if tok != nil { // a top-level null is an empty request
+		return errors.New("json: cannot unmarshal a non-object into Go value of type serve.CorpusRequest")
+	}
+	if _, err = dec.Token(); err == nil {
+		err = errors.New("invalid character after top-level value")
+	} else if err == io.EOF {
+		err = nil
+	}
+	return err
+}
+
+// decodeDocuments streams the value of a "documents" key: null, or an array
+// of CorpusDocument (an element may itself be null — an empty document, as
+// it is for json.Unmarshal).
+func decodeDocuments(dec *json.Decoder, add func(name, text string)) error {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return err
+	}
+	if tok != json.Delim('[') {
+		return errors.New("json: cannot unmarshal a non-array into Go struct field CorpusRequest.documents")
+	}
+	for dec.More() {
+		var d CorpusDocument
+		if err := dec.Decode(&d); err != nil {
+			return err
+		}
+		add(d.Name, d.Text)
+	}
+	_, err = dec.Token() // the closing bracket
+	return err
+}
+
+// decodeNDJSON reads a streaming newline-delimited corpus upload: each line
+// is one CorpusLine, decoded incrementally under the body-size cap — a
+// document goes straight to add, a removal or a repo into req; index and
+// publish modes come from the ?index= and ?mode= query parameters. It
+// replies on failure and reports whether the handler should continue.
+func (s *Server) decodeNDJSON(w http.ResponseWriter, r *http.Request, req *CorpusRequest, add func(name, text string)) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	for line := 1; ; line++ {
 		var l CorpusLine
@@ -104,11 +193,7 @@ func (s *Server) decodeNDJSON(w http.ResponseWriter, r *http.Request, req *Corpu
 		case l.Remove != "":
 			req.Remove = append(req.Remove, l.Remove)
 		case l.Name != "" || l.Text != "":
-			if builder != nil {
-				builder.Add(l.Name, l.Text)
-			} else {
-				req.Documents = append(req.Documents, CorpusDocument{Name: l.Name, Text: l.Text})
-			}
+			add(l.Name, l.Text)
 		default:
 			writeErr(w, http.StatusBadRequest, "bad_record", "NDJSON record "+strconv.Itoa(line)+" has neither document fields, a removal, nor a repo")
 			return false

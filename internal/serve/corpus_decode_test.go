@@ -1,0 +1,252 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"freehw/internal/corpus"
+	"freehw/internal/similarity"
+	"freehw/internal/snapstore"
+)
+
+// corpusBodyCases seed FuzzDecodeCorpus and run through the same
+// differential check as a table.
+var corpusBodyCases = []string{
+	`{"documents":[{"name":"a.v","text":"module a; endmodule"}]}`,
+	`{"documents":[{"name":"a.v","text":"module a; endmodule"},{"name":"b.v","text":"module B(input X); endmodule"}],"mode":"delta","remove":["z.v"]}`,
+	`{"mode":"delta","documents":[{"name":"a.v","text":"x"}],"index":"all"}`,
+	`{"MODE":"append","Documents":[{"NAME":"a.v","Text":"wire w;"}],"INDEX":"curated","Remove":["q"]}`,
+	`{"documents":null,"mode":"delta","remove":["a.v"]}`,
+	`{"documents":[null,{"name":"n"},{}]}`,
+	`{"documents":[],"future":{"nested":[1,2,{"x":null}]},"also":"skipped","mode":"replace"}`,
+	`{"repos":[{"name":"acme/ip","spdx":"MIT","files":[{"path":"a.v","content":"module a; endmodule"}]}],"index":"all"}`,
+	`{"mode":"delta","mode":"replace","remove":["a"],"remove":["b","c"],"index":null}`,
+	`null`,
+	` {"documents" : [ {"name":"sp.v" , "text":"a b"} ] } ` + "\n",
+	`{"documents":[{"name":"a.v","text":"x"}]} trailing`,
+	`{"documents":[{"name":"a.v","text":"x"}]}{}`,
+	`{"documents":[{"name":"a.v","text":"x"}],"documents":[{"name":"b.v","text":"y"}]}`,
+	`{"documents":[{"name":"a.v","text":"x"},]}`,
+	`{"documents":[{"name":1}]}`,
+	`{"documents":{"name":"a.v"}}`,
+	`{"documents":"a.v"}`,
+	`{"mode":5}`,
+	`{"remove":"a.v"}`,
+	`[{"name":"a.v"}]`,
+	`"documents"`,
+	`{"documents":[{"name":"a.v","text":"\ud800 é \xff"}]}`,
+	`{"documents":[{"name":"esc.v","text":"k"}]}`,
+	`{"documentſ":[{"name":"fold.v","text":"long s"}]}`,
+	`{"documents":[{"name":"a.v","text":"x"}]`,
+	``,
+	`{`,
+}
+
+// checkCorpusDecode holds decodeCorpus to json.Unmarshal on one body: the
+// same accept/reject, the same index/mode/remove/repos, and a sealed segment
+// whose encoding equals BuildSegment's over the unmarshalled documents. The
+// one documented difference — a second "documents" key is refused where
+// Unmarshal lets the last win — is reported, not compared.
+func checkCorpusDecode(t *testing.T, body []byte) {
+	t.Helper()
+	var got CorpusRequest
+	b := similarity.NewSegmentBuilder()
+	err := decodeCorpus(bytes.NewReader(body), &got, b.Add)
+	if errors.Is(err, errDuplicateDocuments) {
+		return
+	}
+	var want CorpusRequest
+	refErr := json.Unmarshal(body, &want)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%q: decodeCorpus err = %v, json.Unmarshal err = %v", body, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(got.Documents) != 0 {
+		t.Fatalf("%q: decodeCorpus filled Documents", body)
+	}
+	if got.Index != want.Index || got.Mode != want.Mode || !reflect.DeepEqual(got.Remove, want.Remove) || !reflect.DeepEqual(got.Repos, want.Repos) {
+		t.Fatalf("%q: decoded %+v, json.Unmarshal %+v", body, got, want)
+	}
+	var names, texts []string
+	for _, d := range want.Documents {
+		names, texts = append(names, d.Name), append(texts, d.Text)
+	}
+	if b.Len() != len(names) {
+		t.Fatalf("%q: streamed %d documents, json.Unmarshal holds %d", body, b.Len(), len(names))
+	}
+	if !reflect.DeepEqual(b.Seal().EncodeSections(), similarity.BuildSegment(names, texts, 1).EncodeSections()) {
+		t.Fatalf("%q: the streamed segment is not BuildSegment's", body)
+	}
+}
+
+func TestDecodeCorpusAgainstUnmarshal(t *testing.T) {
+	for _, tc := range corpusBodyCases {
+		checkCorpusDecode(t, []byte(tc))
+	}
+	// Agreeing with json.Unmarshal is not enough where both could be wrong
+	// together: what each shape must come to, spelled out.
+	for _, tc := range []struct {
+		name, body string
+		accept     bool
+		mode       string
+		docs       int
+	}{
+		{"documents before mode", `{"documents":[{"name":"a.v","text":"x"}],"mode":"delta"}`, true, "delta", 1},
+		{"mode before documents", `{"mode":"delta","documents":[{"name":"a.v","text":"x"}],"index":"all"}`, true, "delta", 1},
+		{"keys in any case", `{"MODE":"append","Documents":[{"NAME":"a.v","Text":"wire w;"}]}`, true, "append", 1},
+		{"documents null", `{"documents":null,"mode":"delta","remove":["a.v"]}`, true, "delta", 0},
+		{"unknown keys skipped", `{"documents":[],"future":{"nested":[1,2]},"mode":"replace"}`, true, "replace", 0},
+		{"a null document is an empty one", `{"documents":[null,{"name":"n"}]}`, true, "", 2},
+		{"bytes after the closing brace", `{"documents":[{"name":"a.v","text":"x"}]} trailing`, false, "", 1},
+		{"a second documents key", `{"documents":[{"name":"a.v","text":"x"}],"documents":[{"name":"b.v","text":"y"}]}`, false, "", 1},
+		{"a second documents key, null", `{"documents":[{"name":"a.v","text":"x"}],"documents":null}`, false, "", 1},
+		{"a second documents key, another case", `{"documents":[],"DOCUMENTS":[{"name":"b.v","text":"y"}]}`, false, "", 0},
+	} {
+		var req CorpusRequest
+		docs := 0
+		err := decodeCorpus(strings.NewReader(tc.body), &req, func(string, string) { docs++ })
+		if (err == nil) != tc.accept || req.Mode != tc.mode || docs != tc.docs {
+			t.Errorf("%s: err %v, mode %q, %d documents streamed; want accept=%v, mode %q, %d documents", tc.name, err, req.Mode, docs, tc.accept, tc.mode, tc.docs)
+		}
+	}
+}
+
+// FuzzDecodeCorpus: whatever the body, the streaming decoder and
+// json.Unmarshal agree (see checkCorpusDecode).
+func FuzzDecodeCorpus(f *testing.F) {
+	for _, tc := range corpusBodyCases {
+		f.Add([]byte(tc))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkCorpusDecode(t, body) })
+}
+
+// bigCorpusBody marshals n seeded random documents as one replace request.
+func bigCorpusBody(t *testing.T, seed int64, n int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([]CorpusDocument, n)
+	for i := range docs {
+		docs[i] = CorpusDocument{Name: fmt.Sprintf("big%d_%d.v", seed, i), Text: randVerilog(rng, i)}
+	}
+	return mustJSON(t, CorpusRequest{Documents: docs})
+}
+
+// A body refused part-way through — after thousands of its documents went
+// into a builder — changes nothing that is served: same version, same
+// verdicts, and the answer is the envelope the buffered decoder gave.
+func TestRefusedCorpusBodyLeavesServingUntouched(t *testing.T) {
+	servedNames, servedTexts := docSet(3, 12)
+	queries := append(append([]string(nil), servedTexts[:4]...), "module fresh(); endmodule")
+	serving := func(maxBody int64) *Server {
+		cfg := DefaultConfig()
+		cfg.MaxBodyBytes = maxBody
+		s := NewServer(cfg)
+		t.Cleanup(s.Close)
+		if _, _, err := s.PublishDocuments(servedNames, servedTexts); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s, roomy := serving(2<<20), serving(0) // 0: the 8 MiB default, so the whole 8 000 are read
+
+	body := bigCorpusBody(t, 5, 8000)
+	if len(body) <= 2<<20 {
+		t.Fatalf("8000-document body is only %d bytes; the 413 case needs it over the cap", len(body))
+	}
+	small := bigCorpusBody(t, 6, 1000)
+	// Break document 7 000's syntax: drop the quote that opens its name.
+	mark := []byte(`{"name":"big5_7000.v"`)
+	at := bytes.Index(body, mark)
+	if at < 0 {
+		t.Fatal("document 7000 not found in the body")
+	}
+	broken := append(append(append([]byte(nil), body[:at]...), `{"name":big5_7000.v"`...), body[at+len(mark):]...)
+
+	for _, tc := range []struct {
+		name   string
+		s      *Server
+		body   []byte
+		status int
+		code   string
+	}{
+		{"bytes after the closing brace", s, append(append([]byte(nil), small...), " {}"...), http.StatusBadRequest, "bad_json"},
+		{"a second documents key", s, append(append([]byte(nil), small[:len(small)-1]...), `,"documents":[]}`...), http.StatusBadRequest, "bad_json"},
+		{"over MaxBodyBytes mid-array", s, body, http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"a syntax error in document 7000 of 8000", roomy, broken, http.StatusBadRequest, "bad_json"},
+	} {
+		code, raw := do(t, tc.s.Handler(), http.MethodPost, "/v1/corpus", "application/json", tc.body)
+		var er ErrorResponse
+		json.Unmarshal(raw, &er)
+		if code != tc.status || er.Error.Code != tc.code {
+			t.Fatalf("%s: %d %s, want %d %s", tc.name, code, raw, tc.status, tc.code)
+		}
+		assertServedMatchesOffline(t, tc.s, servedNames, servedTexts, queries, 1)
+	}
+}
+
+// bodyBufPool must not keep the buffer of a multi-megabyte body.
+func TestBodyBufPoolDropsLargeBuffers(t *testing.T) {
+	big := bytes.NewBuffer(make([]byte, 0, maxPooledBody+1))
+	small := bytes.NewBuffer(make([]byte, 0, maxPooledBody))
+	small.WriteString("left over")
+	for i := 0; i < 100; i++ { // a sync.Pool may drop what it is given, never invent it
+		putBodyBuf(big)
+		if got := bodyBufPool.Get().(*bytes.Buffer); got == big {
+			t.Fatalf("a %d-byte buffer came back out of bodyBufPool", big.Cap())
+		}
+	}
+	putBodyBuf(small)
+	if small.Len() != 0 {
+		t.Fatal("a pooled buffer was not reset")
+	}
+}
+
+// One full publish — handler to durable file — allocates no more than 20
+// bytes per byte of body (43 at the parent of the PR that streamed it, 15.6
+// after): nothing on the path is as large as the upload or the file.
+func TestFullPublishAllocBudget(t *testing.T) {
+	const docs = 2000
+	st, err := snapstore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Store = st
+	cfg.DisableAutoMerge = true
+	s := NewServer(cfg)
+	defer s.Close()
+	req := CorpusRequest{}
+	for _, pf := range corpus.BuildProtectedCorpus(7, docs) {
+		req.Documents = append(req.Documents, CorpusDocument{Name: pf.Name, Text: pf.Source})
+	}
+	body := mustJSON(t, req)
+	r := httptest.NewRequest(http.MethodPost, "/v1/corpus", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	h := s.Handler()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+
+	var cr CorpusResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil || w.Code != http.StatusOK || cr.Indexed != docs || !cr.Persisted {
+		t.Fatalf("publish: %d %s", w.Code, w.Body.String())
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte body of %d documents allocated %d bytes: %.1f per byte", len(body), docs, grew, float64(grew)/float64(len(body)))
+	if grew > 20*uint64(len(body)) {
+		t.Fatalf("publishing a %d-byte body allocated %d bytes, %.1f per byte; the budget is 20", len(body), grew, float64(grew)/float64(len(body)))
+	}
+}

@@ -333,9 +333,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 // mode=replace (the default) rebuilds the corpus from the request alone.
 // mode=delta (alias: append) publishes an incremental generation: the
 // uploaded documents become one new segment, removals tombstone existing
-// names, and the publish costs O(delta + segments) — never O(corpus). In
-// NDJSON delta uploads, document lines stream straight into the segment
-// builder, so peak memory is O(segment), not O(upload). ?version=N rolls
+// names, and the publish costs O(delta + segments) — never O(corpus).
+// In either mode and format documents stream from the body's decoder into
+// one segment builder — a JSON body may name its mode after its documents —
+// so peak memory is O(segment), not O(upload); a JSON body may carry one
+// "documents" key (a second is 400 bad_json). ?version=N rolls
 // back to retained version N instead. An If-Version request header makes
 // any of the three conditional: the publish applies only if the live
 // corpus version still matches, else 409 version_conflict — and of the
@@ -358,19 +360,15 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CorpusRequest
-	var builder *similarity.SegmentBuilder
+	builder := similarity.NewSegmentBuilder()
 	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
 		req.Index = r.URL.Query().Get("index")
 		req.Mode = r.URL.Query().Get("mode")
-		if req.Mode == "delta" || req.Mode == "append" {
-			// Delta NDJSON is the O(segment)-memory path: document lines
-			// go straight into the builder instead of accumulating.
-			builder = similarity.NewSegmentBuilder()
-		}
-		if !s.decodeNDJSON(w, r, &req, builder) {
+		if !s.decodeNDJSON(w, r, &req, builder.Add) {
 			return
 		}
-	} else if !s.decode(w, r, &req) {
+	} else if err := decodeCorpus(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req, builder.Add); err != nil {
+		writeBodyErr(w, "bad request", err)
 		return
 	}
 	var delta bool
@@ -394,19 +392,13 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_index", `index must be "protected", "curated", or "all"`)
 		return
 	}
-	streamed := builder != nil && builder.Len() > 0
-	if len(req.Documents) == 0 && len(req.Repos) == 0 && !streamed && (!delta || len(req.Remove) == 0) {
+	if builder.Len() == 0 && len(req.Repos) == 0 && (!delta || len(req.Remove) == 0) {
 		writeErr(w, http.StatusBadRequest, "empty_corpus", "no documents or repos")
 		return
 	}
 	s.m.corpusPosts.Add(1)
 	s.m.rate.tick(time.Now())
 
-	var names, texts []string
-	for _, d := range req.Documents {
-		names = append(names, d.Name)
-		texts = append(texts, d.Text)
-	}
 	resp := CorpusResponse{Index: mode}
 	if len(req.Repos) > 0 {
 		repos := make([]gitsim.RepoData, len(req.Repos))
@@ -443,27 +435,20 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		for _, f := range files {
-			names = append(names, f.Key())
-			texts = append(texts, f.Content)
+			builder.Add(f.Key(), f.Content)
 		}
 	}
 
+	var seg *similarity.Segment
+	if builder.Len() > 0 {
+		seg = builder.Seal()
+	}
 	var res published
 	var err error
 	if delta {
-		if builder == nil {
-			builder = similarity.NewSegmentBuilder()
-		}
-		for i := range names {
-			builder.Add(names[i], texts[i])
-		}
-		op := &deltaOp{remove: req.Remove, ifVersion: ifVersion}
-		if builder.Len() > 0 {
-			op.seg = builder.Seal()
-		}
-		res, err = s.delta(op)
+		res, err = s.delta(&deltaOp{seg: seg, remove: req.Remove, ifVersion: ifVersion})
 	} else {
-		res, err = s.replace(names, texts, ifVersion)
+		res, err = s.replace(seg, ifVersion)
 	}
 	if err != nil {
 		writePublishErr(w, err)

@@ -165,16 +165,15 @@ func (p *publisher) publishLocked(ix *similarity.Index) (published, error) {
 	return published{version: version, live: snap.Len()}, nil
 }
 
-// replace publishes the given documents as the whole corpus. The segment
-// builds off to the side — audits keep answering against the old snapshot,
-// and the publish lock is NOT held during the build, so a huge upload
-// never delays a concurrent publish. Concurrent publishes are ordered by
-// whoever reaches the swap first (last writer wins, versions strictly
-// increasing).
-func (p *publisher) replace(names, texts []string, ifVersion *uint64) (published, error) {
+// replace publishes seg — nil for none — as the whole corpus. The segment
+// was built off to the side: audits keep answering against the old snapshot,
+// and the publish lock is NOT held during a build, so a huge upload never
+// delays a concurrent publish. Concurrent publishes are ordered by whoever
+// reaches the swap first (last writer wins, versions strictly increasing).
+func (p *publisher) replace(seg *similarity.Segment, ifVersion *uint64) (published, error) {
 	ix := similarity.NewIndex()
-	if len(names) > 0 {
-		ix.Append(similarity.BuildSegment(names, texts, p.workers))
+	if seg != nil {
+		ix.Append(seg)
 	}
 	if p.buildGate != nil {
 		p.buildGate()

@@ -111,7 +111,7 @@ func TestPublisherAgainstModel(t *testing.T) {
 					switch {
 					case op <= 1: // replace
 						wantNames, wantTexts = fresh(2 + rng.Intn(6))
-						res, err = p.replace(wantNames, wantTexts, ifVersion)
+						res, err = p.replace(similarity.BuildSegment(wantNames, wantTexts, 1), ifVersion)
 					case op <= 5: // delta: add up to 3, remove up to 2 (one possibly unknown)
 						addNames, addTexts := fresh(rng.Intn(4))
 						var remove []string

@@ -337,6 +337,10 @@ func (s *Server) Replay() ReplayInfo { return s.replay }
 // returns the new generation (see publisher.replace). A persist failure
 // keeps the previous snapshot serving and returns the error.
 func (s *Server) PublishDocuments(names, texts []string) (version uint64, indexed int, err error) {
-	res, err := s.replace(names, texts, nil)
+	var seg *similarity.Segment
+	if len(names) > 0 {
+		seg = similarity.BuildSegment(names, texts, s.workers)
+	}
+	res, err := s.replace(seg, nil)
 	return res.version, res.live, err
 }

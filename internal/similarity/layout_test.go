@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"freehw/internal/corpus"
 )
@@ -142,6 +144,33 @@ func TestSealedSegmentObjectCount(t *testing.T) {
 		t.Fatalf("%d lists against a bound of %d: the corpus no longer separates per-list allocation", g.lists(), bound)
 	}
 	t.Logf("%d docs, %d lists, %d postings: %d heap objects (bound %d)", g.Docs(), g.lists(), len(g.docs), objects, bound)
+}
+
+// A sealed segment must not alias the text it was built from: a dictionary
+// key that is a substring of an uploaded document keeps that whole upload
+// alive for the segment's life. (Upper-case terms were always copies —
+// ToLower made them — so the text here has lower-case and non-ASCII terms
+// too; MergeSegments shares its inputs' standalone keys on purpose.)
+func TestSealedSegmentDoesNotAliasItsText(t *testing.T) {
+	text := strings.Repeat("module top_level (input clk_i, output reg [7:0] Q_o); // größe\n  assign w = clk_i ^ 8'hA5;\nendmodule\n", 3)
+	base := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	inside := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return len(s) > 0 && p >= base && p < base+uintptr(len(text))
+	}
+	b := NewSegmentBuilder()
+	b.Add("top.v", text)
+	batch := BuildSegment([]string{"top.v"}, []string{text}, 1)
+	for _, g := range []*Segment{b.Seal(), batch} {
+		if len(g.termIDs) < 10 {
+			t.Fatalf("only %d unigrams interned", len(g.termIDs))
+		}
+		for term := range g.termIDs {
+			if inside(term) {
+				t.Fatalf("dictionary key %q points into the document it came from", term)
+			}
+		}
+	}
 }
 
 // BenchmarkBuildSegment builds bench/'s base corpus (8 000 protected

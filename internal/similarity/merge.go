@@ -50,7 +50,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 
 		// Re-intern postings ids in ascending source-id order. Within a
 		// document, every bigram was interned after its component unigrams
-		// (addToks adds unigrams first), so when we reach a bigram id, both
+		// (addDoc: unigrams first), so when we reach a bigram id, both
 		// component terms of any LIVE occurrence already exist in out —
 		// toOut resolves them. Lists whose docs are all tombstoned are
 		// dropped entirely; a bigram over such a list cannot have a live

@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"slices"
+	"strings"
 
 	"freehw/internal/par"
 )
@@ -209,22 +210,25 @@ func (g *Segment) seal() *Segment {
 }
 
 // SegmentBuilder is the only mutable index state: it accumulates documents
-// with O(document) work per Add — tokenize, intern against the
-// segment-local dictionary, append the document's distinct terms and
-// weights to a doc-major log — and Seal transposes the log into the
-// segment's term-major arenas with one counting sort. Peak memory is the
-// log plus the arenas it becomes — the builder never retains document
-// text — which is what lets the serving layer stream an NDJSON upload of
-// any size straight into a bounded segment. Single-writer; Seal hands the
-// segment over to concurrent readers and ends the builder's life.
+// with O(document) work per Add — scan the text, intern each token as it is
+// met, append the document's distinct terms and counts to a doc-major log —
+// and Seal transposes the log into the segment's term-major arenas with one
+// counting sort. The log is 8 bytes a posting in fixed chunks, never copied
+// to grow, and no document text is retained (intern): nothing here is as
+// large as the upload, so the serving layer can stream a body of any size in.
+// Single-writer; Seal hands the segment to concurrent readers and ends it.
 type SegmentBuilder struct {
-	seg     *Segment  // names and dictionaries; nil once sealed
-	ids     []int32   // the log: each document's distinct postings ids, documents back to back
-	weights []float64 // parallel to ids
-	ends    []int     // per document: where its run in ids ends
-	cnt     []uint32  // per postings id: occurrences in the document being added, zero between Adds
-	tids    []int32   // per token of the document being added: its unigram id
+	seg   *Segment   // names and dictionaries; nil once sealed
+	log   [][]uint64 // per document, back to back: its distinct postings ids as id<<32 | count, in chunks of logChunk
+	n     int        // entries in log
+	ends  []int      // per document: where its run in the log ends
+	norms []float64  // per document: the norm of its counts
+	cnt   []uint32   // per postings id: occurrences in the document being added, zero between Adds
+	tids  []int32    // per token of the document being added: its unigram id
+	ids   []int32    // the document being added's distinct postings ids, in first-use order
 }
+
+const logShift, logChunk = 16, 1 << 16 // 64 Ki entries, 512 KiB
 
 // NewSegmentBuilder returns an empty builder.
 func NewSegmentBuilder() *SegmentBuilder { return &SegmentBuilder{seg: newSegment()} }
@@ -238,23 +242,33 @@ func (b *SegmentBuilder) open(op string) *Segment {
 	return b.seg
 }
 
-// Add appends one document. O(len(text)). Panics after Seal.
-func (b *SegmentBuilder) Add(name, text string) { b.addToks(name, Tokenize(text)) }
-
-func (b *SegmentBuilder) addToks(name string, toks []string) {
-	g := b.open("Add")
-	g.names = append(g.names, name)
-	// Every unigram is interned before any of the document's bigrams: a
-	// bigram's id exceeds both its unigrams', which MergeSegments and
-	// DecodeSegment rely on.
-	b.tids = b.tids[:0]
-	for _, t := range toks {
-		b.tids = append(b.tids, g.uniID(t))
+// intern appends token t's unigram id to tids. t is a substring of a
+// document, so a term's first sight clones it: a key aliasing the text keeps
+// a whole upload alive with the segment. (MergeSegments' keys are standalone.)
+func (b *SegmentBuilder) intern(t string) {
+	id, ok := b.seg.termIDs[t]
+	if !ok {
+		id = b.seg.uniID(strings.Clone(t))
 	}
-	if need := g.lists() + len(toks); need > len(b.cnt) { // room for every bigram to be new
+	b.tids = append(b.tids, id)
+}
+
+// Add appends one document, interning its tokens as they are scanned. Panics after Seal.
+func (b *SegmentBuilder) Add(name, text string) {
+	b.open("Add")
+	tokens(text, b.intern)
+	b.addDoc(name)
+}
+
+// addDoc logs the document whose unigram ids are in tids. Every unigram was
+// interned before any of the document's bigrams: a bigram's id exceeds both
+// its unigrams', which MergeSegments and DecodeSegment rely on.
+func (b *SegmentBuilder) addDoc(name string) {
+	g := b.seg
+	g.names = append(g.names, name)
+	if need := g.lists() + len(b.tids); need > len(b.cnt) { // room for every bigram to be new
 		b.cnt = append(b.cnt, make([]uint32, need-len(b.cnt))...)
 	}
-	start := len(b.ids)
 	bump := func(id int32) {
 		if b.cnt[id] == 0 {
 			b.ids = append(b.ids, id)
@@ -270,16 +284,19 @@ func (b *SegmentBuilder) addToks(name string, toks []string) {
 	// Counts are integers, so the norm is exact regardless of sum order. An
 	// empty document logs nothing: no postings, unreachable by any query.
 	var sum float64
-	for _, id := range b.ids[start:] {
-		c := float64(b.cnt[id])
-		sum += c * c
-	}
-	norm := math.Sqrt(sum)
-	for _, id := range b.ids[start:] {
-		b.weights = append(b.weights, float64(b.cnt[id])/norm)
+	for _, id := range b.ids {
+		if b.n>>logShift == len(b.log) { // the first chunk starts empty and grows by append: a small delta's builder stays small
+			b.log = append(b.log, make([]uint64, 0, min(len(b.log), 1)<<logShift))
+		}
+		c := b.cnt[id]
+		b.log[b.n>>logShift] = append(b.log[b.n>>logShift], uint64(id)<<32|uint64(c))
+		b.n++
+		sum += float64(c) * float64(c)
 		b.cnt[id] = 0
 	}
-	b.ends = append(b.ends, len(b.ids))
+	b.ends = append(b.ends, b.n)
+	b.norms = append(b.norms, math.Sqrt(sum))
+	b.tids, b.ids = b.tids[:0], b.ids[:0]
 }
 
 // Len returns the number of documents added so far. Panics after Seal.
@@ -292,17 +309,20 @@ func (b *SegmentBuilder) Len() int { return len(b.open("Len").names) }
 func (b *SegmentBuilder) Seal() *Segment {
 	g := b.open("Seal")
 	n := make([]uint32, g.lists()+2)
-	for _, id := range b.ids {
-		n[id+2]++
+	for _, chunk := range b.log {
+		for _, e := range chunk {
+			n[e>>32+2]++
+		}
 	}
 	cur := g.layout(n)
 	lo := 0
 	for doc, end := range b.ends {
 		for j := lo; j < end; j++ {
-			p := cur[b.ids[j]+1]
-			cur[b.ids[j]+1] = p + 1
+			e := b.log[j>>logShift][j&(logChunk-1)]
+			p := cur[e>>32+1]
+			cur[e>>32+1] = p + 1
 			g.docs[p] = int32(doc)
-			g.ws[p] = b.weights[j]
+			g.ws[p] = float64(uint32(e)) / b.norms[doc] // tf(term, doc)/norm(doc)
 		}
 		lo = end
 	}
@@ -310,23 +330,25 @@ func (b *SegmentBuilder) Seal() *Segment {
 	return g.seal()
 }
 
-// BuildSegment is the batch form of the builder, used by full
-// (replace-mode) publishes: per-document tokenization fans out over at
-// most workers goroutines (<= 0 means GOMAXPROCS); dictionary interning
-// and index insertion stay sequential in document order, so the segment is
-// identical regardless of worker count. names and texts run in parallel.
+// BuildSegment is the batch form of the builder, for callers that hold the
+// corpus: tokenization fans out over at most workers goroutines (<= 0 means
+// GOMAXPROCS), buildWindow documents at a time into reused token slices;
+// interning and insertion stay sequential, so the segment is the same at any
+// worker count. names and texts run in parallel.
 func BuildSegment(names, texts []string, workers int) *Segment {
+	const buildWindow = 256
 	b := NewSegmentBuilder()
-	tokLists := par.Map(workers, len(texts), func(i int) []string {
-		return Tokenize(texts[i])
-	})
-	for i, toks := range tokLists {
-		name := ""
-		if i < len(names) {
-			name = names[i]
+	names = append(slices.Clip(names), make([]string, max(0, len(texts)-len(names)))...) // documents past the names are ""
+	toks := make([][]string, buildWindow)
+	for lo := 0; lo < len(texts); lo += buildWindow {
+		n := min(buildWindow, len(texts)-lo)
+		par.ForEach(workers, n, func(i int) { toks[i] = appendTokens(toks[i][:0], texts[lo+i]) })
+		for i := range n {
+			for _, t := range toks[i] {
+				b.intern(t)
+			}
+			b.addDoc(names[lo+i])
 		}
-		b.addToks(name, toks)
-		tokLists[i] = nil // release each document's tokens as it lands
 	}
 	return b.Seal()
 }

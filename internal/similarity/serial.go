@@ -78,58 +78,67 @@ func (r *reader) bytes(n int) []byte {
 
 func (r *reader) done() bool { return !r.err && r.off == len(r.b) }
 
-// EncodeSections serializes the segment into its four structural
-// sections, each allocated once at its exact size. The result aliases
-// nothing in the segment; it is safe to write while concurrent queries
-// run, because a sealed segment is immutable.
-func (g *Segment) EncodeSections() [][]byte {
-	// Section 0: document names.
-	size := 4
-	for _, n := range g.names {
-		size += 4 + len(n)
-	}
-	names := appendU32(make([]byte, 0, size), uint32(len(g.names)))
-	for _, n := range g.names {
-		names = appendU32(names, uint32(len(n)))
-		names = append(names, n...)
-	}
-
-	// Sections 1 and 2: the unigram dictionary and the bigram dictionary
-	// (unigram-id pair -> postings id), each in postings-id order for
-	// determinism.
+// WriteSections streams the segment's four structural sections, in order,
+// through emit: each call carries a section's index and its next bytes (about
+// encodeChunk, valid only until emit returns), so a writer never holds the
+// encoding. Safe beside queries — the segment is sealed; emit's first error stops it.
+func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
+	const encodeChunk = 64 << 10
 	terms, pairs, isPair := g.dictByID()
-	size = 4 + 8*len(g.termIDs)
-	for t := range g.termIDs {
-		size += len(t)
+	counts := [SnapshotSections]int{len(g.names), len(g.termIDs), len(g.pairIDs), g.lists()}
+	walks := [SnapshotSections]int{len(g.names), g.lists(), g.lists(), g.lists()} // each dictionary picks its ids out of all
+	items := [SnapshotSections]func(b []byte, i int) []byte{
+		func(b []byte, i int) []byte { return append(appendU32(b, uint32(len(g.names[i]))), g.names[i]...) },
+		func(b []byte, id int) []byte {
+			if isPair[id] {
+				return b
+			}
+			return append(appendU32(appendU32(b, uint32(id)), uint32(len(terms[id]))), terms[id]...)
+		},
+		func(b []byte, id int) []byte {
+			if !isPair[id] {
+				return b
+			}
+			return appendU32(appendU64(b, pairs[id]), uint32(id))
+		},
+		func(b []byte, id int) []byte {
+			lo, hi := g.off[id], g.off[id+1]
+			b = appendU32(b, hi-lo)
+			for _, d := range g.docs[lo:hi] {
+				b = appendU32(b, uint32(d))
+			}
+			for _, w := range g.ws[lo:hi] {
+				b = appendU64(b, math.Float64bits(w))
+			}
+			return b
+		},
 	}
-	uni := appendU32(make([]byte, 0, size), uint32(len(g.termIDs)))
-	bi := appendU32(make([]byte, 0, 4+12*len(g.pairIDs)), uint32(len(g.pairIDs)))
-	for id, pair := range isPair {
-		if pair {
-			bi = appendU64(bi, pairs[id])
-			bi = appendU32(bi, uint32(id))
-		} else {
-			uni = appendU32(uni, uint32(id))
-			uni = appendU32(uni, uint32(len(terms[id])))
-			uni = append(uni, terms[id]...)
+	buf := make([]byte, 0, 2*encodeChunk)
+	for sec, item := range items {
+		buf = appendU32(buf[:0], uint32(counts[sec]))
+		for i, n := 0, walks[sec]; i <= n; i++ {
+			if i < n {
+				buf = item(buf, i)
+			}
+			if len(buf) >= encodeChunk || i == n { // a full chunk, or the section's last
+				if err := emit(sec, buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
 		}
 	}
+	return nil
+}
 
-	// Section 3: postings lists — parallel doc/weight arrays, weights as
-	// raw IEEE-754 bits so scoring after a reload is bit-identical.
-	post := appendU32(make([]byte, 0, 4+4*g.lists()+12*len(g.docs)), uint32(g.lists()))
-	for id := 0; id < g.lists(); id++ {
-		lo, hi := g.off[id], g.off[id+1]
-		post = appendU32(post, hi-lo)
-		for _, d := range g.docs[lo:hi] {
-			post = appendU32(post, uint32(d))
-		}
-		for _, w := range g.ws[lo:hi] {
-			post = appendU64(post, math.Float64bits(w))
-		}
-	}
-
-	return [][]byte{names, uni, bi, post}
+// EncodeSections collects WriteSections' output; it aliases nothing in the segment.
+func (g *Segment) EncodeSections() [][]byte {
+	out := [][]byte{nil, nil, make([]byte, 0, 4+12*len(g.pairIDs)), make([]byte, 0, 4+4*g.lists()+12*len(g.docs))}
+	g.WriteSections(func(sec int, chunk []byte) error {
+		out[sec] = append(out[sec], chunk...)
+		return nil
+	})
+	return out
 }
 
 // EncodeSections on a single-segment, tombstone-free snapshot returns the

@@ -94,8 +94,10 @@ func tokens(text string, fn func(string)) {
 // bytes would make every multi-byte script share continuation-byte terms
 // and spuriously correlate unrelated files. Invalid UTF-8 bytes stay
 // single-byte terms.
-func Tokenize(text string) []string {
-	var out []string
+func Tokenize(text string) []string { return appendTokens(nil, text) }
+
+// appendTokens is Tokenize into a caller's buffer.
+func appendTokens(out []string, text string) []string {
 	tokens(text, func(t string) { out = append(out, t) })
 	return out
 }

@@ -21,7 +21,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	if err := st.Save(1, snap); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(bytes.Join(encodeFile(1, snap), nil))))
+	b.SetBytes(int64(len(bytes.Join(encodeContainer(descMagic, 1, [][]byte{encodeDescriptor(snap)}), nil))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,7 +40,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if err := st.Save(1, snap); err != nil {
 		b.Fatal(err)
 	}
-	size := len(bytes.Join(encodeFile(1, snap), nil)) + len(bytes.Join(encodeSegFile(snap.Segment(0)), nil))
+	size := len(bytes.Join(encodeContainer(descMagic, 1, [][]byte{encodeDescriptor(snap)}), nil)) + len(bytes.Join(encodeContainer(segMagic, snap.Segment(0).ID(), snap.Segment(0).EncodeSections()), nil))
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()

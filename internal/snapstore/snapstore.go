@@ -159,22 +159,44 @@ func (st *Store) SegPath(id uint64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("%s%016x%s", segPrefix, id, snapSuffix))
 }
 
-// encodeContainer builds the checksummed file image shared by every store
-// file — magic, format version, a u64 identity, and checksummed sections —
-// as the pieces to write in order: the header, then the sections
-// themselves, never copied into one buffer.
-func encodeContainer(magic string, id uint64, sections [][]byte) [][]byte {
-	header := make([]byte, 0, 4+1+8+4+len(sections)*8+4)
+// containerHeader builds the header shared by every store file — magic,
+// format version, a u64 identity, then each section's length and CRC32-C —
+// closed by its own checksum. The sections follow it back to back.
+func containerHeader(magic string, id uint64, lens, crcs []uint32) []byte {
+	header := make([]byte, 0, containerHeaderLen(len(lens)))
 	header = append(header, magic...)
 	header = append(header, formatVersion)
 	header = binary.LittleEndian.AppendUint64(header, id)
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(sections)))
-	for _, sec := range sections {
-		header = binary.LittleEndian.AppendUint32(header, uint32(len(sec)))
-		header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(sec, castagnoli))
+	header = binary.LittleEndian.AppendUint32(header, uint32(len(lens)))
+	for i := range lens {
+		header = binary.LittleEndian.AppendUint32(header, lens[i])
+		header = binary.LittleEndian.AppendUint32(header, crcs[i])
 	}
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(header, castagnoli))
-	return append([][]byte{header}, sections...)
+	return binary.LittleEndian.AppendUint32(header, crc32.Checksum(header, castagnoli))
+}
+
+func containerHeaderLen(nsec int) int { return 4 + 1 + 8 + 4 + nsec*8 + 4 }
+
+// writeContainer writes one container file to f without ever holding its
+// image: a placeholder where the header goes, then the sections as body
+// streams them (in order, a chunk at a time: similarity.WriteSections) through
+// running lengths and checksums, then the header, patched in place.
+func writeContainer(f *os.File, magic string, id uint64, nsec int, body func(emit func(sec int, chunk []byte) error) error) error {
+	if _, err := f.Write(make([]byte, containerHeaderLen(nsec))); err != nil {
+		return err
+	}
+	lens, crcs := make([]uint32, nsec), make([]uint32, nsec)
+	err := body(func(sec int, chunk []byte) error {
+		lens[sec] += uint32(len(chunk))
+		crcs[sec] = crc32.Update(crcs[sec], castagnoli, chunk)
+		_, err := f.Write(chunk)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(containerHeader(magic, id, lens, crcs), 0)
+	return err
 }
 
 // decodeContainer validates every checksum and returns the magic, the
@@ -227,11 +249,6 @@ func decodeContainer(data []byte) (magic string, id uint64, sections [][]byte, e
 	return magic, id, sections, nil
 }
 
-// encodeSegFile builds one segment's file image.
-func encodeSegFile(g *similarity.Segment) [][]byte {
-	return encodeContainer(segMagic, g.ID(), g.EncodeSections())
-}
-
 // decodeSegFile validates and reconstructs one segment.
 func decodeSegFile(data []byte) (*similarity.Segment, uint64, error) {
 	magic, id, sections, err := decodeContainer(data)
@@ -251,9 +268,9 @@ func decodeSegFile(data []byte) (*similarity.Segment, uint64, error) {
 	return seg, id, nil
 }
 
-// encodeFile builds one version's descriptor file image: the ordered
+// encodeDescriptor builds one version's descriptor payload: the ordered
 // segment list with per-segment doc counts and tombstone bitmaps.
-func encodeFile(version uint64, snap *similarity.Snapshot) [][]byte {
+func encodeDescriptor(snap *similarity.Snapshot) []byte {
 	desc := binary.LittleEndian.AppendUint32(nil, uint32(snap.Segments()))
 	for i := 0; i < snap.Segments(); i++ {
 		g := snap.Segment(i)
@@ -265,7 +282,7 @@ func encodeFile(version uint64, snap *similarity.Snapshot) [][]byte {
 			desc = binary.LittleEndian.AppendUint64(desc, w)
 		}
 	}
-	return encodeContainer(descMagic, version, [][]byte{desc})
+	return desc
 }
 
 // segRef is one descriptor entry: a segment id plus the tombstones the
@@ -341,20 +358,18 @@ func (st *Store) loadSegment(id uint64) (*similarity.Segment, error) {
 	return seg, nil
 }
 
-// writeDurable writes a file image — its pieces back to back — crash-safely
-// to path: temp file in the same directory, fsync, atomic rename, directory
-// fsync. The failpoints fire at each boundary a real crash could land on.
-func (st *Store) writeDurable(path string, image [][]byte, fpAfterWrite, fpAfterSync string) error {
+// writeDurable writes a file crash-safely to path: write fills a temp file in
+// the same directory, then fsync, atomic rename, directory fsync. The
+// failpoints fire at each boundary a real crash could land on.
+func (st *Store) writeDurable(path string, write func(f *os.File) error, fpAfterWrite, fpAfterSync string) error {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	for _, piece := range image {
-		if _, err := f.Write(piece); err != nil {
-			f.Close() //freehw:nolint errflow -- best-effort close on a path already returning the write error
-			return err
-		}
+	if err := write(f); err != nil {
+		f.Close() //freehw:nolint errflow -- best-effort close on a path already returning the write error
+		return err
 	}
 	if err := failpoint.Inject(fpAfterWrite); err != nil {
 		f.Close()  //freehw:nolint errflow -- best-effort close on a simulated-crash path; the injected error is the one that matters
@@ -417,7 +432,10 @@ func (st *Store) Save(version uint64, snap *similarity.Snapshot) error {
 		if _, err := os.Stat(path); err == nil {
 			continue // already durable from an earlier version
 		}
-		if err := st.writeDurable(path, encodeSegFile(g), FPAfterSegWrite, FPAfterSegSync); err != nil {
+		writeSeg := func(f *os.File) error {
+			return writeContainer(f, segMagic, g.ID(), similarity.SnapshotSections, g.WriteSections)
+		}
+		if err := st.writeDurable(path, writeSeg, FPAfterSegWrite, FPAfterSegSync); err != nil {
 			return err
 		}
 		if err := failpoint.Inject(FPAfterSegCommit); err != nil {
@@ -425,7 +443,10 @@ func (st *Store) Save(version uint64, snap *similarity.Snapshot) error {
 		}
 	}
 	path := st.snapPath(version)
-	if err := st.writeDurable(path, encodeFile(version, snap), FPAfterTempWrite, FPAfterTempSync); err != nil {
+	writeDesc := func(f *os.File) error {
+		return writeContainer(f, descMagic, version, 1, func(emit func(int, []byte) error) error { return emit(0, encodeDescriptor(snap)) })
+	}
+	if err := st.writeDurable(path, writeDesc, FPAfterTempWrite, FPAfterTempSync); err != nil {
 		return err
 	}
 	if err := failpoint.Inject(FPAfterSnapRename); err != nil {
@@ -436,7 +457,8 @@ func (st *Store) Save(version uint64, snap *similarity.Snapshot) error {
 	manifest = append(manifest, formatVersion)
 	manifest = binary.LittleEndian.AppendUint64(manifest, version)
 	manifest = binary.LittleEndian.AppendUint32(manifest, crc32.Checksum(manifest, castagnoli))
-	if err := st.writeDurable(filepath.Join(st.dir, manifestName), [][]byte{manifest}, FPAfterManifestTemp, FPAfterManifestSync); err != nil {
+	writeManifest := func(f *os.File) error { _, err := f.Write(manifest); return err }
+	if err := st.writeDurable(filepath.Join(st.dir, manifestName), writeManifest, FPAfterManifestTemp, FPAfterManifestSync); err != nil {
 		return err
 	}
 	if err := failpoint.Inject(FPAfterSave); err != nil {

@@ -201,7 +201,7 @@ func TestGoldenSegmentFile(t *testing.T) {
 	if id != 0x2a || seg.ID() != 0x2a || seg.Docs() != 5 {
 		t.Fatalf("golden segment: file id %#x, segment id %#x, %d docs", id, seg.ID(), seg.Docs())
 	}
-	if got := bytes.Join(encodeSegFile(seg), nil); !bytes.Equal(got, golden) {
+	if got := bytes.Join(encodeContainer(segMagic, seg.ID(), seg.EncodeSections()), nil); !bytes.Equal(got, golden) {
 		t.Fatalf("golden segment re-encodes to %d bytes that differ from the file's %d", len(got), len(golden))
 	}
 	snap := similarity.SnapshotOf([]*similarity.Segment{seg}, nil)
