@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -19,18 +21,32 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("repro: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is main with its arguments and streams passed in: the tables and
+// figures go to stdout, progress and flag errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "repro: ", 0)
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale    = flag.Float64("scale", 0.25, "world scale (1.0 = 1:100 of the paper's GitHub snapshot)")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		evalN    = flag.Int("evaln", 10, "samples per VerilogEval problem")
-		problems = flag.Int("problems", 0, "cap on problem count (0 = all 156)")
-		skipEval = flag.Bool("skip-eval", false, "skip the (slow) Table II evaluation")
-		skipFig3 = flag.Bool("skip-fig3", false, "skip the Figure 3 copyright benchmark")
-		workers  = flag.Int("workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS); results are identical for any value")
+		scale    = fs.Float64("scale", 0.25, "world scale (1.0 = 1:100 of the paper's GitHub snapshot)")
+		seed     = fs.Int64("seed", 1, "experiment seed")
+		evalN    = fs.Int("evaln", 10, "samples per VerilogEval problem")
+		problems = fs.Int("problems", 0, "cap on problem count (0 = all 156)")
+		skipEval = fs.Bool("skip-eval", false, "skip the (slow) Table II evaluation")
+		skipFig3 = fs.Bool("skip-fig3", false, "skip the Figure 3 copyright benchmark")
+		workers  = fs.Int("workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS); results are identical for any value")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Scale = *scale
@@ -40,63 +56,63 @@ func main() {
 	cfg.Workers = *workers
 
 	start := time.Now()
-	log.Printf("building world at scale %.2f and scraping the simulated GitHub...", *scale)
+	logger.Printf("building world at scale %.2f and scraping the simulated GitHub...", *scale)
 	e, err := core.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("scrape: %d repos via %d API requests (%d date-window splits)",
+	logger.Printf("scrape: %d repos via %d API requests (%d date-window splits)",
 		e.ScrapeStats.Repos, e.ScrapeStats.Requests, e.ScrapeStats.WindowSplits)
 
-	fmt.Println("\n===== Funnel (paper §IV-A) =====")
-	fmt.Print(e.FreeSet.FunnelReport(cfg.Scale))
+	fmt.Fprintln(stdout, "\n===== Funnel (paper §IV-A) =====")
+	fmt.Fprint(stdout, e.FreeSet.FunnelReport(cfg.Scale))
 
-	fmt.Println("\n===== Table I: dataset comparison =====")
+	fmt.Fprintln(stdout, "\n===== Table I: dataset comparison =====")
 	rows := curation.PriorWorkRows()
 	rows = append(rows, curation.PaperFreeSetRow(), e.FreeSet.FreeSetRow("FreeSet (measured)"))
-	fmt.Print(curation.RenderTableI(rows))
+	fmt.Fprint(stdout, curation.RenderTableI(rows))
 
-	fmt.Println("\n===== Figure 2: file-length distribution =====")
-	fmt.Print(curation.Render(
+	fmt.Fprintln(stdout, "\n===== Figure 2: file-length distribution =====")
+	fmt.Fprint(stdout, curation.Render(
 		[]string{"FreeSet", "VeriGen-like"},
 		[]curation.Histogram{
 			curation.LengthHistogram(e.FreeSet.Texts()),
 			curation.LengthHistogram(e.VeriGenLike.Texts()),
 		}))
 
-	log.Printf("training the model zoo...")
+	logger.Printf("training the model zoo...")
 	zoo, err := e.BuildZoo(core.DefaultZoo())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, name := range zoo.Order {
-		log.Printf("  %s", zoo.Reports[name])
+		logger.Printf("  %s", zoo.Reports[name])
 	}
 
 	if !*skipFig3 {
-		fmt.Println("\n===== Figure 3: hardware copyright infringement rates =====")
+		fmt.Fprintln(stdout, "\n===== Figure 3: hardware copyright infringement rates =====")
 		points := e.RunCopyrightBenchmark(zoo)
-		fmt.Print(core.RenderFigure3(points))
-		fmt.Println("paper: VeriGen 9%->15% over base; CodeV above base; FreeV 3% (lowest tuned, +1pt over base Llama)")
+		fmt.Fprint(stdout, core.RenderFigure3(points))
+		fmt.Fprintln(stdout, "paper: VeriGen 9%->15% over base; CodeV above base; FreeV 3% (lowest tuned, +1pt over base Llama)")
 	}
 
 	if !*skipEval {
-		fmt.Println("\n===== Table II: VerilogEval =====")
+		fmt.Fprintln(stdout, "\n===== Table II: VerilogEval =====")
 		var outcomes []core.EvalOutcome
 		for _, name := range []string{"Llama-3.1-8B-Instruct", "FreeV-Llama3.1"} {
-			log.Printf("evaluating %s on %d problems x %d samples x 2 temps...",
+			logger.Printf("evaluating %s on %d problems x %d samples x 2 temps...",
 				name, nOr156(*problems), *evalN)
 			outcomes = append(outcomes, e.RunVerilogEval(zoo.Models[name]))
 		}
-		fmt.Print(core.TableII(outcomes))
+		fmt.Fprint(stdout, core.TableII(outcomes))
 		for _, o := range outcomes {
-			fmt.Printf("  %s: solved %d/%d problems (best temp %.1f)\n",
+			fmt.Fprintf(stdout, "  %s: solved %d/%d problems (best temp %.1f)\n",
 				o.Model, o.Solved, o.ProblemsTotal, o.BestTemp)
 		}
 	}
 
-	log.Printf("done in %s", time.Since(start).Round(time.Second))
-	_ = os.Stdout.Sync()
+	logger.Printf("done in %s", time.Since(start).Round(time.Second))
+	return nil
 }
 
 func nOr156(n int) int {
