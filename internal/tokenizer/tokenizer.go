@@ -30,11 +30,6 @@ type TrainConfig struct {
 	MaxBytes  int // cap on training sample size (concatenated)
 }
 
-// DefaultTrainConfig matches the scale of this reproduction.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{VocabSize: 1024, MaxBytes: 1 << 20}
-}
-
 func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // preTokenize splits text into chunks no BPE token may cross: a word with
@@ -97,22 +92,33 @@ func Train(corpus []string, cfg TrainConfig) *Tokenizer {
 	for i := 0; i < 256; i++ {
 		vocab[i] = string([]byte{byte(i)})
 	}
-	chunks := preTokenize(string(sample))
-	seqs := make([][]int32, len(chunks))
-	for ci, ch := range chunks {
-		s := make([]int32, len(ch))
-		for i := 0; i < len(ch); i++ {
-			s[i] = int32(ch[i])
+	// Merges never cross a chunk, so a pair's count is its occurrences in
+	// each distinct chunk times that chunk's frequency: one sequence per
+	// distinct chunk (a few thousand) instead of one per chunk.
+	index := map[string]int{}
+	var seqs [][]int32
+	var freq []int
+	for _, ch := range preTokenize(string(sample)) {
+		si, seen := index[ch]
+		if !seen {
+			si = len(seqs)
+			index[ch] = si
+			s := make([]int32, len(ch))
+			for i := 0; i < len(ch); i++ {
+				s[i] = int32(ch[i])
+			}
+			seqs = append(seqs, s)
+			freq = append(freq, 0)
 		}
-		seqs[ci] = s
+		freq[si]++
 	}
 
 	type pair struct{ a, b int32 }
 	for len(vocab) < cfg.VocabSize {
 		counts := map[pair]int{}
-		for _, seq := range seqs {
+		for si, seq := range seqs {
 			for i := 0; i+1 < len(seq); i++ {
-				counts[pair{seq[i], seq[i+1]}]++
+				counts[pair{seq[i], seq[i+1]}] += freq[si]
 			}
 		}
 		// Deterministic best pair: max count, lexicographic tiebreak.
