@@ -456,8 +456,10 @@ type EvalOutcome struct {
 }
 
 // RunVerilogEval evaluates a model at temperatures 0.2 and 0.8 and keeps
-// the better result per k (§III-E2).
+// the better result per k (§III-E2). The model leaves with the temperature
+// it came in with.
 func (e *Experiment) RunVerilogEval(m *lm.Model) EvalOutcome {
+	defer m.SetTemperature(m.Config().Temperature)
 	problems := veval.BuildSuite()
 	if e.Cfg.EvalProblems > 0 && e.Cfg.EvalProblems < len(problems) {
 		problems = problems[:e.Cfg.EvalProblems]
@@ -480,7 +482,6 @@ func (e *Experiment) RunVerilogEval(m *lm.Model) EvalOutcome {
 			out.Solved = res.Solved()
 		}
 	}
-	m.SetTemperature(0.2)
 	return out
 }
 

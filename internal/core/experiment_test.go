@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"freehw/internal/license"
+	"freehw/internal/training"
 	"freehw/internal/veval"
 	"freehw/internal/vlog"
 )
@@ -134,6 +135,20 @@ func TestVerilogEvalImprovement(t *testing.T) {
 	table := TableII([]EvalOutcome{baseOut, freevOut})
 	if !strings.Contains(table, "base-e") || !strings.Contains(table, "GPT-4") {
 		t.Fatalf("Table II rendering broken:\n%s", table)
+	}
+}
+
+// A model evaluated at the suite's two temperatures leaves with its own:
+// what a later benchmark samples at must not depend on whether Table II
+// ran first.
+func TestVerilogEvalRestoresTemperature(t *testing.T) {
+	e := smallExperiment(t)
+	cfg := e.Cfg.Train
+	cfg.LM.Temperature = 0.5
+	m, _ := training.TrainBase("warm", e.Tok, e.General, nil, cfg)
+	e.RunVerilogEval(m)
+	if got := m.Config().Temperature; got != 0.5 {
+		t.Fatalf("RunVerilogEval left the model at temperature %v, want the 0.5 it was built with", got)
 	}
 }
 
