@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vsim [-top tb] [-time 100000] [-seed 1] design.v [more.v ...]
+//	vsim [-top tb] [-time 100000] [-seed 1] [-stats] design.v [more.v ...]
 //
 // All files are concatenated into one source; the top module (default: the
 // last module defined) is elaborated and run until $finish, event
@@ -12,9 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 
@@ -23,30 +24,43 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("vsim: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "vsim:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is main with its arguments and streams passed in: what the design
+// prints goes to stdout; the exit line, -stats and flag errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		top   = flag.String("top", "", "top module (default: last module in the file)")
-		limit = flag.Uint64("time", 1_000_000, "simulation time limit")
-		seed  = flag.Int64("seed", 1, "$random seed")
-		stats = flag.Bool("stats", false, "print signal values at exit")
+		top   = fs.String("top", "", "top module (default: last module in the file)")
+		limit = fs.Uint64("time", 1_000_000, "simulation time limit")
+		seed  = fs.Int64("seed", 1, "$random seed")
+		stats = fs.Bool("stats", false, "print signal values at exit")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		log.Fatal("usage: vsim [-top module] file.v [more.v ...]")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return errors.New("usage: vsim [-top module] file.v [more.v ...]")
 	}
 	var src []byte
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src = append(src, data...)
 		src = append(src, '\n')
 	}
 	f, err := vlog.ParseFile(string(src))
 	if err != nil {
-		log.Fatalf("parse: %v", err)
+		return fmt.Errorf("parse: %w", err)
 	}
 	name := *top
 	if name == "" {
@@ -54,14 +68,14 @@ func main() {
 	}
 	d, err := vsim.Elaborate(f, name, nil)
 	if err != nil {
-		log.Fatalf("elaborate: %v", err)
+		return fmt.Errorf("elaborate: %w", err)
 	}
-	sim := vsim.New(d, vsim.Options{Seed: *seed, Output: os.Stdout})
+	sim := vsim.New(d, vsim.Options{Seed: *seed, Output: stdout})
 	defer sim.Close()
 	if err := sim.Run(*limit); err != nil {
-		log.Fatalf("simulate: %v", err)
+		return fmt.Errorf("simulate: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "vsim: %s finished at t=%d ($finish=%v)\n", name, sim.Time(), sim.Finished())
+	fmt.Fprintf(stderr, "vsim: %s finished at t=%d ($finish=%v)\n", name, sim.Time(), sim.Finished())
 	if *stats {
 		names := make([]string, 0, len(d.Top.Signals))
 		for sname := range d.Top.Signals {
@@ -69,7 +83,8 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, sname := range names {
-			fmt.Fprintf(os.Stderr, "  %s = %s\n", sname, d.Top.Signals[sname].Val)
+			fmt.Fprintf(stderr, "  %s = %s\n", sname, d.Top.Signals[sname].Val)
 		}
 	}
+	return nil
 }
