@@ -277,19 +277,3 @@ func TestNonCanonicalPortVariation(t *testing.T) {
 		t.Fatalf("non-canonical adders too often canonical: %d/%d", same, trials)
 	}
 }
-
-// Every generated module must also round-trip through the printer.
-func TestGeneratedModulesPrintRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 40; i++ {
-		m := Generate(rng, "", i%2 == 0)
-		f, err := vlog.ParseFile(m.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		printed := vlog.Print(f)
-		if err := vlog.Check(printed); err != nil {
-			t.Fatalf("printed %s does not parse: %v\n%s", m.Family, err, printed)
-		}
-	}
-}

@@ -242,15 +242,6 @@ endmodule`, rdata, rng.Uint32(), addr, ctrl, wen, wdata, stat, wdata, rng.Intn(0
 	return sb.String(), false
 }
 
-// PromptNames returns the protected file names (helper for reports).
-func PromptNames(files []ProtectedFile) []string {
-	out := make([]string, len(files))
-	for i, f := range files {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // GeneralText generates n "pre-training documents" of generic English and
 // software-flavored text — the base models' world knowledge, standing in
 // for the web-scale pre-training mix of Llama/CodeGen-class models.

@@ -1,8 +1,6 @@
 package similarity
 
 import (
-	"sort"
-
 	"freehw/internal/par"
 	"freehw/internal/vlog"
 )
@@ -107,16 +105,6 @@ func (r Report) ViolationRate() float64 {
 		return 0
 	}
 	return float64(r.NumViolations) / float64(r.NumPrompts)
-}
-
-// ScoreDistribution returns all best-match scores, sorted descending.
-func (r Report) ScoreDistribution() []float64 {
-	out := make([]float64, 0, len(r.Results))
-	for _, p := range r.Results {
-		out = append(out, p.Best.Score)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }
 
 // RunBenchmark probes gen with every prompt and scores each generation

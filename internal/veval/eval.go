@@ -22,9 +22,6 @@ type EvalConfig struct {
 	Workers int
 }
 
-// DefaultEvalConfig returns n=20 samples of up to 768 tokens.
-func DefaultEvalConfig() EvalConfig { return EvalConfig{N: 20, MaxTokens: 768} }
-
 // ProblemResult is one problem's outcome.
 type ProblemResult struct {
 	ID      string
@@ -139,17 +136,6 @@ func PriorWorkRows() []Row {
 		{Type: "Verilog-Tuned", Model: "OpenLLM-RTL", OpenSource: "N/A", Size: "6.7B", Pass1: 42.8, Pass5: 51.6, Pass10: 55.0},
 		{Type: "This Work (paper)", Model: "Llama-3.1-Instruct (4-bit)", OpenSource: "Yes", Size: "8B", Pass1: 14.8, Pass5: 23.0, Pass10: 25.9},
 		{Type: "This Work (paper)", Model: "FreeV-Llama3.1 (4-bit)", OpenSource: "Yes", Size: "8B", Pass1: 15.5, Pass5: 30.9, Pass10: 36.0},
-	}
-}
-
-// RowOf converts a measured Result into a Table II line.
-func (r Result) RowOf(typ, size string) Row {
-	return Row{
-		Type: typ, Model: r.Model, OpenSource: "Yes", Size: size,
-		Pass1:    100 * r.PassAtK(1),
-		Pass5:    100 * r.PassAtK(5),
-		Pass10:   100 * r.PassAtK(10),
-		Measured: true,
 	}
 }
 

@@ -73,8 +73,8 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
-// FuzzParse: the parser must never panic; when it accepts an input the
-// printer must render it without panicking either.
+// FuzzParse: the parser must never panic, and never return a nil file with
+// a nil error.
 func FuzzParse(f *testing.F) {
 	for _, s := range corpusSeeds() {
 		f.Add(s)
@@ -89,9 +89,6 @@ func FuzzParse(f *testing.F) {
 		}
 		if file == nil {
 			t.Fatal("nil file with nil error")
-		}
-		if out := Print(file); out == "" && len(file.Modules) > 0 {
-			t.Fatal("printer produced nothing for a parsed file")
 		}
 	})
 }
