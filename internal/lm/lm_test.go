@@ -2,7 +2,6 @@ package lm
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -220,28 +219,5 @@ func TestTrainWeightedEquivalence(t *testing.T) {
 	p := "module adder(input [7:0]"
 	if a.Generate(p, 100) != b.Generate(p, 100) {
 		t.Fatal("weighted training should equal repeated epochs")
-	}
-}
-
-func BenchmarkTrain(b *testing.B) {
-	tok := tokenizer.Train(trainDocs, tokenizer.TrainConfig{VocabSize: 512})
-	docs := make([]string, 0, 64)
-	for i := 0; i < 64; i++ {
-		docs = append(docs, strings.Replace(trainDocs[i%len(trainDocs)], "module ", fmt.Sprintf("module v%d_", i), 1))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewModel("bench", tok, DefaultConfig())
-		m.Train(docs)
-	}
-}
-
-func BenchmarkGenerate(b *testing.B) {
-	tok := tokenizer.Train(trainDocs, tokenizer.TrainConfig{VocabSize: 512})
-	m := NewModel("bench", tok, DefaultConfig())
-	m.Train(trainDocs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Sample("module counter(input clk,", 200, int64(i))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"freehw/internal/similarity"
-	"freehw/internal/snapstore"
 )
 
 // BenchmarkServeAudit measures end-to-end /audit throughput through the
@@ -66,103 +64,6 @@ func BenchmarkServeAudit(b *testing.B) {
 	b.StopTimer()
 	if b.N > 0 {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "audits/s")
-	}
-}
-
-// benchBatchServer publishes the standard 500-document corpus behind a
-// real HTTP server — the batch-vs-per-request comparison includes the
-// socket, framing, and client costs a production caller actually pays,
-// which is exactly what /v1/audit/batch amortizes.
-func benchBatchServer(b *testing.B) (*httptest.Server, func()) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(3))
-	names := make([]string, 500)
-	texts := make([]string, 500)
-	for i := range texts {
-		names[i] = fmt.Sprintf("d%d.v", i)
-		texts[i] = randVerilog(rng, i)
-	}
-	cfg := DefaultConfig()
-	cfg.QueueDepth = 4096
-	cfg.CacheBudget = -1 // unbounded: isolate batching from eviction noise
-	s := NewServer(cfg)
-	s.PublishDocuments(names, texts)
-	ts := httptest.NewServer(s.Handler())
-	return ts, func() { ts.Close(); s.Close() }
-}
-
-const benchBatchSize = 64
-
-// BenchmarkServeAuditBatch measures /v1/audit/batch at batch size 64 with
-// all-fresh candidates over real HTTP: one request, one JSON decode, and
-// one deduplicated BestBatch pass fanned across cores. Compare the
-// reported per-candidate audits/s against BenchmarkServeAuditPerRequest
-// (same work as 64 individual /v1/audit calls); the acceptance bar is
-// ≥2x.
-func BenchmarkServeAuditBatch(b *testing.B) {
-	ts, done := benchBatchServer(b)
-	defer done()
-	rng := rand.New(rand.NewSource(4))
-	bodies := make([][]byte, b.N)
-	for i := range bodies {
-		var req AuditBatchRequest
-		for j := 0; j < benchBatchSize; j++ {
-			req.Candidates = append(req.Candidates, AuditBatchCandidate{
-				Code: randVerilog(rng, 30000+i*benchBatchSize+j),
-			})
-		}
-		bodies[i], _ = json.Marshal(req)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/v1/audit/batch", "application/json", bytes.NewReader(bodies[i]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("batch audit status %d", resp.StatusCode)
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(b.N*benchBatchSize)/b.Elapsed().Seconds(), "audits/s")
-	}
-}
-
-// BenchmarkServeAuditPerRequest is BenchmarkServeAuditBatch's control: the
-// same 64 fresh candidates per iteration, sent as 64 individual /v1/audit
-// requests over the same real HTTP server (keep-alive client).
-func BenchmarkServeAuditPerRequest(b *testing.B) {
-	ts, done := benchBatchServer(b)
-	defer done()
-	rng := rand.New(rand.NewSource(4))
-	bodies := make([][]byte, b.N*benchBatchSize)
-	for i := range bodies {
-		bodies[i], _ = json.Marshal(AuditRequest{Code: randVerilog(rng, 30000+i)})
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < benchBatchSize; j++ {
-			resp, err := http.Post(ts.URL+"/v1/audit", "application/json", bytes.NewReader(bodies[i*benchBatchSize+j]))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("audit status %d", resp.StatusCode)
-			}
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(b.N*benchBatchSize)/b.Elapsed().Seconds(), "audits/s")
 	}
 }
 
@@ -240,63 +141,6 @@ func BenchmarkServeAuditLargeCorpus(b *testing.B) {
 			}
 			if b.N > 0 {
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "audits/s")
-			}
-		})
-	}
-}
-
-// BenchmarkDeltaPublish measures adding ONE document to an established
-// corpus through /v1/corpus?mode=delta, durably, across base corpus sizes.
-// This is the tentpole property of the segmented index: the publish builds
-// and persists only the one-document segment, so the reported latency
-// should stay essentially flat from 1k to 16k base documents — where a
-// full republish would grow linearly. The merger is disabled so every
-// iteration measures exactly one segment build + descriptor save + swap.
-func BenchmarkDeltaPublish(b *testing.B) {
-	for _, nDocs := range []int{1000, 4000, 16000} {
-		b.Run(fmt.Sprintf("base=%d", nDocs), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(9))
-			names := make([]string, nDocs)
-			texts := make([]string, nDocs)
-			for i := range texts {
-				names[i] = fmt.Sprintf("d%d.v", i)
-				texts[i] = diverseVerilog(rng, i)
-			}
-			st, err := snapstore.Open(b.TempDir(), 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := DefaultConfig()
-			cfg.Store = st
-			cfg.DisableAutoMerge = true
-			s := NewServer(cfg)
-			defer s.Close()
-			if _, _, err := s.PublishDocuments(names, texts); err != nil {
-				b.Fatal(err)
-			}
-
-			bodies := make([][]byte, b.N)
-			for i := range bodies {
-				req := CorpusRequest{Mode: "delta", Documents: []CorpusDocument{{
-					Name: fmt.Sprintf("delta%d.v", i),
-					Text: diverseVerilog(rng, nDocs+i),
-				}}}
-				bodies[i], _ = json.Marshal(req)
-			}
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := httptest.NewRequest(http.MethodPost, "/v1/corpus", bytes.NewReader(bodies[i]))
-				w := httptest.NewRecorder()
-				s.Handler().ServeHTTP(w, r)
-				if w.Code != http.StatusOK {
-					b.Fatalf("delta publish status %d: %s", w.Code, w.Body.String())
-				}
-			}
-			b.StopTimer()
-			if b.N > 0 {
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "publishes/s")
 			}
 		})
 	}

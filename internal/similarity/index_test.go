@@ -166,46 +166,3 @@ func TestIndexDegenerateCases(t *testing.T) {
 		t.Fatalf("best should skip empty doc: %+v", m)
 	}
 }
-
-// benchCorpus mirrors BenchmarkCorpusBest's corpus for the brute-force
-// baseline comparison.
-func benchCorpus() ([]string, *Corpus) {
-	rng := rand.New(rand.NewSource(1))
-	texts := make([]string, 500)
-	for i := range texts {
-		var sb strings.Builder
-		for j := 0; j < 150; j++ {
-			fmt.Fprintf(&sb, "tok%d ", rng.Intn(400))
-		}
-		texts[i] = sb.String()
-	}
-	return texts, NewCorpus(nil, texts)
-}
-
-// BenchmarkCorpusBestBruteForce is the pre-index reference: one cosine per
-// corpus document. Compare against BenchmarkCorpusBest (inverted index).
-func BenchmarkCorpusBestBruteForce(b *testing.B) {
-	texts, _ := benchCorpus()
-	vecs := make([]Vector, len(texts))
-	for i, text := range texts {
-		vecs[i] = NewVector(text)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := NewVector(texts[i%len(texts)])
-		best := Match{Index: -1}
-		for j, v := range vecs {
-			if s := Cosine(q, v); s > best.Score {
-				best = Match{Index: j, Score: s}
-			}
-		}
-	}
-}
-
-func BenchmarkCorpusTopK(b *testing.B) {
-	texts, corpus := benchCorpus()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		corpus.TopK(texts[i%len(texts)], 10)
-	}
-}

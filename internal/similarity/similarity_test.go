@@ -3,7 +3,6 @@ package similarity
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -270,22 +269,5 @@ func TestCosineSelfProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCorpusBest(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	texts := make([]string, 500)
-	for i := range texts {
-		var sb strings.Builder
-		for j := 0; j < 150; j++ {
-			fmt.Fprintf(&sb, "tok%d ", rng.Intn(400))
-		}
-		texts[i] = sb.String()
-	}
-	corpus := NewCorpus(nil, texts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		corpus.Best(texts[i%len(texts)])
 	}
 }

@@ -275,13 +275,3 @@ func firstDiff(a, b []string) int {
 	}
 	return min(len(a), len(b))
 }
-
-func BenchmarkEncode(b *testing.B) {
-	tok := Train(verilogSample, TrainConfig{VocabSize: 1024})
-	text := strings.Repeat(verilogSample[0], 50)
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tok.Encode(text)
-	}
-}

@@ -146,37 +146,3 @@ func TestClassifyWordCoversKeywords(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkQuickCheck(b *testing.B) {
-	good, _ := quickCorpus()
-	var bytes int64
-	for _, s := range good {
-		bytes += int64(len(s))
-	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range good {
-			if !QuickCheck(s) {
-				b.Fatal("corpus file fell off the fast path")
-			}
-		}
-	}
-}
-
-func BenchmarkCheckFull(b *testing.B) {
-	good, _ := quickCorpus()
-	var bytes int64
-	for _, s := range good {
-		bytes += int64(len(s))
-	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range good {
-			if Check(s) != nil {
-				b.Fatal("corpus file failed to parse")
-			}
-		}
-	}
-}
