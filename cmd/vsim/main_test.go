@@ -12,10 +12,11 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from what the benches print now")
 
 // The benches under testdata, with the command line each header comment
-// names. Between them they reach a function, a task, generate for and if, a
-// parameter override, named and positional connections, gate primitives,
+// names. Between them they reach functions, tasks, generate for and if,
+// parameter overrides, named and positional connections, gate primitives,
 // delays, a non-ANSI port list, memories, casez, every $display format,
-// $monitor, $strobe, $random, $finish, event starvation and the time limit.
+// $monitor, $strobe, $random, $finish, event starvation, the time limit,
+// compiler directives, signed arithmetic and hierarchical names.
 var benches = []struct {
 	name string
 	args []string
@@ -24,6 +25,7 @@ var benches = []struct {
 	{"alu", []string{"testdata/alu_tb.v"}},
 	{"ripple", []string{"-stats", "testdata/ripple_tb.v"}},
 	{"fifo", []string{"-seed", "7", "-top", "fifo_tb", "-time", "2000", "testdata/fifo_tb.v"}},
+	{"datapath", []string{"testdata/datapath_tb.v"}},
 }
 
 // TestBenchGoldens pins what each bench prints: its stdout, then what vsim
