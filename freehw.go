@@ -16,6 +16,9 @@
 //   - internal/tokenizer, internal/lm, internal/training — the LM substrate
 //   - internal/curation — the FreeSet funnel
 //   - internal/core    — end-to-end orchestration of every experiment
+//
+// cmd/repro is the one command that prints the paper's tables and figures
+// (a golden pins its output); examples/quickstart drives this package.
 package freehw
 
 import (
