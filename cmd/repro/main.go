@@ -56,7 +56,7 @@ var sections = map[string]func(*runner) error{
 // this run, and where to print.
 type runner struct {
 	e     *core.Experiment
-	zoo   *core.Zoo // the trained models; nil when no section needs one
+	zoo   *core.Zoo // the models this run's sections need, trained
 	model *lm.Model // the -model file; nil when none was given
 	out   string    // -out
 	v     bool      // -v
@@ -141,14 +141,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	if len(specs) > 0 {
-		r.logger.Printf("training %d models...", len(specs))
-		if r.zoo, err = r.e.BuildZoo(specs); err != nil {
-			return err
-		}
-		for _, name := range r.zoo.Order {
-			r.logger.Printf("  %s", r.zoo.Reports[name])
-		}
+	r.logger.Printf("training %d models...", len(specs))
+	if r.zoo, err = r.e.BuildZoo(specs); err != nil {
+		return err
 	}
 
 	for _, name := range names {
@@ -161,6 +156,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 func (r *runner) heading(title string) {
 	fmt.Fprintf(r.stdout, "\n===== %s =====\n", title)
+}
+
+// bench is the copyright benchmark's configuration, bounded by -workers.
+func (r *runner) bench() similarity.BenchmarkConfig {
+	cfg := r.e.Cfg.Bench
+	cfg.Workers = r.e.Cfg.Workers
+	return cfg
 }
 
 func (r *runner) funnel() error {
@@ -191,7 +193,7 @@ func (r *runner) fig2() error {
 func (r *runner) fig3() error {
 	r.heading("Figure 3: hardware copyright infringement rates")
 	if m := r.model; m != nil {
-		rep := similarity.RunBenchmark(m.Name, m, r.e.ProtCorpus, r.e.Prompts, r.e.Cfg.Bench)
+		rep := similarity.RunBenchmark(m.Name, m, r.e.ProtCorpus, r.e.Prompts, r.bench())
 		fmt.Fprintf(r.stdout, "%s: %d/%d violations (%.1f%%)\n", m.Name, rep.NumViolations, rep.NumPrompts, 100*rep.ViolationRate())
 		for _, res := range rep.Results {
 			if r.v && res.Violation {
@@ -290,9 +292,7 @@ func (r *runner) ablations() error {
 		cfg.MaxCorpusBytes = kb << 10
 		tuned, _ := training.ContinualPretrain(r.zoo.Models[baseModel], fmt.Sprintf("freev-%dkb", kb), e.FreeSet.Texts(), cfg)
 		res := veval.Evaluate(tuned.Name, tuned, problems, veval.EvalConfig{N: 6, Workers: workers})
-		bench := e.Cfg.Bench
-		bench.Workers = workers
-		rep := similarity.RunBenchmark(tuned.Name, tuned, e.ProtCorpus, e.Prompts, bench)
+		rep := similarity.RunBenchmark(tuned.Name, tuned, e.ProtCorpus, e.Prompts, r.bench())
 		fmt.Fprintf(r.stdout, "budget %4d KB: pass@1=%.3f pass@6=%.3f violations=%.1f%%\n",
 			kb, res.PassAtK(1), res.PassAtK(6), 100*rep.ViolationRate())
 	}
