@@ -22,40 +22,51 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"freehw/internal/analysis"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	list := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	workers := flag.Int("workers", 0, "packages analyzed concurrently (0 = GOMAXPROCS)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: freehw-vet [-json] [-workers n] [-analyzers names] packages...\n\nanalyzers:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in, returning the exit
+// status: findings go to stdout; the count, usage and errors to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("freehw-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as JSON")
+	list := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+	workers := fs.Int("workers", 0, "packages analyzed concurrently (0 = GOMAXPROCS)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: freehw-vet [-json] [-workers n] [-analyzers names] packages...\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
-			fmt.Fprintf(os.Stderr, "  %-11s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-11s %s\n", a.Name, a.Doc)
 		}
 	}
-	flag.Parse()
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil { // Parse has printed it and the usage
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 	analyzers, err := analysis.ByName(*list)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "freehw-vet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "freehw-vet:", err)
+		return 2
 	}
-
-	diags, npkgs, err := analysis.LoadAndRun(patterns, analyzers, *workers)
+	diags, npkgs, err := analysis.LoadAndRun(fs.Args(), analyzers, *workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "freehw-vet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "freehw-vet:", err)
+		return 2
 	}
 	cwd, _ := os.Getwd()
 	findings := make([]analysis.Diagnostic, 0, len(diags))
@@ -76,21 +87,19 @@ func main() {
 			Count    int                   `json:"count"`
 			Findings []analysis.Diagnostic `json:"findings"`
 		}{Count: len(findings), Findings: findings}
-		if out.Findings == nil {
-			out.Findings = []analysis.Diagnostic{}
-		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(out)
 	} else {
 		for _, d := range findings {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 		}
 		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "freehw-vet: %d finding(s) in %d package(s)\n", len(findings), npkgs)
+			fmt.Fprintf(stderr, "freehw-vet: %d finding(s) in %d package(s)\n", len(findings), npkgs)
 		}
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

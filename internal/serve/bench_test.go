@@ -72,7 +72,7 @@ func BenchmarkServeAudit(b *testing.B) {
 // corpora look like this — distinct designs share the Verilog keyword and
 // punctuation vocabulary but almost no identifiers — and it is the shape
 // that rewards impact-ordered pruning: a near-duplicate query's rare terms
-// pin the true match, and the block-max bounds rule out everything else
+// pin the true match, and the upper bounds rule out everything else
 // without reading its postings.
 func diverseVerilog(rng *rand.Rand, idx int) string {
 	var sb strings.Builder

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -185,13 +186,18 @@ func BenchmarkAxpyRun(b *testing.B) {
 // requireDenseForm checks everything seal derives for dense lists against
 // the arenas: dense is exactly the non-empty lists holding at least half
 // the documents, dws their weights scattered by document with +0 elsewhere,
-// bmax the block maxima of that.
+// dnorm the 2-norm of each document's column of that (never below the norm
+// big.Float computes, never more than a few ulps of slack above it) and
+// dnormMax its largest entry.
 func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 	t.Helper()
 	n := g.Docs()
-	blocks := (n + blockMask) >> blockShift
 	var wantDense []int32
-	var wantDws, wantBmax []float64
+	var wantDws []float64
+	sq := make([]*big.Float, n)
+	for d := range sq {
+		sq[d] = new(big.Float).SetPrec(200)
+	}
 	for id := 0; id < g.lists(); id++ {
 		lo, hi := g.off[id], g.off[id+1]
 		if df := int(hi - lo); df == 0 || 2*df < n {
@@ -201,25 +207,32 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 		row := make([]float64, n)
 		for p := lo; p < hi; p++ {
 			row[g.docs[p]] = g.ws[p]
+			w := new(big.Float).SetPrec(200).SetFloat64(g.ws[p])
+			sq[g.docs[p]].Add(sq[g.docs[p]], w.Mul(w, w))
 		}
 		wantDws = append(wantDws, row...)
-		for b := 0; b < blocks; b++ {
-			wantBmax = append(wantBmax, slices.Max(row[b*blockSize:min((b+1)*blockSize, n)]))
-		}
 	}
 	if !slices.Equal(g.dense, wantDense) {
 		t.Fatalf("%s: dense = %v, lists with 2·df >= %d docs are %v", ctx, g.dense, n, wantDense)
 	}
-	if len(g.dws) != len(wantDws) || len(g.bmax) != len(wantBmax) {
-		t.Fatalf("%s: %d dws slots and %d block maxima for %d dense lists over %d docs", ctx, len(g.dws), len(g.bmax), len(g.dense), n)
+	if len(g.dws) != len(wantDws) || len(g.dnorm) != n {
+		t.Fatalf("%s: %d dws slots and %d dense norms for %d dense lists over %d docs", ctx, len(g.dws), len(g.dnorm), len(g.dense), n)
 	}
 	for i := range wantDws {
 		if math.Float64bits(g.dws[i]) != math.Float64bits(wantDws[i]) {
 			t.Fatalf("%s: dws[%d] (list %d, doc %d) = %v, arenas say %v", ctx, i, g.dense[i/n], i%n, g.dws[i], wantDws[i])
 		}
 	}
-	if !slices.Equal(g.bmax, wantBmax) {
-		t.Fatalf("%s: bmax differs from the rows' block maxima", ctx)
+	wantMax := 0.0
+	for d, s := range sq {
+		exact, _ := s.Sqrt(s).Float64() // nearest float64 to the exact norm: at most half an ulp under it
+		if g.dnorm[d] < exact || g.dnorm[d] > exact*(1+float64(len(g.dense)+8)*epsUlp) {
+			t.Fatalf("%s: dnorm[%d] = %v, the column's norm is %v", ctx, d, g.dnorm[d], exact)
+		}
+		wantMax = max(wantMax, g.dnorm[d])
+	}
+	if g.dnormMax != wantMax {
+		t.Fatalf("%s: dnormMax = %v, largest dnorm %v", ctx, g.dnormMax, wantMax)
 	}
 }
 
@@ -284,6 +297,72 @@ func TestSealDerivesDenseForm(t *testing.T) {
 		}
 		if m := MergeSegments(segs, [][]uint64{dead, nil}); m != nil {
 			requireDenseForm(t, fmt.Sprintf("%d docs merged without doc 1", n), m)
+		}
+	}
+}
+
+// The one dense bound the gather engine uses is sound: for every document of
+// every segment — homogeneous and diverse, built, decoded, and merged with a
+// third of the documents tombstoned, which moves which lists are dense — and
+// every query, the float sum of the document's dense contributions in
+// canonical order, exactly as evalCanonical adds them, is at most
+// ‖q_dense‖·dnorm[d] as searchPrunedBest computes it, before any inflation.
+func TestDenseNormBoundsDenseContribution(t *testing.T) {
+	rng := rand.New(rand.NewSource(2200))
+	for ci := 0; ci < 12; ci++ {
+		n := 3 + rng.Intn(300)
+		names := make([]string, n)
+		texts := make([]string, n)
+		for d := range texts {
+			names[d] = fmt.Sprintf("p%d", d)
+			if ci%2 == 0 {
+				texts[d] = "module m ; " + randDoc(rng, 10+rng.Intn(40), 1+rng.Intn(200))
+			} else {
+				texts[d] = diverseVerilog(rng, rng.Intn(n)) // some documents share every identifier
+			}
+		}
+		parts := buildSegmented(names, texts, splitSizes(n, 1+rng.Intn(3), rng))
+		deads := make([][]uint64, len(parts))
+		for i, g := range parts {
+			deads[i] = make([]uint64, (g.Docs()+63)/64)
+			for d := 0; d < g.Docs(); d++ {
+				if rng.Intn(3) == 0 {
+					deads[i][d>>6] |= 1 << (d & 63)
+				}
+			}
+		}
+		built := BuildSegment(names, texts, 1)
+		decoded, err := DecodeSegment(built.EncodeSections())
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := append(parts, built, decoded, MergeSegments(parts, nil))
+		if m := MergeSegments(parts, deads); m != nil {
+			segs = append(segs, m)
+		}
+		queries := []string{texts[rng.Intn(n)], texts[rng.Intn(n)] + " wire extra ; ; ;", randDoc(rng, 40, 80), diverseVerilog(rng, n+1), strings.Repeat("; ", 500)}
+		for si, g := range segs {
+			nd := g.Docs()
+			for qi, q := range queries {
+				qts, _ := g.resolveQuery(q, nil)
+				sums := make([]float64, nd)
+				qd2 := 0.0
+				for _, qt := range qts {
+					if i, ok := slices.BinarySearch(g.dense, qtermID(qt)); ok {
+						qw := qtermW(qt)
+						qd2 += float64(qw * qw)
+						for d, w := range g.dws[i*nd : (i+1)*nd] {
+							sums[d] += float64(qw * w)
+						}
+					}
+				}
+				qdn := math.Sqrt(qd2)
+				for d, sum := range sums {
+					if bound := qdn * g.dnorm[d]; sum > bound || g.dnorm[d] > g.dnormMax {
+						t.Fatalf("corpus %d segment %d query %d doc %d: dense lists contribute %v, bound %v (dnorm %v, max %v)", ci, si, qi, d, sum, bound, g.dnorm[d], g.dnormMax)
+					}
+				}
+			}
 		}
 	}
 }
@@ -537,6 +616,14 @@ func TestBatchSharesOnePass(t *testing.T) {
 	}
 }
 
+// benchNearDupOf is bench/'s near-duplicate candidate (bench/inputs.go's
+// coldStream): a protected file with one line replaced and a trailing tag.
+func benchNearDupOf(rng *rand.Rand, texts []string, i int) string {
+	lines := strings.Split(texts[rng.Intn(len(texts))], "\n")
+	lines[rng.Intn(len(lines))] = fmt.Sprintf("  // local edit %d", rng.Int63())
+	return fmt.Sprintf("%s\n// cand 0.%d\n", strings.Join(lines, "\n"), i)
+}
+
 // BenchmarkBestBenchCorpus is Snapshot.Best on bench/'s corpus with
 // bench/'s two candidate shapes (bench/inputs.go's coldStream): a freshly
 // generated module, and a protected file with one line replaced. ns/posting
@@ -552,11 +639,7 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 		"novel": func(i int) string {
 			return fmt.Sprintf("%s\n// cand 0.%d\n", corpus.Generate(rng, "", false).Source, i)
 		},
-		"neardup": func(i int) string {
-			lines := strings.Split(texts[rng.Intn(len(texts))], "\n")
-			lines[rng.Intn(len(lines))] = fmt.Sprintf("  // local edit %d", rng.Int63())
-			return fmt.Sprintf("%s\n// cand 0.%d\n", strings.Join(lines, "\n"), i)
-		},
+		"neardup": func(i int) string { return benchNearDupOf(rng, texts, i) },
 	}
 	for _, shape := range []string{"novel", "neardup"} {
 		queries := make([]string, 256)

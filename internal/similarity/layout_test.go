@@ -40,7 +40,7 @@ func TestLayoutEquivalence(t *testing.T) {
 	dNames, dTexts, _ := buildDiverse(97, 150)
 	dTexts[0], dTexts[77], dTexts[149] = "", "", "" // empty documents, first and last included
 	dNames[5], dNames[6] = dNames[4], dNames[4]     // duplicate names
-	hNames := make([]string, 200)                   // shared vocabulary: dense lists, several blocks
+	hNames := make([]string, 200)                   // shared vocabulary: dense lists
 	hTexts := make([]string, 200)
 	for i := range hTexts {
 		hNames[i] = fmt.Sprintf("h%d", i%150)
@@ -52,8 +52,8 @@ func TestLayoutEquivalence(t *testing.T) {
 	}{{"diverse", dNames, dTexts}, {"homog", hNames, hTexts}, {"none", nil, nil}, {"only empty", []string{"e"}, []string{""}}} {
 		built := BuildSegment(cc.names, cc.texts, 3)
 		want := built.EncodeSections()
-		if cc.name == "homog" && (len(built.dense) == 0 || len(built.bmax) != 4*len(built.dense)) {
-			t.Fatalf("homog: %d dense lists with %d block maxima, want 4 each", len(built.dense), len(built.bmax))
+		if cc.name == "homog" && (len(built.dense) == 0 || len(built.dnorm) != 200) {
+			t.Fatalf("homog: %d dense lists with %d dense norms, want one per document", len(built.dense), len(built.dnorm))
 		}
 		requireSameSections(t, cc.name+" Add+Seal", buildSegmented(cc.names, cc.texts, []int{len(cc.texts)})[0].EncodeSections(), want)
 		dec, err := DecodeSegment(want)

@@ -27,10 +27,11 @@ package similarity
 //     prefetcher its streams and buy it nothing.
 //
 // The gather engine is 7x faster than the accumulator on diverse
-// near-duplicates (75 against 511 µs at 16 000 documents) and within 10% of
-// it where it bails, so it stays; a k > 1 MaxScore DAAT engine lost to the
+// near-duplicates (75 against 511 µs at 16 000 documents), 3x on bench/'s
+// homogeneous corpus (≈ 100 against ≈ 340 µs at 8 000) and within 10% of it
+// where it bails, so it stays; a k > 1 MaxScore DAAT engine lost to the
 // accumulator in every cell and was deleted in PR 13. ROADMAP's decision
-// records have both tables; bench/README.md has current numbers
+// records have the tables; bench/README.md has current numbers
 // (similarity.topk10_us, best_neardup_us, best_novel_us,
 // bestbatch_us_per_cand).
 //
@@ -40,44 +41,45 @@ package similarity
 // highest-bound terms essential, would surface every document as a
 // candidate and prune nothing on whole-file audit queries. The gather
 // engine therefore splits the query's posting lists three ways and scores
-// by gathering rather than by cursor merging, using the block-max
-// metadata Segment.seal derives:
+// by gathering rather than by cursor merging:
 //
 //   - Dense lists — at least half the segment's documents, 2·df >= docs,
 //     the one definition Segment.seal applies, which also stores each of
 //     them doc-indexed (Segment.dws, +0 for a document outside the list) —
-//     never generate candidates. Their per-block maxima align with document
-//     blocks and collapse into one shared per-block bound: the most ALL
-//     dense terms together can contribute to any document in that block
-//     (the maximum over a row with zeros in it is still an upper bound).
-//     And because a row is doc-indexed, any single document's exact dense
-//     contribution is one O(1) read per list — no cursor, no search. On a
-//     homogeneous corpus most postings outside the total lists sit in
-//     lists that are nearly everywhere; counted as sparse they were
-//     "essential" and streamed, and the bail-out came late.
+//     never generate candidates, and are bounded together, not term by
+//     term: by Cauchy–Schwarz they give document d at most
+//     ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
+//     lists times the norm seal keeps of d's weights over all of them. A
+//     sum of per-term maxima charges every keyword at the weight of the
+//     document fullest of it: on bench/'s corpus it reads 1.03 of the query
+//     norm for a near-duplicate whose best score is 0.98, which makes the
+//     audit the paper's verdict exists for look hopeless. The norm bound
+//     reads 0.80 there (0.75 against 0.82 for a novel candidate, whose best
+//     is 0.60 — hopeless either way) and costs one float per document.
 //   - The cheapest sparse lists — ordered by upper bound per posting, the
 //     absorption order that buys the most skipped postings per unit of
 //     threshold budget — are absorbed into a non-essential prefix while
-//     their summed bounds plus the largest dense block bound stay
-//     strictly below the threshold. Their postings are never read.
-//   - The remaining essential sparse lists are streamed once into a
+//     their summed bounds plus the largest dense bound stay strictly below
+//     the threshold. Their postings are never read.
+//   - The remaining essential sparse lists are streamed into a
 //     per-document accumulator (the gather). Each touched document is
-//     then bounded by dense-block bound + absorbed-prefix bound + its
-//     exact gathered sum; documents that straddle the threshold have the
-//     block bound replaced by their exact dense contribution before the
-//     search pays a full evaluation.
+//     then bounded by dense bound + absorbed-prefix bound + its exact
+//     gathered sum. The partition is progressive: absorbing right up to
+//     the threshold leaves every document that shares a few lines with the
+//     match straddling it, so while more than a handful of touched
+//     documents do, the absorbed budget is halved and the lists that frees
+//     are streamed too. The rule looks at the candidates because a fixed
+//     "absorb half the budget" bought the same near-duplicate and cost the
+//     diverse 16 000-document corpus 57 → 155 µs (ISSUE 22's sizing).
 //   - Survivors are evaluated fully — every query term, in canonical
 //     query order (first appearance in the query — a property of the
 //     query alone, so the same order in every segment), the same order
 //     the exhaustive accumulator uses — with early abandonment against
 //     canonical-order tail bounds. On a selective audit that is one
 //     document: the match.
-//   - Documents touched by no essential list are never visited: absorbed
-//     lists are covered by the absorption invariant, and dense lists by a
-//     final sweep asserting every dense block bound ends strictly below
-//     the final threshold (otherwise the search rescores exhaustively —
-//     correctness never depends on the sweep passing, only on it being
-//     checked).
+//   - Documents touched by no essential list are never visited: their
+//     bound is at most the largest dense bound plus the absorbed prefix,
+//     which the partition holds strictly below a threshold that only rises.
 //
 // The threshold that powers all of this is primed before scoring starts
 // (see searchPrunedBest): near-duplicate queries carry nearly-unique
@@ -107,7 +109,9 @@ package similarity
 // Worst case, the segment is so homogeneous that no threshold separates
 // documents (every doc scores within the bounds' slack of the best — the
 // adversarial case for any exact pruner). The gather engine detects that
-// pruning is not paying and falls back to the exhaustive accumulator,
+// pruning is not paying — the best known score does not clear the largest
+// dense bound, or more than half the postings would be streamed, or a
+// quarter have been read — and falls back to the exhaustive accumulator,
 // bounding the regression to a small constant factor while keeping the
 // large wins on selective workloads. A novel candidate — 97% of what a
 // clean model sends — always ends there, so the accumulator is the audit: a
@@ -117,19 +121,13 @@ package similarity
 
 import (
 	"container/heap"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 const (
-	// blockSize postings of a dense list share one bmax entry. Small enough
-	// that a block skip is fine-grained, large enough that the metadata is
-	// ~1.5% of the list.
-	blockSize  = 64
-	blockMask  = blockSize - 1
-	blockShift = 6
-
 	// pruneMinDocs is the segment size below which searchAuto uses the
 	// exhaustive accumulator even for k == 1: pruning bookkeeping cannot
 	// pay for itself on tiny segments. (Results are identical either way —
@@ -180,7 +178,7 @@ type PruneStats struct {
 	PostingsVisited uint64
 	Candidates      uint64 // documents surfaced by essential lists
 	FullEvals       uint64 // candidates that reached full evaluation
-	BlockSkips      uint64 // candidates pruned by a dense/bmax block bound alone
+	BlockSkips      uint64 // candidates pruned by their bound alone
 }
 
 var pruneStatsOn atomic.Bool
@@ -251,18 +249,15 @@ type searchScratch struct {
 	qts   []uint64
 	curs  []pruneCursor
 	ord   []int32
-	dord  []int32
 	touch []int32
 	pref  []float64
 	tail  []float64
-	dense []float64
-	dtail []float64
 	prime []int32
 	h     matchHeap
 	qnorm float64
 
 	acc  []float64 // the gather engine's per-document sums, then one tile of the accumulator's
-	offs []int     // dense cursors in canonical order: where each one's row starts in dws (or bmax)
+	offs []int     // dense cursors in canonical order: where each one's row starts in dws
 	qs   []float64 // and their query counts
 	pos  []int32   // per cursor: the first posting of a sparse list at or past the current tile
 }
@@ -280,18 +275,16 @@ func zeros[T any](buf *[]T, n int) []T {
 }
 
 // denseRun fills sc.offs and sc.qs for the dense cursors, in canonical
-// order: stride slots per row, so nDocs addresses Segment.dws and the block
-// count Segment.bmax.
-func (sc *searchScratch) denseRun(stride int) (offs []int, qs []float64) {
-	offs, qs = sc.offs[:0], sc.qs[:0]
+// order: nDocs slots per row of Segment.dws.
+func (sc *searchScratch) denseRun(nDocs int) {
+	offs, qs := sc.offs[:0], sc.qs[:0]
 	for i := range sc.curs {
 		if cur := &sc.curs[i]; cur.row >= 0 {
-			offs = append(offs, int(cur.row)*stride)
+			offs = append(offs, int(cur.row)*nDocs)
 			qs = append(qs, cur.qw)
 		}
 	}
 	sc.offs, sc.qs = offs, qs
-	return offs, qs
 }
 
 // drain empties the heap into a new slice, best first, and returns the
@@ -472,70 +465,46 @@ func evalCanonical(curs []pruneCursor, tail []float64, d int32, theta float64) (
 }
 
 // searchPrunedBest is the k == 1 gather engine (see the package comment):
-// dense/sparse split, threshold priming, absorbed-prefix partition, one
-// streaming gather of the essential sparse postings, then bound → refine →
-// canonical evaluation per touched document. The size-1 heap, sc.h, makes
-// every push of an already-known document a no-op, which is what lets
-// priming and the accumulator re-score documents freely. It reports whether
-// the heap holds the answer; false means the query needs the accumulator
-// (every list dense, or pruning not paying), which the caller runs — for
-// this query alone or for a group of them — over the heap as it was left.
+// dense/sparse split, threshold priming, absorbed-prefix partition, a
+// streaming gather of the essential sparse postings that un-absorbs while
+// too many documents straddle, then bound → canonical evaluation per
+// touched document. The size-1 heap, sc.h, makes every push of an
+// already-known document a no-op, which is what lets priming and the
+// accumulator re-score documents freely. It reports whether the heap holds
+// the answer; false means the query needs the accumulator (every list dense,
+// or pruning not paying), which the caller runs — for this query alone or
+// for a group of them — over the heap as it was left.
 func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn bool, dead []uint64) (done bool) {
 	curs := sc.curs
 	n := len(curs)
 	nDocs := len(g.names)
 	qnorm := sc.qnorm
 
-	// Slack factors: any bound is a sum of at most n products, so one
-	// multiplicative inflation covers its worst-case rounding deficit;
-	// the threshold is deflated symmetrically (it round-trips through a
-	// score division). See the package comment for why comparing
+	// Slack factors: any bound is a sum of at most n products — the dense
+	// part a product of two norms over no more terms, dnorm already rounded
+	// up — so one multiplicative inflation covers its worst-case rounding
+	// deficit; the threshold is deflated symmetrically (it round-trips
+	// through a score division). See the package comment for why comparing
 	// differently-ordered float sums needs this.
 	slack := float64(n+32) * epsUlp
 	inflate := 1 + slack
 	deflate := 1 - slack
 
-	// Dense/sparse split: dense lists fold into one shared per-document-
-	// block bound and a list of doc-indexed arrays for exact refinement.
-	nBlocks := (nDocs + blockMask) >> blockShift
-	denseBmax := zeros(&sc.dense, nBlocks)
+	// Dense/sparse split. The dense lists give document d at most
+	// ‖their query counts‖·dnorm[d] between them (Cauchy–Schwarz), and no
+	// document more than denseMax.
 	ord := sc.ord[:0]
-	dord := sc.dord[:0]
+	qd2 := 0.0
 	for i := range curs {
 		if curs[i].row >= 0 {
-			dord = append(dord, int32(i))
+			qd2 += float64(curs[i].qw * curs[i].qw)
 		} else {
 			ord = append(ord, int32(i))
 		}
 	}
-	sc.ord, sc.dord = ord, dord
-	nDense := len(dord)
-	// A block's bound is the sum, in canonical order, of every dense list's
-	// block maximum times its query count: the rows of bmax added as one run.
-	boffs, qs := sc.denseRun(nBlocks)
-	axpyRun(denseBmax, g.bmax, boffs, qs)
-	denseBmaxMax := 0.0
-	for _, v := range denseBmax {
-		if v > denseBmaxMax {
-			denseBmaxMax = v
-		}
-	}
-	// Refinement order: dense lists by DESCENDING upper bound (ties by
-	// index — deterministic), with dtail[i] = what lists i.. could still
-	// contribute. Reading the most uncertain lists first lets a
-	// refinement stop after a couple of exact reads instead of all of
-	// them.
-	sortDenseByUBDesc(dord, curs)
-	dtail := sc.dtail[:0]
-	if cap(dtail) < nDense+1 {
-		dtail = make([]float64, nDense+1)
-	}
-	dtail = dtail[:nDense+1]
-	dtail[nDense] = 0
-	for i := nDense - 1; i >= 0; i-- {
-		dtail[i] = dtail[i+1] + curs[dord[i]].ub
-	}
-	sc.dtail = dtail
+	sc.ord = ord
+	qdn := math.Sqrt(qd2)
+	denseMax := qdn * g.dnormMax
 	if len(ord) == 0 {
 		// Every list is dense: no sparse list to surface candidates, so
 		// the whole corpus must be scored anyway.
@@ -543,13 +512,11 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 	}
 	sortSparseByRatio(ord, curs)
 
-	// pref[i]: raw sum of the absorbed-prefix upper bounds ord[:i+1] —
-	// the most those sparse lists can ever contribute to any document.
-	pref := sc.pref[:0]
-	cum := 0.0
+	// pref[i]: raw sum of the upper bounds of ord[:i] — the most those sparse
+	// lists, absorbed, can ever contribute to any document.
+	pref := append(sc.pref[:0], 0)
 	for _, ci := range ord {
-		cum += curs[ci].ub
-		pref = append(pref, cum)
+		pref = append(pref, pref[len(pref)-1]+curs[ci].ub)
 	}
 	sc.pref = pref
 
@@ -591,15 +558,16 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		flushStats(cands)
 		return false
 	}
-	// hopeless reports whether the final completeness sweep could ever
-	// pass: it can only if every dense block bound ends strictly below the
-	// threshold, and the threshold only ever rises. When the largest dense
-	// block bound already meets it — a fresh candidate against a
-	// homogeneous corpus, where the best score is mediocre but keyword
-	// mass is everywhere — pruning is doomed and the search should stream
-	// immediately.
+	// hopeless reports that no partition exists: documents no streamed list
+	// touches are never looked at, which is sound only while the largest
+	// dense bound (plus whatever is absorbed) stays strictly below the
+	// threshold. With no threshold, or one the largest dense bound already
+	// meets — a fresh candidate against a homogeneous corpus, where the best
+	// score is mediocre but keyword mass is everywhere — the search should
+	// stream everything at once. The threshold only rises, so a search that
+	// gets past this needs no check of the untouched documents afterwards.
 	hopeless := func() bool {
-		return nDense > 0 && (thetaAcc < 0 || denseBmaxMax*inflate >= thetaAcc)
+		return thetaAcc < 0 || denseMax*inflate >= thetaAcc
 	}
 
 	// Threshold priming: scoring visits documents in essential-list order,
@@ -714,8 +682,8 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 			}
 			if pi == 0 {
 				// A fresh candidate against a homogeneous corpus is decided
-				// here: the primed threshold lands below the dense block
-				// bounds and the remaining evaluations would be wasted.
+				// here: the primed threshold lands below the largest dense
+				// bound and the remaining evaluations would be wasted.
 				updateTheta()
 				if hopeless() {
 					return bail(0)
@@ -729,90 +697,82 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		return bail(0)
 	}
 
-	// Fixed partition: absorb the cheapest sparse lists while their
-	// summed bounds plus the largest dense block bound stay strictly
-	// below the threshold. This is exactly the invariant that lets
-	// documents appearing only in absorbed lists go unvisited.
+	// Partition: absorb the cheapest sparse lists while their summed bounds
+	// plus the largest dense bound stay strictly below the threshold. This
+	// is exactly the invariant that lets documents appearing only in
+	// absorbed lists go unvisited, and un-absorbing only slackens it.
 	nonEss := 0
-	if thetaAcc >= 0 {
-		for nonEss < len(ord) && (pref[nonEss]+denseBmaxMax)*inflate < thetaAcc {
-			nonEss++
-		}
-	}
-	prefPart := 0.0
-	if nonEss > 0 {
-		prefPart = pref[nonEss-1]
-	}
-	essPostings := 0
-	for _, ci := range ord[nonEss:] {
-		essPostings += len(curs[ci].docs)
+	for nonEss < len(ord) && (pref[nonEss+1]+denseMax)*inflate < thetaAcc {
+		nonEss++
 	}
 
-	// If most of the index would be streamed anyway, pruning cannot pay:
-	// go straight to the accumulator.
-	if uint64(essPostings) > uint64(totalPostings)/2 {
-		return bail(0)
-	}
-
-	// Gather: stream the essential sparse postings once into the scratch's
+	// Gather: stream the essential sparse postings into the scratch's
 	// per-document accumulator, recording each document on first touch
 	// (all contributions are positive, so zero means untouched). The
-	// touched order is a deterministic function of corpus and query.
+	// touched order is a deterministic function of corpus and query. The
+	// greedy partition absorbs right up to the threshold, so dozens of
+	// touched documents can straddle it (44 a near-duplicate on bench/'s
+	// corpus) and each would cost a full evaluation; while more than
+	// maxStraddlers live ones do, halve the absorbed budget, stream the
+	// lists that un-absorbs into the same sums and count again. Every
+	// posting streamed counts against both bail-outs.
+	const maxStraddlers = 8
 	acc := zeros(&sc.acc, nDocs)
 	touched := sc.touch[:0]
-	for _, ci := range ord[nonEss:] {
-		cur := &curs[ci]
-		qw := cur.qw
-		for j, d := range cur.docs {
-			if acc[d] == 0 {
-				touched = append(touched, d)
+	essPostings := 0
+	for essEnd := len(ord); ; {
+		for _, ci := range ord[nonEss:essEnd] {
+			essPostings += len(curs[ci].docs)
+		}
+		// If most of the index would be streamed anyway, pruning cannot pay:
+		// go straight to the accumulator.
+		if uint64(essPostings) > uint64(totalPostings)/2 {
+			return bail(uint64(len(touched)))
+		}
+		for _, ci := range ord[nonEss:essEnd] {
+			cur := &curs[ci]
+			qw := cur.qw
+			for j, d := range cur.docs {
+				if acc[d] == 0 {
+					touched = append(touched, d)
+				}
+				acc[d] += float64(qw * cur.ws[j])
 			}
-			acc[d] += float64(qw * cur.ws[j])
+			visited += uint64(len(cur.docs))
+		}
+		essEnd = nonEss
+		if nonEss == 0 {
+			break
+		}
+		straddlers := 0
+		for _, d := range touched {
+			if (qdn*g.dnorm[d]+pref[nonEss]+acc[d])*inflate >= thetaAcc && !deadBit(dead, d) {
+				if straddlers++; straddlers > maxStraddlers {
+					break
+				}
+			}
+		}
+		if straddlers <= maxStraddlers {
+			break
+		}
+		for budget := pref[nonEss] / 2; nonEss == essEnd || pref[nonEss] > budget; {
+			nonEss--
 		}
 	}
 	sc.touch = touched
-	visited += uint64(essPostings)
+	prefPart := pref[nonEss]
 
-	// Score the touched documents: cheap bound, exact dense refinement
-	// for straddlers, canonical evaluation for survivors. Tombstoned docs
-	// are skipped before any bound or evaluation — they can neither match
-	// nor raise the threshold.
+	// Score the touched documents: dense bound + absorbed prefix + gathered
+	// sum, then canonical evaluation for the ones that still reach the
+	// threshold. Tombstoned docs are skipped before any bound or evaluation
+	// — they can neither match nor raise the threshold.
 	for _, d := range touched {
 		if deadBit(dead, d) {
 			continue
 		}
-		if thetaAcc >= 0 {
-			bound := denseBmax[d>>blockShift] + prefPart + acc[d]
-			if bound*inflate < thetaAcc {
-				blockSkips++
-				continue
-			}
-			if nDense > 0 {
-				// The block bound straddles the threshold. Dense lists are
-				// doc-indexed, so the document's EXACT dense contribution is
-				// one O(1) read per dense list — swap reads
-				// in for upper bounds, most uncertain list first, until the
-				// bound drops strictly below the threshold or every list is
-				// exact (then a full evaluation is truly warranted).
-				base := prefPart + acc[d]
-				exact := 0.0
-				pruned := false
-				for i, di := range dord {
-					cur := &curs[di]
-					w := cur.ws[d]
-					exact += float64(cur.qw * w)
-					if w != 0 {
-						visited++ // a posting; a +0 slot is a document outside the list
-					}
-					if (base+exact+dtail[i+1])*inflate < thetaAcc {
-						pruned = true
-						break
-					}
-				}
-				if pruned {
-					continue
-				}
-			}
+		if (qdn*g.dnorm[d]+prefPart+acc[d])*inflate < thetaAcc {
+			blockSkips++
+			continue
 		}
 		av, abandoned := evalCanonical(curs, tail, d, thetaAcc)
 		visited += uint64(n)
@@ -826,27 +786,6 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		// corpus) — the budget bounds the damage to a fraction of one
 		// exhaustive pass before switching to it.
 		if visited > evalBudget {
-			return bail(uint64(len(touched)))
-		}
-	}
-
-	// Dense completeness sweep: documents in no essential list were never
-	// individually examined, and they are provably below the threshold
-	// only if every dense block bound ends strictly below it. When any
-	// block fails the check (short documents with outsized weights, or no
-	// threshold at all), rescore exhaustively — correctness never depends
-	// on this sweep passing, only on it being checked.
-	if nDense > 0 {
-		flagged := thetaAcc < 0
-		if !flagged {
-			for _, v := range denseBmax {
-				if v*inflate >= thetaAcc {
-					flagged = true
-					break
-				}
-			}
-		}
-		if flagged {
 			return bail(uint64(len(touched)))
 		}
 	}
@@ -869,21 +808,6 @@ func binSearchDocs(docs []int32, d int32) (int, bool) {
 		return lo, true
 	}
 	return 0, false
-}
-
-// sortDenseByUBDesc orders dense list indices by descending upper bound,
-// ties by ascending index — deterministic refinement order.
-func sortDenseByUBDesc(dord []int32, curs []pruneCursor) {
-	for i := 1; i < len(dord); i++ {
-		v := dord[i]
-		j := i - 1
-		for j >= 0 && (curs[dord[j]].ub < curs[v].ub ||
-			(curs[dord[j]].ub == curs[v].ub && dord[j] > v)) {
-			dord[j+1] = dord[j]
-			j--
-		}
-		dord[j+1] = v
-	}
 }
 
 // sortSparseByRatio orders cursor indices by ascending upper bound per
@@ -1004,10 +928,9 @@ func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead
 
 // axpyRun is acc[i] += qs[r]*rows[offs[r]+i] for every row r of the run in
 // order and every i: what a run of dense lists adjacent in canonical order
-// adds to one tile of the accumulator, or every dense list to the gather
-// engine's block bounds. Per slot it performs exactly the additions of one
-// row-at-a-time pass, in the same order; the point of taking the rows
-// together is that acc is loaded and stored once per run, not once per row
+// adds to one tile of the accumulator. Per slot it performs exactly the
+// additions of one row-at-a-time pass, in the same order; the point of taking
+// the rows together is that acc is loaded and stored once per run, not per row
 // (SSE2 on amd64, the accumulator in registers sixteen slots at a time; the
 // Go loop elsewhere). A lone query's rows stream from memory and the pass is
 // bound by that bandwidth, which is why nothing wider than SSE2 is used; a

@@ -269,35 +269,63 @@ func TestBestBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// On a realistic audit workload — diverse corpus, near-duplicate queries —
-// pruning must skip the majority of postings. This is the acceptance
-// criterion behind the large-corpus latency win.
-func TestPruneStatsMajoritySkipped(t *testing.T) {
-	_, texts, c := buildDiverse(31, 2000)
+// nearDupPruneStats audits near-duplicate queries one by one and returns what
+// the gather engine counted, which is a deterministic function of corpus and
+// queries.
+func nearDupPruneStats(t *testing.T, c *Corpus, queries []string) PruneStats {
+	t.Helper()
 	EnablePruneStats(true)
 	ResetPruneStats()
 	defer EnablePruneStats(false)
-	for i := 0; i < 50; i++ {
-		q := texts[(i*37)%len(texts)] + "\n  wire tail;\n"
-		if m := c.Best(q); m.Index < 0 {
-			t.Fatalf("query %d found no match", i)
+	for i, q := range queries {
+		if m := c.Best(q); m.Score < 0.9 {
+			t.Fatalf("query %d: best match %+v is no near-duplicate", i, m)
 		}
 	}
 	st := ReadPruneStats()
-	if st.Queries == 0 || st.PostingsTotal == 0 {
+	if st.Queries != uint64(len(queries)) || st.PostingsTotal == 0 {
 		t.Fatalf("stats not collected: %+v", st)
 	}
-	if st.PostingsVisited*2 >= st.PostingsTotal {
-		t.Fatalf("pruning visited %d of %d postings (>= 50%%): %+v",
-			st.PostingsVisited, st.PostingsTotal, st)
-	}
-	t.Logf("prune stats: visited %d / %d postings (%.1f%%), candidates=%d fullEvals=%d blockSkips=%d bailouts=%d",
-		st.PostingsVisited, st.PostingsTotal,
-		100*float64(st.PostingsVisited)/float64(st.PostingsTotal),
-		st.Candidates, st.FullEvals, st.BlockSkips, st.Bailouts)
+	return st
 }
 
-// Decoded snapshots rebuild block-max metadata identical to the builder's.
+// The audit the paper's verdict exists for — a protected file with one line
+// changed — on bench/'s homogeneous corpus: the gather engine answers every
+// one (bounded by per-term maxima, 7 in 10 bailed to the accumulator), with
+// about one full evaluation and under a twentieth of the postings read per
+// query.
+func TestNearDupPrunesOnHomogeneousCorpus(t *testing.T) {
+	names, texts := protectedDocs(2000)
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]string, 200)
+	for i := range queries {
+		queries[i] = benchNearDupOf(rng, texts, i)
+	}
+	st := nearDupPruneStats(t, NewCorpus(names, texts), queries)
+	if st.Bailouts != 0 || st.FullEvals > 2*st.Queries || st.PostingsVisited*20 > st.PostingsTotal {
+		t.Fatalf("per query: %.2f bail-outs, %.2f full evaluations, %.3f of postings visited; want 0, <= 2, <= 0.05: %+v",
+			float64(st.Bailouts)/float64(st.Queries), float64(st.FullEvals)/float64(st.Queries),
+			float64(st.PostingsVisited)/float64(st.PostingsTotal), st)
+	}
+}
+
+// Its twin on a realistic audit workload — diverse corpus, near-duplicate
+// queries — where the sum-of-maxima bound already pruned: the share of
+// postings never read is not below the 0.9325 it had then. This is the
+// acceptance criterion behind the large-corpus latency win.
+func TestPruneStatsMajoritySkipped(t *testing.T) {
+	_, texts, c := buildDiverse(31, 2000)
+	queries := make([]string, 50)
+	for i := range queries {
+		queries[i] = texts[(i*37)%len(texts)] + "\n  wire tail;\n"
+	}
+	st := nearDupPruneStats(t, c, queries)
+	if skipped := 1 - float64(st.PostingsVisited)/float64(st.PostingsTotal); st.Bailouts != 0 || skipped < 0.9325 {
+		t.Fatalf("%d bail-outs, %.4f of postings skipped, want 0 and >= 0.9325: %+v", st.Bailouts, skipped, st)
+	}
+}
+
+// Decoded snapshots rebuild the derived metadata identical to the builder's.
 func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	_, texts, s := buildDiverse(41, 300)
 	c := s.Segment(0)
@@ -305,11 +333,11 @@ func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.dense) == 0 || len(c.bmax) != len(c.dense)*((c.Docs()+blockMask)>>blockShift) {
-		t.Fatalf("built segment: %d dense lists, %d block maxima over %d docs", len(c.dense), len(c.bmax), c.Docs())
+	if len(c.dense) == 0 || len(c.dnorm) != c.Docs() {
+		t.Fatalf("built segment: %d dense lists, %d dense norms over %d docs", len(c.dense), len(c.dnorm), c.Docs())
 	}
-	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.bmax, c.bmax) {
-		t.Fatal("decoded tmax/dense/bmax differ from the builder's")
+	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.dnorm, c.dnorm) || dc.dnormMax != c.dnormMax {
+		t.Fatal("decoded tmax/dense/dnorm differ from the builder's")
 	}
 	for id, m := range c.tmax {
 		if want := slices.Max(c.ws[c.off[id]:c.off[id+1]]); m != want {

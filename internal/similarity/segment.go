@@ -41,7 +41,7 @@ import (
 // the collector to trace, and the arrays are what a segment file's postings
 // section holds.
 //
-// tmax, dense, dws and bmax are derived by seal, never serialized. tmax[id]
+// tmax, dense, dws and dnorm are derived by seal, never serialized. tmax[id]
 // is list id's largest weight. A list is dense when it holds at least half
 // the segment's documents (2·df >= docs); dense names those lists,
 // ascending, and each is stored a second time doc-indexed: dense[i]'s weight
@@ -49,26 +49,28 @@ import (
 // q·(+0) to a non-negative sum changes no bit of it, so the scorer reads a
 // row for any document without a search and accumulates a whole row with
 // one axpy. A row's 8·docs bytes are at most 4/3 of the 12·df its list
-// already costs in the arenas. bmax holds the rows' block maxima (the gather
-// engine reads no others) — dense[i]'s at bmax[i*blocks:(i+1)*blocks], one
-// per blockSize documents.
+// already costs in the arenas. dnorm[d] is the 2-norm of document d's
+// column of dws, rounded up (see seal), and dnormMax the largest: by
+// Cauchy–Schwarz no query gets more than ‖its dense counts‖·dnorm[d] out of
+// d's dense lists, the one dense bound the gather engine uses.
 //
 // The zero id means "not yet assigned": internal/snapstore assigns a
 // store-unique id the first time the segment is persisted, and the id
 // never changes afterwards.
 type Segment struct {
-	names   []string
-	termIDs map[string]int32 // unigram term -> postings id
-	pairIDs map[uint64]int32 // unigram id pair -> bigram postings id
-	byteIDs []int32          // single-byte term -> id (-1 absent)
-	off     []uint32         // lists+1 arena offsets; unigrams and bigrams share one id space
-	docs    []int32
-	ws      []float64
-	tmax    []float64
-	dense   []int32
-	dws     []float64
-	bmax    []float64
-	id      uint64
+	names    []string
+	termIDs  map[string]int32 // unigram term -> postings id
+	pairIDs  map[uint64]int32 // unigram id pair -> bigram postings id
+	byteIDs  []int32          // single-byte term -> id (-1 absent)
+	off      []uint32         // lists+1 arena offsets; unigrams and bigrams share one id space
+	docs     []int32
+	ws       []float64
+	tmax     []float64
+	dense    []int32
+	dws      []float64
+	dnorm    []float64
+	dnormMax float64
+	id       uint64
 }
 
 func newSegment() *Segment {
@@ -164,12 +166,12 @@ func (g *Segment) layout(n []uint32) (cur []uint32) {
 	return n
 }
 
-// seal derives tmax and the dense form from the filled arenas and
-// precomputes the dictionary ids of all 256 single-byte terms, then
-// returns the now-frozen segment. Verilog text is punctuation-dense — `;`,
-// `(`, `=`, `,` are a large share of every query's tokens — and a direct
-// table turns each of those lookups into one array read instead of a
-// string-map probe.
+// seal derives tmax, the dense form and the documents' dense norms from the
+// filled arenas and precomputes the dictionary ids of all 256 single-byte
+// terms, then returns the now-frozen segment. Verilog text is
+// punctuation-dense — `;`, `(`, `=`, `,` are a large share of every query's
+// tokens — and a direct table turns each of those lookups into one array
+// read instead of a string-map probe.
 func (g *Segment) seal() *Segment {
 	nDocs := len(g.names)
 	g.tmax = make([]float64, g.lists())
@@ -183,18 +185,26 @@ func (g *Segment) seal() *Segment {
 			g.dense = append(g.dense, int32(id))
 		}
 	}
-	blocks := (nDocs + blockMask) >> blockShift
 	g.dws = make([]float64, len(g.dense)*nDocs)
-	g.bmax = make([]float64, len(g.dense)*blocks)
+	g.dnorm = make([]float64, nDocs)
 	for i, id := range g.dense {
 		row := g.dws[i*nDocs : (i+1)*nDocs]
 		lo, hi := g.off[id], g.off[id+1]
 		for j, d := range g.docs[lo:hi] {
-			row[d] = g.ws[int(lo)+j]
+			w := g.ws[int(lo)+j]
+			row[d] = w
+			// A decoded weight may be any float in (0, 1]; raised to 2^-500 its
+			// square cannot underflow, and a larger weight bounds it too.
+			w = max(w, 0x1p-500)
+			g.dnorm[d] += float64(w * w)
 		}
-		for b := range blocks {
-			g.bmax[i*blocks+b] = slices.Max(row[b*blockSize : min((b+1)*blockSize, nDocs)])
-		}
+	}
+	// The float sum of r squares, rooted, is short of the exact norm by a
+	// factor above 1 - (r/2+1)·2^-53; this slack is four times that.
+	up := 1 + float64(len(g.dense)+4)*epsUlp
+	for d, sq := range g.dnorm {
+		g.dnorm[d] = math.Sqrt(sq) * up
+		g.dnormMax = max(g.dnormMax, g.dnorm[d])
 	}
 	g.byteIDs = make([]int32, 256)
 	var buf [1]byte

@@ -304,8 +304,8 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 
-	// Block-max metadata is derived state and deliberately not serialized
-	// (the format — and every old snapshot file — stays valid); seal rebuilds
-	// it deterministically from the weights.
+	// tmax, the dense form and dnorm are derived state and deliberately not
+	// serialized (the format — and every old snapshot file — stays valid);
+	// seal rebuilds them deterministically from the weights.
 	return g.seal(), nil
 }

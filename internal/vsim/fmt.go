@@ -244,71 +244,35 @@ func DecimalString(v Value) string {
 	return sb.String()
 }
 
-func hexString(v Value, trim bool) string {
-	n := (v.Width + 3) / 4
+func hexString(v Value, trim bool) string { return radixString(v, 4, trim) }
+func octString(v Value, trim bool) string { return radixString(v, 3, trim) }
+
+// radixString prints v one digit per group of bits bits (4: hex, 3: octal).
+// A group with unknown bits follows IEEE 1364 §17.1.1.4: x when every bit is
+// x, z when every bit is z, Z when some bits are z and none is x, X otherwise.
+func radixString(v Value, bits int, trim bool) string {
+	n := (v.Width + bits - 1) / bits
 	out := make([]byte, n)
-	const hexDigits = "0123456789abcdef"
 	for d := 0; d < n; d++ {
-		var val, unknownBits, zBits, total uint64
-		for k := 0; k < 4; k++ {
-			bit := d*4 + k
-			if bit >= v.Width {
-				break
-			}
+		var val, xBits, zBits, total uint64
+		for k := 0; k < bits && d*bits+k < v.Width; k++ {
 			total++
-			a, b := v.Bit(bit)
-			if b == 1 {
-				unknownBits++
-				if a == 0 {
-					zBits++
-				}
-			}
+			a, b := v.Bit(d*bits + k)
+			xBits += a & b
+			zBits += b &^ a
 			val |= a << k
 		}
 		switch {
-		case unknownBits == 0:
-			out[n-1-d] = hexDigits[val&0xF]
-		case zBits == unknownBits && unknownBits == total:
-			out[n-1-d] = 'z'
-		case zBits == 0 && unknownBits == total:
+		case xBits+zBits == 0:
+			out[n-1-d] = "0123456789abcdef"[val]
+		case xBits == total:
 			out[n-1-d] = 'x'
-		case zBits > 0:
+		case zBits == total:
+			out[n-1-d] = 'z'
+		case xBits == 0:
 			out[n-1-d] = 'Z'
 		default:
 			out[n-1-d] = 'X'
-		}
-	}
-	s := string(out)
-	if trim {
-		s = strings.TrimLeft(s, "0")
-		if s == "" {
-			s = "0"
-		}
-	}
-	return s
-}
-
-func octString(v Value, trim bool) string {
-	n := (v.Width + 2) / 3
-	out := make([]byte, n)
-	for d := 0; d < n; d++ {
-		var val uint64
-		unknown := false
-		for k := 0; k < 3; k++ {
-			bit := d*3 + k
-			if bit >= v.Width {
-				break
-			}
-			a, b := v.Bit(bit)
-			if b == 1 {
-				unknown = true
-			}
-			val |= a << k
-		}
-		if unknown {
-			out[n-1-d] = 'x'
-		} else {
-			out[n-1-d] = byte('0' + (val & 7))
 		}
 	}
 	s := string(out)

@@ -2,6 +2,8 @@ package vsim
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -298,6 +300,47 @@ func TestHexOctFormatting(t *testing.T) {
 	allZ := ParseBits("zzzz")
 	if got := hexString(allZ, false); got != "z" {
 		t.Fatalf("z nibble: %q", got)
+	}
+}
+
+// Every four-state hex digit and octal digit against IEEE 1364 §17.1.1.4,
+// stated on the digit's text: a digit when no bit is unknown, x when all are
+// x, z when all are z, Z when some are z and none x, X otherwise. (Until
+// PR 22 a nibble holding both x and z printed Z, and octal knew only x.)
+func TestRadixDigitsFollowIEEE1364(t *testing.T) {
+	for _, bits := range []int{4, 3} {
+		combos := 1
+		for range bits {
+			combos *= 4
+		}
+		for c := 0; c < combos; c++ {
+			group := make([]byte, bits)
+			for k, cc := 0, c; k < bits; k, cc = k+1, cc/4 {
+				group[k] = "01xz"[cc%4]
+			}
+			text := string(group)
+			nx, nz := strings.Count(text, "x"), strings.Count(text, "z")
+			var want string
+			switch {
+			case nx+nz == 0:
+				u, _ := strconv.ParseUint(text, 2, 8)
+				want = strconv.FormatUint(u, 1<<bits)
+			case nx == bits:
+				want = "x"
+			case nz == bits:
+				want = "z"
+			case nx == 0:
+				want = "Z"
+			default:
+				want = "X"
+			}
+			// One digit on its own, and as the middle digit of three.
+			got := radixString(ParseBits(text), bits, false)
+			wide := radixString(ParseBits("1"+text+strings.Repeat("0", bits)), bits, false)
+			if got != want || wide != "1"+want+"0" {
+				t.Fatalf("%d-bit digit %q prints %q (and %q between 1 and 0), want %q", bits, text, got, wide, want)
+			}
+		}
 	}
 }
 
