@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out     = fs.String("out", "", "directory to write the curated dataset into")
 		rate    = fs.Int("rate", 0, "simulated API rate limit (requests per 50ms; 0 = off)")
 		noCache = fs.Bool("no-cache", false, "disable the content-hash verdict cache")
-		budget  = fs.Int64("cache-budget", 0, "verdict cache byte budget (segmented-LRU eviction; 0 = unbounded)")
+		budget  = fs.Int64("cache-budget", 0, "verdict cache budget in measured bytes (segmented-LRU eviction; 0 = unbounded)")
 		repeat  = fs.Int("repeat", 1, "re-run the FreeSet funnel n times (warm-cache timing)")
 	)
 	if err := fs.Parse(args); err != nil {

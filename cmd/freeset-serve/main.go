@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		queue     = fs.Int("queue", 256, "audit queue depth before 429 backpressure")
 		batch     = fs.Int("batch", 32, "max audits coalesced into one snapshot pass")
 		threshold = fs.Float64("threshold", 0, "violation cosine threshold (0 = paper's 0.8)")
-		budget    = fs.Int64("cache-budget", 0, "verdict cache byte budget (0 = default 256 MiB, negative = unbounded)")
+		budget    = fs.Int64("cache-budget", 0, "verdict cache budget in measured bytes (0 = default 256 MiB, negative = unbounded)")
 		dataDir   = fs.String("data-dir", "", "directory for durable corpus snapshots (empty = in-memory only)")
 		retain    = fs.Int("retain", 3, "snapshot versions kept on disk for rollback (<= 0 keeps all)")
 		grace     = fs.Duration("shutdown-grace", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")

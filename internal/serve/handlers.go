@@ -180,8 +180,8 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	entries := make([]*vcache.Entry, n)
-	var missIdx []int
-	var missTexts []string
+	missIdx := make([]int, 0, n)
+	missTexts := make([]string, 0, n)
 	for i, c := range req.Candidates {
 		entries[i] = s.store.Entry(c.Code)
 		if m, ok := entries[i].CachedBestMatch(st.version); ok {

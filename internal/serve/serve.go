@@ -113,7 +113,9 @@ type Config struct {
 	// FreeSet options.
 	Curation curation.Options
 	// CacheBudget bounds the verdict cache's resident bytes (segmented-
-	// LRU eviction, see vcache.SetBudget). Every distinct audited/
+	// LRU eviction, see vcache.SetBudget) as the store measures them: the
+	// entry of a content that was only audited, its analyses and dedup
+	// artifacts on top for one that was filtered. Every distinct audited/
 	// scanned content inserts an entry, so a long-lived server must be
 	// bounded: 0 selects the 256 MiB default, negative means unbounded.
 	CacheBudget int64

@@ -8,11 +8,13 @@
 // collapses to a hash lookup on the second pass.
 //
 // A Store shards its entry map by key so concurrent funnel workers do not
-// serialize on one lock. Entries memoize each analysis with a sync.Once per
-// field: the first caller computes, everyone else waits, and a value is
-// never computed twice no matter how many funnel variants share the store.
+// serialize on one lock. An Entry is one small object per content: the
+// audit memo inline, the curation analyses behind a pointer allocated on
+// first use, each under its own sync.Once — the first caller computes,
+// everyone else waits, and a value is never computed twice no matter how
+// many funnel variants share the store.
 //
-// Stores are unbounded by default; SetBudget bounds approximate resident
+// Stores are unbounded by default; SetBudget bounds the measured resident
 // bytes with a two-generation clock (segmented-LRU) eviction policy, so a
 // long-lived server curating many disjoint corpora holds its working set
 // hot while one-shot sweeps wash through probation. Eviction only forgets
@@ -46,9 +48,37 @@ func KeyOf(content string) Key {
 	return sha256.Sum256(unsafe.Slice(unsafe.StringData(content), len(content)))
 }
 
-// Entry memoizes every cached analysis of one file content. The zero-ish
-// entry from NewEntry works standalone (no Store) as a pure per-file memo.
+// Entry is the only per-content object: the clock bookkeeping its store
+// keeps under the shard lock, the audit best-match memo, and a pointer to
+// the curation analyses, nil until one of them is first asked for — an
+// entry that was only ever audited never pays for them. The entry from
+// NewEntry works standalone (no Store) as a pure per-file memo, as does a
+// stored entry its store has since evicted.
 type Entry struct {
+	// Set on insert, then guarded by the owning shard's lock.
+	key  Key
+	st   *Store // nil for a standalone entry
+	cost int64  // bytes charged to the shard for this entry
+
+	an atomic.Pointer[analyses]
+
+	// Audit best-match memo. Unlike the analyses, an audit verdict depends
+	// on the corpus index as well as the content, so the memo is keyed by
+	// the snapshot version it was computed under: publishing a new corpus
+	// invalidates it, and a stale in-flight batch can never clobber a
+	// verdict computed against a newer snapshot.
+	bmMu  sync.Mutex
+	bmVer uint64
+	bm    similarity.Match
+	bmOK  bool
+
+	ref bool // shard lock: referenced since the clock hand last passed
+	hot bool // shard lock: protected generation (survived a sweep with a hit)
+}
+
+// analyses are the memoized curation verdicts, pure functions of content
+// (plus, for prep, the store's dedup Options).
+type analyses struct {
 	prepOnce sync.Once
 	prep     dedup.Prepared
 
@@ -60,29 +90,65 @@ type Entry struct {
 
 	synOnce sync.Once
 	synBad  bool
-
-	// Audit best-match memo. Unlike the analyses above, an audit verdict
-	// depends on the corpus index as well as the content, so the memo is
-	// keyed by the snapshot version it was computed under: publishing a
-	// new corpus invalidates it, and a stale in-flight batch can never
-	// clobber a verdict computed against a newer snapshot.
-	bmMu  sync.Mutex
-	bmVer uint64
-	bmOK  bool
-	bm    similarity.Match
 }
+
+// entryBytes is what a resident entry weighs before any analysis exists:
+// the Entry (its size is a malloc size class) plus the 74 bytes measured
+// for its map cell — a 32-byte key and a pointer at Go's load factor — and
+// its share of the clock ring. analysesBytes is the analyses struct, also
+// a size class. TestFootprint holds both to what the heap reports.
+const (
+	entryBytes    = int64(unsafe.Sizeof(Entry{})) + 74
+	analysesBytes = int64(unsafe.Sizeof(analyses{}))
+)
 
 // NewEntry returns a standalone entry (per-file memoization without a
 // store, the cache-disabled mode of the curation funnel).
 func NewEntry() *Entry { return &Entry{} }
+
+// lazy returns the entry's analyses, allocating them on first use. The
+// loop has one Load site: a goroutine that loses the CompareAndSwap goes
+// round and loads the winner's struct, so every caller shares one set of
+// sync.Onces and each analysis is still computed once.
+func (e *Entry) lazy() *analyses {
+	for {
+		if a := e.an.Load(); a != nil {
+			return a
+		}
+		if e.an.CompareAndSwap(nil, new(analyses)) {
+			e.charge(analysesBytes)
+		}
+	}
+}
+
+// charge adds n bytes to what the entry's shard accounts for it, sweeping
+// the shard if that takes it over budget. A standalone entry has no store
+// to charge, and one the store has evicted (an Extraction or an in-flight
+// request still holds it) is no longer anyone's resident bytes.
+func (e *Entry) charge(n int64) {
+	if e.st == nil {
+		return
+	}
+	sh := e.st.shardOf(e.key)
+	sh.mu.Lock()
+	if sh.m[e.key] == e {
+		e.cost += n
+		e.st.grow(sh, n)
+	}
+	sh.mu.Unlock()
+}
 
 // Prepared returns the memoized dedup artifacts, computing them with p on
 // first use. p must be built from the dedup Options the entry's store is
 // keyed by (any compatible Preparer computes identical artifacts, so which
 // caller wins the race does not matter).
 func (e *Entry) Prepared(content string, p *dedup.Preparer) dedup.Prepared {
-	e.prepOnce.Do(func() { e.prep = p.Prepare(content) })
-	return e.prep
+	a := e.lazy()
+	a.prepOnce.Do(func() {
+		a.prep = p.Prepare(content)
+		e.charge(8 * int64(len(a.prep.Shingles)+len(a.prep.Sig)+len(a.prep.Bands)))
+	})
+	return a.prep
 }
 
 // HeaderScan returns the memoized copyright screen of the header comment.
@@ -90,8 +156,9 @@ func (e *Entry) Prepared(content string, p *dedup.Preparer) dedup.Prepared {
 // variants and goroutines, so a caller that sorts or appends must not be
 // able to corrupt every future hit.
 func (e *Entry) HeaderScan(content string) license.ScanResult {
-	e.hdrOnce.Do(func() { e.hdr = license.ScanHeader(vlog.HeaderComment(content)) })
-	res := e.hdr
+	a := e.lazy()
+	a.hdrOnce.Do(func() { a.hdr = license.ScanHeader(vlog.HeaderComment(content)) })
+	res := a.hdr
 	if res.Reasons != nil {
 		res.Reasons = append([]string(nil), res.Reasons...)
 	}
@@ -101,19 +168,21 @@ func (e *Entry) HeaderScan(content string) license.ScanResult {
 // BodyHits returns the memoized sensitive-content findings of the body,
 // as a defensive copy (see HeaderScan).
 func (e *Entry) BodyHits(content string) []string {
-	e.bodyOnce.Do(func() { e.body = license.ScanBody(content) })
-	if e.body == nil {
+	a := e.lazy()
+	a.bodyOnce.Do(func() { a.body = license.ScanBody(content) })
+	if a.body == nil {
 		return nil
 	}
-	return append([]string(nil), e.body...)
+	return append([]string(nil), a.body...)
 }
 
 // SyntaxBad returns the memoized syntax-filter verdict. The verdict is
 // computed through vlog.CheckFast: the streaming QuickCheck pass decides
 // the common well-formed case, the full parser everything else.
 func (e *Entry) SyntaxBad(content string) bool {
-	e.synOnce.Do(func() { e.synBad = vlog.CheckFast(content) != nil })
-	return e.synBad
+	a := e.lazy()
+	a.synOnce.Do(func() { a.synBad = vlog.CheckFast(content) != nil })
+	return a.synBad
 }
 
 // CachedBestMatch returns the memoized best corpus match for this content
@@ -147,70 +216,47 @@ func (e *Entry) StoreBestMatch(ver uint64, m similarity.Match) {
 // count without bloating small stores.
 const storeShards = 64
 
-// slotOverhead approximates the fixed bytes an entry costs beyond its
-// artifacts: the Entry struct, its map cell, and the clock-ring slot.
-const slotOverhead = 512
-
-// entryCost approximates an entry's resident bytes. Cached artifacts scale
-// with the content (the shingle set holds one hash per unique shingle, the
-// signature and band hashes are fixed, scans are small), so content length
-// plus a fixed overhead is a faithful — deliberately approximate — account.
-func entryCost(contentLen int) int64 { return slotOverhead + int64(contentLen) }
-
-// slot is one cached entry plus its clock-eviction bookkeeping, guarded by
-// the owning shard's lock.
-type slot struct {
-	e    *Entry
-	key  Key
-	cost int64
-	ref  bool // referenced since the clock hand last passed
-	hot  bool // protected generation (survived at least one sweep with a hit)
-}
-
 type shard struct {
 	mu    sync.Mutex
-	m     map[Key]*slot
-	ring  []*slot // clock order (insertion order, hand wraps); nil = tombstone
+	m     map[Key]*Entry
+	ring  []*Entry // clock order (insertion order, hand wraps); nil = tombstone
 	hand  int
 	dead  int // tombstone count in ring
 	bytes int64
 }
 
 // evict runs the two-generation clock until the shard fits its budget.
-// Probationary slots (hot=false) are evicted on their first unreferenced
-// visit; referenced slots get promoted to the protected generation, which
+// Probationary entries (hot=false) are evicted on their first unreferenced
+// visit; referenced entries get promoted to the protected generation, which
 // must be demoted once before eviction — a segmented-LRU approximation
 // that keeps the funnel's re-scanned entries resident while one-shot
-// corpus sweeps wash through probation. Each visit strictly downgrades a
-// slot (ref→clear, hot→demote, cold→evict), so the sweep terminates.
+// corpus sweeps wash through probation. Each visit strictly downgrades an
+// entry (ref→clear, hot→demote, cold→evict), so the sweep terminates.
 //
-// Evicted slots become nil tombstones (O(1)); the ring compacts in one
-// pass once tombstones outnumber live slots, keeping steady-state inserts
+// Evicted entries become nil tombstones (O(1)); the ring compacts in one
+// pass once tombstones outnumber live entries, keeping steady-state inserts
 // amortized O(1) instead of copying the ring tail per eviction.
 func (sh *shard) evict(budget int64, evictions *atomic.Int64) {
 	for sh.bytes > budget && len(sh.ring) > sh.dead {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
-		sl := sh.ring[sh.hand]
+		e := sh.ring[sh.hand]
 		switch {
-		case sl == nil: // tombstone
-			sh.hand++
-		case sl.ref:
-			sl.ref = false
-			sl.hot = true
-			sh.hand++
-		case sl.hot:
-			sl.hot = false
-			sh.hand++
+		case e == nil: // tombstone
+		case e.ref:
+			e.ref = false
+			e.hot = true
+		case e.hot:
+			e.hot = false
 		default:
-			delete(sh.m, sl.key)
+			delete(sh.m, e.key)
 			sh.ring[sh.hand] = nil
 			sh.dead++
-			sh.hand++
-			sh.bytes -= sl.cost
+			sh.bytes -= e.cost
 			evictions.Add(1)
 		}
+		sh.hand++
 	}
 	if sh.dead > len(sh.ring)-sh.dead {
 		sh.compact()
@@ -218,32 +264,30 @@ func (sh *shard) evict(budget int64, evictions *atomic.Int64) {
 }
 
 // compact drops tombstones in one pass, preserving clock order and the
-// hand's position relative to surviving slots.
+// hand's position relative to surviving entries.
 func (sh *shard) compact() {
 	kept := sh.ring[:0]
 	hand := 0
-	for i, sl := range sh.ring {
-		if sl == nil {
+	for i, e := range sh.ring {
+		if e == nil {
 			continue
 		}
 		if i < sh.hand {
 			hand++
 		}
-		kept = append(kept, sl)
+		kept = append(kept, e)
 	}
 	// Zero the freed tail so evicted entries are collectable.
-	for i := len(kept); i < len(sh.ring); i++ {
-		sh.ring[i] = nil
-	}
+	clear(sh.ring[len(kept):])
 	sh.ring = kept
 	sh.hand = hand
 	sh.dead = 0
 }
 
-// Store is a sharded content-hash -> Entry map with approximate byte
-// accounting and an optional budget. All entries' dedup artifacts are
-// computed under the store's dedup Options; analyses that do not depend on
-// those options (scans, syntax) are options-agnostic.
+// Store is a sharded content-hash -> Entry map that accounts what its
+// entries weigh and holds them to an optional budget. All entries' dedup
+// artifacts are computed under the store's dedup Options; analyses that do
+// not depend on those options (scans, syntax) are options-agnostic.
 //
 // Eviction only ever forgets memoized verdicts — a later lookup recomputes
 // them from content — so results are byte-identical at any budget; only
@@ -274,12 +318,12 @@ func prepKey(dopt dedup.Options) dedup.Options {
 func NewStore(dopt dedup.Options) *Store {
 	s := &Store{opt: prepKey(dopt)}
 	for i := range s.shards {
-		s.shards[i].m = map[Key]*slot{}
+		s.shards[i].m = map[Key]*Entry{}
 	}
 	return s
 }
 
-// SetBudget bounds the store's approximate resident bytes; budget <= 0
+// SetBudget bounds the store's accounted resident bytes; budget <= 0
 // removes the bound. A tighter budget takes effect immediately (resident
 // entries are swept down to fit) and on every subsequent insertion.
 func (s *Store) SetBudget(budget int64) {
@@ -308,29 +352,34 @@ func (s *Store) Options() dedup.Options { return s.opt }
 // relevant dedup parameters.
 func (s *Store) Compatible(dopt dedup.Options) bool { return s.opt == prepKey(dopt) }
 
+func (s *Store) shardOf(k Key) *shard { return &s.shards[k[0]&(storeShards-1)] }
+
+// grow charges sh n more bytes and, when the store is bounded, sweeps it
+// back under its share of the budget. The caller holds sh.mu.
+func (s *Store) grow(sh *shard, n int64) {
+	sh.bytes += n
+	if b := s.budget.Load(); b > 0 {
+		sh.evict(b/storeShards, &s.evictions)
+	}
+}
+
 // Entry returns the entry for content, creating it on first sight. A hit
-// marks the slot referenced for the clock; a miss inserts into probation
+// marks the entry referenced for the clock; a miss inserts into probation
 // and, when the store is over budget, sweeps the shard back under its
 // share. An evicted entry that is still referenced by an Extraction keeps
 // working as a standalone memo — eviction only severs future sharing.
 func (s *Store) Entry(content string) *Entry {
 	k := KeyOf(content)
-	sh := &s.shards[k[0]&(storeShards-1)]
+	sh := s.shardOf(k)
 	sh.mu.Lock()
-	sl, ok := sh.m[k]
-	var e *Entry
+	e, ok := sh.m[k]
 	if ok {
-		sl.ref = true
-		e = sl.e
+		e.ref = true
 	} else {
-		e = &Entry{}
-		sl = &slot{e: e, key: k, cost: entryCost(len(content))}
-		sh.m[k] = sl
-		sh.ring = append(sh.ring, sl)
-		sh.bytes += sl.cost
-		if b := s.budget.Load(); b > 0 {
-			sh.evict(b/storeShards, &s.evictions)
-		}
+		e = &Entry{key: k, st: s, cost: entryBytes}
+		sh.m[k] = e
+		sh.ring = append(sh.ring, e)
+		s.grow(sh, e.cost)
 	}
 	sh.mu.Unlock()
 	if ok {
@@ -341,29 +390,17 @@ func (s *Store) Entry(content string) *Entry {
 	return e
 }
 
-// Len returns the number of distinct contents seen.
-//
-// Like Stats, Len is weakly consistent: shards are counted one at a time
-// under their own locks, so concurrent Get/Set/eviction traffic can be
-// double-counted or missed across the walk. The result is exact only in
-// quiescence; under load it is a monitoring figure, never a linearizable
-// snapshot.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// Len returns the number of distinct contents resident. Like Stats, it
+// is weakly consistent: exact only in quiescence, under load a monitoring
+// figure, never a linearizable snapshot.
+func (s *Store) Len() int { return s.Stats().Entries }
 
 // Stats reports lookup traffic and residency.
 type Stats struct {
 	Hits, Misses int64
 	Entries      int
-	// Bytes is the approximate resident size (entryCost accounting).
+	// Bytes is what the resident entries weigh: entryBytes each, plus the
+	// analyses and dedup artifacts of those that materialised them.
 	Bytes int64
 	// Evictions counts entries dropped by the budget clock.
 	Evictions int64
@@ -373,11 +410,12 @@ type Stats struct {
 //
 // The snapshot is weakly consistent, not a point-in-time view: the atomic
 // counters are read before the per-shard walk, and each shard is summed
-// under its own lock while the others keep moving. Invariants callers may
+// under its own lock while the others keep moving, so concurrent Entry and
+// eviction traffic can be double-counted or missed. Invariants callers may
 // rely on: every field is non-negative, Entries/Bytes never exceed what
 // the store has ever admitted, and once the store is quiescent Stats
 // agrees exactly with the final contents. Callers must not expect
-// Hits+Misses to equal the Get calls observed at any single instant, nor
+// Hits+Misses to equal the Entry calls observed at any single instant, nor
 // Entries to match a Len() racing with writers.
 func (s *Store) Stats() Stats {
 	st := Stats{

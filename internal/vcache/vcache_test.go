@@ -2,11 +2,15 @@ package vcache
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"freehw/internal/corpus"
 	"freehw/internal/dedup"
 	"freehw/internal/license"
 	"freehw/internal/similarity"
@@ -124,9 +128,9 @@ func contentForShard(t *testing.T, shard byte, n int) []string {
 func TestBudgetBoundsResidency(t *testing.T) {
 	s := NewStore(dedup.Options{Seed: 1})
 	contents := contentForShard(t, 0, 40)
-	perEntry := entryCost(len(contents[0]))
-	// Budget for ~8 entries in shard 0 (the budget is split across shards).
-	s.SetBudget(int64(storeShards) * perEntry * 8)
+	// Budget for ~8 entries in shard 0 (the budget is split across shards),
+	// each with the analyses SyntaxBad materialises.
+	s.SetBudget(storeShards * (entryBytes + analysesBytes) * 8)
 	for _, c := range contents {
 		e := s.Entry(c)
 		if e.SyntaxBad(c) {
@@ -171,8 +175,7 @@ func TestClockKeepsHotEntry(t *testing.T) {
 	s := NewStore(dedup.Options{Seed: 1})
 	contents := contentForShard(t, 0, 60)
 	hot, cold := contents[0], contents[1:]
-	perEntry := entryCost(len(hot))
-	s.SetBudget(int64(storeShards) * perEntry * 6)
+	s.SetBudget(storeShards * entryBytes * 6)
 	hotEntry := s.Entry(hot)
 	for _, c := range cold {
 		s.Entry(c)
@@ -191,7 +194,7 @@ func TestSetBudgetTrimsImmediately(t *testing.T) {
 	if got := s.Stats().Entries; got != 30 {
 		t.Fatalf("expected 30 resident entries, got %d", got)
 	}
-	s.SetBudget(int64(storeShards) * entryCost(len(contents[0])) * 4)
+	s.SetBudget(storeShards * entryBytes * 4)
 	if got := s.Stats().Entries; got > 5 {
 		t.Fatalf("SetBudget did not trim: %d entries resident", got)
 	}
@@ -358,5 +361,163 @@ func TestStatsWeaklyConsistentUnderLoad(t *testing.T) {
 	}
 	if st.Misses != distinct {
 		t.Fatalf("final misses=%d, want one per distinct content (%d)", st.Misses, distinct)
+	}
+}
+
+// analysed is what the four curation analyses say about one content.
+type analysed struct {
+	prep dedup.Prepared
+	hdr  license.ScanResult
+	body []string
+	bad  bool
+}
+
+// allFour runs every curation analysis on e.
+func allFour(e *Entry, src string, p *dedup.Preparer) analysed {
+	return analysed{e.Prepared(src, p), e.HeaderScan(src), e.BodyHits(src), e.SyntaxBad(src)}
+}
+
+// An entry the store has evicted, or one that never had a store, is a
+// standalone memo: materialising its analyses charges no shard.
+func TestEvictedEntryChargesNothing(t *testing.T) {
+	s := NewStore(dedup.Options{Seed: 1})
+	prep := dedup.NewPreparer(s.Options())
+	srcs := distinctModules(256)
+	held := make([]*Entry, len(srcs))
+	for i, src := range srcs {
+		held[i] = s.Entry(src)
+	}
+	s.SetBudget(1)
+	for i, src := range srcs {
+		if !reflect.DeepEqual(allFour(held[i], src, prep), allFour(NewEntry(), src, prep)) {
+			t.Fatalf("evicted entry %d diverged from a fresh standalone one", i)
+		}
+	}
+	if st := s.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("evicted entries were charged: %+v", st)
+	}
+}
+
+// distinctModules returns n generated modules, each made unique by a
+// trailing comment, the way n completions of a prompt differ.
+func distinctModules(n int) []string {
+	rng := rand.New(rand.NewSource(23))
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s// %d\n", corpus.Generate(rng, "", false).Source, i)
+	}
+	return out
+}
+
+// footprint stores n distinct modules, runs fill on each entry, and returns
+// bytes per entry as the heap measures them (HeapAlloc growth after two
+// collections) and as the store accounts them.
+func footprint(n int, fill func(e *Entry, src string)) (measured, accounted float64) {
+	srcs := distinctModules(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewStore(dedup.Options{})
+	for _, src := range srcs {
+		fill(s.Entry(src), src)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := s.Stats()
+	runtime.KeepAlive(srcs)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(n), float64(st.Bytes) / float64(n)
+}
+
+// TestFootprint pins what a remembered verdict costs as counts: the Entry
+// fits the 112-byte size class, an audit-only entry weighs at most 200
+// bytes with its map cell and ring share, and the store's accounting is
+// within a quarter of the heap's for every shape an entry takes.
+func TestFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(Entry{}); sz > 112 {
+		t.Fatalf("Entry is %d bytes, over the 112-byte size class", sz)
+	}
+	prep := dedup.NewPreparer(dedup.Options{})
+	shapes := []struct {
+		name string
+		n    int
+		max  float64 // measured bytes per entry; 0 = unbounded
+		fill func(e *Entry, src string)
+	}{
+		{"audit-only", 50000, 200, func(e *Entry, _ string) { e.StoreBestMatch(1, similarity.Match{Name: "p.v", Score: 0.5}) }},
+		{"syntax-only", 5000, 0, func(e *Entry, src string) { e.SyntaxBad(src) }},
+		{"materialised", 5000, 0, func(e *Entry, src string) { allFour(e, src, prep) }},
+	}
+	for _, sh := range shapes {
+		measured, accounted := footprint(sh.n, sh.fill)
+		t.Logf("%s: measured %.0f B/entry, accounted %.0f", sh.name, measured, accounted)
+		if sh.max > 0 && measured > sh.max {
+			t.Errorf("%s: %.0f bytes per entry, want <= %.0f", sh.name, measured, sh.max)
+		}
+		if r := accounted / measured; r < 0.8 || r > 1.25 {
+			t.Errorf("%s: accounted/measured = %.2f, want 0.8-1.25", sh.name, r)
+		}
+	}
+}
+
+// TestFirstUseRace races the lazy analyses pointer: eight goroutines hit
+// every method of one stored entry while a ninth evicts it under a tight
+// budget. The analyses are computed once (one Prepared backing array), the
+// memo round-trips, and the byte accounting neither goes negative nor
+// drifts from the resident entries' costs.
+func TestFirstUseRace(t *testing.T) {
+	s := NewStore(dedup.Options{Seed: 1})
+	prep := dedup.NewPreparer(s.Options())
+	s.SetBudget(storeShards * entryBytes * 4)
+	e := s.Entry(protectedSrc)
+	want := similarity.Match{Name: "a.v", Index: 3, Score: 0.91}
+	wantAn := allFour(NewEntry(), protectedSrc, prep)
+	evictors := contentForShard(t, KeyOf(protectedSrc)[0]&(storeShards-1), 64)
+
+	var wg sync.WaitGroup
+	sigs := make([]*uint64, 8)
+	for g := range sigs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			an := allFour(e, protectedSrc, prep)
+			sigs[g] = &an.prep.Sig[0]
+			if !reflect.DeepEqual(an, wantAn) {
+				t.Errorf("goroutine %d: analyses diverged from a standalone entry's", g)
+			}
+			e.StoreBestMatch(7, want)
+			if got, ok := e.CachedBestMatch(7); !ok || got != want {
+				t.Errorf("goroutine %d: memo did not round-trip: %+v %v", g, got, ok)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, c := range evictors {
+			s.Entry(c)
+			if st := s.Stats(); st.Bytes < 0 {
+				t.Errorf("Bytes went negative: %+v", st)
+			}
+		}
+	}()
+	wg.Wait()
+	for g, p := range sigs {
+		if p != sigs[0] {
+			t.Fatalf("goroutine %d saw its own Prepared: computed more than once", g)
+		}
+	}
+	if s.Entry(protectedSrc) == e {
+		t.Fatal("the raced entry was never evicted")
+	}
+	var resident int64
+	for i := range s.shards {
+		for _, r := range s.shards[i].m {
+			resident += r.cost
+		}
+	}
+	if st := s.Stats(); st.Bytes != resident {
+		t.Fatalf("Bytes = %d, resident entries cost %d", st.Bytes, resident)
 	}
 }
