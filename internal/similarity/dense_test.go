@@ -260,8 +260,8 @@ func TestSealDerivesDenseForm(t *testing.T) {
 		}
 		built := BuildSegment(names, texts, 2)
 		isDense := func(term string) bool {
-			id, ok := built.termIDs[term]
-			return ok && slices.Contains(built.dense, id)
+			id, _ := built.dict.findTerm(term)
+			return id >= 0 && slices.Contains(built.dense, id)
 		}
 		if n > 0 && (!isDense("all") || !isDense("ceilhalf")) {
 			t.Fatalf("%d docs: a list in every document or in ceil(docs/2) of them is not dense (%v)", n, built.dense)

@@ -218,10 +218,11 @@ func FuzzDecodeSegment(f *testing.F) {
 		g, err := DecodeSegment(in)
 		runtime.ReadMemStats(&after)
 		// Worst ratios: an offset, a tmax and an isUni flag (13 bytes) per
-		// 4-byte empty list; a presized map slot (up to ~57 bytes when the
-		// table rounds up) per claimed term, which costs 8 bytes of
-		// dictionary and 4 of the list count it may not exceed. The constant
-		// covers the 256-entry byte table and the fuzz worker's own noise.
+		// 4-byte empty list; 1.25 to 2.5 presized table slots of 12 bytes (the
+		// table is a power of two at most 4/5 full) per claimed bigram, which
+		// costs 12 bytes of dictionary and 4 of the list count it may not
+		// exceed. The constant covers the 256-entry byte table, the empty
+		// tables and the fuzz worker's own noise.
 		if got := after.TotalAlloc - before.TotalAlloc; got > 8*size+64<<10 {
 			t.Fatalf("decoding %d input bytes allocated %d", size, got)
 		}
@@ -235,8 +236,8 @@ func FuzzDecodeSegment(f *testing.F) {
 		// Queries made of the segment's own terms, in id order (roughly the
 		// first document's token order, so bigrams resolve too).
 		terms := make([]string, g.lists())
-		for term, id := range g.termIDs {
-			terms[id] = term
+		for o, id := range g.dict.tid {
+			terms[id] = string(g.dict.termBytes(o))
 		}
 		all := strings.Join(terms, " ")
 		snap := SnapshotOf([]*Segment{g}, nil)

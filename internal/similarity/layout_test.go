@@ -109,6 +109,8 @@ func TestTombstonedMergeBytesUnchanged(t *testing.T) {
 
 // heldBy reports the heap bytes and heap objects that the value build
 // returns keeps alive once everything else build allocated is collected.
+// What build reads must outlive the call (runtime.KeepAlive), or its bytes
+// and objects are subtracted from the reading.
 func heldBy(build func() any) (bytes, objects int64) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -120,10 +122,10 @@ func heldBy(build func() any) (bytes, objects int64) {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc), int64(after.HeapObjects) - int64(before.HeapObjects)
 }
 
-// A sealed segment's postings are a fixed number of allocations however
-// many lists it has: what it holds beyond them is its dictionary and name
-// strings and the maps' tables. One allocation per list — this segment has
-// several lists per distinct unigram — cannot hide under that bound.
+// A sealed segment is a fixed number of allocations however many lists and
+// however many unigrams it has — postings and dictionaries alike are flat
+// arenas and tables — plus its name strings. One allocation per list or per
+// dictionary key cannot hide under that bound.
 func TestSealedSegmentObjectCount(t *testing.T) {
 	names, texts := protectedDocs(2000)
 	var g *Segment
@@ -131,43 +133,45 @@ func TestSealedSegmentObjectCount(t *testing.T) {
 		g = BuildSegment(names, texts, 1)
 		return g
 	})
+	runtime.KeepAlive(texts)
 	distinctNames := map[string]bool{}
 	for _, n := range names {
 		distinctNames[n] = true
 	}
-	bound := int64(len(g.termIDs) + len(distinctNames) + 64)
+	bound := int64(len(distinctNames) + 64)
 	if objects > bound {
-		t.Fatalf("sealed segment of %d lists holds %d heap objects, want <= %d (%d unigrams + %d names + 64)",
-			g.lists(), objects, bound, len(g.termIDs), len(distinctNames))
+		t.Fatalf("sealed segment of %d lists holds %d heap objects, want <= %d (%d names + 64)",
+			g.lists(), objects, bound, len(distinctNames))
 	}
-	if int64(g.lists()) < 2*bound {
-		t.Fatalf("%d lists against a bound of %d: the corpus no longer separates per-list allocation", g.lists(), bound)
+	if int64(len(g.dict.tid)) < 2*bound {
+		t.Fatalf("%d unigrams against a bound of %d: the corpus no longer separates per-key allocation", len(g.dict.tid), bound)
 	}
 	t.Logf("%d docs, %d lists, %d postings: %d heap objects (bound %d)", g.Docs(), g.lists(), len(g.docs), objects, bound)
 }
 
 // A sealed segment must not alias the text it was built from: a dictionary
 // key that is a substring of an uploaded document keeps that whole upload
-// alive for the segment's life. (Upper-case terms were always copies —
-// ToLower made them — so the text here has lower-case and non-ASCII terms
-// too; MergeSegments shares its inputs' standalone keys on purpose.)
+// alive for the segment's life. Every key is bytes of the dictionary's own
+// arena (upper-case terms were always copies — ToLower made them — so the
+// text here has lower-case and non-ASCII terms too).
 func TestSealedSegmentDoesNotAliasItsText(t *testing.T) {
 	text := strings.Repeat("module top_level (input clk_i, output reg [7:0] Q_o); // größe\n  assign w = clk_i ^ 8'hA5;\nendmodule\n", 3)
-	base := uintptr(unsafe.Pointer(unsafe.StringData(text)))
-	inside := func(s string) bool {
-		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-		return len(s) > 0 && p >= base && p < base+uintptr(len(text))
-	}
+	base, lower := uintptr(unsafe.Pointer(unsafe.StringData(text))), strings.ToLower(text)
 	b := NewSegmentBuilder()
 	b.Add("top.v", text)
 	batch := BuildSegment([]string{"top.v"}, []string{text}, 1)
 	for _, g := range []*Segment{b.Seal(), batch} {
-		if len(g.termIDs) < 10 {
-			t.Fatalf("only %d unigrams interned", len(g.termIDs))
+		d := &g.dict
+		if len(d.tid) < 10 {
+			t.Fatalf("only %d unigrams interned", len(d.tid))
 		}
-		for term := range g.termIDs {
-			if inside(term) {
-				t.Fatalf("dictionary key %q points into the document it came from", term)
+		arena := d.arena[:cap(d.arena)]
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(arena))); p < base+uintptr(len(text)) && base < p+uintptr(len(arena)) {
+			t.Fatalf("the dictionary's arena overlaps the document it was built from")
+		}
+		for o := range d.tid {
+			if term := string(d.termBytes(o)); !strings.Contains(lower, term) {
+				t.Fatalf("unigram %d is %q, not a term of the text", o, term)
 			}
 		}
 	}
@@ -189,6 +193,7 @@ func BenchmarkBuildSegment(b *testing.B) {
 		g = BuildSegment(names, texts, 0)
 		return g
 	})
+	runtime.KeepAlive(texts)
 	b.ReportMetric(float64(live)/float64(len(g.docs)), "live-B/posting")
 	b.ReportMetric(float64(objects), "objects/segment")
 }

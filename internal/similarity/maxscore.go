@@ -166,10 +166,10 @@ const (
 // PruneStats is a snapshot of the pruned-scoring counters (collected only
 // while EnablePruneStats(true) is set; zero-cost one atomic load per query
 // otherwise). PostingsTotal counts every posting of every resolved query
-// term; PostingsVisited counts the ones actually read (streamed, probed,
-// or fetched for an exact dense refinement) — postings, so a dense list
-// streamed as a doc-indexed row counts its document frequency, not the
-// row's slots. The difference is the work pruning skipped.
+// term; PostingsVisited counts the ones actually read (streamed or
+// probed) — postings, so a dense list streamed as a doc-indexed row counts
+// its document frequency, not the row's slots. The difference is the work
+// pruning skipped.
 type PruneStats struct {
 	Queries         uint64 // scored queries (pruned path only)
 	Exhaustive      uint64 // queries answered by the exhaustive fallback

@@ -34,7 +34,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		if si < len(deads) {
 			dead = deads[si]
 		}
-		terms, pairs, isPair := src.dictByID()
+		pairs := src.dict.pairsByID(src.lists())
 
 		remap := make([]int32, src.Docs())
 		for d := int32(0); d < int32(src.Docs()); d++ {
@@ -54,10 +54,16 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		// component terms of any LIVE occurrence already exist in out —
 		// toOut resolves them. Lists whose docs are all tombstoned are
 		// dropped entirely; a bigram over such a list cannot have a live
-		// occurrence either, so the skip is safe.
+		// occurrence either, so the skip is safe. Unigram ids ascend with
+		// ordinal, so one cursor finds each unigram's bytes in the arena.
 		toOut := make([]int32, src.lists())
+		ord := -1 // of the last unigram id reached
 		for id := range toOut {
 			toOut[id] = -1
+			key1 := pairs[id] // the bigram's key+1, 0 for a unigram
+			if key1 == 0 {
+				ord++
+			}
 			live := uint32(0)
 			for _, d := range src.docs[src.off[id]:src.off[id+1]] {
 				if remap[d] >= 0 {
@@ -68,10 +74,10 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 				continue
 			}
 			var outID int32
-			if !isPair[id] {
-				outID = out.uniID(terms[id])
+			if key1 == 0 {
+				outID = out.uniID(bstr(src.dict.termBytes(ord)))
 			} else {
-				oa, ob := toOut[pairs[id]>>32], toOut[uint32(pairs[id])]
+				oa, ob := toOut[(key1-1)>>32], toOut[uint32(key1-1)]
 				if oa < 0 || ob < 0 {
 					continue // unreachable for a live doc; defensive
 				}

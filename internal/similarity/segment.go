@@ -3,7 +3,6 @@ package similarity
 import (
 	"math"
 	"slices"
-	"strings"
 
 	"freehw/internal/par"
 )
@@ -27,6 +26,9 @@ import (
 // postings and dictionaries. Unigram terms are interned as int32 postings
 // ids; bigrams are keyed by the pair of their unigram ids, so neither
 // indexing nor querying ever materializes a concatenated bigram string.
+// Both dictionaries are the flat tables of dict (dict.go), the ones the
+// segment was built, decoded or merged into: apart from the names a sealed
+// segment is a fixed number of pointer-free slices whatever it indexes.
 // Segments come sealed from SegmentBuilder.Seal, BuildSegment,
 // MergeSegments or DecodeSegment and are never written again, so any
 // number of readers may query one concurrently.
@@ -59,10 +61,9 @@ import (
 // never changes afterwards.
 type Segment struct {
 	names    []string
-	termIDs  map[string]int32 // unigram term -> postings id
-	pairIDs  map[uint64]int32 // unigram id pair -> bigram postings id
-	byteIDs  []int32          // single-byte term -> id (-1 absent)
-	off      []uint32         // lists+1 arena offsets; unigrams and bigrams share one id space
+	dict     dict     // unigram term -> postings id, unigram id pair -> bigram postings id
+	byteIDs  []int32  // single-byte term -> id (-1 absent)
+	off      []uint32 // lists+1 arena offsets; unigrams and bigrams share one id space
 	docs     []int32
 	ws       []float64
 	tmax     []float64
@@ -73,9 +74,7 @@ type Segment struct {
 	id       uint64
 }
 
-func newSegment() *Segment {
-	return &Segment{termIDs: map[string]int32{}, pairIDs: map[uint64]int32{}}
-}
+func newSegment() *Segment { return &Segment{dict: newDict(0, 0, 0)} }
 
 // ID returns the segment's storage identity (0 = never persisted).
 func (g *Segment) ID() uint64 { return g.id }
@@ -99,51 +98,20 @@ func (g *Segment) Docs() int { return len(g.names) }
 
 // lists returns the number of posting lists: every list is named by
 // exactly one dictionary entry.
-func (g *Segment) lists() int { return len(g.termIDs) + len(g.pairIDs) }
-
-// uniID interns a unigram term, assigning the next postings id on first
-// sight. Interning is construction-time only (builder, merge).
-func (g *Segment) uniID(t string) int32 {
-	id, ok := g.termIDs[t]
-	if !ok {
-		id = int32(g.lists())
-		g.termIDs[t] = id
-	}
-	return id
-}
+func (g *Segment) lists() int { return len(g.dict.tid) + g.dict.pairs }
 
 // pairKey packs two unigram ids into the bigram dictionary key.
 func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// pairID interns a bigram by its unigram id pair.
-func (g *Segment) pairID(a, b int32) int32 {
-	k := pairKey(a, b)
-	id, ok := g.pairIDs[k]
-	if !ok {
-		id = int32(g.lists())
-		g.pairIDs[k] = id
-	}
-	return id
-}
+// uniID and pairID intern a unigram term (the dictionary keeps a copy of t,
+// never t) and a bigram of two unigram ids, assigning the next postings id
+// on first sight. Interning is construction-time only (builder, merge).
+func (g *Segment) uniID(t string) int32 { return g.dict.internTerm(t, int32(g.lists())) }
 
-// dictByID recovers the dictionaries as id-indexed arrays: list id is the
-// unigram terms[id], or, where isPair[id], the bigram of unigram ids
-// pairs[id]. Index assignment into preallocated slices keeps map iteration
-// order irrelevant (freehw-vet: mapord).
-func (g *Segment) dictByID() (terms []string, pairs []uint64, isPair []bool) {
-	terms = make([]string, g.lists())
-	pairs = make([]uint64, g.lists())
-	isPair = make([]bool, g.lists())
-	for t, id := range g.termIDs {
-		terms[id] = t
-	}
-	for k, id := range g.pairIDs {
-		pairs[id] = k
-		isPair[id] = true
-	}
-	return terms, pairs, isPair
+func (g *Segment) pairID(a, b int32) int32 {
+	return g.dict.internPair(pairKey(a, b), int32(g.lists()))
 }
 
 // layout allocates the arenas for the per-list posting counts in n (list
@@ -171,7 +139,7 @@ func (g *Segment) layout(n []uint32) (cur []uint32) {
 // terms, then returns the now-frozen segment. Verilog text is
 // punctuation-dense — `;`, `(`, `=`, `,` are a large share of every query's
 // tokens — and a direct table turns each of those lookups into one array
-// read instead of a string-map probe.
+// read instead of a hash-table probe.
 func (g *Segment) seal() *Segment {
 	nDocs := len(g.names)
 	g.tmax = make([]float64, g.lists())
@@ -210,11 +178,7 @@ func (g *Segment) seal() *Segment {
 	var buf [1]byte
 	for i := range g.byteIDs {
 		buf[0] = byte(i)
-		if id, ok := g.termIDs[string(buf[:])]; ok {
-			g.byteIDs[i] = id
-		} else {
-			g.byteIDs[i] = -1
-		}
+		g.byteIDs[i], _ = g.dict.findTerm(string(buf[:]))
 	}
 	return g
 }
@@ -253,15 +217,9 @@ func (b *SegmentBuilder) open(op string) *Segment {
 }
 
 // intern appends token t's unigram id to tids. t is a substring of a
-// document, so a term's first sight clones it: a key aliasing the text keeps
-// a whole upload alive with the segment. (MergeSegments' keys are standalone.)
-func (b *SegmentBuilder) intern(t string) {
-	id, ok := b.seg.termIDs[t]
-	if !ok {
-		id = b.seg.uniID(strings.Clone(t))
-	}
-	b.tids = append(b.tids, id)
-}
+// document and the dictionary copies a new term's bytes into its arena: a key
+// aliasing the text would keep a whole upload alive with the segment.
+func (b *SegmentBuilder) intern(t string) { b.tids = append(b.tids, b.seg.uniID(t)) }
 
 // Add appends one document, interning its tokens as they are scanned. Panics after Seal.
 func (b *SegmentBuilder) Add(name, text string) {
@@ -329,6 +287,9 @@ func (b *SegmentBuilder) Seal() *Segment {
 	for doc, end := range b.ends {
 		for j := lo; j < end; j++ {
 			e := b.log[j>>logShift][j&(logChunk-1)]
+			if j&(logChunk-1) == logChunk-1 {
+				b.log[j>>logShift] = nil // read in order: the chunk is garbage for whichever collection runs next
+			}
 			p := cur[e>>32+1]
 			cur[e>>32+1] = p + 1
 			g.docs[p] = int32(doc)

@@ -18,7 +18,7 @@ import (
 // owns the on-disk format (magic, format version, per-section lengths and
 // checksums, crash-safe rename), and this file owns only the structural
 // encoding. Encoding is deterministic — dictionaries are written in
-// postings-id order, not map order — so equal segments produce equal
+// postings-id order, not hash-table order — so equal segments produce equal
 // bytes and tests can compare encodings directly.
 //
 // The same four sections served as the whole-snapshot encoding before the
@@ -84,22 +84,21 @@ func (r *reader) done() bool { return !r.err && r.off == len(r.b) }
 // encoding. Safe beside queries — the segment is sealed; emit's first error stops it.
 func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 	const encodeChunk = 64 << 10
-	terms, pairs, isPair := g.dictByID()
-	counts := [SnapshotSections]int{len(g.names), len(g.termIDs), len(g.pairIDs), g.lists()}
-	walks := [SnapshotSections]int{len(g.names), g.lists(), g.lists(), g.lists()} // each dictionary picks its ids out of all
+	d := &g.dict
+	pairs := d.pairsByID(g.lists())
+	counts := [SnapshotSections]int{len(g.names), len(d.tid), d.pairs, g.lists()}
+	walks := [SnapshotSections]int{len(g.names), len(d.tid), g.lists(), g.lists()} // the bigrams pick their ids out of all
 	items := [SnapshotSections]func(b []byte, i int) []byte{
 		func(b []byte, i int) []byte { return append(appendU32(b, uint32(len(g.names[i]))), g.names[i]...) },
-		func(b []byte, id int) []byte {
-			if isPair[id] {
-				return b
-			}
-			return append(appendU32(appendU32(b, uint32(id)), uint32(len(terms[id]))), terms[id]...)
+		func(b []byte, o int) []byte { // unigrams sit in the arena in id order
+			t := d.termBytes(o)
+			return append(appendU32(appendU32(b, uint32(d.tid[o])), uint32(len(t))), t...)
 		},
 		func(b []byte, id int) []byte {
-			if !isPair[id] {
+			if pairs[id] == 0 {
 				return b
 			}
-			return appendU32(appendU64(b, pairs[id]), uint32(id))
+			return appendU32(appendU64(b, pairs[id]-1), uint32(id))
 		},
 		func(b []byte, id int) []byte {
 			lo, hi := g.off[id], g.off[id+1]
@@ -133,7 +132,7 @@ func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 
 // EncodeSections collects WriteSections' output; it aliases nothing in the segment.
 func (g *Segment) EncodeSections() [][]byte {
-	out := [][]byte{nil, nil, make([]byte, 0, 4+12*len(g.pairIDs)), make([]byte, 0, 4+4*g.lists()+12*len(g.docs))}
+	out := [][]byte{nil, nil, make([]byte, 0, 4+12*g.dict.pairs), make([]byte, 0, 4+4*g.lists()+12*len(g.docs))}
 	g.WriteSections(func(sec int, chunk []byte) error {
 		out[sec] = append(out[sec], chunk...)
 		return nil
@@ -247,26 +246,31 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 
+	// Both dictionaries' counts come first: they size every table once. Ids
+	// ascend within each dictionary and never overlap, so together they name
+	// every postings list exactly when the counts add up. arena is what the
+	// unigrams' bytes come to: not negative, and no more than toff addresses.
+	r, rp := &reader{b: sections[1]}, &reader{b: sections[2]}
+	nTerms, nPairs := int(r.u32()), int(rp.u32())
+	arena := len(sections[1]) - 4 - 8*nTerms
+	if r.err || rp.err || nTerms < 0 || nPairs < 0 || uint64(arena) > math.MaxUint32 || nPairs > (len(sections[2])-4)/12 || nTerms+nPairs != nPost {
+		return nil, ErrCorruptSnapshot
+	}
+	g.dict = newDict(nTerms, arena, nPairs)
+
 	// Unigram dictionary, in ascending id order. isUni marks the ids it
 	// assigned: the bigram dictionary may neither reuse them nor build a
 	// key from anything else.
 	isUni := make([]bool, nPost)
-	r = &reader{b: sections[1]}
-	nTerms := int(r.u32())
-	if r.err || nTerms < 0 || nTerms > len(sections[1])/8 || nTerms > nPost {
-		return nil, ErrCorruptSnapshot
-	}
-	g.termIDs = make(map[string]int32, nTerms)
 	for i, prev := 0, int32(-1); i < nTerms; i++ {
 		id := int32(r.u32())
-		term := string(r.bytes(int(r.u32())))
+		term := r.bytes(int(r.u32()))
 		if r.err || id <= prev || int(id) >= nPost {
 			return nil, ErrCorruptSnapshot
 		}
-		if _, dup := g.termIDs[term]; dup {
+		if g.dict.internTerm(bstr(term), id) != id { // a duplicate: already there, under an earlier id
 			return nil, ErrCorruptSnapshot
 		}
-		g.termIDs[term] = id
 		isUni[id] = true
 		prev = id
 	}
@@ -277,30 +281,21 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	// Bigram dictionary, in ascending id order. A bigram is interned after
 	// both its unigrams (MergeSegments relies on it), so a key's halves are
 	// unigram ids below the bigram's own.
-	r = &reader{b: sections[2]}
-	nPairs := int(r.u32())
-	// Ids ascend within each dictionary and never overlap, so together
-	// they name every postings list exactly when the counts add up.
-	if r.err || nPairs > len(sections[2])/12 || nTerms+nPairs != nPost {
-		return nil, ErrCorruptSnapshot
-	}
-	g.pairIDs = make(map[uint64]int32, nPairs)
 	for i, prev := 0, int32(-1); i < nPairs; i++ {
-		key := r.u64()
-		id := int32(r.u32())
-		if r.err || id <= prev || int(id) >= nPost || isUni[id] {
+		key := rp.u64()
+		id := int32(rp.u32())
+		if rp.err || id <= prev || int(id) >= nPost || isUni[id] {
 			return nil, ErrCorruptSnapshot
 		}
 		if a, b := key>>32, key&0xffffffff; a >= uint64(id) || b >= uint64(id) || !isUni[a] || !isUni[b] {
 			return nil, ErrCorruptSnapshot
 		}
-		if _, dup := g.pairIDs[key]; dup {
+		if g.dict.internPair(key, id) != id { // a duplicate
 			return nil, ErrCorruptSnapshot
 		}
-		g.pairIDs[key] = id
 		prev = id
 	}
-	if !r.done() {
+	if !rp.done() {
 		return nil, ErrCorruptSnapshot
 	}
 

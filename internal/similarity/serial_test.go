@@ -139,6 +139,13 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 			id := uint64(binary.LittleEndian.Uint32(s[2][12:]))
 			binary.LittleEndian.PutUint64(s[2][16:], id<<32|id)
 		}),
+		// Valid in every other respect: only the dictionary's own lookup
+		// can tell that a key is already there.
+		"duplicate term": mutate(func(s [][]byte) { // the second and third unigrams, "a" and "(", are a byte each
+			second := 12 + int(binary.LittleEndian.Uint32(s[1][8:]))
+			s[1][second+9+8] = s[1][second+8]
+		}),
+		"duplicate pair":          mutate(func(s [][]byte) { copy(s[2][16:24], s[2][4:12]) }),
 		"id in both dictionaries": mutate(func(s [][]byte) { copy(s[2][12:16], s[1][4:8]) }),
 		"id in no dictionary": mutate(func(s [][]byte) {
 			binary.LittleEndian.PutUint32(s[2], binary.LittleEndian.Uint32(s[2])-1)

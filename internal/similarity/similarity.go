@@ -340,9 +340,9 @@ func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm f
 			// generic unknown-token path below.
 		}
 		if hasUpper {
-			// Lower into scratch: both map probes below compile to
-			// allocation-free lookups; only a distinct unknown token pays a
-			// string copy when it is interned.
+			// Lower into scratch: the dictionary reads it in place and the map
+			// probe below compiles to an allocation-free lookup; only a distinct
+			// unknown token pays a string copy when it is interned.
 			b := tab.low[:0]
 			for i := 0; i < len(t); i++ {
 				ch := t[i]
@@ -352,7 +352,7 @@ func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm f
 				b = append(b, ch)
 			}
 			tab.low = b
-			if id, ok := g.termIDs[string(b)]; ok {
+			if id, _ := g.dict.findTerm(bstr(b)); id >= 0 {
 				e = uint64(id)
 			} else {
 				if unknown == nil {
@@ -364,7 +364,7 @@ func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm f
 				}
 				e = lid
 			}
-		} else if id, ok := g.termIDs[t]; ok {
+		} else if id, _ := g.dict.findTerm(t); id >= 0 {
 			e = uint64(id)
 		} else {
 			if unknown == nil {
@@ -400,7 +400,7 @@ func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm f
 		default: // bigram
 			a, b := (k>>32)-1, k&0xffffffff
 			if a < unknownBase && b < unknownBase {
-				if id, ok := g.pairIDs[a<<32|b]; ok {
+				if id, _ := g.dict.findPair(a<<32 | b); id >= 0 {
 					qts = append(qts, packQterm(id, v))
 				}
 			}
