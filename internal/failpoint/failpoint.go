@@ -135,7 +135,7 @@ func Inject(name string) error {
 // "panic" — so CI and operators can exercise fault paths in a real binary
 // without recompiling:
 //
-//	FREEHW_FAILPOINTS=snapstore/after-temp-write,snapstore/before-manifest=panic
+//	FREEHW_FAILPOINTS=snapstore/after-temp-write,snapstore/after-seg-sync=panic
 func init() {
 	for _, spec := range strings.Split(os.Getenv("FREEHW_FAILPOINTS"), ",") {
 		spec = strings.TrimSpace(spec)

@@ -407,9 +407,9 @@ func TestBackgroundMergeCompacts(t *testing.T) {
 
 // Crash a delta publish at every persistence failpoint, in BOTH error and
 // panic modes: the live server answers 500 and keeps serving the old
-// generation's exact verdicts; a restart recovers whichever version the
-// crash left durable, byte-identical to the offline rebuild; and the
-// retried delta then lands.
+// generation's exact verdicts; a restart recovers the version
+// crashRecovers names, byte-identical to the offline rebuild, with only
+// live files on disk; and the retried delta then lands.
 func TestDeltaKillAndRecoverEveryFailpoint(t *testing.T) {
 	names1, texts1 := docSet(51, 10)
 	names2, texts2 := docSet(52, 4)
@@ -418,17 +418,7 @@ func TestDeltaKillAndRecoverEveryFailpoint(t *testing.T) {
 	liveNames := append(append([]string(nil), names1[1:]...), names2...)
 	liveTexts := append(append([]string(nil), texts1[1:]...), texts2...)
 
-	var points []string
-	for _, p := range failpoint.List() {
-		if strings.HasPrefix(p, "snapstore/") || p == FPBeforeSwap {
-			points = append(points, p)
-		}
-	}
-	if len(points) < 12 {
-		t.Fatalf("persistence failpoints missing from registry: %v", points)
-	}
-
-	for _, fp := range points {
+	for _, fp := range persistenceFailpoints(t) {
 		for _, mode := range []string{"error", "panic"} {
 			t.Run(fp+"/"+mode, func(t *testing.T) {
 				defer failpoint.DisableAll()
@@ -438,11 +428,7 @@ func TestDeltaKillAndRecoverEveryFailpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				if mode == "error" {
-					failpoint.EnableError(fp)
-				} else {
-					failpoint.EnablePanic(fp)
-				}
+				crashModes[mode](fp)
 				req := CorpusRequest{Mode: "delta", Documents: deltaDocs(names2, texts2), Remove: names1[:1]}
 				code, _, _ := postCorpus(t, s, req, 0)
 				if code != http.StatusInternalServerError {
@@ -454,19 +440,17 @@ func TestDeltaKillAndRecoverEveryFailpoint(t *testing.T) {
 				assertServedMatchesOffline(t, s, names1, texts1, queries, 1)
 				s.Close()
 
-				// Restart replays whichever version the crash left durable.
+				// Restart replays the version the table names.
 				s2 := durableServer(t, dir)
 				rep := s2.Replay()
-				if len(rep.Skipped) != 0 {
-					t.Fatalf("recovery skipped versions %v — crash left a half-valid segment set", rep.Skipped)
+				if rep.Version != crashRecovers[fp] || len(rep.Skipped) != 0 {
+					t.Fatalf("replay = %+v, want v%d skipping nothing", rep, crashRecovers[fp])
 				}
-				switch rep.Version {
-				case 1:
+				assertOnlyLiveFiles(t, s2)
+				if rep.Version == 1 {
 					assertServedMatchesOffline(t, s2, names1, texts1, queries, 1)
-				case 2:
+				} else {
 					assertServedMatchesOffline(t, s2, liveNames, liveTexts, queries, 2)
-				default:
-					t.Fatalf("recovered impossible version %d (replay %+v)", rep.Version, rep)
 				}
 
 				// At-least-once: the retried delta commits on the recovered state.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,85 +117,137 @@ func TestWarmRestartServesIdenticalVerdicts(t *testing.T) {
 	}
 }
 
-// Crash a live /v1/corpus publish at every registered persistence
-// failpoint. The serving process must keep answering from the old
-// snapshot (the publish fails with 500, nothing half-swaps), and a
-// restarted server must recover either the old or the new version —
-// whichever the crash left durable — with byte-identical verdicts.
-func TestServeKillAndRecoverEveryFailpoint(t *testing.T) {
-	names1, texts1 := docSet(3, 15)
-	names2, texts2 := docSet(4, 18)
-	offline1 := similarity.NewCorpus(names1, texts1)
-	offline2 := similarity.NewCorpus(names2, texts2)
-	queries := append(append([]string(nil), texts1[:4]...), texts2[:4]...)
+// crashRecovers is the version a restart serves after the version-2
+// publish crashes at each persistence failpoint. The descriptor's rename
+// is the one commit point: every crash before it recovers v1, every crash
+// after it v2 (at-least-once publish).
+var crashRecovers = map[string]uint64{
+	snapstore.FPBeforeTempWrite: 1,
+	snapstore.FPAfterSegWrite:   1,
+	snapstore.FPAfterSegSync:    1,
+	snapstore.FPAfterSegCommit:  1,
+	snapstore.FPAfterTempWrite:  1,
+	snapstore.FPAfterTempSync:   1,
+	snapstore.FPAfterSave:       2,
+	snapstore.FPBeforeSegGC:     2,
+	FPBeforeSwap:                2,
+}
 
+// persistenceFailpoints returns the registered persistence failpoints,
+// sorted, and fails unless they are exactly crashRecovers' rows.
+func persistenceFailpoints(t *testing.T) []string {
+	t.Helper()
 	var points []string
 	for _, p := range failpoint.List() {
 		if strings.HasPrefix(p, "snapstore/") || p == FPBeforeSwap {
+			if _, ok := crashRecovers[p]; !ok {
+				t.Fatalf("persistence failpoint %s has no row in crashRecovers", p)
+			}
 			points = append(points, p)
 		}
 	}
-	if len(points) < 8 {
-		t.Fatalf("persistence failpoints missing from registry: %v", points)
+	if len(points) != len(crashRecovers) {
+		t.Fatalf("registered persistence failpoints %v; crashRecovers has %d rows", points, len(crashRecovers))
+	}
+	return points
+}
+
+// crashModes arms a failpoint to fail or to panic.
+var crashModes = map[string]func(string){"error": failpoint.EnableError, "panic": failpoint.EnablePanic}
+
+// assertOnlyLiveFiles fails unless the server's store directory holds
+// nothing but its descriptors and the segments they name: no temp file,
+// no orphan segment, no MANIFEST.
+func assertOnlyLiveFiles(t *testing.T, s *Server) {
+	t.Helper()
+	versions, err := s.snaps.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[string]bool{}
+	for _, v := range versions {
+		snap, err := s.snaps.Load(v)
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		live[filepath.Base(s.snaps.Path(v))] = true
+		for i := 0; i < snap.Segments(); i++ {
+			live[filepath.Base(s.snaps.SegPath(snap.Segment(i).ID()))] = true
+		}
+	}
+	entries, err := os.ReadDir(s.snaps.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !live[e.Name()] {
+			t.Fatalf("store holds %s, which no version names", e.Name())
+		}
+	}
+}
+
+// Crash a live /v1/corpus publish at every registered persistence
+// failpoint, in error and panic mode. The serving process must keep
+// answering from the old snapshot (the publish fails with 500, nothing
+// half-swaps), and a restarted server must recover the version
+// crashRecovers names, with byte-identical verdicts and only live files.
+func TestServeKillAndRecoverEveryFailpoint(t *testing.T) {
+	names1, texts1 := docSet(3, 15)
+	names2, texts2 := docSet(4, 18)
+	offline := map[uint64]*similarity.Corpus{1: similarity.NewCorpus(names1, texts1), 2: similarity.NewCorpus(names2, texts2)}
+	queries := append(append([]string(nil), texts1[:4]...), texts2[:4]...)
+	var docs []CorpusDocument
+	for i := range texts2 {
+		docs = append(docs, CorpusDocument{Name: names2[i], Text: texts2[i]})
 	}
 
-	for _, fp := range points {
+	for _, fp := range persistenceFailpoints(t) {
 		t.Run(fp, func(t *testing.T) {
-			defer failpoint.DisableAll()
-			dir := t.TempDir()
-			s := durableServer(t, dir)
-			if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
-				t.Fatal(err)
-			}
+			for _, mode := range []string{"error", "panic"} {
+				t.Run(mode, func(t *testing.T) {
+					defer failpoint.DisableAll()
+					dir := t.TempDir()
+					s := durableServer(t, dir)
+					if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
+						t.Fatal(err)
+					}
 
-			failpoint.EnableError(fp)
-			var docs []CorpusDocument
-			for i := range texts2 {
-				docs = append(docs, CorpusDocument{Name: names2[i], Text: texts2[i]})
-			}
-			if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: docs}, nil); got != http.StatusInternalServerError {
-				t.Fatalf("crashed publish = %d, want 500", got)
-			}
-			failpoint.DisableAll()
+					crashModes[mode](fp)
+					if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: docs}, nil); got != http.StatusInternalServerError {
+						t.Fatalf("crashed publish = %d, want 500", got)
+					}
+					failpoint.DisableAll()
 
-			// The live server never swapped: verdicts still come from v1,
-			// byte-identical to offline scoring of corpus 1.
-			for _, q := range queries {
-				m, v := auditBest(t, s, q)
-				if v != 1 {
-					t.Fatalf("live version after crashed publish = %d", v)
-				}
-				if want := offline1.Best(q); m != want {
-					t.Fatalf("live verdict %+v != offline v1 %+v", m, want)
-				}
-			}
-			s.Close()
+					// The live server never swapped: verdicts still come from v1,
+					// byte-identical to offline scoring of corpus 1.
+					for _, q := range queries {
+						m, v := auditBest(t, s, q)
+						if v != 1 {
+							t.Fatalf("live version after crashed publish = %d", v)
+						}
+						if want := offline[1].Best(q); m != want {
+							t.Fatalf("live verdict %+v != offline v1 %+v", m, want)
+						}
+					}
+					s.Close()
 
-			// Restart from disk.
-			s2 := durableServer(t, dir)
-			rep := s2.Replay()
-			var wantCorpus *similarity.Corpus
-			switch rep.Version {
-			case 1:
-				wantCorpus = offline1
-			case 2:
-				// Crash after the snapshot file was durable: at-least-once
-				// publish means the new version legitimately recovers.
-				wantCorpus = offline2
-			default:
-				t.Fatalf("recovered impossible version %d (replay %+v)", rep.Version, rep)
-			}
-			if len(rep.Skipped) != 0 {
-				t.Fatalf("recovery skipped versions %v — crash left a half-valid file", rep.Skipped)
-			}
-			for _, q := range queries {
-				m, v := auditBest(t, s2, q)
-				if v != rep.Version {
-					t.Fatalf("recovered version = %d, replay said %d", v, rep.Version)
-				}
-				if want := wantCorpus.Best(q); m != want {
-					t.Fatalf("recovered verdict %+v != offline %+v", m, want)
-				}
+					// Restart from disk.
+					s2 := durableServer(t, dir)
+					rep := s2.Replay()
+					if rep.Version != crashRecovers[fp] || len(rep.Skipped) != 0 {
+						t.Fatalf("replay = %+v, want v%d skipping nothing", rep, crashRecovers[fp])
+					}
+					assertOnlyLiveFiles(t, s2)
+					for _, q := range queries {
+						m, v := auditBest(t, s2, q)
+						if v != rep.Version {
+							t.Fatalf("recovered version = %d, replay said %d", v, rep.Version)
+						}
+						if want := offline[rep.Version].Best(q); m != want {
+							t.Fatalf("recovered verdict %+v != offline %+v", m, want)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -172,21 +172,16 @@ const (
 // pruning skipped.
 type PruneStats struct {
 	Queries         uint64 // scored queries (pruned path only)
-	Exhaustive      uint64 // queries answered by the exhaustive fallback
 	Bailouts        uint64 // pruned searches that bailed to the accumulator
 	PostingsTotal   uint64
 	PostingsVisited uint64
-	Candidates      uint64 // documents surfaced by essential lists
 	FullEvals       uint64 // candidates that reached full evaluation
-	BlockSkips      uint64 // candidates pruned by their bound alone
 }
 
 var pruneStatsOn atomic.Bool
 
 var pruneCounters struct {
-	queries, exhaustive, bailouts         atomic.Uint64
-	total, visited, candidates, fullEvals atomic.Uint64
-	blockSkips                            atomic.Uint64
+	queries, bailouts, total, visited, fullEvals atomic.Uint64
 }
 
 // EnablePruneStats toggles collection of PruneStats.
@@ -196,26 +191,20 @@ func EnablePruneStats(on bool) { pruneStatsOn.Store(on) }
 func ReadPruneStats() PruneStats {
 	return PruneStats{
 		Queries:         pruneCounters.queries.Load(),
-		Exhaustive:      pruneCounters.exhaustive.Load(),
 		Bailouts:        pruneCounters.bailouts.Load(),
 		PostingsTotal:   pruneCounters.total.Load(),
 		PostingsVisited: pruneCounters.visited.Load(),
-		Candidates:      pruneCounters.candidates.Load(),
 		FullEvals:       pruneCounters.fullEvals.Load(),
-		BlockSkips:      pruneCounters.blockSkips.Load(),
 	}
 }
 
 // ResetPruneStats zeroes the counters.
 func ResetPruneStats() {
 	pruneCounters.queries.Store(0)
-	pruneCounters.exhaustive.Store(0)
 	pruneCounters.bailouts.Store(0)
 	pruneCounters.total.Store(0)
 	pruneCounters.visited.Store(0)
-	pruneCounters.candidates.Store(0)
 	pruneCounters.fullEvals.Store(0)
-	pruneCounters.blockSkips.Store(0)
 }
 
 // pruneCursor is one query term's posting-list view: the doc-ordered
@@ -386,8 +375,6 @@ func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, ou
 			pruneCounters.total.Add(uint64(totalPostings))
 			if usePruned {
 				pruneCounters.queries.Add(1)
-			} else {
-				pruneCounters.exhaustive.Add(1)
 			}
 		}
 		if usePruned && g.searchPrunedBest(sc, totalPostings, statsOn, dead) {
@@ -522,7 +509,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 
 	tail := canonicalTails(sc, inflate)
 
-	var visited, fullEvals, blockSkips uint64
+	var visited, fullEvals uint64
 	evalBudget := uint64(totalPostings) / bailEvalDen
 
 	// thetaAcc is the comparison threshold: the best known dot product,
@@ -540,22 +527,20 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		}
 	}
 
-	flushStats := func(cands uint64) {
+	flushStats := func() {
 		if statsOn {
 			pruneCounters.visited.Add(visited)
-			pruneCounters.candidates.Add(cands)
 			pruneCounters.fullEvals.Add(fullEvals)
-			pruneCounters.blockSkips.Add(blockSkips)
 		}
 	}
 	// bail gives up on pruning: the accumulator streams the whole segment,
 	// and re-pushing the document the heap already holds is a no-op (same
 	// score, same index).
-	bail := func(cands uint64) bool {
+	bail := func() bool {
 		if statsOn {
 			pruneCounters.bailouts.Add(1)
 		}
-		flushStats(cands)
+		flushStats()
 		return false
 	}
 	// hopeless reports that no partition exists: documents no streamed list
@@ -686,7 +671,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 				// bound and the remaining evaluations would be wasted.
 				updateTheta()
 				if hopeless() {
-					return bail(0)
+					return bail()
 				}
 			}
 		}
@@ -694,7 +679,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 
 	updateTheta()
 	if hopeless() {
-		return bail(0)
+		return bail()
 	}
 
 	// Partition: absorb the cheapest sparse lists while their summed bounds
@@ -727,7 +712,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		// If most of the index would be streamed anyway, pruning cannot pay:
 		// go straight to the accumulator.
 		if uint64(essPostings) > uint64(totalPostings)/2 {
-			return bail(uint64(len(touched)))
+			return bail()
 		}
 		for _, ci := range ord[nonEss:essEnd] {
 			cur := &curs[ci]
@@ -771,7 +756,6 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 			continue
 		}
 		if (qdn*g.dnorm[d]+prefPart+acc[d])*inflate < thetaAcc {
-			blockSkips++
 			continue
 		}
 		av, abandoned := evalCanonical(curs, tail, d, thetaAcc)
@@ -786,10 +770,10 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		// corpus) — the budget bounds the damage to a fraction of one
 		// exhaustive pass before switching to it.
 		if visited > evalBudget {
-			return bail(uint64(len(touched)))
+			return bail()
 		}
 	}
-	flushStats(uint64(len(touched)))
+	flushStats()
 	return true
 }
 

@@ -81,7 +81,7 @@ func (g *Segment) ID() uint64 { return g.id }
 
 // SetID assigns the storage identity, once. Re-setting the same id is a
 // no-op; changing an assigned id panics — segment files are immutable and
-// content-addressed by id, so a changed id would alias two contents.
+// named by id, so a changed id would alias two contents.
 func (g *Segment) SetID(id uint64) {
 	if id == 0 {
 		panic("similarity: segment id 0 is reserved for unassigned")

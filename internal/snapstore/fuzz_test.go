@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"freehw/internal/similarity"
 )
 
 // resealed returns data with every checksum recomputed over the header and
@@ -85,6 +87,64 @@ func FuzzLoadSegmentFile(f *testing.F) {
 		}
 		if got := bytes.Join(encodeContainer(segMagic, seg.ID(), seg.EncodeSections()), nil); !bytes.Equal(got, data) {
 			t.Fatalf("accepted %x, which loads to a segment that writes %x", data, got)
+		}
+	})
+}
+
+// FuzzLoadDescriptor hands Store.Load version descriptors it did not write,
+// over two segment files it did. The seed is the descriptor Save wrote for
+// a version of both segments, one of them tombstoned; a mutation is loaded
+// as it is and, when reseal is set, with its checksums made good again.
+// Either the load fails with ErrCorrupt or ErrNotFound, or the snapshot it
+// returns writes exactly the file's bytes back as a descriptor — never a
+// panic, and never more allocation than FuzzLoadSegmentFile allows, segment
+// reads included.
+//
+// Run with -fuzzminimizetime 0, as FuzzDecodeSegment says.
+func FuzzLoadDescriptor(f *testing.F) {
+	const version = 1
+	st, err := Open(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ix := similarity.NewIndex()
+	ix.Append(randomSegment(5, 3))
+	ix.Append(randomSegment(6, 2))
+	if ix.Remove([]string{"s5/doc1.v"}) != 1 {
+		f.Fatal("the seed version tombstones nothing")
+	}
+	if err := st.Save(version, ix.Snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(st.Path(version))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed, false)
+	f.Add(seed, true)
+
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal {
+			data = resealed(data)
+		}
+		if err := os.WriteFile(st.Path(version), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, err := st.Load(version)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8*uint64(len(data))+64<<10 {
+			t.Fatalf("loading a %d-byte descriptor allocated %d", len(data), got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("load error %v is neither ErrCorrupt nor ErrNotFound", err)
+			}
+			return
+		}
+		if got := bytes.Join(encodeContainer(descMagic, version, [][]byte{encodeDescriptor(snap)}), nil); !bytes.Equal(got, data) {
+			t.Fatalf("accepted %x, which loads to a version that writes %x", data, got)
 		}
 	})
 }

@@ -7,7 +7,6 @@
 //
 //	seg-<segment id, 16 hex>.fhs   one immutable segment, shared by versions
 //	snap-<version, 16 hex>.fhs     one descriptor per published version
-//	MANIFEST                       pointer to the current version
 //
 // Segments are written once and referenced by every later version that
 // still contains them, which is what makes an incremental publish O(delta)
@@ -32,18 +31,18 @@
 // Every write is crash-safe: full contents to a temp file in the same
 // directory, fsync, atomic rename over the final name, fsync the
 // directory. Segment files become durable before the descriptor that
-// references them, and the manifest is written last, so at every instant
-// the manifest names a fully-written, fully-referenced version. Readers
-// trust nothing: a truncated, torn, or bit-flipped file fails its
-// checksums and LoadLatest falls back to the newest older version that
-// verifies — a crashed writer can lose its in-flight publish but can
-// never corrupt what was already served. Segment files unreferenced by
-// any descriptor (a crash between segment commit and descriptor rename,
-// or a retention sweep) are garbage-collected.
+// references them, so the descriptor's rename is the one commit point: a
+// version exists exactly when its descriptor does. Readers trust nothing:
+// a truncated, torn, or bit-flipped file fails its checksums and
+// LoadLatest falls back to the newest older version that verifies — a
+// crashed writer can lose its in-flight publish but can never corrupt what
+// was already served. Segment files no descriptor references (a crash
+// before the descriptor rename, or a retention sweep) are
+// garbage-collected. A MANIFEST file left by older writers is ignored.
 //
 // The write path is instrumented with failpoints (see internal/failpoint)
-// at each crash-relevant boundary; the recovery test suite crashes a
-// publish at every one of them and proves the store recovers.
+// at each crash-relevant boundary; the recovery test suites crash a
+// publish at every one of them and pin which version each crash recovers.
 package snapstore
 
 import (
@@ -53,7 +52,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -62,38 +61,32 @@ import (
 )
 
 // Failpoint names of the write path, in execution order. The recovery
-// suite iterates failpoint.List() and crashes at each; anything added
-// here is automatically covered.
+// suites iterate failpoint.List() and crash at each; one added here fails
+// them until their tables say which version a crash there recovers.
 var (
-	FPBeforeTempWrite   = failpoint.Register("snapstore/before-temp-write")
-	FPAfterSegWrite     = failpoint.Register("snapstore/after-seg-write")
-	FPAfterSegSync      = failpoint.Register("snapstore/after-seg-sync")
-	FPAfterSegCommit    = failpoint.Register("snapstore/after-seg-commit")
-	FPAfterTempWrite    = failpoint.Register("snapstore/after-temp-write")
-	FPAfterTempSync     = failpoint.Register("snapstore/after-temp-sync")
-	FPAfterSnapRename   = failpoint.Register("snapstore/after-snap-rename")
-	FPAfterManifestTemp = failpoint.Register("snapstore/after-manifest-temp")
-	FPAfterManifestSync = failpoint.Register("snapstore/after-manifest-sync")
-	FPAfterSave         = failpoint.Register("snapstore/after-save")
-	FPBeforeSegGC       = failpoint.Register("snapstore/before-seg-gc")
+	FPBeforeTempWrite = failpoint.Register("snapstore/before-temp-write")
+	FPAfterSegWrite   = failpoint.Register("snapstore/after-seg-write")
+	FPAfterSegSync    = failpoint.Register("snapstore/after-seg-sync")
+	FPAfterSegCommit  = failpoint.Register("snapstore/after-seg-commit")
+	FPAfterTempWrite  = failpoint.Register("snapstore/after-temp-write")
+	FPAfterTempSync   = failpoint.Register("snapstore/after-temp-sync")
+	FPAfterSave       = failpoint.Register("snapstore/after-save")
+	FPBeforeSegGC     = failpoint.Register("snapstore/before-seg-gc")
 )
 
 const (
 	legacyMagic   = "FHSS" // pre-segmentation whole-snapshot file
 	segMagic      = "FHSG" // one immutable segment
 	descMagic     = "FHSV" // versioned descriptor over segments
-	manifestMagic = "FHSM"
 	formatVersion = 1
-	manifestName  = "MANIFEST"
 	snapPrefix    = "snap-"
 	segPrefix     = "seg-"
 	snapSuffix    = ".fhs"
 	tmpSuffix     = ".tmp"
 )
 
-// ErrCorrupt reports a snapshot, segment, or manifest file that failed
-// validation: bad magic, unknown format version, checksum mismatch, or
-// truncation.
+// ErrCorrupt reports a snapshot or segment file that failed validation:
+// bad magic, unknown format version, checksum mismatch, or truncation.
 var ErrCorrupt = errors.New("snapstore: corrupt file")
 
 // ErrNotFound reports a requested version with no file on disk.
@@ -101,9 +94,9 @@ var ErrNotFound = errors.New("snapstore: version not found")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Store is a directory of segment files, versioned descriptors, and a
-// manifest. Save calls must be serialized by the caller (the serving
-// layer already serializes publishes); loads are safe at any time.
+// Store is a directory of segment files and versioned descriptors. Save
+// calls must be serialized by the caller (the serving layer already
+// serializes publishes); loads are safe at any time.
 type Store struct {
 	dir     string
 	retain  int
@@ -130,14 +123,12 @@ func Open(dir string, retain int) (*Store, error) {
 		}
 	}
 	st := &Store{dir: dir, retain: retain, nextSeg: 1}
-	segs, err := st.segIDs()
+	segs, err := st.fileIDs(segPrefix)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range segs {
-		if id >= st.nextSeg {
-			st.nextSeg = id + 1
-		}
+	if len(segs) > 0 {
+		st.nextSeg = segs[len(segs)-1] + 1
 	}
 	st.gcSegments(segs)
 	return st, nil
@@ -148,9 +139,7 @@ func (st *Store) Dir() string { return st.dir }
 
 // Path returns the on-disk path of one version's descriptor file — for
 // operators and tests inspecting durable state; the file may not exist.
-func (st *Store) Path(version uint64) string { return st.snapPath(version) }
-
-func (st *Store) snapPath(version uint64) string {
+func (st *Store) Path(version uint64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("%s%016x%s", snapPrefix, version, snapSuffix))
 }
 
@@ -294,6 +283,8 @@ type segRef struct {
 }
 
 // decodeDescriptor parses a descriptor payload into segment references.
+// An entry takes 16 bytes at least, which bounds the count before anything
+// is allocated.
 func decodeDescriptor(desc []byte) ([]segRef, error) {
 	off := 0
 	u32 := func() uint32 {
@@ -305,8 +296,8 @@ func decodeDescriptor(desc []byte) ([]segRef, error) {
 		return nil, ErrCorrupt
 	}
 	n := int(u32())
-	if n < 0 || n > 1<<20 {
-		return nil, ErrCorrupt
+	if n < 0 || n > (len(desc)-4)/16 {
+		return nil, fmt.Errorf("%w: descriptor claims %d entries in %d bytes", ErrCorrupt, n, len(desc))
 	}
 	refs := make([]segRef, 0, n)
 	for i := 0; i < n; i++ {
@@ -403,17 +394,17 @@ func (st *Store) syncDir() error {
 
 // Save durably persists one snapshot version: first any segment files not
 // yet on disk (cost O(delta) — segments shared with earlier versions are
-// skipped by existence check), then the descriptor, then the manifest
-// pointer. Segments without a storage id are assigned one here, mutating
-// the snapshot's segments (ids are write-once; see similarity.SetID).
+// skipped by existence check), then the descriptor. Segments without a
+// storage id are assigned one here, mutating the snapshot's segments (ids
+// are write-once; see similarity.SetID).
 //
-// On return without error the version survives any crash; on error the
-// previous durable state is untouched — with one documented exception: a
-// crash after the descriptor is durable but before the manifest rename
-// leaves the new version on disk unreferenced, and LoadLatest will prefer
-// it (at-least-once publish semantics, exercised by the recovery suite).
-// Committed segment files whose descriptor never landed are orphans; Open
-// garbage-collects them and a retried publish rewrites them.
+// The version exists once its descriptor is renamed into place. An error
+// before that leaves the previous durable state untouched: committed
+// segment files whose descriptor never landed are orphans, which Open
+// garbage-collects and a retried publish rewrites. An error after it — in
+// the retention sweep or segment GC — leaves the version committed, and
+// LoadLatest returns it (at-least-once publish semantics, exercised by
+// the recovery suite).
 func (st *Store) Save(version uint64, snap *similarity.Snapshot) error {
 	if err := failpoint.Inject(FPBeforeTempWrite); err != nil {
 		return err
@@ -442,34 +433,22 @@ func (st *Store) Save(version uint64, snap *similarity.Snapshot) error {
 			return err // crash: segment durable, descriptor absent — orphan until retry
 		}
 	}
-	path := st.snapPath(version)
+	path := st.Path(version)
 	writeDesc := func(f *os.File) error {
 		return writeContainer(f, descMagic, version, 1, func(emit func(int, []byte) error) error { return emit(0, encodeDescriptor(snap)) })
 	}
 	if err := st.writeDurable(path, writeDesc, FPAfterTempWrite, FPAfterTempSync); err != nil {
 		return err
 	}
-	if err := failpoint.Inject(FPAfterSnapRename); err != nil {
-		return err // crash: descriptor durable, manifest still names the old version
-	}
-	manifest := make([]byte, 0, 4+1+8+4)
-	manifest = append(manifest, manifestMagic...)
-	manifest = append(manifest, formatVersion)
-	manifest = binary.LittleEndian.AppendUint64(manifest, version)
-	manifest = binary.LittleEndian.AppendUint32(manifest, crc32.Checksum(manifest, castagnoli))
-	writeManifest := func(f *os.File) error { _, err := f.Write(manifest); return err }
-	if err := st.writeDurable(filepath.Join(st.dir, manifestName), writeManifest, FPAfterManifestTemp, FPAfterManifestSync); err != nil {
-		return err
-	}
 	if err := failpoint.Inject(FPAfterSave); err != nil {
-		return err // crash: fully durable, retention sweep skipped
+		return err // crash: version committed, retention sweep skipped
 	}
 	st.sweep(version)
 	if err := failpoint.Inject(FPBeforeSegGC); err != nil {
 		return err // crash: sweep done, orphaned segments linger until next GC
 	}
 	if st.retain > 0 {
-		segs, err := st.segIDs()
+		segs, err := st.fileIDs(segPrefix)
 		if err == nil {
 			st.gcSegments(segs)
 		}
@@ -495,7 +474,7 @@ func (st *Store) sweep(current uint64) {
 		}
 		kept++
 		if kept > st.retain {
-			os.Remove(st.snapPath(versions[i]))
+			os.Remove(st.Path(versions[i]))
 		}
 	}
 }
@@ -514,7 +493,7 @@ func (st *Store) gcSegments(onDisk []uint64) {
 	}
 	live := map[uint64]bool{}
 	for _, v := range versions {
-		data, err := os.ReadFile(st.snapPath(v))
+		data, err := os.ReadFile(st.Path(v))
 		if err != nil {
 			continue
 		}
@@ -537,48 +516,14 @@ func (st *Store) gcSegments(onDisk []uint64) {
 	}
 }
 
-// segIDs lists the segment ids present on disk (by filename), ascending.
-func (st *Store) segIDs() ([]uint64, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), snapSuffix)
-		v, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil || len(hex) != 16 {
-			continue
-		}
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// manifestVersion reads the manifest pointer. ErrCorrupt or a read error
-// means the pointer is unusable; callers fall back to scanning.
-func (st *Store) manifestVersion() (uint64, error) {
-	data, err := os.ReadFile(filepath.Join(st.dir, manifestName))
-	if err != nil {
-		return 0, err
-	}
-	if len(data) != 17 || string(data[:4]) != manifestMagic || data[4] != formatVersion {
-		return 0, ErrCorrupt
-	}
-	if crc32.Checksum(data[:13], castagnoli) != binary.LittleEndian.Uint32(data[13:]) {
-		return 0, fmt.Errorf("%w: manifest checksum mismatch", ErrCorrupt)
-	}
-	return binary.LittleEndian.Uint64(data[5:]), nil
-}
-
 // Versions lists the snapshot versions present on disk (by filename),
 // ascending. Presence does not imply validity — Load still checksums.
-func (st *Store) Versions() ([]uint64, error) {
+func (st *Store) Versions() ([]uint64, error) { return st.fileIDs(snapPrefix) }
+
+// fileIDs lists the ids of the files named prefix<16 hex digits>.fhs in the
+// store directory, ascending: versions for snapPrefix, segments for
+// segPrefix.
+func (st *Store) fileIDs(prefix string) ([]uint64, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return nil, err
@@ -586,17 +531,17 @@ func (st *Store) Versions() ([]uint64, error) {
 	var out []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, snapSuffix) {
 			continue
 		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix)
+		hex := strings.TrimSuffix(strings.TrimPrefix(name, prefix), snapSuffix)
 		v, err := strconv.ParseUint(hex, 16, 64)
 		if err != nil || len(hex) != 16 {
 			continue
 		}
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -604,7 +549,7 @@ func (st *Store) Versions() ([]uint64, error) {
 // referenced segment file, and the agreement between them (doc counts,
 // bitmap sizes, ids). Pre-segmentation files decode directly.
 func (st *Store) Load(version uint64) (*similarity.Snapshot, error) {
-	data, err := os.ReadFile(st.snapPath(version))
+	data, err := os.ReadFile(st.Path(version))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNotFound
 	}
@@ -635,7 +580,12 @@ func (st *Store) Load(version uint64) (*similarity.Snapshot, error) {
 		}
 		segs := make([]*similarity.Segment, len(refs))
 		deads := make([][]uint64, len(refs))
+		seen := map[uint64]bool{} // a repeat would read the segment file again
 		for i, ref := range refs {
+			if seen[ref.id] {
+				return nil, fmt.Errorf("%w: segment %d named twice", ErrCorrupt, ref.id)
+			}
+			seen[ref.id] = true
 			seg, err := st.loadSegment(ref.id)
 			if err != nil {
 				return nil, err
@@ -653,35 +603,21 @@ func (st *Store) Load(version uint64) (*similarity.Snapshot, error) {
 	}
 }
 
-// LoadLatest returns the newest snapshot that validates, preferring the
-// manifest pointer but trusting only checksums: versions that fail
-// validation are skipped (and reported) in favor of the next older good
-// one. A store with no usable snapshot returns (nil, 0, skipped, nil) —
-// an empty boot, not an error.
+// LoadLatest returns the newest version that validates, trying every
+// descriptor on disk newest-first and trusting only checksums; it reports
+// the versions it skipped. A publish that crashed after its descriptor's
+// rename is committed and wins (at-least-once). A store with no usable
+// snapshot returns (nil, 0, skipped, nil) — an empty boot, not an error.
 func (st *Store) LoadLatest() (snap *similarity.Snapshot, version uint64, skipped []uint64, err error) {
 	versions, err := st.Versions()
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	// The manifest names the version the last successful Save completed;
-	// anything newer on disk is a publish whose Save never returned — it
-	// is durable and fully checksummed, so it wins if it validates
-	// (at-least-once publish). Order candidates newest-first.
-	tried := map[uint64]bool{}
-	var candidates []uint64
 	for i := len(versions) - 1; i >= 0; i-- {
-		candidates = append(candidates, versions[i])
-		tried[versions[i]] = true
-	}
-	if mv, merr := st.manifestVersion(); merr == nil && !tried[mv] {
-		candidates = append(candidates, mv)
-	}
-	for _, v := range candidates {
-		s, lerr := st.Load(v)
-		if lerr == nil {
-			return s, v, skipped, nil
+		if snap, err := st.Load(versions[i]); err == nil {
+			return snap, versions[i], skipped, nil
 		}
-		skipped = append(skipped, v)
+		skipped = append(skipped, versions[i])
 	}
 	return nil, 0, skipped, nil
 }

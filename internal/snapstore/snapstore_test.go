@@ -2,8 +2,10 @@ package snapstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -122,7 +124,7 @@ func TestCorruptionFallsBackToPreviousVersion(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Damage version 2 in place, as a torn disk write would.
-				path := st.snapPath(2)
+				path := st.Path(2)
 				if target == "segment" {
 					path = st.SegPath(snapB.Segment(0).ID())
 				}
@@ -165,7 +167,7 @@ func TestTruncationEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	descFull, err := os.ReadFile(st.snapPath(1))
+	descFull, err := os.ReadFile(st.Path(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +183,32 @@ func TestTruncationEveryOffset(t *testing.T) {
 	}
 	if _, _, err := decodeSegFile(segFull); err != nil {
 		t.Fatalf("intact segment decode: %v", err)
+	}
+}
+
+// A descriptor that claims more entries than its bytes can hold, or names
+// one segment twice, is corrupt: a reader would otherwise allocate per
+// claimed entry, or read a whole segment file per repeat.
+func TestDescriptorCannotAmplifyALoad(t *testing.T) {
+	st, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := testSnapshot(t, 20, 4)
+	if err := st.Save(1, snap); err != nil {
+		t.Fatal(err)
+	}
+	g := snap.Segment(0)
+	for v, desc := range map[uint64][]byte{
+		2: binary.LittleEndian.AppendUint32(nil, 1<<20),                              // entries past the payload
+		3: encodeDescriptor(similarity.SnapshotOf([]*similarity.Segment{g, g}, nil)), // one segment named twice
+	} {
+		if err := os.WriteFile(st.Path(v), bytes.Join(encodeContainer(descMagic, v, [][]byte{desc}), nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Load(v); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("version %d: err = %v, want ErrCorrupt", v, err)
+		}
 	}
 }
 
@@ -210,29 +238,51 @@ func TestGoldenSegmentFile(t *testing.T) {
 	}
 }
 
-// A corrupt manifest must not take the store down: LoadLatest falls back
-// to scanning for the newest valid snapshot file.
+// Directories written before the descriptor became the commit point also
+// hold a MANIFEST: "FHSM", the format byte, a u64 version and a CRC32-C
+// over those 13 bytes. Whatever it says — a valid but stale version, a
+// version with no file, or garbage — the store ignores it: LoadLatest
+// scans the descriptors, returns the newest valid version and skips
+// nothing.
 func TestCorruptManifestScansFiles(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	manifest := func(version uint64) []byte {
+		m := binary.LittleEndian.AppendUint64(append([]byte("FHSM"), formatVersion), version)
+		return binary.LittleEndian.AppendUint32(m, crc32.Checksum(m, castagnoli))
 	}
-	snap, texts := testSnapshot(t, 5, 15)
-	if err := st.Save(3, snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, manifest := range [][]byte{nil, []byte("garbage"), {0, 1, 2}} {
-		if manifest == nil {
-			os.Remove(filepath.Join(dir, manifestName))
-		} else if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, v, _, err := st.LoadLatest()
-		if err != nil || v != 3 {
-			t.Fatalf("manifest %q: LoadLatest = v%d err %v", manifest, v, err)
-		}
-		sameVerdicts(t, got, snap, texts[:5])
+	snapA, _ := testSnapshot(t, 5, 15)
+	snapB, texts := testSnapshot(t, 19, 12)
+	for _, tc := range []struct {
+		name     string
+		leftover []byte
+	}{
+		{"stale", manifest(1)},
+		{"missing", manifest(9)},
+		{"garbage", []byte("garbage")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Save(1, snapA); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Save(3, snapB); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), tc.leftover, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Open(dir, 0); err != nil {
+				t.Fatal(err)
+			}
+			got, v, skipped, err := st.LoadLatest()
+			if err != nil || v != 3 || len(skipped) != 0 {
+				t.Fatalf("LoadLatest = v%d skipped %v err %v, want v3 skipping nothing", v, skipped, err)
+			}
+			sameVerdicts(t, got, snapB, append(texts[:5:5], "module q(); endmodule"))
+		})
 	}
 }
 
@@ -259,14 +309,57 @@ func TestRetentionSweep(t *testing.T) {
 	}
 }
 
-// Kill-and-recover at every registered snapstore failpoint: a publish
-// that crashes at any boundary must leave a store that either serves the
-// previous version (crash before the snapshot file landed) or the new
-// one (crash after it was durable) — and reopening always succeeds with
-// byte-identical verdicts for whichever version survived.
+// assertOnlyLiveFiles fails unless st's directory holds nothing but its
+// descriptors and the segments they name: no temp file, no orphan segment,
+// no MANIFEST.
+func assertOnlyLiveFiles(t *testing.T, st *Store) {
+	t.Helper()
+	versions, err := st.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[string]bool{}
+	for _, v := range versions {
+		snap, err := st.Load(v)
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		live[filepath.Base(st.Path(v))] = true
+		for i := 0; i < snap.Segments(); i++ {
+			live[filepath.Base(st.SegPath(snap.Segment(i).ID()))] = true
+		}
+	}
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !live[e.Name()] {
+			t.Fatalf("store holds %s, which no version names", e.Name())
+		}
+	}
+}
+
+// Kill-and-recover at every registered snapstore failpoint, in error and
+// panic mode. The descriptor's rename is the one commit point: a Save that
+// crashes before it recovers the previous version, one that crashes after
+// it the new one (at-least-once publish). Reopening skips nothing, answers
+// byte-identically for that version, leaves only live files, and accepts
+// the retried publish.
 func TestKillAndRecoverEveryFailpoint(t *testing.T) {
+	recovers := map[string]uint64{
+		FPBeforeTempWrite: 1,
+		FPAfterSegWrite:   1,
+		FPAfterSegSync:    1,
+		FPAfterSegCommit:  1,
+		FPAfterTempWrite:  1,
+		FPAfterTempSync:   1,
+		FPAfterSave:       2,
+		FPBeforeSegGC:     2,
+	}
 	snapA, texts := testSnapshot(t, 7, 20)
 	snapB, textsB := testSnapshot(t, 8, 22)
+	snaps := map[uint64]*similarity.Snapshot{1: snapA, 2: snapB}
 	queries := append(append([]string(nil), texts[:5]...), textsB[:5]...)
 
 	var points []string
@@ -275,60 +368,71 @@ func TestKillAndRecoverEveryFailpoint(t *testing.T) {
 			points = append(points, p)
 		}
 	}
-	if len(points) < 5 {
-		t.Fatalf("expected the snapstore write path to register its failpoints, got %v", points)
+	if len(points) != len(recovers) {
+		t.Fatalf("snapstore registers %v; the table has %d rows", points, len(recovers))
 	}
 
 	for _, fp := range points {
+		want, ok := recovers[fp]
+		if !ok {
+			t.Fatalf("failpoint %s has no row in the table", fp)
+		}
 		t.Run(fp, func(t *testing.T) {
-			defer failpoint.DisableAll()
-			dir := t.TempDir()
-			st, err := Open(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Save(1, snapA); err != nil {
-				t.Fatal(err)
-			}
+			for _, mode := range []string{"error", "panic"} {
+				t.Run(mode, func(t *testing.T) {
+					dir := t.TempDir()
+					st, err := Open(dir, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Save(1, snapA); err != nil {
+						t.Fatal(err)
+					}
+					crashSave(t, st, 2, snapB, fp, mode)
 
-			// Crash the version-2 publish at this failpoint.
-			failpoint.EnableError(fp)
-			if err := st.Save(2, snapB); !errors.Is(err, failpoint.ErrInjected) {
-				t.Fatalf("injected Save err = %v", err)
-			}
-			failpoint.DisableAll()
+					// "Restart": reopen the directory cold and replay.
+					st2, err := Open(dir, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, v, skipped, err := st2.LoadLatest()
+					if err != nil || v != want || len(skipped) != 0 {
+						t.Fatalf("recovery LoadLatest = v%d skipped %v err %v, want v%d skipping nothing", v, skipped, err, want)
+					}
+					sameVerdicts(t, got, snaps[v], queries)
+					assertOnlyLiveFiles(t, st2)
 
-			// "Restart": reopen the directory cold and replay.
-			st2, err := Open(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, v, skipped, err := st2.LoadLatest()
-			if err != nil || got == nil {
-				t.Fatalf("recovery LoadLatest: v%d skipped %v err %v", v, skipped, err)
-			}
-			switch v {
-			case 1:
-				sameVerdicts(t, got, snapA, queries)
-			case 2:
-				// Crash after the snapshot file became durable: the new
-				// version legitimately survives (at-least-once publish).
-				sameVerdicts(t, got, snapB, queries)
-			default:
-				t.Fatalf("recovered impossible version %d", v)
-			}
-			if len(skipped) != 0 {
-				t.Fatalf("recovery skipped %v — crash left a file that half-validates", skipped)
-			}
-
-			// The recovered store accepts the retried publish.
-			if err := st2.Save(v+1, snapB); err != nil {
-				t.Fatal(err)
-			}
-			if _, v2, _, err := st2.LoadLatest(); err != nil || v2 != v+1 {
-				t.Fatalf("post-recovery publish: v%d err %v", v2, err)
+					// The recovered store accepts the retried publish.
+					if err := st2.Save(v+1, snapB); err != nil {
+						t.Fatal(err)
+					}
+					if _, v2, _, err := st2.LoadLatest(); err != nil || v2 != v+1 {
+						t.Fatalf("post-recovery publish: v%d err %v", v2, err)
+					}
+				})
 			}
 		})
+	}
+}
+
+// crashSave runs one Save with fp armed to fail ("error") or to panic
+// ("panic"), and fails the test unless the save stops there.
+func crashSave(t *testing.T, st *Store, version uint64, snap *similarity.Snapshot, fp, mode string) {
+	t.Helper()
+	if mode == "panic" {
+		failpoint.EnablePanic(fp)
+	} else {
+		failpoint.EnableError(fp)
+	}
+	var err error
+	crash := func() (v any) {
+		defer func() { v = recover() }()
+		err = st.Save(version, snap)
+		return nil
+	}()
+	failpoint.DisableAll()
+	if _, panicked := crash.(failpoint.PanicValue); panicked != (mode == "panic") || (mode == "error" && !errors.Is(err, failpoint.ErrInjected)) {
+		t.Fatalf("%s-mode crash at %s: Save err %v, panic %v", mode, fp, err, crash)
 	}
 }
 
@@ -387,7 +491,7 @@ func TestLegacyFormatLoads(t *testing.T) {
 	}
 	snap, texts := testSnapshot(t, 13, 18)
 	legacy := bytes.Join(encodeContainer(legacyMagic, 3, snap.EncodeSections()), nil)
-	if err := os.WriteFile(st.snapPath(3), legacy, 0o644); err != nil {
+	if err := os.WriteFile(st.Path(3), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := st.Load(3)

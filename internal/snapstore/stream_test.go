@@ -85,7 +85,7 @@ func TestSavedSegmentFileIsTheEncodedImage(t *testing.T) {
 		if i == 0 && !bytes.Equal(got, golden) {
 			t.Fatal("the golden segment was saved as other bytes than seg-golden.fhs")
 		}
-		desc, err := os.ReadFile(st.snapPath(1))
+		desc, err := os.ReadFile(st.Path(1))
 		if err != nil {
 			t.Fatal(err)
 		}
