@@ -175,6 +175,9 @@ func decodeDocuments(dec *json.Decoder, add func(name, text string)) error {
 // document goes straight to add, a removal or a repo into req; index and
 // publish modes come from the ?index= and ?mode= query parameters. It
 // replies on failure and reports whether the handler should continue.
+// Records are read as one stream of JSON values, not split on newlines, so
+// a line may hold two records and a record may span lines; blank lines are
+// skipped, and the number an error names counts records, not lines.
 func (s *Server) decodeNDJSON(w http.ResponseWriter, r *http.Request, req *CorpusRequest, add func(name, text string)) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	for line := 1; ; line++ {

@@ -131,6 +131,131 @@ func FuzzDecodeCorpus(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkCorpusDecode(t, body) })
 }
 
+// ndjsonBodyCases seed FuzzDecodeNDJSON: one record per line, then the
+// shapes TestDecodeNDJSONReadsAStream pins.
+var ndjsonBodyCases = []string{
+	`{"name":"a.v","text":"module a; endmodule"}` + "\n" + `{"remove":"z.v"}` + "\n",
+	`{"repo":{"name":"acme/ip","spdx":"MIT","files":[{"path":"a.v","content":"module a; endmodule"}]}}` + "\n" + `{"NAME":"b.v","Text":"wire w;"}`,
+	"\n \t\r\n" + `{"name":"","text":"x","remove":"","repo":null}` + "\n\n",
+	`{"name":"a.v","text":"x","remove":"r.v"}` + "\n" + `{"text":"no name"}`,
+	`{}`,
+	`null`,
+	`{"name":1}`,
+	`["a.v"]`,
+	`{"name":"a.v","text":"x"} {"remove":"b.v"}`,
+	`{"name":"a.v","text":"x"}{"name":"c.v","text":"y"}`,
+	`{"name":"a.v",` + "\n" + `"text":"x"}`,
+	`{"name":"a.v","text":"x"} trailing`,
+	`{"name":"a.v"`,
+	``,
+}
+
+// checkNDJSONDecode holds decodeNDJSON to a line-by-line reference — split
+// the body on newlines and json.Unmarshal each non-blank line into a
+// CorpusLine — on one body: the same accept/reject, the same removals and
+// repos, and a sealed segment whose encoding equals BuildSegment's over the
+// reference's documents. decodeNDJSON reads one json.Decoder stream, so the
+// two read different records where a line holds other than exactly one JSON
+// value (two values, or part of one that spans lines); such a body is
+// reported, not compared — TestDecodeNDJSONReadsAStream pins what the
+// server does with it.
+func checkNDJSONDecode(t *testing.T, s *Server, body []byte) {
+	t.Helper()
+	var want CorpusRequest
+	var names, texts []string
+	accept := true
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(bytes.Trim(line, " \t\r")) == 0 {
+			continue
+		}
+		if !json.Valid(line) {
+			return
+		}
+		var l CorpusLine
+		if accept = json.Unmarshal(line, &l) == nil; !accept {
+			break
+		}
+		switch {
+		case l.Repo != nil:
+			want.Repos = append(want.Repos, *l.Repo)
+		case l.Remove != "":
+			want.Remove = append(want.Remove, l.Remove)
+		case l.Name != "" || l.Text != "":
+			names, texts = append(names, l.Name), append(texts, l.Text)
+		default:
+			accept = false
+		}
+		if !accept {
+			break
+		}
+	}
+	var got CorpusRequest
+	b := similarity.NewSegmentBuilder()
+	w := httptest.NewRecorder()
+	if ok := s.decodeNDJSON(w, httptest.NewRequest(http.MethodPost, "/v1/corpus", bytes.NewReader(body)), &got, b.Add); ok != accept {
+		t.Fatalf("%q: decodeNDJSON accepted=%v (%s), the line-by-line reference %v", body, ok, w.Body, accept)
+	}
+	if !accept {
+		return
+	}
+	if !reflect.DeepEqual(got.Remove, want.Remove) || !reflect.DeepEqual(got.Repos, want.Repos) {
+		t.Fatalf("%q: decoded %+v, the reference %+v", body, got, want)
+	}
+	if b.Len() != len(names) {
+		t.Fatalf("%q: streamed %d documents, the reference %d", body, b.Len(), len(names))
+	}
+	if !reflect.DeepEqual(b.Seal().EncodeSections(), similarity.BuildSegment(names, texts, 1).EncodeSections()) {
+		t.Fatalf("%q: the streamed segment is not BuildSegment's", body)
+	}
+}
+
+// What the server does where a stream of JSON values and a list of lines
+// part: records are values wherever the newlines fall.
+func TestDecodeNDJSONReadsAStream(t *testing.T) {
+	s := NewServer(DefaultConfig())
+	defer s.Close()
+	for _, tc := range ndjsonBodyCases[:4] {
+		checkNDJSONDecode(t, s, []byte(tc))
+	}
+	for _, tc := range []struct {
+		name, body    string
+		code          string // "" = accepted
+		docs, removes int
+	}{
+		{"two records on one line", `{"name":"a.v","text":"x"} {"remove":"b.v"}`, "", 1, 1},
+		{"two records with nothing between", `{"name":"a.v","text":"x"}{"name":"c.v","text":"y"}`, "", 2, 0},
+		{"a record spanning lines", `{"name":"a.v",` + "\n" + `"text":"x"}` + "\n", "", 1, 0},
+		{"blank lines", "\n\n" + `{"remove":"a.v"}` + "\n  \r\n", "", 0, 1},
+		{"a record that is none of the three", `{"name":"a.v","text":"x"}` + "\n{}", "bad_record", 1, 0},
+		{"null", `null`, "bad_record", 0, 0},
+		{"a line holding a record and garbage", `{"name":"a.v","text":"x"} trailing`, "bad_json", 1, 0},
+		{"a record cut off", `{"name":"a.v","text":"x"}` + "\n" + `{"name":"b.v"`, "bad_json", 1, 0},
+	} {
+		var req CorpusRequest
+		docs := 0
+		w := httptest.NewRecorder()
+		ok := s.decodeNDJSON(w, httptest.NewRequest(http.MethodPost, "/v1/corpus", strings.NewReader(tc.body)), &req, func(string, string) { docs++ })
+		var er ErrorResponse
+		json.Unmarshal(w.Body.Bytes(), &er)
+		if ok != (tc.code == "") || er.Error.Code != tc.code || docs != tc.docs || len(req.Remove) != tc.removes {
+			t.Errorf("%s: accepted=%v %s, %d documents, %d removals; want code %q, %d documents, %d removals",
+				tc.name, ok, w.Body, docs, len(req.Remove), tc.code, tc.docs, tc.removes)
+		}
+	}
+}
+
+// FuzzDecodeNDJSON: whatever the body, the stream decoder and the
+// line-by-line reference agree wherever each line holds one JSON value (see
+// checkNDJSONDecode).
+func FuzzDecodeNDJSON(f *testing.F) {
+	for _, tc := range ndjsonBodyCases {
+		f.Add([]byte(tc))
+	}
+	s := NewServer(DefaultConfig())
+	defer s.Close()
+	f.Fuzz(func(t *testing.T, body []byte) { checkNDJSONDecode(t, s, body) })
+}
+
 // bigCorpusBody marshals n seeded random documents as one replace request.
 func bigCorpusBody(t *testing.T, seed int64, n int) []byte {
 	t.Helper()

@@ -446,7 +446,7 @@ func TestDeltaKillAndRecoverEveryFailpoint(t *testing.T) {
 				if rep.Version != crashRecovers[fp] || len(rep.Skipped) != 0 {
 					t.Fatalf("replay = %+v, want v%d skipping nothing", rep, crashRecovers[fp])
 				}
-				assertOnlyLiveFiles(t, s2)
+				assertOnlyLiveFiles(t, s2.snaps)
 				if rep.Version == 1 {
 					assertServedMatchesOffline(t, s2, names1, texts1, queries, 1)
 				} else {

@@ -155,27 +155,27 @@ func persistenceFailpoints(t *testing.T) []string {
 // crashModes arms a failpoint to fail or to panic.
 var crashModes = map[string]func(string){"error": failpoint.EnableError, "panic": failpoint.EnablePanic}
 
-// assertOnlyLiveFiles fails unless the server's store directory holds
-// nothing but its descriptors and the segments they name: no temp file,
-// no orphan segment, no MANIFEST.
-func assertOnlyLiveFiles(t *testing.T, s *Server) {
+// assertOnlyLiveFiles fails unless st's directory holds nothing but its
+// descriptors and the segments they name: no temp file, no orphan segment,
+// no MANIFEST.
+func assertOnlyLiveFiles(t *testing.T, st *snapstore.Store) {
 	t.Helper()
-	versions, err := s.snaps.Versions()
+	versions, err := st.Versions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := map[string]bool{}
 	for _, v := range versions {
-		snap, err := s.snaps.Load(v)
+		snap, err := st.Load(v)
 		if err != nil {
 			t.Fatalf("version %d: %v", v, err)
 		}
-		live[filepath.Base(s.snaps.Path(v))] = true
+		live[filepath.Base(st.Path(v))] = true
 		for i := 0; i < snap.Segments(); i++ {
-			live[filepath.Base(s.snaps.SegPath(snap.Segment(i).ID()))] = true
+			live[filepath.Base(st.SegPath(snap.Segment(i).ID()))] = true
 		}
 	}
-	entries, err := os.ReadDir(s.snaps.Dir())
+	entries, err := os.ReadDir(st.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestServeKillAndRecoverEveryFailpoint(t *testing.T) {
 					if rep.Version != crashRecovers[fp] || len(rep.Skipped) != 0 {
 						t.Fatalf("replay = %+v, want v%d skipping nothing", rep, crashRecovers[fp])
 					}
-					assertOnlyLiveFiles(t, s2)
+					assertOnlyLiveFiles(t, s2.snaps)
 					for _, q := range queries {
 						m, v := auditBest(t, s2, q)
 						if v != rep.Version {

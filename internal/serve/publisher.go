@@ -40,15 +40,13 @@ type ReplayInfo struct {
 // through publishLocked; the merger swaps layouts without minting. It
 // knows nothing of HTTP: failures are *publishError, which the handlers'
 // writePublishErr puts on the wire.
+//
+// state is the whole corpus: there is no writer index beside it. A publish
+// derives the next immutable snapshot from the served one and swaps it in,
+// so a publish that fails or panics before the swap leaves nothing to undo.
 type publisher struct {
 	state atomic.Pointer[corpusState]
-	pubMu sync.Mutex // serializes publishes and guards idx
-
-	// idx is the single-writer segmented view behind the served snapshot:
-	// delta publishes append segments and tombstone removals here, the
-	// background merger compacts runs here, and every successful publish
-	// snapshots it. Guarded by pubMu; the snapshots it emits are immutable.
-	idx *similarity.Index
+	pubMu sync.Mutex // serializes publishes and merge swaps
 
 	// deltaMu guards deltaPend, the group-commit staging list: concurrent
 	// delta uploads enqueue here, and whichever upload wins pubMu commits
@@ -82,12 +80,11 @@ func (p *publisher) open(cfg Config) (info ReplayInfo) {
 	if !cfg.DisableAutoMerge {
 		p.mergeKick = make(chan struct{}, 1)
 	}
-	p.idx = similarity.NewIndex()
-	snap := p.idx.Snapshot()
+	snap := new(similarity.Snapshot)
 	if p.snaps != nil {
 		var loaded *similarity.Snapshot
 		if loaded, info.Version, info.Skipped, info.Err = p.snaps.LoadLatest(); loaded != nil {
-			snap, info.Docs, p.idx = loaded, loaded.Len(), similarity.IndexFromSnapshot(loaded)
+			snap, info.Docs = loaded, loaded.Len()
 		}
 	}
 	p.state.Store(&corpusState{snap: snap, version: info.Version})
@@ -141,15 +138,13 @@ type published struct {
 	live, added, removed int
 }
 
-// publishLocked is the one commit path: it publishes ix's snapshot as the
-// next generation — durable on disk, when there is a store, before it
-// serves its first audit — and makes ix the writer index. On failure the
-// previous snapshot keeps serving and idx is untouched.
+// publishLocked is the one commit path: it publishes snap as the next
+// generation — durable on disk, when there is a store, before it serves its
+// first audit. On failure the previous snapshot keeps serving.
 //
 //freehw:guardedby pubMu
-func (p *publisher) publishLocked(ix *similarity.Index) (published, error) {
+func (p *publisher) publishLocked(snap *similarity.Snapshot) (published, error) {
 	version := p.current().version + 1
-	snap := ix.Snapshot()
 	if p.snaps != nil {
 		if err := p.snaps.Save(version, snap); err != nil {
 			return published{}, persistFailed(err)
@@ -161,7 +156,6 @@ func (p *publisher) publishLocked(ix *similarity.Index) (published, error) {
 		return published{}, persistFailed(err)
 	}
 	p.state.Store(&corpusState{snap: snap, version: version})
-	p.idx = ix
 	return published{version: version, live: snap.Len()}, nil
 }
 
@@ -171,9 +165,9 @@ func (p *publisher) publishLocked(ix *similarity.Index) (published, error) {
 // delays a concurrent publish. Concurrent publishes are ordered by whoever
 // reaches the swap first (last writer wins, versions strictly increasing).
 func (p *publisher) replace(seg *similarity.Segment, ifVersion *uint64) (published, error) {
-	ix := similarity.NewIndex()
+	snap := new(similarity.Snapshot)
 	if seg != nil {
-		ix.Append(seg)
+		snap = snap.Append(seg)
 	}
 	if p.buildGate != nil {
 		p.buildGate()
@@ -183,12 +177,12 @@ func (p *publisher) replace(seg *similarity.Segment, ifVersion *uint64) (publish
 	if err := checkIfVersion(ifVersion, p.current().version); err != nil {
 		return published{}, err
 	}
-	return p.publishLocked(ix)
+	return p.publishLocked(snap)
 }
 
-// rollback republishes retained version `version` as a NEW generation —
-// history stays append-only, so a rollback is itself visible, durable, and
-// rollback-able — and future deltas build on its segments.
+// rollback republishes retained version `version`, as loaded, as a NEW
+// generation — history stays append-only, so a rollback is itself visible,
+// durable, and rollback-able — and future deltas build on its segments.
 //
 // Load and republish happen under the publish lock. The retention sweep
 // runs only inside Save, and Save runs only under this lock, so the
@@ -224,7 +218,7 @@ func (p *publisher) rollback(version uint64, ifVersion *uint64) (published, erro
 	if err != nil {
 		return published{}, &publishError{code: codeCorrupt, msg: "retained snapshot failed validation: " + err.Error()}
 	}
-	return p.publishLocked(similarity.IndexFromSnapshot(snap))
+	return p.publishLocked(snap)
 }
 
 // deltaOp is one delta upload staged for group commit: a pre-built
@@ -278,29 +272,25 @@ func (p *publisher) commitPending() {
 	}
 }
 
-// commitDeltaBatchLocked applies a staged delta batch to the writer index
-// and publishes the result as one new generation. Ops whose If-Version
-// precondition fails are skipped (they report the conflict); the rest
-// mutate idx — O(delta + segments), never O(corpus) — and share a single
-// publishLocked. Compare-and-swap admits one winner per version: a
-// conditional op may only be the first op applied to its generation, so a
-// later one is carried — returned undecided, for the leader to judge
-// against whatever version this batch leaves live — while unconditional
-// ops coalesce freely. On a persist failure, or a panic out of an injected
-// crash, the writer index is rebuilt from the still-serving snapshot so no
-// half-applied batch ever leaks into a later publish; every op is always
-// completed (a panicking leader runs no next batch, so its carried ops
-// abort with the rest), then a panic resumes unwinding.
+// commitDeltaBatchLocked folds a staged delta batch into a snapshot derived
+// from the served one and publishes it as one new generation. Ops whose
+// If-Version precondition fails are skipped (they report the conflict); the
+// rest each derive the next snapshot — O(delta + segments), never
+// O(corpus) — and share a single publishLocked. Compare-and-swap admits one
+// winner per version: a conditional op may only be the first op applied to
+// its generation, so a later one is carried — returned undecided, for the
+// leader to judge against whatever version this batch leaves live — while
+// unconditional ops coalesce freely. A persist failure, or a panic out of
+// an injected crash, drops the derived snapshot: nothing was changed, so
+// nothing is rolled back. Every op is always completed (a panicking leader
+// runs no next batch, so its carried ops abort with the rest), then a panic
+// resumes unwinding.
 //
 //freehw:guardedby pubMu
 func (p *publisher) commitDeltaBatchLocked(batch []*deltaOp) (carry []*deltaOp) {
 	cur := p.current()
-	committed := false
 	defer func() {
 		r := recover()
-		if !committed {
-			p.idx = similarity.IndexFromSnapshot(cur.snap)
-		}
 		for _, op := range batch {
 			if !op.decided() {
 				if r == nil {
@@ -315,6 +305,7 @@ func (p *publisher) commitDeltaBatchLocked(batch []*deltaOp) (carry []*deltaOp) 
 		}
 	}()
 
+	snap := cur.snap
 	var applied []*deltaOp
 	for _, op := range batch {
 		if op.ifVersion != nil {
@@ -326,22 +317,21 @@ func (p *publisher) commitDeltaBatchLocked(batch []*deltaOp) (carry []*deltaOp) 
 				continue
 			}
 		}
-		op.res.removed = p.idx.Remove(op.remove)
+		snap, op.res.removed = snap.Remove(op.remove)
 		if op.seg != nil && op.seg.Docs() > 0 {
-			p.idx.Append(op.seg)
+			snap = snap.Append(op.seg)
 			op.res.added = op.seg.Docs()
 		}
 		applied = append(applied, op)
 	}
 	if len(applied) == 0 {
-		committed = true // nothing touched idx; nothing to roll back
 		return nil
 	}
-	res, err := p.publishLocked(p.idx)
+	res, err := p.publishLocked(snap)
 	for _, op := range applied {
 		op.res.version, op.res.live, op.err = res.version, res.live, err
 	}
-	if committed = err == nil; committed {
+	if err == nil {
 		select { // wake the merger, unless auto-merge is off or a wake-up is already pending
 		case p.mergeKick <- struct{}{}:
 		default:
@@ -372,11 +362,11 @@ func (p *publisher) merger(stop <-chan struct{}) {
 	}
 }
 
-// mergeOnce plans one compaction under the publish lock, rebuilds the
-// merged segment outside it, then revalidates the plan and swaps it in.
-// Reports whether it changed the segment set. A panic (injected crash, or
-// a bug in the merge path) abandons the step: background compaction must
-// never take serving down.
+// mergeOnce plans one compaction on the served snapshot, rebuilds the
+// merged segment with no lock held, then swaps it in if the run is still
+// current. Reports whether it changed the segment set. A panic (injected
+// crash, or a bug in the merge path) abandons the step: background
+// compaction must never take serving down.
 func (p *publisher) mergeOnce() (changed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -384,35 +374,27 @@ func (p *publisher) mergeOnce() (changed bool) {
 			changed = false
 		}
 	}()
-	i, j, segs, deads, ok := p.planMerge()
+	plan := p.current().snap
+	i, j, ok := pickMergeRun(plan, p.mergeMaxSegs, p.mergeDeadFrac)
 	if !ok {
 		return false
 	}
-	merged := similarity.MergeSegments(segs, deads) // outside the lock: O(run)
-	return p.swapMerge(i, j, segs, deads, merged)
-}
-
-// planMerge picks the next run to compact, returning its ordinals plus
-// the frozen inputs MergeSegments consumes outside the lock.
-func (p *publisher) planMerge() (i, j int, segs []*similarity.Segment, deads [][]uint64, ok bool) {
-	p.pubMu.Lock()
-	defer p.pubMu.Unlock()
-	i, j, ok = pickMergeRun(p.idx, p.mergeMaxSegs, p.mergeDeadFrac)
-	if !ok {
-		return 0, 0, nil, nil, false
+	var segs []*similarity.Segment
+	var deads [][]uint64
+	for k := i; k <= j; k++ {
+		segs, deads = append(segs, plan.Segment(k)), append(deads, plan.SegmentDead(k))
 	}
-	segs, deads = p.idx.Run(i, j)
-	return i, j, segs, deads, true
+	return p.swapMerge(plan, i, j, similarity.MergeSegments(segs, deads)) // O(run)
 }
 
 // pickMergeRun applies the merge policy: drop or compact any segment that
 // is fully or mostly dead (tombstoned fraction above deadFrac), then
 // bound the segment count by merging the adjacent pair with the fewest
 // combined live documents while more than maxSegs segments remain.
-func pickMergeRun(ix *similarity.Index, maxSegs int, deadFrac float64) (int, int, bool) {
-	n := ix.Segments()
+func pickMergeRun(snap *similarity.Snapshot, maxSegs int, deadFrac float64) (int, int, bool) {
+	n := snap.Segments()
 	for i := 0; i < n; i++ {
-		docs, live := ix.SegInfo(i)
+		docs, live := snap.Segment(i).Docs(), snap.SegmentLive(i)
 		if live == 0 || float64(docs-live) > deadFrac*float64(docs) {
 			return i, i, true
 		}
@@ -420,10 +402,8 @@ func pickMergeRun(ix *similarity.Index, maxSegs int, deadFrac float64) (int, int
 	if n > maxSegs {
 		best, at := -1, 0
 		for i := 0; i+1 < n; i++ {
-			_, a := ix.SegInfo(i)
-			_, b := ix.SegInfo(i + 1)
-			if best < 0 || a+b < best {
-				best, at = a+b, i
+			if a := snap.SegmentLive(i) + snap.SegmentLive(i+1); best < 0 || a < best {
+				best, at = a, i
 			}
 		}
 		return at, at + 1, true
@@ -431,23 +411,24 @@ func pickMergeRun(ix *similarity.Index, maxSegs int, deadFrac float64) (int, int
 	return 0, 0, false
 }
 
-// swapMerge installs a rebuilt segment over run [i, j] if the run is
-// still current, republishing the live snapshot in place (same version:
-// a merge changes physical layout, never verdicts, so audits memoized
-// under this version stay exact). A stale plan — a publish or removal
-// raced the rebuild — is dropped; the merger replans on its next kick.
-func (p *publisher) swapMerge(i, j int, segs []*similarity.Segment, deads [][]uint64, merged *similarity.Segment) bool {
+// swapMerge installs a rebuilt segment over plan's run [i, j] if the served
+// snapshot still holds that run, republishing it in place (same version: a
+// merge changes physical layout, never verdicts, so audits memoized under
+// this version stay exact). A stale plan — a publish or removal raced the
+// rebuild — is dropped; the merger replans on its next kick.
+func (p *publisher) swapMerge(plan *similarity.Snapshot, i, j int, merged *similarity.Segment) bool {
 	p.pubMu.Lock()
 	defer p.pubMu.Unlock()
-	if !p.idx.RunStable(i, j, segs, deads) {
+	cur := p.current()
+	next := cur.snap.ReplaceRun(plan, i, j, merged)
+	if next == nil {
 		return false
 	}
 	if err := failpoint.Inject(FPMergeSwap); err != nil {
 		// Injected crash at the swap boundary: the merged segment is
-		// dropped, the index is untouched, serving continues unchanged.
+		// dropped and serving continues unchanged.
 		return false
 	}
-	p.idx.ReplaceRun(i, j, merged)
-	p.state.Store(&corpusState{snap: p.idx.Snapshot(), version: p.current().version})
+	p.state.Store(&corpusState{snap: next, version: cur.version})
 	return true
 }

@@ -39,10 +39,14 @@ func (m *publisherModel) commit(names, texts []string) {
 
 // The publisher, driven with no HTTP by a seeded operation sequence —
 // replace, delta add+remove, If-Version hit and miss, rollback, an injected
-// persist failure, mergeOnce — agrees after every step with the model:
+// persist failure, mergeOnce and, with a store, a restart on the same
+// directory every few steps — agrees after every step with the model:
 // versions strictly monotonic, a refused or failed op changes nothing, and
 // the served snapshot's verdicts are bit for bit those of a one-segment
-// rebuild of the model's documents. First rung of ROADMAP item 3(a).
+// rebuild of the model's documents. A restart replays the model's version
+// and live count from a directory that holds nothing but its descriptors
+// and the segments they name; the deltas after it remove names that live
+// in decoded segments. Rungs of ROADMAP item 3(a).
 func TestPublisherAgainstModel(t *testing.T) {
 	const retain = 4
 	for _, durable := range []bool{false, true} {
@@ -57,17 +61,23 @@ func TestPublisherAgainstModel(t *testing.T) {
 				// first (a failure after Save would leave an unserved version
 				// on disk and move the retention window — crash semantics the
 				// kill-and-recover suites own).
-				failAt := FPBeforeSwap
+				failAt, dir := FPBeforeSwap, t.TempDir()
 				if durable {
 					failAt = snapstore.FPBeforeTempWrite
-					st, err := snapstore.Open(t.TempDir(), retain)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Store = st
 				}
-				var p publisher
-				p.open(cfg)
+				var p *publisher
+				restart := func() ReplayInfo {
+					if durable {
+						st, err := snapstore.Open(dir, retain)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Store = st
+					}
+					p = new(publisher)
+					return p.open(cfg)
+				}
+				restart()
 				rng := rand.New(rand.NewSource(seed))
 				model := &publisherModel{history: map[uint64][2][]string{}}
 				var removed string // some once-live text: must stop matching itself exactly
@@ -191,6 +201,14 @@ func TestPublisherAgainstModel(t *testing.T) {
 						if res.version != before+1 {
 							t.Fatalf("step %d: published version %d after %d", step, res.version, before)
 						}
+					}
+
+					if durable && step%6 == 5 {
+						info := restart()
+						if info.Version != model.version || info.Docs != len(model.names) || len(info.Skipped) != 0 || info.Err != nil {
+							t.Fatalf("step %d: restart replayed %+v, model has version %d with %d docs", step, info, model.version, len(model.names))
+						}
+						assertOnlyLiveFiles(t, cfg.Store)
 					}
 
 					// The served state is the model's, whatever just happened.

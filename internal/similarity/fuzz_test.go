@@ -30,12 +30,12 @@ import (
 // is built with a fuzzed worker count so parallel indexing stays
 // deterministic too.
 //
-// A third phase pins the segmented index (PR 9): the same documents split
-// into a fuzzed number of segments, with a fuzzed tombstone pattern and a
-// fuzzed adjacent merge, must return Best/TopK BIT-identical (== on the
-// float64 scores) to a single-segment full rebuild of the live documents —
-// and BestBatch over the query and three siblings must return what Best
-// returns for each.
+// A third phase pins the segmented index: the same documents
+// appended as a fuzzed number of segments, a fuzzed tombstone pattern
+// removed and a fuzzed adjacent run merged, as the publisher derives its
+// snapshots, must return Best/TopK BIT-identical (== on the float64 scores)
+// to a single-segment full rebuild of the live documents — and BestBatch
+// over the query and three siblings must return what Best returns for each.
 func FuzzScoringEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), "module top(input clk); wire a = b ^ c; endmodule")
 	f.Add(int64(42), uint8(3), "assign out = in1 & in2;")
@@ -110,7 +110,7 @@ func FuzzScoringEquivalence(f *testing.F) {
 		// then demand bit-identity against the filtered full rebuild.
 		srng := rand.New(rand.NewSource(seed ^ 0x5e9))
 		parts := 1 + srng.Intn(n)
-		ix := NewIndex()
+		snap := new(Snapshot)
 		off := 0
 		for p := 0; p < parts; p++ {
 			sz := (n - off) / (parts - p)
@@ -122,7 +122,7 @@ func FuzzScoringEquivalence(f *testing.F) {
 				b.Add(names[i], texts[i])
 			}
 			if b.Len() > 0 {
-				ix.Append(b.Seal())
+				snap = snap.Append(b.Seal())
 			}
 			off += sz
 		}
@@ -134,11 +134,11 @@ func FuzzScoringEquivalence(f *testing.F) {
 				dead[i] = true
 			}
 		}
-		ix.Remove(removeNames)
-		if ix.Segments() > 1 && srng.Intn(2) == 0 {
-			lo := srng.Intn(ix.Segments() - 1)
-			segs, deads := ix.Run(lo, lo+1)
-			ix.ReplaceRun(lo, lo+1, MergeSegments(segs, deads))
+		snap, _ = snap.Remove(removeNames)
+		if snap.Segments() > 1 && srng.Intn(2) == 0 {
+			lo := srng.Intn(snap.Segments() - 1)
+			snap = snap.ReplaceRun(snap, lo, lo+1, MergeSegments(
+				[]*Segment{snap.Segment(lo), snap.Segment(lo + 1)}, [][]uint64{snap.SegmentDead(lo), snap.SegmentDead(lo + 1)}))
 		}
 		var liveNames, liveTexts []string
 		for i := range names {
@@ -147,7 +147,6 @@ func FuzzScoringEquivalence(f *testing.F) {
 				liveTexts = append(liveTexts, texts[i])
 			}
 		}
-		snap := ix.Snapshot()
 		full := SealCorpus(liveNames, liveTexts, workers)
 		if snap.Len() != full.Len() {
 			t.Fatalf("segmented live %d != rebuilt %d", snap.Len(), full.Len())

@@ -14,7 +14,7 @@ package similarity
 // the live documents, renumbered 0..live-1 in (ordinal, doc-id) order.
 // Returns nil when no document is live. Runs entirely on immutable inputs,
 // so it is safe outside any lock; the caller revalidates the run before
-// splicing the result in (see Index.RunStable / ReplaceRun).
+// splicing the result in (see Snapshot.ReplaceRun).
 //
 // Two passes over the sources, count then fill: the first renumbers the
 // live documents, re-interns every list that keeps a posting and counts

@@ -1,8 +1,10 @@
 package similarity
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"strings"
 
 	"freehw/internal/par"
 )
@@ -11,10 +13,11 @@ import (
 // structure over a contiguous run of documents. A Snapshot (snapshot.go)
 // is an ordered list of segments with tombstone bitmaps; publishing a
 // delta means building ONE new segment from the added documents
-// (O(delta), not O(corpus)) and appending it, and removing documents means
-// setting tombstone bits — the existing segments are never touched.
-// Background merges (merge.go) compact adjacent segments without the
-// source texts.
+// (O(delta), not O(corpus)) and deriving the next snapshot with it
+// appended; removing documents derives one with tombstone bits set, found
+// through each segment's name order — the existing segments are never
+// touched. Background merges (merge.go) compact adjacent segments without
+// the source texts.
 //
 // Scoring stays bit-identical to a single-segment full rebuild because
 // the canonical accumulation order is a property of the query alone (the
@@ -43,11 +46,13 @@ import (
 // the collector to trace, and the arrays are what a segment file's postings
 // section holds.
 //
-// tmax, dense, dws and dnorm are derived by seal, never serialized. tmax[id]
-// is list id's largest weight. A list is dense when it holds at least half
-// the segment's documents (2·df >= docs); dense names those lists,
-// ascending, and each is stored a second time doc-indexed: dense[i]'s weight
-// for document d is dws[i*docs+d], +0 where d is not in the list. Adding
+// tmax, dense, dws, dnorm and byName are derived by seal, never serialized.
+// byName is the document ids sorted by (name, id), so a removal finds every
+// document of a name by binary search. tmax[id] is list id's largest
+// weight. A list is dense when it holds at least half the segment's
+// documents (2·df >= docs); dense names those lists, ascending, and each is
+// stored a second time doc-indexed: dense[i]'s weight for document d is
+// dws[i*docs+d], +0 where d is not in the list. Adding
 // q·(+0) to a non-negative sum changes no bit of it, so the scorer reads a
 // row for any document without a search and accumulates a whole row with
 // one axpy. A row's 8·docs bytes are at most 4/3 of the 12·df its list
@@ -71,6 +76,7 @@ type Segment struct {
 	dws      []float64
 	dnorm    []float64
 	dnormMax float64
+	byName   []int32
 	id       uint64
 }
 
@@ -135,11 +141,11 @@ func (g *Segment) layout(n []uint32) (cur []uint32) {
 }
 
 // seal derives tmax, the dense form and the documents' dense norms from the
-// filled arenas and precomputes the dictionary ids of all 256 single-byte
-// terms, then returns the now-frozen segment. Verilog text is
-// punctuation-dense — `;`, `(`, `=`, `,` are a large share of every query's
-// tokens — and a direct table turns each of those lookups into one array
-// read instead of a hash-table probe.
+// filled arenas, precomputes the dictionary ids of all 256 single-byte
+// terms and sorts the name order, then returns the now-frozen segment.
+// Verilog text is punctuation-dense — `;`, `(`, `=`, `,` are a large share
+// of every query's tokens — and a direct table turns each of those lookups
+// into one array read instead of a hash-table probe.
 func (g *Segment) seal() *Segment {
 	nDocs := len(g.names)
 	g.tmax = make([]float64, g.lists())
@@ -180,7 +186,24 @@ func (g *Segment) seal() *Segment {
 		buf[0] = byte(i)
 		g.byteIDs[i], _ = g.dict.findTerm(string(buf[:]))
 	}
+	g.byName = make([]int32, nDocs)
+	for d := range g.byName {
+		g.byName[d] = int32(d)
+	}
+	slices.SortFunc(g.byName, func(a, b int32) int {
+		return cmp.Or(strings.Compare(g.names[a], g.names[b]), cmp.Compare(a, b))
+	})
 	return g
+}
+
+// named returns the ids of the documents called name, ascending.
+func (g *Segment) named(name string) []int32 {
+	lo, _ := slices.BinarySearchFunc(g.byName, name, func(d int32, name string) int { return strings.Compare(g.names[d], name) })
+	hi := lo
+	for hi < len(g.byName) && g.names[g.byName[hi]] == name {
+		hi++
+	}
+	return g.byName[lo:hi]
 }
 
 // SegmentBuilder is the only mutable index state: it accumulates documents

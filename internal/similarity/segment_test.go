@@ -3,6 +3,7 @@ package similarity
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -46,6 +47,27 @@ func splitSizes(n, parts int, rng *rand.Rand) []int {
 		sizes[rng.Intn(parts)]++
 	}
 	return sizes
+}
+
+// appendSegs is the publisher's delta path: each segment appended to an
+// empty snapshot in turn.
+func appendSegs(segs []*Segment) *Snapshot {
+	s := new(Snapshot)
+	for _, g := range segs {
+		s = s.Append(g)
+	}
+	return s
+}
+
+// mergeRun is the publisher's merger: it merges plan's segments [i, j] and
+// replaces them in s, which is nil when s no longer holds plan's run.
+func mergeRun(s, plan *Snapshot, i, j int) *Snapshot {
+	var segs []*Segment
+	var deads [][]uint64
+	for k := i; k <= j; k++ {
+		segs, deads = append(segs, plan.Segment(k)), append(deads, plan.SegmentDead(k))
+	}
+	return s.ReplaceRun(plan, i, j, MergeSegments(segs, deads))
 }
 
 func requireSameMatches(t *testing.T, ctx string, got, want []Match) {
@@ -135,10 +157,7 @@ func TestTombstonesMatchFilteredRebuild(t *testing.T) {
 	queries := segQueries(texts, rng)
 	for _, parts := range []int{1, 4, 11} {
 		for _, removeFrac := range []float64{0.1, 0.5, 0.9} {
-			ix := NewIndex()
-			for _, g := range buildSegmented(names, texts, splitSizes(len(texts), parts, rng)) {
-				ix.Append(g)
-			}
+			snap := appendSegs(buildSegmented(names, texts, splitSizes(len(texts), parts, rng)))
 			var removed []string
 			liveSet := map[string]bool{}
 			for _, n := range names {
@@ -150,7 +169,8 @@ func TestTombstonesMatchFilteredRebuild(t *testing.T) {
 					liveSet[n] = false
 				}
 			}
-			if got, want := ix.Remove(removed), len(removed); got != want {
+			snap, got := snap.Remove(removed)
+			if want := len(removed); got != want {
 				t.Fatalf("Remove returned %d, want %d", got, want)
 			}
 			var liveNames, liveTexts []string
@@ -161,7 +181,7 @@ func TestTombstonesMatchFilteredRebuild(t *testing.T) {
 				}
 			}
 			ctx := fmt.Sprintf("parts=%d frac=%.1f", parts, removeFrac)
-			assertSnapshotEquiv(t, ctx, ix.Snapshot(), liveNames, liveTexts, queries)
+			assertSnapshotEquiv(t, ctx, snap, liveNames, liveTexts, queries)
 		}
 	}
 }
@@ -173,34 +193,28 @@ func TestMergePreservesVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	queries := segQueries(texts, rng)
 
-	ix := NewIndex()
-	for _, g := range buildSegmented(names, texts, splitSizes(len(texts), 6, rng)) {
-		ix.Append(g)
-	}
 	var removed []string
 	for _, n := range names {
 		if rng.Float64() < 0.3 {
 			removed = append(removed, n)
 		}
 	}
-	ix.Remove(removed)
-	before := ix.Snapshot()
+	before, _ := appendSegs(buildSegmented(names, texts, splitSizes(len(texts), 6, rng))).Remove(removed)
 	wantBest := make([]Match, len(queries))
 	for i, q := range queries {
 		wantBest[i] = before.Best(q)
 	}
 
 	// Merge pairwise until one segment remains, checking after each step.
-	step := 0
-	for ix.Segments() > 1 {
-		i := rng.Intn(ix.Segments() - 1)
-		segs, deads := ix.Run(i, i+1)
-		merged := MergeSegments(segs, deads)
-		if !ix.RunStable(i, i+1, segs, deads) {
-			t.Fatal("run reported unstable with no concurrent writer")
+	snap := before
+	for step := 0; snap.Segments() > 1; step++ {
+		i := rng.Intn(snap.Segments() - 1)
+		if moved, n := snap.Remove(names); n == 0 || mergeRun(moved, snap, i, i+1) != nil {
+			t.Fatal("a run whose bitmaps changed since the plan was replaced")
 		}
-		ix.ReplaceRun(i, i+1, merged)
-		snap := ix.Snapshot()
+		if snap = mergeRun(snap, snap, i, i+1); snap == nil {
+			t.Fatal("run reported stale with no concurrent writer")
+		}
 		if snap.Len() != before.Len() {
 			t.Fatalf("step %d: live count changed %d -> %d", step, before.Len(), snap.Len())
 		}
@@ -209,14 +223,13 @@ func TestMergePreservesVerdicts(t *testing.T) {
 				t.Fatalf("step %d query %d: Best changed\n got: %+v\nwant: %+v", step, qi, got, wantBest[qi])
 			}
 		}
-		step++
 	}
 	// Fully merged: one segment, no tombstones, and equivalent to the
 	// filtered full rebuild.
-	if ix.Segments() != 1 {
-		t.Fatalf("expected 1 segment, got %d", ix.Segments())
+	if snap.Segments() != 1 {
+		t.Fatalf("expected 1 segment, got %d", snap.Segments())
 	}
-	if docs, live := ix.SegInfo(0); docs != live || live != before.Len() {
+	if docs, live := snap.Segment(0).Docs(), snap.SegmentLive(0); docs != live || live != before.Len() {
 		t.Fatalf("merged segment docs=%d live=%d, want both %d", docs, live, before.Len())
 	}
 	liveSet := map[string]bool{}
@@ -230,63 +243,25 @@ func TestMergePreservesVerdicts(t *testing.T) {
 			liveTexts = append(liveTexts, texts[i])
 		}
 	}
-	assertSnapshotEquiv(t, "fully merged", ix.Snapshot(), liveNames, liveTexts, queries)
+	assertSnapshotEquiv(t, "fully merged", snap, liveNames, liveTexts, queries)
 }
 
 // A merge of an entirely tombstoned run returns nil, and ReplaceRun drops
 // the run.
 func TestMergeDropsDeadRun(t *testing.T) {
 	names, texts, _ := buildDiverse(3, 30)
-	ix := NewIndex()
-	for _, g := range buildSegmented(names, texts, []int{10, 10, 10}) {
-		ix.Append(g)
-	}
-	ix.Remove(names[10:20]) // kill the middle segment entirely
-	segs, deads := ix.Run(1, 1)
-	if merged := MergeSegments(segs, deads); merged != nil {
+	snap, _ := appendSegs(buildSegmented(names, texts, []int{10, 10, 10})).Remove(names[10:20]) // kill the middle segment entirely
+	if merged := MergeSegments([]*Segment{snap.Segment(1)}, [][]uint64{snap.SegmentDead(1)}); merged != nil {
 		t.Fatalf("merge of dead run returned a segment with %d docs", merged.Docs())
 	}
-	ix.ReplaceRun(1, 1, nil)
-	if ix.Segments() != 2 || ix.Live() != 20 {
-		t.Fatalf("after drop: segments=%d live=%d, want 2/20", ix.Segments(), ix.Live())
+	snap = snap.ReplaceRun(snap, 1, 1, nil)
+	if snap.Segments() != 2 || snap.Len() != 20 {
+		t.Fatalf("after drop: segments=%d live=%d, want 2/20", snap.Segments(), snap.Len())
 	}
-	assertSnapshotEquiv(t, "dropped run", ix.Snapshot(),
+	assertSnapshotEquiv(t, "dropped run", snap,
 		append(append([]string{}, names[:10]...), names[20:]...),
 		append(append([]string{}, texts[:10]...), texts[20:]...),
 		[]string{texts[0], texts[15], texts[25]})
-}
-
-// IndexFromSnapshot rebuilds a writer whose snapshot is equivalent, and
-// removals through the rebuilt writer do not disturb the source snapshot
-// (copy-on-write bitmaps).
-func TestIndexFromSnapshotRoundTrip(t *testing.T) {
-	names, texts, _ := buildDiverse(59, 80)
-	rng := rand.New(rand.NewSource(11))
-	ix := NewIndex()
-	for _, g := range buildSegmented(names, texts, splitSizes(len(texts), 4, rng)) {
-		ix.Append(g)
-	}
-	ix.Remove(names[5:25])
-	snap := ix.Snapshot()
-
-	ix2 := IndexFromSnapshot(snap)
-	if ix2.Live() != snap.Len() || ix2.Segments() != snap.Segments() {
-		t.Fatalf("rebuilt index live=%d segs=%d, want %d/%d",
-			ix2.Live(), ix2.Segments(), snap.Len(), snap.Segments())
-	}
-	q := texts[30]
-	want := snap.Best(q)
-	if got := ix2.Snapshot().Best(q); got != want {
-		t.Fatalf("rebuilt Best = %+v, want %+v", got, want)
-	}
-	// Mutate the rebuilt writer; the source snapshot must not move.
-	ix2.Remove([]string{want.Name})
-	if got := snap.Best(q); got != want {
-		t.Fatalf("source snapshot changed after Remove on rebuilt index: %+v != %+v", got, want)
-	}
-	if got := ix2.Snapshot().Best(q); got.Name == want.Name {
-		t.Fatalf("removed doc %q still best in rebuilt index", want.Name)
-	}
 }
 
 // Segment round-trip: encode/decode a segment and splice it into a
@@ -315,33 +290,69 @@ func TestSegmentSerialRoundTripInSnapshot(t *testing.T) {
 	}
 }
 
-// Duplicate names: Append of a same-named doc keeps both live (replace
-// semantics live in the serving layer); Remove tombstones every
-// occurrence.
+// Remove tombstones every live occurrence of each name — duplicates within
+// and across segments, in built, decoded and merged segments alike — and
+// nothing else. A name no segment holds removes nothing, repeating a
+// removal removes nothing, and the source snapshot answers exactly as
+// before, even when what was removed through the derived one was its best
+// match: bitmaps are copied on write. (Append of a same-named document
+// keeps both live; replace semantics live in the serving layer.)
 func TestRemoveAllOccurrences(t *testing.T) {
-	ix := NewIndex()
-	b := NewSegmentBuilder()
-	b.Add("dup", "module a(input x); endmodule")
-	b.Add("solo", "module b(output y); endmodule")
-	ix.Append(b.Seal())
-	b2 := NewSegmentBuilder()
-	b2.Add("dup", "module c(inout z); endmodule")
-	ix.Append(b2.Seal())
-	if ix.Live() != 3 {
-		t.Fatalf("live = %d, want 3", ix.Live())
+	var dupNames, dupTexts []string
+	var built, decoded []*Segment
+	for _, docs := range [][]string{ // per segment: name, text, name, text, …
+		{"dup", "module a(input x); endmodule", "solo", "module b(output y); endmodule", "dup", "module d(input w); endmodule"},
+		{"dup", "module c(inout z); endmodule", "other", "module e(output v); endmodule"},
+	} {
+		b := NewSegmentBuilder()
+		for i := 0; i < len(docs); i += 2 {
+			b.Add(docs[i], docs[i+1])
+			dupNames, dupTexts = append(dupNames, docs[i]), append(dupTexts, docs[i+1])
+		}
+		g := b.Seal()
+		d, err := DecodeSegment(g.EncodeSections())
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, decoded = append(built, g), append(decoded, d)
 	}
-	if got := ix.Remove([]string{"dup", "missing"}); got != 2 {
-		t.Fatalf("Remove = %d, want 2", got)
-	}
-	if ix.Live() != 1 {
-		t.Fatalf("live = %d, want 1", ix.Live())
-	}
-	snap := ix.Snapshot()
-	if snap.Len() != 1 || snap.Name(0) != "solo" {
-		t.Fatalf("snapshot: len=%d name=%q", snap.Len(), snap.Name(0))
-	}
-	// Removing again is a no-op.
-	if got := ix.Remove([]string{"dup"}); got != 0 {
-		t.Fatalf("second Remove = %d, want 0", got)
+	merged := []*Segment{MergeSegments(built, nil)}
+
+	names, texts, _ := buildDiverse(59, 80)
+	diverse, _ := appendSegs(buildSegmented(names, texts, []int{20, 20, 20, 20})).Remove(names[5:25])
+	best := diverse.Best(texts[30]).Name
+
+	for _, tc := range []struct {
+		name         string
+		src          *Snapshot
+		names, texts []string // src's live documents, in order
+		remove       []string
+		want         int
+	}{
+		{"duplicates within and across segments", appendSegs(built), dupNames, dupTexts, []string{"dup"}, 3},
+		{"absent names beside a present one", appendSegs(built), dupNames, dupTexts, []string{"missing", "solo", "missing"}, 1},
+		{"only absent names", appendSegs(built), dupNames, dupTexts, []string{"missing"}, 0},
+		{"decoded segments", appendSegs(decoded), dupNames, dupTexts, []string{"dup", "other"}, 4},
+		{"a merged segment", appendSegs(merged), dupNames, dupTexts, []string{"dup"}, 3},
+		{"the source's best match", diverse, slices.Concat(names[:5], names[25:]), slices.Concat(texts[:5], texts[25:]), []string{best}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			queries := append(slices.Clone(tc.texts), "module unrelated(input clk); endmodule")
+			got, n := tc.src.Remove(tc.remove)
+			if n != tc.want {
+				t.Fatalf("Remove = %d, want %d", n, tc.want)
+			}
+			var liveNames, liveTexts []string
+			for i, name := range tc.names {
+				if !slices.Contains(tc.remove, name) {
+					liveNames, liveTexts = append(liveNames, name), append(liveTexts, tc.texts[i])
+				}
+			}
+			assertSnapshotEquiv(t, "derived", got, liveNames, liveTexts, queries)
+			assertSnapshotEquiv(t, "source", tc.src, tc.names, tc.texts, queries)
+			if again, n := got.Remove(tc.remove); n != 0 || again != got {
+				t.Fatalf("repeated Remove = %d", n)
+			}
+		})
 	}
 }

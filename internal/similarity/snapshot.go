@@ -9,10 +9,12 @@ import (
 
 // Snapshot is an immutable, ordered set of segments with tombstones, safe
 // for any number of concurrent readers. It is the unit the serving layer
-// swaps RCU-style: build segments off to the side, compose a Snapshot,
-// publish it through an atomic pointer, and in-flight queries keep
-// answering against whichever snapshot they loaded — never a half-built
-// index.
+// swaps RCU-style, and the publisher's only corpus state: a publish derives
+// the next snapshot from the served one (Append, Remove, ReplaceRun — each
+// O(delta + segments), sharing every segment and every bitmap it does not
+// change), publishes it through an atomic pointer, and in-flight queries
+// keep answering against whichever snapshot they loaded. A derivation that
+// is never published is simply dropped: there is no writer state to undo.
 //
 // Documents are globally indexed by LIVE rank: index i is the i-th live
 // document in (segment-ordinal, doc-id) order. That is exactly the index
@@ -33,40 +35,118 @@ type snapSeg struct {
 	rank   []int32  // per 64-doc word: live docs before that word; nil when dead == nil
 }
 
-// newSnapshot composes segments and tombstone bitmaps into a snapshot,
-// precomputing the live-rank tables. segs and deads are owned by the
-// snapshot from here on (callers pass clones or immutable slices).
+// newSnapshot composes segments and tombstone bitmaps into a snapshot.
 func newSnapshot(segs []*Segment, deads [][]uint64) *Snapshot {
-	s := &Snapshot{segs: make([]snapSeg, len(segs))}
+	ss := make([]snapSeg, len(segs))
 	for i, g := range segs {
 		var dead []uint64
 		if i < len(deads) {
 			dead = deads[i]
 		}
-		ss := &s.segs[i]
-		ss.seg = g
-		ss.dead = dead
-		ss.offset = s.total
-		n := g.Docs()
-		if dead == nil {
-			ss.live = n
-		} else {
-			words := (n + 63) >> 6
-			ss.rank = make([]int32, words)
-			live := 0
-			for w := 0; w < words; w++ {
-				ss.rank[w] = int32(live)
-				m := ^dead[w]
-				if hi := n - w<<6; hi < 64 {
-					m &= 1<<uint(hi) - 1 // bits past the last doc are not live
-				}
-				live += bits.OnesCount64(m)
-			}
-			ss.live = live
+		ss[i] = newSnapSeg(g, dead)
+	}
+	return compose(ss)
+}
+
+// newSnapSeg precomputes segment g's live count and live-rank table under
+// the tombstone bitmap dead, which is immutable from here on.
+func newSnapSeg(g *Segment, dead []uint64) snapSeg {
+	ss := snapSeg{seg: g, dead: dead, live: g.Docs()}
+	if dead == nil {
+		return ss
+	}
+	n := ss.live
+	ss.live, ss.rank = 0, make([]int32, (n+63)>>6)
+	for w := range ss.rank {
+		ss.rank[w] = int32(ss.live)
+		m := ^dead[w]
+		if hi := n - w<<6; hi < 64 {
+			m &= 1<<uint(hi) - 1 // bits past the last doc are not live
 		}
-		s.total += ss.live
+		ss.live += bits.OnesCount64(m)
+	}
+	return ss
+}
+
+// compose makes a snapshot of segs, which it owns from here on, setting
+// each segment's live offset.
+func compose(segs []snapSeg) *Snapshot {
+	s := &Snapshot{segs: segs}
+	for i := range segs {
+		segs[i].offset = s.total
+		s.total += segs[i].live
 	}
 	return s
+}
+
+// Append returns s with seg added as its last segment.
+func (s *Snapshot) Append(seg *Segment) *Snapshot {
+	return compose(append(slices.Clone(s.segs), newSnapSeg(seg, nil)))
+}
+
+// Remove returns s with every live document whose name is in names
+// tombstoned, and how many that is. A segment's bitmap is copied before its
+// first new tombstone, so s itself never changes; with nothing to remove,
+// s is returned.
+func (s *Snapshot) Remove(names []string) (*Snapshot, int) {
+	var segs []snapSeg // a copy of s.segs, once a removal touches one
+	removed := 0
+	for si := range s.segs {
+		ss := &s.segs[si]
+		dead, cloned := ss.dead, false
+		for _, name := range names {
+			for _, d := range ss.seg.named(name) {
+				if deadBit(dead, d) {
+					continue
+				}
+				if !cloned {
+					nd := make([]uint64, (ss.seg.Docs()+63)>>6)
+					copy(nd, dead)
+					dead, cloned = nd, true
+				}
+				dead[d>>6] |= 1 << (uint32(d) & 63)
+				removed++
+			}
+		}
+		if cloned {
+			if segs == nil {
+				segs = slices.Clone(s.segs)
+			}
+			segs[si] = newSnapSeg(ss.seg, dead)
+		}
+	}
+	if segs == nil {
+		return s, 0
+	}
+	return compose(segs), removed
+}
+
+// ReplaceRun returns s with segments [i, j] replaced by merged — the
+// MergeSegments output of plan's segments [i, j], nil to drop a run with
+// no live document — or nil when s no longer holds that run: the same
+// segments under the same bitmaps. Pointer equality suffices, since
+// segments are immutable and a derivation copies every bitmap it changes.
+func (s *Snapshot) ReplaceRun(plan *Snapshot, i, j int, merged *Segment) *Snapshot {
+	if j >= len(s.segs) {
+		return nil
+	}
+	live := 0
+	for k := i; k <= j; k++ {
+		a, b := &s.segs[k], &plan.segs[k]
+		if a.seg != b.seg || len(a.dead) != len(b.dead) || len(a.dead) > 0 && &a.dead[0] != &b.dead[0] {
+			return nil
+		}
+		live += a.live
+	}
+	var run []snapSeg
+	if merged != nil {
+		run = []snapSeg{newSnapSeg(merged, nil)}
+		live -= merged.Docs()
+	}
+	if live != 0 {
+		panic("similarity: merged segment live-doc count mismatch")
+	}
+	return compose(slices.Concat(s.segs[:i], run, s.segs[j+1:]))
 }
 
 // liveRank maps a segment-local doc id to its live rank within the

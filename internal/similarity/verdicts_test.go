@@ -65,13 +65,13 @@ func TestGoldenVerdicts(t *testing.T) {
 	var got bytes.Buffer
 	writeVerdicts(&got, "one segment", similarity.SealCorpus(names, texts, 1), queries)
 
-	ix := similarity.NewIndex()
+	snap := new(similarity.Snapshot)
 	for s := 0; s < nSegs; s++ {
 		b := similarity.NewSegmentBuilder()
 		for i := s * nDocs / nSegs; i < (s+1)*nDocs/nSegs; i++ {
 			b.Add(names[i], texts[i])
 		}
-		ix.Append(b.Seal())
+		snap = snap.Append(b.Seal())
 	}
 	var removed, liveNames, liveTexts []string
 	for i, n := range names {
@@ -82,9 +82,9 @@ func TestGoldenVerdicts(t *testing.T) {
 			liveTexts = append(liveTexts, texts[i])
 		}
 	}
-	ix.Remove(removed)
+	snap, _ = snap.Remove(removed)
 	var segmented, rebuilt bytes.Buffer
-	writeVerdicts(&segmented, "tombstoned", ix.Snapshot(), queries)
+	writeVerdicts(&segmented, "tombstoned", snap, queries)
 	writeVerdicts(&rebuilt, "tombstoned", similarity.SealCorpus(liveNames, liveTexts, 1), queries)
 	// Only the header line (segment count) may differ between the two.
 	_, segBody, _ := strings.Cut(segmented.String(), "\n")

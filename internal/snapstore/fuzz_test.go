@@ -107,13 +107,11 @@ func FuzzLoadDescriptor(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ix := similarity.NewIndex()
-	ix.Append(randomSegment(5, 3))
-	ix.Append(randomSegment(6, 2))
-	if ix.Remove([]string{"s5/doc1.v"}) != 1 {
+	snap, n := new(similarity.Snapshot).Append(randomSegment(5, 3)).Append(randomSegment(6, 2)).Remove([]string{"s5/doc1.v"})
+	if n != 1 {
 		f.Fatal("the seed version tombstones nothing")
 	}
-	if err := st.Save(version, ix.Snapshot()); err != nil {
+	if err := st.Save(version, snap); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(st.Path(version))

@@ -529,12 +529,11 @@ func TestDeltaSaveSharesSegmentFiles(t *testing.T) {
 	}
 	names := []string{"a.v", "b.v"}
 	texts := []string{"module a(input x); endmodule", "module b(output y); endmodule"}
-	ix := similarity.NewIndex()
-	ix.Append(similarity.BuildSegment(names[:1], texts[:1], 1))
-	if err := st.Save(1, ix.Snapshot()); err != nil {
+	snap := new(similarity.Snapshot).Append(similarity.BuildSegment(names[:1], texts[:1], 1))
+	if err := st.Save(1, snap); err != nil {
 		t.Fatal(err)
 	}
-	base := ix.Snapshot().Segment(0)
+	base := snap.Segment(0)
 	segPath := st.SegPath(base.ID())
 	// Pin a sentinel mtime; an unwanted rewrite would reset it.
 	old := time.Unix(1_000_000, 0)
@@ -542,8 +541,7 @@ func TestDeltaSaveSharesSegmentFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ix.Append(similarity.BuildSegment(names[1:], texts[1:], 1))
-	if err := st.Save(2, ix.Snapshot()); err != nil {
+	if err := st.Save(2, snap.Append(similarity.BuildSegment(names[1:], texts[1:], 1))); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(segPath)
@@ -570,9 +568,7 @@ func TestTombstonesPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, texts := testSnapshot(t, 15, 12)
-	ix := similarity.IndexFromSnapshot(snap)
-	ix.Remove([]string{"doc3.v", "doc7.v"})
-	pruned := ix.Snapshot()
+	pruned, _ := snap.Remove([]string{"doc3.v", "doc7.v"})
 	if err := st.Save(1, pruned); err != nil {
 		t.Fatal(err)
 	}

@@ -679,18 +679,3 @@ func (s *Simulator) Peek(name string) (Value, error) {
 	}
 	return sig.Val.Clone(), nil
 }
-
-// PeekMem reads one memory word.
-func (s *Simulator) PeekMem(name string, idx int) (Value, error) {
-	sig, err := s.findSignal(name)
-	if err != nil {
-		return Value{}, err
-	}
-	if sig.Array == nil {
-		return Value{}, fmt.Errorf("vsim: %s is not a memory", name)
-	}
-	if idx < sig.ArrLo || idx > sig.ArrHi {
-		return Value{}, fmt.Errorf("vsim: index %d out of range [%d:%d]", idx, sig.ArrLo, sig.ArrHi)
-	}
-	return sig.Array[idx-sig.ArrLo].Clone(), nil
-}

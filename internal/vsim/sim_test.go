@@ -277,23 +277,20 @@ func TestSimMemory(t *testing.T) {
 	s, _ := simOf(t, `
 module m;
   reg [7:0] mem [0:15];
-  reg [7:0] rd;
+  reg [7:0] rd, last;
   integer i;
   initial begin
     for (i = 0; i < 16; i = i + 1)
       mem[i] = i * 3;
     rd = mem[7];
+    last = mem[15];
   end
 endmodule`, "m", 10)
 	if got := peekU(t, s, "rd"); got != 21 {
 		t.Fatalf("rd = %d, want 21", got)
 	}
-	v, err := s.PeekMem("mem", 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u, _ := v.Uint64(); u != 45 {
-		t.Fatalf("mem[15] = %d, want 45", u)
+	if got := peekU(t, s, "last"); got != 45 {
+		t.Fatalf("mem[15] = %d, want 45", got)
 	}
 }
 
