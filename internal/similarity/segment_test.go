@@ -290,6 +290,51 @@ func TestSegmentSerialRoundTripInSnapshot(t *testing.T) {
 	}
 }
 
+// A snapshot rebuilt the way a store loads one — each segment decoded from
+// its sections, with the source's tombstone bitmaps — answers like the
+// source, and removals through the rebuilt snapshot do not disturb the
+// source, although the two share their bitmaps (copy-on-write).
+func TestIndexFromSnapshotRoundTrip(t *testing.T) {
+	names, texts, _ := buildDiverse(59, 80)
+	rng := rand.New(rand.NewSource(11))
+	snap, _ := appendSegs(buildSegmented(names, texts, splitSizes(len(texts), 4, rng))).Remove(names[5:25])
+
+	segs := make([]*Segment, snap.Segments())
+	deads := make([][]uint64, snap.Segments())
+	for i := range segs {
+		d, err := DecodeSegment(snap.Segment(i).EncodeSections())
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i], deads[i] = d, snap.SegmentDead(i)
+	}
+	rebuilt := SnapshotOf(segs, deads)
+	if rebuilt.Len() != snap.Len() || rebuilt.Segments() != snap.Segments() {
+		t.Fatalf("rebuilt snapshot live=%d segs=%d, want %d/%d",
+			rebuilt.Len(), rebuilt.Segments(), snap.Len(), snap.Segments())
+	}
+	q := texts[30]
+	want := snap.Best(q)
+	if got := rebuilt.Best(q); got != want {
+		t.Fatalf("rebuilt Best = %+v, want %+v", got, want)
+	}
+	requireSameMatches(t, "rebuilt TopK", rebuilt.TopK(q, 5), snap.TopK(q, 5))
+	// Remove through the rebuilt snapshot; neither it nor the source may move.
+	derived, n := rebuilt.Remove([]string{want.Name})
+	if n != 1 {
+		t.Fatalf("Remove = %d, want 1", n)
+	}
+	if got := snap.Best(q); got != want {
+		t.Fatalf("source snapshot changed after Remove on rebuilt snapshot: %+v != %+v", got, want)
+	}
+	if got := rebuilt.Best(q); got != want {
+		t.Fatalf("rebuilt snapshot changed after Remove through it: %+v != %+v", got, want)
+	}
+	if got := derived.Best(q); got.Name == want.Name {
+		t.Fatalf("removed doc %q still best in derived snapshot", want.Name)
+	}
+}
+
 // Remove tombstones every live occurrence of each name — duplicates within
 // and across segments, in built, decoded and merged segments alike — and
 // nothing else. A name no segment holds removes nothing, repeating a
