@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -183,45 +184,122 @@ func BenchmarkAxpyRun(b *testing.B) {
 	}
 }
 
-// requireDenseForm checks everything seal derives for dense lists against
-// the arenas: dense is exactly the non-empty lists holding at least half
-// the documents, dws their weights scattered by document with +0 elsewhere,
-// dnorm the 2-norm of each document's column of that (never below the norm
-// big.Float computes, never more than a few ulps of slack above it) and
-// dnormMax its largest entry.
+// posting is one (document, weight) pair of a list.
+type posting struct {
+	doc int32
+	w   float64
+}
+
+// termLists is every non-empty list of g as postings yields it, keyed by its
+// term (a bigram by its two unigrams joined with a NUL, termCounts' key):
+// what two segments over the same documents must agree on whatever ids their
+// dictionaries assign.
+func termLists(g *Segment) map[string][]posting {
+	terms := make([]string, g.lists())
+	for o, id := range g.dict.tid {
+		terms[id] = string(g.dict.termBytes(o))
+	}
+	for id, k1 := range g.dict.pairsByID(g.lists()) {
+		if k1 != 0 {
+			terms[id] = terms[(k1-1)>>32] + "\x00" + terms[uint32(k1-1)]
+		}
+	}
+	out := map[string][]posting{}
+	for id, term := range terms {
+		list := g.list(int32(id))
+		for d, w := range list.postings {
+			out[term] = append(out[term], posting{d, w})
+		}
+	}
+	return out
+}
+
+// requireListsOf demands that g's lists be, bit for bit, the ones a rebuild
+// of texts computes with termCounts — count over the norm of every count in
+// the document — which shares no code with the builder's log or the arenas.
+func requireListsOf(t *testing.T, ctx string, g *Segment, texts []string) {
+	t.Helper()
+	want := map[string][]posting{}
+	for d, text := range texts {
+		counts, order := termCounts(text)
+		norm := normOf(counts)
+		for _, term := range order {
+			want[term] = append(want[term], posting{int32(d), counts[term] / norm})
+		}
+	}
+	got := termLists(g)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d non-empty lists, a rebuild has %d", ctx, len(got), len(want))
+	}
+	same := func(a, b posting) bool { return a.doc == b.doc && math.Float64bits(a.w) == math.Float64bits(b.w) }
+	for term, ps := range want {
+		if !slices.EqualFunc(got[term], ps, same) {
+			t.Fatalf("%s: list %q yields %v, a rebuild's is %v", ctx, term, got[term], ps)
+		}
+	}
+}
+
+// isDense reports whether unigram term's list is one of g's rows.
+func isDense(g *Segment, term string) bool {
+	id, _ := g.dict.findTerm(term)
+	return id >= 0 && slices.Contains(g.dense, id)
+}
+
+// requireDenseForm checks g's layout against the postings its lists yield:
+// dense is exactly the non-empty lists holding at least half the documents,
+// each stored only as its row (no arena posting, ddf its document
+// frequency), every other list only in the arenas; tmax is each list's
+// largest weight, dnorm the 2-norm of each document's column of the rows
+// (never below the norm big.Float computes, never more than a few ulps of
+// slack above it) and dnormMax its largest entry.
 func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 	t.Helper()
 	n := g.Docs()
 	var wantDense []int32
-	var wantDws []float64
+	var wantDdf []uint32
+	arena := 0
 	sq := make([]*big.Float, n)
 	for d := range sq {
 		sq[d] = new(big.Float).SetPrec(200)
 	}
 	for id := 0; id < g.lists(); id++ {
-		lo, hi := g.off[id], g.off[id+1]
-		if df := int(hi - lo); df == 0 || 2*df < n {
+		var ps []posting
+		list := g.list(int32(id))
+		for d, w := range list.postings {
+			if len(ps) > 0 && d <= ps[len(ps)-1].doc {
+				t.Fatalf("%s: list %d yields document %d after %d", ctx, id, d, ps[len(ps)-1].doc)
+			}
+			ps = append(ps, posting{d, w})
+		}
+		df, inArena := len(ps), int(g.off[id+1]-g.off[id])
+		if int(list.df) != df {
+			t.Fatalf("%s: list %d: df %d, it yields %d postings", ctx, id, list.df, df)
+		}
+		if df > 0 && g.tmax[id] != slices.MaxFunc(ps, func(a, b posting) int { return cmp.Compare(a.w, b.w) }).w {
+			t.Fatalf("%s: list %d: tmax %v is not its largest weight", ctx, id, g.tmax[id])
+		}
+		if df == 0 || 2*df < n {
+			if inArena != df {
+				t.Fatalf("%s: sparse list %d has %d arena postings of %d", ctx, id, inArena, df)
+			}
+			arena += df
 			continue
 		}
-		wantDense = append(wantDense, int32(id))
-		row := make([]float64, n)
-		for p := lo; p < hi; p++ {
-			row[g.docs[p]] = g.ws[p]
-			w := new(big.Float).SetPrec(200).SetFloat64(g.ws[p])
-			sq[g.docs[p]].Add(sq[g.docs[p]], w.Mul(w, w))
+		if inArena != 0 {
+			t.Fatalf("%s: dense list %d (df %d of %d docs) holds %d arena postings", ctx, id, df, n, inArena)
 		}
-		wantDws = append(wantDws, row...)
-	}
-	if !slices.Equal(g.dense, wantDense) {
-		t.Fatalf("%s: dense = %v, lists with 2·df >= %d docs are %v", ctx, g.dense, n, wantDense)
-	}
-	if len(g.dws) != len(wantDws) || len(g.dnorm) != n {
-		t.Fatalf("%s: %d dws slots and %d dense norms for %d dense lists over %d docs", ctx, len(g.dws), len(g.dnorm), len(g.dense), n)
-	}
-	for i := range wantDws {
-		if math.Float64bits(g.dws[i]) != math.Float64bits(wantDws[i]) {
-			t.Fatalf("%s: dws[%d] (list %d, doc %d) = %v, arenas say %v", ctx, i, g.dense[i/n], i%n, g.dws[i], wantDws[i])
+		wantDense, wantDdf = append(wantDense, int32(id)), append(wantDdf, uint32(df))
+		for _, p := range ps {
+			w := new(big.Float).SetPrec(200).SetFloat64(p.w)
+			sq[p.doc].Add(sq[p.doc], w.Mul(w, w))
 		}
+	}
+	if !slices.Equal(g.dense, wantDense) || !slices.Equal(g.ddf, wantDdf) {
+		t.Fatalf("%s: dense = %v with ddf %v, lists with 2·df >= %d docs are %v with %v", ctx, g.dense, g.ddf, n, wantDense, wantDdf)
+	}
+	if len(g.docs) != arena || len(g.ws) != arena || len(g.dws) != len(g.dense)*n || len(g.dnorm) != n {
+		t.Fatalf("%s: %d/%d arena slots for %d sparse postings, %d dws slots and %d dense norms for %d dense lists over %d docs",
+			ctx, len(g.docs), len(g.ws), arena, len(g.dws), len(g.dnorm), len(g.dense), n)
 	}
 	wantMax := 0.0
 	for d, s := range sq {
@@ -236,9 +314,12 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 	}
 }
 
-// One definition of dense, applied by every way of making a segment. Each
-// corpus puts a term exactly on the boundary (df = docs/2), one just under
-// it (docs/2 - 1) and one just over an odd count's half.
+// One definition of dense, applied by every way of making a segment — built,
+// decoded, split and merged, merged with a tombstone — and one layout: a
+// dense list is its row and nothing else, and every list yields the postings
+// a rebuild of the live documents computes, bit for bit. Each corpus puts a
+// term exactly on the boundary (df = docs/2), one just under it
+// (docs/2 - 1) and one just over an odd count's half.
 func TestSealDerivesDenseForm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 10, 128, 129, 130} {
 		names := make([]string, n)
@@ -259,44 +340,45 @@ func TestSealDerivesDenseForm(t *testing.T) {
 			texts[d] = sb.String()
 		}
 		built := BuildSegment(names, texts, 2)
-		isDense := func(term string) bool {
-			id, _ := built.dict.findTerm(term)
-			return id >= 0 && slices.Contains(built.dense, id)
-		}
-		if n > 0 && (!isDense("all") || !isDense("ceilhalf")) {
+		if n > 0 && (!isDense(built, "all") || !isDense(built, "ceilhalf")) {
 			t.Fatalf("%d docs: a list in every document or in ceil(docs/2) of them is not dense (%v)", n, built.dense)
 		}
-		if n >= 2 && isDense("floorhalf") != (n%2 == 0) {
-			t.Fatalf("%d docs: df = %d dense = %v", n, n/2, isDense("floorhalf"))
+		if n >= 2 && isDense(built, "floorhalf") != (n%2 == 0) {
+			t.Fatalf("%d docs: df = %d dense = %v", n, n/2, isDense(built, "floorhalf"))
 		}
-		if n >= 5 && isDense("under") {
+		if n >= 5 && isDense(built, "under") {
 			t.Fatalf("%d docs: df = %d is dense", n, n/2-1)
 		}
-		requireDenseForm(t, fmt.Sprintf("%d docs built", n), built)
+		check := func(ctx string, g *Segment, texts []string) {
+			t.Helper()
+			ctx = fmt.Sprintf("%d docs %s", n, ctx)
+			requireDenseForm(t, ctx, g)
+			requireListsOf(t, ctx, g, texts)
+		}
+		check("built", built, texts)
 		dec, err := DecodeSegment(built.EncodeSections())
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireDenseForm(t, fmt.Sprintf("%d docs decoded", n), dec)
+		check("decoded", dec, texts)
 		if n < 2 {
 			continue
 		}
 		segs := buildSegmented(names, texts, []int{n / 3, n - n/3})
-		for i, g := range segs {
-			requireDenseForm(t, fmt.Sprintf("%d docs part %d", n, i), g)
-		}
+		check("part 0", segs[0], texts[:n/3])
+		check("part 1", segs[1], texts[n/3:])
 		merged := MergeSegments(segs, [][]uint64{nil, nil})
-		requireDenseForm(t, fmt.Sprintf("%d docs merged", n), merged)
+		check("merged", merged, texts)
 		if !slices.Equal(merged.dense, built.dense) || !slices.Equal(merged.dws, built.dws) {
 			t.Fatalf("%d docs: merged dense form differs from the built segment's", n)
 		}
 		// Without document 1 the merged segment's half is not the sources'.
-		dead := []uint64{0b10}
+		dead, live := []uint64{0b10}, slices.Delete(slices.Clone(texts), 1, 2)
 		if n/3 < 2 {
-			dead = nil
+			dead, live = nil, texts
 		}
 		if m := MergeSegments(segs, [][]uint64{dead, nil}); m != nil {
-			requireDenseForm(t, fmt.Sprintf("%d docs merged without doc 1", n), m)
+			check("merged without doc 1", m, live)
 		}
 	}
 }
@@ -382,8 +464,9 @@ func oracleDocs(g *Segment) []map[int32]float64 {
 		byDoc[d] = map[int32]float64{}
 	}
 	for id := 0; id < g.lists(); id++ {
-		for p := g.off[id]; p < g.off[id+1]; p++ {
-			byDoc[g.docs[p]][int32(id)] = g.ws[p]
+		list := g.list(int32(id))
+		for d, w := range list.postings {
+			byDoc[d][int32(id)] = w
 		}
 	}
 	return byDoc
@@ -433,8 +516,8 @@ func TestMajorityListsBitExact(t *testing.T) {
 	texts[n-1] = texts[11] // a top tie
 	g := BuildSegment(names, texts, 1)
 	partial := 0
-	for _, id := range g.dense {
-		if df := int(g.off[id+1] - g.off[id]); df < n {
+	for _, df := range g.ddf {
+		if int(df) < n {
 			partial++
 		}
 	}
@@ -648,7 +731,7 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 			queries[i] = shapes[shape](i)
 			qts, _ := g.resolveQuery(queries[i], nil)
 			for _, qt := range qts {
-				postings[i] += int(g.off[qtermID(qt)+1] - g.off[qtermID(qt)])
+				postings[i] += int(g.list(qtermID(qt)).df)
 			}
 		}
 		b.Run(shape, func(b *testing.B) {

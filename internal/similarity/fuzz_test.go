@@ -220,8 +220,11 @@ func FuzzDecodeSegment(f *testing.F) {
 		// 4-byte empty list; 1.25 to 2.5 presized table slots of 12 bytes (the
 		// table is a power of two at most 4/5 full) per claimed bigram, which
 		// costs 12 bytes of dictionary and 4 of the list count it may not
-		// exceed. The constant covers the 256-entry byte table, the empty
-		// tables and the fuzz worker's own noise.
+		// exceed. A list's postings cost 12·df bytes of section and take 12·df
+		// of arena, or, dense (2·df >= docs), a row of 8·docs <= 16·df bytes
+		// and 8 of dense and ddf: at most 2× the 4+12·df bytes that pay. The
+		// constant covers the 256-entry byte table, the empty tables and the
+		// fuzz worker's own noise.
 		if got := after.TotalAlloc - before.TotalAlloc; got > 8*size+64<<10 {
 			t.Fatalf("decoding %d input bytes allocated %d", size, got)
 		}

@@ -33,8 +33,8 @@ func requireSameSections(t *testing.T, ctx string, got, want [][]byte) {
 
 // Every way of producing a segment over the same documents — batch build,
 // per-document Add then Seal, decoding an encoding, merging any split of
-// the documents — fills the arenas identically: the encodings agree byte
-// for byte.
+// the documents — lays the lists out identically: the encodings agree byte
+// for byte, merges whose lists cross the dense threshold included.
 func TestLayoutEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	dNames, dTexts, _ := buildDiverse(97, 150)
@@ -69,6 +69,65 @@ func TestLayoutEquivalence(t *testing.T) {
 			requireSameSections(t, fmt.Sprintf("%s merged from %d", cc.name, parts), MergeSegments(segs, nil).EncodeSections(), want)
 		}
 	}
+	t.Run("across the dense threshold", mergeAcrossTheDenseThreshold)
+}
+
+// A merge lays its lists out by the merged counts, so a list can change
+// sides. Of 120 documents split in two halves, "fall" is in 48 of the first
+// and none of the second (dense there, sparse merged), "rise" in 18 of the
+// first and all of the second (sparse there, dense merged), and "lift" in 25
+// of each (sparse everywhere) until a tombstone merge keeps only 30 documents
+// a half, 25 of them with it. The plain merge encodes as a rebuild does; the
+// tombstoned one, whose ids no rebuild reproduces, yields a rebuild's lists.
+func mergeAcrossTheDenseThreshold(t *testing.T) {
+	names, texts := make([]string, 120), make([]string, 120)
+	for d := range texts {
+		names[d] = fmt.Sprintf("c%d", d)
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "module c%d ; ", d)
+		if d < 48 {
+			sb.WriteString("fall ; ")
+		}
+		if d < 18 || d >= 60 {
+			sb.WriteString("rise ; ")
+		}
+		if d%60 < 25 {
+			sb.WriteString("lift ; ")
+		}
+		texts[d] = sb.String()
+	}
+	segs := buildSegmented(names, texts, []int{60, 60})
+	merged := MergeSegments(segs, nil)
+	if !isDense(segs[0], "fall") || isDense(merged, "fall") || isDense(segs[0], "rise") || !isDense(segs[1], "rise") || !isDense(merged, "rise") {
+		t.Fatal("fall and rise do not cross the dense threshold")
+	}
+	want := BuildSegment(names, texts, 1).EncodeSections()
+	requireSameSections(t, "merged", merged.EncodeSections(), want)
+
+	deads := make([][]uint64, 2)
+	var live []string
+	for i := range deads {
+		deads[i] = make([]uint64, 1)
+		for d := range 60 {
+			if d >= 25 && d < 55 {
+				deads[i][0] |= 1 << d
+			} else {
+				live = append(live, texts[60*i+d])
+			}
+		}
+	}
+	tomb := MergeSegments(segs, deads)
+	if isDense(segs[0], "lift") || isDense(segs[1], "lift") || !isDense(tomb, "lift") {
+		t.Fatal("lift does not cross the dense threshold")
+	}
+	requireDenseForm(t, "tombstoned merge", tomb)
+	requireListsOf(t, "tombstoned merge", tomb, live)
+	secs := tomb.EncodeSections()
+	dec, err := DecodeSegment(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSections(t, "tombstoned merge decoded", dec.EncodeSections(), secs)
 }
 
 // A merge that drops tombstoned documents assigns dictionary ids in an
@@ -105,6 +164,15 @@ func TestTombstonedMergeBytesUnchanged(t *testing.T) {
 	}
 	requireSameSections(t, "decoded", dec.EncodeSections(), want)
 	requireSameSections(t, "merged again", MergeSegments([]*Segment{merged}, nil).EncodeSections(), want)
+}
+
+// postingCount returns the number of g's postings, its rows' included.
+func postingCount(g *Segment) int {
+	n := len(g.docs)
+	for _, df := range g.ddf {
+		n += int(df)
+	}
+	return n
 }
 
 // heldBy reports the heap bytes and heap objects that the value build
@@ -146,7 +214,7 @@ func TestSealedSegmentObjectCount(t *testing.T) {
 	if int64(len(g.dict.tid)) < 2*bound {
 		t.Fatalf("%d unigrams against a bound of %d: the corpus no longer separates per-key allocation", len(g.dict.tid), bound)
 	}
-	t.Logf("%d docs, %d lists, %d postings: %d heap objects (bound %d)", g.Docs(), g.lists(), len(g.docs), objects, bound)
+	t.Logf("%d docs, %d lists, %d postings: %d heap objects (bound %d)", g.Docs(), g.lists(), postingCount(g), objects, bound)
 }
 
 // A sealed segment must not alias the text it was built from: a dictionary
@@ -194,7 +262,7 @@ func BenchmarkBuildSegment(b *testing.B) {
 		return g
 	})
 	runtime.KeepAlive(texts)
-	b.ReportMetric(float64(live)/float64(len(g.docs)), "live-B/posting")
+	b.ReportMetric(float64(live)/float64(postingCount(g)), "live-B/posting")
 	b.ReportMetric(float64(objects), "objects/segment")
 }
 

@@ -44,8 +44,8 @@ package similarity
 // by gathering rather than by cursor merging:
 //
 //   - Dense lists — at least half the segment's documents, 2·df >= docs,
-//     the one definition Segment.seal applies, which also stores each of
-//     them doc-indexed (Segment.dws, +0 for a document outside the list) —
+//     the one definition Segment.layout applies, which stores each of them
+//     only doc-indexed (Segment.dws, +0 for a document outside the list) —
 //     never generate candidates, and are bounded together, not term by
 //     term: by Cauchy–Schwarz they give document d at most
 //     ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
@@ -207,18 +207,19 @@ func ResetPruneStats() {
 	pruneCounters.fullEvals.Store(0)
 }
 
-// pruneCursor is one query term's posting-list view: the doc-ordered
-// postings, the query-side count, and the term's global upper bound
-// contribution. For a dense list row is its index in Segment.dense (-1
-// otherwise) and ws is its doc-indexed row of Segment.dws, not its arena
-// weights; docs still says which documents are in it. There is no position
-// here: the gather engine reads lists by streaming, by doc-indexed access
-// (dense) or by binary search, and the accumulator keeps where each sparse
-// list stopped at the last tile edge in searchScratch.pos.
+// pruneCursor is one query term's posting-list view (Segment.list): the
+// doc-ordered postings, their number, the query-side count, and the term's
+// global upper bound contribution. For a dense list row is its index in
+// Segment.dense (-1 otherwise), ws is its doc-indexed row of Segment.dws and
+// docs is nil: the row is the list. There is no position here: the gather
+// engine reads lists by streaming, by doc-indexed access (dense) or by
+// binary search, and the accumulator keeps where each sparse list stopped at
+// the last tile edge in searchScratch.pos.
 type pruneCursor struct {
 	docs []int32
 	ws   []float64
 	row  int32
+	df   uint32
 	qw   float64
 	ub   float64 // qw * tmax, raw (slack applied at comparison sites)
 }
@@ -347,18 +348,13 @@ func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, ou
 		totalPostings := 0
 		for _, qt := range qts {
 			id := qtermID(qt)
-			lo, hi := g.off[id], g.off[id+1]
-			if lo == hi {
+			cur := g.list(id)
+			if cur.df == 0 {
 				continue
 			}
-			qw := qtermW(qt)
-			cur := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, qw: qw, ub: qw * g.tmax[id]}
-			if i, ok := slices.BinarySearch(g.dense, id); ok {
-				cur.ws = g.dws[i*nDocs : (i+1)*nDocs]
-				cur.row = int32(i)
-			}
+			cur.qw, cur.ub = qtermW(qt), qtermW(qt)*g.tmax[id]
 			curs = append(curs, cur)
-			totalPostings += len(cur.docs)
+			totalPostings += int(cur.df)
 		}
 		sc.curs = curs
 		if len(curs) == 0 {
@@ -842,7 +838,7 @@ func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead
 		if statsOn {
 			var visited uint64
 			for i := range sc.curs {
-				visited += uint64(len(sc.curs[i].docs)) // postings, not the slots of a dense row
+				visited += uint64(sc.curs[i].df) // postings, not the slots of a dense row
 			}
 			pruneCounters.visited.Add(visited)
 		}

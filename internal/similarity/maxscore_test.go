@@ -325,7 +325,8 @@ func TestPruneStatsMajoritySkipped(t *testing.T) {
 	}
 }
 
-// Decoded snapshots rebuild the derived metadata identical to the builder's.
+// A decoded segment is laid out as the builder laid it out — the same rows,
+// arenas and offsets — and derives the same metadata from them.
 func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	_, texts, s := buildDiverse(41, 300)
 	c := s.Segment(0)
@@ -336,13 +337,15 @@ func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	if len(c.dense) == 0 || len(c.dnorm) != c.Docs() {
 		t.Fatalf("built segment: %d dense lists, %d dense norms over %d docs", len(c.dense), len(c.dnorm), c.Docs())
 	}
-	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.dnorm, c.dnorm) || dc.dnormMax != c.dnormMax {
-		t.Fatal("decoded tmax/dense/dnorm differ from the builder's")
+	requireDenseForm(t, "built", c)
+	requireDenseForm(t, "decoded", dc)
+	requireListsOf(t, "decoded", dc, texts)
+	if !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.ddf, c.ddf) || !slices.Equal(dc.dws, c.dws) ||
+		!slices.Equal(dc.off, c.off) || !slices.Equal(dc.docs, c.docs) || !slices.Equal(dc.ws, c.ws) {
+		t.Fatal("decoded rows or arenas differ from the builder's")
 	}
-	for id, m := range c.tmax {
-		if want := slices.Max(c.ws[c.off[id]:c.off[id+1]]); m != want {
-			t.Fatalf("list %d: tmax %v, largest weight %v", id, m, want)
-		}
+	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.dnorm, c.dnorm) || dc.dnormMax != c.dnormMax {
+		t.Fatal("decoded tmax/dnorm differ from the builder's")
 	}
 	// And the decoded segment answers pruned queries identically.
 	for _, q := range []string{texts[12], texts[99] + " extra"} {

@@ -19,7 +19,7 @@ package similarity
 // Two passes over the sources, count then fill: the first renumbers the
 // live documents, re-interns every list that keeps a posting and counts
 // what it keeps, the second copies the surviving postings straight into
-// the merged segment's arenas.
+// the merged segment's arenas and rows.
 //
 //freehw:hotpath
 func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
@@ -65,7 +65,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 				ord++
 			}
 			live := uint32(0)
-			for _, d := range src.docs[src.off[id]:src.off[id+1]] {
+			for d := range src.list(int32(id)).postings {
 				if remap[d] >= 0 {
 					live++
 				}
@@ -98,7 +98,8 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 
 	// Each list fills ascending: per source segment its docs ascend (remap
 	// is monotone over live docs), and later segments' remapped ids all
-	// exceed earlier segments'. Weights are copied as they are.
+	// exceed earlier segments'. Weights are copied as they are. The merged
+	// counts decide which lists are dense, whatever they were in the sources.
 	cur := out.layout(counts)
 	for si, src := range segs {
 		remap := remaps[si]
@@ -106,15 +107,11 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			if outID < 0 {
 				continue
 			}
-			p := cur[outID+1]
-			for j := src.off[id]; j < src.off[id+1]; j++ {
-				if nd := remap[src.docs[j]]; nd >= 0 {
-					out.docs[p] = nd
-					out.ws[p] = src.ws[j]
-					p++
+			for d, w := range src.list(int32(id)).postings {
+				if nd := remap[d]; nd >= 0 {
+					out.place(cur, int(outID), nd, w)
 				}
 			}
-			cur[outID+1] = p
 		}
 	}
 	return out.seal()

@@ -36,30 +36,30 @@ import (
 // MergeSegments or DecodeSegment and are never written again, so any
 // number of readers may query one concurrently.
 //
-// Postings live in three flat, pointer-free arenas shared by every list:
-// list id's are docs[off[id]:off[id+1]], documents strictly ascending
-// (documents index in insertion order), with the tf(term, doc)/norm(doc)
-// weights parallel in ws — 12 packed bytes per posting for the accumulator
-// walk, and a dot product against raw query counts needs only the query
-// norm at the end. Ascending order lets any list be binary-searched for one
-// document. However many lists a segment has there is nothing per list for
-// the collector to trace, and the arrays are what a segment file's postings
-// section holds.
-//
-// tmax, dense, dws, dnorm and byName are derived by seal, never serialized.
-// byName is the document ids sorted by (name, id), so a removal finds every
-// document of a name by binary search. tmax[id] is list id's largest
-// weight. A list is dense when it holds at least half the segment's
-// documents (2·df >= docs); dense names those lists, ascending, and each is
-// stored a second time doc-indexed: dense[i]'s weight for document d is
-// dws[i*docs+d], +0 where d is not in the list. Adding
+// A list is dense when it holds at least half the segment's documents
+// (2·df >= docs), which every constructor decides from the counts before it
+// places a posting (layout). dense names those lists, ascending, and each is
+// stored only doc-indexed: dense[i]'s weight for document d is
+// dws[i*docs+d], +0 where d is not in the list; ddf[i] is its df. Adding
 // q·(+0) to a non-negative sum changes no bit of it, so the scorer reads a
-// row for any document without a search and accumulates a whole row with
-// one axpy. A row's 8·docs bytes are at most 4/3 of the 12·df its list
-// already costs in the arenas. dnorm[d] is the 2-norm of document d's
-// column of dws, rounded up (see seal), and dnormMax the largest: by
-// Cauchy–Schwarz no query gets more than ‖its dense counts‖·dnorm[d] out of
-// d's dense lists, the one dense bound the gather engine uses.
+// row for any document without a search and accumulates a whole row with one
+// axpy. A row's 8·docs bytes are at most 16·df.
+//
+// Every other list lives in three flat, pointer-free arenas (a dense list's
+// range is empty): list id's postings are docs[off[id]:off[id+1]], documents
+// strictly ascending (documents index in insertion order), with the
+// tf(term, doc)/norm(doc) weights parallel in ws — 12 packed bytes per
+// posting, and a dot product against raw query counts needs only the query
+// norm at the end. There is nothing per list for the collector to trace.
+// list reads any list back in document order, as a segment file holds it.
+//
+// tmax, dnorm and byName are derived by seal, never serialized. byName is
+// the document ids sorted by (name, id), so a removal finds every document
+// of a name by binary search. tmax[id] is list id's largest weight. dnorm[d]
+// is the 2-norm of document d's column of dws, rounded up (see seal), and
+// dnormMax the largest: by Cauchy–Schwarz no query gets more than ‖its dense
+// counts‖·dnorm[d] out of d's dense lists, the one dense bound the gather
+// engine uses.
 //
 // The zero id means "not yet assigned": internal/snapstore assigns a
 // store-unique id the first time the segment is persisted, and the id
@@ -73,6 +73,7 @@ type Segment struct {
 	ws       []float64
 	tmax     []float64
 	dense    []int32
+	ddf      []uint32
 	dws      []float64
 	dnorm    []float64
 	dnormMax float64
@@ -120,53 +121,108 @@ func (g *Segment) pairID(a, b int32) int32 {
 	return g.dict.internPair(pairKey(a, b), int32(g.lists()))
 }
 
-// layout allocates the arenas for the per-list posting counts in n (list
-// id's at n[id+2]; lists+2 slots) and returns n rewritten into fill
-// cursors: list id's next posting goes to cur[id+1]. Once every counted
-// posting is placed cur[id+1] has reached list id+1's start, so cur[:lists+1]
-// ends up as the offset table and is installed as g.off here.
+// layout sizes the segment for the per-list posting counts in n (list id's
+// at n[id+2]; lists+2 slots; names in place): a dense list gets the next row
+// of dws, allocated after the arenas, and any other a range of the arenas.
+// It returns n as place's fill cursors: a sparse list id's next arena slot
+// is cur[id+1], a dense list's cur[id+1] is ^row, which no arena slot can be
+// (total+rows <= 2^32-1). seal turns the cursors into g.off.
 func (g *Segment) layout(n []uint32) (cur []uint32) {
+	nDocs := uint64(len(g.names))
 	total := uint64(0)
-	for i := 2; i < len(n); i++ {
-		total += uint64(n[i])
-		if total > math.MaxUint32 {
+	for id := 0; id+2 < len(n); id++ {
+		if c := uint64(n[id+2]); c > 0 && 2*c >= nDocs {
+			g.dense = append(g.dense, int32(id))
+			g.ddf = append(g.ddf, uint32(c))
+		} else {
+			total += c
+		}
+		if total+uint64(len(g.dense)) > math.MaxUint32 {
 			panic("similarity: segment exceeds 2^32 postings")
 		}
-		n[i] = uint32(total)
+		n[id+2] = uint32(total)
+	}
+	for r, id := range g.dense {
+		n[id+1] = ^uint32(r)
 	}
 	g.off = n[:len(n)-1]
 	g.docs = make([]int32, total)
 	g.ws = make([]float64, total)
+	g.dws = make([]float64, uint64(len(g.dense))*nDocs)
 	return n
 }
 
-// seal derives tmax, the dense form and the documents' dense norms from the
-// filled arenas, precomputes the dictionary ids of all 256 single-byte
-// terms and sorts the name order, then returns the now-frozen segment.
-// Verilog text is punctuation-dense — `;`, `(`, `=`, `,` are a large share
-// of every query's tokens — and a direct table turns each of those lookups
-// into one array read instead of a hash-table probe.
-func (g *Segment) seal() *Segment {
-	nDocs := len(g.names)
-	g.tmax = make([]float64, g.lists())
-	for id := range g.tmax {
-		ws := g.ws[g.off[id]:g.off[id+1]]
-		if len(ws) == 0 {
-			continue // only a decoded segment can name a list nothing is in
-		}
-		g.tmax[id] = slices.Max(ws)
-		if 2*len(ws) >= nDocs {
-			g.dense = append(g.dense, int32(id))
+// place stores document d with weight w as list id's next posting: at d in
+// its row, or at the arena slot its cursor then moves past.
+func (g *Segment) place(cur []uint32, id int, d int32, w float64) {
+	c := cur[id+1]
+	if r := ^c; r < uint32(len(g.dense)) {
+		g.dws[int(r)*len(g.names)+int(d)] = w
+		return
+	}
+	g.docs[c], g.ws[c] = d, w
+	cur[id+1] = c + 1
+}
+
+// list returns list id as a cursor with no query side: a dense list's row,
+// docs nil, or its arena range, and its df (0: a list nothing is in). Only
+// an empty range is looked up in dense.
+func (g *Segment) list(id int32) pruneCursor {
+	lo, hi := g.off[id], g.off[id+1]
+	if lo == hi {
+		if r, ok := slices.BinarySearch(g.dense, id); ok {
+			return pruneCursor{ws: g.dws[r*len(g.names) : (r+1)*len(g.names)], row: int32(r), df: g.ddf[r]}
 		}
 	}
-	g.dws = make([]float64, len(g.dense)*nDocs)
+	return pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, df: hi - lo}
+}
+
+// postings yields the list's postings in ascending document order: a row's
+// non-zero slots (a weight is never +0) or the arena range. Encoding and
+// merging read lists through it; scoring reads rows as rows.
+func (c pruneCursor) postings(yield func(int32, float64) bool) {
+	if c.row >= 0 {
+		for d, w := range c.ws {
+			if w != 0 && !yield(int32(d), w) {
+				return
+			}
+		}
+		return
+	}
+	for j, d := range c.docs {
+		if !yield(d, c.ws[j]) {
+			return
+		}
+	}
+}
+
+// seal installs the offset table from the fill cursors, derives tmax and the
+// documents' dense norms from the arenas and rows, precomputes the
+// dictionary ids of all 256 single-byte terms and sorts the name order, then
+// returns the now-frozen segment. Verilog text is punctuation-dense — `;`,
+// `(`, `=`, `,` are a large share of every query's tokens — and a direct
+// table turns each of those lookups into one array read instead of a
+// hash-table probe.
+func (g *Segment) seal() *Segment {
+	nDocs := len(g.names)
+	for id := 1; id < len(g.off); id++ { // a dense list's empty range ends where the list before it does
+		if ^g.off[id] < uint32(len(g.dense)) {
+			g.off[id] = g.off[id-1]
+		}
+	}
+	g.tmax = make([]float64, g.lists())
+	for id := range g.tmax {
+		if ws := g.ws[g.off[id]:g.off[id+1]]; len(ws) > 0 {
+			g.tmax[id] = slices.Max(ws)
+		}
+	}
 	g.dnorm = make([]float64, nDocs)
 	for i, id := range g.dense {
-		row := g.dws[i*nDocs : (i+1)*nDocs]
-		lo, hi := g.off[id], g.off[id+1]
-		for j, d := range g.docs[lo:hi] {
-			w := g.ws[int(lo)+j]
-			row[d] = w
+		for d, w := range g.dws[i*nDocs : (i+1)*nDocs] {
+			if w == 0 {
+				continue // not in the list: its square is no part of the norm
+			}
+			g.tmax[id] = max(g.tmax[id], w)
 			// A decoded weight may be any float in (0, 1]; raised to 2^-500 its
 			// square cannot underflow, and a larger weight bounds it too.
 			w = max(w, 0x1p-500)
@@ -296,7 +352,8 @@ func (b *SegmentBuilder) Len() int { return len(b.open("Len").names) }
 // Seal freezes the accumulated documents into an immutable segment and
 // drops the builder's reference to it. The log is doc-major and lists are
 // term-major, so this is one counting sort keyed by postings id; documents
-// are placed in log order, which leaves every list ascending.
+// are placed in log order, which leaves every list ascending. The counts
+// decide which lists are dense, and their postings go straight to their rows.
 func (b *SegmentBuilder) Seal() *Segment {
 	g := b.open("Seal")
 	n := make([]uint32, g.lists()+2)
@@ -313,10 +370,7 @@ func (b *SegmentBuilder) Seal() *Segment {
 			if j&(logChunk-1) == logChunk-1 {
 				b.log[j>>logShift] = nil // read in order: the chunk is garbage for whichever collection runs next
 			}
-			p := cur[e>>32+1]
-			cur[e>>32+1] = p + 1
-			g.docs[p] = int32(doc)
-			g.ws[p] = float64(uint32(e)) / b.norms[doc] // tf(term, doc)/norm(doc)
+			g.place(cur, int(e>>32), int32(doc), float64(uint32(e))/b.norms[doc]) // tf(term, doc)/norm(doc)
 		}
 		lo = end
 	}

@@ -101,12 +101,12 @@ func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 			return appendU32(appendU64(b, pairs[id]-1), uint32(id))
 		},
 		func(b []byte, id int) []byte {
-			lo, hi := g.off[id], g.off[id+1]
-			b = appendU32(b, hi-lo)
-			for _, d := range g.docs[lo:hi] {
+			list := g.list(int32(id))
+			b = appendU32(b, list.df)
+			for d := range list.postings {
 				b = appendU32(b, uint32(d))
 			}
-			for _, w := range g.ws[lo:hi] {
+			for _, w := range list.postings {
 				b = appendU64(b, math.Float64bits(w))
 			}
 			return b
@@ -132,7 +132,11 @@ func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 
 // EncodeSections collects WriteSections' output; it aliases nothing in the segment.
 func (g *Segment) EncodeSections() [][]byte {
-	out := [][]byte{nil, nil, make([]byte, 0, 4+12*g.dict.pairs), make([]byte, 0, 4+4*g.lists()+12*len(g.docs))}
+	postings := len(g.docs)
+	for _, df := range g.ddf {
+		postings += int(df)
+	}
+	out := [][]byte{nil, nil, make([]byte, 0, 4+12*g.dict.pairs), make([]byte, 0, 4+4*g.lists()+12*postings)}
 	g.WriteSections(func(sec int, chunk []byte) error {
 		out[sec] = append(out[sec], chunk...)
 		return nil
@@ -195,55 +199,52 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	}
 
 	// Postings first: the dictionaries validate their ids against its size.
-	// A list spends 4 bytes on its count and 12 on each posting, so the
-	// section's length fixes the arenas' size before any list is read; the
-	// lists are then validated as they land in them.
+	// A list spends 4 bytes on its count and 12 on each posting. A pre-pass
+	// reads the counts for layout; the lists are validated as they land.
 	r = &reader{b: sections[3]}
 	nPost := int(r.u32())
 	if r.err || nPost < 0 || nPost > (len(sections[3])-4)/4 {
 		return nil, ErrCorruptSnapshot
 	}
-	total := (len(sections[3]) - 4 - 4*nPost) / 12
-	if uint64(total) > math.MaxUint32 { // more postings than off can address
+	if uint64(len(sections[3])-4-4*nPost)/12 > math.MaxUint32 { // more postings than off can address
 		return nil, ErrCorruptSnapshot
 	}
-	g.off = make([]uint32, nPost+1)
-	g.docs = make([]int32, total)
-	g.ws = make([]float64, total)
-	for i, p := 0, 0; i < nPost; i++ {
-		n := int(r.u32())
-		if r.err || n < 0 || n > total-p {
+	counts := make([]uint32, nPost+2) // layout's form: list id's at [id+2]
+	for id := range nPost {
+		n := r.u32()
+		if uint64(n) > uint64(len(r.b)-r.off)/12 {
 			return nil, ErrCorruptSnapshot
 		}
-		docs, ws := g.docs[p:p+n], g.ws[p:p+n]
-		for j := range docs {
-			d := int32(r.u32())
-			if int(d) < 0 || int(d) >= len(g.names) {
-				return nil, ErrCorruptSnapshot
-			}
-			// Doc-ordered lists are what the dense-list detection, the
-			// binary searches and the tie rule rely on; the builder always
-			// writes them ascending, so anything else is corruption.
-			if j > 0 && d <= docs[j-1] {
-				return nil, ErrCorruptSnapshot
-			}
-			docs[j] = d
-		}
-		for j := range ws {
-			// A weight is count/norm of a document containing the term, so
-			// it lies in (0, 1]; the pruning bounds and the "zero means
-			// untouched" accumulators assume exactly that. Rejects NaN too.
-			w := math.Float64frombits(r.u64())
-			if !(w > 0 && w <= 1) {
-				return nil, ErrCorruptSnapshot
-			}
-			ws[j] = w
-		}
-		p += n
-		g.off[i+1] = uint32(p)
+		r.bytes(12 * int(n))
+		counts[id+2] = n
 	}
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
+	}
+	cur := g.layout(counts)
+	r = &reader{b: sections[3], off: 4} // the pre-pass vouched for every length
+	for id, nNames := 0, int32(len(g.names)); id < nPost; id++ {
+		n := int(r.u32())
+		docs, ws := r.bytes(4*n), r.bytes(8*n)
+		for j, prev := 0, int32(-1); j < n; j++ {
+			// Doc-ordered lists are what the dense rows, the binary searches
+			// and the tie rule rely on; the builder always writes them
+			// ascending, so anything else is corruption.
+			d := int32(binary.LittleEndian.Uint32(docs[4*j:]))
+			if d <= prev || d >= nNames {
+				return nil, ErrCorruptSnapshot
+			}
+			// A weight is count/norm of a document containing the term, so
+			// it lies in (0, 1]; the pruning bounds, the rows' +0 slots and
+			// the "zero means untouched" accumulators assume exactly that.
+			// Rejects NaN too.
+			w := math.Float64frombits(binary.LittleEndian.Uint64(ws[8*j:]))
+			if !(w > 0 && w <= 1) {
+				return nil, ErrCorruptSnapshot
+			}
+			g.place(cur, id, d, w)
+			prev = d
+		}
 	}
 
 	// Both dictionaries' counts come first: they size every table once. Ids
@@ -299,8 +300,8 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 
-	// tmax, the dense form and dnorm are derived state and deliberately not
-	// serialized (the format — and every old snapshot file — stays valid);
-	// seal rebuilds them deterministically from the weights.
+	// Which lists are rows, tmax and dnorm are derived state, deliberately not
+	// serialized (the format — and every old snapshot file — stays valid):
+	// layout chose the rows from the counts, seal derives the rest.
 	return g.seal(), nil
 }
