@@ -14,7 +14,8 @@ import (
 // for and if, parameter overrides, named and positional connections, gate
 // primitives, delays, a non-ANSI port list, memories, casez, every $display
 // format, $monitor, $strobe, $random, $finish, event starvation, the time
-// limit, compiler directives, signed arithmetic and hierarchical names.
+// limit, compiler directives, signed arithmetic, hierarchical names, and
+// constant and indexed part-selects on both sides of assignments.
 var benches = []struct {
 	name   string
 	args   []string
@@ -32,6 +33,8 @@ var benches = []struct {
 		"vsim: fifo_tb finished at t=2000 ($finish=false)\n"},
 	{"datapath", []string{"testdata/datapath_tb.v"},
 		"vsim: tb finished at t=76 ($finish=true)\n"},
+	{"parts", []string{"testdata/parts_tb.v"},
+		"vsim: tb finished at t=0 ($finish=true)\n"},
 }
 
 // TestBenchGoldens pins what each bench prints: testdata/<name>.golden is

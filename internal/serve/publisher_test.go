@@ -46,7 +46,8 @@ func (m *publisherModel) commit(names, texts []string) {
 // rebuild of the model's documents. A restart replays the model's version
 // and live count from a directory that holds nothing but its descriptors
 // and the segments they name; the deltas after it remove names that live
-// in decoded segments. Rungs of ROADMAP item 3(a).
+// in decoded segments. After every durable step the store holds exactly the
+// newest retain versions the model minted. Rungs of ROADMAP item 3(a).
 func TestPublisherAgainstModel(t *testing.T) {
 	const retain = 4
 	for _, durable := range []bool{false, true} {
@@ -209,6 +210,15 @@ func TestPublisherAgainstModel(t *testing.T) {
 							t.Fatalf("step %d: restart replayed %+v, model has version %d with %d docs", step, info, model.version, len(model.names))
 						}
 						assertOnlyLiveFiles(t, cfg.Store)
+					}
+					if durable { // the retention sweep: exactly the newest retain versions stay
+						var want []uint64
+						for v := max(model.version, retain) - retain + 1; v <= model.version; v++ {
+							want = append(want, v)
+						}
+						if got, err := cfg.Store.Versions(); err != nil || !slices.Equal(got, want) {
+							t.Fatalf("step %d (op %d): the store holds versions %v (%v), want %v", step, op, got, err, want)
+						}
 					}
 
 					// The served state is the model's, whatever just happened.

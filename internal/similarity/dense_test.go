@@ -426,15 +426,16 @@ func TestDenseNormBoundsDenseContribution(t *testing.T) {
 		for si, g := range segs {
 			nd := g.Docs()
 			for qi, q := range queries {
-				qts, _ := g.resolveQuery(q, nil)
+				pq, sc := parseQuery(q), &searchScratch{}
+				g.cursors(pq, sc)
+				putQuery(pq)
 				sums := make([]float64, nd)
 				qd2 := 0.0
-				for _, qt := range qts {
-					if i, ok := slices.BinarySearch(g.dense, qtermID(qt)); ok {
-						qw := qtermW(qt)
-						qd2 += float64(qw * qw)
-						for d, w := range g.dws[i*nd : (i+1)*nd] {
-							sums[d] += float64(qw * w)
+				for _, cur := range sc.curs {
+					if cur.row >= 0 {
+						qd2 += float64(cur.qw * cur.qw)
+						for d, w := range cur.ws {
+							sums[d] += float64(cur.qw * w)
 						}
 					}
 				}
@@ -449,45 +450,82 @@ func TestDenseNormBoundsDenseContribution(t *testing.T) {
 	}
 }
 
-// canonicalOracle scores every live document of g from per-document maps
-// of its postings: the query's terms in canonical order, one rounded
-// product added at a time. It shares resolveQuery with the engines and
-// nothing else — no dense form, no accumulator, no heap.
-func canonicalOracle(g *Segment, query string, k int, dead []uint64) []Match {
-	return oracleTopK(g, oracleDocs(g), query, k, dead)
+// oracleSeg is a segment as the reference scorer reads it: its lists by term
+// string (termLists), its names and its tombstones.
+type oracleSeg struct {
+	names []string
+	lists map[string][]posting
+	dead  []uint64
 }
 
-// oracleDocs is g's postings as one term -> weight map per document.
-func oracleDocs(g *Segment) []map[int32]float64 {
-	byDoc := make([]map[int32]float64, g.Docs())
-	for d := range byDoc {
-		byDoc[d] = map[int32]float64{}
+// oracleSegs is every segment of s as oracleTopK reads it.
+func oracleSegs(s *Snapshot) []oracleSeg {
+	out := make([]oracleSeg, s.Segments())
+	for i := range out {
+		g := s.Segment(i)
+		out[i] = oracleSeg{g.names, termLists(g), s.SegmentDead(i)}
 	}
-	for id := 0; id < g.lists(); id++ {
-		list := g.list(int32(id))
-		for d, w := range list.postings {
-			byDoc[d][int32(id)] = w
+	return out
+}
+
+// oracleTopK is the reference scorer. It shares no code with the query parser,
+// the resolver or either engine: the query's terms are Tokenize's tokens, each
+// one added and then the bigram it forms with the token before it, first
+// appearance fixing the order and the norm taken over every count; each term
+// is looked up in each segment by its string, and each live document adds the
+// terms' products in that order, one rounded product at a time. Documents are
+// numbered by live rank across the segments.
+func oracleTopK(segs []oracleSeg, query string, k int) []Match {
+	toks := Tokenize(query)
+	cnt := map[string]float64{}
+	var order []string
+	add := func(term string) {
+		if cnt[term] == 0 {
+			order = append(order, term)
+		}
+		cnt[term]++
+	}
+	for i, tok := range toks {
+		add(tok)
+		if i > 0 {
+			add(toks[i-1] + "\x00" + tok)
 		}
 	}
-	return byDoc
-}
-
-func oracleTopK(g *Segment, byDoc []map[int32]float64, query string, k int, dead []uint64) []Match {
-	qts, qnorm := g.resolveQuery(query, nil)
-	out := []Match{}
-	for d, m := range byDoc {
-		acc := 0.0
-		for _, qt := range qts {
-			if w, ok := m[qtermID(qt)]; ok {
-				acc += float64(qtermW(qt) * w)
+	var sq float64
+	for _, term := range order {
+		sq += cnt[term] * cnt[term]
+	}
+	qnorm := math.Sqrt(sq)
+	out, rank := []Match{}, 0
+	for _, sg := range segs {
+		acc := make([]float64, len(sg.names))
+		for _, term := range order {
+			for _, p := range sg.lists[term] {
+				acc[p.doc] += float64(cnt[term] * p.w)
 			}
 		}
-		if acc > 0 && !deadBit(dead, int32(d)) {
-			out = append(out, Match{Name: g.names[d], Index: d, Score: acc / qnorm})
+		for d, a := range acc {
+			if deadBit(sg.dead, int32(d)) {
+				continue
+			}
+			if a > 0 {
+				out = append(out, Match{Name: sg.names[d], Index: rank, Score: a / qnorm})
+			}
+			rank++
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return matchWorse(out[j], out[i]) })
 	return out[:min(k, len(out))]
+}
+
+// canonicalOracle is oracleTopK over g alone under the tombstones dead, with
+// segment-local indices, as searchTopK returns them.
+func canonicalOracle(g *Segment, query string, k int, dead []uint64) []Match {
+	ms, ss := oracleTopK([]oracleSeg{{g.names, termLists(g), dead}}, query, k), newSnapSeg(g, dead)
+	for i := range ms {
+		ms[i].Index = int(ss.selectLive(ms[i].Index))
+	}
+	return ms
 }
 
 // A homogeneous corpus whose every term sits in 50-99 % of the documents:
@@ -562,12 +600,15 @@ func TestMajorityListsBitExact(t *testing.T) {
 // A group of queries shares one tiled pass, a lone one takes the untiled
 // pass, and neither changes a bit. Homogeneous corpora — every query bails
 // to the accumulator — one document short of a tile, exactly one tile, one
-// document over, and two and a half tiles; as one segment and as three;
-// a fifth of the documents tombstoned, among them the one the near-duplicate
-// queries would win with and the documents either side of the first tile
-// edge. Every BestBatch slot equals Best of its text, and every Best and
-// TopK equals the map-based canonical-order oracle over a rebuild of the
-// live documents, which shares no code with the accumulator.
+// document over, and two and a half tiles; as one segment, as two and as
+// eight, with terms that only one segment holds (each document's own
+// identifier, one `;`); a fifth of the documents tombstoned, among them the
+// one the near-duplicate queries would win with and the documents either side
+// of the first tile edge. Every BestBatch slot equals Best of its text, and
+// every Best and TopK equals oracleTopK over the snapshot's segments and over
+// a rebuild of the live documents. The queries repeat upper-case identifiers
+// after other upper-case tokens, and carry non-ASCII runes, invalid bytes and
+// single bytes no dictionary or only one segment's holds.
 func TestBatchSharesOnePass(t *testing.T) {
 	EnablePruneStats(true)
 	ResetPruneStats()
@@ -598,6 +639,7 @@ func TestBatchSharesOnePass(t *testing.T) {
 		const winner = 700
 		twin := n - 3 // the tombstoned winner's live copy: never a tile-edge document
 		texts[twin] = texts[winner]
+		texts[5] += " ; t1" // the one `;`, in the first segment of any split
 		dead := make([]bool, n)
 		for _, d := range []int{winner, accTile - 1, accTile} {
 			if d < n {
@@ -622,22 +664,31 @@ func TestBatchSharesOnePass(t *testing.T) {
 			}
 			return bm
 		}
-		cuts := []int{0, n / 2, n/2 + n/3, n}
-		var segs []*Segment
-		var deads [][]uint64
-		for i := 0; i+1 < len(cuts); i++ {
-			segs = append(segs, BuildSegment(names[cuts[i]:cuts[i+1]], texts[cuts[i]:cuts[i+1]], 1))
-			deads = append(deads, bitmap(cuts[i], cuts[i+1]))
-		}
-		snaps := []struct {
+		type snapshot struct {
 			name string
 			*Snapshot
-		}{
-			{"one segment", SnapshotOf([]*Segment{BuildSegment(names, texts, 1)}, [][]uint64{bitmap(0, n)})},
-			{"three segments", SnapshotOf(segs, deads)},
+			oracle []oracleSeg
+		}
+		var snaps []snapshot
+		for _, parts := range []int{1, 2, 8} {
+			var segs []*Segment
+			var deads [][]uint64
+			for i := range parts {
+				lo, hi := i*n/parts, (i+1)*n/parts
+				segs = append(segs, BuildSegment(names[lo:hi], texts[lo:hi], 1))
+				deads = append(deads, bitmap(lo, hi))
+			}
+			snap := SnapshotOf(segs, deads)
+			snaps = append(snaps, snapshot{fmt.Sprintf("%d segments", parts), snap, oracleSegs(snap)})
 		}
 
-		pool := []string{"", "zz_unknown qq_unknown", texts[winner], texts[winner] + " t3 t3 unseen_x", texts[accTile-2] + " s4"}
+		pool := []string{
+			"", "zz_unknown qq_unknown", texts[winner], texts[winner] + " t3 t3 unseen_x", texts[accTile-2] + " s4",
+			strings.ToUpper(texts[winner]),
+			fmt.Sprintf("T3 S4 T3 OWN%d T3 S4 t3 OWN%d own%d S4", n-1, n-1, n-1),
+			"größe t7 ÜBER t7 über \xff t8 \xfe\xff t7 t8",
+			"; t1 ; ` t1 # ;t1 OWN5 ` #",
+		}
 		for len(pool) < 24 {
 			var sb strings.Builder
 			for range 20 + rng.Intn(60) {
@@ -652,22 +703,25 @@ func TestBatchSharesOnePass(t *testing.T) {
 			}
 			pool = append(pool, sb.String())
 		}
-		live := BuildSegment(liveNames, liveTexts, 1)
-		liveDocs := oracleDocs(live)
+		live := oracleSegs(SealCorpus(liveNames, liveTexts, 1))
 		wantBest := map[string]Match{}
 		for _, q := range pool {
-			top := oracleTopK(live, liveDocs, q, 5, nil)
+			top := oracleTopK(live, q, 5)
 			wantBest[q] = Match{Index: -1}
 			if len(top) > 0 {
 				wantBest[q] = top[0]
 			}
 			for _, snap := range snaps {
 				ctx := fmt.Sprintf("%d docs, %s, %q", n, snap.name, q)
+				matchesEqual(t, ctx+" oracle over the segments", oracleTopK(snap.oracle, q, 5), top)
 				if got := snap.Best(q); !same(got, wantBest[q]) {
 					t.Fatalf("%s: Best %+v, oracle %+v", ctx, got, wantBest[q])
 				}
 				matchesEqual(t, ctx+" TopK(5)", snap.TopK(q, 5), top)
 			}
+		}
+		if w := wantBest[strings.ToUpper(texts[winner])]; w != wantBest[texts[winner]] {
+			t.Fatalf("%d docs: the upper-cased copy of document %d matches %+v, the copy %+v", n, winner, w, wantBest[texts[winner]])
 		}
 		if w := wantBest[texts[winner]]; w.Name != names[twin] || w.Score < 0.999 {
 			t.Fatalf("%d docs: a copy of tombstoned document %d matches %+v, want its twin %s", n, winner, w, names[twin])
@@ -699,51 +753,52 @@ func TestBatchSharesOnePass(t *testing.T) {
 	}
 }
 
+// benchMutate is bench/'s mutateLine: a protected file with one line
+// replaced, which is what publish_mixed's deltas add.
+func benchMutate(rng *rand.Rand, text string) string {
+	lines := strings.Split(text, "\n")
+	lines[rng.Intn(len(lines))] = fmt.Sprintf("  // local edit %d", rng.Int63())
+	return strings.Join(lines, "\n")
+}
+
 // benchNearDupOf is bench/'s near-duplicate candidate (bench/inputs.go's
 // coldStream): a protected file with one line replaced and a trailing tag.
 func benchNearDupOf(rng *rand.Rand, texts []string, i int) string {
-	lines := strings.Split(texts[rng.Intn(len(texts))], "\n")
-	lines[rng.Intn(len(lines))] = fmt.Sprintf("  // local edit %d", rng.Int63())
-	return fmt.Sprintf("%s\n// cand 0.%d\n", strings.Join(lines, "\n"), i)
+	return fmt.Sprintf("%s\n// cand 0.%d\n", benchMutate(rng, texts[rng.Intn(len(texts))]), i)
 }
 
 // BenchmarkBestBenchCorpus is Snapshot.Best on bench/'s corpus with
 // bench/'s two candidate shapes (bench/inputs.go's coldStream): a freshly
-// generated module, and a protected file with one line replaced. ns/posting
-// divides by the postings of the query's resolved terms — what the
-// exhaustive accumulator would read. batch16 is BestBatch over the same
-// shapes.
+// generated module, and a protected file with one line replaced. batch16 is
+// BestBatch over the same shapes. Each runs on the 8 000-document base alone
+// (segs=1) and with 1 and 7 delta segments after it (segs=2, segs=8), each
+// 16 mutated base documents, as publish_mixed publishes them; the queries are
+// the same in every shape. ns/posting divides by the postings of the query's
+// resolved terms in every segment — what the exhaustive accumulator would
+// read.
 func BenchmarkBestBenchCorpus(b *testing.B) {
 	names, texts := protectedDocs(8000)
-	g := BuildSegment(names, texts, 0)
-	snap := SnapshotOf([]*Segment{g}, nil)
-	rng := rand.New(rand.NewSource(1))
+	segs := []*Segment{BuildSegment(names, texts, 0)}
+	drng, rng := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(1))
+	for k := range 7 {
+		var dn, dt []string
+		for j := range 16 {
+			dn = append(dn, fmt.Sprintf("delta0_%05d_%02d.v", k, j))
+			dt = append(dt, benchMutate(drng, texts[drng.Intn(len(texts))]))
+		}
+		segs = append(segs, BuildSegment(dn, dt, 1))
+	}
 	shapes := map[string]func(i int) string{
 		"novel": func(i int) string {
 			return fmt.Sprintf("%s\n// cand 0.%d\n", corpus.Generate(rng, "", false).Source, i)
 		},
 		"neardup": func(i int) string { return benchNearDupOf(rng, texts, i) },
 	}
+	queries := map[string][]string{}
 	for _, shape := range []string{"novel", "neardup"} {
-		queries := make([]string, 256)
-		postings := make([]int, len(queries))
-		for i := range queries {
-			queries[i] = shapes[shape](i)
-			qts, _ := g.resolveQuery(queries[i], nil)
-			for _, qt := range qts {
-				postings[i] += int(g.list(qtermID(qt)).df)
-			}
+		for i := range 256 {
+			queries[shape] = append(queries[shape], shapes[shape](i))
 		}
-		b.Run(shape, func(b *testing.B) {
-			read := 0
-			for i := 0; i < b.N; i++ {
-				if m := snap.Best(queries[i%len(queries)]); m.Index < 0 {
-					b.Fatal("no match")
-				}
-				read += postings[i%len(queries)]
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(read), "ns/posting")
-		})
 	}
 	// publish_mixed's request: 16 sibling candidates, one in ten a near-
 	// duplicate, through BestBatch on one worker.
@@ -757,12 +812,39 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 			batches[bi] = append(batches[bi], shapes[shape](bi*accBatch+i))
 		}
 	}
-	b.Run("batch16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ms := snap.BestBatch(1, batches[i%len(batches)]); ms[0].Index < 0 {
-				b.Fatal("no match")
+	for _, shape := range []string{"novel", "neardup"} {
+		for _, n := range []int{1, 2, 8} {
+			snap := SnapshotOf(segs[:n], nil)
+			qs := queries[shape]
+			postings := make([]int, len(qs))
+			for i, text := range qs {
+				q := parseQuery(text)
+				for _, g := range segs[:n] {
+					postings[i] += g.cursors(q, &searchScratch{})
+				}
+				putQuery(q)
 			}
+			b.Run(fmt.Sprintf("%s/segs=%d", shape, n), func(b *testing.B) {
+				read := 0
+				for i := 0; i < b.N; i++ {
+					if m := snap.Best(qs[i%len(qs)]); m.Index < 0 {
+						b.Fatal("no match")
+					}
+					read += postings[i%len(qs)]
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(read), "ns/posting")
+			})
 		}
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
-	})
+	}
+	for _, n := range []int{1, 2, 8} {
+		snap := SnapshotOf(segs[:n], nil)
+		b.Run(fmt.Sprintf("batch16/segs=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if ms := snap.BestBatch(1, batches[i%len(batches)]); ms[0].Index < 0 {
+					b.Fatal("no match")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
+		})
+	}
 }

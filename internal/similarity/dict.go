@@ -10,11 +10,16 @@ import (
 // dict is a segment's two dictionaries as flat, pointer-free tables: the same
 // ones from a builder's first Add to a sealed segment's last audit, so nothing
 // is frozen or copied at Seal, and however many terms a segment has the
-// collector sees six slices.
+// collector sees six slices. A query interns its own terms into one too
+// (query, in similarity.go), under query ids.
 //
 // Unigram o — its ordinal: interning order, which is ascending id order — is
 // the bytes arena[toff[o]:toff[o+1]] under postings id tid[o]; ttab is an
-// open-addressed table holding ordinal+1 (0 empty) at the term's hash.
+// open-addressed table holding ordinal+1 (0 empty) at the term's hash. A
+// one-byte term is also at one[b], as id+1 (0 absent), which internTerm fills
+// and lookup and internTerm read before hashing: Verilog is punctuation-dense
+// — `;`, `(`, `=`, `,` — and one-byte terms are over half of bench/'s corpus
+// tokens. The table is derived from the terms, never serialized.
 // Bigrams are keyed by pairKey of their unigram ids: pkey is an open-addressed
 // table holding key+1 (0 empty; a pairKey is below 2^63) and pid[slot] the
 // postings id of the key at pkey[slot]. Both tables are a power of two long,
@@ -32,6 +37,7 @@ type dict struct {
 	pkey  []uint64
 	pid   []int32
 	pairs int
+	one   [256]int32
 }
 
 var (
@@ -62,6 +68,14 @@ func newDict(terms, arena, pairs int) dict {
 	}
 }
 
+// reset empties d, keeping its tables' sizes.
+func (d *dict) reset() {
+	d.arena, d.toff, d.tid, d.pairs = d.arena[:0], d.toff[:1], d.tid[:0], 0
+	clear(d.ttab)
+	clear(d.pkey)
+	clear(d.one[:])
+}
+
 // bstr views b as a string, for a callee that only reads it.
 func bstr(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
@@ -85,15 +99,37 @@ func (d *dict) findTerm(t string) (id int32, at int) {
 	}
 }
 
-// internTerm returns the postings id unigram t is under: id, with a copy of t
-// added, when t is new. id must exceed every unigram id before it.
+// lookup returns unigram t's id, or -1.
+func (d *dict) lookup(t string) int32 {
+	if len(t) == 1 {
+		return d.one[t[0]] - 1
+	}
+	id, _ := d.findTerm(t)
+	return id
+}
+
+// next returns the id the next new term gets: unigrams and bigrams share one
+// id space. Past 2^31-1 terms it panics rather than wrap.
+func (d *dict) next() int32 {
+	n := len(d.tid) + d.pairs
+	if n >= math.MaxInt32 {
+		panic("similarity: more than 2^31-1 distinct terms")
+	}
+	return int32(n)
+}
+
+// internTerm returns the id unigram t is under: id, with a copy of t added,
+// when t is new. id must exceed every unigram id before it.
 func (d *dict) internTerm(t string, id int32) int32 {
+	if len(t) == 1 && d.one[t[0]] != 0 {
+		return d.one[t[0]] - 1
+	}
 	have, at := d.findTerm(t)
 	if have >= 0 {
 		return have
 	}
 	if uint64(len(d.arena))+uint64(len(t)) > math.MaxUint32 {
-		panic("similarity: segment exceeds 2^32 bytes of unigrams")
+		panic("similarity: more than 2^32 bytes of unigrams")
 	}
 	if (len(d.tid)+1)*5 > len(d.ttab)*4 {
 		d.ttab = make([]uint32, 2*len(d.ttab))
@@ -107,6 +143,9 @@ func (d *dict) internTerm(t string, id int32) int32 {
 	d.toff = append(d.toff, uint32(len(d.arena)))
 	d.tid = append(d.tid, id)
 	d.ttab[at] = uint32(len(d.tid))
+	if len(t) == 1 {
+		d.one[t[0]] = id + 1
+	}
 	return id
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // dict against the Go maps it replaced, over random unigrams (the
-// zero-length term a decoder may be handed, invalid UTF-8, repeats) and
-// random pair keys (key 0, repeats) under ids up to 2^31-1: every intern
-// and lookup agrees with the oracle, by string and by []byte, present and
-// absent, and at every doubling of either table every key interned so far
+// zero-length term a decoder may be handed, one-byte terms, invalid UTF-8,
+// repeats) and random pair keys (key 0, repeats) under ids up to 2^31-1:
+// every intern and lookup agrees with the oracle, by string and by []byte,
+// through the one-byte table and the hash table, present and absent, and at every doubling of either table every key interned so far
 // is still there. Grown from empty, as a builder does, and sized once from
 // the counts, as DecodeSegment does — which must then never double.
 func TestDictAgainstMaps(t *testing.T) {
@@ -51,8 +51,8 @@ func TestDictAgainstMaps(t *testing.T) {
 				if got := string(d.termBytes(o)); got != term || d.tid[o] != wantTerms[term] {
 					t.Fatalf("%s: ordinal %d is %q under id %d, want %q under %d", when, o, got, d.tid[o], term, wantTerms[term])
 				}
-				if id, _ := d.findTerm(term); id != wantTerms[term] {
-					t.Fatalf("%s: findTerm(%q) = %d, want %d", when, term, id, wantTerms[term])
+				if id, _ := d.findTerm(term); id != wantTerms[term] || d.lookup(term) != id {
+					t.Fatalf("%s: findTerm(%q) = %d, lookup %d, want %d", when, term, id, d.lookup(term), wantTerms[term])
 				}
 			}
 			for k, want := range wantPairs {
@@ -89,8 +89,8 @@ func TestDictAgainstMaps(t *testing.T) {
 			if want, had = wantTerms[probe]; !had {
 				want = -1
 			}
-			if got, _ := d.findTerm(probe); got != want {
-				t.Fatalf("findTerm(%q) = %d, want %d", probe, got, want)
+			if got, _ := d.findTerm(probe); got != want || d.lookup(probe) != want {
+				t.Fatalf("findTerm(%q) = %d, lookup %d, want %d", probe, got, d.lookup(probe), want)
 			}
 			if got, _ := d.findTerm(bstr([]byte(probe))); got != want {
 				t.Fatalf("findTerm(%q) by []byte = %d, want %d", probe, got, want)

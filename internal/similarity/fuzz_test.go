@@ -36,12 +36,17 @@ import (
 // snapshots, must return Best/TopK BIT-identical (== on the float64 scores)
 // to a single-segment full rebuild of the live documents — and BestBatch
 // over the query and three siblings must return what Best returns for each.
+// oracleTopK, which shares no code with the query parser or the resolver,
+// must agree bit for bit with Best and TopK on that snapshot, on the rebuild
+// and on the live documents split into two and into eight segments, so some
+// terms are in one segment only.
 func FuzzScoringEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), "module top(input clk); wire a = b ^ c; endmodule")
 	f.Add(int64(42), uint8(3), "assign out = in1 & in2;")
 	f.Add(int64(7), uint8(20), "zzz unknown tokens only qqq")
 	f.Add(int64(99), uint8(1), "")
 	f.Add(int64(5), uint8(12), "always @(posedge clk) q <= d;")
+	f.Add(int64(3), uint8(9), "MODULE Mod_1(INPUT CLK_1); WIRE SIG_1_0 = CLK_1 ^ SIG_1_0; // größe ÜBER \xff\xfe ` # ~")
 
 	f.Fuzz(func(t *testing.T, seed int64, nDocs uint8, query string) {
 		n := int(nDocs)%24 + 2
@@ -165,6 +170,17 @@ func FuzzScoringEquivalence(f *testing.F) {
 		for i, m := range snap.BestBatch(workers, group) {
 			if sb, fb := snap.Best(group[i]), full.Best(group[i]); m != sb || m != fb {
 				t.Fatalf("BestBatch slot %d %+v != segmented Best %+v / rebuilt Best %+v (parts=%d)", i, m, sb, fb, parts)
+			}
+		}
+		parts2, parts8 := splitSizes(len(liveNames), 2, srng), splitSizes(len(liveNames), 8, srng)
+		for _, s := range []*Snapshot{snap, full, appendSegs(buildSegmented(liveNames, liveTexts, parts2)), appendSegs(buildSegmented(liveNames, liveTexts, parts8))} {
+			segs := oracleSegs(s)
+			for _, q := range append(group, query) {
+				want := oracleTopK(segs, q, 3)
+				matchesEqual(t, fmt.Sprintf("%d segments, TopK(%q, 3) against the oracle", s.Segments(), q), s.TopK(q, 3), want)
+				if best := s.Best(q); len(want) > 0 && best != want[0] || len(want) == 0 && best.Index >= 0 {
+					t.Fatalf("%d segments: Best(%q) = %+v, the oracle's top %+v", s.Segments(), q, best, want)
+				}
 			}
 		}
 		for _, k := range []int{1, 3, n} {

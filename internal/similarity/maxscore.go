@@ -11,12 +11,12 @@ package similarity
 //   - Everything else — k > 1 (TopK), tiny segments, every bail-out — ends
 //     in accumulate, the classic accumulator over every posting of every
 //     query term, run once per GROUP of queries: searchBatch resolves up
-//     to accBatch texts and lets the ones that need the accumulator wait
-//     for each other. Sibling completions read mostly the same dense rows,
-//     so the pass cuts the documents into tiles of accTile and every
-//     waiting query finishes a tile before any moves on — the first pulls
-//     a tile of each row in, the rest find it in L2, and each query's 8 KB
-//     of accumulator stays in L1. A document belongs to one tile, and there
+//     to accBatch parsed queries against the segment and lets the ones
+//     that need the accumulator wait for each other. Sibling completions
+//     read mostly the same dense rows, so the pass cuts the documents into
+//     tiles of accTile and every waiting query finishes a tile before any
+//     moves on — the first pulls a tile of each row in, the rest find it in
+//     L2, and each query's 8 KB of accumulator stays in L1. A document belongs to one tile, and there
 //     a query adds its lists to it in canonical order exactly as it would
 //     over the whole range, so which documents share a tile and which
 //     queries share a pass change no sum. Within a tile, dense lists
@@ -236,7 +236,7 @@ type pruneCursor struct {
 // across queries: its cursors, the gather engine's work arrays, and what the
 // accumulator carries from tile to tile.
 type searchScratch struct {
-	qts   []uint64
+	ids   []int32 // per query id: its postings id in the segment, -1 absent
 	curs  []pruneCursor
 	ord   []int32
 	touch []int32
@@ -294,17 +294,10 @@ func deadBit(dead []uint64, d int32) bool {
 	return dead != nil && dead[d>>6]&(1<<(uint32(d)&63)) != 0
 }
 
-// searchTopK is searchBatch for one text.
-func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
-	var out [1][]Match
-	g.searchBatch([]string{text}, k, mode, dead, out[:])
-	return out[0]
-}
-
 // searchBatch is the one scoring entry behind Best, TopK and BestBatch:
-// out[i] receives the exact top-k matches of texts[i] over the segment's
-// live documents, best first, indices segment-local (nil when the query or
-// the segment is empty). At most accBatch texts; out is the caller's, so a
+// out[i] receives the exact top-k matches of qs[i] over the segment's live
+// documents, best first, indices segment-local (nil when the query or the
+// segment is empty). At most accBatch queries; out is the caller's, so a
 // single query allocates nothing a batch needs. mode selects the engine
 // (searchAuto: the gather engine for k == 1 on at least pruneMinDocs
 // documents, the accumulator for everything else); every choice returns
@@ -318,7 +311,7 @@ func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Matc
 // bit-identical to scoring a segment that never contained them. dead may
 // be nil (no tombstones — the common case, zero overhead on the scan
 // loops beyond one predictable branch).
-func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, out [][]Match) {
+func (g *Segment) searchBatch(qs []*query, k int, mode int, dead []uint64, out [][]Match) {
 	clear(out)
 	nDocs := len(g.names)
 	if k <= 0 || nDocs == 0 {
@@ -330,36 +323,16 @@ func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, ou
 	var wait [accBatch]*searchScratch
 	var slot [accBatch]int
 	nWait := 0
-	for ti, text := range texts {
-		sc := scratchPool.Get().(*searchScratch)
-		qts, qnorm := g.resolveQuery(text, sc.qts)
-		sc.qts = qts[:0]
-		if qnorm == 0 {
-			scratchPool.Put(sc)
+	for qi, q := range qs {
+		if q.norm == 0 {
 			continue
 		}
-		sc.qnorm = qnorm
-
-		// Build cursors in canonical query order (qts is in the query's
-		// first-appearance order): the canonical evaluation order. Terms with
-		// empty posting lists cannot contribute and are dropped — dropping
-		// preserves the relative order, so per-document sums stay canonical.
-		curs := sc.curs[:0]
-		totalPostings := 0
-		for _, qt := range qts {
-			id := qtermID(qt)
-			cur := g.list(id)
-			if cur.df == 0 {
-				continue
-			}
-			cur.qw, cur.ub = qtermW(qt), qtermW(qt)*g.tmax[id]
-			curs = append(curs, cur)
-			totalPostings += int(cur.df)
-		}
-		sc.curs = curs
-		if len(curs) == 0 {
+		sc := scratchPool.Get().(*searchScratch)
+		sc.qnorm = q.norm
+		totalPostings := g.cursors(q, sc)
+		if len(sc.curs) == 0 {
 			scratchPool.Put(sc)
-			out[ti] = []Match{}
+			out[qi] = []Match{}
 			continue
 		}
 
@@ -374,10 +347,10 @@ func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, ou
 			}
 		}
 		if usePruned && g.searchPrunedBest(sc, totalPostings, statsOn, dead) {
-			out[ti] = sc.drain()
+			out[qi] = sc.drain()
 			continue
 		}
-		wait[nWait], slot[nWait] = sc, ti
+		wait[nWait], slot[nWait] = sc, qi
 		nWait++
 	}
 	if nWait == 0 {
@@ -387,6 +360,41 @@ func (g *Segment) searchBatch(texts []string, k int, mode int, dead []uint64, ou
 	for i, sc := range wait[:nWait] {
 		out[slot[i]] = sc.drain()
 	}
+}
+
+// cursors resolves q against the segment into sc.curs, in canonical order —
+// query id order. A unigram is one lookup; a bigram is looked up only when
+// the segment knows both its unigrams, whose query ids are lower than its
+// own, since no document holds a pair of terms the segment never saw. Terms
+// with empty posting lists cannot contribute and are dropped — dropping
+// preserves the relative order, so per-document sums stay canonical. It
+// returns the postings of the cursors in all.
+func (g *Segment) cursors(q *query, sc *searchScratch) (totalPostings int) {
+	ids, curs := sc.ids[:0], sc.curs[:0]
+	o := 0 // ordinal of the next unigram
+	for qid, k1 := range q.keys {
+		id := int32(-1)
+		if k1 == 0 {
+			id = g.dict.lookup(bstr(q.d.termBytes(o)))
+			o++
+		} else if a, b := ids[(k1-1)>>32], ids[uint32(k1-1)]; a >= 0 && b >= 0 {
+			id, _ = g.dict.findPair(pairKey(a, b))
+		}
+		ids = append(ids, id)
+		if id < 0 {
+			continue
+		}
+		cur := g.list(id)
+		if cur.df == 0 {
+			continue
+		}
+		cur.qw = float64(q.cnt[qid])
+		cur.ub = cur.qw * g.tmax[id]
+		curs = append(curs, cur)
+		totalPostings += int(cur.df)
+	}
+	sc.ids, sc.curs = ids, curs
+	return totalPostings
 }
 
 // pushMatch offers m to the bounded heap, returning true if the heap

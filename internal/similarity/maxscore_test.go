@@ -38,6 +38,16 @@ func buildDiverse(seed int64, n int) ([]string, []string, *Corpus) {
 	return names, texts, NewCorpus(names, texts)
 }
 
+// searchTopK is one text through searchBatch on one segment, with the
+// engine forced by mode.
+func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
+	q := parseQuery(text)
+	defer putQuery(q)
+	var out [1][]Match
+	g.searchBatch([]*query{q}, k, mode, dead, out[:])
+	return out[0]
+}
+
 // matchesEqual demands bit-for-bit identity — same names, same indices,
 // same float64 scores with zero tolerance. The pruned path's whole claim
 // is that it computes the same sums in the same order.
@@ -144,14 +154,33 @@ func TestPrunedTieDeterminism(t *testing.T) {
 
 // Corpus.Best's no-match contract: a query sharing no terms with the
 // corpus returns Match{Name: "", Index: -1, Score: 0}, on every path and
-// corpus size.
+// corpus size. Tokens the corpus never saw only scale a query's norm: 40 of
+// them around copies of a document still rank that document first, in both
+// engines.
 func TestBestNoMatchContract(t *testing.T) {
+	names, texts, mid := buildDiverse(11, 120)
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "unseen_token_%d ", i)
+		if i%5 == 0 {
+			sb.WriteString(texts[7])
+		}
+	}
+	q := sb.String()
+	if m := mid.Best(q); m.Index != 7 || m.Name != names[7] {
+		t.Fatalf("best among 40 unknown tokens = %+v, want doc 7", m)
+	}
+	for _, k := range []int{1, 4} {
+		matchesEqual(t, "unknowns", mid.Segment(0).searchTopK(q, k, searchPruned, nil), mid.Segment(0).searchTopK(q, k, searchExhaustive, nil))
+	}
+
 	want := Match{Name: "", Index: -1, Score: 0}
 	_, _, big := buildDiverse(3, 300)
 	small := NewCorpus([]string{"a.v"}, []string{"module a; endmodule"})
-	for _, c := range []*Corpus{big, small} {
+	for _, c := range []*Corpus{big, mid, small} {
 		for _, q := range []string{
 			"zzz_unseen_alpha zzz_unseen_beta zzz_unseen_gamma",
+			"only unknown words here nothing indexed",
 			"", "   \n\t  ",
 		} {
 			if m := c.Best(q); m != want {
@@ -164,28 +193,35 @@ func TestBestNoMatchContract(t *testing.T) {
 	}
 }
 
-// packQterm clamps: counts folded through uint32 must saturate, not wrap.
-func TestPackQtermClamp(t *testing.T) {
-	for _, tc := range []struct {
-		w    float64
-		want float64
-	}{
-		{0, 0}, {1, 1}, {3, 3},
-		{float64(1<<32 - 1), 1<<32 - 1},
-		{float64(uint64(1) << 32), 1<<32 - 1}, // exact boundary: would wrap to 0
-		{1e18, 1<<32 - 1},                     // astronomically repetitive query
-		{math.Inf(1), 1<<32 - 1},              // defensive: +Inf saturates
-		{math.NaN(), 0},                       // defensive: NaN drops to 0
-		{-3, 0},                               // defensive: negative drops to 0
-	} {
-		got := qtermW(packQterm(42, tc.w))
-		if got != tc.want {
-			t.Fatalf("packQterm weight %v -> %v, want %v", tc.w, got, tc.want)
-		}
-		if id := qtermID(packQterm(42, tc.w)); id != 42 {
-			t.Fatalf("packQterm(42, %v) id = %d", tc.w, id)
-		}
+// A query's counts saturate at 2^32-1 instead of wrapping, and the cursor
+// reads the saturated count; a query whose distinct terms would need an id
+// past 2^31-1 panics instead of wrapping into another term's id.
+func TestQueryCountsSaturate(t *testing.T) {
+	g := BuildSegment([]string{"a.v"}, []string{"wire a ; wire b ;"}, 1)
+	q := parseQuery("wire wire")
+	defer putQuery(q)
+	if len(q.cnt) != 2 || q.cnt[0] != 2 || q.cnt[1] != 1 {
+		t.Fatalf("counts %v, want [2 1]: a unigram, then its bigram with itself", q.cnt)
 	}
+	q.cnt[0] = math.MaxUint32 - 1
+	for range 3 {
+		q.add(0, 0)
+	}
+	if q.cnt[0] != math.MaxUint32 {
+		t.Fatalf("count %d after saturation, want %d", q.cnt[0], uint32(math.MaxUint32))
+	}
+	sc := &searchScratch{}
+	g.cursors(q, sc)
+	if len(sc.curs) != 1 || sc.curs[0].qw != math.MaxUint32 {
+		t.Fatalf("cursors %+v, want one reading the saturated count", sc.curs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an id past 2^31-1 was handed out")
+		}
+	}()
+	q.d.pairs = math.MaxInt32 - len(q.d.tid)
+	q.d.next()
 }
 
 // A massively repetitive query (one term repeated far beyond any sane
@@ -203,39 +239,6 @@ func TestGiantRepetitiveQuery(t *testing.T) {
 	}
 	for _, k := range []int{1, 5} {
 		matchesEqual(t, "giant", c.Segment(0).searchTopK(q, k, searchPruned, nil), c.Segment(0).searchTopK(q, k, searchExhaustive, nil))
-	}
-}
-
-// The unknown-unigram id space is capped at maxUnknownIDs so bigram
-// occurrence keys (prev+1)<<32 can never overflow into the unigram key
-// range. With the cap forced tiny, overflow unknowns collapse onto one
-// id — which only perturbs qnorm, a uniform scale across all documents —
-// so the ranking must be unchanged and nothing may panic.
-func TestUnknownIDCapOverflow(t *testing.T) {
-	old := maxUnknownIDs
-	maxUnknownIDs = 3
-	defer func() { maxUnknownIDs = old }()
-
-	names, texts, c := buildDiverse(11, 120)
-	var sb strings.Builder
-	for i := 0; i < 40; i++ {
-		fmt.Fprintf(&sb, "unseen_token_%d ", i) // 40 distinct unknowns >> cap of 3
-		if i%5 == 0 {
-			sb.WriteString(texts[7])
-		}
-	}
-	q := sb.String()
-	m := c.Best(q)
-	if m.Index != 7 || m.Name != names[7] {
-		t.Fatalf("capped-unknowns best = %+v, want doc 7", m)
-	}
-	for _, k := range []int{1, 4} {
-		matchesEqual(t, "capped", c.Segment(0).searchTopK(q, k, searchPruned, nil), c.Segment(0).searchTopK(q, k, searchExhaustive, nil))
-	}
-
-	// All-unknown query under the cap: still a clean no-match.
-	if got := c.Best("only unknown words here nothing indexed"); got.Index != -1 {
-		t.Fatalf("all-unknown under cap = %+v", got)
 	}
 }
 

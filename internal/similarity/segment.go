@@ -21,7 +21,7 @@ import (
 //
 // Scoring stays bit-identical to a single-segment full rebuild because
 // the canonical accumulation order is a property of the query alone (the
-// query's first-appearance term order — see resolveQuery): a document's
+// query's first-appearance term order — see query): a document's
 // dot product sums the same float64s in the same sequence no matter which
 // dictionary its postings live under.
 
@@ -67,7 +67,6 @@ import (
 type Segment struct {
 	names    []string
 	dict     dict     // unigram term -> postings id, unigram id pair -> bigram postings id
-	byteIDs  []int32  // single-byte term -> id (-1 absent)
 	off      []uint32 // lists+1 arena offsets; unigrams and bigrams share one id space
 	docs     []int32
 	ws       []float64
@@ -115,10 +114,10 @@ func pairKey(a, b int32) uint64 {
 // uniID and pairID intern a unigram term (the dictionary keeps a copy of t,
 // never t) and a bigram of two unigram ids, assigning the next postings id
 // on first sight. Interning is construction-time only (builder, merge).
-func (g *Segment) uniID(t string) int32 { return g.dict.internTerm(t, int32(g.lists())) }
+func (g *Segment) uniID(t string) int32 { return g.dict.internTerm(t, g.dict.next()) }
 
 func (g *Segment) pairID(a, b int32) int32 {
-	return g.dict.internPair(pairKey(a, b), int32(g.lists()))
+	return g.dict.internPair(pairKey(a, b), g.dict.next())
 }
 
 // layout sizes the segment for the per-list posting counts in n (list id's
@@ -197,12 +196,8 @@ func (c pruneCursor) postings(yield func(int32, float64) bool) {
 }
 
 // seal installs the offset table from the fill cursors, derives tmax and the
-// documents' dense norms from the arenas and rows, precomputes the
-// dictionary ids of all 256 single-byte terms and sorts the name order, then
-// returns the now-frozen segment. Verilog text is punctuation-dense — `;`,
-// `(`, `=`, `,` are a large share of every query's tokens — and a direct
-// table turns each of those lookups into one array read instead of a
-// hash-table probe.
+// documents' dense norms from the arenas and rows and sorts the name order,
+// then returns the now-frozen segment.
 func (g *Segment) seal() *Segment {
 	nDocs := len(g.names)
 	for id := 1; id < len(g.off); id++ { // a dense list's empty range ends where the list before it does
@@ -235,12 +230,6 @@ func (g *Segment) seal() *Segment {
 	for d, sq := range g.dnorm {
 		g.dnorm[d] = math.Sqrt(sq) * up
 		g.dnormMax = max(g.dnormMax, g.dnorm[d])
-	}
-	g.byteIDs = make([]int32, 256)
-	var buf [1]byte
-	for i := range g.byteIDs {
-		buf[0] = byte(i)
-		g.byteIDs[i], _ = g.dict.findTerm(string(buf[:]))
 	}
 	g.byName = make([]int32, nDocs)
 	for d := range g.byName {

@@ -165,185 +165,40 @@ type Match struct {
 	Score float64
 }
 
-// unknownBase is the first effective id assigned to query tokens absent
-// from the corpus dictionary (corpus ids are int32, so they stay below).
-const unknownBase = uint64(1) << 31
-
-// maxUnknownIDs caps how many distinct unknown query tokens receive their
-// own effective id. Unigram effective ids must stay strictly below 2^32-1
-// or a bigram occurrence key (prev+1)<<32|e would overflow into — or wrap
-// past — the bigram key range and collide with unrelated terms. Tokens
-// beyond the cap share one overflow id: for such degenerate queries
-// (billions of distinct unknown tokens) the query norm merges their
-// counts, which can only lower reported scores, never corrupt the key
-// space. A variable, not a const, so tests can lower it.
-var maxUnknownIDs = uint64(1) << 30
-
-// A resolved query term packs a postings id (upper 32 bits) and its
-// integer query count (lower 32 bits) into one uint64 — one word per term,
-// no interface or closure per comparison.
-func qtermID(qt uint64) int32  { return int32(qt >> 32) }
-func qtermW(qt uint64) float64 { return float64(uint32(qt)) }
-
-// packQterm clamps the count into the packed field's uint32 range instead
-// of letting uint32(float64) truncate: a count beyond 2^32-1 (or below 0)
-// would otherwise wrap to an arbitrary small weight — or, worse, leak into
-// the id bits — for adversarially repetitive queries.
-func packQterm(id int32, w float64) uint64 {
-	if !(w > 0) {
-		w = 0
-	} else if w >= 1<<32 {
-		w = 1<<32 - 1
-	}
-	return uint64(uint32(id))<<32 | uint64(uint32(w))
-}
-
-// qtab is a reusable open-addressed hash table counting query term keys
-// (effective unigram ids and packed bigram occurrence keys). It replaces
-// the PR 5 emit-sort-and-run-length scheme: counting ~2 tokens' worth of
-// keys per token through a small linear-probe table is cheaper than
-// sorting every occurrence, and only the distinct terms — typically a
-// fraction of the occurrences — reach the final canonical sort. used
-// records occupied slots in first-insertion order, so iteration is
-// deterministic for a given query; nothing observable depends on table
-// capacity.
-type qtab struct {
+// query is a query text parsed once, before any segment sees it: its
+// distinct unigrams (lowered, as Tokenize lowers them) and bigrams interned
+// into a dictionary of its own under ids in first-appearance order — the
+// canonical accumulation order every scoring path shares, which is what keeps
+// Best, TopK and BestBatch byte-identical to each other. The order is a
+// property of the query alone, not of any dictionary it resolves against: a
+// document's contributions sum in the same sequence whether its postings live
+// in one big segment or a small one, which keeps segmented scoring
+// bit-identical to a one-segment rebuild. keys[id] is 0 for a unigram (their
+// ordinals ascend with id, as in a segment) and pairKey+1 for a bigram, keyed
+// by its unigrams' query ids; cnt[id] is the term's count, saturating at
+// 2^32-1 rather than wrapping, and norm is the 2-norm of every count, the
+// terms no segment knows included. A segment resolves it with one lookup per
+// distinct unigram and one findPair per distinct bigram whose two unigrams it
+// knows (Segment.cursors).
+type query struct {
+	d    dict
 	keys []uint64
-	cnts []uint32
-	used []int32
-	low  []byte // scratch for lowercasing word tokens without allocating
+	cnt  []uint32
+	norm float64
+	low  []byte // scratch for lowering a word token
 }
 
-func newQtab(capPow2 int) *qtab {
-	return &qtab{keys: make([]uint64, capPow2), cnts: make([]uint32, capPow2), used: make([]int32, 0, capPow2/2)}
-}
+// queryPool holds parsed queries for reuse, their tables sized for a typical
+// candidate: bench/'s have at most 104 distinct unigrams and 193 bigrams.
+var queryPool = sync.Pool{New: func() any { return &query{d: newDict(128, 1024, 256)} }}
 
-// bump increments key k's count, saturating at the packed-count ceiling
-// instead of wrapping.
-func (t *qtab) bump(k uint64) {
-	if len(t.used)*2 >= len(t.keys) {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	slot := (k * 0x9e3779b97f4a7c15) >> 32 & mask
-	for {
-		if t.cnts[slot] == 0 {
-			t.keys[slot] = k
-			t.cnts[slot] = 1
-			t.used = append(t.used, int32(slot))
-			return
-		}
-		if t.keys[slot] == k {
-			if t.cnts[slot] != ^uint32(0) {
-				t.cnts[slot]++
-			}
-			return
-		}
-		slot = (slot + 1) & mask
-	}
-}
-
-// grow doubles capacity, preserving insertion order in used.
-func (t *qtab) grow() {
-	oldKeys, oldCnts, oldUsed := t.keys, t.cnts, t.used
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.cnts = make([]uint32, len(t.keys))
-	t.used = make([]int32, 0, len(t.keys)/2)
-	mask := uint64(len(t.keys) - 1)
-	for _, s := range oldUsed {
-		k := oldKeys[s]
-		slot := (k * 0x9e3779b97f4a7c15) >> 32 & mask
-		for t.cnts[slot] != 0 {
-			slot = (slot + 1) & mask
-		}
-		t.keys[slot] = k
-		t.cnts[slot] = oldCnts[s]
-		t.used = append(t.used, int32(slot))
-	}
-}
-
-// reset clears counts for reuse without touching capacity.
-func (t *qtab) reset() {
-	for _, s := range t.used {
-		t.cnts[s] = 0
-	}
-	t.used = t.used[:0]
-}
-
-var qtabPool = sync.Pool{New: func() any { return newQtab(1024) }}
-
-// unknownPool recycles the query-local unknown-token intern maps: clear()
-// keeps the buckets, so steady-state queries with out-of-dictionary
-// identifiers (every fresh candidate) stop paying a map allocation each.
-var unknownPool = sync.Pool{New: func() any { return make(map[string]uint64) }}
-
-// resolveQuery streams a query's tokens and resolves them against the
-// index in one pass: the returned terms are the query's corpus-known
-// unigrams and bigrams with their counts, in the query's first-appearance
-// order — the canonical accumulation order every scoring path shares,
-// which is what keeps Best, TopK, and BestBatch byte-identical to each
-// other. Crucially that order is a property of the QUERY alone, not of
-// the dictionary it resolved against: a document's contributions sum in
-// the same sequence whether its postings live in one big corpus or in a
-// small segment, which is what keeps segmented scoring (see Snapshot)
-// bit-identical to a single-segment full rebuild. qnorm is
-// the norm over ALL query terms, corpus-known or not. A token the corpus
-// has never seen cannot appear in any corpus bigram either, so its
-// bigrams are skipped without a lookup. qts reuses buf's capacity when it
-// fits, so a pooled caller pays no per-query slice allocation.
-func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm float64) {
-	// Count one key per unigram and bigram occurrence. Unigram keys are
-	// the effective id (< 2^32, dictionary id or interned unknown), bigram
-	// keys pack the pair shifted into the upper half (>= 2^32) — the
-	// unknown-id cap guarantees prev+1 < 2^32, so the two ranges cannot
-	// collide.
-	tab := qtabPool.Get().(*qtab)
-	var unknown map[string]uint64
-	defer func() {
-		tab.reset()
-		qtabPool.Put(tab)
-		if unknown != nil {
-			clear(unknown)
-			unknownPool.Put(unknown)
-		}
-	}()
-	// newUnknown interns a distinct out-of-dictionary token under a fresh
-	// local id. Keys may alias the query text or copy scratch — the
-	// deferred clear() drops every entry before the map returns to the
-	// pool, so nothing outlives the call.
-	newUnknown := func(key string) uint64 {
-		lid := unknownBase + uint64(len(unknown))
-		if lid >= unknownBase+maxUnknownIDs {
-			lid = unknownBase + maxUnknownIDs // shared overflow id
-		}
-		unknown[key] = lid
-		return lid
-	}
-	prev, seen := uint64(0), false
+// parseQuery returns text parsed into a pooled query, which putQuery returns.
+func parseQuery(text string) *query {
+	q := queryPool.Get().(*query)
+	prev := int32(-1)
 	tokensRaw(text, func(t string, hasUpper bool) {
-		var e uint64
-		if len(t) == 1 {
-			ch := t[0]
-			if hasUpper {
-				ch += 'a' - 'A' // a 1-byte token with upper IS a single A-Z letter
-			}
-			if id := g.byteIDs[ch]; id >= 0 {
-				e = uint64(id)
-				tab.bump(e)
-				if seen {
-					tab.bump((prev+1)<<32 | e)
-				}
-				prev, seen = e, true
-				return
-			}
-			// Out-of-dictionary single byte: rare — fall through to the
-			// generic unknown-token path below.
-		}
 		if hasUpper {
-			// Lower into scratch: the dictionary reads it in place and the map
-			// probe below compiles to an allocation-free lookup; only a distinct
-			// unknown token pays a string copy when it is interned.
-			b := tab.low[:0]
+			b := q.low[:0]
 			for i := 0; i < len(t); i++ {
 				ch := t[i]
 				if ch >= 'A' && ch <= 'Z' {
@@ -351,62 +206,45 @@ func (g *Segment) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm f
 				}
 				b = append(b, ch)
 			}
-			tab.low = b
-			if id, _ := g.dict.findTerm(bstr(b)); id >= 0 {
-				e = uint64(id)
-			} else {
-				if unknown == nil {
-					unknown = unknownPool.Get().(map[string]uint64)
-				}
-				lid, have := unknown[string(b)]
-				if !have {
-					lid = newUnknown(string(b))
-				}
-				e = lid
-			}
-		} else if id, _ := g.dict.findTerm(t); id >= 0 {
-			e = uint64(id)
-		} else {
-			if unknown == nil {
-				unknown = unknownPool.Get().(map[string]uint64)
-			}
-			lid, have := unknown[t]
-			if !have {
-				lid = newUnknown(t)
-			}
-			e = lid
+			q.low, t = b, bstr(b) // internTerm copies a new term out of the scratch
 		}
-		tab.bump(e)
-		if seen {
-			tab.bump((prev+1)<<32 | e)
+		id := q.d.internTerm(t, q.d.next())
+		q.add(id, 0)
+		if prev >= 0 {
+			k := pairKey(prev, id)
+			q.add(q.d.internPair(k, q.d.next()), k+1)
 		}
-		prev, seen = e, true
+		prev = id
 	})
-	if !seen {
-		return nil, 0
-	}
 	var sum float64
-	qts = buf[:0]
-	if cap(qts) < len(tab.used) {
-		qts = make([]uint64, 0, len(tab.used))
-	}
-	for _, slot := range tab.used {
-		k, v := tab.keys[slot], float64(tab.cnts[slot])
+	for _, c := range q.cnt {
+		v := float64(c)
 		sum += v * v // integer counts: exact in any order
-		switch {
-		case k < unknownBase: // corpus-known unigram
-			qts = append(qts, packQterm(int32(k), v))
-		case k < 1<<32: // unknown unigram
-		default: // bigram
-			a, b := (k>>32)-1, k&0xffffffff
-			if a < unknownBase && b < unknownBase {
-				if id, _ := g.dict.findPair(a<<32 | b); id >= 0 {
-					qts = append(qts, packQterm(id, v))
-				}
-			}
-		}
 	}
-	return qts, math.Sqrt(sum)
+	q.norm = math.Sqrt(sum)
+	return q
+}
+
+// add counts one occurrence of term id, whose key is key1 if it is new.
+func (q *query) add(id int32, key1 uint64) {
+	if int(id) == len(q.cnt) {
+		q.keys, q.cnt = append(q.keys, key1), append(q.cnt, 0)
+	}
+	if q.cnt[id] != math.MaxUint32 {
+		q.cnt[id]++
+	}
+}
+
+// putQuery returns q to the pool, empty. A query whose tables an outsized
+// text grew past 4 096 slots is left to the collector instead, so that no
+// query after it clears them.
+func putQuery(q *query) {
+	if len(q.d.ttab) > 1<<12 || len(q.d.pkey) > 1<<12 {
+		return
+	}
+	q.d.reset()
+	q.keys, q.cnt, q.norm = q.keys[:0], q.cnt[:0], 0
+	queryPool.Put(q)
 }
 
 // matchWorse orders matches weakest-first: lower score, then higher index

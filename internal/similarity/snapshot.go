@@ -247,24 +247,30 @@ func (s *Snapshot) Best(text string) Match {
 }
 
 // bestGroup is Best for up to accBatch texts at once: out[i] = Best(texts[i]).
-// Each segment is handed the whole group with its tombstone bitmap, so the
-// queries that end in its accumulator share one pass; candidates merge on
-// (score descending, global index ascending) — the tie rule within a
-// segment, made consistent across segments by the global live-rank
-// indexing.
+// Each text is parsed once, and each segment is handed the whole group with
+// its tombstone bitmap, so the queries that end in its accumulator share one
+// pass; candidates merge on (score descending, global index ascending) — the
+// tie rule within a segment, made consistent across segments by the global
+// live-rank indexing.
 //
 //freehw:hotpath
 func (s *Snapshot) bestGroup(texts []string, out []Match) {
-	for i := range out {
-		out[i] = Match{Index: -1}
+	var qs [accBatch]*query
+	for i, t := range texts {
+		out[i], qs[i] = Match{Index: -1}, parseQuery(t)
 	}
+	defer func() {
+		for _, q := range qs[:len(texts)] {
+			putQuery(q)
+		}
+	}()
 	var found [accBatch][]Match
 	for si := range s.segs {
 		ss := &s.segs[si]
 		if ss.live == 0 {
 			continue
 		}
-		ss.seg.searchBatch(texts, 1, searchAuto, ss.dead, found[:len(texts)])
+		ss.seg.searchBatch(qs[:len(texts)], 1, searchAuto, ss.dead, found[:len(texts)])
 		for i, ms := range found[:len(texts)] {
 			if len(ms) == 0 {
 				continue
@@ -289,14 +295,17 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 	if k <= 0 || s.total == 0 {
 		return nil
 	}
+	q := parseQuery(text)
+	defer putQuery(q)
 	var all []Match
 	for si := range s.segs {
 		ss := &s.segs[si]
 		if ss.live == 0 {
 			continue
 		}
-		ms := ss.seg.searchTopK(text, k, searchAuto, ss.dead)
-		for _, m := range ms {
+		var found [1][]Match
+		ss.seg.searchBatch([]*query{q}, k, searchAuto, ss.dead, found[:])
+		for _, m := range found[0] {
 			m.Index = ss.offset + ss.liveRank(int32(m.Index))
 			all = append(all, m)
 		}
@@ -324,10 +333,10 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 // same candidate, and every duplicate shares one scoring — and the
 // distinct queries go through the scorer in groups of up to accBatch, the
 // groups fanned out across at most workers goroutines (<= 0 means
-// GOMAXPROCS) and sized so that every worker has one. Each query resolves
-// against the dictionary once per segment and adds what Best adds, in the
-// same order, so results are byte-identical to calling Best per text, in
-// input order.
+// GOMAXPROCS) and sized so that every worker has one. Each query is parsed
+// once, resolves against each segment's dictionary and adds what Best adds,
+// in the same order, so results are byte-identical to calling Best per text,
+// in input order.
 func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 	if len(texts) == 0 {
 		return nil
