@@ -266,6 +266,12 @@ type Index struct {
 
 	buckets []map[uint64][]int // per band: band-hash -> kept doc ids, ascending
 	docs    []doc
+
+	// seen[id] == gen marks kept document id as already a candidate of the
+	// insert in progress; each AddPrepared is a new generation, so nothing is
+	// cleared between inserts.
+	seen []uint32
+	gen  uint32
 }
 
 type doc struct {
@@ -330,17 +336,34 @@ func (x *Index) Add(key, text string) AddResult {
 // AddPrepared offers a document whose shingles/signature/band hashes were
 // computed by a compatible Preparer (same Options). Insertions are strictly
 // ordered: the first document offered wins over later duplicates.
+//
+// A candidate's Jaccard is at most min(|A|,|B|)/max(|A|,|B|), and rounding
+// keeps the order, so a candidate whose bound is below the threshold cannot
+// make the document a duplicate, and one whose bound is not above the best
+// similarity so far cannot become the best, which needs a strictly greater
+// one: neither is verified. Two empty sets are the exception: their Jaccard
+// is 1 and the bound 0/0.
 func (x *Index) AddPrepared(key string, p Prepared) AddResult {
-	seen := map[int]struct{}{}
+	if x.gen++; x.gen == 0 { // wrapped: a stamp 2^32 inserts old would read as current
+		clear(x.seen)
+		x.gen = 1
+	}
 	bestSim := 0.0
 	bestID := -1
 	for b := range x.buckets {
 		for _, id := range x.buckets[b][p.Bands[b]] {
-			if _, dup := seen[id]; dup {
+			if x.seen[id] == x.gen {
 				continue
 			}
-			seen[id] = struct{}{}
-			sim := Jaccard(p.Shingles, x.docs[id].shingles)
+			x.seen[id] = x.gen
+			kept := x.docs[id].shingles
+			if la, lb := len(p.Shingles), len(kept); la+lb > 0 {
+				bound := float64(min(la, lb)) / float64(max(la, lb))
+				if bound < x.threshold || bound <= bestSim {
+					continue
+				}
+			}
+			sim := Jaccard(p.Shingles, kept)
 			if sim > bestSim {
 				bestSim = sim
 				bestID = id
@@ -352,6 +375,7 @@ func (x *Index) AddPrepared(key string, p Prepared) AddResult {
 	}
 	id := len(x.docs)
 	x.docs = append(x.docs, doc{key: key, shingles: p.Shingles})
+	x.seen = append(x.seen, 0)
 	for b := range x.buckets {
 		x.buckets[b][p.Bands[b]] = append(x.buckets[b][p.Bands[b]], id)
 	}

@@ -303,3 +303,127 @@ func TestAddAllAllDuplicates(t *testing.T) {
 		t.Fatalf("index grew to %d", idx.Len())
 	}
 }
+
+// refAddPrepared is AddPrepared as it was before the size bound: every
+// candidate verified, a map for the ones already met.
+func refAddPrepared(x *Index, key string, p Prepared) AddResult {
+	seen := map[int]bool{}
+	bestSim, bestID := 0.0, -1
+	for b := range x.buckets {
+		for _, id := range x.buckets[b][p.Bands[b]] {
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			if sim := Jaccard(p.Shingles, x.docs[id].shingles); sim > bestSim {
+				bestSim, bestID = sim, id
+			}
+		}
+	}
+	if bestID >= 0 && bestSim >= x.threshold {
+		return AddResult{DupOfKey: x.docs[bestID].key, Similarity: bestSim}
+	}
+	id := len(x.docs)
+	x.docs = append(x.docs, doc{key: key, shingles: p.Shingles})
+	x.seen = append(x.seen, 0)
+	for b := range x.buckets {
+		x.buckets[b][p.Bands[b]] = append(x.buckets[b][p.Bands[b]], id)
+	}
+	return AddResult{Unique: true}
+}
+
+// The size bound skips only candidates that could not change the result:
+// the same fate, dup-of key and similarity as verifying every candidate, over
+// near-duplicates of many lengths, empty documents among them, at a high
+// and a low threshold, and one low enough that the best so far decides.
+func TestSizeBoundIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vocab := strings.Fields("module wire reg assign always begin end if else case input output clk rst q d en")
+	var texts []string
+	for i := 0; i < 600; i++ {
+		var toks []string
+		if len(texts) > 0 && rng.Intn(4) > 0 { // a near-duplicate of an earlier text, a few tokens longer or shorter
+			toks = strings.Fields(texts[rng.Intn(len(texts))])
+			for k := rng.Intn(4); k > 0 && len(toks) > 0; k-- {
+				toks = append(toks[:rng.Intn(len(toks))], toks[rng.Intn(len(toks)):]...)
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				toks = append(toks, vocab[rng.Intn(len(vocab))])
+			}
+		} else if rng.Intn(20) > 0 { // else fresh, or now and then empty
+			for k := rng.Intn(60); k > 0; k-- {
+				toks = append(toks, vocab[rng.Intn(len(vocab))])
+			}
+		}
+		texts = append(texts, strings.Join(toks, " "))
+	}
+	for _, threshold := range []float64{0.85, 0.3, 0.01} {
+		opt := Options{Threshold: threshold, Seed: 3}
+		got, want := NewIndex(opt), NewIndex(opt)
+		dups := 0
+		for i, text := range texts {
+			p := got.Preparer().Prepare(text)
+			key := fmt.Sprint("f", i)
+			g, w := got.AddPrepared(key, p), refAddPrepared(want, key, p)
+			if g != w {
+				t.Fatalf("threshold %v, text %d %q: %+v, verifying every candidate %+v", threshold, i, text, g, w)
+			}
+			if !g.Unique {
+				dups++
+			}
+		}
+		if dups < len(texts)/10 {
+			t.Fatalf("threshold %v: only %d duplicates of %d; the test exercises too little", threshold, dups, len(texts))
+		}
+	}
+}
+
+// The bound's edges, on hand-made candidates that share a band with the
+// document offered: a candidate whose bound is only just above the best so
+// far is still verified and wins; two empty documents are duplicates
+// (Jaccard 1, bound 0/0), an empty and a non-empty one are not; and a
+// generation counter that wraps forgets the stamps it made.
+func TestSizeBoundEdges(t *testing.T) {
+	span := func(lo, hi int) (s ShingleSet) {
+		for v := lo; v <= hi; v++ {
+			s = append(s, uint64(v))
+		}
+		return s
+	}
+	x := NewIndex(Options{})
+	unique := uint64(1 << 32)
+	prep := func(sh ShingleSet, shared map[int]uint64) Prepared {
+		p := Prepared{Shingles: sh, Bands: make([]uint64, len(x.buckets))}
+		for b := range p.Bands {
+			if h, ok := shared[b]; ok {
+				p.Bands[b] = h
+			} else {
+				unique++
+				p.Bands[b] = unique
+			}
+		}
+		return p
+	}
+	for _, step := range []struct {
+		key    string
+		p      Prepared
+		want   AddResult
+		before func()
+	}{
+		{key: "d90", p: prep(span(1, 90), map[int]uint64{0: 7}), want: AddResult{Unique: true}},
+		{key: "d91", p: prep(span(1, 91), map[int]uint64{1: 8}), want: AddResult{Unique: true}},
+		{key: "p", p: prep(span(1, 100), map[int]uint64{0: 7, 1: 8}), want: AddResult{DupOfKey: "d91", Similarity: 0.91}},
+		{key: "e", p: prep(nil, map[int]uint64{2: 9}), want: AddResult{Unique: true}},
+		{key: "f", p: prep(span(1, 3), map[int]uint64{2: 9}), want: AddResult{Unique: true}},
+		{key: "g", p: prep(nil, map[int]uint64{2: 9}), want: AddResult{DupOfKey: "e", Similarity: 1}},
+		{key: "h", p: prep(span(1, 90), map[int]uint64{0: 7}), want: AddResult{DupOfKey: "d90", Similarity: 1},
+			before: func() { x.seen[0], x.gen = 1, ^uint32(0) }},
+	} {
+		if step.before != nil {
+			step.before()
+		}
+		if got := x.AddPrepared(step.key, step.p); got != step.want {
+			t.Fatalf("%s: %+v, want %+v", step.key, got, step.want)
+		}
+	}
+}

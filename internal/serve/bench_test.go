@@ -11,7 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"freehw/internal/corpus"
 	"freehw/internal/similarity"
+	"freehw/internal/snapstore"
 )
 
 // BenchmarkServeAudit measures end-to-end /audit throughput through the
@@ -185,5 +187,64 @@ func BenchmarkServeAuditCold(b *testing.B) {
 	b.StopTimer()
 	if b.N > 0 {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "audits/s")
+	}
+}
+
+// BenchmarkCorpusUpload publishes bench/'s base corpus — its 8 000 protected
+// documents at -seed 1 — through Handler() as one JSON body and as NDJSON,
+// to a server without a store and to one with a snapstore keeping three
+// versions, as bench/ runs it, where every publish is a durable replace
+// (segment file, fsync, retention sweep). MB/s
+// counts body bytes. It times the publish layers bench/'s
+// serve.publish_full_ms does not reach, which starts past the body decode.
+func BenchmarkCorpusUpload(b *testing.B) {
+	var req CorpusRequest
+	var ndjson bytes.Buffer
+	for _, pf := range corpus.BuildProtectedCorpus(1*1_000_003+1, 8000) {
+		req.Documents = append(req.Documents, CorpusDocument{Name: pf.Name, Text: pf.Source})
+		line, err := json.Marshal(CorpusLine{Name: pf.Name, Text: pf.Source})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ndjson.Write(line)
+		ndjson.WriteByte('\n')
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json", "application/json", body},
+		{"ndjson", "application/x-ndjson", ndjson.Bytes()},
+	} {
+		for _, store := range []string{"none", "snapstore"} {
+			b.Run("format="+f.name+"/store="+store, func(b *testing.B) {
+				cfg := DefaultConfig()
+				if store == "snapstore" {
+					st, err := snapstore.Open(b.TempDir(), 3)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.Store = st
+				}
+				s := NewServer(cfg)
+				defer s.Close()
+				h := s.Handler()
+				b.SetBytes(int64(len(f.body)))
+				b.ReportAllocs()
+				for b.Loop() {
+					r := httptest.NewRequest(http.MethodPost, "/v1/corpus", bytes.NewReader(f.body))
+					r.Header.Set("Content-Type", f.contentType)
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, r)
+					if w.Code != http.StatusOK {
+						b.Fatalf("publish: %d %s", w.Code, w.Body)
+					}
+				}
+			})
+		}
 	}
 }

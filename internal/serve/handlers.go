@@ -334,10 +334,12 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 // mode=delta (alias: append) publishes an incremental generation: the
 // uploaded documents become one new segment, removals tombstone existing
 // names, and the publish costs O(delta + segments) — never O(corpus).
-// In either mode and format documents stream from the body's decoder into
-// one segment builder — a JSON body may name its mode after its documents —
-// so peak memory is O(segment), not O(upload); a JSON body may carry one
-// "documents" key (a second is 400 bad_json). ?version=N rolls
+// In either mode and format one pass of bodyScanner (codec.go) reads the
+// body through the size cap, record by record, and each document goes
+// straight into one segment builder — a JSON body may name its mode after
+// its documents — so peak memory is O(segment) plus the largest record, not
+// O(upload); a JSON body may carry one "documents" key (a second is 400
+// bad_json), and a body over the cap is 413 wherever the cap falls. ?version=N rolls
 // back to retained version N instead. An If-Version request header makes
 // any of the three conditional: the publish applies only if the live
 // corpus version still matches, else 409 version_conflict — and of the
