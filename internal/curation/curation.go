@@ -4,7 +4,7 @@
 // per-file copyright screening → syntax check → FreeSet.
 //
 // The funnel is organized around an Extraction: a scrape's Verilog files
-// with lazily memoized per-file analyses (shingles + MinHash signature,
+// with lazily memoized per-file analyses (shingles + MinHash band hashes,
 // header/body copyright scans, syntax verdict). The analyses live in a
 // content-hash keyed vcache store, so one Extraction can feed several
 // funnel variants — FreeSet, the VeriGen-style comparison corpus, the

@@ -128,6 +128,30 @@ func Jaccard(a, b ShingleSet) float64 {
 	return float64(inter) / float64(union)
 }
 
+// overlap returns |a∩b| by Jaccard's merge, or false as soon as the
+// intersection so far plus the shingles left in the smaller remainder fall
+// short of need, which must not exceed min(|a|, |b|).
+func overlap(a, b ShingleSet, need int) (int, bool) {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			inter++
+			i++
+			j++
+			continue // the best case stands
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+		if inter+min(len(a)-i, len(b)-j) < need {
+			return inter, false
+		}
+	}
+	return inter, inter >= need
+}
+
 // Signature is a MinHash signature: one minimum per permutation.
 type Signature []uint64
 
@@ -204,13 +228,13 @@ func (opt Options) normalize() Options {
 	return opt
 }
 
-// Prepared is the per-document precomputation an Index consumes: shingles,
-// MinHash signature, and per-band LSH hashes. Preparing documents is
+// Prepared is the per-document precomputation an Index consumes: shingles
+// and per-band LSH hashes. The MinHash signature the bands are hashed from
+// is read by nothing after, so it is not kept. Preparing documents is
 // side-effect free, so a batch can be prepared concurrently and fed to the
 // sequential Index insert that preserves first-seen-kept order.
 type Prepared struct {
 	Shingles ShingleSet
-	Sig      Signature
 	Bands    []uint64
 }
 
@@ -234,7 +258,7 @@ func NewPreparer(opt Options) *Preparer {
 	}
 }
 
-// Prepare computes a document's shingles, signature, and band hashes.
+// Prepare computes a document's shingles, and its band hashes from its signature.
 func (p *Preparer) Prepare(text string) Prepared {
 	sh := Shingles(text, p.shingleK)
 	sig := p.hasher.Sign(sh)
@@ -250,7 +274,7 @@ func (p *Preparer) Prepare(text string) Prepared {
 		}
 		bands[b] = h
 	}
-	return Prepared{Shingles: sh, Sig: sig, Bands: bands}
+	return Prepared{Shingles: sh, Bands: bands}
 }
 
 // Index is a banded LSH index over MinHash signatures. Two documents become
@@ -337,12 +361,17 @@ func (x *Index) Add(key, text string) AddResult {
 // computed by a compatible Preparer (same Options). Insertions are strictly
 // ordered: the first document offered wins over later duplicates.
 //
-// A candidate's Jaccard is at most min(|A|,|B|)/max(|A|,|B|), and rounding
-// keeps the order, so a candidate whose bound is below the threshold cannot
-// make the document a duplicate, and one whose bound is not above the best
-// similarity so far cannot become the best, which needs a strictly greater
-// one: neither is verified. Two empty sets are the exception: their Jaccard
-// is 1 and the bound 0/0.
+// A candidate's Jaccard I/(|A|+|B|-I) grows with the intersection I, and
+// rounding keeps the order, so it qualifies only if I reaches need: the least
+// I whose Jaccard, computed as Jaccard computes it, is at least the threshold
+// and above the best similarity so far (a new best needs a strictly greater
+// one). I is at most min(|A|,|B|), so a candidate that even that cannot
+// qualify is not verified at all (the size bound), and the merge stops as
+// soon as the intersection so far plus the shingles left in the smaller
+// remainder fall short of need (positional filtering, after Bayardo et al.
+// and PPJoin). Either way the candidate could neither make the document a
+// duplicate nor become the one it duplicates. Two empty sets are the
+// exception: their Jaccard is 1, not 0/0.
 func (x *Index) AddPrepared(key string, p Prepared) AddResult {
 	if x.gen++; x.gen == 0 { // wrapped: a stamp 2^32 inserts old would read as current
 		clear(x.seen)
@@ -357,13 +386,21 @@ func (x *Index) AddPrepared(key string, p Prepared) AddResult {
 			}
 			x.seen[id] = x.gen
 			kept := x.docs[id].shingles
+			sim := 1.0
 			if la, lb := len(p.Shingles), len(kept); la+lb > 0 {
-				bound := float64(min(la, lb)) / float64(max(la, lb))
-				if bound < x.threshold || bound <= bestSim {
+				qualifies := func(i int) bool {
+					j := float64(i) / float64(la+lb-i)
+					return j >= x.threshold && j > bestSim
+				}
+				if !qualifies(min(la, lb)) {
 					continue
 				}
+				inter, ok := overlap(p.Shingles, kept, sort.Search(min(la, lb), qualifies))
+				if !ok {
+					continue
+				}
+				sim = float64(inter) / float64(la+lb-inter)
 			}
-			sim := Jaccard(p.Shingles, kept)
 			if sim > bestSim {
 				bestSim = sim
 				bestID = id

@@ -427,3 +427,77 @@ func TestSizeBoundEdges(t *testing.T) {
 		}
 	}
 }
+
+// overlap against the plain merge: for random sorted sets and every need up
+// to min(|a|,|b|), empty sets included, it stops (false) exactly when the
+// intersection is below need, and otherwise returns the intersection.
+func TestOverlapStopsOnlyWhenShort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randSet := func() ShingleSet {
+		s := ShingleSet{}
+		for v := uint64(0); v < 30; v++ {
+			if rng.Intn(3) == 0 {
+				s = append(s, v)
+			}
+		}
+		return s[:rng.Intn(len(s)+1)]
+	}
+	for trial := 0; trial < 3000; trial++ {
+		a, b := randSet(), randSet()
+		exact := 0
+		for _, v := range a {
+			if b.Contains(v) {
+				exact++
+			}
+		}
+		for need := 0; need <= min(len(a), len(b)); need++ {
+			if got, ok := overlap(a, b, need); ok != (exact >= need) || ok && got != exact {
+				t.Fatalf("overlap(%v, %v, %d) = %d, %v; the intersection is %d", a, b, need, got, ok, exact)
+			}
+		}
+	}
+}
+
+// Positional filtering's edges, every candidate sharing band 0 with every
+// other and each step checked against verifying every candidate and against
+// the fate worked out by hand: a candidate that passes the size bound but
+// falls short mid-merge; one whose only mismatch is its last shingle; a
+// Jaccard of exactly the threshold (17/20), which is a duplicate; and a
+// second candidate that only ties the best so far, which must not displace
+// the first one met.
+func TestPositionalFilterEdges(t *testing.T) {
+	span := func(lo, hi int) (s ShingleSet) {
+		for v := lo; v <= hi; v++ {
+			s = append(s, uint64(v))
+		}
+		return s
+	}
+	x, ref := NewIndex(Options{}), NewIndex(Options{})
+	prep := func(sh ShingleSet) Prepared {
+		p := Prepared{Shingles: sh, Bands: make([]uint64, len(x.buckets))}
+		for b := 1; b < len(p.Bands); b++ {
+			p.Bands[b] = uint64(len(sh))<<8 | uint64(b)
+		}
+		return p
+	}
+	for _, step := range []struct {
+		key  string
+		sh   ShingleSet
+		want AddResult
+	}{
+		{"a", span(1, 100), AddResult{Unique: true}},
+		{"shifted", span(16, 115), AddResult{Unique: true}}, // size bound 1, Jaccard 85/115
+		{"last-off", append(span(1, 99), 1000), AddResult{DupOfKey: "a", Similarity: 99.0 / 101}},
+		{"b", span(500, 519), AddResult{Unique: true}},
+		{"at-threshold", span(500, 516), AddResult{DupOfKey: "b", Similarity: 17.0 / 20}},
+		{"c1", append(span(2001, 2095), span(2201, 2205)...), AddResult{Unique: true}},
+		{"c2", append(span(2006, 2100), span(2301, 2305)...), AddResult{Unique: true}}, // 90/110 to c1
+		{"tie", span(2001, 2100), AddResult{DupOfKey: "c1", Similarity: 95.0 / 105}},
+	} {
+		p := prep(step.sh)
+		want := refAddPrepared(ref, step.key, p)
+		if got := x.AddPrepared(step.key, p); got != want || got != step.want {
+			t.Fatalf("%s: %+v, verifying every candidate %+v, by hand %+v", step.key, got, want, step.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -133,18 +134,10 @@ func (c *Client) DiscoverRepos(ctx context.Context, baseQuery string, t0, t1 tim
 	}
 	out := make([]RepoMeta, 0, len(found))
 	for _, m := range found {
-		out = append(out, m) //freehw:nolint mapord -- sortMetas canonicalizes out by FullName right below
+		out = append(out, m)
 	}
-	sortMetas(out)
+	slices.SortFunc(out, func(a, b RepoMeta) int { return strings.Compare(a.FullName, b.FullName) })
 	return out, nil
-}
-
-func sortMetas(ms []RepoMeta) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].FullName < ms[j-1].FullName; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }
 
 func (c *Client) discover(ctx context.Context, baseQuery string, t0, t1 time.Time, found map[string]RepoMeta) error {

@@ -61,8 +61,9 @@ type RepoContents struct {
 
 // Server serves a corpus.World over the simulated API.
 type Server struct {
-	world *corpus.World
-	mux   *http.ServeMux
+	world  *corpus.World
+	byName map[string]int // full name -> 1 + the index of the first repository of that name
+	mux    *http.ServeMux
 
 	mu        sync.Mutex
 	rateLimit int // requests per window; 0 = unlimited
@@ -79,7 +80,12 @@ type Server struct {
 // NewServer builds a server over the world. rateLimit requests are allowed
 // per window (0 disables throttling).
 func NewServer(world *corpus.World, rateLimit int, window time.Duration) *Server {
-	s := &Server{world: world, rateLimit: rateLimit, window: window}
+	s := &Server{world: world, byName: make(map[string]int, len(world.Repos)), rateLimit: rateLimit, window: window}
+	for i := range world.Repos {
+		if full := world.Repos[i].FullName(); s.byName[full] == 0 {
+			s.byName[full] = i + 1
+		}
+	}
 	if s.window <= 0 {
 		s.window = 50 * time.Millisecond
 	}
@@ -265,22 +271,20 @@ func (s *Server) handleRepo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	full := parts[0] + "/" + parts[1]
-	for i := range s.world.Repos {
-		repo := &s.world.Repos[i]
-		if repo.FullName() != full {
-			continue
-		}
-		out := RepoContents{FullName: full, License: string(repo.License)}
-		if repo.LicenseFile != "" {
-			out.Files = append(out.Files, RepoFile{Path: "LICENSE", Content: repo.LicenseFile})
-		}
-		for _, f := range repo.Files {
-			out.Files = append(out.Files, RepoFile{Path: f.Path, Content: f.Content})
-		}
-		writeJSON(w, out)
+	i := s.byName[full]
+	if i == 0 {
+		http.Error(w, `{"message":"not found"}`, http.StatusNotFound)
 		return
 	}
-	http.Error(w, `{"message":"not found"}`, http.StatusNotFound)
+	repo := &s.world.Repos[i-1]
+	out := RepoContents{FullName: full, License: string(repo.License)}
+	if repo.LicenseFile != "" {
+		out.Files = append(out.Files, RepoFile{Path: "LICENSE", Content: repo.LicenseFile})
+	}
+	for _, f := range repo.Files {
+		out.Files = append(out.Files, RepoFile{Path: f.Path, Content: f.Content})
+	}
+	writeJSON(w, out)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

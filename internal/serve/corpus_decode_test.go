@@ -448,11 +448,12 @@ func TestBodyBufPoolDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// One full publish — handler to durable file — allocates no more than 12.8
+// One full publish — handler to durable file — allocates no more than 12.5
 // bytes per byte of body (43 at the parent of the PR that streamed it, 16.1
 // before the dictionaries became flat tables, 14.6 after, 13.6 before the body
-// scanner replaced json.Decoder, 11.6 after): nothing on the path is as large
-// as the upload or the file.
+// scanner replaced json.Decoder, 11.6 after, 11.4 once the term scanner
+// lowered upper case into scratch): nothing on the path is as large as the
+// upload or the file.
 func TestFullPublishAllocBudget(t *testing.T) {
 	const docs = 2000
 	st, err := snapstore.Open(t.TempDir(), 0)
@@ -484,7 +485,7 @@ func TestFullPublishAllocBudget(t *testing.T) {
 	}
 	grew := after.TotalAlloc - before.TotalAlloc
 	t.Logf("a %d-byte body of %d documents allocated %d bytes: %.1f per byte", len(body), docs, grew, float64(grew)/float64(len(body)))
-	if float64(grew) > 12.8*float64(len(body)) {
-		t.Fatalf("publishing a %d-byte body allocated %d bytes, %.1f per byte; the budget is 12.8", len(body), grew, float64(grew)/float64(len(body)))
+	if float64(grew) > 12.5*float64(len(body)) {
+		t.Fatalf("publishing a %d-byte body allocated %d bytes, %.1f per byte; the budget is 12.5", len(body), grew, float64(grew)/float64(len(body)))
 	}
 }

@@ -15,7 +15,9 @@ import (
 //
 // Unigram o — its ordinal: interning order, which is ascending id order — is
 // the bytes arena[toff[o]:toff[o+1]] under postings id tid[o]; ttab is an
-// open-addressed table holding ordinal+1 (0 empty) at the term's hash. A
+// open-addressed table holding ordinal+1 (0 empty) at the term's hash, with
+// the hash's low bits in the bits above it that a table of 2^m slots leaves
+// free, so a probe compares bytes only when those match too. A
 // one-byte term is also at one[b], as id+1 (0 absent), which internTerm fills
 // and lookup and internTerm read before hashing: Verilog is punctuation-dense
 // — `;`, `(`, `=`, `,` — and one-byte terms are over half of bench/'s corpus
@@ -88,13 +90,13 @@ func (d *dict) termBytes(o int) []byte { return d.arena[d.toff[o]:d.toff[o+1]] }
 // findTerm returns unigram t's postings id and table slot, or -1 and the
 // empty slot its probe ended at.
 func (d *dict) findTerm(t string) (id int32, at int) {
-	mask := len(d.ttab) - 1
-	for at = slot(maphash.String(dictSeed, t), len(d.ttab)); ; at = (at + 1) & mask {
-		switch o := int(d.ttab[at]); {
-		case o == 0:
+	h, mask := maphash.String(dictSeed, t), uint32(len(d.ttab)-1)
+	for at = slot(h, len(d.ttab)); ; at = (at + 1) & int(mask) {
+		switch e := d.ttab[at]; {
+		case e == 0:
 			return -1, at
-		case string(d.termBytes(o-1)) == t:
-			return d.tid[o-1], at
+		case e&^mask == uint32(h)&^mask && string(d.termBytes(int(e&mask)-1)) == t:
+			return d.tid[e&mask-1], at
 		}
 	}
 }
@@ -134,15 +136,16 @@ func (d *dict) internTerm(t string, id int32) int32 {
 	if (len(d.tid)+1)*5 > len(d.ttab)*4 {
 		d.ttab = make([]uint32, 2*len(d.ttab))
 		for o := range d.tid {
-			_, at := d.findTerm(bstr(d.termBytes(o)))
-			d.ttab[at] = uint32(o + 1)
+			u := bstr(d.termBytes(o))
+			_, at := d.findTerm(u)
+			d.ttab[at] = uint32(maphash.String(dictSeed, u))&^uint32(len(d.ttab)-1) | uint32(o+1)
 		}
 		_, at = d.findTerm(t)
 	}
 	d.arena = append(d.arena, t...)
 	d.toff = append(d.toff, uint32(len(d.arena)))
 	d.tid = append(d.tid, id)
-	d.ttab[at] = uint32(len(d.tid))
+	d.ttab[at] = uint32(maphash.String(dictSeed, t))&^uint32(len(d.ttab)-1) | uint32(len(d.tid))
 	if len(t) == 1 {
 		d.one[t[0]] = id + 1
 	}

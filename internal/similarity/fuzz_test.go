@@ -7,8 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzScoringEquivalence pins the pruned scorer to two references on
@@ -26,9 +28,8 @@ import (
 //     small epsilon.
 //
 // The corpus mixes diverse documents, forced duplicates (tie pressure),
-// and a document derived from the query itself (near-dup pressure), and
-// is built with a fuzzed worker count so parallel indexing stays
-// deterministic too.
+// and a document derived from the query itself (near-dup pressure). It is
+// built with a fuzzed worker count, which BuildSegment now ignores.
 //
 // A third phase pins the segmented index: the same documents
 // appended as a fuzzed number of segments, a fuzzed tombstone pattern
@@ -286,6 +287,97 @@ func FuzzDecodeSegment(f *testing.F) {
 			if !bytes.Equal(out[i], in[i]) {
 				t.Fatalf("section %d re-encodes differently: accepted %x, wrote %x", i, in[i], out[i])
 			}
+		}
+	})
+}
+
+// refTokens is the tokenizer the term scanner replaced, kept as its
+// reference: word runs of [A-Za-z0-9_$'] lowered by strings.ToLower, every
+// other ASCII byte but whitespace a term, a valid non-ASCII rune a term
+// lowered by strings.ToLower, an invalid byte a term as it is.
+func refTokens(text string) []string {
+	isWord := func(c byte) bool {
+		return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '\''
+	}
+	var out []string
+	for i := 0; i < len(text); {
+		c := text[i]
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			i++
+		case isWord(c):
+			start := i
+			for i < len(text) && isWord(text[i]) {
+				i++
+			}
+			out = append(out, strings.ToLower(text[start:i]))
+		case c < utf8.RuneSelf:
+			out = append(out, text[i:i+1])
+			i++
+		default:
+			r, size := utf8.DecodeRuneInString(text[i:])
+			if r == utf8.RuneError && size <= 1 {
+				out = append(out, text[i:i+1])
+				i++
+				break
+			}
+			out = append(out, strings.ToLower(text[i:i+size]))
+			i += size
+		}
+	}
+	return out
+}
+
+// FuzzTermScanner pins the term scanner to refTokens on arbitrary bytes:
+// Tokenize returns the same terms; driven with its scratch reused, as the
+// builder and the query parser drive it, each term is the reference's until
+// the next call; and both dictionaries fed by it — a one-document segment's
+// and a parsed query's — hold the reference's distinct terms in
+// first-appearance order, copied out of the scratch.
+func FuzzTermScanner(f *testing.F) {
+	for _, seed := range []string{
+		"", "module Top(input CLK, output [7:0] Q); assign Q = 8'hFF; endmodule",
+		"wire A$b_C'd = x\t\r\n\vy\f;", "// Ärger ÜBER Σίσυφος İstanbul ǅ K", "\xff\xfe\xc3\xed\xa0\x80 ok",
+		"\xef\xbf\xbd\xc3(\xc3\xa9\x00\x7f", "ABC abc ABC aBc Abc", "a\u0130B\u212aC",
+		"THE QUICK BROWN FOX JUMPS OVER THE LAZY DOG the quick brown fox jumps over the lazy dog 0123456789 $_' @[`{",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		want := refTokens(text)
+		if got := Tokenize(text); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", text, got, want)
+		}
+		s := termScanner{text: text, low: make([]byte, 0, 1)}
+		n := 0
+		for term, ok := s.next(); ok; term, ok = s.next() {
+			if n >= len(want) || term != want[n] {
+				t.Fatalf("term %d of %q is %q, want %q", n, text, term, want)
+			}
+			n++
+		}
+		if n != len(want) {
+			t.Fatalf("%q: scanned %d terms, want %d", text, n, len(want))
+		}
+		var distinct []string
+		for _, term := range want {
+			if !slices.Contains(distinct, term) {
+				distinct = append(distinct, term)
+			}
+		}
+		q := parseQuery(text)
+		defer putQuery(q)
+		g := BuildSegment([]string{"d"}, []string{text}, 0)
+		for i, term := range distinct {
+			if got := string(q.d.termBytes(i)); got != term {
+				t.Fatalf("query unigram %d of %q is %q, want %q", i, text, got, term)
+			}
+			if got := string(g.dict.termBytes(i)); got != term {
+				t.Fatalf("segment unigram %d of %q is %q, want %q", i, text, got, term)
+			}
+		}
+		if len(q.d.tid) != len(distinct) || len(g.dict.tid) != len(distinct) {
+			t.Fatalf("%q: %d query and %d segment unigrams, want %d", text, len(q.d.tid), len(g.dict.tid), len(distinct))
 		}
 	})
 }

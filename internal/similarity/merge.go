@@ -50,7 +50,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 
 		// Re-intern postings ids in ascending source-id order. Within a
 		// document, every bigram was interned after its component unigrams
-		// (addDoc: unigrams first), so when we reach a bigram id, both
+		// (Add: unigrams first), so when we reach a bigram id, both
 		// component terms of any LIVE occurrence already exist in out —
 		// toOut resolves them. Lists whose docs are all tombstoned are
 		// dropped entirely; a bigram over such a list cannot have a live
@@ -75,13 +75,13 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			}
 			var outID int32
 			if key1 == 0 {
-				outID = out.uniID(bstr(src.dict.termBytes(ord)))
+				outID = out.dict.internTerm(bstr(src.dict.termBytes(ord)), out.dict.next())
 			} else {
 				oa, ob := toOut[(key1-1)>>32], toOut[uint32(key1-1)]
 				if oa < 0 || ob < 0 {
 					continue // unreachable for a live doc; defensive
 				}
-				outID = out.pairID(oa, ob)
+				outID = out.dict.internPair(pairKey(oa, ob), out.dict.next())
 			}
 			toOut[id] = outID
 			if int(outID)+2 == len(counts) {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-
-	"freehw/internal/par"
 )
 
 // Segmented index layer (PR 9). A Segment is an immutable, sealed posting
@@ -109,15 +107,6 @@ func (g *Segment) lists() int { return len(g.dict.tid) + g.dict.pairs }
 // pairKey packs two unigram ids into the bigram dictionary key.
 func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// uniID and pairID intern a unigram term (the dictionary keeps a copy of t,
-// never t) and a bigram of two unigram ids, assigning the next postings id
-// on first sight. Interning is construction-time only (builder, merge).
-func (g *Segment) uniID(t string) int32 { return g.dict.internTerm(t, g.dict.next()) }
-
-func (g *Segment) pairID(a, b int32) int32 {
-	return g.dict.internPair(pairKey(a, b), g.dict.next())
 }
 
 // layout sizes the segment for the per-list posting counts in n (list id's
@@ -252,12 +241,13 @@ func (g *Segment) named(name string) []int32 {
 }
 
 // SegmentBuilder is the only mutable index state: it accumulates documents
-// with O(document) work per Add — scan the text, intern each token as it is
-// met, append the document's distinct terms and counts to a doc-major log —
-// and Seal transposes the log into the segment's term-major arenas with one
-// counting sort. The log is 8 bytes a posting in fixed chunks, never copied
-// to grow, and no document text is retained (intern): nothing here is as
-// large as the upload, so the serving layer can stream a body of any size in.
+// with O(document) work per Add — the term scanner interning each term as
+// it meets it, one pass counting the unigrams and bigrams, the distinct terms
+// and counts appended to a doc-major log — and Seal transposes the log into
+// the segment's term-major arenas with one counting sort. The log is 8 bytes
+// a posting in fixed chunks, never copied to grow, and no document text is
+// retained: nothing here is as large as the upload, so the serving layer can
+// stream a body of any size in.
 // Single-writer; Seal hands the segment to concurrent readers and ends it.
 type SegmentBuilder struct {
 	seg   *Segment   // names and dictionaries; nil once sealed
@@ -268,6 +258,7 @@ type SegmentBuilder struct {
 	cnt   []uint32   // per postings id: occurrences in the document being added, zero between Adds
 	tids  []int32    // per token of the document being added: its unigram id
 	ids   []int32    // the document being added's distinct postings ids, in first-use order
+	low   []byte     // the term scanner's scratch
 }
 
 const logShift, logChunk = 16, 1 << 16 // 64 Ki entries, 512 KiB
@@ -284,55 +275,51 @@ func (b *SegmentBuilder) open(op string) *Segment {
 	return b.seg
 }
 
-// intern appends token t's unigram id to tids. t is a substring of a
-// document and the dictionary copies a new term's bytes into its arena: a key
-// aliasing the text would keep a whole upload alive with the segment.
-func (b *SegmentBuilder) intern(t string) { b.tids = append(b.tids, b.seg.uniID(t)) }
-
-// Add appends one document, interning its tokens as they are scanned. Panics after Seal.
+// Add appends one document. Its unigrams are interned as the scanner meets
+// them (the dictionary copies a new term's bytes into its arena: a key
+// aliasing the text would keep a whole upload alive with the segment), then
+// its bigrams: a bigram's id exceeds both its unigrams', which MergeSegments
+// and DecodeSegment rely on. Panics after Seal.
 func (b *SegmentBuilder) Add(name, text string) {
-	b.open("Add")
-	tokens(text, b.intern)
-	b.addDoc(name)
-}
-
-// addDoc logs the document whose unigram ids are in tids. Every unigram was
-// interned before any of the document's bigrams: a bigram's id exceeds both
-// its unigrams', which MergeSegments and DecodeSegment rely on.
-func (b *SegmentBuilder) addDoc(name string) {
-	g := b.seg
-	g.names = append(g.names, name)
+	g := b.open("Add")
+	d, s := &g.dict, termScanner{text: text, low: b.low}
+	for t, ok := s.next(); ok; t, ok = s.next() {
+		b.tids = append(b.tids, d.internTerm(t, d.next()))
+	}
+	g.names, b.low = append(g.names, name), s.low
 	if need := g.lists() + len(b.tids); need > len(b.cnt) { // room for every bigram to be new
 		b.cnt = append(b.cnt, make([]uint32, need-len(b.cnt))...)
 	}
-	bump := func(id int32) {
-		if b.cnt[id] == 0 {
-			b.ids = append(b.ids, id)
+	cnt, ids, tids := b.cnt, b.ids, b.tids
+	for i, id := range tids {
+		if cnt[id] == 0 {
+			ids = append(ids, id)
 		}
-		b.cnt[id]++
-	}
-	for i, id := range b.tids {
-		bump(id)
-		if i+1 < len(b.tids) {
-			bump(g.pairID(id, b.tids[i+1]))
+		cnt[id]++
+		if i+1 < len(tids) {
+			p := d.internPair(pairKey(id, tids[i+1]), d.next())
+			if cnt[p] == 0 {
+				ids = append(ids, p)
+			}
+			cnt[p]++
 		}
 	}
 	// Counts are integers, so the norm is exact regardless of sum order. An
 	// empty document logs nothing: no postings, unreachable by any query.
 	var sum float64
-	for _, id := range b.ids {
+	for _, id := range ids {
 		if b.n>>logShift == len(b.log) { // the first chunk starts empty and grows by append: a small delta's builder stays small
 			b.log = append(b.log, make([]uint64, 0, min(len(b.log), 1)<<logShift))
 		}
-		c := b.cnt[id]
+		c := cnt[id]
 		b.log[b.n>>logShift] = append(b.log[b.n>>logShift], uint64(id)<<32|uint64(c))
 		b.n++
 		sum += float64(c) * float64(c)
-		b.cnt[id] = 0
+		cnt[id] = 0
 	}
 	b.ends = append(b.ends, b.n)
 	b.norms = append(b.norms, math.Sqrt(sum))
-	b.tids, b.ids = b.tids[:0], b.ids[:0]
+	b.tids, b.ids = tids[:0], ids[:0]
 }
 
 // Len returns the number of documents added so far. Panics after Seal.
@@ -345,6 +332,7 @@ func (b *SegmentBuilder) Len() int { return len(b.open("Len").names) }
 // decide which lists are dense, and their postings go straight to their rows.
 func (b *SegmentBuilder) Seal() *Segment {
 	g := b.open("Seal")
+	b.cnt, b.tids, b.ids = nil, nil, nil // the per-document scratch goes before the arenas come
 	n := make([]uint32, g.lists()+2)
 	for _, chunk := range b.log {
 		for _, e := range chunk {
@@ -368,24 +356,13 @@ func (b *SegmentBuilder) Seal() *Segment {
 }
 
 // BuildSegment is the batch form of the builder, for callers that hold the
-// corpus: tokenization fans out over at most workers goroutines (<= 0 means
-// GOMAXPROCS), buildWindow documents at a time into reused token slices;
-// interning and insertion stay sequential, so the segment is the same at any
-// worker count. names and texts run in parallel.
-func BuildSegment(names, texts []string, workers int) *Segment {
-	const buildWindow = 256
+// corpus: each text is added in order under its name. The last argument, once
+// a tokenizing worker count, is ignored: interning was always sequential.
+func BuildSegment(names, texts []string, _ int) *Segment {
 	b := NewSegmentBuilder()
 	names = append(slices.Clip(names), make([]string, max(0, len(texts)-len(names)))...) // documents past the names are ""
-	toks := make([][]string, buildWindow)
-	for lo := 0; lo < len(texts); lo += buildWindow {
-		n := min(buildWindow, len(texts)-lo)
-		par.ForEach(workers, n, func(i int) { toks[i] = appendTokens(toks[i][:0], texts[lo+i]) })
-		for i := range n {
-			for _, t := range toks[i] {
-				b.intern(t)
-			}
-			b.addDoc(names[lo+i])
-		}
+	for i, text := range texts {
+		b.Add(names[i], text)
 	}
 	return b.Seal()
 }

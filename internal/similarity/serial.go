@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 )
 
 // Segment serialization: the sealed index structure — names, the unigram
@@ -47,23 +48,17 @@ type reader struct {
 }
 
 func (r *reader) u32() uint32 {
-	if r.off+4 > len(r.b) {
-		r.err = true
-		return 0
+	if b := r.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 
 func (r *reader) u64() uint64 {
-	if r.off+8 > len(r.b) {
-		r.err = true
-		return 0
+	if b := r.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 
 func (r *reader) bytes(n int) []byte {
@@ -84,50 +79,65 @@ func (r *reader) done() bool { return !r.err && r.off == len(r.b) }
 // encoding. Safe beside queries — the segment is sealed; emit's first error stops it.
 func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 	const encodeChunk = 64 << 10
-	d := &g.dict
+	d, b := &g.dict, make([]byte, 0, 2*encodeChunk)
 	pairs := d.pairsByID(g.lists())
-	counts := [SnapshotSections]int{len(g.names), len(d.tid), d.pairs, g.lists()}
 	walks := [SnapshotSections]int{len(g.names), len(d.tid), g.lists(), g.lists()} // the bigrams pick their ids out of all
-	items := [SnapshotSections]func(b []byte, i int) []byte{
-		func(b []byte, i int) []byte { return append(appendU32(b, uint32(len(g.names[i]))), g.names[i]...) },
-		func(b []byte, o int) []byte { // unigrams sit in the arena in id order
-			t := d.termBytes(o)
-			return append(appendU32(appendU32(b, uint32(d.tid[o])), uint32(len(t))), t...)
-		},
-		func(b []byte, id int) []byte {
-			if pairs[id] == 0 {
-				return b
+	for sec, count := range [SnapshotSections]int{len(g.names), len(d.tid), d.pairs, g.lists()} {
+		b = appendU32(b[:0], uint32(count))
+		for i, walk := 0, walks[sec]; i <= walk; i++ {
+			switch {
+			case i == walk:
+			case sec == 0:
+				b = append(appendU32(b, uint32(len(g.names[i]))), g.names[i]...)
+			case sec == 1: // unigrams sit in the arena in id order
+				t := d.termBytes(i)
+				b = append(appendU32(appendU32(b, uint32(d.tid[i])), uint32(len(t))), t...)
+			case sec == 2 && pairs[i] != 0:
+				b = appendU32(appendU64(b, pairs[i]-1), uint32(i))
+			case sec == 3:
+				b = g.appendList(b, i)
 			}
-			return appendU32(appendU64(b, pairs[id]-1), uint32(id))
-		},
-		func(b []byte, id int) []byte {
-			list := g.list(int32(id))
-			b = appendU32(b, list.df)
-			for d := range list.postings {
-				b = appendU32(b, uint32(d))
-			}
-			for _, w := range list.postings {
-				b = appendU64(b, math.Float64bits(w))
-			}
-			return b
-		},
-	}
-	buf := make([]byte, 0, 2*encodeChunk)
-	for sec, item := range items {
-		buf = appendU32(buf[:0], uint32(counts[sec]))
-		for i, n := 0, walks[sec]; i <= n; i++ {
-			if i < n {
-				buf = item(buf, i)
-			}
-			if len(buf) >= encodeChunk || i == n { // a full chunk, or the section's last
-				if err := emit(sec, buf); err != nil {
+			if len(b) >= encodeChunk || i == walk { // a full chunk, or the section's last
+				if err := emit(sec, b); err != nil {
 					return err
 				}
-				buf = buf[:0]
+				b = b[:0]
 			}
 		}
 	}
 	return nil
+}
+
+// appendList appends list id as one run — its count, its documents, its
+// weights — each a plain loop over its arena range or its row's non-zero
+// slots (no weight is +0).
+func (g *Segment) appendList(b []byte, id int) []byte {
+	lo, hi, at, le := g.off[id], g.off[id+1], len(b), binary.LittleEndian
+	c := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, df: hi - lo}
+	if lo == hi {
+		c = g.list(int32(id))
+	}
+	n := int(c.df)
+	b = slices.Grow(b, 4+12*n)[:at+4+12*n]
+	le.PutUint32(b[at:], c.df)
+	outD, outW := b[at+4:at+4+4*n], b[at+4+4*n:]
+	if c.row < 0 {
+		for j, d := range c.docs {
+			le.PutUint32(outD[4*j:], uint32(d))
+		}
+		for j, w := range c.ws {
+			le.PutUint64(outW[8*j:], math.Float64bits(w))
+		}
+		return b
+	}
+	for d, w := range c.ws {
+		if w != 0 {
+			le.PutUint32(outD, uint32(d))
+			le.PutUint64(outW, math.Float64bits(w))
+			outD, outW = outD[4:], outW[8:]
+		}
+	}
+	return b
 }
 
 // EncodeSections collects WriteSections' output; it aliases nothing in the segment.
@@ -184,15 +194,19 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	}
 	g := &Segment{}
 
-	// Names.
+	// Names: substrings of one copy of their section.
 	r := &reader{b: sections[0]}
 	nNames := int(r.u32())
 	if r.err || nNames < 0 || nNames > len(sections[0])/4 {
 		return nil, ErrCorruptSnapshot
 	}
+	all := string(sections[0])
 	g.names = make([]string, 0, nNames)
 	for i := 0; i < nNames; i++ {
-		g.names = append(g.names, string(r.bytes(int(r.u32()))))
+		n := int(r.u32())
+		if r.bytes(n); !r.err {
+			g.names = append(g.names, all[r.off-n:r.off])
+		}
 	}
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
@@ -221,28 +235,32 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
 	}
-	cur := g.layout(counts)
+	// Each list is validated as it is copied, a run at a time, into its arena
+	// range or its row: documents ascend, as the rows, binary searches and tie
+	// rule need, and a weight, count/norm, is in (0, 1] and not NaN, as the
+	// pruning bounds, the rows' +0 slots and the accumulators assume.
+	cur, le := g.layout(counts), binary.LittleEndian
 	r = &reader{b: sections[3], off: 4} // the pre-pass vouched for every length
 	for id, nNames := 0, int32(len(g.names)); id < nPost; id++ {
 		n := int(r.u32())
 		docs, ws := r.bytes(4*n), r.bytes(8*n)
+		var row, outW []float64
+		var outD []int32
+		if c := cur[id+1]; ^c < uint32(len(g.dense)) {
+			row = g.dws[int(^c)*int(nNames):][:nNames]
+		} else {
+			outD, outW, cur[id+1] = g.docs[c:c+uint32(n)], g.ws[c:c+uint32(n)], c+uint32(n)
+		}
 		for j, prev := 0, int32(-1); j < n; j++ {
-			// Doc-ordered lists are what the dense rows, the binary searches
-			// and the tie rule rely on; the builder always writes them
-			// ascending, so anything else is corruption.
-			d := int32(binary.LittleEndian.Uint32(docs[4*j:]))
-			if d <= prev || d >= nNames {
+			d, w := int32(le.Uint32(docs[4*j:])), math.Float64frombits(le.Uint64(ws[8*j:]))
+			if d <= prev || d >= nNames || !(w > 0 && w <= 1) {
 				return nil, ErrCorruptSnapshot
 			}
-			// A weight is count/norm of a document containing the term, so
-			// it lies in (0, 1]; the pruning bounds, the rows' +0 slots and
-			// the "zero means untouched" accumulators assume exactly that.
-			// Rejects NaN too.
-			w := math.Float64frombits(binary.LittleEndian.Uint64(ws[8*j:]))
-			if !(w > 0 && w <= 1) {
-				return nil, ErrCorruptSnapshot
+			if row != nil {
+				row[d] = w
+			} else {
+				outD[j], outW[j] = d, w
 			}
-			g.place(cur, id, d, w)
 			prev = d
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -162,6 +163,102 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 	for name, secs := range cases {
 		if _, err := DecodeSnapshot(secs); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
+		}
+	}
+}
+
+// writeSectionsRef is the per-posting encoder WriteSections replaced, kept as
+// its reference: every item and every posting goes through a closure.
+func writeSectionsRef(g *Segment, emit func(sec int, chunk []byte) error) error {
+	const encodeChunk = 64 << 10
+	d := &g.dict
+	pairs := d.pairsByID(g.lists())
+	counts := [SnapshotSections]int{len(g.names), len(d.tid), d.pairs, g.lists()}
+	walks := [SnapshotSections]int{len(g.names), len(d.tid), g.lists(), g.lists()} // the bigrams pick their ids out of all
+	items := [SnapshotSections]func(b []byte, i int) []byte{
+		func(b []byte, i int) []byte { return append(appendU32(b, uint32(len(g.names[i]))), g.names[i]...) },
+		func(b []byte, o int) []byte { // unigrams sit in the arena in id order
+			t := d.termBytes(o)
+			return append(appendU32(appendU32(b, uint32(d.tid[o])), uint32(len(t))), t...)
+		},
+		func(b []byte, id int) []byte {
+			if pairs[id] == 0 {
+				return b
+			}
+			return appendU32(appendU64(b, pairs[id]-1), uint32(id))
+		},
+		func(b []byte, id int) []byte {
+			list := g.list(int32(id))
+			b = appendU32(b, list.df)
+			for d := range list.postings {
+				b = appendU32(b, uint32(d))
+			}
+			for _, w := range list.postings {
+				b = appendU64(b, math.Float64bits(w))
+			}
+			return b
+		},
+	}
+	buf := make([]byte, 0, 2*encodeChunk)
+	for sec, item := range items {
+		buf = appendU32(buf[:0], uint32(counts[sec]))
+		for i, n := 0, walks[sec]; i <= n; i++ {
+			if i < n {
+				buf = item(buf, i)
+			}
+			if len(buf) >= encodeChunk || i == n { // a full chunk, or the section's last
+				if err := emit(sec, buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	return nil
+}
+
+// WriteSections writes the bytes writeSectionsRef writes on segments from
+// every constructor: built (with dense rows), built by the streaming builder
+// and appended as a delta, merged over tombstones, decoded, and empty. An
+// emit error stops it at once and is returned.
+func TestWriteSectionsMatchesReference(t *testing.T) {
+	names, texts := protectedDocs(600)
+	base := BuildSegment(names[:500], texts[:500], 0)
+	snap := new(Snapshot).Append(base).Append(buildSegmented(names[500:], texts[500:], []int{100})[0])
+	snap, _ = snap.Remove(append(names[3:40:40], names[550]))
+	merged := MergeSegments([]*Segment{snap.Segment(0), snap.Segment(1)}, [][]uint64{snap.SegmentDead(0), snap.SegmentDead(1)})
+	decoded, err := DecodeSegment(merged.EncodeSections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.dense) == 0 {
+		t.Fatal("the built segment has no dense rows to write")
+	}
+	for _, c := range []struct {
+		name string
+		g    *Segment
+	}{{"built", base}, {"delta", snap.Segment(1)}, {"merged", merged}, {"decoded", decoded}, {"empty", BuildSegment(nil, nil, 0)}} {
+		want := make([][]byte, SnapshotSections)
+		writeSectionsRef(c.g, func(sec int, chunk []byte) error {
+			want[sec] = append(want[sec], chunk...)
+			return nil
+		})
+		requireSameSections(t, c.name, c.g.EncodeSections(), want)
+	}
+	stop := errors.New("stop")
+	for k := 1; ; k++ {
+		calls := 0
+		err := base.WriteSections(func(int, []byte) error {
+			if calls++; calls == k {
+				return stop
+			}
+			return nil
+		})
+		if calls == k-1 && err == nil {
+			break // every chunk written
+		}
+		if err != stop || calls != k {
+			t.Fatalf("emit failing at call %d: WriteSections returned %v after %d calls", k, err, calls)
 		}
 	}
 }

@@ -29,76 +29,87 @@ type Vector struct {
 	norm  float64
 }
 
-// tokensRaw streams the raw comparison terms to fn without materializing
-// a slice or lowercasing: word tokens are reported verbatim with a flag
-// saying whether they carry upper case (word bytes are pure ASCII, so
-// lowering is a byte map the caller can apply into scratch). Non-ASCII
-// runes are lowered here — they are rare enough that the allocation does
-// not matter — and reported with hasUpper=false.
-func tokensRaw(text string, fn func(tok string, hasUpper bool)) {
-	i := 0
-	n := len(text)
-	isWord := func(c byte) bool {
-		return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '\''
+// Byte classes of the term scanner: an ASCII word byte (identifier, keyword
+// or number), cUpper also set on A–Z, and cSpace; every other ASCII byte is a
+// term of its own, and a byte from 0x80 up starts a rune.
+const (
+	cWord = 1 << iota
+	cUpper
+	cSpace
+)
+
+var termClass = func() (c [256]uint8) {
+	for _, b := range "abcdefghijklmnopqrstuvwxyz0123456789_$'" {
+		c[b] = cWord
 	}
-	for i < n {
-		c := text[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case isWord(c):
-			start := i
-			hasUpper := false
-			for i < n && isWord(text[i]) {
-				if text[i] >= 'A' && text[i] <= 'Z' {
-					hasUpper = true
-				}
-				i++
-			}
-			fn(text[start:i], hasUpper)
-		case c < utf8.RuneSelf:
-			fn(text[i:i+1], false)
-			i++
-		default:
-			r, size := utf8.DecodeRuneInString(text[i:])
-			if r == utf8.RuneError && size <= 1 {
-				fn(text[i:i+1], false) // invalid byte, kept verbatim
-				i++
-				break
-			}
-			fn(strings.ToLower(text[i:i+size]), false)
-			i += size
-		}
+	for b := 'A'; b <= 'Z'; b++ {
+		c[b] = cWord | cUpper
 	}
+	for _, b := range " \t\n\r" {
+		c[b] = cSpace
+	}
+	return c
+}()
+
+// termScanner is the one tokenizer: the builder, the query parser and
+// Tokenize each drive its next loop over a text. A term is a substring of the
+// text unless a word carries ASCII upper case, which is lowered into the reused
+// scratch low, valid until the next call (the dictionaries copy what they
+// keep); only a non-ASCII rune goes through strings.ToLower.
+type termScanner struct {
+	text string
+	i    int
+	low  []byte
 }
 
-// tokens streams Tokenize's terms to fn without materializing the slice —
-// the zero-allocation core the indexing path iterates (substrings share
-// the input's backing array; ToLower only allocates when a token actually
-// carries upper case). For pure-ASCII word tokens strings.ToLower is
-// exactly the A–Z byte map, so this emits the same terms the query path
-// resolves through its scratch-buffer lowering.
-func tokens(text string, fn func(string)) {
-	tokensRaw(text, func(t string, hasUpper bool) {
-		if hasUpper {
-			t = strings.ToLower(t)
+// next returns the next term, or false at the end of the text.
+func (s *termScanner) next() (string, bool) {
+	text, i := s.text, s.i
+	for i < len(text) && termClass[text[i]] == cSpace {
+		i++
+	}
+	if i == len(text) {
+		return "", false
+	}
+	start, up := i, uint8(0)
+	for ; i < len(text) && termClass[text[i]]&cWord != 0; i++ {
+		up |= termClass[text[i]]
+	}
+	switch s.i = i; {
+	case up&cUpper != 0:
+		s.low = append(s.low[:0], text[start:i]...)
+		for j, c := range s.low {
+			if termClass[c]&cUpper != 0 {
+				s.low[j] = c + 'a' - 'A'
+			}
 		}
-		fn(t)
-	})
+		return bstr(s.low), true
+	case i > start:
+		return text[start:i], true
+	}
+	size := 1 // not a word: an ASCII byte, a rune or an invalid byte, each a term
+	if text[i] >= utf8.RuneSelf {
+		_, size = utf8.DecodeRuneInString(text[i:])
+	}
+	if s.i = i + size; size > 1 {
+		return strings.ToLower(text[i:s.i]), true
+	}
+	return text[i:s.i], true
 }
 
 // Tokenize splits code into comparison terms: identifiers/keywords, numbers,
-// and operator glyphs. Whitespace and formatting differences vanish, so
-// reformatted copies still match. Non-ASCII runes (comments, exotic
+// and operator glyphs, lowered. Whitespace and formatting differences vanish,
+// so reformatted copies still match. Non-ASCII runes (comments, exotic
 // identifiers) are emitted whole, one term per rune — splitting them into
 // bytes would make every multi-byte script share continuation-byte terms
 // and spuriously correlate unrelated files. Invalid UTF-8 bytes stay
 // single-byte terms.
-func Tokenize(text string) []string { return appendTokens(nil, text) }
-
-// appendTokens is Tokenize into a caller's buffer.
-func appendTokens(out []string, text string) []string {
-	tokens(text, func(t string) { out = append(out, t) })
+func Tokenize(text string) []string {
+	out, s := []string(nil), termScanner{text: text}
+	for t, ok := s.next(); ok; t, ok = s.next() {
+		out = append(out, t)
+		s.low = nil // each lowered term keeps its own bytes
+	}
 	return out
 }
 
@@ -185,7 +196,7 @@ type query struct {
 	keys []uint64
 	cnt  []uint32
 	norm float64
-	low  []byte // scratch for lowering a word token
+	low  []byte // the term scanner's scratch
 }
 
 // queryPool holds parsed queries for reuse, their tables sized for a typical
@@ -196,18 +207,8 @@ var queryPool = sync.Pool{New: func() any { return &query{d: newDict(128, 1024, 
 func parseQuery(text string) *query {
 	q := queryPool.Get().(*query)
 	prev := int32(-1)
-	tokensRaw(text, func(t string, hasUpper bool) {
-		if hasUpper {
-			b := q.low[:0]
-			for i := 0; i < len(t); i++ {
-				ch := t[i]
-				if ch >= 'A' && ch <= 'Z' {
-					ch += 'a' - 'A'
-				}
-				b = append(b, ch)
-			}
-			q.low, t = b, bstr(b) // internTerm copies a new term out of the scratch
-		}
+	s := termScanner{text: text, low: q.low}
+	for t, ok := s.next(); ok; t, ok = s.next() {
 		id := q.d.internTerm(t, q.d.next())
 		q.add(id, 0)
 		if prev >= 0 {
@@ -215,7 +216,8 @@ func parseQuery(text string) *query {
 			q.add(q.d.internPair(k, q.d.next()), k+1)
 		}
 		prev = id
-	})
+	}
+	q.low = s.low
 	var sum float64
 	for _, c := range q.cnt {
 		v := float64(c)

@@ -146,7 +146,7 @@ func (e *Entry) Prepared(content string, p *dedup.Preparer) dedup.Prepared {
 	a := e.lazy()
 	a.prepOnce.Do(func() {
 		a.prep = p.Prepare(content)
-		e.charge(8 * int64(len(a.prep.Shingles)+len(a.prep.Sig)+len(a.prep.Bands)))
+		e.charge(8 * int64(len(a.prep.Shingles)+len(a.prep.Bands)))
 	})
 	return a.prep
 }
@@ -305,7 +305,7 @@ type Store struct {
 
 // prepKey reduces dopt to the fields cached dedup artifacts actually
 // depend on: Threshold only affects candidate acceptance in the index,
-// never the shingles/signature/band hashes, so runs differing only in
+// never the shingles or band hashes, so runs differing only in
 // threshold (a natural ablation sweep) share one store.
 func prepKey(dopt dedup.Options) dedup.Options {
 	n := dopt.Normalized()

@@ -476,13 +476,13 @@ func TestFirstUseRace(t *testing.T) {
 	evictors := contentForShard(t, KeyOf(protectedSrc)[0]&(storeShards-1), 64)
 
 	var wg sync.WaitGroup
-	sigs := make([]*uint64, 8)
-	for g := range sigs {
+	bands := make([]*uint64, 8)
+	for g := range bands {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			an := allFour(e, protectedSrc, prep)
-			sigs[g] = &an.prep.Sig[0]
+			bands[g] = &an.prep.Bands[0]
 			if !reflect.DeepEqual(an, wantAn) {
 				t.Errorf("goroutine %d: analyses diverged from a standalone entry's", g)
 			}
@@ -503,8 +503,8 @@ func TestFirstUseRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for g, p := range sigs {
-		if p != sigs[0] {
+	for g, p := range bands {
+		if p != bands[0] {
 			t.Fatalf("goroutine %d saw its own Prepared: computed more than once", g)
 		}
 	}
