@@ -1,7 +1,11 @@
 package vlog
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"freehw/internal/corpus"
@@ -49,10 +53,16 @@ var trickySeeds = []string{
 	"module m; generate for endgenerate endmodule",
 	"module m; function f; endfunction endmodule",
 	"module m(input a, output y); assign y = a ? : 1; endmodule",
+	"module m; wire x = 1e999; endmodule",
+	"module m; wire [3:0] x = 4'b\n  1010; initial $display(\"a\\\nb\", x); endmodule",
+	"0'b1 70000'h1 8'b102 8'o78 'd1x 'dz 'd?? 12'h__ 1e 1e+ 1.5e3 1_0.2_5 99999999999999999999 18446744073709551615 8'hx 4'sb1z",
 }
 
-// FuzzTokenize: the lexer must never panic, whatever the input. On
-// success, every token must carry a position inside the source bounds.
+// FuzzTokenize holds the lexer to the reference lexer it replaced: the same
+// tokens (kind, text and position, the final EOF included) and the same
+// first error, message and position, on any input. Each NUMBER must also
+// parse to the same value or error as under the reference literal parser.
+// The last seed spells every reserved word once.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range corpusSeeds() {
 		f.Add(s)
@@ -60,15 +70,32 @@ func FuzzTokenize(f *testing.F) {
 	for _, s := range trickySeeds {
 		f.Add(s)
 	}
+	var words []string
+	for w := range refKeywords {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	f.Add(strings.Join(words, " ") + " \\module $module moduleX clk begin_ endx Table forkk")
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := Tokenize(src)
-		if err != nil {
-			return
-		}
-		for _, tok := range toks {
-			if tok.Pos.Line < 1 || tok.Pos.Col < 1 {
-				t.Fatalf("token %q has invalid position %v", tok.Text, tok.Pos)
+		l, ref := NewLexer(src), newRefLexer(src)
+		for i := 0; ; i++ {
+			got, want := l.Next(), ref.Next()
+			if got != want {
+				t.Fatalf("token %d: got %#v, want %#v", i, got, want)
 			}
+			if got.Kind == NUMBER {
+				e, err := parseNumericToken(got)
+				refE, refErr := refParseNumericToken(want)
+				if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(e, refE) {
+					t.Fatalf("literal %q: got %#v, %v; want %#v, %v", got.Text, e, err, refE, refErr)
+				}
+			}
+			if got.Kind == EOF {
+				break
+			}
+		}
+		if got, want := fmt.Sprint(l.Err()), fmt.Sprint(ref.Err()); got != want {
+			t.Fatalf("error: got %s, want %s", got, want)
 		}
 	})
 }

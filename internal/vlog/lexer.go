@@ -2,6 +2,7 @@ package vlog
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -17,25 +18,52 @@ func (e *SyntaxError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg
 // preprocessor (`define of object-like macros, `ifdef/`ifndef/`else/`endif,
 // and line-oriented directives such as `timescale which are skipped), and
 // escaped identifiers.
+//
+// It is the package's only Verilog scanner. Its core, scan, returns a
+// token's kind and byte span, and the lexer keeps the start of the current
+// line rather than a column, so a Pos is built only when Next wraps a span
+// into a Token for the parser. QuickCheck's statement machine reads scan
+// directly and builds no tokens at all.
 type Lexer struct {
-	src    string
-	off    int
-	line   int
-	col    int
-	macros map[string]string
+	src       string
+	off       int
+	line      int   // 1-based line of off
+	lineStart int   // offset of that line's first byte
+	word      uint8 // classifyWord of the last identifier scanned
+	// quick marks QuickCheck's scan: a directive is an error, and errors
+	// carry no message, so a failed scan allocates nothing.
+	quick  bool
+	macros map[string]string // made at the first `define
 	// ifdef stack: true means the current branch is active.
 	condStack []bool
 	err       *SyntaxError
 }
 
+// errQuick is the error a quick scan records in place of a message.
+var errQuick = &SyntaxError{Msg: "outside QuickCheck's subset"}
+
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1, macros: map[string]string{}}
+	return &Lexer{src: src, line: 1}
 }
 
 func (l *Lexer) errorf(p Pos, format string, args ...any) {
 	if l.err == nil {
+		if l.quick {
+			l.err = errQuick
+			return
+		}
 		l.err = &SyntaxError{Pos: p, Msg: fmt.Sprintf(format, args...)}
+	}
+}
+
+// errorByte is errorf for a message that quotes the byte c. The quoted
+// text is made here, so a quick scan never makes it.
+func (l *Lexer) errorByte(p Pos, format string, c byte) {
+	if !l.quick {
+		l.errorf(p, format, string(c))
+	} else if l.err == nil {
+		l.err = errQuick
 	}
 }
 
@@ -47,7 +75,13 @@ func (l *Lexer) Err() error {
 	return l.err
 }
 
-func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
+func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.off - l.lineStart + 1} }
+
+// newline records that the byte at offset i is a '\n'.
+func (l *Lexer) newline(i int) {
+	l.line++
+	l.lineStart = i + 1
+}
 
 func (l *Lexer) peek() byte {
 	if l.off >= len(l.src) {
@@ -68,13 +102,10 @@ func (l *Lexer) advance() byte {
 		return 0
 	}
 	c := l.src[l.off]
-	l.off++
 	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+		l.newline(l.off)
 	}
+	l.off++
 	return c
 }
 
@@ -88,49 +119,82 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
+// isBasedDigit reports whether c may appear in a based literal's value.
+func isBasedDigit(c byte) bool {
+	return c == '_' || isDigit(c) || (c|0x20 >= 'a' && c|0x20 <= 'f') || isXZ(c)
+}
+
+// skipIdent returns the end of the identifier characters from offset i.
+func skipIdent(src string, i int) int {
+	for i < len(src) && isIdentPart(src[i]) {
+		i++
+	}
+	return i
+}
+
+// skipDigits returns the end of the decimal digits and underscores from i.
+func skipDigits(src string, i int) int {
+	for i < len(src) && (isDigit(src[i]) || src[i] == '_') {
+		i++
+	}
+	return i
+}
+
 // skipSpaceAndComments consumes whitespace, comments, and preprocessor
-// directives, returning when the next token starts or input ends.
+// directives, returning when the next token starts or input ends. A NUL
+// byte ends it, as it ends a line comment: it then lexes as an error.
 func (l *Lexer) skipSpaceAndComments() {
-	for {
-		c := l.peek()
+	src, i := l.src, l.off
+	for i < len(src) {
+		c := src[i]
 		switch {
+		case c == ' ' || c == '\t' || c == '\r':
+			i++
+			continue
+		case c == '\n':
+			l.newline(i)
+			i++
+			continue
+		case c != 0 && c != '`' && c != '/':
 		case c == 0:
+			l.off = i
 			return
-		case isSpace(c):
-			l.advance()
-		case c == '/' && l.peek2() == '/':
-			for l.peek() != 0 && l.peek() != '\n' {
-				l.advance()
+		case c == '`':
+			l.off = i
+			if l.quick {
+				l.errorf(l.pos(), "directive")
+				return
 			}
-		case c == '/' && l.peek2() == '*':
-			p := l.pos()
-			l.advance()
-			l.advance()
-			closed := false
-			for l.peek() != 0 {
-				if l.peek() == '*' && l.peek2() == '/' {
-					l.advance()
-					l.advance()
-					closed = true
+			l.directive()
+			src, i = l.src, l.off
+			continue
+		case i+1 < len(src) && src[i+1] == '/':
+			for i += 2; i < len(src) && src[i] != '\n' && src[i] != 0; i++ {
+			}
+			continue
+		case i+1 < len(src) && src[i+1] == '*':
+			p := Pos{Line: l.line, Col: i - l.lineStart + 1}
+			for i += 2; i < len(src) && src[i] != 0; i++ {
+				if src[i] == '\n' {
+					l.newline(i)
+				} else if src[i] == '*' && i+1 < len(src) && src[i+1] == '/' {
 					break
 				}
-				l.advance()
 			}
-			if !closed {
+			if i >= len(src) || src[i] == 0 {
+				l.off = i
 				l.errorf(p, "unterminated block comment")
 				return
 			}
-		case c == '`':
-			l.directive()
-		default:
-			if l.suppressed() {
-				// Inside a false `ifdef branch: consume one raw char.
-				l.advance()
-				continue
-			}
-			return
+			i += 2
+			continue
 		}
+		if len(l.condStack) == 0 || !l.suppressed() {
+			break
+		}
+		i++ // inside a false `ifdef branch: consume one raw char
 	}
+	l.off = i
 }
 
 // suppressed reports whether the lexer is inside an inactive `ifdef branch.
@@ -148,9 +212,7 @@ func (l *Lexer) directive() {
 	p := l.pos()
 	l.advance() // consume `
 	start := l.off
-	for isIdentPart(l.peek()) {
-		l.advance()
-	}
+	l.off = skipIdent(l.src, start)
 	name := l.src[start:l.off]
 	switch name {
 	case "define":
@@ -172,6 +234,9 @@ func (l *Lexer) directive() {
 		body := ""
 		if len(fields) == 2 {
 			body = strings.TrimSpace(fields[1])
+		}
+		if l.macros == nil {
+			l.macros = map[string]string{}
 		}
 		l.macros[macro] = body
 	case "undef":
@@ -242,275 +307,222 @@ func (l *Lexer) restOfLine() string {
 
 // Next returns the next token. After an error it returns EOF.
 func (l *Lexer) Next() Token {
-	l.skipSpaceAndComments()
-	p := l.pos()
-	if l.err != nil || l.off >= len(l.src) {
-		return Token{Kind: EOF, Pos: p}
+	k, start := l.scan()
+	t := Token{Kind: k, Pos: l.tokPos(start)}
+	switch k {
+	case IDENT, KEYWORD, NUMBER, SYSNAME:
+		t.Text = l.src[start:l.off]
+		if t.Text[0] == '\\' { // escaped identifier
+			t.Text = t.Text[1:]
+		}
+	case STRING:
+		t.Text = unquote(l.src[start+1 : l.off-1])
 	}
-	c := l.peek()
-	switch {
+	return t
+}
+
+// tokPos is the position of the token scan just returned, which starts at
+// start. Only a string with an escaped newline and a based literal with a
+// line break before its digits span lines; for those the line is counted
+// back from the source, whose every newline before l.off has been counted.
+func (l *Lexer) tokPos(start int) Pos {
+	if start >= l.lineStart {
+		return Pos{Line: l.line, Col: start - l.lineStart + 1}
+	}
+	return Pos{Line: l.line - strings.Count(l.src[start:l.off], "\n"),
+		Col: start - strings.LastIndexByte(l.src[:start], '\n')}
+}
+
+// scan is the scanning core. It skips space, comments and directives, lexes
+// one token and returns its kind and the offset it starts at; the token ends
+// at l.off. An identifier's classifyWord is left in l.word, an escaped one's
+// as tSuspect. After an error it returns EOF.
+func (l *Lexer) scan() (Kind, int) {
+	l.skipSpaceAndComments()
+	src, start := l.src, l.off
+	if l.err != nil || start >= len(src) {
+		return EOF, start
+	}
+	switch c := src[start]; {
 	case isIdentStart(c):
-		start := l.off
-		for isIdentPart(l.peek()) {
-			l.advance()
+		l.off = skipIdent(src, start+1)
+		if l.word = classifyWord(src[start:l.off]); l.word != tIdent {
+			return KEYWORD, start
 		}
-		text := l.src[start:l.off]
-		// A based literal may follow a decimal size that itself followed an
-		// identifier boundary; sizes are lexed as NUMBER below.
-		if keywords[text] {
-			return Token{Kind: KEYWORD, Text: text, Pos: p}
-		}
-		return Token{Kind: IDENT, Text: text, Pos: p}
+		return IDENT, start
 	case c == '\\':
 		// Escaped identifier: backslash to next whitespace.
-		l.advance()
-		start := l.off
-		for l.peek() != 0 && !isSpace(l.peek()) {
-			l.advance()
+		i := start + 1
+		for i < len(src) && src[i] != 0 && !isSpace(src[i]) {
+			i++
 		}
-		if l.off == start {
-			l.errorf(p, "empty escaped identifier")
-			return Token{Kind: EOF, Pos: p}
+		if i == start+1 {
+			l.errorf(l.pos(), "empty escaped identifier")
+			return EOF, start
 		}
-		return Token{Kind: IDENT, Text: l.src[start:l.off], Pos: p}
+		l.off = i
+		l.word = tSuspect
+		return IDENT, start
 	case c == '$':
-		l.advance()
-		start := l.off
-		for isIdentPart(l.peek()) {
-			l.advance()
+		if i := skipIdent(src, start+1); i > start+1 {
+			l.off = i
+			return SYSNAME, start
 		}
-		if l.off == start {
-			l.errorf(p, "bare '$'")
-			return Token{Kind: EOF, Pos: p}
-		}
-		return Token{Kind: SYSNAME, Text: "$" + l.src[start:l.off], Pos: p}
+		l.errorf(l.pos(), "bare '$'")
+		return EOF, start
 	case isDigit(c) || c == '\'':
-		return l.number(p)
+		return l.number(), start
 	case c == '"':
-		return l.stringLit(p)
-	default:
-		return l.operator(p)
+		return l.stringLit(), start
+	case punct[c] != EOF:
+		l.off++
+		return punct[c], start
 	}
+	return l.operator(), start
 }
 
 // number lexes decimal, based (4'b1010), and real literals. The token text is
-// the raw literal; numeric interpretation happens in the parser.
-func (l *Lexer) number(p Pos) Token {
-	start := l.off
-	for isDigit(l.peek()) || l.peek() == '_' {
-		l.advance()
-	}
-	// Optional base part: 'b 'o 'd 'h with optional s for signed.
-	if l.peek() == '\'' {
-		l.advance()
-		if l.peek() == 's' || l.peek() == 'S' {
-			l.advance()
+// the raw literal; literalFault holds the rules its value must keep.
+func (l *Lexer) number() Kind {
+	src, p := l.src, l.pos()
+	i := skipDigits(src, l.off)
+	if i < len(src) && src[i] == '\'' {
+		// Base part: 'b 'o 'd 'h with optional s for signed.
+		i++
+		if i < len(src) && src[i]|0x20 == 's' {
+			i++
 		}
-		base := l.peek()
-		switch base {
-		case 'b', 'B', 'o', 'O', 'd', 'D', 'h', 'H':
-			l.advance()
+		var base byte
+		if i < len(src) {
+			base = src[i]
+		}
+		switch base | 0x20 {
+		case 'b', 'o', 'd', 'h':
+			i++
 		default:
-			l.errorf(p, "invalid numeric base %q", string(base))
-			return Token{Kind: EOF, Pos: p}
+			l.off = i
+			l.errorByte(p, "invalid numeric base %q", base)
+			return EOF
 		}
 		// Value digits may be separated from the base by whitespace.
-		for isSpace(l.peek()) {
-			l.advance()
-		}
-		digs := 0
-		for {
-			c := l.peek()
-			if c == '_' || isDigit(c) ||
-				(c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') ||
-				c == 'x' || c == 'X' || c == 'z' || c == 'Z' || c == '?' {
-				l.advance()
-				digs++
-				continue
+		for ; i < len(src) && isSpace(src[i]); i++ {
+			if src[i] == '\n' {
+				l.newline(i)
 			}
-			break
 		}
-		if digs == 0 {
+		digits := i
+		for i < len(src) && isBasedDigit(src[i]) {
+			i++
+		}
+		l.off = i
+		if i == digits {
 			l.errorf(p, "based literal missing digits")
-			return Token{Kind: EOF, Pos: p}
+			return EOF
 		}
-	} else if l.peek() == '.' && isDigit(l.peek2()) {
-		l.advance()
-		for isDigit(l.peek()) || l.peek() == '_' {
-			l.advance()
+		return NUMBER
+	}
+	if i+1 < len(src) && src[i] == '.' && isDigit(src[i+1]) {
+		i = skipDigits(src, i+1)
+	}
+	if i < len(src) && src[i]|0x20 == 'e' {
+		i++
+		if i < len(src) && (src[i] == '+' || src[i] == '-') {
+			i++
 		}
-		if l.peek() == 'e' || l.peek() == 'E' {
-			l.advance()
-			if l.peek() == '+' || l.peek() == '-' {
-				l.advance()
-			}
-			for isDigit(l.peek()) {
-				l.advance()
-			}
-		}
-	} else if l.peek() == 'e' || l.peek() == 'E' {
-		l.advance()
-		if l.peek() == '+' || l.peek() == '-' {
-			l.advance()
-		}
-		for isDigit(l.peek()) {
-			l.advance()
+		for i < len(src) && isDigit(src[i]) {
+			i++
 		}
 	}
-	return Token{Kind: NUMBER, Text: l.src[start:l.off], Pos: p}
+	l.off = i
+	return NUMBER
 }
 
-func (l *Lexer) stringLit(p Pos) Token {
-	l.advance() // opening quote
-	var sb strings.Builder
-	for {
-		c := l.peek()
-		if c == 0 || c == '\n' {
+// stringLit lexes a string literal; Next unquotes its text.
+func (l *Lexer) stringLit() Kind {
+	src, p := l.src, l.pos()
+	for i := l.off + 1; ; {
+		if i >= len(src) || src[i] == 0 || src[i] == '\n' {
+			l.off = i
 			l.errorf(p, "unterminated string literal")
-			return Token{Kind: EOF, Pos: p}
+			return EOF
 		}
+		c := src[i]
+		i++
 		if c == '"' {
-			l.advance()
-			break
+			l.off = i
+			return STRING
 		}
-		if c == '\\' {
-			l.advance()
-			e := l.advance()
-			switch e {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '\\':
-				sb.WriteByte('\\')
-			case '"':
-				sb.WriteByte('"')
-			case '0':
-				sb.WriteByte(0)
-			default:
-				sb.WriteByte(e)
+		if c == '\\' && i < len(src) { // the escaped byte, a newline too
+			if src[i] == '\n' {
+				l.newline(i)
 			}
-			continue
+			i++
 		}
-		sb.WriteByte(l.advance())
 	}
-	return Token{Kind: STRING, Text: sb.String(), Pos: p}
+}
+
+// unquote returns the value of a string literal's body. A body without
+// escapes is its own value.
+func unquote(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' {
+			i++
+			switch c = s[i]; c {
+			case 'n':
+				c = '\n'
+			case 't':
+				c = '\t'
+			case '0':
+				c = 0
+			}
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
+}
+
+// operators lists, for each byte, the operators spelled from it, longest
+// first. kindNames holds every spelling but the second of XNOR. punct is the
+// kind of each byte that is an operator whatever follows it.
+var operators, punct = func() (t [256][]operator, punct [256]Kind) {
+	add := func(s string, k Kind) { t[s[0]] = append(t[s[0]], operator{s, k}) }
+	for k, s := range kindNames {
+		if k >= LPAREN {
+			add(s, k)
+		}
+	}
+	add("~^", XNOR)
+	for c, ops := range t {
+		sort.Slice(ops, func(i, j int) bool { return len(ops[i].text) > len(ops[j].text) })
+		if len(ops) == 1 && len(ops[0].text) == 1 {
+			punct[c] = ops[0].kind
+		}
+	}
+	return t, punct
+}()
+
+type operator struct {
+	text string
+	kind Kind
 }
 
 // operator lexes punctuation, longest match first.
-func (l *Lexer) operator(p Pos) Token {
-	two := ""
-	if l.off+1 < len(l.src) {
-		two = l.src[l.off : l.off+2]
-	}
-	three := ""
-	if l.off+2 < len(l.src) {
-		three = l.src[l.off : l.off+3]
-	}
-	emit := func(k Kind, n int) Token {
-		for i := 0; i < n; i++ {
-			l.advance()
+func (l *Lexer) operator() Kind {
+	rest := l.src[l.off:]
+	for _, op := range operators[rest[0]] {
+		if strings.HasPrefix(rest, op.text) {
+			l.off += len(op.text)
+			return op.kind
 		}
-		return Token{Kind: k, Pos: p}
 	}
-	switch three {
-	case "===":
-		return emit(CASEEQ, 3)
-	case "!==":
-		return emit(CASENE, 3)
-	case "<<<":
-		return emit(ASHL, 3)
-	case ">>>":
-		return emit(ASHR, 3)
-	}
-	switch two {
-	case "**":
-		return emit(POW, 2)
-	case "&&":
-		return emit(LAND, 2)
-	case "||":
-		return emit(LOR, 2)
-	case "==":
-		return emit(EQEQ, 2)
-	case "!=":
-		return emit(NEQ, 2)
-	case "<=":
-		return emit(LE, 2)
-	case ">=":
-		return emit(GE, 2)
-	case "<<":
-		return emit(SHL, 2)
-	case ">>":
-		return emit(SHR, 2)
-	case "^~", "~^":
-		return emit(XNOR, 2)
-	case "~&":
-		return emit(NAND, 2)
-	case "~|":
-		return emit(NOR, 2)
-	case "+:":
-		return emit(PLUSCOLON, 2)
-	case "-:":
-		return emit(MINUSCOLON, 2)
-	case "->":
-		return emit(ARROW, 2)
-	}
-	switch l.peek() {
-	case '(':
-		return emit(LPAREN, 1)
-	case ')':
-		return emit(RPAREN, 1)
-	case '[':
-		return emit(LBRACK, 1)
-	case ']':
-		return emit(RBRACK, 1)
-	case '{':
-		return emit(LBRACE, 1)
-	case '}':
-		return emit(RBRACE, 1)
-	case ';':
-		return emit(SEMI, 1)
-	case ':':
-		return emit(COLON, 1)
-	case ',':
-		return emit(COMMA, 1)
-	case '.':
-		return emit(DOT, 1)
-	case '@':
-		return emit(AT, 1)
-	case '#':
-		return emit(HASH, 1)
-	case '?':
-		return emit(QUESTION, 1)
-	case '=':
-		return emit(EQ, 1)
-	case '+':
-		return emit(PLUS, 1)
-	case '-':
-		return emit(MINUS, 1)
-	case '*':
-		return emit(STAR, 1)
-	case '/':
-		return emit(SLASH, 1)
-	case '%':
-		return emit(PERCENT, 1)
-	case '!':
-		return emit(NOT, 1)
-	case '~':
-		return emit(TILD, 1)
-	case '&':
-		return emit(AND, 1)
-	case '|':
-		return emit(OR, 1)
-	case '^':
-		return emit(XOR, 1)
-	case '<':
-		return emit(LT, 1)
-	case '>':
-		return emit(GT, 1)
-	}
-	l.errorf(p, "unexpected character %q", string(l.peek()))
-	return Token{Kind: EOF, Pos: p}
+	l.errorByte(l.pos(), "unexpected character %q", rest[0])
+	return EOF
 }
 
 // Tokenize lexes all of src, returning the token stream (without EOF).

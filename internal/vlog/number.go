@@ -2,6 +2,7 @@ package vlog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -12,89 +13,173 @@ const maxLiteralBits = 1 << 16
 
 func words(bits int) int { return (bits + 63) / 64 }
 
+// Literal faults: why parseNumericToken rejects a NUMBER token's text.
+const (
+	litOK         uint8 = iota
+	litReal             // strconv.ParseFloat refuses the real literal
+	litDecimal          // an unsized decimal past 64 bits
+	litNoDigits         // a based literal whose digits are all underscores
+	litSize             // a size of zero, or past the int range
+	litTooWide          // a size, or a b/o/h value, wider than maxLiteralBits
+	litDigitRange       // a digit too large for its base
+	litDecDigit         // a 'd value that is not all decimal or one x/z/?
+)
+
+// literalFault holds the rules a NUMBER token's text must keep for the
+// parser to take its value: digit legality per base, maxLiteralBits, the
+// exponent shape and the 64-bit decimal range. It returns litOK or the fault
+// parseNumericToken reports, with the offending digit for litDigitRange.
+// text is a NUMBER as the lexer makes it, which fixes the rest of the shape:
+// digits and underscores, then a real part, or a quote, an optional sign, a
+// base letter and value digits from 0-9a-fA-FxXzZ?_. It allocates nothing,
+// save for a real literal with an underscore in it.
+func literalFault(text string) (fault uint8, digit byte) {
+	quote := skipDigits(text, 0)
+	switch {
+	case quote == len(text): // an unsized decimal
+		if _, ok := decimal(text, math.MaxUint64); !ok {
+			return litDecimal, 0
+		}
+		return litOK, 0
+	case text[quote] != '\'': // a real
+		if _, err := strconv.ParseFloat(strings.ReplaceAll(text, "_", ""), 64); err != nil {
+			return litReal, 0
+		}
+		return litOK, 0
+	}
+	rest := text[quote+1:]
+	if rest[0]|0x20 == 's' {
+		rest = rest[1:]
+	}
+	base, digits := rest[0]|0x20, strings.TrimSpace(rest[1:])
+	n := len(digits) - strings.Count(digits, "_")
+	if n == 0 {
+		return litNoDigits, 0
+	}
+	if quote > 0 {
+		w, ok := decimal(text[:quote], math.MaxInt64)
+		if !ok || w == 0 {
+			return litSize, 0
+		}
+		if w > maxLiteralBits {
+			return litTooWide, 0
+		}
+	}
+	if base == 'd' {
+		// All decimal digits, or a lone x/z/? (IEEE 1364 §3.5.1).
+		for i := 0; i < len(digits); i++ {
+			if c := digits[i]; c != '_' && !isDigit(c) && !(n == 1 && isXZ(c)) {
+				return litDecDigit, 0
+			}
+		}
+		return litOK, 0
+	}
+	bits, top := baseDigit(base)
+	if n*bits > maxLiteralBits {
+		return litTooWide, 0
+	}
+	// The value is filled from its last digit, so that is the one reported.
+	for i := len(digits) - 1; i >= 0; i-- {
+		if c := digits[i]; c != '_' && !isXZ(c) && digitValue(c) > top {
+			return litDigitRange, c
+		}
+	}
+	return litOK, 0
+}
+
+// baseDigit returns the bits a digit of base b, o or h holds, and the
+// largest digit.
+func baseDigit(base byte) (bits int, top byte) {
+	switch base {
+	case 'b':
+		return 1, 1
+	case 'o':
+		return 3, 7
+	}
+	return 4, 15
+}
+
+func isXZ(c byte) bool { return c|0x20 == 'x' || c|0x20 == 'z' || c == '?' }
+
+// digitValue is the value of a hexadecimal digit.
+func digitValue(c byte) byte {
+	if isDigit(c) {
+		return c - '0'
+	}
+	return c | 0x20 - 'a' + 10
+}
+
+// decimal parses the decimal digits of s, skipping underscores. ok is false,
+// as for strconv.ParseUint of s with its underscores removed, if s has no
+// digit, has any other byte, or is above limit.
+func decimal(s string, limit uint64) (v uint64, ok bool) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '_' {
+			continue
+		}
+		d := uint64(c - '0')
+		if !isDigit(c) || v > (limit-d)/10 {
+			return 0, false
+		}
+		v, ok = v*10+d, true
+	}
+	return v, ok
+}
+
+// literalFaults are the messages parseNumericToken reports, each followed
+// by the literal; litDigitRange's quotes the digit.
+var literalFaults = [...]string{
+	litReal: "invalid real literal ", litDecimal: "invalid decimal literal ",
+	litNoDigits: "literal missing digits: ", litSize: "invalid literal size in ",
+	litTooWide: "literal too wide: ", litDecDigit: "invalid decimal digit in ",
+	litDigitRange: "digit %q out of range for base in ",
+}
+
 // parseNumericToken converts a NUMBER token into a *Number or *RealLit.
 func parseNumericToken(t Token) (Expr, error) {
 	text := t.Text
-	if !strings.ContainsRune(text, '\'') {
+	if fault, digit := literalFault(text); fault != litOK {
+		msg := literalFaults[fault]
+		if digit != 0 {
+			msg = fmt.Sprintf(msg, string(digit))
+		}
+		return nil, &SyntaxError{Pos: t.Pos, Msg: msg + text}
+	}
+	quote := strings.IndexByte(text, '\'')
+	if quote < 0 {
+		clean := strings.ReplaceAll(text, "_", "")
 		if strings.ContainsAny(text, ".eE") {
-			clean := strings.ReplaceAll(text, "_", "")
-			v, err := strconv.ParseFloat(clean, 64)
-			if err != nil {
-				return nil, &SyntaxError{Pos: t.Pos, Msg: "invalid real literal " + text}
-			}
+			v, _ := strconv.ParseFloat(clean, 64)
 			return &RealLit{Pos: t.Pos, Value: v, Text: text}, nil
 		}
-		clean := strings.ReplaceAll(text, "_", "")
-		n := &Number{Pos: t.Pos, Width: 32, Signed: true, Text: text}
-		n.A = make([]uint64, 1)
-		n.B = make([]uint64, 1)
-		v, err := strconv.ParseUint(clean, 10, 64)
-		if err != nil {
-			return nil, &SyntaxError{Pos: t.Pos, Msg: "invalid decimal literal " + text}
-		}
+		v, _ := strconv.ParseUint(clean, 10, 64)
+		n := &Number{Pos: t.Pos, Width: 32, Signed: true, Text: text,
+			A: []uint64{v}, B: make([]uint64, 1)}
 		if v > 0xFFFFFFFF {
 			// Unsized decimal literals wider than 32 bits keep their natural
 			// width, like most tools.
 			n.Width = 64
 		}
-		n.A[0] = v
 		return n, nil
 	}
 
-	quote := strings.IndexByte(text, '\'')
-	sizeStr := strings.ReplaceAll(strings.TrimSpace(text[:quote]), "_", "")
 	rest := text[quote+1:]
-	signed := false
-	if len(rest) > 0 && (rest[0] == 's' || rest[0] == 'S') {
-		signed = true
+	signed := rest[0]|0x20 == 's'
+	if signed {
 		rest = rest[1:]
 	}
-	if len(rest) == 0 {
-		return nil, &SyntaxError{Pos: t.Pos, Msg: "malformed literal " + text}
-	}
-	base := rest[0]
+	base := rest[0] | 0x20
 	digits := strings.ReplaceAll(strings.TrimSpace(rest[1:]), "_", "")
-	if digits == "" {
-		return nil, &SyntaxError{Pos: t.Pos, Msg: "literal missing digits: " + text}
+	w, _ := decimal(text[:quote], math.MaxInt64)
+	width, sized := int(w), quote > 0
+	if base == 'd' {
+		return parseDecimalBased(t, digits, width, sized, signed), nil
 	}
-
-	width := 0
-	sized := false
-	if sizeStr != "" {
-		w, err := strconv.Atoi(sizeStr)
-		if err != nil || w <= 0 {
-			return nil, &SyntaxError{Pos: t.Pos, Msg: "invalid literal size in " + text}
-		}
-		if w > maxLiteralBits {
-			return nil, &SyntaxError{Pos: t.Pos, Msg: "literal too wide: " + text}
-		}
-		width = w
-		sized = true
-	}
-
-	var bitsPerDigit int
-	switch base {
-	case 'b', 'B':
-		bitsPerDigit = 1
-	case 'o', 'O':
-		bitsPerDigit = 3
-	case 'h', 'H':
-		bitsPerDigit = 4
-	case 'd', 'D':
-		return parseDecimalBased(t, digits, width, sized, signed)
-	default:
-		return nil, &SyntaxError{Pos: t.Pos, Msg: "invalid base in literal " + text}
-	}
-
+	bitsPerDigit, _ := baseDigit(base)
 	natural := len(digits) * bitsPerDigit
-	if natural > maxLiteralBits {
-		return nil, &SyntaxError{Pos: t.Pos, Msg: "literal too wide: " + text}
-	}
 	if !sized {
-		width = natural
-		if width < 32 {
-			width = 32
-		}
+		width = max(natural, 32)
 	}
 	n := &Number{
 		Pos: t.Pos, Width: width, Sized: sized, Signed: signed, Text: text,
@@ -104,14 +189,11 @@ func parseNumericToken(t Token) (Expr, error) {
 	bit := 0
 	var msbA, msbB uint64 // planes of the most significant digit's top bit
 	for i := len(digits) - 1; i >= 0; i-- {
-		da, db, err := digitPlanes(digits[i], base)
-		if err != nil {
-			return nil, &SyntaxError{Pos: t.Pos, Msg: err.Error() + " in " + text}
-		}
+		da, db := digitPlanes(digits[i])
 		for k := 0; k < bitsPerDigit; k++ {
 			a := (da >> k) & 1
 			b := (db >> k) & 1
-			if bit < width {
+			if bit < n.Width {
 				n.A[bit/64] |= a << (bit % 64)
 				n.B[bit/64] |= b << (bit % 64)
 			}
@@ -123,8 +205,8 @@ func parseNumericToken(t Token) (Expr, error) {
 	}
 	// If the literal is narrower than the declared width and its leading
 	// digit is x or z, the extension repeats x/z (IEEE 1364 §3.5.1).
-	if natural < width && msbB == 1 {
-		for j := natural; j < width; j++ {
+	if natural < n.Width && msbB == 1 {
+		for j := natural; j < n.Width; j++ {
 			n.A[j/64] |= msbA << (j % 64)
 			n.B[j/64] |= 1 << (j % 64)
 		}
@@ -132,43 +214,20 @@ func parseNumericToken(t Token) (Expr, error) {
 	return n, nil
 }
 
-// digitPlanes returns 4-state planes for one digit in base b/o/h. x -> all x,
-// z/? -> all z within the digit's bits.
-func digitPlanes(c byte, base byte) (a, b uint64, err error) {
+// digitPlanes returns 4-state planes for one legal digit of a b/o/h value.
+// x -> all x, z/? -> all z within the digit's bits.
+func digitPlanes(c byte) (a, b uint64) {
 	switch {
-	case c == 'x' || c == 'X':
-		return ^uint64(0), ^uint64(0), nil
-	case c == 'z' || c == 'Z' || c == '?':
-		return 0, ^uint64(0), nil
+	case c|0x20 == 'x':
+		return ^uint64(0), ^uint64(0)
+	case c|0x20 == 'z' || c == '?':
+		return 0, ^uint64(0)
 	}
-	var v uint64
-	switch {
-	case c >= '0' && c <= '9':
-		v = uint64(c - '0')
-	case c >= 'a' && c <= 'f':
-		v = uint64(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		v = uint64(c-'A') + 10
-	default:
-		return 0, 0, fmt.Errorf("invalid digit %q", string(c))
-	}
-	var max uint64
-	switch base {
-	case 'b', 'B':
-		max = 1
-	case 'o', 'O':
-		max = 7
-	default:
-		max = 15
-	}
-	if v > max {
-		return 0, 0, fmt.Errorf("digit %q out of range for base", string(c))
-	}
-	return v, 0, nil
+	return uint64(digitValue(c)), 0
 }
 
 // parseDecimalBased handles 'd literals, including the single-digit x/z forms.
-func parseDecimalBased(t Token, digits string, width int, sized, signed bool) (Expr, error) {
+func parseDecimalBased(t Token, digits string, width int, sized, signed bool) Expr {
 	if !sized {
 		width = 32
 	}
@@ -181,22 +240,18 @@ func parseDecimalBased(t Token, digits string, width int, sized, signed bool) (E
 			n.A[i/64] |= 1 << (i % 64)
 			n.B[i/64] |= 1 << (i % 64)
 		}
-		return n, nil
+		return n
 	}
 	if digits == "z" || digits == "Z" || digits == "?" {
 		for i := 0; i < width; i++ {
 			n.B[i/64] |= 1 << (i % 64)
 		}
-		return n, nil
+		return n
 	}
 	// Multi-word accumulate: n = n*10 + d.
 	acc := make([]uint64, words(width))
 	for i := 0; i < len(digits); i++ {
-		c := digits[i]
-		if c < '0' || c > '9' {
-			return nil, &SyntaxError{Pos: t.Pos, Msg: "invalid decimal digit in " + t.Text}
-		}
-		carry := uint64(c - '0')
+		carry := uint64(digits[i] - '0')
 		for w := range acc {
 			lo, hi := mul64(acc[w], 10)
 			lo, c2 := add64(lo, carry)
@@ -207,7 +262,7 @@ func parseDecimalBased(t Token, digits string, width int, sized, signed bool) (E
 	}
 	copy(n.A, acc)
 	n.maskTop()
-	return n, nil
+	return n
 }
 
 func mul64(a, b uint64) (lo, hi uint64) {

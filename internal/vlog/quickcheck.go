@@ -1,10 +1,11 @@
 package vlog
 
-// QuickCheck is the curation funnel's streaming syntax pre-check: a single
-// forward pass over the raw bytes that validates a strict structural subset
-// of the grammar — bracket and begin/end/module balance, declaration and
-// statement shapes, and token-pair legality — without building tokens, an
-// AST, or any heap state.
+// QuickCheck is the curation funnel's streaming syntax pre-check: one
+// forward pass that feeds the lexer's scanning core (Lexer.scan: a kind and
+// a byte span per token, no Token, no Pos) to a statement machine, which
+// validates a strict structural subset of the grammar — bracket and
+// begin/end/module balance, declaration and statement shapes, and
+// token-pair legality — without an AST or any heap state.
 //
 // The verdict is asymmetric by design:
 //
@@ -15,18 +16,21 @@ package vlog
 //     corpus, which is dominated by ordinary synthesizable RTL).
 //   - false means "suspicion", not "bad": the input either broke a
 //     structural rule or used a construct outside the validated subset
-//     (preprocessor directives, system tasks, hierarchical instantiation,
-//     functions, ...). Callers must fall back to the full parser for the
-//     real verdict, so QuickCheck never produces a false *bad* verdict.
+//     (preprocessor directives, escaped identifiers, system tasks,
+//     hierarchical instantiation, functions, ...). Callers must fall back
+//     to the full parser for the real verdict, so QuickCheck never
+//     produces a false *bad* verdict.
 //
-// Soundness of the true verdict rests on the subset being strictly
-// conservative: any token sequence the validator cannot prove legal is
-// suspicious. FuzzQuickCheck pins the contract (QuickCheck(src) implies
+// Soundness of the true verdict rests on two things. The tokens are the
+// parser's own: one lexer, one keyword table (classifyWord) and one set of
+// literal rules (literalFault) serve both, so a lexical error is suspect and
+// a NUMBER is good only if the parser will take its value. And the subset is
+// strictly conservative: any token sequence the validator cannot prove legal
+// is suspicious. FuzzQuickCheck pins the contract (QuickCheck(src) implies
 // Check(src) == nil), and the core determinism test pins byte-identical
 // curation kept sets with the pre-check enabled and disabled.
 func QuickCheck(src string) bool {
-	var q qscan
-	q.src = src
+	q := qscan{lx: Lexer{src: src, line: 1, quick: true}}
 	return q.run()
 }
 
@@ -102,11 +106,11 @@ const (
 	pElse
 )
 
-// Declaration kinds, for depth-0 `,` / `;` / `=` handling.
+// Declaration kinds: which declarations take an initializer or an array
+// dimension.
 const (
 	dkNone     uint8 = iota
 	dkNet            // wire/reg/integer/genvar (init allowed)
-	dkParam          // parameter/localparam
 	dkPortItem       // non-ANSI input/output/inout item (no init)
 )
 
@@ -119,12 +123,9 @@ type qBracket struct {
 	semis uint8 // `;` count (bkFor)
 }
 
-// quick is the whole validator state; it lives on the caller's stack, so a
-// QuickCheck call performs no heap allocation.
+// qscan is the whole validator state, the lexer included; it lives on the
+// caller's stack, so a QuickCheck call performs no heap allocation.
 type qscan struct {
-	src string
-	i   int
-
 	st        uint8
 	declKind  uint8
 	portStyle uint8 // 0 undecided, 1 plain `(a, b)`, 2 ANSI `(input a, ...)`
@@ -142,6 +143,8 @@ type qscan struct {
 	nb      int
 	pending [64]uint8 // pIfThen/pElseAllowed/pElse
 	np      int
+
+	lx Lexer
 }
 
 func (q *qscan) top() uint8 { return q.frames[q.nf-1] }
@@ -230,9 +233,11 @@ func (q *qscan) pushBracket(b qBracket) bool {
 	return true
 }
 
-// Token codes handed from the micro-lexer to the statement machine.
+// Token classes the statement machine reads: what quickClass makes of a
+// Kind, and classifyWord of a word. The zero class is suspect, so a Kind
+// quickClass does not list is outside the subset.
 const (
-	tEOF uint8 = iota
+	tSuspect uint8 = iota // anything outside the subset
 	tIdent
 	tNumber
 	tString
@@ -274,20 +279,42 @@ const (
 	tKwSigned
 	tKwEdge // posedge negedge
 	tKwOr
-	tSuspect // anything outside the subset
 )
+
+// quickClass maps a token kind to its class. Identifiers and keywords take
+// theirs from classifyWord instead. System names, `#`, `.`, `+:`, `-:` and
+// `->` are outside the subset; ARROW, the last Kind, is listed so that the
+// table covers every Kind.
+var quickClass = [...]uint8{
+	IDENT: tIdent, NUMBER: tNumber, STRING: tString,
+	LPAREN: tLParen, RPAREN: tRParen, LBRACK: tLBrack, RBRACK: tRBrack,
+	LBRACE: tLBrace, RBRACE: tRBrace, SEMI: tSemi, COLON: tColon,
+	COMMA: tComma, QUESTION: tQuestion, EQ: tEq, LE: tLE, AT: tAt, STAR: tStar,
+	PLUS: tAmbig, MINUS: tAmbig, AND: tAmbig, OR: tAmbig, XOR: tAmbig,
+	XNOR: tAmbig,
+	NOT:  tUnary, TILD: tUnary, NAND: tUnary, NOR: tUnary,
+	SLASH: tBinOp, PERCENT: tBinOp, POW: tBinOp, LAND: tBinOp, LOR: tBinOp,
+	EQEQ: tBinOp, NEQ: tBinOp, CASEEQ: tBinOp, CASENE: tBinOp, LT: tBinOp,
+	GT: tBinOp, GE: tBinOp, SHL: tBinOp, SHR: tBinOp, ASHL: tBinOp,
+	ASHR: tBinOp, ARROW: tSuspect,
+}
 
 func (q *qscan) run() bool {
 	q.st = qsTop
 	for {
-		tok := q.next()
-		if tok == tSuspect {
-			return false
+		k, start := q.lx.scan()
+		tok := quickClass[k]
+		switch k {
+		case EOF:
+			return q.lx.err == nil && q.st == qsTop && q.nf == 0 && q.nb == 0 && q.modules > 0
+		case IDENT, KEYWORD:
+			tok = q.lx.word
+		case NUMBER:
+			if f, _ := literalFault(q.lx.src[start:q.lx.off]); f != litOK {
+				return false
+			}
 		}
-		if tok == tEOF {
-			return q.st == qsTop && q.nf == 0 && q.nb == 0 && q.modules > 0
-		}
-		if !q.step(tok) {
+		if tok == tSuspect || !q.step(tok) {
 			return false
 		}
 	}
@@ -419,7 +446,6 @@ func (q *qscan) step(tok uint8) bool {
 			q.st = qsDeclAfterKw
 			return true
 		case tKwParam:
-			q.declKind = dkParam
 			q.st = qsParamAfterKw
 			return true
 		case tKwAssign:
@@ -820,24 +846,16 @@ func (q *qscan) colon() bool {
 	return false
 }
 
+// comma resolves a `,` in expression position, which QuickCheck takes only
+// between the items of a concatenation. One that ends an initializer, as in
+// `wire a = x, b = y;` or `parameter A = 1, B = 2;`, is suspect: no file of
+// the generated world has one, so the parser decides them.
 func (q *qscan) comma() bool {
-	if q.nb > 0 {
-		b := &q.bracket[q.nb-1]
-		if b.kind == bkConcat && b.tern == 0 {
-			q.st = qsExpr
-			return true
-		}
+	if q.nb == 0 || q.bracket[q.nb-1].kind != bkConcat || q.bracket[q.nb-1].tern != 0 {
 		return false
 	}
-	switch q.declKind {
-	case dkNet:
-		q.st = qsDeclName
-		return true
-	case dkParam:
-		q.st = qsParamName
-		return true
-	}
-	return false
+	q.st = qsExpr
+	return true
 }
 
 func (q *qscan) semi() bool {
@@ -888,337 +906,4 @@ func (q *qscan) closeBracket(c byte) bool {
 		}
 	}
 	return true
-}
-
-// next scans the next token, classifying it for the statement machine. Any
-// lexical shape outside the subset (directives, escaped identifiers, system
-// names, unterminated comments/strings, malformed numbers, unknown
-// operators) returns tSuspect.
-func (q *qscan) next() uint8 {
-	src, n := q.src, len(q.src)
-	// Skip whitespace and comments.
-	for q.i < n {
-		c := src[q.i]
-		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
-			q.i++
-			continue
-		}
-		if c == '/' && q.i+1 < n && src[q.i+1] == '/' {
-			q.i += 2
-			for q.i < n && src[q.i] != '\n' {
-				if src[q.i] == 0 {
-					return tSuspect // NUL ends the real lexer's comment scan
-				}
-				q.i++
-			}
-			continue
-		}
-		if c == '/' && q.i+1 < n && src[q.i+1] == '*' {
-			q.i += 2
-			for {
-				if q.i+1 >= n {
-					return tSuspect // unterminated block comment
-				}
-				if src[q.i] == 0 {
-					return tSuspect
-				}
-				if src[q.i] == '*' && src[q.i+1] == '/' {
-					q.i += 2
-					break
-				}
-				q.i++
-			}
-			continue
-		}
-		break
-	}
-	if q.i >= n {
-		return tEOF
-	}
-	c := src[q.i]
-	switch {
-	case isIdentStart(c):
-		start := q.i
-		for q.i < n && isIdentPart(src[q.i]) {
-			q.i++
-		}
-		return classifyWord(src[start:q.i])
-	case isDigit(c) || c == '\'':
-		return q.number()
-	case c == '"':
-		q.i++
-		for q.i < n {
-			if src[q.i] == '\\' && q.i+1 < n {
-				q.i += 2
-				continue
-			}
-			if src[q.i] == '"' {
-				q.i++
-				return tString
-			}
-			if src[q.i] == '\n' || src[q.i] == 0 {
-				return tSuspect // the real lexer treats both as unterminated
-			}
-			q.i++
-		}
-		return tSuspect // unterminated string
-	}
-	return q.operator()
-}
-
-// number mirrors both the lexer's literal grammar and the parser's numeric
-// validation (digit legality per base, size bounds, exponent shape, 64-bit
-// decimal range); anything either layer would reject is suspicious.
-func (q *qscan) number() uint8 {
-	src, n := q.src, len(q.src)
-	size := 0       // literal size value (saturating)
-	sizeDigits := 0 // size digit count, underscores excluded
-	for q.i < n && (isDigit(src[q.i]) || src[q.i] == '_') {
-		if src[q.i] != '_' {
-			sizeDigits++
-			if size <= maxLiteralBits {
-				size = size*10 + int(src[q.i]-'0')
-			}
-		}
-		q.i++
-	}
-	if q.i < n && src[q.i] == '\'' {
-		if sizeDigits > 0 && (size == 0 || size > maxLiteralBits) {
-			return tSuspect // the parser rejects zero/huge literal sizes
-		}
-		q.i++
-		if q.i < n && (src[q.i] == 's' || src[q.i] == 'S') {
-			q.i++
-		}
-		if q.i >= n {
-			return tSuspect
-		}
-		base := src[q.i]
-		switch base {
-		case 'b', 'B', 'o', 'O', 'd', 'D', 'h', 'H':
-			q.i++
-		default:
-			return tSuspect
-		}
-		for q.i < n && isSpace(src[q.i]) {
-			q.i++
-		}
-		dec, xz := 0, 0 // plain-digit and x/z/? counts, underscores excluded
-		badDigit := false
-		for q.i < n {
-			c := src[q.i]
-			switch {
-			case c == '_':
-			case isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F'):
-				dec++
-				var v byte
-				if isDigit(c) {
-					v = c - '0'
-				} else {
-					v = (c | 0x20) - 'a' + 10
-				}
-				switch base {
-				case 'b', 'B':
-					badDigit = badDigit || v > 1
-				case 'o', 'O':
-					badDigit = badDigit || v > 7
-				case 'd', 'D':
-					badDigit = badDigit || v > 9
-				}
-			case c == 'x' || c == 'X' || c == 'z' || c == 'Z' || c == '?':
-				xz++
-			default:
-				goto digitsDone
-			}
-			q.i++
-		}
-	digitsDone:
-		if dec+xz == 0 || badDigit {
-			return tSuspect
-		}
-		switch base {
-		case 'd', 'D':
-			// 'd digits are all-decimal, or a lone x/z/? (IEEE 1364 §3.5.1).
-			if xz > 0 && (dec > 0 || xz > 1) {
-				return tSuspect
-			}
-		case 'b', 'B':
-			if dec+xz > maxLiteralBits {
-				return tSuspect
-			}
-		case 'o', 'O':
-			if (dec+xz)*3 > maxLiteralBits {
-				return tSuspect
-			}
-		default:
-			if (dec+xz)*4 > maxLiteralBits {
-				return tSuspect
-			}
-		}
-		return tNumber
-	}
-	real := false
-	if q.i+1 < n && src[q.i] == '.' && isDigit(src[q.i+1]) {
-		real = true
-		q.i++
-		for q.i < n && (isDigit(src[q.i]) || src[q.i] == '_') {
-			q.i++
-		}
-	}
-	if q.i < n && (src[q.i] == 'e' || src[q.i] == 'E') {
-		real = true
-		q.i++
-		if q.i < n && (src[q.i] == '+' || src[q.i] == '-') {
-			q.i++
-		}
-		expDigits := 0
-		for q.i < n && isDigit(src[q.i]) {
-			expDigits++
-			q.i++
-		}
-		if expDigits == 0 {
-			return tSuspect // `1e` / `1e+` fail the parser's ParseFloat
-		}
-	}
-	if !real && sizeDigits > 19 {
-		return tSuspect // may overflow the parser's 64-bit decimal parse
-	}
-	return tNumber
-}
-
-func (q *qscan) operator() uint8 {
-	src, n := q.src, len(q.src)
-	rest := n - q.i
-	if rest >= 3 {
-		switch src[q.i : q.i+3] {
-		case "===", "!==", "<<<", ">>>":
-			q.i += 3
-			return tBinOp
-		}
-	}
-	if rest >= 2 {
-		two := src[q.i : q.i+2]
-		switch two {
-		case "**", "&&", "||", "==", "!=", ">=", "<<", ">>":
-			q.i += 2
-			return tBinOp
-		case "<=":
-			q.i += 2
-			return tLE
-		case "^~", "~^":
-			q.i += 2
-			return tAmbig
-		case "~&", "~|":
-			q.i += 2
-			return tUnary
-		case "+:", "-:", "->":
-			return tSuspect // outside the subset
-		}
-	}
-	q.i++
-	switch src[q.i-1] {
-	case '(':
-		return tLParen
-	case ')':
-		return tRParen
-	case '[':
-		return tLBrack
-	case ']':
-		return tRBrack
-	case '{':
-		return tLBrace
-	case '}':
-		return tRBrace
-	case ';':
-		return tSemi
-	case ':':
-		return tColon
-	case ',':
-		return tComma
-	case '?':
-		return tQuestion
-	case '=':
-		return tEq
-	case '@':
-		return tAt
-	case '*':
-		return tStar
-	case '+', '-', '&', '|', '^':
-		return tAmbig
-	case '~', '!':
-		return tUnary
-	case '/', '%', '<', '>':
-		return tBinOp
-	}
-	return tSuspect // `, \, $, #, ., unknown bytes
-}
-
-// classifyWord maps an identifier-shaped word to its token code. Reserved
-// words outside the validated subset are suspicious; everything else is an
-// ordinary identifier.
-func classifyWord(s string) uint8 {
-	switch s {
-	case "module":
-		return tKwModule
-	case "endmodule":
-		return tKwEndmodule
-	case "begin":
-		return tKwBegin
-	case "end":
-		return tKwEnd
-	case "if":
-		return tKwIf
-	case "else":
-		return tKwElse
-	case "case", "casez", "casex":
-		return tKwCase
-	case "endcase":
-		return tKwEndcase
-	case "default":
-		return tKwDefault
-	case "for":
-		return tKwFor
-	case "always":
-		return tKwAlways
-	case "initial":
-		return tKwInitial
-	case "assign":
-		return tKwAssign
-	case "wire", "reg":
-		return tKwNet
-	case "integer", "genvar":
-		return tKwVar
-	case "parameter", "localparam":
-		return tKwParam
-	case "input", "output", "inout":
-		return tKwPort
-	case "signed":
-		return tKwSigned
-	case "posedge", "negedge":
-		return tKwEdge
-	case "or":
-		return tKwOr
-	// Reserved words outside the validated subset. Spelled out (rather than
-	// consulting the keywords map) so the compiler emits hash-free string
-	// switches; TestClassifyWordCoversKeywords pins this list against the
-	// lexer's keywords map.
-	case "macromodule", "real", "time", "realtime",
-		"tri", "tri0", "tri1", "triand", "trior", "trireg", "wand", "wor",
-		"supply0", "supply1", "defparam", "deassign", "force", "release",
-		"while", "repeat", "forever", "edge",
-		"function", "endfunction", "task", "endtask", "automatic",
-		"generate", "endgenerate", "scalared", "vectored",
-		"wait", "disable", "event", "fork", "join",
-		"and", "nand", "nor", "not", "xor", "xnor",
-		"buf", "bufif0", "bufif1", "notif0", "notif1",
-		"specify", "endspecify", "specparam",
-		"primitive", "endprimitive", "table", "endtable",
-		"pullup", "pulldown",
-		"cmos", "rcmos", "nmos", "pmos", "rnmos", "rpmos",
-		"tran", "rtran", "tranif0", "tranif1", "rtranif0", "rtranif1",
-		"strong0", "strong1", "pull0", "pull1", "weak0", "weak1",
-		"highz0", "highz1", "small", "medium", "large":
-		return tSuspect
-	}
-	return tIdent
 }

@@ -125,42 +125,75 @@ func (t Token) String() string {
 	}
 }
 
-// keywords is the set of reserved words recognized by the lexer. Reserved
-// words that the parser does not support still lex as keywords so that the
-// parser can produce a precise "unsupported construct" error.
-var keywords = map[string]bool{
-	"module": true, "endmodule": true, "macromodule": true,
-	"input": true, "output": true, "inout": true,
-	"wire": true, "reg": true, "integer": true, "real": true, "time": true,
-	"realtime": true, "tri": true, "tri0": true, "tri1": true, "triand": true,
-	"trior": true, "trireg": true, "wand": true, "wor": true,
-	"supply0": true, "supply1": true,
-	"parameter": true, "localparam": true, "defparam": true,
-	"assign": true, "deassign": true, "force": true, "release": true,
-	"always": true, "initial": true,
-	"begin": true, "end": true,
-	"if": true, "else": true,
-	"case": true, "casez": true, "casex": true, "endcase": true, "default": true,
-	"for": true, "while": true, "repeat": true, "forever": true,
-	"posedge": true, "negedge": true, "edge": true, "or": true,
-	"function": true, "endfunction": true, "task": true, "endtask": true,
-	"automatic": true,
-	"genvar":    true, "generate": true, "endgenerate": true,
-	"signed": true, "scalared": true, "vectored": true,
-	"wait": true, "disable": true, "event": true,
-	"fork": true, "join": true,
-	"and": true, "nand": true, "nor": true, "not": true,
-	"xor": true, "xnor": true, "buf": true, "bufif0": true, "bufif1": true,
-	"notif0": true, "notif1": true,
-	"specify": true, "endspecify": true, "specparam": true,
-	"primitive": true, "endprimitive": true, "table": true, "endtable": true,
-	"pullup": true, "pulldown": true,
-	"cmos": true, "rcmos": true, "nmos": true, "pmos": true, "rnmos": true,
-	"rpmos": true, "tran": true, "rtran": true, "tranif0": true, "tranif1": true,
-	"rtranif0": true, "rtranif1": true,
-	"strong0": true, "strong1": true, "pull0": true, "pull1": true,
-	"weak0": true, "weak1": true, "highz0": true, "highz1": true,
-	"small": true, "medium": true, "large": true,
+// classifyWord is the package's one keyword table. It maps an
+// identifier-shaped word to its QuickCheck token class: the reserved words
+// QuickCheck validates get a class of their own, every other reserved word
+// is tSuspect, and anything else is tIdent, an ordinary identifier. The
+// lexer makes a word a KEYWORD exactly when its class is not tIdent; reserved
+// words the parser does not support still lex as keywords, so that the parser
+// can produce a precise "unsupported construct" error.
+func classifyWord(s string) uint8 {
+	switch s {
+	case "module":
+		return tKwModule
+	case "endmodule":
+		return tKwEndmodule
+	case "begin":
+		return tKwBegin
+	case "end":
+		return tKwEnd
+	case "if":
+		return tKwIf
+	case "else":
+		return tKwElse
+	case "case", "casez", "casex":
+		return tKwCase
+	case "endcase":
+		return tKwEndcase
+	case "default":
+		return tKwDefault
+	case "for":
+		return tKwFor
+	case "always":
+		return tKwAlways
+	case "initial":
+		return tKwInitial
+	case "assign":
+		return tKwAssign
+	case "wire", "reg":
+		return tKwNet
+	case "integer", "genvar":
+		return tKwVar
+	case "parameter", "localparam":
+		return tKwParam
+	case "input", "output", "inout":
+		return tKwPort
+	case "signed":
+		return tKwSigned
+	case "posedge", "negedge":
+		return tKwEdge
+	case "or":
+		return tKwOr
+	// Reserved words outside the validated subset.
+	case "macromodule", "real", "time", "realtime",
+		"tri", "tri0", "tri1", "triand", "trior", "trireg", "wand", "wor",
+		"supply0", "supply1", "defparam", "deassign", "force", "release",
+		"while", "repeat", "forever", "edge",
+		"function", "endfunction", "task", "endtask", "automatic",
+		"generate", "endgenerate", "scalared", "vectored",
+		"wait", "disable", "event", "fork", "join",
+		"and", "nand", "nor", "not", "xor", "xnor",
+		"buf", "bufif0", "bufif1", "notif0", "notif1",
+		"specify", "endspecify", "specparam",
+		"primitive", "endprimitive", "table", "endtable",
+		"pullup", "pulldown",
+		"cmos", "rcmos", "nmos", "pmos", "rnmos", "rpmos",
+		"tran", "rtran", "tranif0", "tranif1", "rtranif0", "rtranif1",
+		"strong0", "strong1", "pull0", "pull1", "weak0", "weak1",
+		"highz0", "highz1", "small", "medium", "large":
+		return tSuspect
+	}
+	return tIdent
 }
 
 // gatePrimitives are the built-in gate types that may be instantiated like
