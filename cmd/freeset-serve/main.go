@@ -11,7 +11,7 @@
 // Usage:
 //
 //	freeset-serve [-addr :8844] [-corpus dir] [-protected 200] [-seed 1]
-//	              [-workers 0] [-queue 256] [-batch 32]
+//	              [-workers 0] [-queue 256]
 //	              [-threshold 0.8] [-cache-budget 0]
 //	              [-data-dir dir] [-retain 3] [-shutdown-grace 15s]
 //	              [-merge-max-segs 8] [-merge-dead-frac 0.5] [-merge-disable]
@@ -70,9 +70,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		dir       = fs.String("corpus", "", "directory of .v/.vh files to serve as the initial protected corpus")
 		protected = fs.Int("protected", 0, "generate n simulated protected files into the initial corpus")
 		seed      = fs.Int64("seed", 1, "seed for -protected generation")
-		workers   = fs.Int("workers", 0, "scoring concurrency per batch (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 256, "audit queue depth before 429 backpressure")
-		batch     = fs.Int("batch", 32, "max audits coalesced into one snapshot pass")
+		workers   = fs.Int("workers", 0, "scoring concurrency per bulk request (0 = GOMAXPROCS)")
+		queue     = fs.Int("queue", 256, "audits scored at once before 429 backpressure")
 		threshold = fs.Float64("threshold", 0, "violation cosine threshold (0 = paper's 0.8)")
 		budget    = fs.Int64("cache-budget", 0, "verdict cache budget in measured bytes (0 = default 256 MiB, negative = unbounded)")
 		dataDir   = fs.String("data-dir", "", "directory for durable corpus snapshots (empty = in-memory only)")
@@ -89,7 +88,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	cfg := serve.DefaultConfig()
 	cfg.Workers = *workers
 	cfg.QueueDepth = *queue
-	cfg.MaxBatch = *batch
 	if *threshold > 0 {
 		cfg.Threshold = *threshold
 	}
@@ -181,8 +179,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
-	logger.Printf("serving on %s (queue %d, batch %d, threshold %.2f, shutdown grace %s)",
-		ln.Addr(), cfg.QueueDepth, cfg.MaxBatch, cfg.Threshold, *grace)
+	logger.Printf("serving on %s (queue %d, threshold %.2f, shutdown grace %s)",
+		ln.Addr(), cfg.QueueDepth, cfg.Threshold, *grace)
 
 	select {
 	case err := <-errCh:
@@ -191,17 +189,14 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 
 	// Graceful drain: readiness 503s first so load balancers stop routing,
-	// then the listener closes and every in-flight request — including
-	// audits waiting on the dispatcher — completes before exit.
+	// then the listener closes and every in-flight request — each audit is
+	// scored inside its handler — completes before exit.
 	logger.Printf("shutdown signal received; draining (grace %s)", *grace)
 	s.Drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("http shutdown: %v", err)
-	}
-	if err := s.Quiesce(shutdownCtx); err != nil {
-		logger.Printf("audit queue drain: %v", err)
 	}
 	s.Close()
 	logger.Printf("drained; exiting")

@@ -16,9 +16,9 @@ import (
 // The guard is resolved, in order: an explicit //freehw:guardedby <field>
 // directive in the callee's doc comment; the receiver's mutex field whose
 // name shares the longest (>= 2 character) prefix with the method name
-// (publishLocked -> pubMu, pumpLocked -> pumpMu); the receiver's only
-// mutex field. When no guard resolves, holding any mutex of the receiver
-// satisfies the check, and the diagnostic suggests adding the directive.
+// (publishLocked -> pubMu); the receiver's only mutex field. When no guard
+// resolves, holding any mutex of the receiver satisfies the check, and the
+// diagnostic suggests adding the directive.
 //
 // The analysis is path-sensitive: a must-held forward dataflow over the
 // function's CFG. The guard counts as held at a call only if an

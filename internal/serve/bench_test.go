@@ -17,8 +17,8 @@ import (
 )
 
 // BenchmarkServeAudit measures end-to-end /audit throughput through the
-// handler (JSON decode, content-hash memo, micro-batch queue, snapshot
-// scoring, JSON encode) against a 500-document corpus. Queries rotate
+// handler (JSON decode, content-hash memo, admission, snapshot scoring,
+// JSON encode) against a 500-document corpus. Queries rotate
 // through 4096 distinct candidates, so the steady state mixes index
 // passes with cross-request memo hits — the mix a generation pipeline
 // resampling candidates actually produces.
@@ -246,5 +246,63 @@ func BenchmarkCorpusUpload(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkServeAuditParallel drives cold /v1/audit requests through
+// Handler() from concurrent clients: SetParallelism 1 and 8, that many
+// goroutines per GOMAXPROCS. The corpus is BenchmarkCorpusUpload's, bench/'s
+// 8 000 protected documents at -seed 1, and the candidates are shaped like
+// bench/'s audit_cold stream: 10 % a protected file with one line rewritten,
+// the rest novel modules, each tagged so no two share a memo entry. It is
+// the in-process reading of how admission scales with processors: run it
+// at -cpu 1 and -cpu 2.
+func BenchmarkServeAuditParallel(b *testing.B) {
+	names, texts := []string(nil), []string(nil)
+	for _, pf := range corpus.BuildProtectedCorpus(1*1_000_003+1, 8000) {
+		names, texts = append(names, pf.Name), append(texts, pf.Source)
+	}
+	cfg := DefaultConfig()
+	cfg.QueueDepth = 4096
+	s := NewServer(cfg)
+	defer s.Close()
+	if _, _, err := s.PublishDocuments(names, texts); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	tag := 0
+	for _, par := range []int{1, 8} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			bodies := make([][]byte, b.N)
+			for i := range bodies {
+				var code string
+				if rng.Intn(100) < 10 {
+					lines := strings.Split(texts[rng.Intn(len(texts))], "\n")
+					lines[rng.Intn(len(lines))] = fmt.Sprintf("  // local edit %d", rng.Int63())
+					code = strings.Join(lines, "\n")
+				} else {
+					code = corpus.Generate(rng, "", false).Source
+				}
+				tag++
+				bodies[i], _ = json.Marshal(AuditRequest{Code: fmt.Sprintf("%s\n// cand %d\n", code, tag)})
+			}
+			var next atomic.Int64
+			b.SetParallelism(par)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					r := httptest.NewRequest(http.MethodPost, "/v1/audit", bytes.NewReader(bodies[next.Add(1)-1]))
+					w := httptest.NewRecorder()
+					s.Handler().ServeHTTP(w, r)
+					if w.Code != http.StatusOK {
+						b.Errorf("audit status %d: %s", w.Code, w.Body)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "audits/s")
+		})
 	}
 }

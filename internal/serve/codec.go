@@ -872,22 +872,20 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
-// retryAfterSeconds derives the shed backoff hint from live queue
-// pressure instead of a constant: an empty queue that shed only because
-// the dispatcher was mid-batch suggests retrying in a second, a full one
-// tells clients to back off harder. The ramp is deliberately coarse —
-// 1s floor plus one second per quarter of queue fullness — because the
-// hint's job is spreading retries, not forecasting latency.
-func (s *Server) retryAfterSeconds() int {
-	return 1 + 4*len(s.queue)/s.cfg.QueueDepth
+// retryAfterSeconds derives the shed backoff hint from the pressure on
+// sem, the semaphore that refused: one second plus one per quarter of its
+// slots in use. The ramp is deliberately coarse, because the hint's job
+// is spreading retries, not forecasting latency.
+func retryAfterSeconds(sem chan struct{}) int {
+	return 1 + 4*len(sem)/cap(sem)
 }
 
-// writeShed emits the 429 envelope with the live Retry-After hint in
-// both the conventional header and the machine-readable body, so clients
-// that only parse JSON still see the backoff.
-func (s *Server) writeShed(w http.ResponseWriter, code, msg string) {
+// writeShed emits the 429 envelope with sem's Retry-After hint in both the
+// conventional header and the machine-readable body, so clients that only
+// parse JSON still see the backoff.
+func (s *Server) writeShed(w http.ResponseWriter, sem chan struct{}, code, msg string) {
 	s.m.rejected.Add(1)
-	secs := s.retryAfterSeconds()
+	secs := retryAfterSeconds(sem)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	writeJSON(w, http.StatusTooManyRequests,
 		ErrorResponse{Error: ErrorDetail{Code: code, Message: msg, RetryAfterSeconds: secs}})

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -406,44 +407,49 @@ func TestHealthzReadyz(t *testing.T) {
 	}
 }
 
-// The 429 shed response derives Retry-After from live queue depth and
-// carries it in the envelope body as well as the header.
+// holdAdmitted arms FPAdmit so that the first n audits to claim an
+// admission slot block inside it, each sending on entered first, until
+// release is called; later audits pass straight through. Callers defer
+// failpoint.DisableAll.
+func holdAdmitted(n int) (entered <-chan struct{}, release func()) {
+	ch := make(chan struct{}, n)
+	gate := make(chan struct{})
+	var seen atomic.Int64
+	failpoint.Enable(FPAdmit, func(string) error {
+		if seen.Add(1) <= int64(n) {
+			ch <- struct{}{}
+			<-gate
+		}
+		return nil
+	})
+	return ch, func() { close(gate) }
+}
+
+// The 429 shed response derives Retry-After from the admission
+// semaphore's pressure and carries it in the envelope body as well as the
+// header.
 func TestRetryAfterFromQueueDepth(t *testing.T) {
+	defer failpoint.DisableAll()
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 4
-	entered := make(chan struct{}, 16)
-	release := make(chan struct{})
 	s := NewServer(cfg)
 	defer s.Close()
-	s.batchGate = func() {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-	}
 	if _, _, err := s.PublishDocuments([]string{"d"}, []string{"module d(input x, output y); assign y = x; endmodule"}); err != nil {
 		t.Fatal(err)
 	}
 
+	entered, release := holdAdmitted(cfg.QueueDepth)
 	var wg sync.WaitGroup
-	held := 1 + cfg.QueueDepth // one mid-batch + a full queue
-	for i := 0; i < held; i++ {
+	for i := 0; i < cfg.QueueDepth; i++ { // QueueDepth audits in flight
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: fmt.Sprintf("module q%d(); endmodule", i)}, nil)
 		}(i)
-		if i == 0 {
-			<-entered
-		} else {
-			for len(s.queue) < i {
-				time.Sleep(time.Millisecond)
-			}
-		}
+		<-entered
 	}
 
-	// Queue full: depth 4 of 4 → 1 + 4*4/4 = 5 seconds.
+	// Every slot taken: 4 of 4 → 1 + 4*4/4 = 5 seconds.
 	body, _ := json.Marshal(AuditRequest{Code: "module shed(); endmodule"})
 	r := httptest.NewRequest(http.MethodPost, "/v1/audit", strings.NewReader(string(body)))
 	w := httptest.NewRecorder()
@@ -456,20 +462,16 @@ func TestRetryAfterFromQueueDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if er.Error.RetryAfterSeconds != 5 {
-		t.Fatalf("retry_after_s = %d, want 5 (full queue)", er.Error.RetryAfterSeconds)
+		t.Fatalf("retry_after_s = %d, want 5 (every slot taken)", er.Error.RetryAfterSeconds)
 	}
 	if got := w.Header().Get("Retry-After"); got != strconv.Itoa(er.Error.RetryAfterSeconds) {
 		t.Fatalf("Retry-After header %q != body %d", got, er.Error.RetryAfterSeconds)
 	}
-	close(release)
+	release()
 	wg.Wait()
 
-	// With the queue drained, the hint relaxes back to the 1s floor.
-	s.batchGate = nil
-	for len(s.queue) != 0 || s.busy.Load() != 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if got := s.retryAfterSeconds(); got != 1 {
+	// With every audit answered, the hint relaxes back to the 1s floor.
+	if got := retryAfterSeconds(s.admit); got != 1 {
 		t.Fatalf("idle retryAfterSeconds = %d, want 1", got)
 	}
 }
@@ -478,19 +480,11 @@ func TestRetryAfterFromQueueDepth(t *testing.T) {
 // drain began completes with 200 — none dropped — and the server exits
 // cleanly afterwards.
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
+	defer failpoint.DisableAll()
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 64
 	s := NewServer(cfg)
 	defer s.Close()
-	entered := make(chan struct{}, 64)
-	release := make(chan struct{})
-	s.batchGate = func() {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-	}
 	if _, _, err := s.PublishDocuments([]string{"d"}, []string{"module d(input x, output y); assign y = x; endmodule"}); err != nil {
 		t.Fatal(err)
 	}
@@ -504,6 +498,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	const inflight = 8
+	entered, release := holdAdmitted(inflight)
 	codes := make([]int, inflight)
 	var wg sync.WaitGroup
 	for i := 0; i < inflight; i++ {
@@ -520,11 +515,9 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 			codes[i] = resp.StatusCode
 		}(i)
 	}
-	// Wait until the server has accepted all of them (handler increments
-	// the audit counter before enqueueing) and the dispatcher is held.
-	<-entered
-	for s.m.audits.Load() < inflight {
-		time.Sleep(time.Millisecond)
+	// Wait until every audit holds its admission slot.
+	for i := 0; i < inflight; i++ {
+		<-entered
 	}
 
 	// Begin the drain while every request is still in flight.
@@ -534,7 +527,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	defer cancel()
 	go func() { shutdownDone <- httpSrv.Shutdown(ctx) }()
 	time.Sleep(10 * time.Millisecond) // listener now refusing new work
-	close(release)                    // dispatcher resumes; queue drains
+	release()                         // the held audits score and answer
 
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("http shutdown: %v", err)
@@ -545,8 +538,8 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 			t.Fatalf("in-flight audit %d finished with %d during graceful shutdown", i, code)
 		}
 	}
-	if err := s.Quiesce(ctx); err != nil {
-		t.Fatalf("quiesce: %v", err)
+	if n := len(s.admit); n != 0 {
+		t.Fatalf("%d admission slots still held after Shutdown returned", n)
 	}
 	s.Close()
 }
@@ -704,27 +697,28 @@ func TestRollbackRetentionSweepRace(t *testing.T) {
 	}
 }
 
-// An injected fault at the enqueue failpoint must answer 500 without
-// leaking the pooled job or wedging the queue: the very next audit on the
-// same server succeeds.
-func TestEnqueueFaultAnswersAndRecovers(t *testing.T) {
+// An injected fault at the admission failpoint must answer 500 and
+// release its slot: on a one-slot server the very next audit succeeds.
+func TestAdmitFaultAnswersAndRecovers(t *testing.T) {
 	defer failpoint.DisableAll()
-	s := NewServer(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.QueueDepth = 1
+	s := NewServer(cfg)
 	defer s.Close()
 	if _, _, err := s.PublishDocuments([]string{"d"}, []string{"module d(input x, output y); assign y = x; endmodule"}); err != nil {
 		t.Fatal(err)
 	}
 	req := AuditRequest{Code: "module b(input a, output y); assign y = a; endmodule"}
 
-	failpoint.EnableError(FPEnqueue)
+	failpoint.EnableError(FPAdmit)
 	if got := postJSON(t, s.Handler(), "/v1/audit", req, nil); got != http.StatusInternalServerError {
-		t.Fatalf("injected enqueue = %d, want 500", got)
+		t.Fatalf("injected admission fault = %d, want 500", got)
 	}
 	failpoint.DisableAll()
 
 	var resp AuditResponse
 	if got := postJSON(t, s.Handler(), "/v1/audit", req, &resp); got != http.StatusOK {
-		t.Fatalf("audit after injected enqueue fault = %d — queue or job pool wedged", got)
+		t.Fatalf("audit after injected admission fault = %d — the fault leaked the only slot", got)
 	}
 	if resp.Best == nil {
 		t.Fatal("recovered audit returned no verdict")

@@ -17,7 +17,7 @@ import (
 	"freehw/internal/vlog"
 )
 
-// The handlers: admission, one call into the dispatcher, the publisher, the
+// The handlers: admission, one call into the scorer, the publisher, the
 // verdict store or the pipeline, and a response.
 
 // allow answers 405 unless the request uses the endpoint's one method.
@@ -28,38 +28,9 @@ func allow(w http.ResponseWriter, r *http.Request, method string) bool {
 	return r.Method == method
 }
 
-// admitBulk gates a bulk request (batch audit, filter) through the size
-// cap and the in-flight bulkhead, replying and returning nil when the
-// request is rejected. The caller must invoke the returned release.
-func (s *Server) admitBulk(w http.ResponseWriter, candidates int) (release func()) {
-	if candidates == 0 {
-		writeErr(w, http.StatusBadRequest, "empty_batch", "no candidates")
-		return nil
-	}
-	if candidates > s.cfg.MaxBatchCandidates {
-		writeErr(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			"batch of "+strconv.Itoa(candidates)+" exceeds the "+strconv.Itoa(s.cfg.MaxBatchCandidates)+"-candidate limit")
-		return nil
-	}
-	select {
-	case s.bulk <- struct{}{}:
-		if err := failpoint.Inject(FPBulkAdmit); err != nil {
-			<-s.bulk // an injected fault must not leak the bulkhead slot
-			writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-			return nil
-		}
-		return func() { <-s.bulk }
-	default:
-		// Bulkhead full: bulk work is strictly more expensive than a
-		// single audit, so it sheds exactly like the audit queue does.
-		s.writeShed(w, "bulk_full", "too many in-flight bulk requests")
-		return nil
-	}
-}
-
-// handleAudit is the request side of the audit hot path: admission, memo
-// lookup, submit, respond. The latency histogram's wall-clock reads are
-// the one sanctioned exception, annotated below; everything else stays
+// handleAudit is the audit hot path: memo lookup, admission, score,
+// respond. The latency histogram's wall-clock reads are the one
+// sanctioned exception, annotated below; everything else stays
 // allocation- and reflection-free.
 //
 //freehw:hotpath
@@ -78,7 +49,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	entry := s.store.Entry(req.Code)
 
 	// Cross-request memo: same content under the live snapshot generation
-	// answers without touching the queue or the index.
+	// answers without taking an admission slot or touching the index.
 	if req.TopK <= 1 {
 		st := s.current()
 		if m, ok := entry.CachedBestMatch(st.version); ok {
@@ -89,20 +60,12 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	res, err := s.submit(r.Context(), req.Code, req.TopK, entry)
-	switch {
-	case err == nil:
-		s.respondAudit(w, res, threshold, false)
-		s.m.lat.record(time.Since(startT)) //freehw:nolint hotpath -- latency metric needs the second read; boundary cost, not per-posting
-	case errors.Is(err, errQueueFull):
-		s.writeShed(w, "queue_full", err.Error())
-	case errors.Is(err, errShuttingDown):
-		writeErr(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
-	case r.Context().Err() != nil:
-		// Client gone: nobody to answer.
-	default:
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error())
+	if !s.claim(w, s.admit, FPAdmit, "queue_full", "too many in-flight audits") {
+		return
 	}
+	defer func() { <-s.admit }() // deferred, so a panic cannot leak the slot
+	s.respondAudit(w, s.score(req.Code, req.TopK, entry), threshold, false)
+	s.m.lat.record(time.Since(startT)) //freehw:nolint hotpath -- latency metric needs the second read; boundary cost, not per-posting
 }
 
 func (s *Server) respondAudit(w http.ResponseWriter, res auditResult, threshold float64, cached bool) {
@@ -565,7 +528,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Batches:        s.m.batches.Load(),
 		BatchedAudits:  s.m.batchedJobs.Load(),
 		QPS:            s.m.rate.rate(now, uptime),
-		QueueDepth:     len(s.queue),
+		QueueDepth:     len(s.admit),
 		AuditP50Ms:     p50,
 		AuditP99Ms:     p99,
 		Cache: CacheStats{

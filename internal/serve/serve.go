@@ -38,22 +38,21 @@
 // the side — outside the publish lock, so a huge upload never delays a
 // concurrent publish — seal it, and publish it in one pointer store, so
 // in-flight audits keep answering against whichever snapshot they loaded
-// and never observe a half-built index. Audit requests funnel through a
-// bounded queue into a micro-batching dispatcher (one snapshot load and
-// one deduplicated index pass per batch); when the queue is full the
+// and never observe a half-built index. An audit is scored on its own
+// handler goroutine once it holds one of QueueDepth admission slots (bulk
+// requests hold one of MaxInflightBulk); when every slot is taken the
 // service sheds load with 429 instead of stacking goroutines. Verdicts are
 // memoized across requests in a shared vcache.Store keyed by content
 // hash — and, for audits, by the snapshot version they were computed
 // under — so resampled candidates cost a hash lookup.
 //
 // Four seams, a file each: publisher.go mints corpus versions and knows no
-// HTTP, dispatch.go is the audit queue and micro-batcher, codec.go reads
-// and writes the wire, handlers.go is the glue; this file is what they
-// share — Config, Server and its lifecycle.
+// HTTP, dispatch.go is admission and the single-audit scorer, codec.go
+// reads and writes the wire, handlers.go is the glue; this file is what
+// they share — Config, Server and its lifecycle.
 package serve
 
 import (
-	"context"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -75,8 +74,9 @@ var (
 	// snapshot pointer swap: a crash here loses the response, not the data
 	// — the restarted server replays the saved version.
 	FPBeforeSwap = failpoint.Register("serve/before-swap")
-	// FPEnqueue fires before an audit enters the bounded queue.
-	FPEnqueue = failpoint.Register("serve/enqueue")
+	// FPAdmit fires after an audit claims its admission slot; an injected
+	// fault must still release the slot.
+	FPAdmit = failpoint.Register("serve/admit")
 	// FPBulkAdmit fires after a bulk request claims its bulkhead slot; an
 	// injected fault must still release the slot.
 	FPBulkAdmit = failpoint.Register("serve/bulk-admit")
@@ -96,14 +96,12 @@ var (
 
 // Config tunes the service.
 type Config struct {
-	// Workers bounds scoring concurrency inside a batch (0 = GOMAXPROCS).
+	// Workers bounds scoring concurrency inside a bulk request
+	// (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds pending audits before the service sheds load with
-	// 429 (0 = 256).
+	// QueueDepth bounds in-flight /v1/audit scoring before the service
+	// sheds load with 429 (0 = 256).
 	QueueDepth int
-	// MaxBatch caps how many queued audits one dispatcher pass coalesces
-	// into a single snapshot pass (0 = 32).
-	MaxBatch int
 	// MaxBodyBytes caps request bodies (0 = 8 MiB).
 	MaxBodyBytes int64
 	// Threshold is the violation threshold (0 = the paper's 0.8).
@@ -124,7 +122,7 @@ type Config struct {
 	MaxBatchCandidates int
 	// MaxInflightBulk bounds concurrently executing bulk requests
 	// (/v1/audit/batch and /v1/filter). Beyond it the service sheds load
-	// with 429 + Retry-After, mirroring the single-audit queue: bulk
+	// with 429 + Retry-After, mirroring single-audit admission: bulk
 	// requests are strictly more expensive, so they must not be the one
 	// path with unbounded concurrency (0 = 4).
 	MaxInflightBulk int
@@ -155,7 +153,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		QueueDepth: 256,
-		MaxBatch:   32,
 		Threshold:  similarity.DefaultThreshold,
 		Curation:   curation.FreeSetOptions(),
 	}
@@ -164,9 +161,6 @@ func DefaultConfig() Config {
 func (c *Config) fillDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -192,7 +186,7 @@ func (c *Config) fillDefaults() {
 }
 
 // Server is the audit service. Create with NewServer, serve via Handler,
-// release the dispatcher with Close.
+// stop the background merger with Close.
 type Server struct {
 	publisher // the served corpus: s.current() and every way to change it
 
@@ -200,21 +194,10 @@ type Server struct {
 	mux   *http.ServeMux
 	store *vcache.Store
 
-	queue chan *auditJob
+	admit chan struct{} // in-flight /v1/audit scoring slots
 	bulk  chan struct{} // bulkhead: in-flight /v1/audit/batch + /v1/filter slots
 	stop  chan struct{}
 	once  sync.Once
-
-	// pumpMu serializes dispatcher passes: exactly one goroutine — the
-	// background dispatcher or a request handler that stole the pump —
-	// drains and scores a batch at a time. An idle-path audit handler
-	// try-locks it and runs the batch on its own goroutine, skipping two
-	// scheduler handoffs; when the pump is busy it kicks the dispatcher
-	// instead. batchBuf is the reusable batch slice, owned by whoever
-	// holds pumpMu.
-	pumpMu   sync.Mutex
-	kick     chan struct{} // cap 1: dispatcher wake-up, token coalesced
-	batchBuf []*auditJob
 
 	// ready flips on once boot-time snapshot replay completes; draining
 	// flips on when shutdown begins. /v1/readyz is 200 only in between,
@@ -222,32 +205,25 @@ type Server struct {
 	// about to exit.
 	ready    atomic.Bool
 	draining atomic.Bool
-	busy     atomic.Int64 // audits currently inside a dispatcher batch
 	replay   ReplayInfo
 
 	start time.Time
 	m     metrics
-
-	// batchGate, when set (tests), runs at the start of every dispatcher
-	// batch — it lets the backpressure test hold the dispatcher mid-batch
-	// deterministically.
-	batchGate func()
 }
 
-// NewServer builds the service and starts its dispatcher. With a
-// configured snapshot store it replays the newest good on-disk version
-// before returning, so the first request already sees the warm index; a
-// corrupt or empty store degrades to an empty corpus (inspect Replay),
-// never a failed boot.
+// NewServer builds the service and starts its background merger (unless
+// DisableAutoMerge). With a configured snapshot store it replays the
+// newest good on-disk version before returning, so the first request
+// already sees the warm index; a corrupt or empty store degrades to an
+// empty corpus (inspect Replay), never a failed boot.
 func NewServer(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:   cfg,
 		store: vcache.NewStore(cfg.Curation.Dedup),
-		queue: make(chan *auditJob, cfg.QueueDepth),
+		admit: make(chan struct{}, cfg.QueueDepth),
 		bulk:  make(chan struct{}, cfg.MaxInflightBulk),
 		stop:  make(chan struct{}),
-		kick:  make(chan struct{}, 1),
 		start: time.Now(),
 	}
 	if cfg.CacheBudget > 0 {
@@ -270,7 +246,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "not_found", "no such endpoint: "+r.URL.Path)
 	})
-	go s.dispatch()
 	if !cfg.DisableAutoMerge {
 		go s.merger(s.stop)
 	}
@@ -305,31 +280,15 @@ func recoverMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// Close stops the dispatcher. Queued audits get 503.
+// Close stops the background merger. Requests still being served finish
+// normally: every request does its work on its own handler goroutine.
 func (s *Server) Close() { s.once.Do(func() { close(s.stop) }) }
 
 // Drain marks the server as shutting down: /v1/readyz flips to 503 so
-// load balancers stop routing here, while in-flight and already-accepted
-// work keeps completing. Call it when shutdown begins, before the HTTP
-// listener closes.
+// load balancers stop routing here, while in-flight work keeps completing.
+// The graceful-shutdown sequence is: Drain, http.Server.Shutdown (which
+// waits for every handler, and so for every admitted audit), Close.
 func (s *Server) Drain() { s.draining.Store(true) }
-
-// Quiesce blocks until the audit queue is empty and no dispatcher batch
-// is in flight — every accepted audit has its verdict — or ctx expires.
-// The graceful-shutdown sequence is: Drain, stop the HTTP listener
-// (http.Server.Shutdown), Quiesce, Close.
-func (s *Server) Quiesce(ctx context.Context) error {
-	for {
-		if len(s.queue) == 0 && s.busy.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
 
 // Replay reports what boot-time snapshot recovery found (zero value when
 // no store is configured).

@@ -7,12 +7,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"freehw/internal/failpoint"
 	"freehw/internal/similarity"
 )
 
@@ -254,52 +254,30 @@ endmodule
 	}
 }
 
-// When the audit queue is full the service sheds load with 429 instead of
-// queueing unboundedly. The batch gate holds the dispatcher mid-batch so
-// the queue state is deterministic.
+// When every admission slot is taken the service sheds load with 429
+// instead of queueing unboundedly. FPAdmit holds the admitted audit so
+// the slot state is deterministic.
 func TestAuditBackpressure(t *testing.T) {
+	defer failpoint.DisableAll()
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 1
-	entered := make(chan struct{}, 16)
-	release := make(chan struct{})
 	s := NewServer(cfg)
 	defer s.Close()
-	s.batchGate = func() {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-	}
 	s.PublishDocuments([]string{"d"}, []string{"module d(input x, output y); assign y = x; endmodule"})
 
-	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i] = postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: fmt.Sprintf("module q%d(); endmodule", i)}, nil)
-		}(i)
-		if i == 0 {
-			<-entered // dispatcher holds request 0 mid-batch; queue is empty again
-		} else {
-			// Wait until request 1 occupies the queue's single slot.
-			for len(s.queue) == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	// Queue full, dispatcher blocked: the next audit must shed.
-	if code := postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: "module q2(); endmodule"}, nil); code != http.StatusTooManyRequests {
+	entered, release := holdAdmitted(1)
+	held := make(chan int)
+	go func() {
+		held <- postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: "module q0(); endmodule"}, nil)
+	}()
+	<-entered
+	// The one slot is taken: the next audit must shed.
+	if code := postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: "module q1(); endmodule"}, nil); code != http.StatusTooManyRequests {
 		t.Fatalf("expected 429, got %d", code)
 	}
-	close(release)
-	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("held request %d = %d", i, code)
-		}
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request = %d", code)
 	}
 	var stats StatsResponse
 	r := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
@@ -308,6 +286,49 @@ func TestAuditBackpressure(t *testing.T) {
 	json.Unmarshal(w.Body.Bytes(), &stats)
 	if stats.Rejected != 1 {
 		t.Fatalf("rejected = %d", stats.Rejected)
+	}
+}
+
+// An audit held inside admission holds only its own slot: another audit
+// on the same server is scored and answered meanwhile.
+func TestHeldAuditBlocksNoOther(t *testing.T) {
+	defer failpoint.DisableAll()
+	s := NewServer(DefaultConfig())
+	defer s.Close()
+	s.PublishDocuments([]string{"d"}, []string{"module d(input x, output y); assign y = x; endmodule"})
+
+	entered, release := holdAdmitted(1)
+	held := make(chan int)
+	go func() {
+		held <- postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: "module q0(); endmodule"}, nil)
+	}()
+	<-entered
+	var resp AuditResponse
+	if code := postJSON(t, s.Handler(), "/v1/audit", AuditRequest{Code: "module q1(); endmodule"}, &resp); code != http.StatusOK {
+		t.Fatalf("audit beside a held one = %d, want 200", code)
+	}
+	if resp.Best == nil || resp.Cached {
+		t.Fatalf("audit beside a held one was not scored: %+v", resp)
+	}
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request = %d", code)
+	}
+}
+
+// A 160 KB body of 32 000 macro uses, each expansion of which copies the
+// rest of the file, gets a prompt "bad" syntax verdict naming the lexer's
+// expansion budget instead of exhausting memory.
+func TestSyntaxMacroFlood(t *testing.T) {
+	s := NewServer(DefaultConfig())
+	defer s.Close()
+	code := "`define W 1'b0\nmodule m; wire [31999:0] w = {" + strings.Repeat("`W , ", 31999) + "`W}; endmodule\n"
+	var syn SyntaxResponse
+	if got := postJSON(t, s.Handler(), "/v1/syntax", SyntaxRequest{Code: code}, &syn); got != http.StatusOK {
+		t.Fatalf("/v1/syntax = %d", got)
+	}
+	if syn.OK || !strings.Contains(syn.Error, "macro expansion budget") {
+		t.Fatalf("macro flood syntax = %+v", syn)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"freehw/internal/failpoint"
 	"freehw/internal/pipeline"
 	"freehw/internal/similarity"
 )
@@ -435,7 +436,7 @@ func TestFilterStageComposition(t *testing.T) {
 
 // Bulk endpoints (/v1/audit/batch, /v1/filter) enforce the candidate cap
 // and shed load through the bulkhead with 429 + Retry-After, mirroring
-// the single-audit queue.
+// single-audit admission.
 func TestBulkBackpressure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxBatchCandidates = 2
@@ -473,6 +474,11 @@ func TestBulkBackpressure(t *testing.T) {
 	if er.Error.Code != "bulk_full" {
 		t.Fatalf("bulkhead envelope = %+v", er)
 	}
+	// The hint reads the bulkhead that refused (1 of 1 held → 1 + 4 = 5),
+	// not the idle audit slots.
+	if er.Error.RetryAfterSeconds != 5 || w.Header().Get("Retry-After") != "5" {
+		t.Fatalf("held bulkhead Retry-After = %q / %d, want 5", w.Header().Get("Retry-After"), er.Error.RetryAfterSeconds)
+	}
 	<-s.bulk
 
 	// Released: the same requests succeed, and the slot is returned after
@@ -488,8 +494,9 @@ func TestBulkBackpressure(t *testing.T) {
 }
 
 // /stats reports a sliding-window qps (not a lifetime average) and the
-// live audit queue depth.
+// number of audits in flight as its queue depth.
 func TestStatsWindowedQPSAndQueueDepth(t *testing.T) {
+	defer failpoint.DisableAll()
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 4
 	s := NewServer(cfg)
@@ -519,38 +526,21 @@ func TestStatsWindowedQPSAndQueueDepth(t *testing.T) {
 		t.Fatalf("idle queue depth = %d", st.QueueDepth)
 	}
 
-	// Hold the dispatcher mid-batch and fill the queue: depth must surface.
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	s.batchGate = func() {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-	}
+	// Hold one audit inside admission: the depth must surface.
+	entered, release := holdAdmitted(1)
 	done := make(chan struct{})
 	go func() {
 		do(t, s.Handler(), http.MethodPost, "/v1/audit", "application/json", mustJSON(t, AuditRequest{Code: "module h0(); endmodule"}))
 		close(done)
 	}()
 	<-entered
-	queued := make(chan struct{})
-	go func() {
-		do(t, s.Handler(), http.MethodPost, "/v1/audit", "application/json", mustJSON(t, AuditRequest{Code: "module h1(); endmodule"}))
-		close(queued)
-	}()
-	for {
-		_, body = do(t, s.Handler(), http.MethodGet, "/v1/stats", "", nil)
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.QueueDepth >= 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	_, body = do(t, s.Handler(), http.MethodGet, "/v1/stats", "", nil)
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
 	}
-	close(release)
+	if st.QueueDepth != 1 {
+		t.Fatalf("queue depth with one audit held = %d, want 1", st.QueueDepth)
+	}
+	release()
 	<-done
-	<-queued
 }

@@ -197,13 +197,16 @@ type StatsResponse struct {
 	CorpusPosts    int64 `json:"corpus_posts"`
 	Rejected       int64 `json:"rejected"`
 	Violations     int64 `json:"violations"`
-	Batches        int64 `json:"batches"`
-	BatchedAudits  int64 `json:"batched_audits"`
+	// Batches counts scoring passes — one per /v1/audit that was scored,
+	// one per /v1/audit/batch with memo misses — and BatchedAudits the
+	// candidates they scored, so their ratio is the mean pass size.
+	Batches       int64 `json:"batches"`
+	BatchedAudits int64 `json:"batched_audits"`
 	// QPS is request throughput over a sliding 60-second window (shorter
 	// while uptime is below 60s), not a lifetime average.
 	QPS float64 `json:"qps"`
-	// QueueDepth is the current number of audits waiting in the
-	// micro-batching queue.
+	// QueueDepth is the number of /v1/audit requests holding an
+	// admission slot right now (at most Config.QueueDepth).
 	QueueDepth int        `json:"queue_depth"`
 	AuditP50Ms float64    `json:"audit_p50_ms"`
 	AuditP99Ms float64    `json:"audit_p99_ms"`
@@ -215,9 +218,9 @@ type StatsResponse struct {
 type ErrorDetail struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
-	// RetryAfterSeconds accompanies 429 shed responses: the same live
-	// queue-pressure-derived backoff hint as the Retry-After header, for
-	// clients that only parse the JSON body.
+	// RetryAfterSeconds accompanies 429 shed responses: the backoff hint
+	// of the Retry-After header, derived from the semaphore that refused,
+	// for clients that only parse the JSON body.
 	RetryAfterSeconds int `json:"retry_after_s,omitempty"`
 	// CurrentVersion accompanies 409 version_conflict responses: the live
 	// corpus version the If-Version precondition was compared against, so

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"freehw/internal/corpus"
 )
@@ -56,7 +57,19 @@ var trickySeeds = []string{
 	"module m; wire x = 1e999; endmodule",
 	"module m; wire [3:0] x = 4'b\n  1010; initial $display(\"a\\\nb\", x); endmodule",
 	"0'b1 70000'h1 8'b102 8'o78 'd1x 'dz 'd?? 12'h__ 1e 1e+ 1.5e3 1_0.2_5 99999999999999999999 18446744073709551615 8'hx 4'sb1z",
+	selfMacro,
+	mutualMacros,
+	manyMacroUses,
 }
+
+// Macro files that only the expansion budget stops: a macro that expands
+// to itself, two that expand to each other, and 32 000 uses of one macro
+// in a 160 KB file, each use copying the rest of the file.
+var (
+	selfMacro     = "`define A `A\nmodule m; wire w = `A; endmodule\n"
+	mutualMacros  = "`define A `B\n`define B `A\nmodule m; wire w = `A; endmodule\n"
+	manyMacroUses = "`define W 1'b0\nmodule m; wire [31999:0] w = {" + strings.Repeat("`W , ", 31999) + "`W}; endmodule\n"
+)
 
 // FuzzTokenize holds the lexer to the reference lexer it replaced: the same
 // tokens (kind, text and position, the final EOF included) and the same
@@ -118,4 +131,21 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("nil file with nil error")
 		}
 	})
+}
+
+// Check answers each macro reproducer with the expansion-budget error
+// within a second.
+func TestMacroExpansionBudget(t *testing.T) {
+	for _, src := range []string{selfMacro, mutualMacros, manyMacroUses} {
+		done := make(chan error, 1)
+		go func() { done <- Check(src) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "macro expansion budget") {
+				t.Errorf("Check(%.40q...) = %v, want the expansion budget error", src, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("Check(%.40q...) still running after 1 s", src)
+		}
+	}
 }

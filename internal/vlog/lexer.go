@@ -34,10 +34,20 @@ type Lexer struct {
 	// carry no message, so a failed scan allocates nothing.
 	quick  bool
 	macros map[string]string // made at the first `define
+	// expanded counts the bytes macro expansions have copied, against
+	// maxExpansionBytes.
+	expanded int
 	// ifdef stack: true means the current branch is active.
 	condStack []bool
 	err       *SyntaxError
 }
+
+// maxExpansionBytes bounds the bytes one file's macro expansions may copy.
+// An expansion rebuilds the rest of the source around the macro body and
+// tokens slice every copy, so without a bound n uses hold O(n·len) bytes
+// and a macro that expands to itself never finishes. Past the bound the
+// file has a lexical error.
+const maxExpansionBytes = 64 << 20
 
 // errQuick is the error a quick scan records in place of a message.
 var errQuick = &SyntaxError{Msg: "outside QuickCheck's subset"}
@@ -287,6 +297,10 @@ func (l *Lexer) directive() {
 			return
 		}
 		// Expand by prepending; positions inside the body map to the use site.
+		if l.expanded += len(l.src) + len(body) + 2; l.expanded > maxExpansionBytes {
+			l.errorf(p, "expanding `%s exceeds the %d-byte macro expansion budget", name, maxExpansionBytes)
+			return
+		}
 		l.src = l.src[:l.off] + " " + body + " " + l.src[l.off:]
 	}
 }

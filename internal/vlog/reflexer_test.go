@@ -20,6 +20,8 @@ type refLexer struct {
 	line   int
 	col    int
 	macros map[string]string
+	// expanded counts the bytes macro expansions have copied.
+	expanded int
 	// ifdef stack: true means the current branch is active.
 	condStack []bool
 	err       *SyntaxError
@@ -209,6 +211,10 @@ func (l *refLexer) directive() {
 			return
 		}
 		// Expand by prepending; positions inside the body map to the use site.
+		if l.expanded += len(l.src) + len(body) + 2; l.expanded > maxExpansionBytes {
+			l.errorf(p, "expanding `%s exceeds the %d-byte macro expansion budget", name, maxExpansionBytes)
+			return
+		}
 		l.src = l.src[:l.off] + " " + body + " " + l.src[l.off:]
 	}
 }
