@@ -932,38 +932,7 @@ func (p *Parser) parseFunction(m *Module) error {
 		return err
 	}
 	f.Name = name
-	// ANSI argument list?
-	if p.accept(LPAREN) {
-		if err := p.parseTFPorts(&f.Inputs); err != nil {
-			return err
-		}
-	}
-	if _, err := p.expect(SEMI); err != nil {
-		return err
-	}
-	// Declarations then a single statement (usually begin/end).
-	for {
-		t := p.cur()
-		if t.Kind == KEYWORD && (t.Text == "input" || t.Text == "output" || t.Text == "inout") {
-			if err := p.parseTFPortDecl(&f.Inputs); err != nil {
-				return err
-			}
-			continue
-		}
-		if t.Kind == KEYWORD && (t.Text == "reg" || t.Text == "integer") {
-			if err := p.parseLocalDecls(&f.Locals); err != nil {
-				return err
-			}
-			continue
-		}
-		break
-	}
-	body, err := p.parseStmt()
-	if err != nil {
-		return err
-	}
-	f.Body = body
-	if err := p.expectKw("endfunction"); err != nil {
+	if f.Body, err = p.parseTFRest("endfunction", &f.Inputs, &f.Locals); err != nil {
 		return err
 	}
 	m.Funcs = append(m.Funcs, f)
@@ -979,25 +948,36 @@ func (p *Parser) parseTask(m *Module) error {
 		return err
 	}
 	t := &Task{Name: name, Pos: pos}
+	if t.Body, err = p.parseTFRest("endtask", &t.Inputs, &t.Locals); err != nil {
+		return err
+	}
+	m.Tasks = append(m.Tasks, t)
+	return nil
+}
+
+// parseTFRest parses what follows a function's or task's name: an optional
+// ANSI port list, the `;`, port and local declarations, the one body
+// statement (usually begin/end) and the end keyword.
+func (p *Parser) parseTFRest(end string, inputs, locals *[]*Decl) (Stmt, error) {
 	if p.accept(LPAREN) {
-		if err := p.parseTFPorts(&t.Inputs); err != nil {
-			return err
+		if err := p.parseTFPorts(inputs); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := p.expect(SEMI); err != nil {
-		return err
+		return nil, err
 	}
 	for {
-		tk := p.cur()
-		if tk.Kind == KEYWORD && (tk.Text == "input" || tk.Text == "output" || tk.Text == "inout") {
-			if err := p.parseTFPortDecl(&t.Inputs); err != nil {
-				return err
+		t := p.cur()
+		if t.Kind == KEYWORD && (t.Text == "input" || t.Text == "output" || t.Text == "inout") {
+			if err := p.parseTFPortDecl(inputs); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		if tk.Kind == KEYWORD && (tk.Text == "reg" || tk.Text == "integer") {
-			if err := p.parseLocalDecls(&t.Locals); err != nil {
-				return err
+		if t.Kind == KEYWORD && (t.Text == "reg" || t.Text == "integer") {
+			if err := p.parseLocalDecls(locals); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -1005,14 +985,9 @@ func (p *Parser) parseTask(m *Module) error {
 	}
 	body, err := p.parseStmt()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	t.Body = body
-	if err := p.expectKw("endtask"); err != nil {
-		return err
-	}
-	m.Tasks = append(m.Tasks, t)
-	return nil
+	return body, p.expectKw(end)
 }
 
 // parseTFPorts parses an ANSI function/task port list up to RPAREN.

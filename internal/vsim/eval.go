@@ -21,12 +21,11 @@ type frame struct {
 
 // env is the evaluation context.
 type env struct {
-	d      *Design
-	sim    *Simulator // nil during constant evaluation
-	scope  *Scope
-	frame  *frame
-	depth  int
-	inProc bool // true when executing inside a process goroutine
+	d     *Design
+	sim   *Simulator // nil during constant evaluation
+	scope *Scope
+	frame *frame
+	depth int
 }
 
 const maxCallDepth = 128
@@ -910,60 +909,26 @@ func evalCall(e env, c *vlog.Call, ctx int) (Value, error) {
 	if len(c.Args) != len(f.Inputs) {
 		return Value{}, e.errf("function %s expects %d args, got %d", c.Name, len(f.Inputs), len(c.Args))
 	}
-	// Build the call frame.
-	fr := &frame{vars: map[string]*Value{}}
-	retW := 1
+	// The return variable is bound first, so a port or local of the same
+	// name shadows it.
+	kind := vlog.DeclReg
 	if f.Integer {
-		retW = 32
-	} else if f.Ret != nil {
-		w, _, _, err := e.d.rangeWidth(fsc, f.Ret)
-		if err != nil {
-			return Value{}, err
-		}
-		retW = w
+		kind = vlog.DeclInteger
 	}
-	ret := NewValue(retW)
-	ret.Signed = f.Signed
-	fr.vars[f.Name] = &ret
-	for i, in := range f.Inputs {
-		av, err := eval(e, c.Args[i], 0)
-		if err != nil {
-			return Value{}, err
-		}
-		w := 1
-		if in.Kind == vlog.DeclInteger {
-			w = 32
-		}
-		if in.Vec != nil {
-			wv, _, _, err := e.d.rangeWidth(fsc, in.Vec)
-			if err != nil {
-				return Value{}, err
-			}
-			w = wv
-		}
-		bound := av.Resize(w)
-		bound.Signed = in.Signed
-		fr.vars[in.Name] = &bound
+	ret, err := e.d.newVar(fsc, &vlog.Decl{Kind: kind, Vec: f.Ret, Signed: f.Signed})
+	if err != nil {
+		return Value{}, err
 	}
-	for _, lc := range f.Locals {
-		w := 1
-		if lc.Kind == vlog.DeclInteger {
-			w = 32
-		}
-		if lc.Vec != nil {
-			wv, _, _, err := e.d.rangeWidth(fsc, lc.Vec)
-			if err != nil {
-				return Value{}, err
-			}
-			w = wv
-		}
-		lv := NewValue(w)
-		lv.Signed = lc.Signed
-		fr.vars[lc.Name] = &lv
+	fr := &frame{vars: map[string]*Value{f.Name: ret}}
+	if err := bindFrame(e, fsc, fr, f.Inputs, f.Locals, c.Args); err != nil {
+		return Value{}, err
 	}
 	fe := env{d: e.d, sim: e.sim, scope: fsc, frame: fr, depth: e.depth + 1}
-	if err := execFuncStmt(fe, f.Body); err != nil {
-		if err != errFuncReturn {
+	px := procExec{budget: maxFuncSteps}
+	if err := px.exec(fe, f.Body); err != nil {
+		// Any disable that no enclosing block of the body names, `disable
+		// f;` among them, returns from the function.
+		if _, ok := err.(errDisabled); !ok {
 			return Value{}, err
 		}
 	}
@@ -973,6 +938,3 @@ func evalCall(e env, c *vlog.Call, ctx int) (Value, error) {
 	}
 	return out, nil
 }
-
-// errFuncReturn implements `disable f;` inside function f (early return).
-var errFuncReturn = &EvalError{Msg: "function return"}

@@ -307,167 +307,6 @@ func caseMatch(kind vlog.CaseKind, sel, item Value) bool {
 	return true
 }
 
+// maxFuncSteps bounds the statements a process runs between two timing
+// controls, and those one function call runs.
 const maxFuncSteps = 4 << 20
-
-// execFuncStmt executes a statement inside a function: no timing controls,
-// no nonblocking assignments. disable <fname> acts as return.
-func execFuncStmt(e env, s vlog.Stmt) error {
-	budget := maxFuncSteps
-	return execFunc(e, s, &budget)
-}
-
-func execFunc(e env, s vlog.Stmt, budget *int) error {
-	if s == nil {
-		return nil
-	}
-	*budget--
-	if *budget <= 0 {
-		return e.errf("function execution exceeded step budget (infinite loop?)")
-	}
-	switch st := s.(type) {
-	case *vlog.NullStmt:
-		return nil
-	case *vlog.Block:
-		fe := e
-		if len(st.Decls) > 0 {
-			// Block-local variables live in the frame.
-			for _, dcl := range st.Decls {
-				w := 1
-				if dcl.Kind == vlog.DeclInteger {
-					w = 32
-				}
-				if dcl.Vec != nil {
-					wv, _, _, err := e.d.rangeWidth(e.scope, dcl.Vec)
-					if err != nil {
-						return err
-					}
-					w = wv
-				}
-				v := NewValue(w)
-				v.Signed = dcl.Signed
-				if e.frame == nil {
-					return e.errf("block-local declarations outside function frames are unsupported")
-				}
-				e.frame.vars[dcl.Name] = &v
-			}
-		}
-		for _, sub := range st.Stmts {
-			if err := execFunc(fe, sub, budget); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *vlog.AssignStmt:
-		if !st.Blocking {
-			return e.errf("nonblocking assignment inside function")
-		}
-		slices, total, err := resolveLV(e, st.LHS)
-		if err != nil {
-			return err
-		}
-		val, err := eval(e, st.RHS, total)
-		if err != nil {
-			return err
-		}
-		return storeSlices(e, slices, total, val, nil)
-	case *vlog.IfStmt:
-		cv, err := eval(e, st.Cond, 0)
-		if err != nil {
-			return err
-		}
-		if cv.IsTrue() {
-			return execFunc(e, st.Then, budget)
-		}
-		return execFunc(e, st.Else, budget)
-	case *vlog.CaseStmt:
-		sel, err := eval(e, st.Expr, 0)
-		if err != nil {
-			return err
-		}
-		var def vlog.Stmt
-		for _, item := range st.Items {
-			if item.Exprs == nil {
-				def = item.Body
-				continue
-			}
-			for _, ix := range item.Exprs {
-				iv, err := eval(e, ix, 0)
-				if err != nil {
-					return err
-				}
-				if caseMatch(st.Kind, sel, iv) {
-					return execFunc(e, item.Body, budget)
-				}
-			}
-		}
-		return execFunc(e, def, budget)
-	case *vlog.ForStmt:
-		if err := execFunc(e, st.Init, budget); err != nil {
-			return err
-		}
-		for {
-			cv, err := eval(e, st.Cond, 0)
-			if err != nil {
-				return err
-			}
-			if !cv.IsTrue() {
-				return nil
-			}
-			if err := execFunc(e, st.Body, budget); err != nil {
-				return err
-			}
-			if err := execFunc(e, st.Post, budget); err != nil {
-				return err
-			}
-			*budget--
-			if *budget <= 0 {
-				return e.errf("function loop exceeded step budget")
-			}
-		}
-	case *vlog.WhileStmt:
-		for {
-			cv, err := eval(e, st.Cond, 0)
-			if err != nil {
-				return err
-			}
-			if !cv.IsTrue() {
-				return nil
-			}
-			if err := execFunc(e, st.Body, budget); err != nil {
-				return err
-			}
-			*budget--
-			if *budget <= 0 {
-				return e.errf("function loop exceeded step budget")
-			}
-		}
-	case *vlog.RepeatStmt:
-		cv, err := eval(e, st.Count, 0)
-		if err != nil {
-			return err
-		}
-		n, ok := cv.Int64()
-		if !ok || n < 0 {
-			return nil
-		}
-		for i := int64(0); i < n; i++ {
-			if err := execFunc(e, st.Body, budget); err != nil {
-				return err
-			}
-			*budget--
-			if *budget <= 0 {
-				return e.errf("function loop exceeded step budget")
-			}
-		}
-		return nil
-	case *vlog.DisableStmt:
-		// `disable f;` inside function f returns early.
-		return errFuncReturn
-	case *vlog.SysTaskStmt:
-		if e.sim != nil {
-			return e.sim.sysTask(e, st)
-		}
-		return nil
-	}
-	return e.errf("statement %T not allowed inside a function", s)
-}

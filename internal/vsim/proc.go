@@ -6,11 +6,13 @@ import (
 	"freehw/internal/vlog"
 )
 
-// run is the body of a process goroutine. The scheduler and processes
-// alternate strictly: a process runs only between a receive on p.resume and
-// the next send on sim.parked, so no shared state is ever accessed
-// concurrently.
-func (p *proc) run() {
+// run is the body of a process: the iter.Seq that start hands to iter.Pull.
+// The scheduler steps the process by calling its next, and the process runs
+// until it parks in yield or ends, so exactly one of {scheduler, one
+// process} runs at a time. When Close calls stop, the suspended yield returns
+// false and the process unwinds.
+func (p *proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		r := recover()
 		p.done = true
@@ -22,13 +24,8 @@ func (p *proc) run() {
 		default:
 			panic(r)
 		}
-		p.sim.parked <- struct{}{}
 	}()
-	msg := <-p.resume
-	if msg.kill {
-		panic(procKilled{})
-	}
-	px := &procExec{p: p, s: p.sim}
+	px := &procExec{p: p}
 	spins := 0
 	first := true
 	for {
@@ -44,7 +41,7 @@ func (p *proc) run() {
 			}
 		}
 		first = false
-		e := env{d: p.sim.d, sim: p.sim, scope: p.scope, frame: p.procFrame(), inProc: true}
+		e := env{d: p.sim.d, sim: p.sim, scope: p.scope, frame: p.procFrame()}
 		if err := px.exec(e, body); err != nil {
 			if _, ok := err.(errDisabled); !ok {
 				panic(procFailed{err})
@@ -94,19 +91,21 @@ func (p *proc) procFrame() *frame {
 	return p.frame
 }
 
-// park suspends the goroutine until the scheduler resumes it.
+// park suspends the process in yield until the scheduler next calls its
+// next. A false yield means Close stopped the process: unwind it.
 func (p *proc) park() {
-	p.sim.parked <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
 
-// procExec interprets statements with timing controls inside a process.
+// procExec is the one statement interpreter. It runs a process's body and
+// the tasks that process calls (p != nil), and a function body (p == nil),
+// which may not wait, call a task or make a nonblocking assignment. budget
+// bounds the statements run between two timing controls (a function gets
+// one budget per call); depth bounds task nesting.
 type procExec struct {
 	p      *proc
-	s      *Simulator
 	parks  int
 	budget int
 	depth  int
@@ -118,31 +117,28 @@ func (px *procExec) exec(e env, st vlog.Stmt) error {
 	}
 	px.budget--
 	if px.budget <= 0 {
-		return fmt.Errorf("process exceeded step budget between timing controls")
+		return e.errf("%d statements without a timing control (infinite loop?)", maxFuncSteps)
+	}
+	if px.p == nil {
+		switch st.(type) {
+		case *vlog.DelayStmt, *vlog.EventStmt, *vlog.WaitStmt, *vlog.ForeverStmt, *vlog.TaskCallStmt:
+			return e.errf("statement %T not allowed inside a function", st)
+		}
 	}
 	switch s := st.(type) {
 	case *vlog.NullStmt:
 		return nil
 
 	case *vlog.Block:
+		// Block-locals are static: initialized once per process, or per call.
 		for _, dcl := range s.Decls {
-			if _, exists := e.frame.vars[dcl.Name]; exists {
-				continue // static: initialized once
-			}
-			w := 1
-			if dcl.Kind == vlog.DeclInteger {
-				w = 32
-			}
-			if dcl.Vec != nil {
-				wv, _, _, err := e.d.rangeWidth(e.scope, dcl.Vec)
+			if _, exists := e.frame.vars[dcl.Name]; !exists {
+				v, err := e.d.newVar(e.scope, dcl)
 				if err != nil {
 					return err
 				}
-				w = wv
+				e.frame.vars[dcl.Name] = v
 			}
-			v := NewValue(w)
-			v.Signed = dcl.Signed
-			e.frame.vars[dcl.Name] = &v
 		}
 		for _, sub := range s.Stmts {
 			if err := px.exec(e, sub); err != nil {
@@ -286,7 +282,17 @@ func (px *procExec) exec(e env, st vlog.Stmt) error {
 		return px.exec(e, s.Stmt)
 
 	case *vlog.SysTaskStmt:
-		return px.s.sysTask(e, s)
+		if e.sim == nil {
+			return nil // constant evaluation of a function
+		}
+		if err := e.sim.sysTask(e, s); err != nil {
+			return err
+		}
+		// $finish and $stop unwind a process; a function keeps running.
+		if px.p != nil && (s.Name == "$finish" || s.Name == "$stop") {
+			panic(procFinished{})
+		}
+		return nil
 
 	case *vlog.TaskCallStmt:
 		return px.callTask(e, s)
@@ -294,11 +300,14 @@ func (px *procExec) exec(e env, st vlog.Stmt) error {
 	case *vlog.DisableStmt:
 		return errDisabled{name: s.Name}
 	}
-	return fmt.Errorf("unsupported statement %T in process", st)
+	return e.errf("unsupported statement %T", st)
 }
 
 // assign handles blocking and nonblocking procedural assignments.
 func (px *procExec) assign(e env, s *vlog.AssignStmt) error {
+	if px.p == nil && (!s.Blocking || s.Delay != nil) {
+		return e.errf("nonblocking or delayed assignment inside a function")
+	}
 	slices, total, err := resolveLV(e, s.LHS)
 	if err != nil {
 		return err
@@ -326,17 +335,17 @@ func (px *procExec) assign(e env, s *vlog.AssignStmt) error {
 		}
 		d, _ := dv.Uint64()
 		if d > 0 {
-			px.s.scheduleAt(px.s.now+d, &futureEvent{nba: u})
+			e.sim.scheduleAt(e.sim.now+d, &futureEvent{nba: u})
 			return nil
 		}
 	}
-	px.s.nbaQueue = append(px.s.nbaQueue, u)
+	e.sim.nbaQueue = append(e.sim.nbaQueue, u)
 	return nil
 }
 
 // delay parks the process until now+d.
 func (px *procExec) delay(d uint64) {
-	px.s.scheduleAt(px.s.now+d, &futureEvent{p: px.p})
+	px.p.sim.scheduleAt(px.p.sim.now+d, &futureEvent{p: px.p})
 	px.parks++
 	px.budget = maxFuncSteps
 	px.p.park()
@@ -410,7 +419,7 @@ func (px *procExec) callTask(e env, s *vlog.TaskCallStmt) error {
 		} else {
 			sig.Val = FromUint64(1, 1)
 		}
-		px.s.signalChanged(sig)
+		e.sim.signalChanged(sig)
 		return nil
 	}
 	if px.depth > 32 {
@@ -424,48 +433,10 @@ func (px *procExec) callTask(e env, s *vlog.TaskCallStmt) error {
 		return fmt.Errorf("task %s expects %d args, got %d", s.Name, len(task.Inputs), len(s.Args))
 	}
 	fr := &frame{vars: map[string]*Value{}}
-	// Bind inputs; outputs start x.
-	for i, port := range task.Inputs {
-		w := 1
-		if port.Kind == vlog.DeclInteger {
-			w = 32
-		}
-		if port.Vec != nil {
-			wv, _, _, err := e.d.rangeWidth(tsc, port.Vec)
-			if err != nil {
-				return err
-			}
-			w = wv
-		}
-		v := NewValue(w)
-		v.Signed = port.Signed
-		if port.Dir != "output" {
-			av, err := eval(e, s.Args[i], 0)
-			if err != nil {
-				return err
-			}
-			v = av.Resize(w)
-			v.Signed = port.Signed
-		}
-		fr.vars[port.Name] = &v
+	if err := bindFrame(e, tsc, fr, task.Inputs, task.Locals, s.Args); err != nil {
+		return err
 	}
-	for _, lc := range task.Locals {
-		w := 1
-		if lc.Kind == vlog.DeclInteger {
-			w = 32
-		}
-		if lc.Vec != nil {
-			wv, _, _, err := e.d.rangeWidth(tsc, lc.Vec)
-			if err != nil {
-				return err
-			}
-			w = wv
-		}
-		v := NewValue(w)
-		v.Signed = lc.Signed
-		fr.vars[lc.Name] = &v
-	}
-	te := env{d: e.d, sim: e.sim, scope: tsc, frame: fr, inProc: true}
+	te := env{d: e.d, sim: e.sim, scope: tsc, frame: fr}
 	px.depth++
 	err := px.exec(te, task.Body)
 	px.depth--
@@ -490,4 +461,51 @@ func (px *procExec) callTask(e env, s *vlog.TaskCallStmt) error {
 		}
 	}
 	return nil
+}
+
+// bindFrame fills fr, the frame of a call to a function or task declared in
+// sc: each port and local starts as newVar makes it, and each port that is
+// not an output takes its argument, evaluated in the caller's env e.
+func bindFrame(e env, sc *Scope, fr *frame, ports, locals []*vlog.Decl, args []vlog.Expr) error {
+	for i, port := range ports {
+		v, err := e.d.newVar(sc, port)
+		if err != nil {
+			return err
+		}
+		if port.Dir != "output" {
+			av, err := eval(e, args[i], 0)
+			if err != nil {
+				return err
+			}
+			*v = av.Resize(v.Width)
+			v.Signed = port.Signed
+		}
+		fr.vars[port.Name] = v
+	}
+	for _, lc := range locals {
+		v, err := e.d.newVar(sc, lc)
+		if err != nil {
+			return err
+		}
+		fr.vars[lc.Name] = v
+	}
+	return nil
+}
+
+// newVar returns a fresh all-x variable for dcl declared in sc: as wide as
+// its range, else 32 bits for an integer and one bit for a reg.
+func (d *Design) newVar(sc *Scope, dcl *vlog.Decl) (*Value, error) {
+	w := 1
+	if dcl.Kind == vlog.DeclInteger {
+		w = 32
+	}
+	if dcl.Vec != nil {
+		var err error
+		if w, _, _, err = d.rangeWidth(sc, dcl.Vec); err != nil {
+			return nil, err
+		}
+	}
+	v := NewValue(w)
+	v.Signed = dcl.Signed
+	return &v, nil
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,9 +12,9 @@ import (
 	"freehw/internal/vlog"
 )
 
-// proc is one behavioral process (always/initial), run as a goroutine that
-// cooperates with the scheduler through a strict handshake: exactly one of
-// {scheduler, one process} runs at a time.
+// proc is one behavioral process (always/initial), run as an iter.Pull
+// coroutine: the scheduler resumes it with next, it suspends in yield, and
+// Close ends it with stop.
 type proc struct {
 	name  string
 	scope *Scope
@@ -21,17 +22,15 @@ type proc struct {
 	kind  vlog.ProcKind
 
 	sim    *Simulator
-	resume chan resumeMsg
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	queued bool
 	done   bool
 	frame  *frame // block-local static variables
 }
 
-type resumeMsg struct {
-	kill bool
-}
-
-// sentinel panics used to unwind a process goroutine.
+// sentinel panics used to unwind a process.
 type procKilled struct{}
 type procFinished struct{}
 type procFailed struct{ err error }
@@ -96,7 +95,6 @@ type Simulator struct {
 	strobes   []func()
 	future    eventHeap
 	seq       int
-	parked    chan struct{}
 	started   bool
 	finished  bool
 	closed    bool
@@ -137,7 +135,6 @@ func New(d *Design, opts Options) *Simulator {
 		d:         d,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		out:       opts.Output,
-		parked:    make(chan struct{}),
 		maxDeltas: opts.MaxDeltas,
 		maxSteps:  opts.MaxSteps,
 		ext:       map[*Signal]*driver{},
@@ -166,32 +163,22 @@ func (s *Simulator) start() {
 	}
 	for _, p := range s.d.procs {
 		p.sim = s
-		p.resume = make(chan resumeMsg)
-		go p.run()
+		p.next, p.stop = iter.Pull(p.run)
 		s.active = append(s.active, runnable{p: p})
 		p.queued = true
 	}
 }
 
-// Close terminates all process goroutines. The design state remains
-// readable. The simulator cannot run again after Close.
+// Close stops every process coroutine; one suspended in yield unwinds.
+// The design state remains readable. The simulator cannot run again after
+// Close, and a second Close does nothing.
 func (s *Simulator) Close() {
-	if s.closed || !s.started {
-		s.closed = true
-		return
+	if s.started && !s.closed {
+		for _, p := range s.d.procs {
+			p.stop()
+		}
 	}
 	s.closed = true
-	for _, p := range s.d.procs {
-		if p.done || p.resume == nil {
-			continue
-		}
-		if p.queued {
-			// Parked in the active queue waiting for a normal resume.
-			p.queued = false
-		}
-		p.resume <- resumeMsg{kill: true}
-		<-s.parked
-	}
 }
 
 // Run processes events until $finish, error, event starvation, or the time
@@ -211,6 +198,9 @@ func (s *Simulator) StepTo(t uint64) error {
 	return s.runErr
 }
 
+// run is the scheduler. It takes runnables off the active queue one at a
+// time (a process runs by a call to its next, until it parks again), then
+// applies nonblocking updates, strobes and monitors, and advances time.
 func (s *Simulator) run(limit uint64) {
 	if s.closed {
 		if s.runErr == nil {
@@ -240,8 +230,7 @@ func (s *Simulator) run(limit uint64) {
 				if r.p.done {
 					continue
 				}
-				r.p.resume <- resumeMsg{}
-				<-s.parked
+				r.p.next()
 			case r.cont != nil:
 				r.cont.inEval = false
 				s.runCont(r.cont)

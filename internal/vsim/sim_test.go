@@ -1,8 +1,10 @@
 package vsim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"freehw/internal/vlog"
 )
@@ -707,5 +709,147 @@ endmodule`, "m", 10)
 	// a=1010 b=1000 (MSB first): bit1 differs -> x, others agree.
 	if v.String() != "10x0" {
 		t.Fatalf("y = %s, want 10x0", v)
+	}
+}
+
+// A disable of a named block inside a function leaves that block, as it
+// does in a process; it does not return from the function.
+func TestSimFunctionDisableBlock(t *testing.T) {
+	_, out := simOf(t, `
+module m;
+  function [7:0] f;
+    input [7:0] a;
+    begin
+      f = a;
+      begin : blk
+        if (a > 3) disable blk;
+        f = 99;
+      end
+      f = f + 1;
+    end
+  endfunction
+  initial $display("f(5)=%0d f(2)=%0d", f(5), f(2));
+endmodule`, "m", 10)
+	if want := "f(5)=6 f(2)=100\n"; out != want {
+		t.Fatalf("output %q, want %q", out, want)
+	}
+}
+
+// A function body may not wait, call a task or schedule an assignment:
+// each such statement fails the run.
+func TestSimFunctionBodyRules(t *testing.T) {
+	for _, stmt := range []string{
+		"#1 f = 0;",
+		"@(posedge c) f = 0;",
+		"wait (c) f = 0;",
+		"forever f = 0;",
+		"x <= y;",
+		"x = #1 y;",
+		"t;",
+	} {
+		f, err := vlog.ParseFile(`
+module m;
+  reg c = 0, x, y = 1;
+  task t; x = 1; endtask
+  function [7:0] f;
+    input [7:0] a;
+    begin
+      ` + stmt + `
+      f = a;
+    end
+  endfunction
+  reg [7:0] r;
+  initial r = f(1);
+endmodule`)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", stmt, err)
+		}
+		d, err := Elaborate(f, "m", nil)
+		if err != nil {
+			t.Fatalf("%s: elaborate: %v", stmt, err)
+		}
+		s := New(d, Options{Seed: 1})
+		err = s.Run(10)
+		s.Close()
+		if err == nil || !strings.Contains(err.Error(), "inside a function") {
+			t.Errorf("%s in a function: Run error %v, want one naming the function", stmt, err)
+		}
+	}
+}
+
+// A block-local of a function starts all-x once per call: a loop that
+// re-enters its block within one call sees the value it left.
+func TestSimFunctionBlockLocalOncePerCall(t *testing.T) {
+	_, out := simOf(t, `
+module m;
+  function [7:0] count;
+    input [7:0] n;
+    integer i;
+    begin
+      count = 0;
+      for (i = 0; i < n; i = i + 1) begin : body
+        reg [7:0] seen;
+        if (i == 0) begin
+          if (seen !== 8'bx) count = 8'hee;
+          seen = 0;
+        end
+        seen = seen + 1;
+        if (count != 8'hee) count = seen;
+      end
+    end
+  endfunction
+  initial $display("%0d %0d", count(3), count(4));
+endmodule`, "m", 10)
+	if want := "3 4\n"; out != want {
+		t.Fatalf("output %q, want %q", out, want)
+	}
+}
+
+// Close ends every process coroutine, a second Close does nothing, and a
+// closed simulator refuses to run.
+func TestSimCloseEndsEveryProcess(t *testing.T) {
+	f, err := vlog.ParseFile(`module m; reg clk = 0; always #5 clk = ~clk; endmodule`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSim := func() *Simulator {
+		d, err := Elaborate(f, "m", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(d, Options{Seed: 1})
+	}
+	base := runtime.NumGoroutine()
+	sims := make([]*Simulator, 50)
+	for i := range sims {
+		sims[i] = newSim()
+		if err := sims[i].Run(100); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	// Each process is a goroutine until it ends; the baseline may include a
+	// transient goroutine of the test runtime, hence the slack.
+	if n := runtime.NumGoroutine(); n < base+len(sims)/2 {
+		t.Fatalf("%d goroutines with %d clocks running, baseline %d", n, len(sims), base)
+	}
+	for _, s := range sims {
+		s.Close()
+		s.Close()
+		if err := s.Run(200); err == nil || !strings.Contains(err.Error(), "simulator is closed") {
+			t.Fatalf("Run after Close: %v", err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	s := newSim()
+	s.Close()
+	s.Close()
+	if err := s.Run(100); err == nil || !strings.Contains(err.Error(), "simulator is closed") {
+		t.Fatalf("Run after Close before Run: %v", err)
 	}
 }

@@ -42,10 +42,7 @@ func (s *Simulator) sysTask(e env, st *vlog.SysTaskStmt) error {
 	case "$monitoron", "$monitoroff":
 		return nil
 	case "$finish", "$stop":
-		s.finished = true
-		if e.inProc {
-			panic(procFinished{})
-		}
+		s.finished = true // procExec.exec unwinds the process
 		return nil
 	case "$dumpfile", "$dumpvars", "$dumpon", "$dumpoff", "$dumpall",
 		"$timeformat", "$printtimescale":
