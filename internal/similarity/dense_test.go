@@ -15,15 +15,16 @@ import (
 	"freehw/internal/corpus"
 )
 
-// requireAxpyRunEqual runs axpyRun (the assembly on amd64), axpyRunGo and one
-// acc[i] += q*w loop per row over copies of acc and demands the same bits in
-// every slot, the guard slots either side of acc included.
-func requireAxpyRunEqual(t *testing.T, ctx string, acc, rows []float64, offs []int, qs []float64) {
+// requireDenseRunEqual runs denseRun (the assembly on amd64, in pairs),
+// denseRunGo and one acc[i] += q·c loop per row in uint32 arithmetic over
+// copies of acc and demands the same sums in every slot, the guard slots
+// either side of acc included.
+func requireDenseRunEqual(t *testing.T, ctx string, acc []int32, rows []int16, offs []int, qs []uint32) {
 	t.Helper()
 	const pad = 3
 	n := len(acc)
-	padded := func() []float64 {
-		buf := make([]float64, n+2*pad)
+	padded := func() []int32 {
+		buf := make([]int32, n+2*pad)
 		for i := range buf {
 			buf[i] = -7
 		}
@@ -31,152 +32,159 @@ func requireAxpyRunEqual(t *testing.T, ctx string, acc, rows []float64, offs []i
 		return buf
 	}
 	got, viaGo, want := padded(), padded(), padded()
-	axpyRun(got[pad:pad+n], rows, offs, qs)
-	axpyRunGo(viaGo[pad:pad+n], rows, offs, qs)
+	denseRun(got[pad:pad+n], rows, offs, qs)
+	denseRunGo(viaGo[pad:pad+n], rows, offs, qs)
 	for r, off := range offs {
-		for i, w := range rows[off : off+n] {
-			want[pad+i] += float64(qs[r] * w)
+		for i, c := range rows[off : off+n] {
+			want[pad+i] = int32(uint32(want[pad+i]) + qs[r]*uint32(int32(c)))
 		}
 	}
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(viaGo[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: slot %d: axpyRun %x (%g), axpyRunGo %x (%g), row-at-a-time reference %x (%g)", ctx, i-pad,
-				math.Float64bits(got[i]), got[i], math.Float64bits(viaGo[i]), viaGo[i], math.Float64bits(want[i]), want[i])
+		if got[i] != want[i] || viaGo[i] != want[i] {
+			t.Fatalf("%s: slot %d: denseRun %d, denseRunGo %d, row-at-a-time reference %d", ctx, i-pad, got[i], viaGo[i], want[i])
 		}
 	}
 }
 
 // The assembly, the Go loop and a row-at-a-time pass are the same function:
-// every tail length around the 16-wide body, a tile and a corpus-sized row,
-// runs of no rows up to a novel query's 38, operands that start on odd
-// 8-byte boundaries, +0 slots, subnormal weights and the largest query count
-// a qterm can carry. A row that would end past rows is a panic, not a read.
-func TestAxpyRunMatchesReference(t *testing.T) {
+// every tail length around the 32-wide body, a tile and a corpus-sized row,
+// runs of no rows up to a novel query's 38 (odd ones leave a row without a
+// partner), operands that start on odd 2-byte boundaries, counts of 0, 1 and
+// 32 767, and query counts up to and past 32 767 — which take the Go loop —
+// to the largest a qterm can carry, where the sums wrap as int32s do. A row
+// that would end past rows is a panic, not a read.
+func TestDenseRunMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	weight := func() float64 {
-		switch rng.Intn(5) {
-		case 0:
+	count := func() int16 {
+		switch rng.Intn(6) {
+		case 0, 1:
 			return 0 // a document outside the list
-		case 1:
-			return math.Float64frombits(uint64(rng.Int63n(1 << 52))) // subnormal
 		case 2:
-			return 1
+			return math.MaxInt16
+		case 3:
+			return int16(rng.Intn(1 << 15))
 		}
-		return 1 / math.Sqrt(float64(1+rng.Intn(1<<20)))
+		return int16(1 + rng.Intn(40))
 	}
-	counts := []float64{1, 2, 3, 17, 1 << 20, math.MaxUint32}
+	qcounts := []uint32{1, 2, 3, 39, math.MaxInt16, math.MaxInt16 + 1, 1 << 20, math.MaxUint32}
 	lengths := []int{1024, 8000}
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		for _, nRows := range []int{0, 1, 2, 3, 5, 8, 38} {
-			accBuf := make([]float64, n+2)
-			rows := make([]float64, nRows*(n+3)+1)
+		for _, nRows := range []int{0, 1, 2, 3, 5, 8, 38, 71} {
+			accBuf := make([]int32, n+2)
+			rows := make([]int16, nRows*(n+3)+1)
 			for i := range rows {
-				rows[i] = weight()
+				rows[i] = count()
 			}
-			offs, qs := make([]int, nRows), make([]float64, nRows+1)
+			offs, qs := make([]int, nRows), make([]uint32, nRows+1)
 			for ao := 0; ao < 3; ao++ {
 				acc := accBuf[ao : ao+n]
 				for i := range acc {
-					acc[i] = 0
-					if rng.Intn(3) > 0 {
-						acc[i] = float64(rng.Intn(1000)) * weight()
-					}
+					acc[i] = int32(rng.Intn(1 << 20))
 				}
 				for r := range offs {
-					offs[r] = rng.Intn(len(rows) - n + 1) // any 8-byte boundary; rows may overlap or repeat
-					qs[r] = counts[rng.Intn(len(counts))]
+					offs[r] = rng.Intn(len(rows) - n + 1) // any 2-byte boundary; rows may overlap or repeat
+					qs[r] = qcounts[rng.Intn(4)]
+					if ao == 2 {
+						qs[r] = qcounts[rng.Intn(len(qcounts))]
+					}
 				}
-				requireAxpyRunEqual(t, fmt.Sprintf("n=%d rows=%d acc+%d", n, nRows, ao), acc, rows, offs, qs)
+				requireDenseRunEqual(t, fmt.Sprintf("n=%d rows=%d acc+%d", n, nRows, ao), acc, rows, offs, qs)
 			}
 		}
 	}
 
-	rows := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	rows := make([]int16, 40)
 	for _, bad := range []struct {
 		name string
 		offs []int
-		qs   []float64
+		qs   []uint32
 	}{
-		{"one slot past rows", []int{0, 6}, []float64{1, 1}},
-		{"negative offset", []int{2, -1}, []float64{1, 1}},
-		{"fewer counts than rows", []int{0, 1}, []float64{1}},
+		{"one slot past rows", []int{0, 38}, []uint32{1, 1}},
+		{"negative offset", []int{2, -1}, []uint32{1, 1}},
+		{"fewer counts than rows", []int{0, 1}, []uint32{1}},
 	} {
-		acc := []float64{-7, 10, 20, 30, -7}
+		acc := make([]int32, 5)
+		acc[0], acc[4] = -7, -7
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s: axpyRun returned", bad.name)
+					t.Fatalf("%s: denseRun returned", bad.name)
 				}
 			}()
-			axpyRun(acc[1:4], rows, bad.offs, bad.qs)
+			denseRun(acc[1:4], rows, bad.offs, bad.qs)
 		}()
-		if !slices.Equal(acc, []float64{-7, 10, 20, 30, -7}) {
+		if !slices.Equal(acc, []int32{-7, 0, 0, 0, -7}) {
 			t.Fatalf("%s: acc is %v after the panic", bad.name, acc)
 		}
 	}
 }
 
-// FuzzAxpyRun: any finite non-negative operands, any length, alignment, row
-// count and row placement.
-func FuzzAxpyRun(f *testing.F) {
+// FuzzDenseRun: any counts, any query counts (a run mixes counts that fit
+// an int16 with ones that do not), any length, alignment, row count and row
+// placement.
+func FuzzDenseRun(f *testing.F) {
 	f.Add([]byte{}, uint32(1), uint8(0), uint8(0))
-	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5)), uint32(3), uint8(1), uint8(1))
-	f.Add(make([]byte, 16*19*4), uint32(math.MaxUint32), uint8(2), uint8(5))
+	f.Add([]byte{0xff, 0x7f, 1, 0, 2, 0}, uint32(3), uint8(1), uint8(1))
+	f.Add(make([]byte, 2*(33*3+5)), uint32(math.MaxInt16), uint8(2), uint8(5))
+	f.Add(make([]byte, 2*(64*4+1)), uint32(math.MaxInt16+1), uint8(3), uint8(39))
 	f.Fuzz(func(t *testing.T, data []byte, q uint32, off, nRows uint8) {
-		vals := make([]float64, len(data)/8)
+		vals := make([]int16, len(data)/2)
 		for i := range vals {
-			v := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			vals[i] = v
+			vals[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
 		}
 		n := len(vals) / 3
 		o := min(int(off%4), n)
-		acc, rows := vals[o:n], vals[n:]
-		offs, qs := make([]int, nRows%40), make([]float64, nRows%40)
+		acc, rows := make([]int32, n-o), vals[n:]
+		for i := range acc {
+			acc[i] = int32(vals[o+i]) << 8
+		}
+		offs, qs := make([]int, nRows%72), make([]uint32, nRows%72)
 		for r := range offs {
 			offs[r] = (int(off) + 7*r) % (len(rows) - len(acc) + 1)
-			qs[r] = float64(q >> (r % 32))
+			qs[r] = q >> (r % 32)
+			if r%3 == 2 {
+				qs[r] = q % (math.MaxInt16 + 1) // one row in three fits an int16 whatever q is
+			}
 		}
-		requireAxpyRunEqual(t, "fuzz", acc, rows, offs, qs)
+		requireDenseRunEqual(t, "fuzz", acc, rows, offs, qs)
 	})
 }
 
-// BenchmarkAxpyRun adds runs of 1, 5 and 38 rows — a lone row, a mean run,
-// every dense list of a novel query on bench/'s corpus — to one accTile
-// accumulator from tiles that stay in L2 (what the 2nd to 16th query of a
-// group see) and to a corpus-sized accumulator from 8 000-slot rows streamed
-// out of 5 MB (what a lone query sees). A slot is one multiply-add.
-func BenchmarkAxpyRun(b *testing.B) {
+// BenchmarkDenseRun times denseRun, the kernel that adds a query's dense rows:
+// runs of 1, 5 and 38 rows — a lone row, a mean run, every dense list of a
+// novel query on bench/'s corpus — into one accTile tile of row sums from
+// tiles that stay in L1 (what the 2nd to 16th query of a group see) and into
+// a corpus-sized one from 8 000-slot rows streamed out of 1.26 MB (what a
+// lone query sees). A slot is one count multiplied and added.
+func BenchmarkDenseRun(b *testing.B) {
 	const nDocs, nDense = 8000, 79 // bench/'s corpus: 79 dense lists
-	dws := make([]float64, nDense*nDocs)
-	for i := range dws {
-		dws[i] = 1 / float64(i%nDocs+2)
+	rows := make([]int16, nDense*nDocs)
+	for i := range rows {
+		rows[i] = int16(i % 7 * (i % 5)) // 0 to 24, a fifth of them 0
 	}
 	for _, nRows := range []int{1, 5, 38} {
-		qs := make([]float64, nRows)
+		qs := make([]uint32, nRows)
 		for r := range qs {
-			qs[r] = float64(r + 1)
+			qs[r] = uint32(r + 1)
 		}
 		for _, bc := range []struct {
 			name  string
 			slots int
 		}{{"tile", accTile}, {"stream", nDocs}} {
 			b.Run(fmt.Sprintf("rows=%d/%s", nRows, bc.name), func(b *testing.B) {
-				acc := make([]float64, bc.slots)
+				acc := make([]int32, bc.slots)
 				offs := make([]int, nRows)
 				for i := 0; i < b.N; i++ {
 					for r := range offs {
-						offs[r] = r * nDocs // tile: the same 8 KB of each row every time
+						offs[r] = r * nDocs // tile: the same 2 KB of each row every time
 						if bc.slots == nDocs {
 							offs[r] = (i*nRows + r) % nDense * nDocs
 						}
 					}
-					axpyRun(acc, dws, offs, qs)
+					denseRun(acc, rows, offs, qs) // the sums wrap, as they may here
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows*bc.slots), "ns/slot")
 			})
@@ -190,7 +198,16 @@ type posting struct {
 	w   float64
 }
 
-// termLists is every non-empty list of g as postings yields it, keyed by its
+// postingsOf returns list id of g as its postings iterator yields it.
+func postingsOf(g *Segment, id int32) []posting {
+	var ps []posting
+	for d, w := range g.postings(id) {
+		ps = append(ps, posting{d, w})
+	}
+	return ps
+}
+
+// termLists is every non-empty list of g as postingsOf reads it, keyed by its
 // term (a bigram by its two unigrams joined with a NUL, termCounts' key):
 // what two segments over the same documents must agree on whatever ids their
 // dictionaries assign.
@@ -206,9 +223,8 @@ func termLists(g *Segment) map[string][]posting {
 	}
 	out := map[string][]posting{}
 	for id, term := range terms {
-		list := g.list(int32(id))
-		for d, w := range list.postings {
-			out[term] = append(out[term], posting{d, w})
+		if ps := postingsOf(g, int32(id)); len(ps) > 0 {
+			out[term] = ps
 		}
 	}
 	return out
@@ -246,39 +262,53 @@ func isDense(g *Segment, term string) bool {
 }
 
 // requireDenseForm checks g's layout against the postings its lists yield:
-// dense is exactly the non-empty lists holding at least half the documents,
-// each stored only as its row (no arena posting, ddf its document
-// frequency), every other list only in the arenas; tmax is each list's
-// largest weight, dnorm the 2-norm of each document's column of the rows
-// (never below the norm big.Float computes, never more than a few ulps of
-// slack above it) and dnormMax its largest entry.
+// every weight is a count over its document's norm, bit for bit; dense is
+// exactly the non-empty lists holding at least half the documents and no
+// count above maxRowCount, each stored only as its row (no arena posting,
+// ddf its document frequency), every other list only in the arenas; tmax is
+// each list's largest weight, rowMax the rows' largest count, inv each norm's
+// reciprocal, dnorm the 2-norm of each document's dense weights (never below
+// the norm big.Float computes, never more than a few ulps of slack above it)
+// and dnormMax its largest entry.
 func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 	t.Helper()
 	n := g.Docs()
 	var wantDense []int32
 	var wantDdf []uint32
-	arena := 0
+	arena, rowMax := 0, int32(0)
 	sq := make([]*big.Float, n)
 	for d := range sq {
 		sq[d] = new(big.Float).SetPrec(200)
 	}
+	if len(g.norm) != n || len(g.inv) != n {
+		t.Fatalf("%s: %d norms and %d reciprocals for %d docs", ctx, len(g.norm), len(g.inv), n)
+	}
+	for d, nm := range g.norm {
+		if want := 1 / nm; nm == 0 && g.inv[d] != 0 || nm != 0 && g.inv[d] != want {
+			t.Fatalf("%s: doc %d: inv %v for norm %v", ctx, d, g.inv[d], nm)
+		}
+	}
 	for id := 0; id < g.lists(); id++ {
-		var ps []posting
-		list := g.list(int32(id))
-		for d, w := range list.postings {
-			if len(ps) > 0 && d <= ps[len(ps)-1].doc {
-				t.Fatalf("%s: list %d yields document %d after %d", ctx, id, d, ps[len(ps)-1].doc)
+		ps := postingsOf(g, int32(id))
+		maxCount := 0.0
+		for i, p := range ps {
+			if i > 0 && p.doc <= ps[i-1].doc {
+				t.Fatalf("%s: list %d yields document %d after %d", ctx, id, p.doc, ps[i-1].doc)
 			}
-			ps = append(ps, posting{d, w})
+			c := math.Round(p.w * g.norm[p.doc])
+			if c < 1 || c/g.norm[p.doc] != p.w {
+				t.Fatalf("%s: list %d doc %d: weight %v is no count over the norm %v", ctx, id, p.doc, p.w, g.norm[p.doc])
+			}
+			maxCount = max(maxCount, c)
 		}
 		df, inArena := len(ps), int(g.off[id+1]-g.off[id])
-		if int(list.df) != df {
+		if list := g.list(int32(id)); int(list.df) != df {
 			t.Fatalf("%s: list %d: df %d, it yields %d postings", ctx, id, list.df, df)
 		}
 		if df > 0 && g.tmax[id] != slices.MaxFunc(ps, func(a, b posting) int { return cmp.Compare(a.w, b.w) }).w {
 			t.Fatalf("%s: list %d: tmax %v is not its largest weight", ctx, id, g.tmax[id])
 		}
-		if df == 0 || 2*df < n {
+		if df == 0 || 2*df < n || maxCount > maxRowCount {
 			if inArena != df {
 				t.Fatalf("%s: sparse list %d has %d arena postings of %d", ctx, id, inArena, df)
 			}
@@ -289,17 +319,18 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 			t.Fatalf("%s: dense list %d (df %d of %d docs) holds %d arena postings", ctx, id, df, n, inArena)
 		}
 		wantDense, wantDdf = append(wantDense, int32(id)), append(wantDdf, uint32(df))
+		rowMax = max(rowMax, int32(maxCount))
 		for _, p := range ps {
 			w := new(big.Float).SetPrec(200).SetFloat64(p.w)
 			sq[p.doc].Add(sq[p.doc], w.Mul(w, w))
 		}
 	}
-	if !slices.Equal(g.dense, wantDense) || !slices.Equal(g.ddf, wantDdf) {
-		t.Fatalf("%s: dense = %v with ddf %v, lists with 2·df >= %d docs are %v with %v", ctx, g.dense, g.ddf, n, wantDense, wantDdf)
+	if !slices.Equal(g.dense, wantDense) || !slices.Equal(g.ddf, wantDdf) || g.rowMax != rowMax {
+		t.Fatalf("%s: dense = %v with ddf %v and rowMax %d, lists with 2·df >= %d docs are %v with %v and %d", ctx, g.dense, g.ddf, g.rowMax, n, wantDense, wantDdf, rowMax)
 	}
-	if len(g.docs) != arena || len(g.ws) != arena || len(g.dws) != len(g.dense)*n || len(g.dnorm) != n {
-		t.Fatalf("%s: %d/%d arena slots for %d sparse postings, %d dws slots and %d dense norms for %d dense lists over %d docs",
-			ctx, len(g.docs), len(g.ws), arena, len(g.dws), len(g.dnorm), len(g.dense), n)
+	if len(g.docs) != arena || len(g.ws) != arena || len(g.rows) != len(g.dense)*n+31 || len(g.dnorm) != n {
+		t.Fatalf("%s: %d/%d arena slots for %d sparse postings, %d row slots and %d dense norms for %d dense lists over %d docs",
+			ctx, len(g.docs), len(g.ws), arena, len(g.rows), len(g.dnorm), len(g.dense), n)
 	}
 	wantMax := 0.0
 	for d, s := range sq {
@@ -369,7 +400,7 @@ func TestSealDerivesDenseForm(t *testing.T) {
 		check("part 1", segs[1], texts[n/3:])
 		merged := MergeSegments(segs, [][]uint64{nil, nil})
 		check("merged", merged, texts)
-		if !slices.Equal(merged.dense, built.dense) || !slices.Equal(merged.dws, built.dws) {
+		if !slices.Equal(merged.dense, built.dense) || !slices.Equal(merged.rows, built.rows) || !slices.Equal(merged.norm, built.norm) {
 			t.Fatalf("%d docs: merged dense form differs from the built segment's", n)
 		}
 		// Without document 1 the merged segment's half is not the sources'.
@@ -434,8 +465,10 @@ func TestDenseNormBoundsDenseContribution(t *testing.T) {
 				for _, cur := range sc.curs {
 					if cur.row >= 0 {
 						qd2 += float64(cur.qw * cur.qw)
-						for d, w := range cur.ws {
-							sums[d] += float64(cur.qw * w)
+						for d, c := range g.row(cur.row) {
+							if c != 0 {
+								sums[d] += float64(cur.qw * (float64(c) / g.norm[d]))
+							}
 						}
 					}
 				}
@@ -846,5 +879,182 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
 		})
+	}
+}
+
+// The three limits of the int16 rows, at the scoring level. A list whose
+// counts pass 32 767 stays in the arenas though it is in most documents
+// ("x": 33 000 in one), while one whose largest count is 32 767 ("z") is a
+// row and sets rowMax. A query count past 32 767 ("y", "w": 40 000 each)
+// sends its row through the Go loop; two such rows could pass 2^31-1 between
+// them, so they are two spans; a count whose row alone could ("v": 70 000)
+// is a span of its own, scaled as it leaves the tile, and the row after it
+// starts the span the scan reads. Every engine, before
+// and after decoding and merging, and over tombstones, scores as the oracle.
+func TestDenseRowLimits(t *testing.T) {
+	rep := func(term string, n int) string { return strings.Repeat(term+" ", n) }
+	names := []string{"z.v", "x.v", "d2.v", "d3.v", "d4.v", "d5.v"}
+	texts := []string{
+		"y w v z " + rep("z", 32766),
+		"y w v z x " + rep("x", 32999),
+		"y y w v z x",
+		"y w w v z x q1",
+		"y w v v z x q2",
+		"w v z q3 " + rep("y", 3),
+	}
+	g := BuildSegment(names, texts, 1)
+	if isDense(g, "x") || !isDense(g, "z") || !isDense(g, "y") || g.rowMax != math.MaxInt16 {
+		t.Fatalf(`dense %v, rowMax %d: want "z" and "y" rows and "x" in the arenas, rowMax 32767`, g.dense, g.rowMax)
+	}
+	queries := []string{
+		rep("y", 40000) + rep("w", 40000) + rep("v", 70000) + "z x q1",
+		rep("v", 70000) + "y",
+		"y w v z x q2",
+		rep("x", 50000) + "z",
+	}
+	pq, sc := parseQuery(queries[0]), &searchScratch{}
+	g.cursors(pq, sc)
+	putQuery(pq)
+	sc.planDense(g.rowMax, g.Docs())
+	if s := sc.spans; len(s) != 4 || s[0].scale != 1 || s[1].scale != 1 || s[2].scale != 70000 || s[3].scale != 1 || s[2].end != s[1].end+1 {
+		t.Fatalf("spans %+v: want y and w apart, v's scaled span, z's", s)
+	}
+	dec, err := DecodeSegment(g.EncodeSections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := buildSegmented(names, texts, []int{2, 4})
+	merged := MergeSegments(segs, nil)
+	dead := []uint64{0b100100}
+	for _, sg := range []struct {
+		name string
+		g    *Segment
+	}{{"built", g}, {"decoded", dec}, {"merged", merged}} {
+		requireDenseForm(t, sg.name, sg.g)
+		requireListsOf(t, sg.name, sg.g, texts)
+		for qi, q := range queries {
+			for _, dd := range [][]uint64{nil, dead} {
+				for _, k := range []int{1, 3, 6} {
+					want := canonicalOracle(g, q, k, dd)
+					for _, mode := range []int{searchPruned, searchExhaustive} {
+						ctx := fmt.Sprintf("%s query %d k=%d mode %d tombstones=%v", sg.name, qi, k, mode, dd != nil)
+						matchesEqual(t, ctx, sg.g.searchTopK(q, k, mode, dd), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The scan's premise: a document's approximate dot product — its sparse
+// float sum plus its row sum over its norm, spans moved out of the int32
+// tile on the way — and its exact one in canonical order are each within
+// (n+3) roundings of the real dot product, n the query's lists, so they are
+// within 2n+6 roundings of each other, and one is 0 exactly when the other
+// is. The slack accumulate prunes with, (n+32)·epsUlp on either side, covers
+// that with room to spare. Homogeneous and diverse corpora, built, merged
+// over tombstones and decoded, and the row-limit corpus with query counts
+// that split spans and scale them.
+func TestApproximationWithinSlack(t *testing.T) {
+	rng := rand.New(rand.NewSource(3600))
+	rep := func(term string, n int) string { return strings.Repeat(term+" ", n) }
+	var segs []*Segment
+	var queries []string
+	for ci := 0; ci < 6; ci++ {
+		n := 50 + rng.Intn(250)
+		names, texts := make([]string, n), make([]string, n)
+		for d := range texts {
+			names[d] = fmt.Sprintf("p%d", d)
+			if ci%2 == 0 {
+				texts[d] = "module m ; " + randDoc(rng, 10+rng.Intn(40), 1+rng.Intn(200))
+			} else {
+				texts[d] = diverseVerilog(rng, rng.Intn(n))
+			}
+		}
+		parts := buildSegmented(names, texts, splitSizes(n, 2, rng))
+		dead := make([]uint64, (parts[0].Docs()+63)/64)
+		dead[0] = 0b1011
+		merged := MergeSegments(parts, [][]uint64{dead, nil})
+		dec, err := DecodeSegment(merged.EncodeSections())
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, BuildSegment(names, texts, 1), merged, dec)
+		queries = append(queries, texts[rng.Intn(n)], randDoc(rng, 40, 300), rep("wire", 40000)+texts[0])
+	}
+	segs = append(segs, BuildSegment([]string{"z", "y"}, []string{"y w v z " + rep("z", 32766), "y w w v v z q " + rep("y", 9)}, 1))
+	queries = append(queries, rep("y", 40000)+rep("w", 40000)+rep("v", 70000)+"z q")
+	for si, g := range segs {
+		for qi, text := range queries {
+			q, sc := parseQuery(text), &searchScratch{}
+			g.cursors(q, sc)
+			putQuery(q)
+			zeros(&sc.pos, len(sc.curs))
+			sc.planDense(g.rowMax, g.Docs())
+			acc, acci := g.tileSums(sc, 0, g.Docs())
+			bound := float64(2*len(sc.curs)+6) * 0x1p-53
+			for d := range acc {
+				a := acc[d] + float64(acci[d])*g.inv[d]
+				s, _ := g.evalCanonical(sc.curs, nil, int32(d), -1)
+				if (a == 0) != (s == 0) || math.Abs(a-s) > bound*max(a, s) {
+					t.Fatalf("segment %d query %d doc %d: approximation %v, exact %v: %.3g apart, bound %.3g", si, qi, d, a, s, math.Abs(a-s)/max(a, s), bound)
+				}
+			}
+		}
+	}
+}
+
+// Rounding can order two documents one way by approximation and the other
+// way exactly: the best document's approximate dot product below another's.
+// Random small corpora of a dozen terms, all rows, throw such queries up a
+// few times in a thousand; the slack must keep the best document through
+// the scan, so every such query scores as the oracle does.
+func TestScanKeepsInversions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 200
+	found := 0
+	for trial := 0; trial < 400 && found < 3; trial++ {
+		names, texts := make([]string, n), make([]string, n)
+		for d := range texts {
+			names[d] = fmt.Sprintf("d%d", d)
+			var sb strings.Builder
+			for range 8 + rng.Intn(16) {
+				fmt.Fprintf(&sb, "t%d ", rng.Intn(12))
+			}
+			texts[d] = sb.String()
+		}
+		g := BuildSegment(names, texts, 1)
+		for range 20 {
+			var sb strings.Builder
+			for range 5 + rng.Intn(30) {
+				fmt.Fprintf(&sb, "t%d ", rng.Intn(12))
+			}
+			q, sc := parseQuery(sb.String()), &searchScratch{}
+			g.cursors(q, sc)
+			putQuery(q)
+			zeros(&sc.pos, len(sc.curs))
+			sc.planDense(g.rowMax, n)
+			acc, acci := g.tileSums(sc, 0, n)
+			best, bestS := 0, -1.0
+			for d := range n {
+				if s, _ := g.evalCanonical(sc.curs, nil, int32(d), -1); s > bestS {
+					best, bestS = d, s
+				}
+			}
+			inverted := false
+			for d := range n {
+				inverted = inverted || acc[d]+float64(acci[d])*g.inv[d] > acc[best]+float64(acci[best])*g.inv[best]
+			}
+			if !inverted {
+				continue
+			}
+			found++
+			for _, k := range []int{1, 3} {
+				matchesEqual(t, fmt.Sprintf("trial %d %q k=%d", trial, sb.String(), k), g.searchTopK(sb.String(), k, searchExhaustive, nil), canonicalOracle(g, sb.String(), k, nil))
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no query ranks the best document below another by approximation: the corpora no longer exercise the slack")
 	}
 }

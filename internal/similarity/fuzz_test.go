@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -233,16 +234,19 @@ func FuzzDecodeSegment(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		g, err := DecodeSegment(in)
 		runtime.ReadMemStats(&after)
-		// Worst ratios: an offset, a tmax and an isUni flag (13 bytes) per
-		// 4-byte empty list; 1.25 to 2.5 presized table slots of 12 bytes (the
-		// table is a power of two at most 4/5 full) per claimed bigram, which
-		// costs 12 bytes of dictionary and 4 of the list count it may not
-		// exceed. A list's postings cost 12·df bytes of section and take 12·df
-		// of arena, or, dense (2·df >= docs), a row of 8·docs <= 16·df bytes
-		// and 8 of dense and ddf: at most 2× the 4+12·df bytes that pay. The
+		// Worst ratios: an empty name costs 4 bytes of section and takes 32
+		// (its 4 in the names' copy, a 16-byte string header, its place in
+		// byName and its dense norm) and 16 more for the norm and its
+		// reciprocal, which the 16·docs term pays; an offset, a tmax, an isUni
+		// flag and a wide flag (14 bytes) per 4-byte empty list; 1.25 to 2.5
+		// presized table slots of 12 bytes (the table is a power of two at
+		// most 4/5 full) per claimed bigram, which costs 12 bytes of dictionary
+		// and 4 of the list count it may not exceed. A list's postings cost
+		// 12·df bytes of section and take 12·df of arena, or, dense (2·df >=
+		// docs), a row of 2·docs <= 4·df bytes and 8 of dense and ddf. The
 		// constant covers the 256-entry byte table, the empty tables and the
 		// fuzz worker's own noise.
-		if got := after.TotalAlloc - before.TotalAlloc; got > 8*size+64<<10 {
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8*size+16*namesClaimed(s0)+64<<10 {
 			t.Fatalf("decoding %d input bytes allocated %d", size, got)
 		}
 		if err != nil {
@@ -380,4 +384,17 @@ func FuzzTermScanner(f *testing.F) {
 			t.Fatalf("%q: %d query and %d segment unigrams, want %d", text, len(q.d.tid), len(g.dict.tid), len(distinct))
 		}
 	})
+}
+
+// namesClaimed is the number of documents a names section claims, or 0 when
+// the section could not hold that many, which DecodeSegment rejects before
+// it allocates anything per document.
+func namesClaimed(sec []byte) uint64 {
+	if len(sec) < 4 {
+		return 0
+	}
+	if n := uint64(binary.LittleEndian.Uint32(sec)); n <= uint64(len(sec)/4) {
+		return n
+	}
+	return 0
 }

@@ -9,22 +9,29 @@ package similarity
 //     below, which skips most of the index on selective queries and asks
 //     for the accumulator when it detects that pruning is not paying.
 //   - Everything else — k > 1 (TopK), tiny segments, every bail-out — ends
-//     in accumulate, the classic accumulator over every posting of every
-//     query term, run once per GROUP of queries: searchBatch resolves up
-//     to accBatch parsed queries against the segment and lets the ones
-//     that need the accumulator wait for each other. Sibling completions
-//     read mostly the same dense rows, so the pass cuts the documents into
-//     tiles of accTile and every waiting query finishes a tile before any
-//     moves on — the first pulls a tile of each row in, the rest find it in
-//     L2, and each query's 8 KB of accumulator stays in L1. A document belongs to one tile, and there
-//     a query adds its lists to it in canonical order exactly as it would
-//     over the whole range, so which documents share a tile and which
-//     queries share a pass change no sum. Within a tile, dense lists
-//     adjacent in canonical order are added as one run (axpyRun) with the
-//     accumulator held in registers; the first sparse list ends the run, so
-//     which rows share a run reorders no document's adds either. A lone
-//     query takes one tile of every document: short tiles cost the hardware
-//     prefetcher its streams and buy it nothing.
+//     in accumulate, over every posting of every query term, once per
+//     GROUP of up to accBatch queries (searchBatch lets the ones that need
+//     it wait for each other). Siblings read mostly the same dense rows, so
+//     the pass cuts the documents into tiles of accTile and every query
+//     finishes a tile before any moves on: the rows come into L2 once, and
+//     each query's 12 KB of sums stays in L1. A lone query takes one tile
+//     of every document: short tiles cost the hardware prefetcher its
+//     streams and buy it nothing.
+//
+// The accumulator ranks, then re-scores. Per tile a query scatters its
+// sparse lists into float64 sums and adds its dense rows — int16 counts —
+// into int32 sums, two rows per SSE2 PMADDWD (denseRun), exact in any
+// order. A document's approximate dot product is its float sum plus its row
+// sum times the reciprocal of its norm, with no division on the way, and the
+// scan keeps every live document whose approximation, inflated by a slack
+// covering the roundings of both sums, reaches the k-th best so far,
+// deflated. Only those are then scored exactly (rescore): every query term
+// in canonical order, a row's weight read as its count over the norm — the
+// division the weight was stored from, so the same float64 bit for bit. A
+// document the scan drops is strictly worse than k others, so ties are
+// never pruned and every score, tie and verdict is the canonical float64
+// sum. On bench/'s corpus a novel candidate keeps one to a few hundred
+// documents: documents built from one template tie exactly.
 //
 // The gather engine is 7x faster than the accumulator on diverse
 // near-duplicates (75 against 511 µs at 16 000 documents), 3x on bench/'s
@@ -45,7 +52,7 @@ package similarity
 //
 //   - Dense lists — at least half the segment's documents, 2·df >= docs,
 //     the one definition Segment.layout applies, which stores each of them
-//     only doc-indexed (Segment.dws, +0 for a document outside the list) —
+//     only doc-indexed (Segment.rows, count 0 for a document outside it) —
 //     never generate candidates, and are bounded together, not term by
 //     term: by Cauchy–Schwarz they give document d at most
 //     ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
@@ -74,7 +81,7 @@ package similarity
 //   - Survivors are evaluated fully — every query term, in canonical
 //     query order (first appearance in the query — a property of the
 //     query alone, so the same order in every segment), the same order
-//     the exhaustive accumulator uses — with early abandonment against
+//     the accumulator's re-scoring uses — with early abandonment against
 //     canonical-order tail bounds. On a selective audit that is one
 //     document: the match.
 //   - Documents touched by no essential list are never visited: their
@@ -92,8 +99,8 @@ package similarity
 // rests on two invariants:
 //
 //  1. Bit-identical sums. A fully evaluated document accumulates its dot
-//     product in exactly the order the exhaustive accumulator uses, so the
-//     kept scores are not merely close — they are the same float64s.
+//     product in exactly the order the accumulator's re-scoring uses, so
+//     the kept scores are not merely close — they are the same float64s.
 //  2. Conservative bounds. Upper bounds are inflated and the threshold
 //     deflated by a slack factor covering worst-case float64 summation
 //     error (bounds and scores are sums in different orders, so exact
@@ -115,9 +122,8 @@ package similarity
 // bounding the regression to a small constant factor while keeping the
 // large wins on selective workloads. A novel candidate — 97% of what a
 // clean model sends — always ends there, so the accumulator is the audit: a
-// scatter per sparse list and one axpyRun per run of dense rows (SSE2 on
-// amd64). Adding q·(+0) to a non-negative sum is an exact no-op, so a row's
-// zeros cost bandwidth and no bits.
+// scatter per sparse list, the dense rows two at a time as integers, and the
+// exact re-scoring of the documents the scan kept.
 
 import (
 	"container/heap"
@@ -141,10 +147,10 @@ const (
 	bailEvalDen = 4
 
 	// accBatch queries at most share one accumulator pass, accTile documents
-	// at a time: a tile of every dense row a novel query adds (38 on bench/'s
-	// corpus: 300 KB) stays in L2 until the last query of the group has added
-	// it. Tiles of 512 and 2 048 measured within noise of 1 024; 256 was ~12%
-	// slower.
+	// at a time: a tile of every dense row a novel query adds (36 on bench/'s
+	// corpus: 72 KB of counts) stays in L2 until the last query of the group
+	// has added it. With float64 rows, tiles of 512 and 2 048 measured within
+	// noise of 1 024 and 256 was ~12% slower.
 	accBatch = 16
 	accTile  = 1024
 
@@ -210,9 +216,9 @@ func ResetPruneStats() {
 // pruneCursor is one query term's posting-list view (Segment.list): the
 // doc-ordered postings, their number, the query-side count, and the term's
 // global upper bound contribution. For a dense list row is its index in
-// Segment.dense (-1 otherwise), ws is its doc-indexed row of Segment.dws and
-// docs is nil: the row is the list. There is no position here: the gather
-// engine reads lists by streaming, by doc-indexed access (dense) or by
+// Segment.dense, and of its counts in Segment.rows (-1 otherwise), and docs
+// and ws are nil: the row is the list. There is no position here: the
+// gather engine reads lists by streaming, by doc-indexed access (dense) or by
 // binary search, and the accumulator keeps where each sparse list stopped at
 // the last tile edge in searchScratch.pos.
 type pruneCursor struct {
@@ -229,8 +235,7 @@ type pruneCursor struct {
 // product's rounding, and the compilers for arm64, ppc64, s390x and riscv64
 // do; an explicit conversion forbids it. Scores, and testdata/verdicts.golden,
 // are then the same float64s on every GOARCH (the conversion costs nothing
-// on amd64, which never fuses), and the same ones axpyRun's separate MULPD
-// and ADDPD produce.
+// on amd64, which never fuses).
 
 // searchScratch holds one query's state from resolution to result, pooled
 // across queries: its cursors, the gather engine's work arrays, and what the
@@ -246,10 +251,23 @@ type searchScratch struct {
 	h     matchHeap
 	qnorm float64
 
-	acc  []float64 // the gather engine's per-document sums, then one tile of the accumulator's
-	offs []int     // dense cursors in canonical order: where each one's row starts in dws
-	qs   []float64 // and their query counts
-	pos  []int32   // per cursor: the first posting of a sparse list at or past the current tile
+	acc   []float64   // the gather engine's per-document sums, then one tile of the accumulator's sparse sums
+	acci  []int32     // one tile of the accumulator's row sums
+	offs  []int       // the dense cursors' rows, span by span: where each starts in Segment.rows
+	qs    []uint32    // and the counts they are added with
+	spans []denseSpan // runs of offs that an int32 holds; see planDense
+	pos   []int32     // per cursor: the first posting of a sparse list at or past the current tile
+	slack float64     // the relative error the scan's sums and the exact ones may have between them, see accumulate
+	cand  []int32     // live documents the scan could not rule out, ascending
+	candA []float64   // their approximate dot products, then their exact ones
+	top   []float64   // the k largest approximate dot products so far, ascending (offer)
+}
+
+// denseSpan is one run of a query's dense rows: offs[previous end:end],
+// whose sums are multiplied by scale when they leave the int32 tile.
+type denseSpan struct {
+	end   int
+	scale float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
@@ -264,17 +282,39 @@ func zeros[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// denseRun fills sc.offs and sc.qs for the dense cursors, in canonical
-// order: nDocs slots per row of Segment.dws.
-func (sc *searchScratch) denseRun(nDocs int) {
-	offs, qs := sc.offs[:0], sc.qs[:0]
+// planDense lists the query's sparse cursors in sc.ord, in any order, and
+// lays its dense rows out as spans for accumulate. A row adds at most
+// qw·rowMax to a document; a span's rows add up to at most 2^31-1 between
+// them, so its sums are exact in the int32 tile, and a new span starts where
+// the next row could pass that. A row whose count alone could is a span of
+// its own, added at count 1 and scaled by its count as it leaves the tile
+// (float64 holds count·rowMax < 2^47 exactly). Every span but the last
+// leaves the tile; the last stays for the scan, so it is never a scaled one.
+func (sc *searchScratch) planDense(rowMax int32, nDocs int) {
+	ord, offs, qs, spans := sc.ord[:0], sc.offs[:0], sc.qs[:0], sc.spans[:0]
+	room := -1.0 // what the open span may still add; none is open
 	for i := range sc.curs {
-		if cur := &sc.curs[i]; cur.row >= 0 {
-			offs = append(offs, int(cur.row)*nDocs)
-			qs = append(qs, cur.qw)
+		cur := &sc.curs[i]
+		if cur.row < 0 {
+			ord = append(ord, int32(i))
+			continue
 		}
+		off, add := int(cur.row)*nDocs, cur.qw*float64(rowMax)
+		if add > math.MaxInt32 {
+			offs, qs = append(offs, off), append(qs, 1)
+			spans, room = append(spans, denseSpan{len(offs), cur.qw}), -1
+			continue
+		}
+		if add > room {
+			spans, room = append(spans, denseSpan{scale: 1}), math.MaxInt32
+		}
+		offs, qs, room = append(offs, off), append(qs, uint32(cur.qw)), room-add
+		spans[len(spans)-1].end = len(offs)
 	}
-	sc.offs, sc.qs = offs, qs
+	if len(spans) > 0 && spans[len(spans)-1].scale != 1 {
+		spans = append(spans, denseSpan{len(offs), 1})
+	}
+	sc.ord, sc.offs, sc.qs, sc.spans = ord, offs, qs, spans
 }
 
 // drain empties the heap into a new slice, best first, and returns the
@@ -435,16 +475,18 @@ func canonicalTails(sc *searchScratch, inflate float64) []float64 {
 }
 
 // evalCanonical computes document d's exact dot product — every query
-// term, in canonical query order, the bit-identical twin of the
-// exhaustive accumulator's per-doc sum — without moving any cursor
-// position. Dense lists are read at ws[d] (+0, which changes nothing, when
-// d is not in the list); the rest binary-search. With theta >= 0 it
-// abandons early (reporting abandoned=true) once the partial sum plus the
-// canonical tail bound cannot reach theta.
-func evalCanonical(curs []pruneCursor, tail []float64, d int32, theta float64) (acc float64, abandoned bool) {
+// term, in canonical query order, the bit-identical twin of the accumulator's
+// re-scoring — without moving any cursor position. A dense list's weight is
+// its count at d over d's norm, the division it was stored from (no term,
+// when the count is 0: adding +0 changes nothing); the rest binary-search.
+// With theta >= 0 it abandons early (reporting abandoned=true) once the
+// partial sum plus the canonical tail bound cannot reach theta.
+func (g *Segment) evalCanonical(curs []pruneCursor, tail []float64, d int32, theta float64) (acc float64, abandoned bool) {
 	for i := range curs {
 		if curs[i].row >= 0 {
-			acc += float64(curs[i].qw * curs[i].ws[d])
+			if c := g.rows[int(curs[i].row)*len(g.names)+int(d)]; c != 0 {
+				acc += float64(curs[i].qw * (float64(c) / g.norm[d]))
+			}
 		} else if j, ok := binSearchDocs(curs[i].docs, d); ok {
 			acc += float64(curs[i].qw * curs[i].ws[j])
 		}
@@ -664,7 +706,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 			primeDocs[j], cnts[j] = d, ct
 		}
 		for pi, d := range primeDocs[:nPrime] {
-			acc, _ := evalCanonical(curs, tail, d, -1)
+			acc, _ := g.evalCanonical(curs, tail, d, -1)
 			visited += uint64(n)
 			if acc > 0 {
 				pushMatch(&sc.h, 1, Match{Name: g.names[d], Index: int(d), Score: acc / qnorm})
@@ -762,7 +804,7 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		if (qdn*g.dnorm[d]+prefPart+acc[d])*inflate < thetaAcc {
 			continue
 		}
-		av, abandoned := evalCanonical(curs, tail, d, thetaAcc)
+		av, abandoned := g.evalCanonical(curs, tail, d, thetaAcc)
 		visited += uint64(n)
 		fullEvals++
 		if !abandoned && av > 0 {
@@ -781,7 +823,8 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 	return true
 }
 
-// binSearchDocs finds d in a sorted doc-id list.
+// binSearchDocs returns where d is, or would go, in a sorted doc-id list,
+// and whether it is there.
 func binSearchDocs(docs []int32, d int32) (int, bool) {
 	lo, hi := 0, len(docs)
 	for lo < hi {
@@ -795,7 +838,20 @@ func binSearchDocs(docs []int32, d int32) (int, bool) {
 	if lo < len(docs) && docs[lo] == d {
 		return lo, true
 	}
-	return 0, false
+	return lo, false
+}
+
+// gallop is binSearchDocs for a d that is likely near the front of docs, as
+// the next of many ascending documents is: it probes 1, 2, 4, ... documents
+// in until one is at or past d, then searches the last gap.
+func gallop(docs []int32, d int32) (int, bool) {
+	step := 1
+	for step <= len(docs) && docs[step-1] < d {
+		step <<= 1
+	}
+	lo := step >> 1
+	p, ok := binSearchDocs(docs[lo:min(step, len(docs))], d)
+	return lo + p, ok
 }
 
 // sortSparseByRatio orders cursor indices by ascending upper bound per
@@ -823,16 +879,22 @@ func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 	}
 }
 
-// accumulate is the exhaustive engine: the classic accumulator over every
-// posting of every query term — the same adds in the same canonical order as
-// ever — folded into each query's heap in ascending doc order (so tie
-// resolution matches the gather engine and the historical TopK exactly), for
-// up to accBatch queries in one tiled pass over the documents (the package
-// comment says why tiles and runs change no sum). A sparse list scatters its
-// postings, resuming at each tile where it stopped at the last; a dense one
-// adds its row, the +0 slots of documents outside it included, which leaves
-// those documents' sums as they were. The gather engine's bail-outs end here
-// too; re-pushing the document a size-1 heap already holds is a no-op.
+// accumulate is the exhaustive engine (the package comment has its shape):
+// per tile, tileSums and scan for each query; after the last tile rescore
+// folds the exact scores of the documents the scans kept into each query's
+// heap, in ascending doc order. The gather engine's bail-outs end here too;
+// re-pushing the document a size-1 heap already holds is a no-op.
+//
+// A document's approximate dot product is its sparse float sum plus its row
+// sum over its norm: every term of it within two roundings of its exact
+// value q·count/norm, and at most one addition per term, as the exact sum
+// in canonical order also is. All terms are non-negative, so each sum is
+// within (n+3) roundings of the exact value, n the query's lists, and two
+// documents whose approximations differ by more than the slack (n+32)
+// epsUlp either side cannot have exact sums in the other order — or equal.
+// The scan keeps a document unless its approximation, inflated, is below
+// the k-th best approximation seen, deflated: a document it drops is
+// strictly worse than k others, and a tie is never dropped.
 func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead []uint64) {
 	nDocs := len(g.names)
 	tile := accTile
@@ -840,9 +902,10 @@ func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead
 		tile = nDocs
 	}
 	for _, sc := range queries {
-		zeros(&sc.acc, min(tile, nDocs))
-		sc.denseRun(nDocs)
+		sc.planDense(g.rowMax, nDocs)
 		zeros(&sc.pos, len(sc.curs))
+		sc.slack = float64(len(sc.curs)+32) * epsUlp
+		sc.cand, sc.candA, sc.top = sc.cand[:0], sc.candA[:0], sc.top[:0]
 		if statsOn {
 			var visited uint64
 			for i := range sc.curs {
@@ -854,96 +917,203 @@ func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead
 	for lo := 0; lo < nDocs; lo += tile {
 		hi := min(lo+tile, nDocs)
 		for _, sc := range queries {
-			acc := sc.acc[:hi-lo]
-			if lo > 0 {
-				clear(acc)
+			acc, acci := g.tileSums(sc, lo, hi)
+			sc.scan(acc, acci, g.inv[lo:hi], lo, k, dead)
+		}
+	}
+	for _, sc := range queries {
+		g.rescore(sc, k)
+	}
+}
+
+// tileSums sums documents lo to hi of one query: its sparse lists (sc.ord)
+// scattered into sc.acc, each resumed where it stopped at the last tile edge
+// (tiles come in order), and its dense rows added into sc.acci a span at a
+// time, every span but the last moved into sc.acc times its scale over the
+// norms. A document's approximate dot product is acc + acci·inv.
+func (g *Segment) tileSums(sc *searchScratch, lo, hi int) (acc []float64, acci []int32) {
+	// The row sums run on to a whole number of the kernel's 32-document
+	// chunks: seal pads the rows for it, and the scan never reads past hi.
+	acc, inv := zeros(&sc.acc, hi-lo), g.inv[lo:hi]
+	acci = zeros(&sc.acci, (hi-lo+31)&^31)
+	for _, i := range sc.ord {
+		cur := &sc.curs[i]
+		p, qw := int(sc.pos[i]), cur.qw
+		docs := cur.docs
+		ws := cur.ws[:len(docs)] // one bound, checks eliminated below
+		for ; p < len(docs) && int(docs[p]) < hi; p++ {
+			acc[int(docs[p])-lo] += float64(qw * ws[p])
+		}
+		sc.pos[i] = int32(p)
+	}
+	start := 0
+	for si, sp := range sc.spans {
+		denseRun(acci, g.rows[lo:], sc.offs[start:sp.end], sc.qs[start:sp.end])
+		start = sp.end
+		if si == len(sc.spans)-1 {
+			break
+		}
+		for j, n := range acci[:hi-lo] { // exact products: n·scale < 2^53
+			acc[j] += float64(float64(n) * sp.scale * inv[j])
+			acci[j] = 0
+		}
+	}
+	return acc, acci[:hi-lo]
+}
+
+// scan offers the live documents of one tile to the query's candidates: a
+// document joins them unless its approximate dot product, inflated, is below
+// the deflated k-th best one so far (see accumulate). A document with no
+// term in common scores 0 and never does.
+func (sc *searchScratch) scan(acc []float64, acci []int32, inv []float64, lo, k int, dead []uint64) {
+	inflate, theta := 1+sc.slack, sc.bar(k)
+	acci, inv = acci[:len(acc)], inv[:len(acc)]
+	for i, f := range acc {
+		a := f + float64(float64(acci[i])*inv[i])
+		if a*inflate < theta || a == 0 || deadBit(dead, int32(lo+i)) {
+			continue // tombstoned: must not win or raise the bar
+		}
+		sc.cand, sc.candA = append(sc.cand, int32(lo+i)), append(sc.candA, a)
+		if sc.offer(a, k) {
+			theta = sc.bar(k)
+		}
+	}
+}
+
+// offer keeps a in sc.top if it is among the k largest so far, reporting
+// whether it is.
+func (sc *searchScratch) offer(a float64, k int) bool {
+	t := sc.top
+	if len(t) == k {
+		if a <= t[0] {
+			return false
+		}
+		t = append(t[:0], t[1:]...)
+	}
+	i, _ := slices.BinarySearch(t, a)
+	sc.top = slices.Insert(t, i, a)
+	return true
+}
+
+// bar is the deflated k-th best approximate dot product so far, or 0 before
+// there are k.
+func (sc *searchScratch) bar(k int) float64 {
+	if len(sc.top) < k {
+		return 0
+	}
+	return sc.top[0] * (1 - sc.slack)
+}
+
+// rescore computes the exact dot product of every candidate still in reach
+// of the final k-th best approximation and offers the positive ones to the
+// query's heap. That is often one document, but documents built from one
+// template tie by the hundred on bench/'s corpus (25 at the median of a
+// novel candidate's), and those share one pass (evalCanonicalAll).
+func (g *Segment) rescore(sc *searchScratch, k int) {
+	theta, inflate := sc.bar(k), 1+sc.slack
+	cand := sc.cand[:0]
+	for j, d := range sc.cand {
+		if sc.candA[j]*inflate >= theta {
+			cand = append(cand, d)
+		}
+	}
+	exact := zeros(&sc.candA, len(cand))
+	g.evalCanonicalAll(sc.curs, cand, exact)
+	for j, d := range cand {
+		if exact[j] > 0 {
+			pushMatch(&sc.h, k, Match{Name: g.names[d], Index: int(d), Score: exact[j] / sc.qnorm})
+		}
+	}
+}
+
+// evalCanonicalAll is evalCanonical for the documents docs, ascending, into
+// exact (zeroed), term by term: a row's count at every document over its
+// norm, with no branch on the count (a 0 adds +0, which changes nothing),
+// and a sparse list searched for the documents in order, each search
+// galloping from where the last one ended.
+func (g *Segment) evalCanonicalAll(curs []pruneCursor, docs []int32, exact []float64) {
+	for i := range curs {
+		cur := &curs[i]
+		if cur.row >= 0 {
+			row := g.row(cur.row)
+			for j, d := range docs {
+				exact[j] += float64(cur.qw * (float64(row[d]) / g.norm[d]))
 			}
-			curs, di := sc.curs, 0
-			for i := 0; i < len(curs); {
-				cur := &curs[i]
-				if cur.row >= 0 {
-					run := 1
-					for i+run < len(curs) && curs[i+run].row >= 0 {
-						run++
-					}
-					axpyRun(acc, g.dws[lo:], sc.offs[di:di+run], sc.qs[di:di+run])
-					di += run
-					i += run
-					continue
-				}
-				p, qw := int(sc.pos[i]), cur.qw
-				docs := cur.docs
-				ws := cur.ws[:len(docs)] // one bound, checks eliminated below
-				for ; p < len(docs) && int(docs[p]) < hi; p++ {
-					acc[int(docs[p])-lo] += float64(qw * ws[p])
-				}
-				sc.pos[i] = int32(p)
-				i++
-			}
-			if k == 1 {
-				// Single-best scan on raw accumulator values: the division by
-				// qnorm is monotone, so it only needs to run when the raw maximum
-				// improves — and when two raw values round to the same score, the
-				// strict comparisons keep the earlier (lower) index, exactly the
-				// heap's tie rule, which also settles the tile's best against the
-				// earlier tiles'.
-				bestRaw, bestScore, bestIdx := 0.0, 0.0, -1
-				for i, a := range acc {
-					if a > bestRaw {
-						if deadBit(dead, int32(lo+i)) {
-							continue // tombstoned: must not win or raise the bar
-						}
-						bestRaw = a
-						if s := a / sc.qnorm; s > bestScore {
-							bestScore, bestIdx = s, lo+i
-						}
-					}
-				}
-				if bestIdx >= 0 {
-					pushMatch(&sc.h, 1, Match{Name: g.names[bestIdx], Index: bestIdx, Score: bestScore})
-				}
-				continue
-			}
-			for i, a := range acc {
-				if a == 0 || deadBit(dead, int32(lo+i)) {
-					continue
-				}
-				pushMatch(&sc.h, k, Match{Name: g.names[lo+i], Index: lo + i, Score: a / sc.qnorm})
+			continue
+		}
+		p := 0
+		for j, d := range docs {
+			q, ok := gallop(cur.docs[p:], d)
+			if p += q; ok {
+				exact[j] += float64(cur.qw * cur.ws[p])
 			}
 		}
 	}
 }
 
-// axpyRun is acc[i] += qs[r]*rows[offs[r]+i] for every row r of the run in
-// order and every i: what a run of dense lists adjacent in canonical order
-// adds to one tile of the accumulator. Per slot it performs exactly the
-// additions of one row-at-a-time pass, in the same order; the point of taking
-// the rows together is that acc is loaded and stored once per run, not per row
-// (SSE2 on amd64, the accumulator in registers sixteen slots at a time; the
-// Go loop elsewhere). A lone query's rows stream from memory and the pass is
-// bound by that bandwidth, which is why nothing wider than SSE2 is used; a
-// group's rows come from L2, and there the saved loads and stores are a
-// third of the work (BenchmarkAxpyRun). It panics rather than read outside
-// rows: the assembly behind it checks nothing.
-func axpyRun(acc, rows []float64, offs []int, qs []float64) {
+// denseRun adds a run of dense rows to one tile of row sums: acc[i] +=
+// qs[r]·rows[offs[r]+i] for every row r and every i, in int32 arithmetic
+// (which wraps: planDense keeps a span's sums in range). Integer sums are the
+// same in any order, so rows go whichever way is fastest: those whose count
+// fits an int16 to denseRunBody two at a time (SSE2 PMADDWD on amd64, the
+// Go loop elsewhere; an odd one out is paired with itself at count 0), a
+// larger count's row to denseRunGo, and the last len(acc) mod 32 slots of
+// every row to denseRunGo too. It panics rather than read outside rows: the
+// assembly behind it checks nothing.
+func denseRun(acc []int32, rows []int16, offs []int, qs []uint32) {
 	if len(qs) < len(offs) {
-		panic("similarity: axpyRun has fewer counts than rows")
+		panic("similarity: denseRun has fewer counts than rows")
 	}
 	for _, off := range offs {
 		if off < 0 || off > len(rows)-len(acc) {
-			panic("similarity: axpyRun row outside rows")
+			panic("similarity: denseRun row outside rows")
 		}
 	}
-	axpyRunBody(acc, rows, offs, qs)
+	const batch = 32 // pairs per call
+	var po [2 * batch]int
+	var pq [4 * batch]uint32 // a pair's counts four times over: one load fills a register
+	body, np, odd := len(acc)&^31, 0, -1
+	if body == 0 { // fewer documents than one chunk
+		denseRunGo(acc, rows, offs, qs)
+		return
+	}
+	pair := func(a, b int, q uint32) {
+		po[2*np], po[2*np+1] = a, b
+		pq[4*np], pq[4*np+1], pq[4*np+2], pq[4*np+3] = q, q, q, q
+		if np++; np == batch {
+			denseRunBody(acc[:body], rows, po[:], pq[:])
+			np = 0
+		}
+	}
+	for r, off := range offs {
+		switch {
+		case qs[r] > math.MaxInt16:
+			denseRunGo(acc[:body], rows, offs[r:r+1], qs[r:r+1])
+		case odd < 0:
+			odd = r
+		default:
+			pair(offs[odd], off, qs[odd]|qs[r]<<16)
+			odd = -1
+		}
+	}
+	if odd >= 0 {
+		pair(offs[odd], offs[odd], qs[odd])
+	}
+	if np > 0 {
+		denseRunBody(acc[:body], rows, po[:2*np], pq[:4*np])
+	}
+	if body < len(acc) && len(offs) > 0 {
+		denseRunGo(acc[body:], rows[body:], offs, qs)
+	}
 }
 
-// axpyRunGo defines what axpyRun computes — the assembly on amd64 is tested
-// against it bit for bit — and is its body everywhere else.
-func axpyRunGo(acc, rows []float64, offs []int, qs []float64) {
+// denseRunGo defines what denseRun computes — the assembly on amd64 is
+// tested against it — one row at a time.
+func denseRunGo(acc []int32, rows []int16, offs []int, qs []uint32) {
 	for r, off := range offs {
-		q := qs[r]
-		for i, w := range rows[off : off+len(acc)] {
-			acc[i] += float64(q * w)
+		q := int32(qs[r])
+		for i, c := range rows[off : off+len(acc)] {
+			acc[i] += q * int32(c)
 		}
 	}
 }

@@ -343,12 +343,12 @@ func TestDecodeRebuildsBlockMeta(t *testing.T) {
 	requireDenseForm(t, "built", c)
 	requireDenseForm(t, "decoded", dc)
 	requireListsOf(t, "decoded", dc, texts)
-	if !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.ddf, c.ddf) || !slices.Equal(dc.dws, c.dws) ||
+	if !slices.Equal(dc.dense, c.dense) || !slices.Equal(dc.ddf, c.ddf) || !slices.Equal(dc.rows, c.rows) || !slices.Equal(dc.norm, c.norm) ||
 		!slices.Equal(dc.off, c.off) || !slices.Equal(dc.docs, c.docs) || !slices.Equal(dc.ws, c.ws) {
 		t.Fatal("decoded rows or arenas differ from the builder's")
 	}
-	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.dnorm, c.dnorm) || dc.dnormMax != c.dnormMax {
-		t.Fatal("decoded tmax/dnorm differ from the builder's")
+	if !slices.Equal(dc.tmax, c.tmax) || !slices.Equal(dc.inv, c.inv) || dc.rowMax != c.rowMax || !slices.Equal(dc.dnorm, c.dnorm) || dc.dnormMax != c.dnormMax {
+		t.Fatal("decoded tmax/inv/rowMax/dnorm differ from the builder's")
 	}
 	// And the decoded segment answers pruned queries identically.
 	for _, q := range []string{texts[12], texts[99] + " extra"} {
@@ -372,27 +372,26 @@ func TestDecodeRejectsUnsortedPostings(t *testing.T) {
 	}
 }
 
-// BenchmarkCorpusBestPrunedNearDup is the skip-heavy case the tentpole
-// targets: a diverse 2000-doc corpus audited with near-duplicate queries.
-// Compare against BenchmarkCorpusBestExhaustiveNearDup for the pruning win.
-func BenchmarkCorpusBestPrunedNearDup(b *testing.B) {
-	benchNearDup(b, searchPruned)
-}
-
-func BenchmarkCorpusBestExhaustiveNearDup(b *testing.B) {
-	benchNearDup(b, searchExhaustive)
-}
-
-func benchNearDup(b *testing.B, mode int) {
+// BenchmarkCorpusBestNearDup is the skip-heavy case the gather engine
+// exists for — a diverse 2000-doc corpus audited with near-duplicate queries
+// — through the gather engine (mode=pruned) and through the accumulator
+// (mode=exhaustive): the pruning win is the ratio.
+func BenchmarkCorpusBestNearDup(b *testing.B) {
 	_, texts, c := buildDiverse(61, 2000)
 	queries := make([]string, 256)
 	for i := range queries {
 		queries[i] = texts[(i*31)%len(texts)] + "\n  wire tail;\n"
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ms := c.Segment(0).searchTopK(queries[i%len(queries)], 1, mode, nil); len(ms) == 0 {
-			b.Fatal("no match")
-		}
+	for _, m := range []struct {
+		name string
+		mode int
+	}{{"pruned", searchPruned}, {"exhaustive", searchExhaustive}} {
+		b.Run("mode="+m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if ms := c.Segment(0).searchTopK(queries[i%len(queries)], 1, m.mode, nil); len(ms) == 0 {
+					b.Fatal("no match")
+				}
+			}
+		})
 	}
 }

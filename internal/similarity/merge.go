@@ -2,10 +2,11 @@ package similarity
 
 // Background merge: compact an adjacent run of segments into one, dropping
 // tombstoned documents, WITHOUT the source texts. The merged segment is
-// rebuilt purely from the inputs' dictionaries and postings — per-document
-// weights are copied verbatim (raw float64s, never recomputed), documents
-// are renumbered to their live rank within the run, and dictionary entries
-// are re-interned in (segment-ordinal, doc-id, within-doc) first-use order.
+// rebuilt purely from the inputs' dictionaries and postings — each document
+// keeps its norm and its counts (a count over the norm is the weight it had,
+// bit for bit), documents are renumbered to their live rank within the run,
+// and dictionary entries are re-interned in (segment-ordinal, doc-id,
+// within-doc) first-use order.
 // Because scoring is corpus-dictionary-independent (see segment.go), the
 // merged segment produces bit-identical verdicts to the inputs.
 
@@ -18,8 +19,9 @@ package similarity
 //
 // Two passes over the sources, count then fill: the first renumbers the
 // live documents, re-interns every list that keeps a posting and counts
-// what it keeps, the second copies the surviving postings straight into
-// the merged segment's arenas and rows.
+// what it keeps (and whether it keeps a count too large for a row), the
+// second copies the surviving postings straight into the merged segment's
+// arenas and rows.
 //
 //freehw:hotpath
 func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
@@ -27,6 +29,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 	remaps := make([][]int32, len(segs))   // per source: doc id -> merged id, -1 dead
 	srcToOut := make([][]int32, len(segs)) // per source: postings id -> merged id, -1 dropped
 	counts := make([]uint32, 2)            // merged list id's postings at [id+2], see layout
+	var wide []bool                        // merged list id keeps a count above maxRowCount
 
 	next := int32(0) // merged doc id being assigned
 	for si, src := range segs {
@@ -45,6 +48,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			remap[d] = next
 			next++
 			out.names = append(out.names, src.names[d])
+			out.norm = append(out.norm, src.norm[d])
 		}
 		remaps[si] = remap
 
@@ -64,10 +68,11 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			if key1 == 0 {
 				ord++
 			}
-			live := uint32(0)
-			for d := range src.list(int32(id)).postings {
+			live, big := uint32(0), false
+			for d, w := range src.postings(int32(id)) {
 				if remap[d] >= 0 {
 					live++
+					big = big || w*src.norm[d] > maxRowCount+0.5 // the count, give or take an ulp or two
 				}
 			}
 			if live == 0 {
@@ -85,9 +90,10 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			}
 			toOut[id] = outID
 			if int(outID)+2 == len(counts) {
-				counts = append(counts, 0)
+				counts, wide = append(counts, 0), append(wide, false)
 			}
 			counts[outID+2] += live
+			wide[outID] = wide[outID] || big
 		}
 		srcToOut[si] = toOut
 	}
@@ -98,18 +104,18 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 
 	// Each list fills ascending: per source segment its docs ascend (remap
 	// is monotone over live docs), and later segments' remapped ids all
-	// exceed earlier segments'. Weights are copied as they are. The merged
-	// counts decide which lists are dense, whatever they were in the sources.
-	cur := out.layout(counts)
+	// exceed earlier segments'. The merged counts decide which lists are
+	// dense, whatever they were in the sources.
+	cur := out.layout(counts, wide)
 	for si, src := range segs {
 		remap := remaps[si]
 		for id, outID := range srcToOut[si] {
 			if outID < 0 {
 				continue
 			}
-			for d, w := range src.list(int32(id)).postings {
+			for d, w := range src.postings(int32(id)) {
 				if nd := remap[d]; nd >= 0 {
-					out.place(cur, int(outID), nd, w)
+					out.placeWeight(cur, int(outID), nd, w)
 				}
 			}
 		}

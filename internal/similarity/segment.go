@@ -35,13 +35,15 @@ import (
 // number of readers may query one concurrently.
 //
 // A list is dense when it holds at least half the segment's documents
-// (2·df >= docs), which every constructor decides from the counts before it
-// places a posting (layout). dense names those lists, ascending, and each is
-// stored only doc-indexed: dense[i]'s weight for document d is
-// dws[i*docs+d], +0 where d is not in the list; ddf[i] is its df. Adding
-// q·(+0) to a non-negative sum changes no bit of it, so the scorer reads a
-// row for any document without a search and accumulates a whole row with one
-// axpy. A row's 8·docs bytes are at most 16·df.
+// (2·df >= docs) and none of its counts passes 32 767, which every
+// constructor decides from the counts before it places a posting (layout).
+// dense names those lists, ascending, and each is stored only doc-indexed,
+// as counts: dense[i]'s count for document d is rows[i*docs+d], 0 where d is
+// not in the list, and its weight is float64(count)/norm[d]; ddf[i] is its
+// df. A row is 2·docs bytes, at most 4·df. The scorer reads a row for any
+// document without a search and adds whole rows as integers (denseRun); the
+// sums are exact, so only the few documents that can win are re-scored in
+// float64 (see maxscore.go).
 //
 // Every other list lives in three flat, pointer-free arenas (a dense list's
 // range is empty): list id's postings are docs[off[id]:off[id+1]], documents
@@ -49,15 +51,24 @@ import (
 // tf(term, doc)/norm(doc) weights parallel in ws — 12 packed bytes per
 // posting, and a dot product against raw query counts needs only the query
 // norm at the end. There is nothing per list for the collector to trace.
-// list reads any list back in document order, as a segment file holds it.
+// A list whose counts pass 32 767 stays here whatever its df: the file does
+// not record which lists are rows, so that changes no byte of it.
 //
-// tmax, dnorm and byName are derived by seal, never serialized. byName is
-// the document ids sorted by (name, id), so a removal finds every document
-// of a name by binary search. tmax[id] is list id's largest weight. dnorm[d]
-// is the 2-norm of document d's column of dws, rounded up (see seal), and
-// dnormMax the largest: by Cauchy–Schwarz no query gets more than ‖its dense
-// counts‖·dnorm[d] out of d's dense lists, the one dense bound the gather
-// engine uses.
+// norm[d] is the norm of document d's counts, the one every weight of d was
+// divided by: every weight anywhere in the segment is float64(count)/norm[d]
+// for an integer count, which is what lets a row hold counts, a merge turn
+// weights back into counts and a decoder recover them. inv[d] is 1/norm[d]
+// (0 for a document with no postings), so the scan that combines a row sum
+// with the float sums never divides.
+//
+// tmax, dnorm, inv, rowMax and byName are derived by seal, never
+// serialized. byName is the document ids sorted by (name, id), so a removal
+// finds every document of a name by binary search. tmax[id] is list id's
+// largest weight. dnorm[d] is the 2-norm of document d's dense weights,
+// rounded up (see seal), and dnormMax the largest: by Cauchy–Schwarz no query
+// gets more than ‖its dense counts‖·dnorm[d] out of d's dense lists, the one
+// dense bound the gather engine uses. rowMax is the largest count in rows,
+// which bounds what a run of rows can add to an int32.
 //
 // The zero id means "not yet assigned": internal/snapstore assigns a
 // store-unique id the first time the segment is persisted, and the id
@@ -71,12 +82,19 @@ type Segment struct {
 	tmax     []float64
 	dense    []int32
 	ddf      []uint32
-	dws      []float64
+	rows     []int16
+	rowMax   int32
+	norm     []float64
+	inv      []float64
 	dnorm    []float64
 	dnormMax float64
 	byName   []int32
 	id       uint64
 }
+
+// maxRowCount is the largest count a row holds: an int16, which the kernel
+// multiplies as one.
+const maxRowCount = math.MaxInt16
 
 func newSegment() *Segment { return &Segment{dict: newDict(0, 0, 0)} }
 
@@ -110,16 +128,18 @@ func pairKey(a, b int32) uint64 {
 }
 
 // layout sizes the segment for the per-list posting counts in n (list id's
-// at n[id+2]; lists+2 slots; names in place): a dense list gets the next row
-// of dws, allocated after the arenas, and any other a range of the arenas.
-// It returns n as place's fill cursors: a sparse list id's next arena slot
-// is cur[id+1], a dense list's cur[id+1] is ^row, which no arena slot can be
-// (total+rows <= 2^32-1). seal turns the cursors into g.off.
-func (g *Segment) layout(n []uint32) (cur []uint32) {
+// at n[id+2]; lists+2 slots; names and norm in place): a dense list gets the
+// next row, allocated after the arenas, and any other a range of the arenas.
+// wide[id] (absent past len(wide)) marks a list holding a count above
+// maxRowCount, which stays in the arenas. It returns n as place's fill
+// cursors: a sparse list id's next arena slot is cur[id+1], a dense list's
+// cur[id+1] is ^row, which no arena slot can be (total+rows <= 2^32-1). seal
+// turns the cursors into g.off.
+func (g *Segment) layout(n []uint32, wide []bool) (cur []uint32) {
 	nDocs := uint64(len(g.names))
 	total := uint64(0)
 	for id := 0; id+2 < len(n); id++ {
-		if c := uint64(n[id+2]); c > 0 && 2*c >= nDocs {
+		if c := uint64(n[id+2]); c > 0 && 2*c >= nDocs && (id >= len(wide) || !wide[id]) {
 			g.dense = append(g.dense, int32(id))
 			g.ddf = append(g.ddf, uint32(c))
 		} else {
@@ -136,57 +156,81 @@ func (g *Segment) layout(n []uint32) (cur []uint32) {
 	g.off = n[:len(n)-1]
 	g.docs = make([]int32, total)
 	g.ws = make([]float64, total)
-	g.dws = make([]float64, uint64(len(g.dense))*nDocs)
+	g.rows = make([]int16, uint64(len(g.dense))*nDocs+31) // and 31 slots past the last row: see tileSums
 	return n
 }
 
-// place stores document d with weight w as list id's next posting: at d in
-// its row, or at the arena slot its cursor then moves past.
-func (g *Segment) place(cur []uint32, id int, d int32, w float64) {
-	c := cur[id+1]
-	if r := ^c; r < uint32(len(g.dense)) {
-		g.dws[int(r)*len(g.names)+int(d)] = w
+// place stores count c of document d as list id's next posting: the count
+// at d in its row, or the weight c/norm[d] at the arena slot its cursor then
+// moves past.
+func (g *Segment) place(cur []uint32, id int, d int32, c uint32) {
+	p := cur[id+1]
+	if r := ^p; r < uint32(len(g.dense)) {
+		g.rows[int(r)*len(g.names)+int(d)] = int16(c)
 		return
 	}
-	g.docs[c], g.ws[c] = d, w
-	cur[id+1] = c + 1
+	g.docs[p], g.ws[p] = d, float64(c)/g.norm[d]
+	cur[id+1] = p + 1
 }
 
-// list returns list id as a cursor with no query side: a dense list's row,
-// docs nil, or its arena range, and its df (0: a list nothing is in). Only
-// an empty range is looked up in dense.
+// placeWeight is place for a posting known by its weight w, c/norm[d]: w
+// times the norm rounds back to c (w is within half an ulp of c/norm, so the
+// product is within a few ulps of c).
+func (g *Segment) placeWeight(cur []uint32, id int, d int32, w float64) {
+	p := cur[id+1]
+	if r := ^p; r < uint32(len(g.dense)) {
+		g.rows[int(r)*len(g.names)+int(d)] = int16(math.RoundToEven(w * g.norm[d]))
+		return
+	}
+	g.docs[p], g.ws[p] = d, w
+	cur[id+1] = p + 1
+}
+
+// list returns list id as a cursor with no query side: a dense list's row
+// index, docs nil, or its arena range, and its df (0: a list nothing is in).
+// Only an empty range is looked up in dense.
 func (g *Segment) list(id int32) pruneCursor {
 	lo, hi := g.off[id], g.off[id+1]
 	if lo == hi {
 		if r, ok := slices.BinarySearch(g.dense, id); ok {
-			return pruneCursor{ws: g.dws[r*len(g.names) : (r+1)*len(g.names)], row: int32(r), df: g.ddf[r]}
+			return pruneCursor{row: int32(r), df: g.ddf[r]}
 		}
 	}
 	return pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, df: hi - lo}
 }
 
-// postings yields the list's postings in ascending document order: a row's
-// non-zero slots (a weight is never +0) or the arena range. Encoding and
-// merging read lists through it; scoring reads rows as rows.
-func (c pruneCursor) postings(yield func(int32, float64) bool) {
-	if c.row >= 0 {
-		for d, w := range c.ws {
-			if w != 0 && !yield(int32(d), w) {
+// row returns dense row r's counts, one per document.
+func (g *Segment) row(r int32) []int16 {
+	n := len(g.names)
+	return g.rows[int(r)*n : (int(r)+1)*n]
+}
+
+// postings yields list id's postings in ascending document order with
+// their weights: its arena range, or its row's non-zero counts over their
+// documents' norms. Merging reads lists through it; encoding and scoring read
+// rows as rows.
+func (g *Segment) postings(id int32) func(yield func(int32, float64) bool) {
+	return func(yield func(int32, float64) bool) {
+		c := g.list(id)
+		if c.row < 0 {
+			for j, d := range c.docs {
+				if !yield(d, c.ws[j]) {
+					return
+				}
+			}
+			return
+		}
+		for d, n := range g.row(c.row) {
+			if n != 0 && !yield(int32(d), float64(n)/g.norm[d]) {
 				return
 			}
-		}
-		return
-	}
-	for j, d := range c.docs {
-		if !yield(d, c.ws[j]) {
-			return
 		}
 	}
 }
 
-// seal installs the offset table from the fill cursors, derives tmax and the
-// documents' dense norms from the arenas and rows and sorts the name order,
-// then returns the now-frozen segment.
+// seal installs the offset table from the fill cursors, derives tmax, the
+// reciprocal norms and the documents' dense norms from the arenas and rows
+// and sorts the name order, then returns the now-frozen segment.
 func (g *Segment) seal() *Segment {
 	nDocs := len(g.names)
 	for id := 1; id < len(g.off); id++ { // a dense list's empty range ends where the list before it does
@@ -200,12 +244,23 @@ func (g *Segment) seal() *Segment {
 			g.tmax[id] = slices.Max(ws)
 		}
 	}
+	if len(g.inv) != nDocs { // DecodeSegment lends the array it kept the smallest weights in
+		g.inv = make([]float64, nDocs)
+	}
+	for d, n := range g.norm {
+		g.inv[d] = 0
+		if n > 0 {
+			g.inv[d] = 1 / n
+		}
+	}
 	g.dnorm = make([]float64, nDocs)
 	for i, id := range g.dense {
-		for d, w := range g.dws[i*nDocs : (i+1)*nDocs] {
-			if w == 0 {
+		for d, c := range g.rows[i*nDocs : (i+1)*nDocs] {
+			if c == 0 {
 				continue // not in the list: its square is no part of the norm
 			}
+			g.rowMax = max(g.rowMax, int32(c))
+			w := float64(c) / g.norm[d]
 			g.tmax[id] = max(g.tmax[id], w)
 			// A decoded weight may be any float in (0, 1]; raised to 2^-500 its
 			// square cannot underflow, and a larger weight bounds it too.
@@ -254,7 +309,7 @@ type SegmentBuilder struct {
 	log   [][]uint64 // per document, back to back: its distinct postings ids as id<<32 | count, in chunks of logChunk
 	n     int        // entries in log
 	ends  []int      // per document: where its run in the log ends
-	norms []float64  // per document: the norm of its counts
+	norms []float64  // per document: the norm of its counts, the segment's norm once sealed
 	cnt   []uint32   // per postings id: occurrences in the document being added, zero between Adds
 	tids  []int32    // per token of the document being added: its unigram id
 	ids   []int32    // the document being added's distinct postings ids, in first-use order
@@ -329,17 +384,25 @@ func (b *SegmentBuilder) Len() int { return len(b.open("Len").names) }
 // drops the builder's reference to it. The log is doc-major and lists are
 // term-major, so this is one counting sort keyed by postings id; documents
 // are placed in log order, which leaves every list ascending. The counts
-// decide which lists are dense, and their postings go straight to their rows.
+// decide which lists are dense, and their counts go straight to their rows.
 func (b *SegmentBuilder) Seal() *Segment {
 	g := b.open("Seal")
 	b.cnt, b.tids, b.ids = nil, nil, nil // the per-document scratch goes before the arenas come
 	n := make([]uint32, g.lists()+2)
+	var wide []bool
 	for _, chunk := range b.log {
 		for _, e := range chunk {
 			n[e>>32+2]++
+			if uint32(e) > maxRowCount {
+				if wide == nil {
+					wide = make([]bool, g.lists())
+				}
+				wide[e>>32] = true
+			}
 		}
 	}
-	cur := g.layout(n)
+	g.norm = b.norms
+	cur := g.layout(n, wide)
 	lo := 0
 	for doc, end := range b.ends {
 		for j := lo; j < end; j++ {
@@ -347,7 +410,7 @@ func (b *SegmentBuilder) Seal() *Segment {
 			if j&(logChunk-1) == logChunk-1 {
 				b.log[j>>logShift] = nil // read in order: the chunk is garbage for whichever collection runs next
 			}
-			g.place(cur, int(e>>32), int32(doc), float64(uint32(e))/b.norms[doc]) // tf(term, doc)/norm(doc)
+			g.place(cur, int(e>>32), int32(doc), uint32(e)) // a weight is tf(term, doc)/norm(doc)
 		}
 		lo = end
 	}

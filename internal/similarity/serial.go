@@ -110,7 +110,7 @@ func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 
 // appendList appends list id as one run — its count, its documents, its
 // weights — each a plain loop over its arena range or its row's non-zero
-// slots (no weight is +0).
+// slots, whose weights are their counts over their documents' norms.
 func (g *Segment) appendList(b []byte, id int) []byte {
 	lo, hi, at, le := g.off[id], g.off[id+1], len(b), binary.LittleEndian
 	c := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, df: hi - lo}
@@ -130,10 +130,10 @@ func (g *Segment) appendList(b []byte, id int) []byte {
 		}
 		return b
 	}
-	for d, w := range c.ws {
-		if w != 0 {
+	for d, n := range g.row(c.row) {
+		if n != 0 {
 			le.PutUint32(outD, uint32(d))
-			le.PutUint64(outW, math.Float64bits(w))
+			le.PutUint64(outW, math.Float64bits(float64(n)/g.norm[d]))
 			outD, outW = outD[4:], outW[8:]
 		}
 	}
@@ -214,7 +214,10 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 
 	// Postings first: the dictionaries validate their ids against its size.
 	// A list spends 4 bytes on its count and 12 on each posting. A pre-pass
-	// reads the counts for layout; the lists are validated as they land.
+	// reads the counts for layout and validates every posting: documents
+	// ascend, as the rows, binary searches and tie rule need, and a weight is
+	// in (0, 1] and not NaN. It keeps each document's smallest weight in
+	// g.inv, from which placeCounts derives the norms.
 	r = &reader{b: sections[3]}
 	nPost := int(r.u32())
 	if r.err || nPost < 0 || nPost > (len(sections[3])-4)/4 {
@@ -224,45 +227,31 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 	counts := make([]uint32, nPost+2) // layout's form: list id's at [id+2]
+	le, nDocs := binary.LittleEndian, int32(len(g.names))
+	g.inv = make([]float64, nDocs)
 	for id := range nPost {
 		n := r.u32()
 		if uint64(n) > uint64(len(r.b)-r.off)/12 {
 			return nil, ErrCorruptSnapshot
 		}
-		r.bytes(12 * int(n))
+		docs, ws := r.bytes(4*int(n)), r.bytes(8*int(n))
+		for j, prev := 0, int32(-1); j < int(n); j++ {
+			d, w := int32(le.Uint32(docs[4*j:])), math.Float64frombits(le.Uint64(ws[8*j:]))
+			if d <= prev || d >= nDocs || !(w > 0 && w <= 1) {
+				return nil, ErrCorruptSnapshot
+			}
+			if wmin := g.inv[d]; wmin == 0 || w < wmin {
+				g.inv[d] = w
+			}
+			prev = d
+		}
 		counts[id+2] = n
 	}
 	if !r.done() {
 		return nil, ErrCorruptSnapshot
 	}
-	// Each list is validated as it is copied, a run at a time, into its arena
-	// range or its row: documents ascend, as the rows, binary searches and tie
-	// rule need, and a weight, count/norm, is in (0, 1] and not NaN, as the
-	// pruning bounds, the rows' +0 slots and the accumulators assume.
-	cur, le := g.layout(counts), binary.LittleEndian
-	r = &reader{b: sections[3], off: 4} // the pre-pass vouched for every length
-	for id, nNames := 0, int32(len(g.names)); id < nPost; id++ {
-		n := int(r.u32())
-		docs, ws := r.bytes(4*n), r.bytes(8*n)
-		var row, outW []float64
-		var outD []int32
-		if c := cur[id+1]; ^c < uint32(len(g.dense)) {
-			row = g.dws[int(^c)*int(nNames):][:nNames]
-		} else {
-			outD, outW, cur[id+1] = g.docs[c:c+uint32(n)], g.ws[c:c+uint32(n)], c+uint32(n)
-		}
-		for j, prev := 0, int32(-1); j < n; j++ {
-			d, w := int32(le.Uint32(docs[4*j:])), math.Float64frombits(le.Uint64(ws[8*j:]))
-			if d <= prev || d >= nNames || !(w > 0 && w <= 1) {
-				return nil, ErrCorruptSnapshot
-			}
-			if row != nil {
-				row[d] = w
-			} else {
-				outD[j], outW[j] = d, w
-			}
-			prev = d
-		}
+	if !g.placeCounts(sections[3], counts) {
+		return nil, ErrCorruptSnapshot
 	}
 
 	// Both dictionaries' counts come first: they size every table once. Ids
@@ -318,8 +307,136 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 
-	// Which lists are rows, tmax and dnorm are derived state, deliberately not
-	// serialized (the format — and every old snapshot file — stays valid):
-	// layout chose the rows from the counts, seal derives the rest.
+	// Which lists are rows, the counts, norms, tmax and dnorm are derived
+	// state, deliberately not serialized (the format — and every old snapshot
+	// file — stays valid): placeCounts found the norms, layout chose the
+	// rows, seal derives the rest.
 	return g.seal(), nil
+}
+
+// eachList calls f with every list of a postings section the pre-pass has
+// validated: its id and the bytes of its documents and of its weights.
+func eachList(sec []byte, f func(id int, docs, ws []byte)) {
+	le := binary.LittleEndian
+	nPost, off := int(le.Uint32(sec)), 4
+	for id := range nPost {
+		n := int(le.Uint32(sec[off:]))
+		f(id, sec[off+4:off+4+4*n], sec[off+4+4*n:off+4+12*n])
+		off += 4 + 12*n
+	}
+}
+
+// placeCounts lays the segment out and fills its lists from a validated
+// postings section, finding each document's norm again from its weights.
+// The builder divided each count by the norm √Σc² and rounded, and a
+// document's smallest weight (g.inv holds it) belongs to its smallest count
+// k, so √Σc² is the integer nearest (k/smallest)², rooted: six roundings off
+// it, exact while Σc² < 2^49. k is 1 unless every term the document holds
+// recurs ("a a a a" counts 4 and 3). As the lists land, a row gets counts,
+// each weight times the norm rounded, and every weight is checked to be its
+// count over its norm bit for bit, as rows, merges and re-scoring need. A
+// document that fails had k > 1, or a corrupt weight: its k is the least
+// common denominator of its weights over its smallest (its counts have no
+// common factor: its unigrams count n tokens and its bigrams n-1), which a
+// pass reads off their continued fractions before the lists are placed
+// again, and then every weight must check. A row that would hold a count
+// past maxRowCount is placed again in the arenas. It reports whether every
+// weight checked.
+func (g *Segment) placeCounts(sec []byte, counts []uint32) bool {
+	le, wmin := binary.LittleEndian, g.inv
+	norm := func(k, w float64) float64 { // of a document whose smallest weight w is count k's
+		if w == 0 {
+			return 0 // no postings
+		}
+		r := k / w
+		return math.Sqrt(math.RoundToEven(r * r))
+	}
+	g.norm = make([]float64, len(wmin))
+	for d, w := range wmin {
+		g.norm[d] = norm(1, w)
+	}
+	var wide []bool
+	for try := 0; ; try++ {
+		cur, badDoc, badRow := g.layout(counts, wide), false, false
+		eachList(sec, func(id int, docs, ws []byte) {
+			var row []int16
+			var outD []int32
+			var outW []float64
+			if c := cur[id+1]; ^c < uint32(len(g.dense)) {
+				row = g.row(int32(^c))
+			} else {
+				n := uint32(len(docs) / 4)
+				outD, outW, cur[id+1] = g.docs[c:c+n], g.ws[c:c+n], c+n
+			}
+			norm, bad, big := g.norm, false, false
+			for j := range len(docs) / 4 {
+				d, w := le.Uint32(docs[4*j:]), math.Float64frombits(le.Uint64(ws[8*j:]))
+				c := math.RoundToEven(w * norm[d])
+				if c/norm[d] != w {
+					norm[d], bad = -math.Abs(norm[d]), true // marked bad
+				} else if row != nil && c > maxRowCount {
+					big = true
+				}
+				if row != nil {
+					row[d] = int16(c)
+				} else {
+					outD[j], outW[j] = int32(d), w
+				}
+			}
+			if big {
+				if wide == nil {
+					wide = make([]bool, len(counts)-2)
+				}
+				wide[id], badRow = true, true
+			}
+			badDoc = badDoc || bad
+		})
+		switch {
+		case !badDoc && !badRow:
+			return true
+		case badDoc && try > 0, try == 2:
+			return false
+		case badDoc:
+			for d, n := range g.norm {
+				if n < 0 {
+					g.norm[d] = -1 // the document's k so far, negated
+				}
+			}
+			eachList(sec, func(_ int, docs, ws []byte) {
+				for j := range len(docs) / 4 {
+					if d := le.Uint32(docs[4*j:]); g.norm[d] < 0 {
+						w := math.Float64frombits(le.Uint64(ws[8*j:]))
+						g.norm[d] *= denominator(w / wmin[d] * -g.norm[d]) // 0 if none: the check fails again
+					}
+				}
+			})
+			for d, n := range g.norm {
+				if n < 0 {
+					g.norm[d] = norm(-n, wmin[d])
+				}
+			}
+		}
+		clear(counts) // layout turned them into cursors: count again
+		eachList(sec, func(id int, docs, _ []byte) { counts[id+2] = uint32(len(docs) / 4) })
+		g.dense, g.ddf = nil, nil
+	}
+}
+
+// denominator returns the least q for which x·q is within a few ulps of an
+// integer (2^-48 of it, where a ratio of weights strays at most five
+// roundings, 2^-50): the denominator of the first convergent of x's
+// continued fraction that gets there, or 0 when none does below 2^32.
+func denominator(x float64) float64 {
+	h0, h1, k0, k1 := 0.0, 1.0, 1.0, 0.0
+	for f := x; ; {
+		a := math.Floor(f)
+		h0, h1, k0, k1 = h1, a*h1+h0, k1, a*k1+k0
+		if !(k1 <= math.MaxUint32) {
+			return 0
+		}
+		if y := x * k1; math.Abs(y-math.RoundToEven(y)) <= y*0x1p-48 {
+			return k1
+		}
+		f = 1 / (f - a)
+	}
 }

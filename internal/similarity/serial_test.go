@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -188,13 +190,13 @@ func writeSectionsRef(g *Segment, emit func(sec int, chunk []byte) error) error 
 			return appendU32(appendU64(b, pairs[id]-1), uint32(id))
 		},
 		func(b []byte, id int) []byte {
-			list := g.list(int32(id))
-			b = appendU32(b, list.df)
-			for d := range list.postings {
-				b = appendU32(b, uint32(d))
+			ps := postingsOf(g, int32(id))
+			b = appendU32(b, uint32(len(ps)))
+			for _, p := range ps {
+				b = appendU32(b, uint32(p.doc))
 			}
-			for _, w := range list.postings {
-				b = appendU64(b, math.Float64bits(w))
+			for _, p := range ps {
+				b = appendU64(b, math.Float64bits(p.w))
 			}
 			return b
 		},
@@ -260,5 +262,81 @@ func TestWriteSectionsMatchesReference(t *testing.T) {
 		if err != stop || calls != k {
 			t.Fatalf("emit failing at call %d: WriteSections returned %v after %d calls", k, err, calls)
 		}
+	}
+}
+
+// Decoding finds the counts and norms again from the weights the file holds:
+// bench/'s 8 000 documents decode to the rows and norms they were built
+// with; a document with no count of 1 ("a a a a": 4 and 3) is read as its
+// own counts, and scores bit for bit as it did; and a weight one ulp off its
+// count over its norm, in a row or in the arenas, is corruption.
+func TestDecodeRecoversCounts(t *testing.T) {
+	names, texts := protectedDocs(8000)
+	built := BuildSegment(names, texts, 0)
+	dec, err := DecodeSegment(built.EncodeSections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built.dense) == 0 || !slices.Equal(dec.dense, built.dense) || !slices.Equal(dec.rows, built.rows) ||
+		!slices.Equal(dec.norm, built.norm) || !slices.Equal(dec.inv, built.inv) || dec.rowMax != built.rowMax {
+		t.Fatalf("decoded %d rows (rowMax %d) differ from the %d built (rowMax %d), or their norms do", len(dec.dense), dec.rowMax, len(built.dense), built.rowMax)
+	}
+
+	small := BuildSegment([]string{"four.v", "ab.v", "b.v"}, []string{"a a a a", "a b", "b b a"}, 0)
+	if id, _ := small.dict.findTerm("a"); !slices.Contains(small.dense, id) {
+		t.Fatal(`"a" is not a row`)
+	}
+	secs := small.EncodeSections()
+	dsmall, err := DecodeSegment(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dsmall.norm[0] != 5 || !slices.Equal(dsmall.rows, small.rows) || !slices.Equal(dsmall.norm, small.norm) {
+		t.Fatalf("decoded norms %v and rows %v, built %v and %v", dsmall.norm, dsmall.rows, small.norm, small.rows)
+	}
+	for _, q := range []string{"a a a a", "a a", "a b a", "b"} {
+		for _, mode := range []int{searchPruned, searchExhaustive} {
+			for _, k := range []int{1, 3} {
+				ctx := fmt.Sprintf("%q mode %d k=%d", q, mode, k)
+				matchesEqual(t, ctx, dsmall.searchTopK(q, k, mode, nil), small.searchTopK(q, k, mode, nil))
+				matchesEqual(t, ctx+" against the oracle", dsmall.searchTopK(q, k, mode, nil), canonicalOracle(small, q, k, nil))
+			}
+		}
+	}
+
+	// Counts of 40 000 and 39 999: the norm takes the second pass, and then
+	// the list of "a" the arenas, as the builder put it there.
+	long := BuildSegment([]string{"long.v", "ab.v", "bac.v"}, []string{strings.Repeat("a ", 40000), "a b", "b a c"}, 0)
+	if id, _ := long.dict.findTerm("a"); slices.Contains(long.dense, id) {
+		t.Fatal(`"a" is a row`)
+	}
+	dlong, err := DecodeSegment(long.EncodeSections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dlong.dense, long.dense) || !slices.Equal(dlong.rows, long.rows) || !slices.Equal(dlong.norm, long.norm) {
+		t.Fatalf("decoded rows %v and norms %v, built %v and %v", dlong.dense, dlong.norm, long.dense, long.norm)
+	}
+	for _, q := range []string{"a a a", "a b", "b"} {
+		matchesEqual(t, q, dlong.searchTopK(q, 3, searchExhaustive, nil), long.searchTopK(q, 3, searchExhaustive, nil))
+	}
+
+	// Section 3: nPost, then per list its count, documents and weights.
+	// Every weight, in a row or in the arenas, of a count of 1 or more, one
+	// ulp either way.
+	le := binary.LittleEndian
+	for list, off := 0, 4; list < int(le.Uint32(secs[3])); list++ {
+		n := int(le.Uint32(secs[3][off:]))
+		for j := range n {
+			for _, ulp := range []int64{-1, 1} {
+				post := slices.Clone(secs[3])
+				w := off + 4 + 4*n + 8*j
+				le.PutUint64(post[w:], uint64(int64(le.Uint64(post[w:]))+ulp))
+				if _, err := DecodeSegment([][]byte{secs[0], secs[1], secs[2], post}); !errors.Is(err, ErrCorruptSnapshot) {
+					t.Errorf("list %d weight %d %+d ulp: err = %v, want ErrCorruptSnapshot", list, j, ulp, err)
+				}
+			}
+		}
+		off += 4 + 12*n
 	}
 }

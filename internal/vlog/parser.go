@@ -8,9 +8,31 @@ import (
 
 // Parser is a recursive-descent parser for the supported Verilog subset.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // recursive productions entered and not yet left, see nest
 }
+
+// maxNesting bounds how deep the recursive productions may nest between
+// them: expressions (parenthesised, concatenated, called, selected, the
+// branches of ?:), unary and ** chains, statements (blocks, if, case,
+// loops), lvalue concatenations and module items (generate regions, loops,
+// conditionals and their bodies). Deeper than that a file is a parse error:
+// the parser recurses, and a file of a million nested parentheses would
+// otherwise outgrow the goroutine stack limit, a fatal error no recover
+// catches. Written Verilog nests a few dozen deep at most.
+const maxNesting = 1000
+
+// nest enters one level of a recursive production, which unnest leaves. A
+// parse that fails is abandoned, so an error return needs no unnest.
+func (p *Parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errorf("nesting deeper than %d", maxNesting)
+	}
+	return nil
+}
+
+func (p *Parser) unnest() { p.depth-- }
 
 // ParseFile lexes and parses a complete source file.
 func ParseFile(src string) (*SourceFile, error) {
@@ -349,6 +371,10 @@ func (p *Parser) parseRange() (*RangeSpec, error) {
 // ---- Module items ----
 
 func (p *Parser) parseModuleItem(m *Module) error {
+	if err := p.nest(); err != nil {
+		return err
+	}
+	defer p.unnest()
 	t := p.cur()
 	if t.Kind == KEYWORD {
 		switch t.Text {

@@ -31,6 +31,10 @@ func binPrec(k Kind) int {
 
 // parseExpr parses a full expression including the ternary operator.
 func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
@@ -72,9 +76,17 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		if op == POW {
 			nextMin = prec
 		}
+		if op == POW { // right-associative: the one chain of operators that recurses
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+		}
 		rhs, err := p.parseBinary(nextMin)
 		if err != nil {
 			return nil, err
+		}
+		if op == POW {
+			p.unnest()
 		}
 		lhs = &Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
 	}
@@ -85,10 +97,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 	switch t.Kind {
 	case NOT, TILD, AND, NAND, OR, NOR, XOR, XNOR, PLUS, MINUS:
 		p.pos++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.unnest()
 		return &Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
 	}
 	return p.parsePrimary()

@@ -2,6 +2,10 @@ package vlog
 
 // parseStmt parses one behavioral statement.
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	switch t.Kind {
 	case SEMI:
@@ -444,6 +448,10 @@ func (p *Parser) parseLValue() (Expr, error) {
 	t := p.cur()
 	if t.Kind == LBRACE {
 		p.pos++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		c := &Concat{Pos: t.Pos}
 		for {
 			e, err := p.parseLValue()

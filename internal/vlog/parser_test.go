@@ -509,3 +509,50 @@ module uart_tx #(
   end
 endmodule`)
 }
+
+// Every recursive production shares one nesting bound: a file nested 900
+// deep in any of them parses, and one nested past maxNesting is a syntax
+// error at once, whatever the production — expressions (parenthesised,
+// concatenated, called, selected, ?: branches), unary and ** chains,
+// statements (begin, if, case, loops), lvalue concatenations and generate
+// items. (internal/serve's TestSyntaxDeepNesting posts the million-level
+// nests that used to overflow the goroutine stack.)
+func TestDeepNestingIsAnError(t *testing.T) {
+	nests := []struct {
+		name       string
+		open, core string
+		close      string
+		wrap       func(string) string
+	}{
+		{"parens", "(", "a", ")", func(e string) string { return "module m(input a, output y); assign y = " + e + "; endmodule" }},
+		{"concat", "{", "a", "}", func(e string) string { return "module m(input a, output y); assign y = " + e + "; endmodule" }},
+		{"call", "f(", "a", ")", func(e string) string {
+			return "module m(input a, output y); function f; input x; f = x; endfunction assign y = " + e + "; endmodule"
+		}},
+		{"select", "a[", "0", "]", func(e string) string { return "module m(input [1:0] a, output y); assign y = " + e + "; endmodule" }},
+		{"ternary", "a ? a : ", "a", "", func(e string) string { return "module m(input a, output y); assign y = " + e + "; endmodule" }},
+		{"unary", "~", "a", "", func(e string) string { return "module m(input a, output y); assign y = " + e + "; endmodule" }},
+		{"power", "a ** ", "a", "", func(e string) string { return "module m(input a, output y); assign y = " + e + "; endmodule" }},
+		{"begin", "begin ", "x = 1;", " end", func(s string) string { return "module m; reg x; initial " + s + " endmodule" }},
+		{"if", "if (x) ", "x = 1;", "", func(s string) string { return "module m; reg x; initial " + s + " endmodule" }},
+		{"case", "case (x) 1: ", "x = 1;", " endcase", func(s string) string { return "module m; reg x; initial " + s + " endmodule" }},
+		{"while", "while (x) ", "x = 0;", "", func(s string) string { return "module m; reg x; initial " + s + " endmodule" }},
+		{"lvalue", "{", "x", "}", func(l string) string { return "module m; reg x; initial " + l + " = 1; endmodule" }},
+		{"generate", "if (1) begin ", "wire w;", " end", func(g string) string { return "module m; generate " + g + " endgenerate endmodule" }},
+		{"generate region", "generate ", "wire w;", " endgenerate", func(g string) string { return "module m; " + g + " endmodule" }},
+	}
+	nest := func(open, core, close string, n int) string {
+		return strings.Repeat(open, n) + core + strings.Repeat(close, n)
+	}
+	for _, c := range nests {
+		if _, err := ParseFile(c.wrap(nest(c.open, c.core, c.close, 900))); err != nil {
+			t.Errorf("%s nested 900 deep: %v", c.name, err)
+		}
+		for _, n := range []int{maxNesting, 100_000} {
+			_, err := ParseFile(c.wrap(nest(c.open, c.core, c.close, n)))
+			if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+				t.Errorf("%s nested %d deep: err = %v, want the nesting bound", c.name, n, err)
+			}
+		}
+	}
+}
