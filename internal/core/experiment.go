@@ -497,12 +497,3 @@ func TableII(outcomes []EvalOutcome) string {
 	}
 	return veval.RenderTableII(rows)
 }
-
-// LeakedFor exposes the leak-file names a spec would receive (diagnostics).
-func (e *Experiment) LeakedFor(spec ModelSpec) []string {
-	var out []string
-	for _, idx := range e.leakIndices(spec) {
-		out = append(out, e.World.Protected[e.World.PlacedProtected[idx]].Name)
-	}
-	return out
-}

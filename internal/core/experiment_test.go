@@ -204,3 +204,12 @@ func TestSuiteCoverageOfFamilies(t *testing.T) {
 		t.Fatalf("suite size %d", len(problems))
 	}
 }
+
+// LeakedFor exposes the leak-file names a spec would receive (diagnostics).
+func (e *Experiment) LeakedFor(spec ModelSpec) []string {
+	var out []string
+	for _, idx := range e.leakIndices(spec) {
+		out = append(out, e.World.Protected[e.World.PlacedProtected[idx]].Name)
+	}
+	return out
+}

@@ -706,7 +706,8 @@ func CanonVariant(rng *rand.Rand, src string) string {
 
 // MutateIdentifiers renames the module and tweaks literals, producing a
 // near-duplicate (for dedup realism: files copied between repos with small
-// local edits).
+// local edits). Only tests call it, internal/vlog's among them, which is why
+// it is exported.
 func MutateIdentifiers(rng *rand.Rand, src string) string {
 	out := src
 	if i := strings.Index(out, "module "); i >= 0 {

@@ -400,9 +400,3 @@ func VeriGenLikeOptions() Options {
 func RunFreeSet(repos []gitsim.RepoData) *Result {
 	return Run(repos, FreeSetOptions())
 }
-
-// RunVeriGenLike reproduces a VeriGen-style dataset for comparison (see
-// VeriGenLikeOptions).
-func RunVeriGenLike(repos []gitsim.RepoData) *Result {
-	return Run(repos, VeriGenLikeOptions())
-}

@@ -280,3 +280,9 @@ func TestFunnelDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// RunVeriGenLike reproduces a VeriGen-style dataset for comparison (see
+// VeriGenLikeOptions).
+func RunVeriGenLike(repos []gitsim.RepoData) *Result {
+	return Run(repos, VeriGenLikeOptions())
+}

@@ -178,20 +178,6 @@ func NewMinHasher(n int, seed uint64) *MinHasher {
 
 // Sign is implemented in sign.go (register-blocked batched kernel).
 
-// SigSimilarity estimates Jaccard similarity from two signatures.
-func SigSimilarity(a, b Signature) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	eq := 0
-	for i := range a {
-		if a[i] == b[i] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(len(a))
-}
-
 // splitmix is SplitMix64, used to derive permutation parameters.
 type splitmix uint64
 
@@ -436,10 +422,4 @@ func (x *Index) Keys() []string {
 		out[i] = d.key
 	}
 	return out
-}
-
-// PairSimilarity computes the exact Jaccard similarity of two texts using
-// the index's shingling parameters.
-func (x *Index) PairSimilarity(a, b string) float64 {
-	return Jaccard(Shingles(a, x.prep.shingleK), Shingles(b, x.prep.shingleK))
 }

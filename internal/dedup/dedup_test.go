@@ -501,3 +501,23 @@ func TestPositionalFilterEdges(t *testing.T) {
 		}
 	}
 }
+
+// SigSimilarity estimates Jaccard similarity from two signatures.
+func SigSimilarity(a, b Signature) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	eq := 0
+	for i := range a {
+		if a[i] == b[i] {
+			eq++
+		}
+	}
+	return float64(eq) / float64(len(a))
+}
+
+// PairSimilarity computes the exact Jaccard similarity of two texts using
+// the index's shingling parameters.
+func (x *Index) PairSimilarity(a, b string) float64 {
+	return Jaccard(Shingles(a, x.prep.shingleK), Shingles(b, x.prep.shingleK))
+}

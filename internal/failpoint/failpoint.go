@@ -94,16 +94,6 @@ func EnablePanic(name string) {
 	Enable(name, func(n string) error { panic(PanicValue{Name: n}) })
 }
 
-// Disable disarms one failpoint.
-func Disable(name string) {
-	mu.Lock()
-	if _, ok := actions[name]; ok {
-		delete(actions, name)
-		armed.Add(-1)
-	}
-	mu.Unlock()
-}
-
 // DisableAll disarms every failpoint. Recovery tests defer it so an armed
 // point never leaks into the next test.
 func DisableAll() {

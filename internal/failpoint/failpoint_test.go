@@ -105,3 +105,13 @@ func TestDoubleEnableCounter(t *testing.T) {
 		t.Fatalf("armed counter after double enable + disable = %d", armed.Load())
 	}
 }
+
+// Disable disarms one failpoint.
+func Disable(name string) {
+	mu.Lock()
+	if _, ok := actions[name]; ok {
+		delete(actions, name)
+		armed.Add(-1)
+	}
+	mu.Unlock()
+}

@@ -47,16 +47,6 @@ func AllAccepted() []License {
 	return []License{MIT, Apache20, GPL20, GPL30, LGPL, MPL20, CC, EPL, BSD2Clause, BSD3Clause}
 }
 
-// Permissive reports whether the license is permissive (vs copyleft); the
-// dataset includes both, but the distinction is reported in curation stats.
-func Permissive(l License) bool {
-	switch l {
-	case MIT, Apache20, BSD2Clause, BSD3Clause:
-		return true
-	}
-	return false
-}
-
 // fingerprints are distinctive phrases from each license's text. LICENSE
 // files are matched against these after normalization.
 var fingerprints = []struct {

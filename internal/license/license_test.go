@@ -393,3 +393,13 @@ func TestContainsFold(t *testing.T) {
 		}
 	}
 }
+
+// Permissive reports whether the license is permissive (vs copyleft); the
+// dataset includes both, but the distinction is reported in curation stats.
+func Permissive(l License) bool {
+	switch l {
+	case MIT, Apache20, BSD2Clause, BSD3Clause:
+		return true
+	}
+	return false
+}

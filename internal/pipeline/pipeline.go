@@ -126,17 +126,6 @@ func (r *Report) Timing(stage string) (StageTiming, bool) {
 	return StageTiming{}, false
 }
 
-// AcceptedCount returns how many candidates survived every stage.
-func (r *Report) AcceptedCount() int {
-	n := 0
-	for i := range r.Verdicts {
-		if r.Verdicts[i].Accept {
-			n++
-		}
-	}
-	return n
-}
-
 // Execute threads cands through stages in order. Per-candidate stages fan
 // out across workers (<= 0 means GOMAXPROCS); batch stages see the whole
 // surviving set at once. Rejected candidates drop out of later stages, so

@@ -258,3 +258,14 @@ func TestDegenerateExecutions(t *testing.T) {
 		t.Fatalf("empty-candidate execution = %+v", rep)
 	}
 }
+
+// AcceptedCount returns how many candidates survived every stage.
+func (r *Report) AcceptedCount() int {
+	n := 0
+	for i := range r.Verdicts {
+		if r.Verdicts[i].Accept {
+			n++
+		}
+	}
+	return n
+}

@@ -198,11 +198,20 @@ type posting struct {
 	w   float64
 }
 
-// postingsOf returns list id of g as its postings iterator yields it.
+// postingsOf returns list id of g with the weights it stores: its arena
+// range, or its row's non-zero counts over their documents' norms.
 func postingsOf(g *Segment, id int32) []posting {
 	var ps []posting
-	for d, w := range g.postings(id) {
-		ps = append(ps, posting{d, w})
+	c := g.list(id)
+	for j, d := range c.docs {
+		ps = append(ps, posting{d, c.ws[j]})
+	}
+	if c.row >= 0 {
+		for d, n := range g.row(c.row) {
+			if n != 0 {
+				ps = append(ps, posting{int32(d), float64(n) / g.norm[d]})
+			}
+		}
 	}
 	return ps
 }
@@ -263,8 +272,8 @@ func isDense(g *Segment, term string) bool {
 
 // requireDenseForm checks g's layout against the postings its lists yield:
 // every weight is a count over its document's norm, bit for bit; dense is
-// exactly the non-empty lists holding at least half the documents and no
-// count above maxRowCount, each stored only as its row (no arena posting,
+// exactly the non-empty lists holding at least 1/rowShare of the documents
+// and no count above maxRowCount, each stored only as its row (no arena posting,
 // ddf its document frequency), every other list only in the arenas; tmax is
 // each list's largest weight, rowMax the rows' largest count, inv each norm's
 // reciprocal, dnorm the 2-norm of each document's dense weights (never below
@@ -301,6 +310,16 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 			}
 			maxCount = max(maxCount, c)
 		}
+		j := 0
+		for d, c := range g.postings(int32(id)) { // what a merge reads: the counts
+			if j >= len(ps) || d != ps[j].doc || float64(c)/g.norm[d] != ps[j].w {
+				t.Fatalf("%s: list %d: posting %d yields count %d at document %d", ctx, id, j, c, d)
+			}
+			j++
+		}
+		if j != len(ps) {
+			t.Fatalf("%s: list %d yields %d counts for %d postings", ctx, id, j, len(ps))
+		}
 		df, inArena := len(ps), int(g.off[id+1]-g.off[id])
 		if list := g.list(int32(id)); int(list.df) != df {
 			t.Fatalf("%s: list %d: df %d, it yields %d postings", ctx, id, list.df, df)
@@ -308,7 +327,7 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 		if df > 0 && g.tmax[id] != slices.MaxFunc(ps, func(a, b posting) int { return cmp.Compare(a.w, b.w) }).w {
 			t.Fatalf("%s: list %d: tmax %v is not its largest weight", ctx, id, g.tmax[id])
 		}
-		if df == 0 || 2*df < n || maxCount > maxRowCount {
+		if df == 0 || rowShare*df < n || maxCount > maxRowCount {
 			if inArena != df {
 				t.Fatalf("%s: sparse list %d has %d arena postings of %d", ctx, id, inArena, df)
 			}
@@ -326,7 +345,7 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 		}
 	}
 	if !slices.Equal(g.dense, wantDense) || !slices.Equal(g.ddf, wantDdf) || g.rowMax != rowMax {
-		t.Fatalf("%s: dense = %v with ddf %v and rowMax %d, lists with 2·df >= %d docs are %v with %v and %d", ctx, g.dense, g.ddf, g.rowMax, n, wantDense, wantDdf, rowMax)
+		t.Fatalf("%s: dense = %v with ddf %v and rowMax %d, lists with %d·df >= %d docs are %v with %v and %d", ctx, g.dense, g.ddf, g.rowMax, rowShare, n, wantDense, wantDdf, rowMax)
 	}
 	if len(g.docs) != arena || len(g.ws) != arena || len(g.rows) != len(g.dense)*n+31 || len(g.dnorm) != n {
 		t.Fatalf("%s: %d/%d arena slots for %d sparse postings, %d row slots and %d dense norms for %d dense lists over %d docs",
@@ -347,44 +366,51 @@ func requireDenseForm(t *testing.T, ctx string, g *Segment) {
 
 // One definition of dense, applied by every way of making a segment — built,
 // decoded, split and merged, merged with a tombstone — and one layout: a
-// dense list is its row and nothing else, and every list yields the postings
-// a rebuild of the live documents computes, bit for bit. Each corpus puts a
-// term exactly on the boundary (df = docs/2), one just under it
-// (docs/2 - 1) and one just over an odd count's half.
+// dense list is its row and nothing else, every list yields the postings a
+// rebuild of the live documents computes, bit for bit, and both engines score
+// as the oracle. Each corpus puts a term exactly on the boundary (df =
+// ⌈docs/rowShare⌉), one a document under it, and one at ⌊docs/rowShare⌋,
+// which is dense only when docs is a multiple of rowShare; up to rowShare
+// documents every list is a row.
 func TestSealDerivesDenseForm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 10, 128, 129, 130} {
+	for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17, 63, 128, 129, 130, 135} {
 		names := make([]string, n)
 		texts := make([]string, n)
+		ceil := (n + rowShare - 1) / rowShare
 		for d := range texts {
 			names[d] = fmt.Sprintf("d%d", d)
 			var sb strings.Builder
 			fmt.Fprintf(&sb, "all own%d ", d)
-			if d < n/2 {
-				sb.WriteString("floorhalf ")
+			if d < n/rowShare {
+				sb.WriteString("floorshare ")
 			}
-			if d >= n-(n/2-1) { // the LAST docs/2-1 documents: rows that start with zeros
+			if d >= n-(ceil-1) { // the LAST ⌈docs/rowShare⌉-1 documents: rows that start with zeros
 				sb.WriteString("under ")
 			}
-			if d%2 == 0 {
-				sb.WriteString("ceilhalf ")
+			if d%rowShare == 0 {
+				sb.WriteString("ceilshare ")
 			}
 			texts[d] = sb.String()
 		}
 		built := BuildSegment(names, texts, 2)
-		if n > 0 && (!isDense(built, "all") || !isDense(built, "ceilhalf")) {
-			t.Fatalf("%d docs: a list in every document or in ceil(docs/2) of them is not dense (%v)", n, built.dense)
+		if n > 0 && (!isDense(built, "all") || !isDense(built, "ceilshare")) {
+			t.Fatalf("%d docs: a list in every document or in ceil(docs/%d) of them is not dense (%v)", n, rowShare, built.dense)
 		}
-		if n >= 2 && isDense(built, "floorhalf") != (n%2 == 0) {
-			t.Fatalf("%d docs: df = %d dense = %v", n, n/2, isDense(built, "floorhalf"))
+		if n >= rowShare && isDense(built, "floorshare") != (n%rowShare == 0) {
+			t.Fatalf("%d docs: df = %d dense = %v", n, n/rowShare, isDense(built, "floorshare"))
 		}
-		if n >= 5 && isDense(built, "under") {
-			t.Fatalf("%d docs: df = %d is dense", n, n/2-1)
+		if ceil > 1 && isDense(built, "under") {
+			t.Fatalf("%d docs: df = %d is dense", n, ceil-1)
+		}
+		if n <= rowShare && len(built.dense) != built.lists() {
+			t.Fatalf("%d docs: %d of %d lists are rows, want all", n, len(built.dense), built.lists())
 		}
 		check := func(ctx string, g *Segment, texts []string) {
 			t.Helper()
 			ctx = fmt.Sprintf("%d docs %s", n, ctx)
 			requireDenseForm(t, ctx, g)
 			requireListsOf(t, ctx, g, texts)
+			requireEnginesMatchOracle(t, ctx, g, append(slices.Clip(texts), "all ceilshare under floorshare own1 own2 all"))
 		}
 		check("built", built, texts)
 		dec, err := DecodeSegment(built.EncodeSections())
@@ -403,7 +429,7 @@ func TestSealDerivesDenseForm(t *testing.T) {
 		if !slices.Equal(merged.dense, built.dense) || !slices.Equal(merged.rows, built.rows) || !slices.Equal(merged.norm, built.norm) {
 			t.Fatalf("%d docs: merged dense form differs from the built segment's", n)
 		}
-		// Without document 1 the merged segment's half is not the sources'.
+		// Without document 1 the merged segment's threshold is not the sources'.
 		dead, live := []uint64{0b10}, slices.Delete(slices.Clone(texts), 1, 2)
 		if n/3 < 2 {
 			dead, live = nil, texts
@@ -412,6 +438,63 @@ func TestSealDerivesDenseForm(t *testing.T) {
 			check("merged without doc 1", m, live)
 		}
 	}
+}
+
+// seal finds a row's largest weight dividing only where count·inv is within
+// 6·2^-53 of the largest product so far, since the product can order two
+// weights the other way round: "t" weighs 3/fl(√117) in document 0 and
+// 17/fl(√3757) in document 1 (equal ratios, rounded apart), and the first
+// has the smaller weight but the larger product. tmax is the larger weight.
+func TestRowTmaxAcrossProductOrder(t *testing.T) {
+	doc := func(c, k int, filler string) string {
+		var sb strings.Builder
+		sb.WriteString(strings.Repeat("t ", c))
+		for i := range k {
+			fmt.Fprintf(&sb, "%s%d ", filler, i)
+		}
+		return sb.String()
+	}
+	g := BuildSegment([]string{"a", "b"}, []string{doc(3, 52, "a"), doc(17, 1606, "b")}, 1)
+	w0, w1 := 3/g.norm[0], 17/g.norm[1]
+	if 3*g.inv[0] <= 17*g.inv[1] || w0 >= w1 {
+		t.Fatalf("weights %v, %v and products %v, %v are in the same order: the case is not made", w0, w1, 3*g.inv[0], 17*g.inv[1])
+	}
+	if id, _ := g.dict.findTerm("t"); !isDense(g, "t") || g.tmax[id] != w1 {
+		t.Fatalf("tmax of \"t\" is %v, its largest weight %v", g.tmax[id], w1)
+	}
+	requireDenseForm(t, "built", g)
+}
+
+// A list exactly on the threshold whose counts pass 32 767 ("big": 6 of
+// 5·rowShare+1 documents, 33 000 in one) is laid out by the decoder as the builder laid it
+// out, in the arenas: the decoder's first layout makes it a row, and the
+// count sends it back (placeCounts' wide retry). "row", in as many documents
+// with small counts, stays a row. Both engines score the decoded segment as
+// the oracle.
+func TestDecodeWideListAtThreshold(t *testing.T) {
+	const n = 5*rowShare + 1
+	names, texts := make([]string, n), make([]string, n)
+	for d := range texts {
+		names[d], texts[d] = fmt.Sprintf("w%d", d), fmt.Sprintf("module w%d ;", d)
+		if d%rowShare == 0 {
+			texts[d] += " big row"
+		}
+	}
+	texts[0] += strings.Repeat(" big", 33000)
+	built := BuildSegment(names, texts, 1)
+	if isDense(built, "big") || !isDense(built, "row") {
+		t.Fatalf(`dense %v: want "row" a row and "big", on the threshold, in the arenas`, built.dense)
+	}
+	dec, err := DecodeSegment(built.EncodeSections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDenseForm(t, "decoded", dec)
+	requireListsOf(t, "decoded", dec, texts)
+	if !slices.Equal(dec.dense, built.dense) || !slices.Equal(dec.rows, built.rows) || !slices.Equal(dec.off, built.off) || !slices.Equal(dec.ws, built.ws) {
+		t.Fatal("decoded rows or arenas differ from the builder's")
+	}
+	requireEnginesMatchOracle(t, "decoded", dec, []string{"big row", texts[8], "module w0 ; big big big row", strings.Repeat("big ", 40000)})
 }
 
 // The one dense bound the gather engine uses is sound: for every document of
@@ -559,6 +642,20 @@ func canonicalOracle(g *Segment, query string, k int, dead []uint64) []Match {
 		ms[i].Index = int(ss.selectLive(ms[i].Index))
 	}
 	return ms
+}
+
+// requireEnginesMatchOracle checks both engines against canonicalOracle on
+// g, with no tombstones, for every query at k = 1 and 3.
+func requireEnginesMatchOracle(t *testing.T, ctx string, g *Segment, queries []string) {
+	t.Helper()
+	for qi, q := range queries {
+		for _, k := range []int{1, 3} {
+			want := canonicalOracle(g, q, k, nil)
+			for _, mode := range []int{searchPruned, searchExhaustive} {
+				matchesEqual(t, fmt.Sprintf("%s query %d k=%d mode %d", ctx, qi, k, mode), g.searchTopK(q, k, mode, nil), want)
+			}
+		}
+	}
 }
 
 // A homogeneous corpus whose every term sits in 50-99 % of the documents:
@@ -882,15 +979,18 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 	}
 }
 
-// The three limits of the int16 rows, at the scoring level. A list whose
-// counts pass 32 767 stays in the arenas though it is in most documents
-// ("x": 33 000 in one), while one whose largest count is 32 767 ("z") is a
-// row and sets rowMax. A query count past 32 767 ("y", "w": 40 000 each)
-// sends its row through the Go loop; two such rows could pass 2^31-1 between
-// them, so they are two spans; a count whose row alone could ("v": 70 000)
-// is a span of its own, scaled as it leaves the tile, and the row after it
-// starts the span the scan reads. Every engine, before
-// and after decoding and merging, and over tombstones, scores as the oracle.
+// The three limits of the int16 rows, at the scoring level, on 40
+// documents: six that hold the terms below and 34 fillers, so that a list is
+// a row from 5 documents on and each document's own term ("q1"...) is
+// sparse. A list whose counts pass 32 767 stays in the arenas though it is
+// on the threshold ("x", in 5 documents: 33 000 in one), while one whose
+// largest count is 32 767 ("z") is a row and sets rowMax. A query count past
+// 32 767 ("y", "w": 40 000 each) sends its row through the Go loop; two such
+// rows could pass 2^31-1 between them, so they are two spans; a count whose
+// row alone could ("v": 70 000) is a span of its own, scaled as it leaves
+// the tile, and the row after it starts the span the scan reads. Every
+// engine, before and after decoding and merging, and over tombstones, scores
+// as the oracle.
 func TestDenseRowLimits(t *testing.T) {
 	rep := func(term string, n int) string { return strings.Repeat(term+" ", n) }
 	names := []string{"z.v", "x.v", "d2.v", "d3.v", "d4.v", "d5.v"}
@@ -902,9 +1002,12 @@ func TestDenseRowLimits(t *testing.T) {
 		"y w v v z x q2",
 		"w v z q3 " + rep("y", 3),
 	}
+	for d := range 34 {
+		names, texts = append(names, fmt.Sprintf("f%d.v", d)), append(texts, fmt.Sprintf("filler f%d", d))
+	}
 	g := BuildSegment(names, texts, 1)
-	if isDense(g, "x") || !isDense(g, "z") || !isDense(g, "y") || g.rowMax != math.MaxInt16 {
-		t.Fatalf(`dense %v, rowMax %d: want "z" and "y" rows and "x" in the arenas, rowMax 32767`, g.dense, g.rowMax)
+	if isDense(g, "x") || !isDense(g, "z") || !isDense(g, "y") || isDense(g, "q1") || g.rowMax != math.MaxInt16 {
+		t.Fatalf(`dense %v, rowMax %d: want "z" and "y" rows, "x" and "q1" in the arenas, rowMax 32767`, g.dense, g.rowMax)
 	}
 	queries := []string{
 		rep("y", 40000) + rep("w", 40000) + rep("v", 70000) + "z x q1",
@@ -923,7 +1026,7 @@ func TestDenseRowLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := buildSegmented(names, texts, []int{2, 4})
+	segs := buildSegmented(names, texts, []int{2, 4, 34})
 	merged := MergeSegments(segs, nil)
 	dead := []uint64{0b100100}
 	for _, sg := range []struct {

@@ -28,8 +28,10 @@ import (
 //     would share. Map iteration randomizes addition order, hence the
 //     small epsilon.
 //
-// The corpus mixes diverse documents, forced duplicates (tie pressure),
-// and a document derived from the query itself (near-dup pressure). It is
+// The corpus — 2 to 65 documents, so that lists in fewer than 1/rowShare
+// of them are arena lists of more than one posting — mixes diverse
+// documents, forced duplicates (tie pressure), and a document derived from
+// the query itself (near-dup pressure). It is
 // built with a fuzzed worker count, which BuildSegment now ignores.
 //
 // A third phase pins the segmented index: the same documents
@@ -49,9 +51,10 @@ func FuzzScoringEquivalence(f *testing.F) {
 	f.Add(int64(99), uint8(1), "")
 	f.Add(int64(5), uint8(12), "always @(posedge clk) q <= d;")
 	f.Add(int64(3), uint8(9), "MODULE Mod_1(INPUT CLK_1); WIRE SIG_1_0 = CLK_1 ^ SIG_1_0; // größe ÜBER \xff\xfe ` # ~")
+	f.Add(int64(11), uint8(62), "module top(input clk); reg [7:0] q; always @(posedge clk) q <= q + 1; endmodule")
 
 	f.Fuzz(func(t *testing.T, seed int64, nDocs uint8, query string) {
-		n := int(nDocs)%24 + 2
+		n := int(nDocs)%64 + 2
 		rng := rand.New(rand.NewSource(seed))
 		names := make([]string, n)
 		texts := make([]string, n)
@@ -242,8 +245,9 @@ func FuzzDecodeSegment(f *testing.F) {
 		// presized table slots of 12 bytes (the table is a power of two at
 		// most 4/5 full) per claimed bigram, which costs 12 bytes of dictionary
 		// and 4 of the list count it may not exceed. A list's postings cost
-		// 12·df bytes of section and take 12·df of arena, or, dense (2·df >=
-		// docs), a row of 2·docs <= 4·df bytes and 8 of dense and ddf. The
+		// 12·df bytes of section and take 12·df of arena, or, dense
+		// (rowShare·df >= docs), a row of 2·docs <= 2·rowShare·df bytes and 8
+		// of dense and ddf. The
 		// constant covers the 256-entry byte table, the empty tables and the
 		// fuzz worker's own noise.
 		if got := after.TotalAlloc - before.TotalAlloc; got > 8*size+16*namesClaimed(s0)+64<<10 {

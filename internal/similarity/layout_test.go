@@ -73,25 +73,28 @@ func TestLayoutEquivalence(t *testing.T) {
 }
 
 // A merge lays its lists out by the merged counts, so a list can change
-// sides. Of 120 documents split in two halves, "fall" is in 48 of the first
-// and none of the second (dense there, sparse merged), "rise" in 18 of the
-// first and all of the second (sparse there, dense merged), and "lift" in 25
-// of each (sparse everywhere) until a tombstone merge keeps only 30 documents
-// a half, 25 of them with it. The plain merge encodes as a rebuild does; the
-// tombstoned one, whose ids no rebuild reproduces, yields a rebuild's lists.
+// sides. Of 120 documents split in two halves, a list is a row in a half from
+// 8 documents on and merged from 15 (⌈120/rowShare⌉). "fall" is in 14 of the
+// first half and none of the second (dense there, one document short merged),
+// "rise" in 5 of the first and 10 of the second (sparse, then dense, and
+// exactly on the threshold merged), and "lift" in 4 of each (sparse
+// everywhere) until a tombstone merge keeps only 30 documents a half, 4 of
+// them with it: 8 of 60, on the threshold. The plain merge encodes as a
+// rebuild does; the tombstoned one, whose ids no rebuild reproduces, yields a
+// rebuild's lists; both engines score every merge as the oracle.
 func mergeAcrossTheDenseThreshold(t *testing.T) {
 	names, texts := make([]string, 120), make([]string, 120)
 	for d := range texts {
 		names[d] = fmt.Sprintf("c%d", d)
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "module c%d ; ", d)
-		if d < 48 {
+		if d < 14 {
 			sb.WriteString("fall ; ")
 		}
-		if d < 18 || d >= 60 {
+		if d < 5 || d >= 110 {
 			sb.WriteString("rise ; ")
 		}
-		if d%60 < 25 {
+		if d%60 < 4 {
 			sb.WriteString("lift ; ")
 		}
 		texts[d] = sb.String()
@@ -103,6 +106,8 @@ func mergeAcrossTheDenseThreshold(t *testing.T) {
 	}
 	want := BuildSegment(names, texts, 1).EncodeSections()
 	requireSameSections(t, "merged", merged.EncodeSections(), want)
+	queries := []string{"fall ; rise ; lift", texts[3], texts[112] + " lift", "module c7 ; fall ; fall"}
+	requireEnginesMatchOracle(t, "merged", merged, queries)
 
 	deads := make([][]uint64, 2)
 	var live []string
@@ -122,6 +127,7 @@ func mergeAcrossTheDenseThreshold(t *testing.T) {
 	}
 	requireDenseForm(t, "tombstoned merge", tomb)
 	requireListsOf(t, "tombstoned merge", tomb, live)
+	requireEnginesMatchOracle(t, "tombstoned merge", tomb, queries)
 	secs := tomb.EncodeSections()
 	dec, err := DecodeSegment(secs)
 	if err != nil {

@@ -50,19 +50,20 @@ package similarity
 // engine therefore splits the query's posting lists three ways and scores
 // by gathering rather than by cursor merging:
 //
-//   - Dense lists — at least half the segment's documents, 2·df >= docs,
-//     the one definition Segment.layout applies, which stores each of them
-//     only doc-indexed (Segment.rows, count 0 for a document outside it) —
-//     never generate candidates, and are bounded together, not term by
-//     term: by Cauchy–Schwarz they give document d at most
+//   - Dense lists — at least 1/rowShare of the segment's documents,
+//     rowShare·df >= docs, the one definition Segment.layout applies, which
+//     stores each of them only doc-indexed (Segment.rows, count 0 for a
+//     document outside it) — never generate candidates, and are bounded
+//     together, not term by term: by Cauchy–Schwarz they give document d at most
 //     ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
 //     lists times the norm seal keeps of d's weights over all of them. A
 //     sum of per-term maxima charges every keyword at the weight of the
-//     document fullest of it: on bench/'s corpus it reads 1.03 of the query
+//     document fullest of it: on bench/'s corpus it reads 1.17 of the query
 //     norm for a near-duplicate whose best score is 0.98, which makes the
 //     audit the paper's verdict exists for look hopeless. The norm bound
-//     reads 0.80 there (0.75 against 0.82 for a novel candidate, whose best
-//     is 0.60 — hopeless either way) and costs one float per document.
+//     reads 0.88 there (0.81 against 0.91 for a novel candidate, whose best
+//     is 0.60 — hopeless either way; medians of 256 queries of each shape)
+//     and costs one float per document.
 //   - The cheapest sparse lists — ordered by upper bound per posting, the
 //     absorption order that buys the most skipped postings per unit of
 //     threshold budget — are absorbed into a non-essential prefix while
@@ -147,10 +148,10 @@ const (
 	bailEvalDen = 4
 
 	// accBatch queries at most share one accumulator pass, accTile documents
-	// at a time: a tile of every dense row a novel query adds (36 on bench/'s
-	// corpus: 72 KB of counts) stays in L2 until the last query of the group
-	// has added it. With float64 rows, tiles of 512 and 2 048 measured within
-	// noise of 1 024 and 256 was ~12% slower.
+	// at a time: a tile of every dense row a novel query adds (38 at the
+	// median on bench/'s corpus: 78 KB of counts) stays in L2 until the last
+	// query of the group has added it. With float64 rows, tiles of 512 and
+	// 2 048 measured within noise of 1 024 and 256 was ~12% slower.
 	accBatch = 16
 	accTile  = 1024
 
@@ -613,13 +614,13 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 	// Prime candidates are elected by vote: gather the postings of the
 	// nearly-unique "pointer" lists (df <= primeSelDF — a near-dup query
 	// has ~one such term per copied line, all naming the same file) and
-	// score the documents they name most often. When no pointer lists
-	// exist, fall back to seeding from the most selective high-impact
-	// lists, which at worst wastes primeBudget evaluations.
+	// score the documents they name most often. With no pointer lists
+	// nothing is primed, and the hopeless check sends the query to the
+	// accumulator: seeding from wider lists instead measured neutral on
+	// bench/'s corpus and on the diverse one.
 	if n > 1 {
 		const (
 			primeSelDF   = 4   // pointer lists: terms in almost no documents
-			primeWideDF  = 128 // fallback seeding pool
 			primeBudget  = 4   // full evaluations spent on seeding
 			primeCollect = 512 // cap on pointer postings gathered
 		)
@@ -634,62 +635,28 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		var primeDocs [primeBudget]int32
 		var cnts [primeBudget]int
 		nPrime := 0
-		if len(collect) > 0 {
-			slices.Sort(collect)
-			// Keep the primeBudget docs with the longest runs (= named by
-			// the most pointer terms). Replacement is strict-greater, and
-			// runs arrive in ascending doc order, so ties keep lower ids —
-			// deterministic.
-			for i := 0; i < len(collect); {
-				j := i + 1
-				for j < len(collect) && collect[j] == collect[i] {
-					j++
-				}
-				run := j - i
-				if deadBit(dead, collect[i]) {
-					i = j // tombstoned doc: must not seed the threshold
-					continue
-				}
-				if nPrime < primeBudget {
-					primeDocs[nPrime], cnts[nPrime] = collect[i], run
-					nPrime++
-				} else {
-					mi := 0
-					for s := 1; s < primeBudget; s++ {
-						if cnts[s] < cnts[mi] {
-							mi = s
-						}
-					}
-					if run > cnts[mi] {
-						primeDocs[mi], cnts[mi] = collect[i], run
-					}
-				}
-				i = j
+		slices.Sort(collect)
+		// Keep the primeBudget docs with the longest runs (= named by
+		// the most pointer terms). Replacement is strict-greater, and
+		// runs arrive in ascending doc order, so ties keep lower ids —
+		// deterministic.
+		for i, j := 0, 0; i < len(collect); i = j {
+			for j = i + 1; j < len(collect) && collect[j] == collect[i]; j++ {
 			}
-		} else {
-			for oi := len(ord) - 1; oi >= 0 && nPrime < primeBudget; oi-- {
-				cur := &curs[ord[oi]]
-				if len(cur.docs) > primeWideDF {
-					continue
+			switch run := j - i; {
+			case deadBit(dead, collect[i]): // a tombstoned doc must not seed the threshold
+			case nPrime < primeBudget:
+				primeDocs[nPrime], cnts[nPrime] = collect[i], run
+				nPrime++
+			default:
+				mi := 0
+				for s := 1; s < primeBudget; s++ {
+					if cnts[s] < cnts[mi] {
+						mi = s
+					}
 				}
-				for _, d := range cur.docs {
-					if nPrime >= primeBudget {
-						break
-					}
-					if deadBit(dead, d) {
-						continue
-					}
-					dup := false
-					for _, p := range primeDocs[:nPrime] {
-						if p == d {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						primeDocs[nPrime] = d
-						nPrime++
-					}
+				if run > cnts[mi] {
+					primeDocs[mi], cnts[mi] = collect[i], run
 				}
 			}
 		}

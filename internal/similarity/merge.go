@@ -69,10 +69,10 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 				ord++
 			}
 			live, big := uint32(0), false
-			for d, w := range src.postings(int32(id)) {
+			for d, c := range src.postings(int32(id)) {
 				if remap[d] >= 0 {
 					live++
-					big = big || w*src.norm[d] > maxRowCount+0.5 // the count, give or take an ulp or two
+					big = big || c > maxRowCount
 				}
 			}
 			if live == 0 {
@@ -113,9 +113,9 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			if outID < 0 {
 				continue
 			}
-			for d, w := range src.postings(int32(id)) {
+			for d, c := range src.postings(int32(id)) {
 				if nd := remap[d]; nd >= 0 {
-					out.placeWeight(cur, int(outID), nd, w)
+					out.place(cur, int(outID), nd, c) // the norm is the source's: c/norm is the weight it had
 				}
 			}
 		}

@@ -34,13 +34,14 @@ import (
 // MergeSegments or DecodeSegment and are never written again, so any
 // number of readers may query one concurrently.
 //
-// A list is dense when it holds at least half the segment's documents
-// (2·df >= docs) and none of its counts passes 32 767, which every
-// constructor decides from the counts before it places a posting (layout).
-// dense names those lists, ascending, and each is stored only doc-indexed,
-// as counts: dense[i]'s count for document d is rows[i*docs+d], 0 where d is
-// not in the list, and its weight is float64(count)/norm[d]; ddf[i] is its
-// df. A row is 2·docs bytes, at most 4·df. The scorer reads a row for any
+// A list is dense when it holds at least 1/rowShare of the segment's
+// documents (rowShare·df >= docs) and none of its counts passes 32 767,
+// which every constructor decides from the counts before it places a
+// posting (layout). dense names those lists, ascending, and each is stored
+// only doc-indexed, as counts: dense[i]'s count for document d is
+// rows[i*docs+d], 0 where d is not in the list, and its weight is
+// float64(count)/norm[d]; ddf[i] is its df. A row is 2·docs bytes, at most
+// 2·rowShare·df, against 12·df in the arenas. The scorer reads a row for any
 // document without a search and adds whole rows as integers (denseRun); the
 // sums are exact, so only the few documents that can win are re-scored in
 // float64 (see maxscore.go).
@@ -92,6 +93,25 @@ type Segment struct {
 	id       uint64
 }
 
+// rowShare is the one dense definition: a list is a row once it holds at
+// least 1/rowShare of the segment's documents (rowShare·df >= docs). A row
+// (2·docs bytes) is added as integers, ≈ 0.1 ns a slot; in the arenas (12·df
+// bytes) a list is scattered, ≈ 1 ns a posting. Swept on bench/'s 8 000
+// documents: BenchmarkBestBenchCorpus at segs=1 (medians of 7 alternating
+// rounds, taskset -c 0; 3 for 2 and 4) and BenchmarkBuildSegment:
+//
+//	rowShare  rows    MB  novel µs  neardup µs  batch16 ms  live-B/posting
+//	    2       79  1.26     140        163        2.12         18.77
+//	    4      179  2.86     103        104        1.33         17.91
+//	    6      237  3.79      99         85        1.52         17.63
+//	    8      270  4.32      92         77        1.57         17.69
+//	   12      297  4.75     100         81        1.46         17.80
+//	   16      343  5.49      96         74        1.38         18.06
+//
+// 6 to 16 read the same within the host's noise (±15 %); 6 and 8 keep the
+// smallest segment, and 8 leaves a novel query 123 sparse postings, not 307.
+const rowShare = 8
+
 // maxRowCount is the largest count a row holds: an int16, which the kernel
 // multiplies as one.
 const maxRowCount = math.MaxInt16
@@ -139,7 +159,7 @@ func (g *Segment) layout(n []uint32, wide []bool) (cur []uint32) {
 	nDocs := uint64(len(g.names))
 	total := uint64(0)
 	for id := 0; id+2 < len(n); id++ {
-		if c := uint64(n[id+2]); c > 0 && 2*c >= nDocs && (id >= len(wide) || !wide[id]) {
+		if c := uint64(n[id+2]); c > 0 && rowShare*c >= nDocs && (id >= len(wide) || !wide[id]) {
 			g.dense = append(g.dense, int32(id))
 			g.ddf = append(g.ddf, uint32(c))
 		} else {
@@ -173,19 +193,6 @@ func (g *Segment) place(cur []uint32, id int, d int32, c uint32) {
 	cur[id+1] = p + 1
 }
 
-// placeWeight is place for a posting known by its weight w, c/norm[d]: w
-// times the norm rounds back to c (w is within half an ulp of c/norm, so the
-// product is within a few ulps of c).
-func (g *Segment) placeWeight(cur []uint32, id int, d int32, w float64) {
-	p := cur[id+1]
-	if r := ^p; r < uint32(len(g.dense)) {
-		g.rows[int(r)*len(g.names)+int(d)] = int16(math.RoundToEven(w * g.norm[d]))
-		return
-	}
-	g.docs[p], g.ws[p] = d, w
-	cur[id+1] = p + 1
-}
-
 // list returns list id as a cursor with no query side: a dense list's row
 // index, docs nil, or its arena range, and its df (0: a list nothing is in).
 // Only an empty range is looked up in dense.
@@ -206,22 +213,23 @@ func (g *Segment) row(r int32) []int16 {
 }
 
 // postings yields list id's postings in ascending document order with
-// their weights: its arena range, or its row's non-zero counts over their
-// documents' norms. Merging reads lists through it; encoding and scoring read
-// rows as rows.
-func (g *Segment) postings(id int32) func(yield func(int32, float64) bool) {
-	return func(yield func(int32, float64) bool) {
+// their counts: its row's non-zero counts, or its arena weights times their
+// documents' norms, which round back to the counts (a weight is within half
+// an ulp of count/norm, so the product is within a few ulps of the count).
+// Merging reads lists through it; encoding and scoring read rows as rows.
+func (g *Segment) postings(id int32) func(yield func(int32, uint32) bool) {
+	return func(yield func(int32, uint32) bool) {
 		c := g.list(id)
 		if c.row < 0 {
 			for j, d := range c.docs {
-				if !yield(d, c.ws[j]) {
+				if !yield(d, uint32(math.RoundToEven(c.ws[j]*g.norm[d]))) {
 					return
 				}
 			}
 			return
 		}
 		for d, n := range g.row(c.row) {
-			if n != 0 && !yield(int32(d), float64(n)/g.norm[d]) {
+			if n != 0 && !yield(int32(d), uint32(n)) {
 				return
 			}
 		}
@@ -253,26 +261,33 @@ func (g *Segment) seal() *Segment {
 			g.inv[d] = 1 / n
 		}
 	}
+	// One pass over the rows with no branch on a count (a row is mostly
+	// zeros, in no order a predictor learns): each document's sum of squared
+	// counts (exact), the largest count, and each row's largest weight —
+	// count/norm at the largest ratio, as division rounds monotonically.
+	// count·inv is within 2·2^-53 of the ratio, so only a document within
+	// 6·2^-53 of the largest product so far is divided; a 0 never is.
 	g.dnorm = make([]float64, nDocs)
+	sq, top := g.dnorm, int16(0)
 	for i, id := range g.dense {
+		lim, tmax := math.SmallestNonzeroFloat64, 0.0
 		for d, c := range g.rows[i*nDocs : (i+1)*nDocs] {
-			if c == 0 {
-				continue // not in the list: its square is no part of the norm
+			sq[d] += float64(int32(c) * int32(c))
+			top = max(top, c)
+			if x := float64(c) * g.inv[d]; x >= lim {
+				tmax = max(tmax, float64(c)/g.norm[d])
+				lim = max(lim, x*(1-6*0x1p-53))
 			}
-			g.rowMax = max(g.rowMax, int32(c))
-			w := float64(c) / g.norm[d]
-			g.tmax[id] = max(g.tmax[id], w)
-			// A decoded weight may be any float in (0, 1]; raised to 2^-500 its
-			// square cannot underflow, and a larger weight bounds it too.
-			w = max(w, 0x1p-500)
-			g.dnorm[d] += float64(w * w)
 		}
+		g.tmax[id] = tmax
 	}
-	// The float sum of r squares, rooted, is short of the exact norm by a
-	// factor above 1 - (r/2+1)·2^-53; this slack is four times that.
+	g.rowMax = int32(top)
+	// ‖d's dense weights‖ is √(Σc²)/norm[d] within 2^-53, and the root, inv
+	// and the products round four times more; the slack also covers the
+	// float sum of a query's dense contributions, a rounding per list.
 	up := 1 + float64(len(g.dense)+4)*epsUlp
-	for d, sq := range g.dnorm {
-		g.dnorm[d] = math.Sqrt(sq) * up
+	for d, s := range sq {
+		g.dnorm[d] = math.Sqrt(s) * g.inv[d] * up
 		g.dnormMax = max(g.dnormMax, g.dnorm[d])
 	}
 	g.byName = make([]int32, nDocs)

@@ -80,7 +80,7 @@ func (r *reader) done() bool { return !r.err && r.off == len(r.b) }
 func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 	const encodeChunk = 64 << 10
 	d, b := &g.dict, make([]byte, 0, 2*encodeChunk)
-	pairs := d.pairsByID(g.lists())
+	pairs, nz := d.pairsByID(g.lists()), make([]int32, len(g.names)+1)
 	walks := [SnapshotSections]int{len(g.names), len(d.tid), g.lists(), g.lists()} // the bigrams pick their ids out of all
 	for sec, count := range [SnapshotSections]int{len(g.names), len(d.tid), d.pairs, g.lists()} {
 		b = appendU32(b[:0], uint32(count))
@@ -95,7 +95,7 @@ func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 			case sec == 2 && pairs[i] != 0:
 				b = appendU32(appendU64(b, pairs[i]-1), uint32(i))
 			case sec == 3:
-				b = g.appendList(b, i)
+				b = g.appendList(b, i, nz)
 			}
 			if len(b) >= encodeChunk || i == walk { // a full chunk, or the section's last
 				if err := emit(sec, b); err != nil {
@@ -110,34 +110,46 @@ func (g *Segment) WriteSections(emit func(sec int, chunk []byte) error) error {
 
 // appendList appends list id as one run — its count, its documents, its
 // weights — each a plain loop over its arena range or its row's non-zero
-// slots, whose weights are their counts over their documents' norms.
-func (g *Segment) appendList(b []byte, id int) []byte {
-	lo, hi, at, le := g.off[id], g.off[id+1], len(b), binary.LittleEndian
-	c := pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, df: hi - lo}
-	if lo == hi {
-		c = g.list(int32(id))
-	}
+// slots, whose weights are their counts over their documents' norms. A row
+// is mostly zeros, in no order a branch predictor learns, so its non-zero
+// documents are first listed in nz (docs+1 long) without a branch.
+func (g *Segment) appendList(b []byte, id int, nz []int32) []byte {
+	c, at, le := g.list(int32(id)), len(b), binary.LittleEndian
 	n := int(c.df)
 	b = slices.Grow(b, 4+12*n)[:at+4+12*n]
 	le.PutUint32(b[at:], c.df)
 	outD, outW := b[at+4:at+4+4*n], b[at+4+4*n:]
+	if c.row >= 0 {
+		c.docs = nonZero(g.row(c.row), nz)
+	}
+	for j, d := range c.docs {
+		le.PutUint32(outD[4*j:], uint32(d))
+	}
 	if c.row < 0 {
-		for j, d := range c.docs {
-			le.PutUint32(outD[4*j:], uint32(d))
-		}
 		for j, w := range c.ws {
 			le.PutUint64(outW[8*j:], math.Float64bits(w))
 		}
 		return b
 	}
-	for d, n := range g.row(c.row) {
-		if n != 0 {
-			le.PutUint32(outD, uint32(d))
-			le.PutUint64(outW, math.Float64bits(float64(n)/g.norm[d]))
-			outD, outW = outD[4:], outW[8:]
-		}
+	row := g.row(c.row)
+	for j, d := range c.docs {
+		le.PutUint64(outW[8*j:], math.Float64bits(float64(row[d])/g.norm[d]))
 	}
 	return b
+}
+
+// nonZero returns the documents whose count in row is not 0, listed in nz
+// (len(row)+1 long): each is stored at the next slot, which only a non-zero
+// count moves past.
+func nonZero(row []int16, nz []int32) []int32 {
+	j := 0
+	for d, n := range row {
+		nz[j] = int32(d)
+		if n != 0 {
+			j++
+		}
+	}
+	return nz[:j]
 }
 
 // EncodeSections collects WriteSections' output; it aliases nothing in the segment.

@@ -151,7 +151,9 @@ func NewVector(text string) Vector {
 	return Vector{terms: counts, norm: normOf(counts)}
 }
 
-// Cosine returns the cosine similarity in [0,1].
+// Cosine returns the cosine similarity in [0,1]. It and NewVector are
+// exported for internal/corpus's tests: the scoring oracle that shares no
+// code with the index.
 func Cosine(a, b Vector) float64 {
 	if a.norm == 0 || b.norm == 0 {
 		return 0

@@ -9,7 +9,6 @@ package tokenizer
 
 import (
 	"errors"
-	"sort"
 )
 
 // Tokenizer holds a trained vocabulary. The zero value is unusable; train
@@ -271,31 +270,4 @@ func (t *Tokenizer) Stats() Stats {
 		s.MeanTokenLen = float64(total) / float64(len(t.vocab))
 	}
 	return s
-}
-
-// CompressionRatio reports bytes-per-token on a text (≥1; higher is better).
-func (t *Tokenizer) CompressionRatio(text string) float64 {
-	if len(text) == 0 {
-		return 1
-	}
-	ids := t.Encode(text)
-	if len(ids) == 0 {
-		return 1
-	}
-	return float64(len(text)) / float64(len(ids))
-}
-
-// LongestTokens returns the n longest vocabulary entries (diagnostics).
-func (t *Tokenizer) LongestTokens(n int) []string {
-	v := append([]string(nil), t.vocab...)
-	sort.Slice(v, func(i, j int) bool {
-		if len(v[i]) != len(v[j]) {
-			return len(v[i]) > len(v[j])
-		}
-		return v[i] < v[j]
-	})
-	if n > len(v) {
-		n = len(v)
-	}
-	return v[:n]
 }

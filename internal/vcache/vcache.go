@@ -340,7 +340,8 @@ func (s *Store) SetBudget(budget int64) {
 	}
 }
 
-// Budget returns the current byte budget (<= 0 means unbounded).
+// Budget returns the current byte budget (<= 0 means unbounded). Only tests
+// call it, cmd/freeset-curate's among them, which is why it is exported.
 func (s *Store) Budget() int64 { return s.budget.Load() }
 
 // Options returns the reduced, normalized dedup options the store is

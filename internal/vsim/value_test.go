@@ -362,3 +362,22 @@ func TestValueStringFromString(t *testing.T) {
 		t.Fatalf("width: %d", v.Width)
 	}
 }
+
+// ParseBits builds a Value from a literal bit string like "10x1z".
+func ParseBits(s string) Value {
+	v := NewZero(len(s))
+	for i := 0; i < len(s); i++ {
+		var a, b uint64
+		switch s[len(s)-1-i] {
+		case '0':
+		case '1':
+			a = 1
+		case 'z', 'Z', '?':
+			b = 1
+		default:
+			a, b = 1, 1
+		}
+		v.setBit(i, a, b)
+	}
+	return v
+}
