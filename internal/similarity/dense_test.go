@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -15,7 +17,23 @@ import (
 	"freehw/internal/corpus"
 )
 
-// requireDenseRunEqual runs denseRun (the assembly on amd64, in pairs),
+// denseRunBodies are the pair bodies denseRun can run on this host, by name:
+// the Go loop, and the AVX2 assembly where the CPU has it.
+func denseRunBodies() []string {
+	if useAVX2 {
+		return []string{"avx2", "go"}
+	}
+	return []string{"go"}
+}
+
+// withDenseRunBody runs f with denseRun on the named body.
+func withDenseRunBody(body string, f func()) {
+	defer func(was bool) { useAVX2 = was }(useAVX2)
+	useAVX2 = body == "avx2"
+	f()
+}
+
+// requireDenseRunEqual runs denseRun on every body the host has (in pairs),
 // denseRunGo and one acc[i] += q·c loop per row in uint32 arithmetic over
 // copies of acc and demands the same sums in every slot, the guard slots
 // either side of acc included.
@@ -31,22 +49,46 @@ func requireDenseRunEqual(t *testing.T, ctx string, acc []int32, rows []int16, o
 		copy(buf[pad:], acc)
 		return buf
 	}
-	got, viaGo, want := padded(), padded(), padded()
-	denseRun(got[pad:pad+n], rows, offs, qs)
+	viaGo, want := padded(), padded()
 	denseRunGo(viaGo[pad:pad+n], rows, offs, qs)
 	for r, off := range offs {
 		for i, c := range rows[off : off+n] {
 			want[pad+i] = int32(uint32(want[pad+i]) + qs[r]*uint32(int32(c)))
 		}
 	}
-	for i := range want {
-		if got[i] != want[i] || viaGo[i] != want[i] {
-			t.Fatalf("%s: slot %d: denseRun %d, denseRunGo %d, row-at-a-time reference %d", ctx, i-pad, got[i], viaGo[i], want[i])
+	for _, body := range denseRunBodies() {
+		got := padded()
+		withDenseRunBody(body, func() { denseRun(got[pad:pad+n], rows, offs, qs) })
+		for i := range want {
+			if got[i] != want[i] || viaGo[i] != want[i] {
+				t.Fatalf("%s: slot %d: denseRun (%s) %d, denseRunGo %d, row-at-a-time reference %d", ctx, i-pad, body, got[i], viaGo[i], want[i])
+			}
 		}
 	}
 }
 
-// The assembly, the Go loop and a row-at-a-time pass are the same function:
+// useAVX2 is what /proc/cpuinfo says of the host on linux/amd64: the CPU
+// detection and the kernel agree on AVX2.
+func TestCPUDetectionMatchesCPUInfo(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("/proc/cpuinfo flags are read on linux/amd64 only")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			if avx2 := slices.Contains(strings.Fields(flags), "avx2"); avx2 != useAVX2 {
+				t.Fatalf("/proc/cpuinfo lists avx2: %v; CPUID and XGETBV: %v", avx2, useAVX2)
+			}
+			return
+		}
+	}
+	t.Fatal("/proc/cpuinfo has no flags line")
+}
+
+// Both pair bodies, the Go loop and a row-at-a-time pass are the same function:
 // every tail length around the 32-wide body, a tile and a corpus-sized row,
 // runs of no rows up to a novel query's 38 (odd ones leave a row without a
 // partner), operands that start on odd 2-byte boundaries, counts of 0, 1 and
@@ -122,9 +164,9 @@ func TestDenseRunMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzDenseRun: any counts, any query counts (a run mixes counts that fit
-// an int16 with ones that do not), any length, alignment, row count and row
-// placement.
+// FuzzDenseRun, on every body the host runs: any counts, any query counts
+// (a run mixes counts that fit an int16 with ones that do not), any length,
+// alignment, row count and row placement.
 func FuzzDenseRun(f *testing.F) {
 	f.Add([]byte{}, uint32(1), uint8(0), uint8(0))
 	f.Add([]byte{0xff, 0x7f, 1, 0, 2, 0}, uint32(3), uint8(1), uint8(1))
@@ -153,41 +195,46 @@ func FuzzDenseRun(f *testing.F) {
 	})
 }
 
-// BenchmarkDenseRun times denseRun, the kernel that adds a query's dense rows:
-// runs of 1, 5 and 38 rows — a lone row, a mean run, every dense list of a
-// novel query on bench/'s corpus — into one accTile tile of row sums from
-// tiles that stay in L1 (what the 2nd to 16th query of a group see) and into
-// a corpus-sized one from 8 000-slot rows streamed out of 1.26 MB (what a
-// lone query sees). A slot is one count multiplied and added.
+// BenchmarkDenseRun times denseRun, the kernel that adds a query's dense
+// rows, on each body the host runs (avx2, go): runs of 1, 5 and 38 rows — a
+// lone row, a mean run, every dense list of a novel query on bench/'s corpus
+// — into one accTile tile of row sums from tiles that stay in L1 (what the
+// 2nd to 16th query of a group see) and into a corpus-sized one from
+// 8 000-slot rows streamed out of bench/'s 270 (4.32 MB, what a lone query
+// sees). A slot is one count multiplied and added.
 func BenchmarkDenseRun(b *testing.B) {
-	const nDocs, nDense = 8000, 79 // bench/'s corpus: 79 dense lists
+	const nDocs, nDense = 8000, 270 // bench/'s corpus: 270 dense lists
 	rows := make([]int16, nDense*nDocs)
 	for i := range rows {
 		rows[i] = int16(i % 7 * (i % 5)) // 0 to 24, a fifth of them 0
 	}
-	for _, nRows := range []int{1, 5, 38} {
-		qs := make([]uint32, nRows)
-		for r := range qs {
-			qs[r] = uint32(r + 1)
-		}
-		for _, bc := range []struct {
-			name  string
-			slots int
-		}{{"tile", accTile}, {"stream", nDocs}} {
-			b.Run(fmt.Sprintf("rows=%d/%s", nRows, bc.name), func(b *testing.B) {
-				acc := make([]int32, bc.slots)
-				offs := make([]int, nRows)
-				for i := 0; i < b.N; i++ {
-					for r := range offs {
-						offs[r] = r * nDocs // tile: the same 2 KB of each row every time
-						if bc.slots == nDocs {
-							offs[r] = (i*nRows + r) % nDense * nDocs
+	for _, body := range denseRunBodies() {
+		for _, nRows := range []int{1, 5, 38} {
+			qs := make([]uint32, nRows)
+			for r := range qs {
+				qs[r] = uint32(r + 1)
+			}
+			for _, bc := range []struct {
+				name  string
+				slots int
+			}{{"tile", accTile}, {"stream", nDocs}} {
+				b.Run(fmt.Sprintf("%s/rows=%d/%s", body, nRows, bc.name), func(b *testing.B) {
+					acc := make([]int32, bc.slots)
+					offs := make([]int, nRows)
+					withDenseRunBody(body, func() {
+						for i := 0; i < b.N; i++ {
+							for r := range offs {
+								offs[r] = r * nDocs // tile: the same 2 KB of each row every time
+								if bc.slots == nDocs {
+									offs[r] = (i*nRows + r) % nDense * nDocs
+								}
+							}
+							denseRun(acc, rows, offs, qs) // the sums wrap, as they may here
 						}
-					}
-					denseRun(acc, rows, offs, qs) // the sums wrap, as they may here
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows*bc.slots), "ns/slot")
-			})
+					})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows*bc.slots), "ns/slot")
+				})
+			}
 		}
 	}
 }

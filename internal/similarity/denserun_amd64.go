@@ -1,14 +1,11 @@
-//go:build amd64
-
-//freehw:hotpath
-
 package similarity
 
-// denseRunBody adds row pairs in SSE2 (denserun_amd64.s): pair j adds rows
-// offs[2j] and offs[2j+1] with the counts in the low and high 16 bits of
-// qs[4j] (repeated in qs[4j+1..4j+3]), over len(acc), a multiple of 32
-// slots. It checks nothing: denseRun has already established that every row
-// it reads lies inside rows.
+// useAVX2 is whether the CPU and the OS run AVX2, read once at init.
+var useAVX2 = cpuHasAVX2()
+
+// denseRunAVX2 is denseRunBody in AVX2 (denserun_amd64.s); it checks no bounds.
 //
 //go:noescape
-func denseRunBody(acc []int32, rows []int16, offs []int, qs []uint32)
+func denseRunAVX2(acc []int32, rows []int16, offs []int, qs []uint32)
+
+func cpuHasAVX2() bool

@@ -1,34 +1,17 @@
-//go:build amd64
-
 #include "textflag.h"
 
-// func denseRunBody(acc []int32, rows []int16, offs []int, qs []uint32)
+// func denseRunAVX2(acc []int32, rows []int16, offs []int, qs []uint32)
 //
-// acc[i] += qa·rows[offs[2j]+i] + qb·rows[offs[2j+1]+i] for every pair j,
-// qa and qb the low and high 16 bits of qs[4j] (which qs[4j+1..4j+3]
-// repeat, so one load puts them in every doubleword of a register), for
-// every i < len(acc): dense rows of int16 counts added into int32 row sums
-// two rows at a time. Thirty-two documents at a time sit in X8-X15 while
-// every pair is added (HALF), so acc is loaded and stored once per call: a
-// document's two terms in one PMADDWL, with no rounding anywhere — the sums
-// are integers, the same whatever the order. SSE2 only — the amd64 baseline, so there is nothing to
-// detect. Unaligned loads and stores: rows of Segment.rows and pooled
-// accumulators start wherever the allocator put them. No bounds are checked
-// here; denseRun, the only caller, has checked offs[r]+len(acc) <=
-// len(rows), 2·len(offs) == len(qs), that every count is at most 32 767
-// (PMADDWL multiplies signed words) and that len(acc) is a multiple of 32.
-// HALF adds sixteen documents of the pair at R12 and R13, off bytes in,
-// into four accumulators: PUNPCKLWL and PUNPCKHWL interleave the two rows'
-// counts document by document, PMADDWL multiplies each interleaved pair by
-// (qa, qb) in X0 and adds the two products into one int32.
-#define HALF(off, A0, A1, A2, A3) \
-	MOVOU off(R12), X1; MOVOU off+16(R12), X2; MOVOU off(R13), X3; MOVOU off+16(R13), X4 \
-	MOVO X1, X5; MOVO X2, X6 \
-	PUNPCKLWL X3, X1; PUNPCKHWL X3, X5; PUNPCKLWL X4, X2; PUNPCKHWL X4, X6 \
-	PMADDWL X0, X1; PMADDWL X0, X5; PMADDWL X0, X2; PMADDWL X0, X6 \
-	PADDL X1, A0; PADDL X5, A1; PADDL X2, A2; PADDL X6, A3
-
-TEXT ·denseRunBody(SB), NOSPLIT, $0-96
+// denseRunBody's pair sums, 32 documents a chunk summed in Y8-Y11 over every
+// pair and then added to acc: one VPMADDWD puts a document's two terms in
+// one int32. VPUNPCKLWD and VPUNPCKHWD interleave within 128-bit lanes, so
+// Y8 sums documents 0-3 and 8-11, Y9 4-7 and 12-15 (Y10 and Y11 the next
+// 16): VPERM2I128 restores the order at the store. Loads and stores are
+// unaligned. No bounds are checked here; denseRun, the only caller, has
+// checked offs[r]+len(acc) <= len(rows), 2·len(qs) == len(offs), that every
+// count is at most 32 767 (VPMADDWD multiplies signed words) and that
+// len(acc) is a multiple of 32.
+TEXT ·denseRunAVX2(SB), NOSPLIT, $0-96
 	MOVQ acc_base+0(FP), DI
 	MOVQ acc_len+8(FP), CX
 	MOVQ rows_base+24(FP), SI
@@ -41,45 +24,84 @@ TEXT ·denseRunBody(SB), NOSPLIT, $0-96
 chunk:
 	CMPQ AX, CX
 	JGE  done
-	MOVOU (DI)(AX*4), X8
-	MOVOU 16(DI)(AX*4), X9
-	MOVOU 32(DI)(AX*4), X10
-	MOVOU 48(DI)(AX*4), X11
-	MOVOU 64(DI)(AX*4), X12
-	MOVOU 80(DI)(AX*4), X13
-	MOVOU 96(DI)(AX*4), X14
-	MOVOU 112(DI)(AX*4), X15
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
 	LEAQ (SI)(AX*2), R11      // &rows[i]
 	MOVQ R8, DX               // &offs[2j]
-	MOVQ R10, BX              // &qs[4j]
+	MOVQ R10, BX              // &qs[j]
 
 pair:
 	CMPQ BX, R9
 	JGE  store
 	MOVQ (DX), R12
 	MOVQ 8(DX), R13
-	LEAQ (R11)(R12*2), R12    // &rows[offs[2j]+i]
-	LEAQ (R11)(R13*2), R13    // &rows[offs[2j+1]+i]
-	MOVOU (BX), X0            // (qa, qb) in every doubleword
-
-	HALF(0, X8, X9, X10, X11)   // documents i..i+15
-	HALF(32, X12, X13, X14, X15) // documents i+16..i+31
-
+	VPBROADCASTD (BX), Y0     // (qa, qb) in every doubleword
+	VMOVDQU (R11)(R12*2), Y1  // rows[offs[2j]+i:][:16]
+	VMOVDQU 32(R11)(R12*2), Y2
+	VMOVDQU (R11)(R13*2), Y3  // rows[offs[2j+1]+i:][:16]
+	VMOVDQU 32(R11)(R13*2), Y4
+	VPUNPCKHWD Y3, Y1, Y5
+	VPUNPCKLWD Y3, Y1, Y1
+	VPUNPCKHWD Y4, Y2, Y6
+	VPUNPCKLWD Y4, Y2, Y2
+	VPMADDWD Y0, Y1, Y1
+	VPMADDWD Y0, Y5, Y5
+	VPMADDWD Y0, Y2, Y2
+	VPMADDWD Y0, Y6, Y6
+	VPADDD Y1, Y8, Y8
+	VPADDD Y5, Y9, Y9
+	VPADDD Y2, Y10, Y10
+	VPADDD Y6, Y11, Y11
 	ADDQ $16, DX
-	ADDQ $16, BX
+	ADDQ $4, BX
 	JMP  pair
 
 store:
-	MOVOU X8, (DI)(AX*4)
-	MOVOU X9, 16(DI)(AX*4)
-	MOVOU X10, 32(DI)(AX*4)
-	MOVOU X11, 48(DI)(AX*4)
-	MOVOU X12, 64(DI)(AX*4)
-	MOVOU X13, 80(DI)(AX*4)
-	MOVOU X14, 96(DI)(AX*4)
-	MOVOU X15, 112(DI)(AX*4)
+	VPERM2I128 $0x20, Y9, Y8, Y0  // documents 0-7
+	VPERM2I128 $0x31, Y9, Y8, Y1  // 8-15
+	VPERM2I128 $0x20, Y11, Y10, Y2
+	VPERM2I128 $0x31, Y11, Y10, Y3
+	VPADDD (DI)(AX*4), Y0, Y0
+	VPADDD 32(DI)(AX*4), Y1, Y1
+	VPADDD 64(DI)(AX*4), Y2, Y2
+	VPADDD 96(DI)(AX*4), Y3, Y3
+	VMOVDQU Y0, (DI)(AX*4)
+	VMOVDQU Y1, 32(DI)(AX*4)
+	VMOVDQU Y2, 64(DI)(AX*4)
+	VMOVDQU Y3, 96(DI)(AX*4)
 	ADDQ $32, AX
 	JMP  chunk
 
 done:
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX2() bool
+//
+// Whether the CPU has AVX2 (CPUID.7.0:EBX bit 5) and the OS saves the YMM
+// registers: CPUID.1:ECX has OSXSAVE (bit 27) and AVX (bit 28), and
+// XGETBV(0) has the SSE and AVX state bits (1 and 2). XSAVE support, which
+// OSXSAVE implies, needs leaf 0DH, so leaf 7 exists once those pass.
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX
+	SETCS ret+0(FP)
+
+no:
 	RET

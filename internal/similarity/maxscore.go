@@ -20,7 +20,7 @@ package similarity
 //
 // The accumulator ranks, then re-scores. Per tile a query scatters its
 // sparse lists into float64 sums and adds its dense rows — int16 counts —
-// into int32 sums, two rows per SSE2 PMADDWD (denseRun), exact in any
+// into int32 sums, two rows per AVX2 VPMADDWD (denseRun), exact in any
 // order. A document's approximate dot product is its float sum plus its row
 // sum times the reciprocal of its norm, with no division on the way, and the
 // scan keeps every live document whose approximation, inflated by a slack
@@ -1022,11 +1022,11 @@ func (g *Segment) evalCanonicalAll(curs []pruneCursor, docs []int32, exact []flo
 // qs[r]·rows[offs[r]+i] for every row r and every i, in int32 arithmetic
 // (which wraps: planDense keeps a span's sums in range). Integer sums are the
 // same in any order, so rows go whichever way is fastest: those whose count
-// fits an int16 to denseRunBody two at a time (SSE2 PMADDWD on amd64, the
-// Go loop elsewhere; an odd one out is paired with itself at count 0), a
-// larger count's row to denseRunGo, and the last len(acc) mod 32 slots of
-// every row to denseRunGo too. It panics rather than read outside rows: the
-// assembly behind it checks nothing.
+// fits an int16 to denseRunBody two at a time (AVX2 VPMADDWD where the CPU
+// has it, a Go pair loop elsewhere; an odd one out is paired with itself at
+// count 0), a larger count's row to denseRunGo, and the last len(acc) mod 32
+// slots of every row to denseRunGo too. It panics rather than read outside
+// rows: the assembly behind it checks nothing.
 func denseRun(acc []int32, rows []int16, offs []int, qs []uint32) {
 	if len(qs) < len(offs) {
 		panic("similarity: denseRun has fewer counts than rows")
@@ -1038,15 +1038,10 @@ func denseRun(acc []int32, rows []int16, offs []int, qs []uint32) {
 	}
 	const batch = 32 // pairs per call
 	var po [2 * batch]int
-	var pq [4 * batch]uint32 // a pair's counts four times over: one load fills a register
+	var pq [batch]uint32
 	body, np, odd := len(acc)&^31, 0, -1
-	if body == 0 { // fewer documents than one chunk
-		denseRunGo(acc, rows, offs, qs)
-		return
-	}
 	pair := func(a, b int, q uint32) {
-		po[2*np], po[2*np+1] = a, b
-		pq[4*np], pq[4*np+1], pq[4*np+2], pq[4*np+3] = q, q, q, q
+		po[2*np], po[2*np+1], pq[np] = a, b, q
 		if np++; np == batch {
 			denseRunBody(acc[:body], rows, po[:], pq[:])
 			np = 0
@@ -1067,15 +1062,15 @@ func denseRun(acc []int32, rows []int16, offs []int, qs []uint32) {
 		pair(offs[odd], offs[odd], qs[odd])
 	}
 	if np > 0 {
-		denseRunBody(acc[:body], rows, po[:2*np], pq[:4*np])
+		denseRunBody(acc[:body], rows, po[:2*np], pq[:np])
 	}
 	if body < len(acc) && len(offs) > 0 {
 		denseRunGo(acc[body:], rows[body:], offs, qs)
 	}
 }
 
-// denseRunGo defines what denseRun computes — the assembly on amd64 is
-// tested against it — one row at a time.
+// denseRunGo defines what denseRun computes — both pair bodies are tested
+// against it — one row at a time.
 func denseRunGo(acc []int32, rows []int16, offs []int, qs []uint32) {
 	for r, off := range offs {
 		q := int32(qs[r])

@@ -39,7 +39,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		}
 		pairs := src.dict.pairsByID(src.lists())
 
-		remap := make([]int32, src.Docs())
+		remap, first := make([]int32, src.Docs()), next
 		for d := int32(0); d < int32(src.Docs()); d++ {
 			if deadBit(dead, d) {
 				remap[d] = -1
@@ -61,7 +61,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 		// occurrence either, so the skip is safe. Unigram ids ascend with
 		// ordinal, so one cursor finds each unigram's bytes in the arena.
 		toOut := make([]int32, src.lists())
-		ord := -1 // of the last unigram id reached
+		ord, r, whole := -1, 0, int(next-first) == src.Docs() // last unigram ordinal; next row; nothing dead
 		for id := range toOut {
 			toOut[id] = -1
 			key1 := pairs[id] // the bigram's key+1, 0 for a unigram
@@ -69,10 +69,14 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 				ord++
 			}
 			live, big := uint32(0), false
-			for d, c := range src.postings(int32(id)) {
-				if remap[d] >= 0 {
-					live++
-					big = big || c > maxRowCount
+			if whole && r < len(src.dense) && src.dense[r] == int32(id) {
+				live, r = src.ddf[r], r+1 // and a row holds no count above maxRowCount
+			} else {
+				for d, c := range src.postings(int32(id)) {
+					if remap[d] >= 0 {
+						live++
+						big = big || c > maxRowCount
+					}
 				}
 			}
 			if live == 0 {

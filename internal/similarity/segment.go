@@ -95,7 +95,7 @@ type Segment struct {
 
 // rowShare is the one dense definition: a list is a row once it holds at
 // least 1/rowShare of the segment's documents (rowShare·df >= docs). A row
-// (2·docs bytes) is added as integers, ≈ 0.1 ns a slot; in the arenas (12·df
+// (2·docs bytes) is added as integers, 0.05–0.1 ns a slot; in the arenas (12·df
 // bytes) a list is scattered, ≈ 1 ns a posting. Swept on bench/'s 8 000
 // documents: BenchmarkBestBenchCorpus at segs=1 (medians of 7 alternating
 // rounds, taskset -c 0; 3 for 2 and 4) and BenchmarkBuildSegment:
