@@ -9,10 +9,11 @@ import (
 	"freehw/internal/vcache"
 )
 
-// Admission: a request that scores runs on its own handler goroutine once
-// it holds a slot of a semaphore — s.admit for /v1/audit, s.bulk for
-// /v1/audit/batch and /v1/filter. A full semaphore sheds the request with
-// 429 + Retry-After at once instead of stacking goroutines or latency.
+// Admission: a request that scores or parses runs on its own handler
+// goroutine once it holds a slot of a semaphore — s.admit for /v1/audit,
+// s.bulk for /v1/audit/batch, /v1/filter, /v1/syntax and /v1/scan. A full
+// semaphore sheds the request with 429 + Retry-After at once instead of
+// stacking goroutines, latency or memory.
 
 // auditResult carries the verdict plus the snapshot generation that
 // produced it.
@@ -55,10 +56,17 @@ func (s *Server) admitBulk(w http.ResponseWriter, candidates int) (release func(
 			"batch of "+strconv.Itoa(candidates)+" exceeds the "+strconv.Itoa(s.cfg.MaxBatchCandidates)+"-candidate limit")
 		return nil
 	}
-	if !s.claim(w, s.bulk, FPBulkAdmit, "bulk_full", "too many in-flight bulk requests") {
+	if !s.claimBulk(w) {
 		return nil
 	}
 	return func() { <-s.bulk }
+}
+
+// claimBulk takes a bulkhead slot for a request that parses or scans what
+// it was posted, replying when it is refused; on true the caller releases
+// the slot with <-s.bulk.
+func (s *Server) claimBulk(w http.ResponseWriter) bool {
+	return s.claim(w, s.bulk, FPBulkAdmit, "bulk_full", "too many in-flight bulk requests")
 }
 
 // score audits one candidate against the current snapshot on the calling

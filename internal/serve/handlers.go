@@ -14,7 +14,6 @@ import (
 	"freehw/internal/pipeline"
 	"freehw/internal/similarity"
 	"freehw/internal/vcache"
-	"freehw/internal/vlog"
 )
 
 // The handlers: admission, one call into the scorer, the publisher, the
@@ -249,30 +248,27 @@ func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSyntax(w http.ResponseWriter, r *http.Request) {
 	var req SyntaxRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req) || !s.claimBulk(w) {
 		return
 	}
+	defer func() { <-s.bulk }()
 	s.m.syntaxChecks.Add(1)
 	s.m.rate.tick(time.Now())
-	// The syntax stage is the same value the offline funnel composes; its
-	// verdict memoizes in the server's store.
-	out := pipeline.Syntax().Evaluate(&pipeline.Candidate{Content: req.Code, Entry: s.store.Entry(req.Code)})
-	resp := SyntaxResponse{OK: !out.Reject}
-	if !resp.OK {
-		// The memo stores only the verdict; re-derive the message on the
-		// rare bad path (QuickCheck routes it to the full parser anyway).
-		if err := vlog.CheckFast(req.Code); err != nil {
-			resp.Error = err.Error()
-		}
+	// The verdict is the one the offline funnel's syntax stage memoizes in
+	// the server's store, and the check that decides it gives the message.
+	resp := SyntaxResponse{OK: true}
+	if err := s.store.Entry(req.Code).SyntaxErr(req.Code); err != nil {
+		resp.OK, resp.Error = false, err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	var req ScanRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req) || !s.claimBulk(w) {
 		return
 	}
+	defer func() { <-s.bulk }()
 	s.m.scans.Add(1)
 	s.m.rate.tick(time.Now())
 	entry := s.store.Entry(req.Code)

@@ -493,6 +493,47 @@ func TestBulkBackpressure(t *testing.T) {
 	}
 }
 
+// /v1/syntax and /v1/scan parse or scan a whole posted body, so they hold
+// a bulkhead slot like /v1/filter: with every slot held both shed with 429,
+// bulk_full and Retry-After, and once one is free both answer and give
+// their slot back.
+func TestSyntaxAndScanTakeBulkSlot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxInflightBulk = 1
+	s := NewServer(cfg)
+	defer s.Close()
+	reqs := []struct {
+		path string
+		body any
+	}{
+		{"/v1/syntax", SyntaxRequest{Code: v1Broken}},
+		{"/v1/scan", ScanRequest{Code: v1Protected}},
+	}
+	s.bulk <- struct{}{}
+	for _, rq := range reqs {
+		r := httptest.NewRequest(http.MethodPost, rq.path, bytes.NewReader(mustJSON(t, rq.body)))
+		r.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		var er ErrorResponse
+		json.Unmarshal(w.Body.Bytes(), &er)
+		if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") == "" || er.Error.Code != "bulk_full" {
+			t.Fatalf("%s with the bulkhead held = %d (Retry-After %q): %s", rq.path, w.Code, w.Header().Get("Retry-After"), w.Body)
+		}
+	}
+	<-s.bulk
+	for _, rq := range reqs {
+		for i := 0; i < 2; i++ {
+			if code, body := do(t, s.Handler(), http.MethodPost, rq.path, "application/json", mustJSON(t, rq.body)); code != http.StatusOK {
+				t.Fatalf("%s after release, try %d = %d: %s", rq.path, i, code, body)
+			}
+		}
+	}
+	if n := len(s.bulk); n != 0 {
+		t.Fatalf("%d bulkhead slots still held after every request answered", n)
+	}
+}
+
 // /stats reports a sliding-window qps (not a lifetime average) and the
 // number of audits in flight as its queue depth.
 func TestStatsWindowedQPSAndQueueDepth(t *testing.T) {

@@ -185,6 +185,18 @@ func (e *Entry) SyntaxBad(content string) bool {
 	return a.synBad
 }
 
+// SyntaxErr is SyntaxBad with the syntax error: on first use the one check
+// that decides the verdict also gives the message, and a memoized bad
+// verdict checks once more to get it back.
+func (e *Entry) SyntaxErr(content string) (err error) {
+	a := e.lazy()
+	a.synOnce.Do(func() { err = vlog.CheckFast(content); a.synBad = err != nil })
+	if a.synBad && err == nil { // decided by an earlier call
+		err = vlog.Check(content)
+	}
+	return err
+}
+
 // CachedBestMatch returns the memoized best corpus match for this content
 // under snapshot version ver, if one was stored. A memo from any other
 // version misses: the verdict is a function of (content, index), and only

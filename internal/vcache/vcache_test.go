@@ -43,6 +43,25 @@ func TestEntryMatchesDirectComputation(t *testing.T) {
 	}
 }
 
+// SyntaxErr is Check's error whether it decides the verdict (a miss) or
+// reads one memoized by SyntaxBad or by an earlier SyntaxErr (a hit).
+func TestSyntaxErrIsChecksError(t *testing.T) {
+	for _, src := range []string{goodSrc, badSrc} {
+		want := fmt.Sprint(vlog.Check(src))
+		first := NewEntry()
+		second := NewEntry()
+		second.SyntaxBad(src)
+		for i, e := range []*Entry{first, first, second} {
+			if got := fmt.Sprint(e.SyntaxErr(src)); got != want {
+				t.Errorf("%.20q, call %d: SyntaxErr = %s, want %s", src, i, got, want)
+			}
+		}
+		if got := first.SyntaxBad(src); got != (want != "<nil>") {
+			t.Errorf("%.20q: SyntaxBad after SyntaxErr = %v", src, got)
+		}
+	}
+}
+
 func TestStoreDedupsByContent(t *testing.T) {
 	s := NewStore(dedup.Options{})
 	e1 := s.Entry(goodSrc)

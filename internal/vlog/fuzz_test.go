@@ -113,8 +113,9 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
-// FuzzParse: the parser must never panic, and never return a nil file with
-// a nil error.
+// FuzzParse: the parser must never panic, never return a nil file with a
+// nil error, and return a file's first lexical error wherever it lies,
+// also behind a parse error, as the last seed has it.
 func FuzzParse(f *testing.F) {
 	for _, s := range corpusSeeds() {
 		f.Add(s)
@@ -122,12 +123,19 @@ func FuzzParse(f *testing.F) {
 	for _, s := range trickySeeds {
 		f.Add(s)
 	}
+	f.Add("module m; assign = ; endmodule\nmodule n; endmodule /* unterminated")
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := ParseFile(src)
-		if err != nil {
+		l := NewLexer(src)
+		for l.Next().Kind != EOF {
+		}
+		if lexErr := l.Err(); lexErr != nil {
+			if !reflect.DeepEqual(err, lexErr) {
+				t.Fatalf("ParseFile = %v, want the lexical error %v", err, lexErr)
+			}
 			return
 		}
-		if file == nil {
+		if err == nil && file == nil {
 			t.Fatal("nil file with nil error")
 		}
 	})

@@ -320,9 +320,15 @@ func (l *Lexer) restOfLine() string {
 }
 
 // Next returns the next token. After an error it returns EOF.
-func (l *Lexer) Next() Token {
+func (l *Lexer) Next() (t Token) {
+	l.next(&t)
+	return t
+}
+
+// next lexes the next token into t.
+func (l *Lexer) next(t *Token) {
 	k, start := l.scan()
-	t := Token{Kind: k, Pos: l.tokPos(start)}
+	t.Kind, t.Pos, t.Text = k, l.tokPos(start), ""
 	switch k {
 	case IDENT, KEYWORD, NUMBER, SYSNAME:
 		t.Text = l.src[start:l.off]
@@ -332,7 +338,6 @@ func (l *Lexer) Next() Token {
 	case STRING:
 		t.Text = unquote(l.src[start+1 : l.off-1])
 	}
-	return t
 }
 
 // tokPos is the position of the token scan just returned, which starts at
@@ -537,31 +542,4 @@ func (l *Lexer) operator() Kind {
 	}
 	l.errorByte(l.pos(), "unexpected character %q", rest[0])
 	return EOF
-}
-
-// Tokenize lexes all of src, returning the token stream (without EOF).
-func Tokenize(src string) ([]Token, error) {
-	// Verilog averages ~4 source bytes per token; sizing up front keeps the
-	// append loop from repeatedly growing (and copying) the token slice,
-	// which dominated lexing cost in the curation funnel's syntax filter.
-	toks, err := appendTokens(make([]Token, 0, len(src)/4+16), src)
-	if err != nil {
-		return nil, err
-	}
-	return toks, nil
-}
-
-// appendTokens lexes src into toks, returning the extended slice. Unlike
-// Tokenize it returns the (possibly grown) buffer even on error, so pooled
-// callers can recycle it.
-func appendTokens(toks []Token, src string) ([]Token, error) {
-	l := NewLexer(src)
-	for {
-		t := l.Next()
-		if t.Kind == EOF {
-			break
-		}
-		toks = append(toks, t)
-	}
-	return toks, l.Err()
 }

@@ -2,15 +2,17 @@ package vlog
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
-// Parser is a recursive-descent parser for the supported Verilog subset.
+// Parser is a recursive-descent parser for the supported Verilog subset. It
+// pulls tokens from a lexer it owns and holds the current token and one
+// lookahead, all the grammar reads: it never backtracks.
 type Parser struct {
-	toks  []Token
-	pos   int
-	depth int // recursive productions entered and not yet left, see nest
+	lex   Lexer
+	toks  [2]Token // the current token, toks[at&1], and the one after it
+	at    uint     // advancing adds one: the slots swap roles, no token is copied
+	depth int      // recursive productions entered and not yet left, see nest
 }
 
 // maxNesting bounds how deep the recursive productions may nest between
@@ -34,17 +36,25 @@ func (p *Parser) nest() error {
 
 func (p *Parser) unnest() { p.depth-- }
 
-// ParseFile lexes and parses a complete source file.
+// ParseFile parses a complete source file as it lexes it. A lexical error
+// anywhere in the file wins over a parse error before it: the lexer stops at
+// its first error, where the parser sees EOF, so after the parse the rest of
+// the file is scanned, building no tokens, for an error further on.
 func ParseFile(src string) (*SourceFile, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
+	p := &Parser{lex: *NewLexer(src)}
+	p.toks[0].Pos = Pos{1, 1} // where EOF points in a file without a token
+	p.pull()
+	p.advance()
+	f, err := p.parseFile()
+	for k := p.peek().Kind; k != EOF; k, _ = p.lex.scan() {
+	}
+	if err := p.lex.Err(); err != nil {
 		return nil, err
 	}
-	return parseTokens(toks)
+	return f, err
 }
 
-func parseTokens(toks []Token) (*SourceFile, error) {
-	p := &Parser{toks: toks}
+func (p *Parser) parseFile() (*SourceFile, error) {
 	f := &SourceFile{}
 	for !p.atEOF() {
 		m, err := p.parseModule()
@@ -59,26 +69,10 @@ func parseTokens(toks []Token) (*SourceFile, error) {
 	return f, nil
 }
 
-// tokPool recycles token buffers for parse-and-discard checks. The AST holds
-// only strings sliced from the source, never the token slice, so a buffer
-// can be reused as soon as the parse returns.
-var tokPool = sync.Pool{New: func() any {
-	s := make([]Token, 0, 4096)
-	return &s
-}}
-
 // Check reports whether src parses; it is the curation pipeline's syntax
-// filter (the role Icarus Verilog plays in the paper). The token buffer is
-// pooled: verdict-only callers do not pay a fresh token-slice allocation
-// per file.
+// filter (the role Icarus Verilog plays in the paper).
 func Check(src string) error {
-	bufp := tokPool.Get().(*[]Token)
-	toks, err := appendTokens((*bufp)[:0], src)
-	if err == nil {
-		_, err = parseTokens(toks)
-	}
-	*bufp = toks[:0]
-	tokPool.Put(bufp)
+	_, err := ParseFile(src)
 	return err
 }
 
@@ -106,31 +100,32 @@ func CheckFast(src string) error {
 	return Check(src)
 }
 
-func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
+func (p *Parser) atEOF() bool { return p.cur().Kind == EOF }
 
-func (p *Parser) cur() Token {
-	if p.atEOF() {
-		last := Pos{1, 1}
-		if len(p.toks) > 0 {
-			last = p.toks[len(p.toks)-1].Pos
-		}
-		return Token{Kind: EOF, Pos: last}
-	}
-	return p.toks[p.pos]
+func (p *Parser) cur() Token { return p.toks[p.at&1] }
+
+// peek is the token after the current one.
+func (p *Parser) peek() Token { return p.toks[(p.at+1)&1] }
+
+// advance moves past the current token.
+func (p *Parser) advance() {
+	p.at++
+	p.pull()
 }
 
-func (p *Parser) peekAt(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return Token{Kind: EOF}
+// pull lexes the token after the current one. An EOF points where the last
+// token does.
+func (p *Parser) pull() {
+	t := &p.toks[(p.at+1)&1]
+	if p.lex.next(t); t.Kind == EOF {
+		t.Pos = p.toks[p.at&1].Pos
 	}
-	return p.toks[p.pos+n]
 }
 
+// next returns the current token and advances past it.
 func (p *Parser) next() Token {
 	t := p.cur()
-	if !p.atEOF() {
-		p.pos++
-	}
+	p.advance()
 	return t
 }
 
@@ -145,7 +140,7 @@ func (p *Parser) isKw(kw string) bool {
 
 func (p *Parser) acceptKw(kw string) bool {
 	if p.isKw(kw) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -160,7 +155,7 @@ func (p *Parser) expectKw(kw string) error {
 
 func (p *Parser) accept(k Kind) bool {
 	if p.cur().Kind == k {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -171,7 +166,7 @@ func (p *Parser) expect(k Kind) (Token, error) {
 	if t.Kind != k {
 		return t, p.errorf("expected %s, found %s", k, t)
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -180,7 +175,7 @@ func (p *Parser) expectIdent() (string, Pos, error) {
 	if t.Kind != IDENT {
 		return "", t.Pos, p.errorf("expected identifier, found %s", t)
 	}
-	p.pos++
+	p.advance()
 	return t.Text, t.Pos, nil
 }
 
@@ -298,7 +293,7 @@ func (p *Parser) parsePortList(m *Module) error {
 		t := p.cur()
 		if t.Kind == KEYWORD && (t.Text == "input" || t.Text == "output" || t.Text == "inout") {
 			dir = t.Text
-			p.pos++
+			p.advance()
 			kind, haveKind = DeclWire, false
 			signed = false
 			vec = nil
@@ -388,7 +383,7 @@ func (p *Parser) parseModuleItem(m *Module) error {
 		case "assign":
 			return p.parseContAssign(m)
 		case "always":
-			p.pos++
+			p.advance()
 			body, err := p.parseStmt()
 			if err != nil {
 				return err
@@ -396,7 +391,7 @@ func (p *Parser) parseModuleItem(m *Module) error {
 			m.Items = append(m.Items, &Process{Pos: t.Pos, Kind: ProcAlways, Body: body})
 			return nil
 		case "initial":
-			p.pos++
+			p.advance()
 			body, err := p.parseStmt()
 			if err != nil {
 				return err
@@ -408,7 +403,7 @@ func (p *Parser) parseModuleItem(m *Module) error {
 		case "task":
 			return p.parseTask(m)
 		case "generate":
-			p.pos++
+			p.advance()
 			for !p.acceptKw("endgenerate") {
 				if p.atEOF() {
 					return p.errorf("unexpected EOF in generate block")
@@ -434,7 +429,7 @@ func (p *Parser) parseModuleItem(m *Module) error {
 			return nil
 		case "defparam":
 			// Accepted and ignored: parse `defparam path = expr, ... ;`
-			p.pos++
+			p.advance()
 			for {
 				if _, err := p.parsePrimary(); err != nil {
 					return err
@@ -453,12 +448,12 @@ func (p *Parser) parseModuleItem(m *Module) error {
 			}
 		case "specify":
 			// Skip the whole block: timing specs are irrelevant here.
-			p.pos++
+			p.advance()
 			for !p.acceptKw("endspecify") {
 				if p.atEOF() {
 					return p.errorf("unexpected EOF in specify block")
 				}
-				p.pos++
+				p.advance()
 			}
 			return nil
 		case "and", "nand", "or", "nor", "xor", "xnor", "buf", "not":
@@ -474,7 +469,7 @@ func (p *Parser) parseModuleItem(m *Module) error {
 
 func (p *Parser) parseParamDecl(m *Module) error {
 	isLocal := p.cur().Text == "localparam"
-	p.pos++
+	p.advance()
 	signed := p.acceptKw("signed")
 	p.acceptKw("integer") // "parameter integer N = 4" form
 	var vec *RangeSpec
@@ -933,7 +928,7 @@ func (p *Parser) parseGenBody() (items []Item, decls []*Decl, label string, err 
 
 func (p *Parser) parseFunction(m *Module) error {
 	pos := p.cur().Pos
-	p.pos++ // function
+	p.advance() // function
 	p.acceptKw("automatic")
 	f := &Func{Pos: pos}
 	if p.acceptKw("integer") {
@@ -967,7 +962,7 @@ func (p *Parser) parseFunction(m *Module) error {
 
 func (p *Parser) parseTask(m *Module) error {
 	pos := p.cur().Pos
-	p.pos++ // task
+	p.advance() // task
 	p.acceptKw("automatic")
 	name, _, err := p.expectIdent()
 	if err != nil {
@@ -1029,7 +1024,7 @@ func (p *Parser) parseTFPorts(out *[]*Decl) error {
 		t := p.cur()
 		if t.Kind == KEYWORD && (t.Text == "input" || t.Text == "output" || t.Text == "inout") {
 			dir = t.Text
-			p.pos++
+			p.advance()
 			kind, signed, vec = DeclReg, false, nil
 			if p.acceptKw("reg") {
 				kind = DeclReg

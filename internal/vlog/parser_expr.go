@@ -70,7 +70,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 			return lhs, nil
 		}
 		pos := p.cur().Pos
-		p.pos++
+		p.advance()
 		// ** is right-associative; all others left-associative.
 		nextMin := prec + 1
 		if op == POW {
@@ -96,7 +96,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case NOT, TILD, AND, NAND, OR, NOR, XOR, XNOR, PLUS, MINUS:
-		p.pos++
+		p.advance()
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
@@ -115,13 +115,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case NUMBER:
-		p.pos++
+		p.advance()
 		return parseNumericToken(t)
 	case STRING:
-		p.pos++
+		p.advance()
 		return &StringLit{Pos: t.Pos, Value: t.Text}, nil
 	case SYSNAME:
-		p.pos++
+		p.advance()
 		c := &Call{Pos: t.Pos, Name: t.Text}
 		if p.accept(LPAREN) {
 			if !p.accept(RPAREN) {
@@ -143,9 +143,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return c, nil
 	case IDENT:
-		p.pos++
+		p.advance()
 		if p.cur().Kind == LPAREN {
-			p.pos++
+			p.advance()
 			c := &Call{Pos: t.Pos, Name: t.Text}
 			if !p.accept(RPAREN) {
 				for {
@@ -179,7 +179,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return p.parseSelects(base)
 	case LPAREN:
-		p.pos++
+		p.advance()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -189,14 +189,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return e, nil
 	case LBRACE:
-		p.pos++
+		p.advance()
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		if p.cur().Kind == LBRACE {
 			// Replication {N{a,b}}.
-			p.pos++
+			p.advance()
 			r := &Repl{Pos: t.Pos, Count: first}
 			for {
 				e, err := p.parseExpr()
@@ -237,14 +237,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 func (p *Parser) parseSelects(base Expr) (Expr, error) {
 	for p.cur().Kind == LBRACK {
 		pos := p.cur().Pos
-		p.pos++
+		p.advance()
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		switch p.cur().Kind {
 		case COLON:
-			p.pos++
+			p.advance()
 			lsb, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -254,7 +254,7 @@ func (p *Parser) parseSelects(base Expr) (Expr, error) {
 			}
 			base = &PartSelect{Pos: pos, X: base, Mode: PartConst, Left: first, Right: lsb}
 		case PLUSCOLON:
-			p.pos++
+			p.advance()
 			w, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -264,7 +264,7 @@ func (p *Parser) parseSelects(base Expr) (Expr, error) {
 			}
 			base = &PartSelect{Pos: pos, X: base, Mode: PartUp, Left: first, Right: w}
 		case MINUSCOLON:
-			p.pos++
+			p.advance()
 			w, err := p.parseExpr()
 			if err != nil {
 				return nil, err

@@ -9,16 +9,16 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	t := p.cur()
 	switch t.Kind {
 	case SEMI:
-		p.pos++
+		p.advance()
 		return &NullStmt{Pos: t.Pos}, nil
 	case HASH:
-		p.pos++
+		p.advance()
 		d, err := p.parseDelayValue()
 		if err != nil {
 			return nil, err
 		}
 		if p.cur().Kind == SEMI {
-			p.pos++
+			p.advance()
 			return &DelayStmt{Pos: t.Pos, Delay: d}, nil
 		}
 		s, err := p.parseStmt()
@@ -27,7 +27,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		}
 		return &DelayStmt{Pos: t.Pos, Delay: d, Stmt: s}, nil
 	case AT:
-		p.pos++
+		p.advance()
 		ev := &EventStmt{Pos: t.Pos}
 		if p.accept(STAR) {
 			ev.Star = true
@@ -68,7 +68,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			return nil, p.errorf("malformed event control")
 		}
 		if p.cur().Kind == SEMI {
-			p.pos++
+			p.advance()
 			return ev, nil
 		}
 		s, err := p.parseStmt()
@@ -78,7 +78,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		ev.Stmt = s
 		return ev, nil
 	case SYSNAME:
-		p.pos++
+		p.advance()
 		st := &SysTaskStmt{Pos: t.Pos, Name: t.Text}
 		if p.accept(LPAREN) {
 			if !p.accept(RPAREN) {
@@ -104,7 +104,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		}
 		return st, nil
 	case ARROW:
-		p.pos++
+		p.advance()
 		name, _, err := p.expectIdent()
 		if err != nil {
 			return nil, err
@@ -119,14 +119,15 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseAssignLike()
 	case IDENT:
 		// Assignment or task call.
-		if p.peekAt(1).Kind == SEMI {
-			p.pos += 2
+		if p.peek().Kind == SEMI {
+			p.advance()
+			p.advance()
 			return &TaskCallStmt{Pos: t.Pos, Name: t.Text}, nil
 		}
-		if p.peekAt(1).Kind == LPAREN {
+		if p.peek().Kind == LPAREN {
 			// Task call with arguments.
 			name := p.next().Text
-			p.pos++ // (
+			p.advance() // (
 			var args []Expr
 			if !p.accept(RPAREN) {
 				for {
@@ -161,7 +162,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		case "for":
 			return p.parseFor()
 		case "while":
-			p.pos++
+			p.advance()
 			if _, err := p.expect(LPAREN); err != nil {
 				return nil, err
 			}
@@ -178,7 +179,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			}
 			return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}, nil
 		case "repeat":
-			p.pos++
+			p.advance()
 			if _, err := p.expect(LPAREN); err != nil {
 				return nil, err
 			}
@@ -195,14 +196,14 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			}
 			return &RepeatStmt{Pos: t.Pos, Count: cnt, Body: body}, nil
 		case "forever":
-			p.pos++
+			p.advance()
 			body, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
 			return &ForeverStmt{Pos: t.Pos, Body: body}, nil
 		case "wait":
-			p.pos++
+			p.advance()
 			if _, err := p.expect(LPAREN); err != nil {
 				return nil, err
 			}
@@ -214,7 +215,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 			if p.cur().Kind == SEMI {
-				p.pos++
+				p.advance()
 				return &WaitStmt{Pos: t.Pos, Cond: cond}, nil
 			}
 			body, err := p.parseStmt()
@@ -223,7 +224,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			}
 			return &WaitStmt{Pos: t.Pos, Cond: cond, Stmt: body}, nil
 		case "disable":
-			p.pos++
+			p.advance()
 			name, _, err := p.expectIdent()
 			if err != nil {
 				return nil, err
@@ -249,10 +250,10 @@ func (p *Parser) parseAssignLike() (Stmt, error) {
 	blocking := true
 	switch p.cur().Kind {
 	case EQ:
-		p.pos++
+		p.advance()
 	case LE:
 		blocking = false
-		p.pos++
+		p.advance()
 	default:
 		return nil, p.errorf("expected = or <= after lvalue, found %s", p.cur())
 	}
@@ -447,7 +448,7 @@ func (p *Parser) parseForAssign() (Stmt, error) {
 func (p *Parser) parseLValue() (Expr, error) {
 	t := p.cur()
 	if t.Kind == LBRACE {
-		p.pos++
+		p.advance()
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
@@ -472,7 +473,7 @@ func (p *Parser) parseLValue() (Expr, error) {
 	if t.Kind != IDENT {
 		return nil, p.errorf("expected lvalue, found %s", t)
 	}
-	p.pos++
+	p.advance()
 	var base Expr = &Ident{Pos: t.Pos, Name: t.Text}
 	if p.cur().Kind == DOT {
 		parts := []string{t.Text}

@@ -422,12 +422,14 @@ func TestStripCommentsProperties(t *testing.T) {
 	}
 }
 
-// Property: tokenizing never panics and either errors or terminates for
-// arbitrary input.
+// Property: a lexer loop never panics and reaches EOF on arbitrary input,
+// and past EOF, after an error too, it stays at EOF.
 func TestTokenizeRobustness(t *testing.T) {
 	fn := func(s string) bool {
-		_, _ = Tokenize(s)
-		return true
+		l := NewLexer(s)
+		for l.Next().Kind != EOF {
+		}
+		return l.Next().Kind == EOF
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,11 @@
 // Verilog-2005 (IEEE 1364): synthesizable RTL plus the behavioral constructs
 // needed for testbenches (delays, event controls, system tasks).
 //
+// The parser pulls each token from the lexer as it needs it, so a parse
+// holds the AST and two tokens, never a token per source byte, and Check is
+// ParseFile's verdict: the simulator, the grader, the curation funnel and
+// the server take one token path.
+//
 // The package plays the role Icarus Verilog plays in the paper's curation
 // pipeline (a file is retained iff it parses) and provides the AST consumed
 // by the event-driven simulator in internal/vsim.
