@@ -6,7 +6,6 @@ import (
 
 	"freehw/internal/curation"
 	"freehw/internal/vcache"
-	"freehw/internal/vlog"
 )
 
 // detConfig is a reduced configuration used to rebuild the experiment twice
@@ -86,12 +85,11 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // The whole pipeline must be byte-identical across verdict-cache
-// temperatures, cache byte budgets (unbounded / tight / effectively zero),
-// and the QuickCheck syntax pre-check on or off: kept file bytes, funnel
-// counts, the rendered Figure 3, and Table II may not depend on whether
-// per-file verdicts were computed or replayed from cache, on what the
-// eviction clock dropped, or on which path decided a syntax verdict.
-func TestCacheAndQuickCheckDeterminism(t *testing.T) {
+// temperatures and cache byte budgets (unbounded / tight / effectively
+// zero): kept file bytes, funnel counts, the rendered Figure 3, and Table II
+// may not depend on whether per-file verdicts were computed or replayed
+// from cache, or on what the eviction clock dropped.
+func TestCacheDeterminism(t *testing.T) {
 	defer vcache.ResetShared() // budget variants mutate the shared store
 	type artifacts struct {
 		fileBytes []string // kept FreeSet file contents, in order
@@ -100,11 +98,7 @@ func TestCacheAndQuickCheckDeterminism(t *testing.T) {
 		figure3   string
 		tableII   string
 	}
-	run := func(noCache bool, budget int64, quickCheck bool) artifacts {
-		if !quickCheck {
-			vlog.SetQuickCheck(false)
-			defer vlog.SetQuickCheck(true)
-		}
+	run := func(noCache bool, budget int64) artifacts {
 		cfg := detConfig(4)
 		cfg.NoCache = noCache
 		cfg.CacheBudget = budget
@@ -132,22 +126,19 @@ func TestCacheAndQuickCheckDeterminism(t *testing.T) {
 		}
 	}
 
-	base := run(true, 0, true) // no cache: the reference
+	base := run(true, 0) // no cache: the reference
 	variants := []struct {
-		name       string
-		noCache    bool
-		budget     int64
-		quickCheck bool
+		name    string
+		noCache bool
+		budget  int64
 	}{
-		{"cache cold-or-warm", false, 0, true},
-		{"cache warm", false, 0, true}, // shared store warmed by the previous run
-		{"quickcheck off, cold", true, 0, false},
-		{"budget tight", false, 256 << 10, true},
-		{"budget zero", false, 1, true}, // every entry evicted on insert
-		{"quickcheck off, budget tight", false, 256 << 10, false},
+		{"cache cold-or-warm", false, 0},
+		{"cache warm", false, 0}, // shared store warmed by the previous run
+		{"budget tight", false, 256 << 10},
+		{"budget zero", false, 1}, // every entry evicted on insert
 	}
 	for _, v := range variants {
-		got := run(v.noCache, v.budget, v.quickCheck)
+		got := run(v.noCache, v.budget)
 		if !reflect.DeepEqual(base.fileBytes, got.fileBytes) {
 			t.Errorf("%s: kept file bytes diverged", v.name)
 		}

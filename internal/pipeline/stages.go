@@ -114,7 +114,8 @@ func (copyrightStage) Evaluate(c *Candidate) Outcome {
 func Copyright() Stage { return copyrightStage{} }
 
 // syntaxStage rejects files the Verilog syntax filter cannot parse
-// (§III-D): streaming QuickCheck first, full parser on suspicion.
+// (§III-D): vlog.Check, the parser's grammar without an AST, memoized per
+// content.
 type syntaxStage struct{}
 
 func (syntaxStage) Name() string { return StageSyntax }

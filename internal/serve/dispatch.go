@@ -43,30 +43,35 @@ func (s *Server) claim(w http.ResponseWriter, sem chan struct{}, fp, shedCode, s
 	return true
 }
 
-// admitBulk gates a bulk request (batch audit, filter) through the size
-// cap and the in-flight bulkhead, replying and returning nil when the
-// request is rejected. The caller must invoke the returned release.
-func (s *Server) admitBulk(w http.ResponseWriter, candidates int) (release func()) {
+// decodeBulk is decode for a request that parses, scans or scores what it
+// was posted. It takes a bulkhead slot before it reads a byte of the body,
+// so a request the bulkhead sheds costs no body, and replies when it
+// refuses the request; on true the caller releases the slot with <-s.bulk.
+func (s *Server) decodeBulk(w http.ResponseWriter, r *http.Request, out any) bool {
+	if !allow(w, r, http.MethodPost) ||
+		!s.claim(w, s.bulk, FPBulkAdmit, "bulk_full", "too many in-flight bulk requests") {
+		return false
+	}
+	if !s.decode(w, r, out) {
+		<-s.bulk
+		return false
+	}
+	return true
+}
+
+// batchFits answers a batch (batch audit, filter) with no candidates or
+// more than the cap, and reports whether it holds neither.
+func (s *Server) batchFits(w http.ResponseWriter, candidates int) bool {
 	if candidates == 0 {
 		writeErr(w, http.StatusBadRequest, "empty_batch", "no candidates")
-		return nil
+		return false
 	}
 	if candidates > s.cfg.MaxBatchCandidates {
 		writeErr(w, http.StatusRequestEntityTooLarge, "batch_too_large",
 			"batch of "+strconv.Itoa(candidates)+" exceeds the "+strconv.Itoa(s.cfg.MaxBatchCandidates)+"-candidate limit")
-		return nil
+		return false
 	}
-	if !s.claimBulk(w) {
-		return nil
-	}
-	return func() { <-s.bulk }
-}
-
-// claimBulk takes a bulkhead slot for a request that parses or scans what
-// it was posted, replying when it is refused; on true the caller releases
-// the slot with <-s.bulk.
-func (s *Server) claimBulk(w http.ResponseWriter) bool {
-	return s.claim(w, s.bulk, FPBulkAdmit, "bulk_full", "too many in-flight bulk requests")
+	return true
 }
 
 // score audits one candidate against the current snapshot on the calling

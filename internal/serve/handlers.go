@@ -103,14 +103,13 @@ func auditResponse(res *auditResult, threshold float64, violation, cached bool) 
 // same verdicts, amortized cost.
 func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 	var req AuditBatchRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeBulk(w, r, &req) {
 		return
 	}
-	release := s.admitBulk(w, len(req.Candidates))
-	if release == nil {
+	defer func() { <-s.bulk }()
+	if !s.batchFits(w, len(req.Candidates)) {
 		return
 	}
-	defer release()
 	startT := time.Now()
 	s.m.audits.Add(int64(len(req.Candidates)))
 	s.m.rate.tick(startT)
@@ -201,14 +200,13 @@ func (s *Server) stagesFor(names []string, st *corpusState, threshold float64) (
 // pipeline's Verdict envelopes verbatim.
 func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	var req FilterRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeBulk(w, r, &req) {
 		return
 	}
-	release := s.admitBulk(w, len(req.Candidates))
-	if release == nil {
+	defer func() { <-s.bulk }()
+	if !s.batchFits(w, len(req.Candidates)) {
 		return
 	}
-	defer release()
 	threshold := req.Threshold
 	if threshold <= 0 {
 		threshold = s.cfg.Threshold
@@ -248,7 +246,7 @@ func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSyntax(w http.ResponseWriter, r *http.Request) {
 	var req SyntaxRequest
-	if !s.decode(w, r, &req) || !s.claimBulk(w) {
+	if !s.decodeBulk(w, r, &req) {
 		return
 	}
 	defer func() { <-s.bulk }()
@@ -265,7 +263,7 @@ func (s *Server) handleSyntax(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	var req ScanRequest
-	if !s.decode(w, r, &req) || !s.claimBulk(w) {
+	if !s.decodeBulk(w, r, &req) {
 		return
 	}
 	defer func() { <-s.bulk }()

@@ -25,11 +25,11 @@ import (
 const hostileBodyBytes = 2 << 20
 
 // Hostile bodies cost the server memory in proportion to what it admits,
-// not a token per posted byte: three shapes (a nest of "(", which QuickCheck
-// leaves to the parser, and a valid expression a+a+… and a run of
-// declarations, which it clears), each as large as the body cap allows,
-// are posted to /v1/syntax, /v1/scan, /v1/filter and /v1/audit, 16 at a
-// time. Every response is a verdict or a 429, and the heap, sampled every
+// not a token per posted byte or an AST node per operand: five shapes (a
+// nest of "(", a valid expression a+a+… and a run of declarations, the last
+// two also behind a `timescale directive), each as large as the body cap
+// allows, are posted to /v1/syntax, /v1/scan, /v1/filter and /v1/audit, 16
+// at a time. Every response is a verdict or a 429, and the heap, sampled every
 // millisecond from runtime/metrics, stays under hostileHeapBound. The
 // requests run in a child process, this test binary run again, which the
 // parent kills once its resident set passes hostileRSSCap, so a regression
@@ -108,11 +108,13 @@ func heapObjects() uint64 {
 // postHostileBodies is the child's half. Each shape is one round of 16
 // requests at once, four to each endpoint, so the three bulk endpoints
 // contend for the bulkhead's four slots while the audits score. Measured
-// with 2 MiB bodies: the heap peaked 90–140 MB over its baseline, most of
+// with 2 MiB bodies: the heap peaked 80–100 MB over its baseline, most of
 // it the bodies themselves (the client's, the server's read buffer and the
-// decoded string), and the child's resident set at 130–160 MB (480 MB
+// decoded string), and the child's resident set at 120–160 MB (480 MB
 // under -race). With a token per source byte and no bulkhead on /v1/syntax
-// the child passed the 1 GiB ceiling within a second.
+// the child passed the 1 GiB ceiling within a second; with a syntax check
+// that built the AST, the `timescale shapes peaked at 459 MB (expression)
+// and 798 MB (declarations).
 func postHostileBodies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxBodyBytes = hostileBodyBytes
@@ -123,9 +125,13 @@ func postHostileBodies(t *testing.T) {
 	defer ts.Close()
 
 	// code is a file of the shape n bytes long, its module named by id so
-	// that no two requests share a memo entry.
+	// that no two requests share a memo entry. It is JSON-escaped: the
+	// directive's line ends in \n.
 	code := func(shape string, id, n int) string {
 		head := fmt.Sprintf("module m%d; ", id)
+		if s, ok := strings.CutPrefix(shape, "timescale "); ok {
+			shape, head = s, "`timescale 1ns/1ps\\n"+head
+		}
 		switch shape {
 		case "nest":
 			return head + "wire w = " + strings.Repeat("(", n-len(head)-9)
@@ -134,8 +140,8 @@ func postHostileBodies(t *testing.T) {
 		}
 		return head + strings.Repeat("wire w; ", (n-len(head)-9)/8) + "endmodule"
 	}
-	// body wraps code, which needs no JSON escaping, in path's request. A
-	// filter candidate is licensed, so it goes through the whole funnel.
+	// body wraps code in path's request. A filter candidate is licensed,
+	// so it goes through the whole funnel.
 	body := func(path, code string) []byte {
 		if path == "/v1/filter" {
 			return []byte(`{"candidates":[{"key":"k","licensed":true,"code":"` + code + `"}]}`)
@@ -167,7 +173,7 @@ func postHostileBodies(t *testing.T) {
 	paths := []string{"/v1/syntax", "/v1/scan", "/v1/filter", "/v1/audit"}
 	var peak uint64
 	id := 0
-	for _, shape := range []string{"nest", "expression", "token run"} {
+	for _, shape := range []string{"nest", "expression", "token run", "timescale expression", "timescale token run"} {
 		start := time.Now()
 		var wg sync.WaitGroup
 		statuses := make([]int, 16)

@@ -10,8 +10,8 @@
 //	POST /v1/filter      — run any stage subset (license, dedup,
 //	                       copyright, syntax, similarity) over a candidate
 //	                       batch; returns pipeline Verdict envelopes
-//	POST /v1/syntax      — curation syntax filter (streaming QuickCheck,
-//	                       full parser fallback)
+//	POST /v1/syntax      — curation syntax filter (the parser's verdict
+//	                       and error, no AST built)
 //	POST /v1/scan        — per-file copyright screen (header indicators +
 //	                       body key-material needles)
 //	POST /v1/corpus      — upload + curate a corpus (JSON or streaming

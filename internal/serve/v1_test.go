@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -531,6 +532,61 @@ func TestSyntaxAndScanTakeBulkSlot(t *testing.T) {
 	}
 	if n := len(s.bulk); n != 0 {
 		t.Fatalf("%d bulkhead slots still held after every request answered", n)
+	}
+}
+
+// countingReader counts the bytes read from it.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// A bulk request the bulkhead sheds is refused before its body is read:
+// with every MaxInflightBulk slot held, each bulk endpoint answers 429,
+// bulk_full and Retry-After having read 0 bytes of the body. An empty
+// batch, checked once the body is read, gives its slot back.
+func TestShedBulkReadsNoBody(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxInflightBulk = 2
+	s := NewServer(cfg)
+	defer s.Close()
+	for i := 0; i < cfg.MaxInflightBulk; i++ {
+		s.bulk <- struct{}{}
+	}
+	for path, body := range map[string]any{
+		"/v1/syntax":      SyntaxRequest{Code: v1Clean},
+		"/v1/scan":        ScanRequest{Code: v1Clean},
+		"/v1/filter":      FilterRequest{Candidates: []FilterCandidate{{Code: v1Clean}}},
+		"/v1/audit/batch": AuditBatchRequest{Candidates: []AuditBatchCandidate{{Code: v1Clean}}},
+	} {
+		body := &countingReader{r: bytes.NewReader(mustJSON(t, body))}
+		r := httptest.NewRequest(http.MethodPost, path, body)
+		r.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		var er ErrorResponse
+		json.Unmarshal(w.Body.Bytes(), &er)
+		if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") == "" || er.Error.Code != "bulk_full" {
+			t.Errorf("%s with the bulkhead held = %d (Retry-After %q): %s", path, w.Code, w.Header().Get("Retry-After"), w.Body)
+		}
+		if n := body.n.Load(); n != 0 {
+			t.Errorf("%s read %d bytes of a body it shed", path, n)
+		}
+	}
+	for i := 0; i < cfg.MaxInflightBulk; i++ {
+		<-s.bulk
+	}
+	if code, body := do(t, s.Handler(), http.MethodPost, "/v1/filter", "application/json", mustJSON(t, FilterRequest{})); code != http.StatusBadRequest {
+		t.Fatalf("empty filter batch = %d: %s", code, body)
+	}
+	if n := len(s.bulk); n != 0 {
+		t.Fatalf("%d bulkhead slots still held after an empty batch", n)
 	}
 }
 

@@ -54,8 +54,8 @@ type SyntaxRequest struct {
 	Code string `json:"code"`
 }
 
-// SyntaxResponse reports the vlog verdict: the streaming QuickCheck
-// decides well-formed files, the full parser everything suspicious.
+// SyntaxResponse reports vlog.Check's verdict and, for a file that does
+// not parse, its error.
 type SyntaxResponse struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`

@@ -176,12 +176,11 @@ func (e *Entry) BodyHits(content string) []string {
 	return append([]string(nil), a.body...)
 }
 
-// SyntaxBad returns the memoized syntax-filter verdict. The verdict is
-// computed through vlog.CheckFast: the streaming QuickCheck pass decides
-// the common well-formed case, the full parser everything else.
+// SyntaxBad returns the memoized syntax-filter verdict, vlog.Check's: the
+// parser's grammar run without building an AST.
 func (e *Entry) SyntaxBad(content string) bool {
 	a := e.lazy()
-	a.synOnce.Do(func() { a.synBad = vlog.CheckFast(content) != nil })
+	a.synOnce.Do(func() { a.synBad = vlog.Check(content) != nil })
 	return a.synBad
 }
 
@@ -190,7 +189,7 @@ func (e *Entry) SyntaxBad(content string) bool {
 // verdict checks once more to get it back.
 func (e *Entry) SyntaxErr(content string) (err error) {
 	a := e.lazy()
-	a.synOnce.Do(func() { err = vlog.CheckFast(content); a.synBad = err != nil })
+	a.synOnce.Do(func() { err = vlog.Check(content); a.synBad = err != nil })
 	if a.synBad && err == nil { // decided by an earlier call
 		err = vlog.Check(content)
 	}

@@ -48,18 +48,6 @@ func BenchmarkLexer(b *testing.B) {
 	})
 }
 
-// BenchmarkQuickCheck also reports how many files get a definitive good
-// verdict, the ones CheckFast need not parse.
-func BenchmarkQuickCheck(b *testing.B) {
-	good := 0
-	benchWorld(b, func(src string) {
-		if QuickCheck(src) {
-			good++
-		}
-	})
-	b.ReportMetric(float64(good)/float64(b.N), "definitive")
-}
-
 func BenchmarkCheck(b *testing.B) {
 	benchWorld(b, func(src string) { _ = Check(src) })
 }

@@ -115,7 +115,10 @@ func FuzzTokenize(f *testing.F) {
 
 // FuzzParse: the parser must never panic, never return a nil file with a
 // nil error, and return a file's first lexical error wherever it lies,
-// also behind a parse error, as the last seed has it.
+// also behind a parse error, as the first of the last three seeds has it.
+// Check, which runs the same grammar and builds no AST, must return exactly
+// ParseFile's error: the last two seeds read a module's name for an EOF
+// error after a generate body, and a literal fault after one.
 func FuzzParse(f *testing.F) {
 	for _, s := range corpusSeeds() {
 		f.Add(s)
@@ -124,21 +127,80 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add("module m; assign = ; endmodule\nmodule n; endmodule /* unterminated")
-	f.Fuzz(func(t *testing.T, src string) {
-		file, err := ParseFile(src)
-		l := NewLexer(src)
-		for l.Next().Kind != EOF {
+	f.Add("module top; if (1) begin wire [3:0] w = 4'b1010; end")
+	f.Add("module top; if (1) begin end wire w = 4'b12; endmodule")
+	f.Fuzz(onePath)
+}
+
+// onePath holds ParseFile and Check to the properties FuzzParse states.
+func onePath(t *testing.T, src string) {
+	file, err := ParseFile(src)
+	if checkErr := Check(src); !reflect.DeepEqual(checkErr, err) {
+		t.Fatalf("Check = %v, want ParseFile's %v", checkErr, err)
+	}
+	l := NewLexer(src)
+	for l.Next().Kind != EOF {
+	}
+	if lexErr := l.Err(); lexErr != nil {
+		if !reflect.DeepEqual(err, lexErr) {
+			t.Fatalf("ParseFile = %v, want the lexical error %v", err, lexErr)
 		}
-		if lexErr := l.Err(); lexErr != nil {
-			if !reflect.DeepEqual(err, lexErr) {
-				t.Fatalf("ParseFile = %v, want the lexical error %v", err, lexErr)
-			}
-			return
+		return
+	}
+	if err == nil && file == nil {
+		t.Fatal("nil file with nil error")
+	}
+}
+
+// funnelCorpus draws a broad slice of generator output: canonical and
+// noised modules of every family, trap variants, near-duplicates, and
+// corrupted files — the population the curation syntax filter sees.
+func funnelCorpus() (good, bad []string) {
+	rng := rand.New(rand.NewSource(7))
+	for _, fam := range corpus.Families {
+		for _, canon := range []bool{true, false} {
+			m := corpus.Generate(rng, fam, canon)
+			good = append(good, m.Source)
+			good = append(good, corpus.CanonVariant(rng, m.Source))
+			good = append(good, corpus.MutateIdentifiers(rng, m.Source))
+			bad = append(bad, corpus.CorruptSyntax(rng, m.Source))
 		}
-		if err == nil && file == nil {
-			t.Fatal("nil file with nil error")
+	}
+	// Multi-module files (the world concatenates modules into files).
+	var sb strings.Builder
+	for i := 0; i < 5; i++ {
+		sb.WriteString(corpus.Generate(rng, "", true).Source)
+		sb.WriteString("\n\n")
+	}
+	good = append(good, sb.String())
+	return good, bad
+}
+
+// Check accepts every file the corpus generator writes and rejects every
+// file corpus.CorruptSyntax has corrupted.
+func TestCheckOnCorpus(t *testing.T) {
+	good, bad := funnelCorpus()
+	for _, src := range good {
+		if err := Check(src); err != nil {
+			t.Fatalf("Check rejected a generator file: %v\n%s", err, src)
 		}
-	})
+	}
+	for _, src := range bad {
+		if Check(src) == nil {
+			t.Fatalf("corpus.CorruptSyntax produced a parseable file:\n%s", src)
+		}
+	}
+}
+
+// FuzzQuickCheck runs onePath from the funnel's population, its saved
+// corpus under testdata/fuzz and the tricky seeds. (Its name is that of the
+// streaming pre-check it once held to Check, kept with its corpus.)
+func FuzzQuickCheck(f *testing.F) {
+	good, bad := funnelCorpus()
+	for _, s := range append(append(good, bad...), trickySeeds...) {
+		f.Add(s)
+	}
+	f.Fuzz(onePath)
 }
 
 // Check answers each macro reproducer with the expansion-budget error

@@ -22,18 +22,13 @@ func (e *SyntaxError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg
 // It is the package's only Verilog scanner. Its core, scan, returns a
 // token's kind and byte span, and the lexer keeps the start of the current
 // line rather than a column, so a Pos is built only when Next wraps a span
-// into a Token for the parser. QuickCheck's statement machine reads scan
-// directly and builds no tokens at all.
+// into a Token for the parser.
 type Lexer struct {
 	src       string
 	off       int
-	line      int   // 1-based line of off
-	lineStart int   // offset of that line's first byte
-	word      uint8 // classifyWord of the last identifier scanned
-	// quick marks QuickCheck's scan: a directive is an error, and errors
-	// carry no message, so a failed scan allocates nothing.
-	quick  bool
-	macros map[string]string // made at the first `define
+	line      int               // 1-based line of off
+	lineStart int               // offset of that line's first byte
+	macros    map[string]string // made at the first `define
 	// expanded counts the bytes macro expansions have copied, against
 	// maxExpansionBytes.
 	expanded int
@@ -49,9 +44,6 @@ type Lexer struct {
 // file has a lexical error.
 const maxExpansionBytes = 64 << 20
 
-// errQuick is the error a quick scan records in place of a message.
-var errQuick = &SyntaxError{Msg: "outside QuickCheck's subset"}
-
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1}
@@ -59,21 +51,7 @@ func NewLexer(src string) *Lexer {
 
 func (l *Lexer) errorf(p Pos, format string, args ...any) {
 	if l.err == nil {
-		if l.quick {
-			l.err = errQuick
-			return
-		}
 		l.err = &SyntaxError{Pos: p, Msg: fmt.Sprintf(format, args...)}
-	}
-}
-
-// errorByte is errorf for a message that quotes the byte c. The quoted
-// text is made here, so a quick scan never makes it.
-func (l *Lexer) errorByte(p Pos, format string, c byte) {
-	if !l.quick {
-		l.errorf(p, format, string(c))
-	} else if l.err == nil {
-		l.err = errQuick
 	}
 }
 
@@ -171,10 +149,6 @@ func (l *Lexer) skipSpaceAndComments() {
 			return
 		case c == '`':
 			l.off = i
-			if l.quick {
-				l.errorf(l.pos(), "directive")
-				return
-			}
 			l.directive()
 			src, i = l.src, l.off
 			continue
@@ -354,8 +328,7 @@ func (l *Lexer) tokPos(start int) Pos {
 
 // scan is the scanning core. It skips space, comments and directives, lexes
 // one token and returns its kind and the offset it starts at; the token ends
-// at l.off. An identifier's classifyWord is left in l.word, an escaped one's
-// as tSuspect. After an error it returns EOF.
+// at l.off. After an error it returns EOF.
 func (l *Lexer) scan() (Kind, int) {
 	l.skipSpaceAndComments()
 	src, start := l.src, l.off
@@ -365,7 +338,7 @@ func (l *Lexer) scan() (Kind, int) {
 	switch c := src[start]; {
 	case isIdentStart(c):
 		l.off = skipIdent(src, start+1)
-		if l.word = classifyWord(src[start:l.off]); l.word != tIdent {
+		if isKeyword(src[start:l.off]) {
 			return KEYWORD, start
 		}
 		return IDENT, start
@@ -380,7 +353,6 @@ func (l *Lexer) scan() (Kind, int) {
 			return EOF, start
 		}
 		l.off = i
-		l.word = tSuspect
 		return IDENT, start
 	case c == '$':
 		if i := skipIdent(src, start+1); i > start+1 {
@@ -420,7 +392,7 @@ func (l *Lexer) number() Kind {
 			i++
 		default:
 			l.off = i
-			l.errorByte(p, "invalid numeric base %q", base)
+			l.errorf(p, "invalid numeric base %q", string(base))
 			return EOF
 		}
 		// Value digits may be separated from the base by whitespace.
@@ -540,6 +512,6 @@ func (l *Lexer) operator() Kind {
 			return op.kind
 		}
 	}
-	l.errorByte(l.pos(), "unexpected character %q", rest[0])
+	l.errorf(l.pos(), "unexpected character %q", string(rest[0]))
 	return EOF
 }

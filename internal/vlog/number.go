@@ -13,39 +13,27 @@ const maxLiteralBits = 1 << 16
 
 func words(bits int) int { return (bits + 63) / 64 }
 
-// Literal faults: why parseNumericToken rejects a NUMBER token's text.
-const (
-	litOK         uint8 = iota
-	litReal             // strconv.ParseFloat refuses the real literal
-	litDecimal          // an unsized decimal past 64 bits
-	litNoDigits         // a based literal whose digits are all underscores
-	litSize             // a size of zero, or past the int range
-	litTooWide          // a size, or a b/o/h value, wider than maxLiteralBits
-	litDigitRange       // a digit too large for its base
-	litDecDigit         // a 'd value that is not all decimal or one x/z/?
-)
-
 // literalFault holds the rules a NUMBER token's text must keep for the
 // parser to take its value: digit legality per base, maxLiteralBits, the
-// exponent shape and the 64-bit decimal range. It returns litOK or the fault
-// parseNumericToken reports, with the offending digit for litDigitRange.
-// text is a NUMBER as the lexer makes it, which fixes the rest of the shape:
-// digits and underscores, then a real part, or a quote, an optional sign, a
-// base letter and value digits from 0-9a-fA-FxXzZ?_. It allocates nothing,
-// save for a real literal with an underscore in it.
-func literalFault(text string) (fault uint8, digit byte) {
+// exponent shape and the 64-bit decimal range. It returns "" or the message
+// parseNumericToken reports, to which the literal is appended. text is a
+// NUMBER as the lexer makes it, which fixes the rest of the shape: digits
+// and underscores, then a real part, or a quote, an optional sign, a base
+// letter and value digits from 0-9a-fA-FxXzZ?_. It allocates nothing for a
+// literal that keeps the rules, save for a real with an underscore in it.
+func literalFault(text string) string {
 	quote := skipDigits(text, 0)
 	switch {
 	case quote == len(text): // an unsized decimal
 		if _, ok := decimal(text, math.MaxUint64); !ok {
-			return litDecimal, 0
+			return "invalid decimal literal "
 		}
-		return litOK, 0
+		return ""
 	case text[quote] != '\'': // a real
 		if _, err := strconv.ParseFloat(strings.ReplaceAll(text, "_", ""), 64); err != nil {
-			return litReal, 0
+			return "invalid real literal "
 		}
-		return litOK, 0
+		return ""
 	}
 	rest := text[quote+1:]
 	if rest[0]|0x20 == 's' {
@@ -54,37 +42,37 @@ func literalFault(text string) (fault uint8, digit byte) {
 	base, digits := rest[0]|0x20, strings.TrimSpace(rest[1:])
 	n := len(digits) - strings.Count(digits, "_")
 	if n == 0 {
-		return litNoDigits, 0
+		return "literal missing digits: "
 	}
 	if quote > 0 {
 		w, ok := decimal(text[:quote], math.MaxInt64)
 		if !ok || w == 0 {
-			return litSize, 0
+			return "invalid literal size in "
 		}
 		if w > maxLiteralBits {
-			return litTooWide, 0
+			return "literal too wide: "
 		}
 	}
 	if base == 'd' {
 		// All decimal digits, or a lone x/z/? (IEEE 1364 §3.5.1).
 		for i := 0; i < len(digits); i++ {
 			if c := digits[i]; c != '_' && !isDigit(c) && !(n == 1 && isXZ(c)) {
-				return litDecDigit, 0
+				return "invalid decimal digit in "
 			}
 		}
-		return litOK, 0
+		return ""
 	}
 	bits, top := baseDigit(base)
 	if n*bits > maxLiteralBits {
-		return litTooWide, 0
+		return "literal too wide: "
 	}
 	// The value is filled from its last digit, so that is the one reported.
 	for i := len(digits) - 1; i >= 0; i-- {
 		if c := digits[i]; c != '_' && !isXZ(c) && digitValue(c) > top {
-			return litDigitRange, c
+			return fmt.Sprintf("digit %q out of range for base in ", string(c))
 		}
 	}
-	return litOK, 0
+	return ""
 }
 
 // baseDigit returns the bits a digit of base b, o or h holds, and the
@@ -127,24 +115,19 @@ func decimal(s string, limit uint64) (v uint64, ok bool) {
 	return v, ok
 }
 
-// literalFaults are the messages parseNumericToken reports, each followed
-// by the literal; litDigitRange's quotes the digit.
-var literalFaults = [...]string{
-	litReal: "invalid real literal ", litDecimal: "invalid decimal literal ",
-	litNoDigits: "literal missing digits: ", litSize: "invalid literal size in ",
-	litTooWide: "literal too wide: ", litDecDigit: "invalid decimal digit in ",
-	litDigitRange: "digit %q out of range for base in ",
+// literalError is the error parseNumericToken returns for t, or nil.
+func literalError(t Token) error {
+	if msg := literalFault(t.Text); msg != "" {
+		return &SyntaxError{Pos: t.Pos, Msg: msg + t.Text}
+	}
+	return nil
 }
 
 // parseNumericToken converts a NUMBER token into a *Number or *RealLit.
 func parseNumericToken(t Token) (Expr, error) {
 	text := t.Text
-	if fault, digit := literalFault(text); fault != litOK {
-		msg := literalFaults[fault]
-		if digit != 0 {
-			msg = fmt.Sprintf(msg, string(digit))
-		}
-		return nil, &SyntaxError{Pos: t.Pos, Msg: msg + text}
+	if err := literalError(t); err != nil {
+		return nil, err
 	}
 	quote := strings.IndexByte(text, '\'')
 	if quote < 0 {

@@ -47,14 +47,14 @@ func (p *Parser) parseExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(COLON); err != nil {
+	if err := p.expect(COLON); err != nil {
 		return nil, err
 	}
 	elseE, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	return &Ternary{Pos: pos, Cond: cond, Then: thenE, Else: elseE}, nil
+	return keep(p, &p.nodes.Ternary, Ternary{Pos: pos, Cond: cond, Then: thenE, Else: elseE}), nil
 }
 
 // parseBinary is precedence-climbing over binary operators.
@@ -64,7 +64,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		op := p.cur().Kind
+		op := p.kind()
 		prec := binPrec(op)
 		if prec == 0 || prec < minPrec {
 			return lhs, nil
@@ -88,7 +88,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		if op == POW {
 			p.unnest()
 		}
-		lhs = &Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
+		lhs = keep(p, &p.nodes.Binary, Binary{Pos: pos, Op: op, X: lhs, Y: rhs})
 	}
 }
 
@@ -105,7 +105,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		p.unnest()
-		return &Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
+		return keep(p, &p.nodes.Unary, Unary{Pos: t.Pos, Op: t.Kind, X: x}), nil
 	}
 	return p.parsePrimary()
 }
@@ -116,13 +116,16 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case NUMBER:
 		p.advance()
+		if p.check {
+			return nil, literalError(t)
+		}
 		return parseNumericToken(t)
 	case STRING:
 		p.advance()
-		return &StringLit{Pos: t.Pos, Value: t.Text}, nil
+		return keep(p, &p.nodes.StringLit, StringLit{Pos: t.Pos, Value: t.Text}), nil
 	case SYSNAME:
 		p.advance()
-		c := &Call{Pos: t.Pos, Name: t.Text}
+		c := keep(p, &p.nodes.Call, Call{Pos: t.Pos, Name: t.Text})
 		if p.accept(LPAREN) {
 			if !p.accept(RPAREN) {
 				for {
@@ -130,13 +133,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 					if err != nil {
 						return nil, err
 					}
-					c.Args = append(c.Args, e)
+					c.Args = add(p, c.Args, e)
 					if p.accept(COMMA) {
 						continue
 					}
 					break
 				}
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.expect(RPAREN); err != nil {
 					return nil, err
 				}
 			}
@@ -144,47 +147,35 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return c, nil
 	case IDENT:
 		p.advance()
-		if p.cur().Kind == LPAREN {
+		if p.kind() == LPAREN {
 			p.advance()
-			c := &Call{Pos: t.Pos, Name: t.Text}
+			c := keep(p, &p.nodes.Call, Call{Pos: t.Pos, Name: t.Text})
 			if !p.accept(RPAREN) {
 				for {
 					e, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					c.Args = append(c.Args, e)
+					c.Args = add(p, c.Args, e)
 					if p.accept(COMMA) {
 						continue
 					}
 					break
 				}
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.expect(RPAREN); err != nil {
 					return nil, err
 				}
 			}
 			return p.parseSelects(c)
 		}
-		var base Expr = &Ident{Pos: t.Pos, Name: t.Text}
-		if p.cur().Kind == DOT {
-			parts := []string{t.Text}
-			for p.accept(DOT) {
-				n, _, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				parts = append(parts, n)
-			}
-			base = &HierIdent{Pos: t.Pos, Parts: parts}
-		}
-		return p.parseSelects(base)
+		return p.parseName(t)
 	case LPAREN:
 		p.advance()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RPAREN); err != nil {
+		if err := p.expect(RPAREN); err != nil {
 			return nil, err
 		}
 		return e, nil
@@ -194,38 +185,38 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().Kind == LBRACE {
+		if p.kind() == LBRACE {
 			// Replication {N{a,b}}.
 			p.advance()
-			r := &Repl{Pos: t.Pos, Count: first}
+			r := keep(p, &p.nodes.Repl, Repl{Pos: t.Pos, Count: first})
 			for {
 				e, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				r.Parts = append(r.Parts, e)
+				r.Parts = add(p, r.Parts, e)
 				if p.accept(COMMA) {
 					continue
 				}
 				break
 			}
-			if _, err := p.expect(RBRACE); err != nil {
+			if err := p.expect(RBRACE); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBRACE); err != nil {
+			if err := p.expect(RBRACE); err != nil {
 				return nil, err
 			}
 			return p.parseSelects(r)
 		}
-		c := &Concat{Pos: t.Pos, Parts: []Expr{first}}
+		c := keep(p, &p.nodes.Concat, Concat{Pos: t.Pos, Parts: add(p, nil, first)})
 		for p.accept(COMMA) {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			c.Parts = append(c.Parts, e)
+			c.Parts = add(p, c.Parts, e)
 		}
-		if _, err := p.expect(RBRACE); err != nil {
+		if err := p.expect(RBRACE); err != nil {
 			return nil, err
 		}
 		return p.parseSelects(c)
@@ -233,51 +224,69 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	return nil, p.errorf("unexpected %s in expression", t)
 }
 
+// parseName parses what follows the identifier t, just consumed: the rest
+// of a hierarchical name, and any selects.
+func (p *Parser) parseName(t Token) (Expr, error) {
+	var base Expr = keep(p, &p.nodes.Ident, Ident{Pos: t.Pos, Name: t.Text})
+	if p.kind() == DOT {
+		parts := add(p, nil, t.Text)
+		for p.accept(DOT) {
+			n, _, err := p.expectIdent()
+			if err != nil {
+				return nil, err
+			}
+			parts = add(p, parts, n)
+		}
+		base = keep(p, &p.nodes.HierIdent, HierIdent{Pos: t.Pos, Parts: parts})
+	}
+	return p.parseSelects(base)
+}
+
 // parseSelects attaches [i], [m:l], [i+:w], [i-:w] chains to base.
 func (p *Parser) parseSelects(base Expr) (Expr, error) {
-	for p.cur().Kind == LBRACK {
+	for p.kind() == LBRACK {
 		pos := p.cur().Pos
 		p.advance()
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		switch p.cur().Kind {
+		switch p.kind() {
 		case COLON:
 			p.advance()
 			lsb, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBRACK); err != nil {
+			if err := p.expect(RBRACK); err != nil {
 				return nil, err
 			}
-			base = &PartSelect{Pos: pos, X: base, Mode: PartConst, Left: first, Right: lsb}
+			base = keep(p, &p.nodes.PartSelect, PartSelect{Pos: pos, X: base, Mode: PartConst, Left: first, Right: lsb})
 		case PLUSCOLON:
 			p.advance()
 			w, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBRACK); err != nil {
+			if err := p.expect(RBRACK); err != nil {
 				return nil, err
 			}
-			base = &PartSelect{Pos: pos, X: base, Mode: PartUp, Left: first, Right: w}
+			base = keep(p, &p.nodes.PartSelect, PartSelect{Pos: pos, X: base, Mode: PartUp, Left: first, Right: w})
 		case MINUSCOLON:
 			p.advance()
 			w, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBRACK); err != nil {
+			if err := p.expect(RBRACK); err != nil {
 				return nil, err
 			}
-			base = &PartSelect{Pos: pos, X: base, Mode: PartDown, Left: first, Right: w}
+			base = keep(p, &p.nodes.PartSelect, PartSelect{Pos: pos, X: base, Mode: PartDown, Left: first, Right: w})
 		default:
-			if _, err := p.expect(RBRACK); err != nil {
+			if err := p.expect(RBRACK); err != nil {
 				return nil, err
 			}
-			base = &Index{Pos: pos, X: base, Idx: first}
+			base = keep(p, &p.nodes.Index, Index{Pos: pos, X: base, Idx: first})
 		}
 	}
 	return base, nil

@@ -5,36 +5,42 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	defer p.unnest()
+	s, err := p.stmt()
+	p.unnest()
+	return s, err
+}
+
+// stmt is parseStmt inside its nesting level (see moduleItem).
+func (p *Parser) stmt() (Stmt, error) {
 	t := p.cur()
 	switch t.Kind {
 	case SEMI:
 		p.advance()
-		return &NullStmt{Pos: t.Pos}, nil
+		return keep(p, &p.nodes.NullStmt, NullStmt{Pos: t.Pos}), nil
 	case HASH:
 		p.advance()
 		d, err := p.parseDelayValue()
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().Kind == SEMI {
+		if p.kind() == SEMI {
 			p.advance()
-			return &DelayStmt{Pos: t.Pos, Delay: d}, nil
+			return keep(p, &p.nodes.DelayStmt, DelayStmt{Pos: t.Pos, Delay: d}), nil
 		}
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		return &DelayStmt{Pos: t.Pos, Delay: d, Stmt: s}, nil
+		return keep(p, &p.nodes.DelayStmt, DelayStmt{Pos: t.Pos, Delay: d, Stmt: s}), nil
 	case AT:
 		p.advance()
-		ev := &EventStmt{Pos: t.Pos}
+		ev := keep(p, &p.nodes.EventStmt, EventStmt{Pos: t.Pos})
 		if p.accept(STAR) {
 			ev.Star = true
 		} else if p.accept(LPAREN) {
 			if p.accept(STAR) {
 				ev.Star = true
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.expect(RPAREN); err != nil {
 					return nil, err
 				}
 			} else {
@@ -50,24 +56,24 @@ func (p *Parser) parseStmt() (Stmt, error) {
 						return nil, err
 					}
 					e.X = x
-					ev.Events = append(ev.Events, e)
+					ev.Events = add(p, ev.Events, e)
 					if p.accept(COMMA) || p.acceptKw("or") {
 						continue
 					}
 					break
 				}
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.expect(RPAREN); err != nil {
 					return nil, err
 				}
 			}
-		} else if p.cur().Kind == IDENT {
+		} else if p.kind() == IDENT {
 			// @ident — named event or signal.
 			name := p.next().Text
-			ev.Events = []EventExpr{{X: &Ident{Pos: t.Pos, Name: name}}}
+			ev.Events = add(p, nil, EventExpr{X: keep(p, &p.nodes.Ident, Ident{Pos: t.Pos, Name: name})})
 		} else {
 			return nil, p.errorf("malformed event control")
 		}
-		if p.cur().Kind == SEMI {
+		if p.kind() == SEMI {
 			p.advance()
 			return ev, nil
 		}
@@ -79,7 +85,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return ev, nil
 	case SYSNAME:
 		p.advance()
-		st := &SysTaskStmt{Pos: t.Pos, Name: t.Text}
+		st := keep(p, &p.nodes.SysTaskStmt, SysTaskStmt{Pos: t.Pos, Name: t.Text})
 		if p.accept(LPAREN) {
 			if !p.accept(RPAREN) {
 				for {
@@ -88,18 +94,18 @@ func (p *Parser) parseStmt() (Stmt, error) {
 					if err != nil {
 						return nil, err
 					}
-					st.Args = append(st.Args, e)
+					st.Args = add(p, st.Args, e)
 					if p.accept(COMMA) {
 						continue
 					}
 					break
 				}
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.expect(RPAREN); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if err := p.expect(SEMI); err != nil {
 			return nil, err
 		}
 		return st, nil
@@ -109,11 +115,11 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(SEMI); err != nil {
+		if err := p.expect(SEMI); err != nil {
 			return nil, err
 		}
 		// Event trigger behaves as a zero-width pulse on the named event.
-		return &TaskCallStmt{Pos: t.Pos, Name: "->" + name}, nil
+		return keep(p, &p.nodes.TaskCallStmt, TaskCallStmt{Pos: t.Pos, Name: "->" + name}), nil
 	case LBRACE:
 		// Concatenation lvalue assignment: {a,b} = expr;
 		return p.parseAssignLike()
@@ -122,7 +128,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if p.peek().Kind == SEMI {
 			p.advance()
 			p.advance()
-			return &TaskCallStmt{Pos: t.Pos, Name: t.Text}, nil
+			return keep(p, &p.nodes.TaskCallStmt, TaskCallStmt{Pos: t.Pos, Name: t.Text}), nil
 		}
 		if p.peek().Kind == LPAREN {
 			// Task call with arguments.
@@ -135,20 +141,20 @@ func (p *Parser) parseStmt() (Stmt, error) {
 					if err != nil {
 						return nil, err
 					}
-					args = append(args, e)
+					args = add(p, args, e)
 					if p.accept(COMMA) {
 						continue
 					}
 					break
 				}
-				if _, err := p.expect(RPAREN); err != nil {
+				if err := p.expect(RPAREN); err != nil {
 					return nil, err
 				}
 			}
-			if _, err := p.expect(SEMI); err != nil {
+			if err := p.expect(SEMI); err != nil {
 				return nil, err
 			}
-			return &TaskCallStmt{Pos: t.Pos, Name: name, Args: args}, nil
+			return keep(p, &p.nodes.TaskCallStmt, TaskCallStmt{Pos: t.Pos, Name: name, Args: args}), nil
 		}
 		return p.parseAssignLike()
 	case KEYWORD:
@@ -163,76 +169,76 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			return p.parseFor()
 		case "while":
 			p.advance()
-			if _, err := p.expect(LPAREN); err != nil {
+			if err := p.expect(LPAREN); err != nil {
 				return nil, err
 			}
 			cond, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RPAREN); err != nil {
+			if err := p.expect(RPAREN); err != nil {
 				return nil, err
 			}
 			body, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
-			return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}, nil
+			return keep(p, &p.nodes.WhileStmt, WhileStmt{Pos: t.Pos, Cond: cond, Body: body}), nil
 		case "repeat":
 			p.advance()
-			if _, err := p.expect(LPAREN); err != nil {
+			if err := p.expect(LPAREN); err != nil {
 				return nil, err
 			}
 			cnt, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RPAREN); err != nil {
+			if err := p.expect(RPAREN); err != nil {
 				return nil, err
 			}
 			body, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
-			return &RepeatStmt{Pos: t.Pos, Count: cnt, Body: body}, nil
+			return keep(p, &p.nodes.RepeatStmt, RepeatStmt{Pos: t.Pos, Count: cnt, Body: body}), nil
 		case "forever":
 			p.advance()
 			body, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
-			return &ForeverStmt{Pos: t.Pos, Body: body}, nil
+			return keep(p, &p.nodes.ForeverStmt, ForeverStmt{Pos: t.Pos, Body: body}), nil
 		case "wait":
 			p.advance()
-			if _, err := p.expect(LPAREN); err != nil {
+			if err := p.expect(LPAREN); err != nil {
 				return nil, err
 			}
 			cond, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RPAREN); err != nil {
+			if err := p.expect(RPAREN); err != nil {
 				return nil, err
 			}
-			if p.cur().Kind == SEMI {
+			if p.kind() == SEMI {
 				p.advance()
-				return &WaitStmt{Pos: t.Pos, Cond: cond}, nil
+				return keep(p, &p.nodes.WaitStmt, WaitStmt{Pos: t.Pos, Cond: cond}), nil
 			}
 			body, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
-			return &WaitStmt{Pos: t.Pos, Cond: cond, Stmt: body}, nil
+			return keep(p, &p.nodes.WaitStmt, WaitStmt{Pos: t.Pos, Cond: cond, Stmt: body}), nil
 		case "disable":
 			p.advance()
 			name, _, err := p.expectIdent()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(SEMI); err != nil {
+			if err := p.expect(SEMI); err != nil {
 				return nil, err
 			}
-			return &DisableStmt{Pos: t.Pos, Name: name}, nil
+			return keep(p, &p.nodes.DisableStmt, DisableStmt{Pos: t.Pos, Name: name}), nil
 		case "fork":
 			return nil, p.errorf("fork/join is not supported")
 		}
@@ -248,7 +254,7 @@ func (p *Parser) parseAssignLike() (Stmt, error) {
 		return nil, err
 	}
 	blocking := true
-	switch p.cur().Kind {
+	switch p.kind() {
 	case EQ:
 		p.advance()
 	case LE:
@@ -269,10 +275,10 @@ func (p *Parser) parseAssignLike() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.expect(SEMI); err != nil {
 		return nil, err
 	}
-	return &AssignStmt{Pos: pos, LHS: lhs, RHS: rhs, Blocking: blocking, Delay: delay}, nil
+	return keep(p, &p.nodes.AssignStmt, AssignStmt{Pos: pos, LHS: lhs, RHS: rhs, Blocking: blocking, Delay: delay}), nil
 }
 
 func (p *Parser) parseBlock() (Stmt, error) {
@@ -280,7 +286,7 @@ func (p *Parser) parseBlock() (Stmt, error) {
 	if err := p.expectKw("begin"); err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: pos}
+	b := keep(p, &p.nodes.Block, Block{Pos: pos})
 	if p.accept(COLON) {
 		name, _, err := p.expectIdent()
 		if err != nil {
@@ -302,7 +308,7 @@ func (p *Parser) parseBlock() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		b.Stmts = add(p, b.Stmts, s)
 	}
 	return b, nil
 }
@@ -312,21 +318,21 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err := p.expectKw("if"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LPAREN); err != nil {
+	if err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RPAREN); err != nil {
+	if err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
 	thenStmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
 	}
-	st := &IfStmt{Pos: pos, Cond: cond, Then: thenStmt}
+	st := keep(p, &p.nodes.IfStmt, IfStmt{Pos: pos, Cond: cond, Then: thenStmt})
 	if p.acceptKw("else") {
 		elseStmt, err := p.parseStmt()
 		if err != nil {
@@ -346,17 +352,17 @@ func (p *Parser) parseCase() (Stmt, error) {
 	case "casex":
 		kind = CaseX
 	}
-	if _, err := p.expect(LPAREN); err != nil {
+	if err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
 	sel, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RPAREN); err != nil {
+	if err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
-	cs := &CaseStmt{Pos: pos, Kind: kind, Expr: sel}
+	cs := keep(p, &p.nodes.CaseStmt, CaseStmt{Pos: pos, Kind: kind, Expr: sel})
 	for !p.acceptKw("endcase") {
 		if p.atEOF() {
 			return nil, p.errorf("unexpected EOF inside case statement")
@@ -370,13 +376,13 @@ func (p *Parser) parseCase() (Stmt, error) {
 				if err != nil {
 					return nil, err
 				}
-				item.Exprs = append(item.Exprs, e)
+				item.Exprs = add(p, item.Exprs, e)
 				if p.accept(COMMA) {
 					continue
 				}
 				break
 			}
-			if _, err := p.expect(COLON); err != nil {
+			if err := p.expect(COLON); err != nil {
 				return nil, err
 			}
 		}
@@ -385,7 +391,7 @@ func (p *Parser) parseCase() (Stmt, error) {
 			return nil, err
 		}
 		item.Body = body
-		cs.Items = append(cs.Items, item)
+		cs.Items = add(p, cs.Items, item)
 	}
 	return cs, nil
 }
@@ -395,35 +401,35 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if err := p.expectKw("for"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LPAREN); err != nil {
+	if err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
 	init, err := p.parseForAssign()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.expect(SEMI); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(SEMI); err != nil {
+	if err := p.expect(SEMI); err != nil {
 		return nil, err
 	}
 	post, err := p.parseForAssign()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RPAREN); err != nil {
+	if err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStmt()
 	if err != nil {
 		return nil, err
 	}
-	return &ForStmt{Pos: pos, Init: init, Cond: cond, Post: post, Body: body}, nil
+	return keep(p, &p.nodes.ForStmt, ForStmt{Pos: pos, Init: init, Cond: cond, Post: post, Body: body}), nil
 }
 
 // parseForAssign parses `lvalue = expr` without a trailing semicolon.
@@ -433,14 +439,14 @@ func (p *Parser) parseForAssign() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(EQ); err != nil {
+	if err := p.expect(EQ); err != nil {
 		return nil, err
 	}
 	rhs, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	return &AssignStmt{Pos: pos, LHS: lhs, RHS: rhs, Blocking: true}, nil
+	return keep(p, &p.nodes.AssignStmt, AssignStmt{Pos: pos, LHS: lhs, RHS: rhs, Blocking: true}), nil
 }
 
 // parseLValue parses an assignment target: identifier with selects, a
@@ -453,19 +459,19 @@ func (p *Parser) parseLValue() (Expr, error) {
 			return nil, err
 		}
 		defer p.unnest()
-		c := &Concat{Pos: t.Pos}
+		c := keep(p, &p.nodes.Concat, Concat{Pos: t.Pos})
 		for {
 			e, err := p.parseLValue()
 			if err != nil {
 				return nil, err
 			}
-			c.Parts = append(c.Parts, e)
+			c.Parts = add(p, c.Parts, e)
 			if p.accept(COMMA) {
 				continue
 			}
 			break
 		}
-		if _, err := p.expect(RBRACE); err != nil {
+		if err := p.expect(RBRACE); err != nil {
 			return nil, err
 		}
 		return c, nil
@@ -474,17 +480,5 @@ func (p *Parser) parseLValue() (Expr, error) {
 		return nil, p.errorf("expected lvalue, found %s", t)
 	}
 	p.advance()
-	var base Expr = &Ident{Pos: t.Pos, Name: t.Text}
-	if p.cur().Kind == DOT {
-		parts := []string{t.Text}
-		for p.accept(DOT) {
-			n, _, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, n)
-		}
-		base = &HierIdent{Pos: t.Pos, Parts: parts}
-	}
-	return p.parseSelects(base)
+	return p.parseName(t)
 }

@@ -3,9 +3,10 @@
 // needed for testbenches (delays, event controls, system tasks).
 //
 // The parser pulls each token from the lexer as it needs it, so a parse
-// holds the AST and two tokens, never a token per source byte, and Check is
-// ParseFile's verdict: the simulator, the grader, the curation funnel and
-// the server take one token path.
+// holds the AST and two tokens, never a token per source byte. Check runs
+// the same grammar without building the AST and returns ParseFile's error:
+// the simulator, the grader, the curation funnel and the server take one
+// token path and one grammar.
 //
 // The package plays the role Icarus Verilog plays in the paper's curation
 // pipeline (a file is retained iff it parses) and provides the AST consumed
@@ -130,57 +131,19 @@ func (t Token) String() string {
 	}
 }
 
-// classifyWord is the package's one keyword table. It maps an
-// identifier-shaped word to its QuickCheck token class: the reserved words
-// QuickCheck validates get a class of their own, every other reserved word
-// is tSuspect, and anything else is tIdent, an ordinary identifier. The
-// lexer makes a word a KEYWORD exactly when its class is not tIdent; reserved
-// words the parser does not support still lex as keywords, so that the parser
-// can produce a precise "unsupported construct" error.
-func classifyWord(s string) uint8 {
+// isKeyword is the package's one keyword table: it reports whether an
+// identifier-shaped word is a reserved word, which the lexer makes a
+// KEYWORD. Reserved words the parser does not support still lex as
+// keywords, so that the parser can produce a precise "unsupported
+// construct" error.
+func isKeyword(s string) bool {
 	switch s {
-	case "module":
-		return tKwModule
-	case "endmodule":
-		return tKwEndmodule
-	case "begin":
-		return tKwBegin
-	case "end":
-		return tKwEnd
-	case "if":
-		return tKwIf
-	case "else":
-		return tKwElse
-	case "case", "casez", "casex":
-		return tKwCase
-	case "endcase":
-		return tKwEndcase
-	case "default":
-		return tKwDefault
-	case "for":
-		return tKwFor
-	case "always":
-		return tKwAlways
-	case "initial":
-		return tKwInitial
-	case "assign":
-		return tKwAssign
-	case "wire", "reg":
-		return tKwNet
-	case "integer", "genvar":
-		return tKwVar
-	case "parameter", "localparam":
-		return tKwParam
-	case "input", "output", "inout":
-		return tKwPort
-	case "signed":
-		return tKwSigned
-	case "posedge", "negedge":
-		return tKwEdge
-	case "or":
-		return tKwOr
-	// Reserved words outside the validated subset.
-	case "macromodule", "real", "time", "realtime",
+	case "module", "endmodule", "begin", "end", "if", "else",
+		"case", "casez", "casex", "endcase", "default", "for",
+		"always", "initial", "assign", "wire", "reg", "integer", "genvar",
+		"parameter", "localparam", "input", "output", "inout", "signed",
+		"posedge", "negedge", "or",
+		"macromodule", "real", "time", "realtime",
 		"tri", "tri0", "tri1", "triand", "trior", "trireg", "wand", "wor",
 		"supply0", "supply1", "defparam", "deassign", "force", "release",
 		"while", "repeat", "forever", "edge",
@@ -196,9 +159,9 @@ func classifyWord(s string) uint8 {
 		"tran", "rtran", "tranif0", "tranif1", "rtranif0", "rtranif1",
 		"strong0", "strong1", "pull0", "pull1", "weak0", "weak1",
 		"highz0", "highz1", "small", "medium", "large":
-		return tSuspect
+		return true
 	}
-	return tIdent
+	return false
 }
 
 // gatePrimitives are the built-in gate types that may be instantiated like
