@@ -14,7 +14,7 @@
 //	              [-workers 0] [-queue 256]
 //	              [-threshold 0.8] [-cache-budget 0]
 //	              [-data-dir dir] [-retain 3] [-shutdown-grace 15s]
-//	              [-merge-max-segs 8] [-merge-dead-frac 0.5] [-merge-disable]
+//	              [-merge-max-segs 8] [-merge-dead-frac 0.5]
 //
 // With -data-dir the served corpus is durable: every publish is saved
 // crash-safely before it serves, and a restart replays the newest good
@@ -79,7 +79,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		grace     = fs.Duration("shutdown-grace", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
 		mergeMax  = fs.Int("merge-max-segs", 0, "background merger's target segment count (0 = default 8)")
 		mergeDead = fs.Float64("merge-dead-frac", 0, "tombstoned fraction that triggers segment compaction (0 = default 0.5)")
-		mergeOff  = fs.Bool("merge-disable", false, "disable the background segment merger")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,7 +93,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	cfg.CacheBudget = *budget
 	cfg.MergeMaxSegments = *mergeMax
 	cfg.MergeDeadFraction = *mergeDead
-	cfg.DisableAutoMerge = *mergeOff
 	if *dataDir != "" {
 		st, err := snapstore.Open(*dataDir, *retain)
 		if err != nil {

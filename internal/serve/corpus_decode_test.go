@@ -462,7 +462,6 @@ func TestFullPublishAllocBudget(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Store = st
-	cfg.DisableAutoMerge = true
 	s := NewServer(cfg)
 	defer s.Close()
 	req := CorpusRequest{}

@@ -3,12 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,7 +79,6 @@ func TestDeltaPublishAppendRemove(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Store = st
-	cfg.DisableAutoMerge = true // keep the segment layout deterministic
 	s := NewServer(cfg)
 	defer s.Close()
 
@@ -206,7 +203,6 @@ func TestIfVersionConditionalPublish(t *testing.T) {
 // builder and carry removals as {"remove": name} lines.
 func TestNDJSONDeltaStreams(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DisableAutoMerge = true
 	s := NewServer(cfg)
 	defer s.Close()
 	names1, texts1 := docSet(34, 8)
@@ -244,83 +240,6 @@ func TestNDJSONDeltaStreams(t *testing.T) {
 	liveTexts := append(append([]string(nil), texts1[1:]...), texts2...)
 	queries := append(append([]string(nil), liveTexts[:3]...), texts1[0])
 	assertServedMatchesOffline(t, s, liveNames, liveTexts, queries, 2)
-}
-
-// Concurrent delta uploads group-commit: while one leader is mid-publish,
-// every delta that arrives coalesces into a single follow-up batch with
-// ONE durability write and ONE version bump, not one per upload.
-func TestDeltaGroupCommitCoalesces(t *testing.T) {
-	defer failpoint.DisableAll()
-	cfg := DefaultConfig()
-	cfg.DisableAutoMerge = true
-	s := NewServer(cfg)
-	defer s.Close()
-	base, baseTexts := docSet(36, 4)
-	if _, _, err := s.PublishDocuments(base, baseTexts); err != nil {
-		t.Fatal(err)
-	}
-
-	const followers = 7
-	inGate := make(chan struct{})
-	releaseGate := make(chan struct{})
-	var gated atomic.Bool
-	failpoint.Enable(FPBeforeSwap, func(string) error {
-		if gated.CompareAndSwap(false, true) {
-			close(inGate)
-			<-releaseGate
-		}
-		return nil
-	})
-
-	versions := make([]uint64, followers+1)
-	var wg sync.WaitGroup
-	post := func(i int) {
-		defer wg.Done()
-		name := fmt.Sprintf("delta%d.v", i)
-		text := fmt.Sprintf("module delta%d(input a, output y); assign y = a ^ %d'd1; endmodule", i, 2+i%6)
-		code, cr, _ := postCorpus(t, s, CorpusRequest{Mode: "delta", Documents: deltaDocs([]string{name}, []string{text})}, 0)
-		if code != http.StatusOK {
-			t.Errorf("delta %d = %d", i, code)
-			return
-		}
-		versions[i] = uint64(cr.Version)
-	}
-	// The leader enters first and blocks inside its publish.
-	wg.Add(1)
-	go post(0)
-	<-inGate
-	// Followers pile up behind the publish lock while the leader is held.
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go post(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.deltaMu.Lock()
-		n := len(s.deltaPend)
-		s.deltaMu.Unlock()
-		if n == followers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("followers staged = %d, want %d", n, followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(releaseGate)
-	wg.Wait()
-
-	// Exactly two generations: the leader's, then one coalesced batch.
-	counts := map[uint64]int{}
-	for _, v := range versions {
-		counts[v]++
-	}
-	if counts[2] != 1 || counts[3] != followers || len(counts) != 2 {
-		t.Fatalf("publish versions = %v, want one op at v2 and all %d followers coalesced at v3", versions, followers)
-	}
-	if got := s.current().snap.Len(); got != 4+followers+1 {
-		t.Fatalf("live docs = %d, want %d", got, 4+followers+1)
-	}
 }
 
 // The background merger compacts the segment set below the configured
@@ -403,6 +322,65 @@ func TestBackgroundMergeCompacts(t *testing.T) {
 	}
 	queries = append(append([]string(nil), liveTexts[:4]...), allTexts[0])
 	assertServedMatchesOffline(t, s, liveNames, liveTexts, queries, wantVersion)
+}
+
+// Merges are never saved, so a restart replays the layout of the last
+// publish, and a rollback republishes the layout of the version it names.
+// Either may restore a layout past the merge policy: the merger compacts it
+// with no publish to wake it, and the compacted snapshot serves the offline
+// rebuild's verdicts.
+func TestReplayedLayoutCompacts(t *testing.T) {
+	dir := t.TempDir()
+	open := func(maxSegs int) *Server {
+		st, err := snapstore.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Store = st
+		cfg.MergeMaxSegments = maxSegs
+		s := NewServer(cfg)
+		t.Cleanup(s.Close)
+		return s
+	}
+	compacted := func(s *Server, what string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); s.current().snap.Segments() > 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s %d segments never compacted", what, s.current().snap.Segments())
+			}
+		}
+	}
+	s := open(8)
+	names1, texts1 := docSet(91, 6)
+	names2, texts2 := docSet(92, 3)
+	if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := postCorpus(t, s, CorpusRequest{Mode: "delta", Documents: deltaDocs(names2, texts2)}, 0); code != http.StatusOK {
+		t.Fatalf("delta = %d", code)
+	}
+	if got := s.current().snap.Segments(); got != 2 {
+		t.Fatalf("segments after delta = %d, want 2", got)
+	}
+	s.Close()
+
+	s2 := open(1)
+	if rep := s2.Replay(); rep.Version != 2 || rep.Docs != len(names1)+len(names2) {
+		t.Fatalf("replay = %+v", rep)
+	}
+	compacted(s2, "replayed")
+	allNames := append(append([]string(nil), names1...), names2...)
+	allTexts := append(append([]string(nil), texts1...), texts2...)
+	queries := append(append([]string(nil), texts1[:3]...), texts2[0], "module probe(); endmodule")
+	assertServedMatchesOffline(t, s2, allNames, allTexts, queries, 2)
+
+	// Version 2 on disk is still the two-segment layout.
+	if got := postJSON(t, s2.Handler(), "/v1/corpus?version=2", struct{}{}, nil); got != http.StatusOK {
+		t.Fatalf("rollback = %d", got)
+	}
+	compacted(s2, "rolled-back")
+	assertServedMatchesOffline(t, s2, allNames, allTexts, queries, 3)
 }
 
 // Crash a delta publish at every persistence failpoint, in BOTH error and
@@ -609,7 +587,6 @@ func TestRollbackToSegmentedVersion(t *testing.T) {
 // Stats reports the served snapshot's segment count.
 func TestStatsReportsSegments(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DisableAutoMerge = true
 	s := NewServer(cfg)
 	defer s.Close()
 	names, texts := docSet(71, 3)

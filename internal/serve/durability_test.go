@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -251,6 +252,50 @@ func TestServeKillAndRecoverEveryFailpoint(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// A publish that fails after its descriptor's rename has committed its
+// version on disk, and a restart would serve it; the live server stays at
+// the version before. The next publish must mint the version after the
+// committed one, never the same one again over it.
+func TestCommittedVersionNeverReminted(t *testing.T) {
+	namesA, textsA := docSet(24, 5)
+	namesB, textsB := docSet(25, 6)
+	namesC, textsC := docSet(26, 7)
+	offlineB := similarity.NewCorpus(namesB, textsB)
+	for _, fp := range []string{snapstore.FPAfterSave, snapstore.FPBeforeSegGC, FPBeforeSwap} {
+		for _, mode := range []string{"error", "panic"} {
+			t.Run(fp+"/"+mode, func(t *testing.T) {
+				defer failpoint.DisableAll()
+				s := durableServer(t, t.TempDir())
+				if _, _, err := s.PublishDocuments(namesA, textsA); err != nil {
+					t.Fatal(err)
+				}
+				crashModes[mode](fp)
+				if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: deltaDocs(namesB, textsB)}, nil); got != http.StatusInternalServerError {
+					t.Fatalf("crashed publish = %d, want 500", got)
+				}
+				failpoint.DisableAll()
+				if vs, err := s.snaps.Versions(); err != nil || !slices.Equal(vs, []uint64{1, 2}) || s.current().version != 1 {
+					t.Fatalf("after the crash the store holds %v (%v) and version %d serves; want [1 2] and 1", vs, err, s.current().version)
+				}
+
+				var cr CorpusResponse
+				if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: deltaDocs(namesC, textsC)}, &cr); got != http.StatusOK || cr.Version != 3 {
+					t.Fatalf("publish after the crash = %d at version %d, want 200 at 3", got, cr.Version)
+				}
+				snap, err := s.snaps.Load(2)
+				if err != nil || snap.Len() != len(namesB) {
+					t.Fatalf("version 2 after the next publish: %v, want the crashed publish's %d documents", err, len(namesB))
+				}
+				for _, q := range textsB[:3] {
+					if got, want := snap.Best(q), offlineB.Best(q); got != want {
+						t.Fatalf("version 2 verdict %+v != offline %+v of the crashed publish", got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

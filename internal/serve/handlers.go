@@ -405,7 +405,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	var res published
 	var err error
 	if delta {
-		res, err = s.delta(&deltaOp{seg: seg, remove: req.Remove, ifVersion: ifVersion})
+		res, err = s.delta(seg, req.Remove, ifVersion)
 	} else {
 		res, err = s.replace(seg, ifVersion)
 	}

@@ -7,11 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"freehw/internal/failpoint"
 )
 
 // postRollback posts /v1/corpus?version=N with a raw If-Version header
@@ -63,83 +59,53 @@ func TestIfVersionConditionalRollback(t *testing.T) {
 	}
 }
 
-// Compare-and-swap admits one winner per version even when the contenders
-// coalesce into one group-commit batch: before PR 18 every op in a batch
-// was compared with the version read at batch start, so two deltas naming
-// the same If-Version both answered 200.
-func TestDeltaGroupCommitOneConditionalWinner(t *testing.T) {
-	defer failpoint.DisableAll()
-	cfg := DefaultConfig()
-	cfg.DisableAutoMerge = true
-	s := NewServer(cfg)
+// Compare-and-swap admits one winner per version: eight concurrent deltas
+// that all name the live version as their If-Version race for it, exactly
+// one commits, and every other answers 409 naming the winner's version.
+func TestIfVersionOneConcurrentWinner(t *testing.T) {
+	s := NewServer(DefaultConfig())
 	defer s.Close()
 	base, baseTexts := docSet(53, 4)
 	if _, _, err := s.PublishDocuments(base, baseTexts); err != nil {
 		t.Fatal(err)
 	}
 
-	// Hold the leader (an unconditional delta, version 1 -> 2) between
-	// durability and swap, as TestDeltaGroupCommitCoalesces does.
-	inGate, releaseGate := make(chan struct{}), make(chan struct{})
-	var gated atomic.Bool
-	failpoint.Enable(FPBeforeSwap, func(string) error {
-		if gated.CompareAndSwap(false, true) {
-			close(inGate)
-			<-releaseGate
-		}
-		return nil
-	})
-
-	// Op 0 leads; 1 and 2 both claim to be the only writer since version
-	// 2; 3 is unconditional.
-	ifVersions := []uint64{0, 2, 2, 0}
-	codes := make([]int, len(ifVersions))
-	versions := make([]int64, len(ifVersions))
-	conflicts := make([]uint64, len(ifVersions))
+	const contenders = 8
+	codes := make([]int, contenders)
+	versions := make([]int64, contenders)
+	conflicts := make([]uint64, contenders)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	post := func(i int) {
-		defer wg.Done()
-		doc := deltaDocs([]string{fmt.Sprintf("cas%d.v", i)}, []string{fmt.Sprintf("module cas%d(input a, output y); assign y = ~a; endmodule", i)})
-		code, cr, er := postCorpus(t, s, CorpusRequest{Mode: "delta", Documents: doc}, ifVersions[i])
-		codes[i], versions[i], conflicts[i] = code, cr.Version, er.Error.CurrentVersion
-	}
-	wg.Add(1)
-	go post(0)
-	<-inGate
-	// Stage the followers one at a time, so the batch order is the index
-	// order: op 1 is the first op applied, op 2 arrives behind it and is
-	// carried, op 3 coalesces.
-	for i := 1; i < len(ifVersions); i++ {
+	for i := range contenders {
 		wg.Add(1)
-		go post(i)
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			s.deltaMu.Lock()
-			n := len(s.deltaPend)
-			s.deltaMu.Unlock()
-			if n == i {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("followers staged = %d, want %d", n, i)
-			}
-		}
+		go func() {
+			defer wg.Done()
+			doc := deltaDocs([]string{fmt.Sprintf("cas%d.v", i)}, []string{fmt.Sprintf("module cas%d(input a, output y); assign y = ~a; endmodule", i)})
+			<-start
+			code, cr, er := postCorpus(t, s, CorpusRequest{Mode: "delta", Documents: doc}, 1)
+			codes[i], versions[i], conflicts[i] = code, cr.Version, er.Error.CurrentVersion
+		}()
 	}
-	close(releaseGate)
+	close(start)
 	wg.Wait()
 
-	if codes[0] != http.StatusOK || versions[0] != 2 {
-		t.Fatalf("leader = %d at version %d, want 200 at 2", codes[0], versions[0])
+	winners := 0
+	for i := range contenders {
+		switch {
+		case codes[i] == http.StatusOK && versions[i] == 2:
+			winners++
+		case codes[i] == http.StatusConflict && conflicts[i] == 2:
+		default:
+			t.Fatalf("contender %d = %d at version %d naming %d; want 200 at 2 or 409 naming 2", i, codes[i], versions[i], conflicts[i])
+		}
 	}
-	if codes[1] != http.StatusOK || versions[1] != 3 {
-		t.Fatalf("first conditional op = %d at version %d, want 200 at 3", codes[1], versions[1])
+	if winners != 1 {
+		t.Fatalf("%d contenders committed on If-Version 1, want exactly one (codes %v)", winners, codes)
 	}
-	if codes[2] != http.StatusConflict || conflicts[2] != 3 {
-		t.Fatalf("second conditional op = %d naming version %d, want 409 naming the winner's version 3", codes[2], conflicts[2])
-	}
-	if codes[3] != http.StatusOK || versions[3] != 3 {
-		t.Fatalf("unconditional follower = %d at version %d, want 200 coalesced into the winner's version 3", codes[3], versions[3])
-	}
-	if st := s.current(); st.version != 3 || st.snap.Len() != len(base)+1+2 {
-		t.Fatalf("live = version %d, %d docs; want version 3, %d docs", st.version, st.snap.Len(), len(base)+3)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var sr StatsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil || sr.CorpusVersion != 2 || sr.CorpusLen != len(base)+1 {
+		t.Fatalf("stats = version %d with %d docs (%v); want version 2 with %d", sr.CorpusVersion, sr.CorpusLen, err, len(base)+1)
 	}
 }

@@ -35,31 +35,23 @@ type ReplayInfo struct {
 
 // publisher mints corpus versions: every response names the
 // corpus_version its verdict was computed under, and this type is the only
-// code that creates one. replace, delta and rollback all check their
-// If-Version precondition with checkIfVersion under pubMu and commit
-// through publishLocked; the merger swaps layouts without minting. It
-// knows nothing of HTTP: failures are *publishError, which the handlers'
-// writePublishErr puts on the wire.
+// code that creates one. replace, delta and rollback each take pubMu, check
+// their If-Version precondition with checkIfVersion and commit through
+// publishLocked, one version per publish; the merger swaps layouts without
+// minting. It knows nothing of HTTP: failures are *publishError, which the
+// handlers' writePublishErr puts on the wire.
 //
 // state is the whole corpus: there is no writer index beside it. A publish
 // derives the next immutable snapshot from the served one and swaps it in,
-// so a publish that fails or panics before the swap leaves nothing to undo.
+// so a publish that fails or panics before the swap leaves nothing to undo;
+// a panic releases pubMu through the deferred unlock.
 type publisher struct {
 	state atomic.Pointer[corpusState]
 	pubMu sync.Mutex // serializes publishes and merge swaps
 
-	// deltaMu guards deltaPend, the group-commit staging list: concurrent
-	// delta uploads enqueue here, and whichever upload wins pubMu commits
-	// the whole batch under one Save and one pointer swap.
-	deltaMu   sync.Mutex
-	deltaPend []*deltaOp
-
 	snaps *snapstore.Store // nil = in-memory only
 
-	// mergeKick wakes the background merger after a publish changes the
-	// segment set; the 1-token channel coalesces bursts. Nil when
-	// auto-merge is off, so the wake-up send never proceeds.
-	mergeKick chan struct{}
+	mergeKick chan struct{} // see kickMerger
 
 	workers       int     // Config.Workers
 	mergeMaxSegs  int     // Config.MergeMaxSegments
@@ -77,9 +69,7 @@ type publisher struct {
 func (p *publisher) open(cfg Config) (info ReplayInfo) {
 	p.snaps = cfg.Store
 	p.workers, p.mergeMaxSegs, p.mergeDeadFrac = cfg.Workers, cfg.MergeMaxSegments, cfg.MergeDeadFraction
-	if !cfg.DisableAutoMerge {
-		p.mergeKick = make(chan struct{}, 1)
-	}
+	p.mergeKick = make(chan struct{}, 1)
 	snap := new(similarity.Snapshot)
 	if p.snaps != nil {
 		var loaded *similarity.Snapshot
@@ -88,6 +78,7 @@ func (p *publisher) open(cfg Config) (info ReplayInfo) {
 		}
 	}
 	p.state.Store(&corpusState{snap: snap, version: info.Version})
+	p.kickMerger()
 	return info
 }
 
@@ -116,10 +107,6 @@ func persistFailed(err error) error {
 	return &publishError{code: codePersist, msg: "publish not durable: " + err.Error()}
 }
 
-// errPublishAborted surfaces to delta ops whose group leader crashed
-// before their results were decided.
-var errPublishAborted = persistFailed(errors.New("corpus publish aborted"))
-
 // checkIfVersion is the one If-Version comparison: every publish calls it
 // under pubMu with the version it is about to build on, so the conflict it
 // reports names exactly the version compared against.
@@ -142,10 +129,22 @@ type published struct {
 // generation — durable on disk, when there is a store, before it serves its
 // first audit. On failure the previous snapshot keeps serving.
 //
+// The next version is one past the newer of the live version and the
+// store's newest: a publish that failed after its descriptor's rename left
+// its version committed on disk (a restart would serve it), so that
+// version is never minted again.
+//
 //freehw:guardedby pubMu
 func (p *publisher) publishLocked(snap *similarity.Snapshot) (published, error) {
 	version := p.current().version + 1
 	if p.snaps != nil {
+		vs, err := p.snaps.Versions()
+		if err != nil {
+			return published{}, persistFailed(err)
+		}
+		if n := len(vs); n > 0 {
+			version = max(version, vs[n-1]+1)
+		}
 		if err := p.snaps.Save(version, snap); err != nil {
 			return published{}, persistFailed(err)
 		}
@@ -218,126 +217,47 @@ func (p *publisher) rollback(version uint64, ifVersion *uint64) (published, erro
 	if err != nil {
 		return published{}, &publishError{code: codeCorrupt, msg: "retained snapshot failed validation: " + err.Error()}
 	}
-	return p.publishLocked(snap)
+	res, err := p.publishLocked(snap)
+	if err == nil {
+		p.kickMerger()
+	}
+	return res, err
 }
 
-// deltaOp is one delta upload staged for group commit: a pre-built
-// segment of added documents (nil when the delta only removes), the names
-// to tombstone, and an optional If-Version precondition.
-type deltaOp struct {
-	seg       *similarity.Segment
-	remove    []string
-	ifVersion *uint64
-	res       published
-	err       error
-	done      chan struct{}
-}
-
-// decided reports whether a commit pass has settled the op: committed ops
-// carry the version they published, refused and failed ones their error.
-func (op *deltaOp) decided() bool { return op.err != nil || op.res.version != 0 }
-
-// delta publishes one delta through the group-commit path: the op joins
-// the staging list, and whichever goroutine wins the publish lock commits
-// every staged op under a single Save and pointer swap. Uploads that
-// arrive while a commit is in flight coalesce into the next batch, so N
-// concurrent deltas cost O(batches), not O(N), durability writes.
-func (p *publisher) delta(op *deltaOp) (published, error) {
-	op.done = make(chan struct{})
-	p.deltaMu.Lock()
-	p.deltaPend = append(p.deltaPend, op)
-	p.deltaMu.Unlock()
-
-	p.commitPending()
-	<-op.done
-	return op.res, op.err
-}
-
-// commitPending contends for the publish lock and commits whatever delta
-// batch is staged by then, then — as the same leader — whatever that
-// batch carried over, until nothing is. An empty batch means a previous
-// leader already drained this goroutine's op — its result arrives via
-// op.done. The defer keeps pubMu released even when a commit panics out of
-// an injected crash (commitDeltaBatchLocked completes every op before
-// re-panicking).
-func (p *publisher) commitPending() {
+// delta publishes one delta on the served snapshot: seg — nil when the
+// delta only removes, built off to the side like replace's — is appended
+// after the names in remove are tombstoned, so the next snapshot costs
+// O(delta + segments), never O(corpus).
+func (p *publisher) delta(seg *similarity.Segment, remove []string, ifVersion *uint64) (published, error) {
 	p.pubMu.Lock()
 	defer p.pubMu.Unlock()
-	p.deltaMu.Lock()
-	batch := p.deltaPend
-	p.deltaPend = nil
-	p.deltaMu.Unlock()
-	for len(batch) > 0 {
-		batch = p.commitDeltaBatchLocked(batch)
-	}
-}
-
-// commitDeltaBatchLocked folds a staged delta batch into a snapshot derived
-// from the served one and publishes it as one new generation. Ops whose
-// If-Version precondition fails are skipped (they report the conflict); the
-// rest each derive the next snapshot — O(delta + segments), never
-// O(corpus) — and share a single publishLocked. Compare-and-swap admits one
-// winner per version: a conditional op may only be the first op applied to
-// its generation, so a later one is carried — returned undecided, for the
-// leader to judge against whatever version this batch leaves live — while
-// unconditional ops coalesce freely. A persist failure, or a panic out of
-// an injected crash, drops the derived snapshot: nothing was changed, so
-// nothing is rolled back. Every op is always completed (a panicking leader
-// runs no next batch, so its carried ops abort with the rest), then a panic
-// resumes unwinding.
-//
-//freehw:guardedby pubMu
-func (p *publisher) commitDeltaBatchLocked(batch []*deltaOp) (carry []*deltaOp) {
 	cur := p.current()
-	defer func() {
-		r := recover()
-		for _, op := range batch {
-			if !op.decided() {
-				if r == nil {
-					continue // carried
-				}
-				op.err = errPublishAborted
-			}
-			close(op.done)
-		}
-		if r != nil {
-			panic(r)
-		}
-	}()
-
-	snap := cur.snap
-	var applied []*deltaOp
-	for _, op := range batch {
-		if op.ifVersion != nil {
-			if len(applied) > 0 {
-				carry = append(carry, op)
-				continue
-			}
-			if op.err = checkIfVersion(op.ifVersion, cur.version); op.err != nil {
-				continue
-			}
-		}
-		snap, op.res.removed = snap.Remove(op.remove)
-		if op.seg != nil && op.seg.Docs() > 0 {
-			snap = snap.Append(op.seg)
-			op.res.added = op.seg.Docs()
-		}
-		applied = append(applied, op)
+	if err := checkIfVersion(ifVersion, cur.version); err != nil {
+		return published{}, err
 	}
-	if len(applied) == 0 {
-		return nil
+	snap, removed := cur.snap.Remove(remove)
+	added := 0
+	if seg != nil && seg.Docs() > 0 {
+		snap, added = snap.Append(seg), seg.Docs()
 	}
 	res, err := p.publishLocked(snap)
-	for _, op := range applied {
-		op.res.version, op.res.live, op.err = res.version, res.live, err
+	if err != nil {
+		return published{}, err
 	}
-	if err == nil {
-		select { // wake the merger, unless auto-merge is off or a wake-up is already pending
-		case p.mergeKick <- struct{}{}:
-		default:
-		}
+	p.kickMerger()
+	res.added, res.removed = added, removed
+	return res, nil
+}
+
+// kickMerger wakes the background merger: after a delta adds a segment or
+// tombstones, and after a replay or rollback installs a layout the merge
+// policy may not allow (merges are never saved, so a restored layout is a
+// publish's, not the merger's). The 1-token channel coalesces bursts.
+func (p *publisher) kickMerger() {
+	select {
+	case p.mergeKick <- struct{}{}:
+	default: // a wake-up is already pending
 	}
-	return carry
 }
 
 // merger is the background compaction loop: each kick, it runs merge

@@ -38,16 +38,21 @@ func (m *publisherModel) commit(names, texts []string) {
 }
 
 // The publisher, driven with no HTTP by a seeded operation sequence —
-// replace, delta add+remove, If-Version hit and miss, rollback, an injected
-// persist failure, mergeOnce and, with a store, a restart on the same
-// directory every few steps — agrees after every step with the model:
-// versions strictly monotonic, a refused or failed op changes nothing, and
-// the served snapshot's verdicts are bit for bit those of a one-segment
-// rebuild of the model's documents. A restart replays the model's version
-// and live count from a directory that holds nothing but its descriptors
-// and the segments they name; the deltas after it remove names that live
-// in decoded segments. After every durable step the store holds exactly the
-// newest retain versions the model minted. Rungs of ROADMAP item 3(a).
+// replace, delta add+remove, If-Version hit and miss, rollback, a crash at
+// a random persistence failpoint in error or panic mode, mergeOnce and,
+// with a store, a restart on the same directory every few steps — agrees
+// after every step with the model: versions strictly monotonic, a refused
+// or crashed op changes nothing live, and the served snapshot's verdicts
+// are bit for bit those of a one-segment rebuild of the model's documents.
+// A panic is recovered as recoverMiddleware recovers it. A crash that
+// committed (crashRecovers) is replayed by a restart at once, as the op's
+// documents at the next version; one that did not is followed by an op the
+// same publisher must commit, which it could not if the unwinding had left
+// pubMu held. A restart replays the model's version and live count from a
+// directory that holds nothing but its descriptors and the segments they
+// name; the deltas after it remove names that live in decoded segments.
+// After every durable step the store holds the versions the model minted
+// that the retention sweep has not removed. Rungs of ROADMAP item 3(a).
 func TestPublisherAgainstModel(t *testing.T) {
 	const retain = 4
 	for _, durable := range []bool{false, true} {
@@ -57,14 +62,11 @@ func TestPublisherAgainstModel(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.MergeMaxSegments = 2
 				cfg.fillDefaults()
-				// The injected failure is one that leaves nothing behind:
-				// without a store the swap failpoint, with one the store's
-				// first (a failure after Save would leave an unserved version
-				// on disk and move the retention window — crash semantics the
-				// kill-and-recover suites own).
-				failAt, dir := FPBeforeSwap, t.TempDir()
+				// Without a store only the swap failpoint is on the path, and
+				// a crash there commits nothing.
+				crashPoints, dir := []string{FPBeforeSwap}, t.TempDir()
 				if durable {
-					failAt = snapstore.FPBeforeTempWrite
+					crashPoints = persistenceFailpoints(t)
 				}
 				var p *publisher
 				restart := func() ReplayInfo {
@@ -81,7 +83,10 @@ func TestPublisherAgainstModel(t *testing.T) {
 				restart()
 				rng := rand.New(rand.NewSource(seed))
 				model := &publisherModel{history: map[uint64][2][]string{}}
-				var removed string // some once-live text: must stop matching itself exactly
+				var removed string  // some once-live text: must stop matching itself exactly
+				oldest := uint64(1) // the oldest version the retention sweep has left
+				mustCommit := false // the previous op crashed without committing
+				crashes := 0
 				nextDoc := 0
 				fresh := func(n int) (names, texts []string) {
 					for ; n > 0; n-- {
@@ -110,19 +115,48 @@ func TestPublisherAgainstModel(t *testing.T) {
 					var res published
 					wantNames, wantTexts := model.names, model.texts
 					ifVersion, miss := precondition()
-					failing := false
-					op := rng.Intn(10)
-					if step == 0 {
+					op, crash := rng.Intn(10), false
+					switch {
+					case step == 0:
 						op = 0 // start from a non-empty corpus
+					case mustCommit:
+						op = rng.Intn(6)
+						if miss {
+							ifVersion, miss = nil, false
+						}
+					default:
+						crash = op <= 5 && !miss && rng.Intn(4) == 0
 					}
-					if op <= 5 && !miss && rng.Intn(6) == 0 {
-						failing = true
-						failpoint.Enable(failAt, func(string) error { return errors.New("injected") })
+					crashAt, crashMode := "", ""
+					// publish runs one publish the way the handler does: when
+					// the step crashes, it first arms a failpoint on the
+					// publish's path (the segment-file ones only when it writes
+					// a new segment); a panic is recovered, as
+					// recoverMiddleware recovers it.
+					publish := func(newSeg bool, f func() (published, error)) (res published, err error) {
+						if crash {
+							points := crashPoints
+							if !newSeg {
+								points = slices.DeleteFunc(slices.Clone(points), func(fp string) bool { return strings.Contains(fp, "/after-seg-") })
+							}
+							crashAt, crashMode = points[rng.Intn(len(points))], "error"
+							if rng.Intn(2) == 0 {
+								crashMode = "panic"
+							}
+							crashModes[crashMode](crashAt)
+						}
+						defer func() {
+							if r := recover(); r != nil {
+								err = fmt.Errorf("recovered: %v", r)
+							}
+						}()
+						return f()
 					}
 					switch {
 					case op <= 1: // replace
 						wantNames, wantTexts = fresh(2 + rng.Intn(6))
-						res, err = p.replace(similarity.BuildSegment(wantNames, wantTexts, 1), ifVersion)
+						seg := similarity.BuildSegment(wantNames, wantTexts, 1)
+						res, err = publish(true, func() (published, error) { return p.replace(seg, ifVersion) })
 					case op <= 5: // delta: add up to 3, remove up to 2 (one possibly unknown)
 						addNames, addTexts := fresh(rng.Intn(4))
 						var remove []string
@@ -144,11 +178,11 @@ func TestPublisherAgainstModel(t *testing.T) {
 							wantNames, wantTexts = append(wantNames, name), append(wantTexts, model.texts[i])
 						}
 						wantNames, wantTexts = append(wantNames, addNames...), append(wantTexts, addTexts...)
-						dop := &deltaOp{remove: remove, ifVersion: ifVersion}
+						var seg *similarity.Segment
 						if len(addNames) > 0 {
-							dop.seg = similarity.BuildSegment(addNames, addTexts, 1)
+							seg = similarity.BuildSegment(addNames, addTexts, 1)
 						}
-						res, err = p.delta(dop)
+						res, err = publish(seg != nil, func() (published, error) { return p.delta(seg, remove, ifVersion) })
 						if err == nil && res.live != len(wantNames) {
 							t.Fatalf("step %d: delta reports %d live, model has %d", step, res.live, len(wantNames))
 						}
@@ -162,9 +196,9 @@ func TestPublisherAgainstModel(t *testing.T) {
 						case miss: // judged below
 						case target > model.version:
 							wantCode = codeNotFound
-						case target+retain <= model.version:
+						case target < oldest:
 							wantCode = codeSwept
-							if want := fmt.Sprintf("(retained: %d-%d)", model.version-retain+1, model.version); !strings.Contains(fmt.Sprint(err), want) {
+							if want := fmt.Sprintf("(retained: %d-%d)", oldest, model.version); !strings.Contains(fmt.Sprint(err), want) {
 								t.Fatalf("step %d: rollback to swept %d = %v, want it to name %s", step, target, err, want)
 							}
 						}
@@ -186,15 +220,30 @@ func TestPublisherAgainstModel(t *testing.T) {
 					failpoint.DisableAll()
 
 					var pe *publishError
+					swept := false // this step ran a Save's retention sweep
 					switch {
 					case miss:
 						if !errors.As(err, &pe) || pe.code != codeConflict || pe.current != before {
 							t.Fatalf("step %d: stale If-Version = %v, want a version_conflict naming %d", step, err, before)
 						}
-					case failing:
-						if errCode(err) != codePersist {
-							t.Fatalf("step %d: injected failure = %v, want persist_failed", step, err)
+					case crashAt != "":
+						crashes++
+						if err == nil || crashMode == "error" && errCode(err) != codePersist {
+							t.Fatalf("step %d: %s crash at %s = %v, want persist_failed or a recovered panic", step, crashMode, crashAt, err)
 						}
+						if st := p.current(); st.version != before || st.snap.Len() != len(model.names) {
+							t.Fatalf("step %d: crash at %s moved the live state to version %d with %d docs", step, crashAt, st.version, st.snap.Len())
+						}
+						if !durable || crashRecovers[crashAt] == 1 {
+							mustCommit = true
+							break
+						}
+						// Committed: a restart serves the op's documents.
+						model.commit(wantNames, wantTexts)
+						if info := restart(); info.Version != model.version || info.Docs != len(model.names) {
+							t.Fatalf("step %d: restart after a crash at %s replayed %+v, want version %d with %d docs", step, crashAt, info, model.version, len(model.names))
+						}
+						swept = crashAt != snapstore.FPAfterSave
 					case err != nil:
 						t.Fatalf("step %d (op %d): %v", step, op, err)
 					case op <= 7:
@@ -202,6 +251,7 @@ func TestPublisherAgainstModel(t *testing.T) {
 						if res.version != before+1 {
 							t.Fatalf("step %d: published version %d after %d", step, res.version, before)
 						}
+						mustCommit, swept = false, true
 					}
 
 					if durable && step%6 == 5 {
@@ -211,9 +261,12 @@ func TestPublisherAgainstModel(t *testing.T) {
 						}
 						assertOnlyLiveFiles(t, cfg.Store)
 					}
-					if durable { // the retention sweep: exactly the newest retain versions stay
+					if durable { // the retention sweep: the newest retain versions stay, older ones until a sweep runs
+						if swept {
+							oldest = max(model.version, retain) - retain + 1
+						}
 						var want []uint64
-						for v := max(model.version, retain) - retain + 1; v <= model.version; v++ {
+						for v := oldest; v <= model.version; v++ {
 							want = append(want, v)
 						}
 						if got, err := cfg.Store.Versions(); err != nil || !slices.Equal(got, want) {
@@ -238,8 +291,8 @@ func TestPublisherAgainstModel(t *testing.T) {
 						}
 					}
 				}
-				if model.version < 20 {
-					t.Fatalf("only %d generations published: the sequence is not exercising the publisher", model.version)
+				if model.version < 20 || crashes == 0 {
+					t.Fatalf("%d generations published, %d crashes: the sequence is not exercising the publisher", model.version, crashes)
 				}
 			})
 		}

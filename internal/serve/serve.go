@@ -142,10 +142,6 @@ type Config struct {
 	// whose tombstoned fraction exceeds it is rebuilt without the dead
 	// documents (0 = 0.5).
 	MergeDeadFraction float64
-	// DisableAutoMerge turns the background merger off (benchmarks, and
-	// deployments that prefer an external compaction trigger). Deltas
-	// then accumulate one segment per publish indefinitely.
-	DisableAutoMerge bool
 }
 
 // DefaultConfig returns production-ish defaults with the paper's curation
@@ -211,11 +207,12 @@ type Server struct {
 	m     metrics
 }
 
-// NewServer builds the service and starts its background merger (unless
-// DisableAutoMerge). With a configured snapshot store it replays the
-// newest good on-disk version before returning, so the first request
-// already sees the warm index; a corrupt or empty store degrades to an
-// empty corpus (inspect Replay), never a failed boot.
+// NewServer builds the service and starts its background merger. With a
+// configured snapshot store it replays the newest good on-disk version
+// before returning, so the first request already sees the warm index (the
+// merger compacts its layout in the background if the merge policy asks);
+// a corrupt or empty store degrades to an empty corpus (inspect Replay),
+// never a failed boot.
 func NewServer(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
@@ -246,9 +243,7 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "not_found", "no such endpoint: "+r.URL.Path)
 	})
-	if !cfg.DisableAutoMerge {
-		go s.merger(s.stop)
-	}
+	go s.merger(s.stop)
 	return s
 }
 
