@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,247 +58,10 @@ func auditBest(t *testing.T, s *Server, code string) (similarity.Match, uint64) 
 	return m, resp.CorpusVersion
 }
 
-// A restarted server must serve the persisted corpus at the persisted
-// version with verdicts byte-identical to both the pre-crash server and
-// the offline scorer.
-func TestWarmRestartServesIdenticalVerdicts(t *testing.T) {
-	dir := t.TempDir()
-	names1, texts1 := docSet(1, 20)
-	names2, texts2 := docSet(2, 25)
-	offline := similarity.NewCorpus(names2, texts2)
-	queries := append(append([]string(nil), texts2[:5]...), "module fresh(); endmodule")
-
-	s := durableServer(t, dir)
-	if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
-		t.Fatal(err)
-	}
-	var cr CorpusResponse
-	var docs []CorpusDocument
-	for i := range texts2 {
-		docs = append(docs, CorpusDocument{Name: names2[i], Text: texts2[i]})
-	}
-	if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: docs}, &cr); got != http.StatusOK {
-		t.Fatalf("publish = %d", got)
-	}
-	if cr.Version != 2 || !cr.Persisted {
-		t.Fatalf("publish response = %+v", cr)
-	}
-	before := make([]similarity.Match, len(queries))
-	for i, q := range queries {
-		m, v := auditBest(t, s, q)
-		if v != 2 {
-			t.Fatalf("pre-restart version = %d", v)
-		}
-		before[i] = m
-	}
-	s.Close()
-
-	// "Restart": a brand-new server over the same directory.
-	s2 := durableServer(t, dir)
-	rep := s2.Replay()
-	if rep.Version != 2 || rep.Docs != len(texts2) || rep.Err != nil || len(rep.Skipped) != 0 {
-		t.Fatalf("replay = %+v", rep)
-	}
-	for i, q := range queries {
-		m, v := auditBest(t, s2, q)
-		if v != 2 {
-			t.Fatalf("post-restart version = %d", v)
-		}
-		if m != before[i] {
-			t.Fatalf("query %d: recovered verdict %+v != pre-crash %+v", i, m, before[i])
-		}
-		if want := offline.Best(q); m != want {
-			t.Fatalf("query %d: recovered verdict %+v != offline %+v", i, m, want)
-		}
-	}
-	// Version numbering resumes, not resets.
-	if v, _, err := s2.PublishDocuments(names1, texts1); err != nil || v != 3 {
-		t.Fatalf("post-restart publish = v%d err %v", v, err)
-	}
-}
-
-// crashRecovers is the version a restart serves after the version-2
-// publish crashes at each persistence failpoint. The descriptor's rename
-// is the one commit point: every crash before it recovers v1, every crash
-// after it v2 (at-least-once publish).
-var crashRecovers = map[string]uint64{
-	snapstore.FPBeforeTempWrite: 1,
-	snapstore.FPAfterSegWrite:   1,
-	snapstore.FPAfterSegSync:    1,
-	snapstore.FPAfterSegCommit:  1,
-	snapstore.FPAfterTempWrite:  1,
-	snapstore.FPAfterTempSync:   1,
-	snapstore.FPAfterSave:       2,
-	snapstore.FPBeforeSegGC:     2,
-	FPBeforeSwap:                2,
-}
-
-// persistenceFailpoints returns the registered persistence failpoints,
-// sorted, and fails unless they are exactly crashRecovers' rows.
-func persistenceFailpoints(t *testing.T) []string {
-	t.Helper()
-	var points []string
-	for _, p := range failpoint.List() {
-		if strings.HasPrefix(p, "snapstore/") || p == FPBeforeSwap {
-			if _, ok := crashRecovers[p]; !ok {
-				t.Fatalf("persistence failpoint %s has no row in crashRecovers", p)
-			}
-			points = append(points, p)
-		}
-	}
-	if len(points) != len(crashRecovers) {
-		t.Fatalf("registered persistence failpoints %v; crashRecovers has %d rows", points, len(crashRecovers))
-	}
-	return points
-}
-
-// crashModes arms a failpoint to fail or to panic.
-var crashModes = map[string]func(string){"error": failpoint.EnableError, "panic": failpoint.EnablePanic}
-
-// assertOnlyLiveFiles fails unless st's directory holds nothing but its
-// descriptors and the segments they name: no temp file, no orphan segment,
-// no MANIFEST.
-func assertOnlyLiveFiles(t *testing.T, st *snapstore.Store) {
-	t.Helper()
-	versions, err := st.Versions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := map[string]bool{}
-	for _, v := range versions {
-		snap, err := st.Load(v)
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		live[filepath.Base(st.Path(v))] = true
-		for i := 0; i < snap.Segments(); i++ {
-			live[filepath.Base(st.SegPath(snap.Segment(i).ID()))] = true
-		}
-	}
-	entries, err := os.ReadDir(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !live[e.Name()] {
-			t.Fatalf("store holds %s, which no version names", e.Name())
-		}
-	}
-}
-
-// Crash a live /v1/corpus publish at every registered persistence
-// failpoint, in error and panic mode. The serving process must keep
-// answering from the old snapshot (the publish fails with 500, nothing
-// half-swaps), and a restarted server must recover the version
-// crashRecovers names, with byte-identical verdicts and only live files.
-func TestServeKillAndRecoverEveryFailpoint(t *testing.T) {
-	names1, texts1 := docSet(3, 15)
-	names2, texts2 := docSet(4, 18)
-	offline := map[uint64]*similarity.Corpus{1: similarity.NewCorpus(names1, texts1), 2: similarity.NewCorpus(names2, texts2)}
-	queries := append(append([]string(nil), texts1[:4]...), texts2[:4]...)
-	var docs []CorpusDocument
-	for i := range texts2 {
-		docs = append(docs, CorpusDocument{Name: names2[i], Text: texts2[i]})
-	}
-
-	for _, fp := range persistenceFailpoints(t) {
-		t.Run(fp, func(t *testing.T) {
-			for _, mode := range []string{"error", "panic"} {
-				t.Run(mode, func(t *testing.T) {
-					defer failpoint.DisableAll()
-					dir := t.TempDir()
-					s := durableServer(t, dir)
-					if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
-						t.Fatal(err)
-					}
-
-					crashModes[mode](fp)
-					if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: docs}, nil); got != http.StatusInternalServerError {
-						t.Fatalf("crashed publish = %d, want 500", got)
-					}
-					failpoint.DisableAll()
-
-					// The live server never swapped: verdicts still come from v1,
-					// byte-identical to offline scoring of corpus 1.
-					for _, q := range queries {
-						m, v := auditBest(t, s, q)
-						if v != 1 {
-							t.Fatalf("live version after crashed publish = %d", v)
-						}
-						if want := offline[1].Best(q); m != want {
-							t.Fatalf("live verdict %+v != offline v1 %+v", m, want)
-						}
-					}
-					s.Close()
-
-					// Restart from disk.
-					s2 := durableServer(t, dir)
-					rep := s2.Replay()
-					if rep.Version != crashRecovers[fp] || len(rep.Skipped) != 0 {
-						t.Fatalf("replay = %+v, want v%d skipping nothing", rep, crashRecovers[fp])
-					}
-					assertOnlyLiveFiles(t, s2.snaps)
-					for _, q := range queries {
-						m, v := auditBest(t, s2, q)
-						if v != rep.Version {
-							t.Fatalf("recovered version = %d, replay said %d", v, rep.Version)
-						}
-						if want := offline[rep.Version].Best(q); m != want {
-							t.Fatalf("recovered verdict %+v != offline %+v", m, want)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// A publish that fails after its descriptor's rename has committed its
-// version on disk, and a restart would serve it; the live server stays at
-// the version before. The next publish must mint the version after the
-// committed one, never the same one again over it.
-func TestCommittedVersionNeverReminted(t *testing.T) {
-	namesA, textsA := docSet(24, 5)
-	namesB, textsB := docSet(25, 6)
-	namesC, textsC := docSet(26, 7)
-	offlineB := similarity.NewCorpus(namesB, textsB)
-	for _, fp := range []string{snapstore.FPAfterSave, snapstore.FPBeforeSegGC, FPBeforeSwap} {
-		for _, mode := range []string{"error", "panic"} {
-			t.Run(fp+"/"+mode, func(t *testing.T) {
-				defer failpoint.DisableAll()
-				s := durableServer(t, t.TempDir())
-				if _, _, err := s.PublishDocuments(namesA, textsA); err != nil {
-					t.Fatal(err)
-				}
-				crashModes[mode](fp)
-				if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: deltaDocs(namesB, textsB)}, nil); got != http.StatusInternalServerError {
-					t.Fatalf("crashed publish = %d, want 500", got)
-				}
-				failpoint.DisableAll()
-				if vs, err := s.snaps.Versions(); err != nil || !slices.Equal(vs, []uint64{1, 2}) || s.current().version != 1 {
-					t.Fatalf("after the crash the store holds %v (%v) and version %d serves; want [1 2] and 1", vs, err, s.current().version)
-				}
-
-				var cr CorpusResponse
-				if got := postJSON(t, s.Handler(), "/v1/corpus", CorpusRequest{Index: "all", Documents: deltaDocs(namesC, textsC)}, &cr); got != http.StatusOK || cr.Version != 3 {
-					t.Fatalf("publish after the crash = %d at version %d, want 200 at 3", got, cr.Version)
-				}
-				snap, err := s.snaps.Load(2)
-				if err != nil || snap.Len() != len(namesB) {
-					t.Fatalf("version 2 after the next publish: %v, want the crashed publish's %d documents", err, len(namesB))
-				}
-				for _, q := range textsB[:3] {
-					if got, want := snap.Best(q), offlineB.Best(q); got != want {
-						t.Fatalf("version 2 verdict %+v != offline %+v of the crashed publish", got, want)
-					}
-				}
-			})
-		}
-	}
-}
-
 // Bit-flip the newest on-disk snapshot: the restarted server must detect
-// the corruption by checksum and serve the previous good version.
+// the corruption by checksum and serve the previous good version, and a
+// rollback to the corrupt version answers 409 version_corrupt and moves
+// nothing.
 func TestRestartSkipsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	names1, texts1 := docSet(5, 12)
@@ -323,70 +84,24 @@ func TestRestartSkipsCorruptSnapshot(t *testing.T) {
 	if rep.Version != 1 || len(rep.Skipped) != 1 || rep.Skipped[0] != 2 {
 		t.Fatalf("replay after corruption = %+v, want v1 with [2] skipped", rep)
 	}
-	for _, q := range texts1[:4] {
-		m, v := auditBest(t, s2, q)
-		if v != 1 {
-			t.Fatalf("version = %d", v)
-		}
-		if want := offline1.Best(q); m != want {
-			t.Fatalf("verdict %+v != offline %+v", m, want)
-		}
-	}
-}
-
-// POST /v1/corpus?version=N republishes a retained version as a new
-// generation; bogus versions answer with structured errors.
-func TestRollbackRepublish(t *testing.T) {
-	dir := t.TempDir()
-	names1, texts1 := docSet(7, 10)
-	names2, texts2 := docSet(8, 11)
-	offline1 := similarity.NewCorpus(names1, texts1)
-
-	s := durableServer(t, dir)
-	if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.PublishDocuments(names2, texts2); err != nil {
-		t.Fatal(err)
-	}
-
-	var cr CorpusResponse
-	if got := postJSON(t, s.Handler(), "/v1/corpus?version=1", struct{}{}, &cr); got != http.StatusOK {
-		t.Fatalf("rollback = %d", got)
-	}
-	if cr.Version != 3 || cr.RolledBackFrom != 1 || cr.Index != "rollback" || cr.Indexed != len(texts1) {
-		t.Fatalf("rollback response = %+v", cr)
-	}
-	// Rolled-back generation serves corpus 1's verdicts at version 3.
-	for _, q := range texts1[:3] {
-		m, v := auditBest(t, s, q)
-		if v != 3 {
-			t.Fatalf("post-rollback version = %d", v)
-		}
-		if want := offline1.Best(q); m != want {
-			t.Fatalf("post-rollback verdict %+v != offline v1 %+v", m, want)
+	servesV1 := func() {
+		t.Helper()
+		for _, q := range texts1[:4] {
+			m, v := auditBest(t, s2, q)
+			if v != 1 {
+				t.Fatalf("version = %d", v)
+			}
+			if want := offline1.Best(q); m != want {
+				t.Fatalf("verdict %+v != offline %+v", m, want)
+			}
 		}
 	}
-	// The rollback is itself durable: a restart replays it.
-	s.Close()
-	s2 := durableServer(t, dir)
-	if rep := s2.Replay(); rep.Version != 3 {
-		t.Fatalf("replayed rollback version = %d", rep.Version)
+	servesV1()
+	a := corpusCall(s2.Handler(), "/v1/corpus?version=2", "application/json", "", []byte("{}"))
+	if a.code != http.StatusConflict || a.er.Error.Code != codeCorrupt {
+		t.Fatalf("rollback to the corrupt version = %d %+v, want 409 %s", a.code, a.er.Error, codeCorrupt)
 	}
-
-	if got := postJSON(t, s2.Handler(), "/v1/corpus?version=99", struct{}{}, nil); got != http.StatusNotFound {
-		t.Fatalf("rollback to missing version = %d, want 404", got)
-	}
-	if got := postJSON(t, s2.Handler(), "/v1/corpus?version=x", struct{}{}, nil); got != http.StatusBadRequest {
-		t.Fatalf("rollback to garbage version = %d, want 400", got)
-	}
-
-	// Without a store, rollback is a structured 400, not a surprise.
-	plain := NewServer(DefaultConfig())
-	defer plain.Close()
-	if got := postJSON(t, plain.Handler(), "/v1/corpus?version=1", struct{}{}, nil); got != http.StatusBadRequest {
-		t.Fatalf("storeless rollback = %d, want 400", got)
-	}
+	servesV1()
 }
 
 // corruptNewestSnapshot flips one payload byte in the highest-version
@@ -638,107 +353,6 @@ func TestBulkFaultReleasesBulkhead(t *testing.T) {
 	failpoint.DisableAll()
 	if got := postJSON(t, s.Handler(), "/v1/audit/batch", req, nil); got != http.StatusOK {
 		t.Fatalf("bulk after injected fault = %d — bulkhead slot leaked", got)
-	}
-}
-
-// The retention sweep runs inside Save, which a concurrent publish can
-// trigger at any moment — including between a rollback request admitting
-// a target version and loading it. The failpoint makes that interleaving
-// deterministic: two publishes land in the gap and sweep the target. The
-// fixed handler answers with a precise 409 ("swept by retention", naming
-// the surviving range), never the old spurious 404, and never a
-// republish of contents it could no longer validate; a version that was
-// never published stays a plain 404.
-func TestRollbackRetentionSweepRace(t *testing.T) {
-	dir := t.TempDir()
-	st, err := snapstore.Open(dir, 2) // retain only the 2 newest versions
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Store = st
-	s := NewServer(cfg)
-	defer s.Close()
-
-	names1, texts1 := docSet(21, 8)
-	names2, texts2 := docSet(22, 9)
-	names3, texts3 := docSet(23, 7)
-	offline3 := similarity.NewCorpus(names3, texts3)
-	if _, _, err := s.PublishDocuments(names1, texts1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.PublishDocuments(names2, texts2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Arm the race: while the rollback-to-1 request sits between parsing
-	// its target and taking the publish lock, two publishes complete,
-	// advancing to version 4 and sweeping versions 1 and 2.
-	fired := false
-	failpoint.Enable(FPRollbackLoad, func(string) error {
-		if fired {
-			return nil
-		}
-		fired = true
-		if _, _, err := s.PublishDocuments(names3, texts3); err != nil {
-			t.Error(err)
-		}
-		if _, _, err := s.PublishDocuments(names3, texts3); err != nil {
-			t.Error(err)
-		}
-		return nil
-	})
-	defer failpoint.DisableAll()
-
-	r := httptest.NewRequest(http.MethodPost, "/v1/corpus?version=1", strings.NewReader("{}"))
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, r)
-	if w.Code != http.StatusConflict {
-		t.Fatalf("raced rollback = %d %s, want 409", w.Code, w.Body.String())
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Error.Code != "version_swept" || !strings.Contains(er.Error.Message, "retained: 3-4") {
-		t.Fatalf("raced rollback error = %+v, want version_swept naming the retained range", er.Error)
-	}
-	if !fired {
-		t.Fatal("failpoint never fired — the race was not exercised")
-	}
-
-	// A version that never existed is still a 404, not a 409.
-	failpoint.DisableAll()
-	r = httptest.NewRequest(http.MethodPost, "/v1/corpus?version=99", strings.NewReader("{}"))
-	w = httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, r)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("never-published rollback = %d, want 404", w.Code)
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Error.Code != "version_not_found" {
-		t.Fatalf("never-published rollback error = %+v", er.Error)
-	}
-
-	// A retained version still rolls back, and the rolled-back generation
-	// serves that corpus's exact verdicts.
-	var cr CorpusResponse
-	if got := postJSON(t, s.Handler(), "/v1/corpus?version=3", struct{}{}, &cr); got != http.StatusOK {
-		t.Fatalf("retained rollback = %d", got)
-	}
-	if cr.Version != 5 || cr.RolledBackFrom != 3 {
-		t.Fatalf("retained rollback response = %+v", cr)
-	}
-	for _, q := range texts3[:3] {
-		m, v := auditBest(t, s, q)
-		if v != 5 {
-			t.Fatalf("post-rollback version = %d", v)
-		}
-		if want := offline3.Best(q); m != want {
-			t.Fatalf("post-rollback verdict %+v != offline %+v", m, want)
-		}
 	}
 }
 

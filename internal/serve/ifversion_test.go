@@ -5,59 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
-
-// postRollback posts /v1/corpus?version=N with a raw If-Version header
-// ("" = none) and returns the status plus both envelope decodings.
-func postRollback(t *testing.T, s *Server, version uint64, ifVersion string) (int, CorpusResponse, ErrorResponse) {
-	t.Helper()
-	r := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/corpus?version=%d", version), strings.NewReader("{}"))
-	if ifVersion != "" {
-		r.Header.Set("If-Version", ifVersion)
-	}
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, r)
-	var cr CorpusResponse
-	var er ErrorResponse
-	if w.Code == http.StatusOK {
-		json.Unmarshal(w.Body.Bytes(), &cr)
-	} else {
-		json.Unmarshal(w.Body.Bytes(), &er)
-	}
-	return w.Code, cr, er
-}
-
-// If-Version gates rollback like the other two publish modes: before PR 18
-// the header was never read on ?version=N, so a stale or garbage
-// precondition rolled back anyway.
-func TestIfVersionConditionalRollback(t *testing.T) {
-	s := durableServer(t, t.TempDir())
-	for seed := int64(51); seed <= 52; seed++ {
-		names, texts := docSet(seed, 5)
-		if _, _, err := s.PublishDocuments(names, texts); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	code, _, er := postRollback(t, s, 1, "99")
-	if code != http.StatusConflict || er.Error.Code != "version_conflict" || er.Error.CurrentVersion != 2 {
-		t.Fatalf("stale rollback = %d %+v, want 409 version_conflict naming version 2", code, er.Error)
-	}
-	if code, _, er = postRollback(t, s, 1, "garbage"); code != http.StatusBadRequest || er.Error.Code != "bad_if_version" {
-		t.Fatalf("garbage If-Version rollback = %d %+v, want 400 bad_if_version", code, er.Error)
-	}
-	if v := s.current().version; v != 2 {
-		t.Fatalf("refused rollbacks advanced the version to %d", v)
-	}
-
-	code, cr, _ := postRollback(t, s, 1, "2")
-	if code != http.StatusOK || cr.Version != 3 || cr.RolledBackFrom != 1 {
-		t.Fatalf("conditional rollback = %d %+v, want version 3 rolled back from 1", code, cr)
-	}
-}
 
 // Compare-and-swap admits one winner per version: eight concurrent deltas
 // that all name the live version as their If-Version race for it, exactly

@@ -9,7 +9,7 @@ import (
 
 // latRingSize bounds the latency sample window; a power of two keeps the
 // modulo cheap. 2048 recent audits is enough for stable p50/p99 under load
-// while keeping /stats snapshots O(window), not O(lifetime).
+// while keeping /v1/stats snapshots O(window), not O(lifetime).
 const latRingSize = 2048
 
 // latRing records recent request durations for percentile reporting. The
@@ -50,7 +50,7 @@ func (l *latRing) percentiles() (p50, p99 float64) {
 	return at(0.50), at(0.99)
 }
 
-// rateWindowSecs is the qps reporting window: /stats advertises recent
+// rateWindowSecs is the qps reporting window: /v1/stats advertises recent
 // throughput, not a lifetime average that a traffic lull can never move.
 const rateWindowSecs = 60
 
@@ -98,7 +98,7 @@ func (rw *rateWindow) rate(now time.Time, uptime float64) float64 {
 	return float64(total) / window
 }
 
-// metrics holds the service counters surfaced by /stats.
+// metrics holds the service counters surfaced by /v1/stats.
 type metrics struct {
 	audits         atomic.Int64
 	auditCacheHits atomic.Int64

@@ -88,9 +88,9 @@ var (
 	FPRollbackLoad = failpoint.Register("serve/rollback-load")
 	// FPMergeSwap fires after a background merge has rebuilt a compacted
 	// segment and revalidated its inputs, immediately before the merged
-	// segment replaces the run. A fault here abandons the merge — the
-	// writer index is untouched, serving continues on the unmerged
-	// segments, and verdicts are unchanged (merges never alter scores).
+	// segment replaces the run. A fault here abandons the merge — nothing
+	// is swapped, serving continues on the unmerged segments, and
+	// verdicts are unchanged (merges never alter scores).
 	FPMergeSwap = failpoint.Register("serve/merge-swap")
 )
 
@@ -106,7 +106,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// Threshold is the violation threshold (0 = the paper's 0.8).
 	Threshold float64
-	// Curation configures /corpus funnel runs (dedup parameters key the
+	// Curation configures /v1/corpus funnel runs (dedup parameters key the
 	// verdict cache). The zero value works; DefaultConfig uses the paper's
 	// FreeSet options.
 	Curation curation.Options
@@ -129,8 +129,8 @@ type Config struct {
 	// Store, when set, makes the served corpus durable: every publish is
 	// persisted crash-safely before it starts serving, NewServer replays
 	// the newest good version on boot, and /v1/corpus?version= can roll
-	// back to any retained version. Nil keeps the PR 4 in-memory-only
-	// behavior.
+	// back to any retained version. Nil serves from memory alone: a
+	// restart starts empty, and a rollback answers no_store.
 	Store *snapstore.Store
 	// MergeMaxSegments is the background merger's target segment count:
 	// while the index holds more segments, the merger compacts the

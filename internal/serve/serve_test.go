@@ -44,7 +44,7 @@ func randVerilog(rng *rand.Rand, idx int) string {
 	return sb.String()
 }
 
-// The four endpoints plus /stats, end to end over real HTTP.
+// The four endpoints plus /v1/stats, end to end over real HTTP.
 func TestServeEndToEnd(t *testing.T) {
 	s := NewServer(DefaultConfig())
 	defer s.Close()

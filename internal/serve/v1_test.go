@@ -590,7 +590,7 @@ func TestShedBulkReadsNoBody(t *testing.T) {
 	}
 }
 
-// /stats reports a sliding-window qps (not a lifetime average) and the
+// /v1/stats reports a sliding-window qps (not a lifetime average) and the
 // number of audits in flight as its queue depth.
 func TestStatsWindowedQPSAndQueueDepth(t *testing.T) {
 	defer failpoint.DisableAll()

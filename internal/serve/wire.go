@@ -181,7 +181,7 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// StatsResponse is the /stats and /v1/stats payload.
+// StatsResponse is the /v1/stats payload.
 type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_s"`
 	CorpusVersion uint64  `json:"corpus_version"`
