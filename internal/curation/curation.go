@@ -196,11 +196,6 @@ func (f *ExtractedFile) BodyHits() []string {
 	return f.entry.BodyHits(f.rec.Content)
 }
 
-// SyntaxBad reports the memoized syntax-filter verdict.
-func (f *ExtractedFile) SyntaxBad() bool {
-	return f.entry.SyntaxBad(f.rec.Content)
-}
-
 type extractedRepo struct {
 	createdAt time.Time
 	licensed  bool

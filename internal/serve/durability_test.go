@@ -142,13 +142,6 @@ func TestHealthzReadyz(t *testing.T) {
 		t.Fatalf("readyz = %d %s", code, body)
 	}
 
-	// Before replay completes the server reports not ready.
-	s.ready.Store(false)
-	if code, body := get("/v1/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "not_ready") {
-		t.Fatalf("cold readyz = %d %s", code, body)
-	}
-	s.ready.Store(true)
-
 	// Draining flips readiness off while health stays up.
 	s.Drain()
 	if code, body := get("/v1/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
@@ -164,6 +157,56 @@ func TestHealthzReadyz(t *testing.T) {
 	s.Handler().ServeHTTP(w, r)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST healthz = %d", w.Code)
+	}
+}
+
+// Close returns only once the merger goroutine has: a merge held inside
+// FPMergeSwap keeps Close waiting, and the swap that merge finishes lands
+// before Close returns, so no later swap can reach a closed server (or fire a
+// failpoint a later test arms).
+func TestCloseJoinsMerger(t *testing.T) {
+	defer failpoint.DisableAll()
+	cfg := DefaultConfig()
+	cfg.MergeMaxSegments = 1
+	s := NewServer(cfg)
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	failpoint.Enable(FPMergeSwap, func(string) error {
+		entered <- struct{}{}
+		<-gate
+		return nil
+	})
+	names, texts := docSet(5, 4)
+	for i := 0; i < 4; i += 2 {
+		if _, err := s.delta(similarity.BuildSegment(names[i:i+2], texts[i:i+2], 0), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the merger never reached the swap")
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a merge was held at its swap")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	<-closed
+	st := s.current()
+	if st.snap.Segments() != 1 || st.snap.Len() != 4 {
+		t.Fatalf("after Close: %d segments, %d docs; want the held merge's 1 segment of 4", st.snap.Segments(), st.snap.Len())
+	}
+	time.Sleep(20 * time.Millisecond)
+	if s.current() != st {
+		t.Fatal("the served snapshot changed after Close returned")
 	}
 }
 

@@ -475,9 +475,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", UptimeSeconds: time.Since(s.start).Seconds()})
 }
 
-// handleReadyz is readiness: 200 only after boot-time snapshot replay
-// completed and before draining began — the window in which a load
-// balancer should route traffic here.
+// handleReadyz is readiness: 200 until draining begins — NewServer returns
+// only after boot-time snapshot replay, so that is the whole window in
+// which a load balancer should route traffic here.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
@@ -485,8 +485,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining for shutdown")
-	case !s.ready.Load():
-		writeErr(w, http.StatusServiceUnavailable, "not_ready", "snapshot replay in progress")
 	default:
 		st := s.current()
 		writeJSON(w, http.StatusOK, ReadyResponse{

@@ -53,7 +53,6 @@ type publisher struct {
 
 	mergeKick chan struct{} // see kickMerger
 
-	workers       int     // Config.Workers
 	mergeMaxSegs  int     // Config.MergeMaxSegments
 	mergeDeadFrac float64 // Config.MergeDeadFraction
 
@@ -68,7 +67,7 @@ type publisher struct {
 // empty corpus at version 0.
 func (p *publisher) open(cfg Config) (info ReplayInfo) {
 	p.snaps = cfg.Store
-	p.workers, p.mergeMaxSegs, p.mergeDeadFrac = cfg.Workers, cfg.MergeMaxSegments, cfg.MergeDeadFraction
+	p.mergeMaxSegs, p.mergeDeadFrac = cfg.MergeMaxSegments, cfg.MergeDeadFraction
 	p.mergeKick = make(chan struct{}, 1)
 	snap := new(similarity.Snapshot)
 	if p.snaps != nil {
@@ -264,8 +263,10 @@ func (p *publisher) kickMerger() {
 // steps until the segment set satisfies the merge policy. Merges never
 // block publishes — the expensive rebuild happens outside the publish
 // lock, revalidated before the swap — and never change verdicts, so the
-// swap reuses the live version rather than minting a new one.
-func (p *publisher) merger(stop <-chan struct{}) {
+// swap reuses the live version rather than minting a new one. It closes
+// done when it returns.
+func (p *publisher) merger(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	for {
 		select {
 		case <-stop:

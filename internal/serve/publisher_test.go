@@ -512,13 +512,12 @@ func (l *lifecycle) settle() {
 	}
 }
 
-// restart closes the server, once its merger is idle, and starts another on
+// restart closes the server, which waits for its merger, and starts another on
 // the same directory with MergeMaxSegments drawn again. The replay must
 // serve the newest committed version from a directory holding nothing but
 // what its versions name, and its layout must compact with no publish.
 func (l *lifecycle) restart() {
 	if l.srv != nil {
-		l.settle() // a closed server's merger must not fire a later step's failpoint
 		l.srv.Close()
 	}
 	l.cfg.MergeMaxSegments = 1 + l.rng.Intn(3)

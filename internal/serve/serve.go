@@ -193,13 +193,12 @@ type Server struct {
 	admit chan struct{} // in-flight /v1/audit scoring slots
 	bulk  chan struct{} // bulkhead: in-flight /v1/audit/batch + /v1/filter slots
 	stop  chan struct{}
+	done  chan struct{} // closed when the merger goroutine returns
 	once  sync.Once
 
-	// ready flips on once boot-time snapshot replay completes; draining
-	// flips on when shutdown begins. /v1/readyz is 200 only in between,
-	// so load balancers neither route to a cold index nor to a server
-	// about to exit.
-	ready    atomic.Bool
+	// draining flips on when shutdown begins: /v1/readyz is 200 until then
+	// (NewServer returns only after snapshot replay), so load balancers do
+	// not route to a server about to exit.
 	draining atomic.Bool
 	replay   ReplayInfo
 
@@ -221,13 +220,13 @@ func NewServer(cfg Config) *Server {
 		admit: make(chan struct{}, cfg.QueueDepth),
 		bulk:  make(chan struct{}, cfg.MaxInflightBulk),
 		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 		start: time.Now(),
 	}
 	if cfg.CacheBudget > 0 {
 		s.store.SetBudget(cfg.CacheBudget)
 	}
 	s.replay = s.open(cfg)
-	s.ready.Store(true)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/audit", s.handleAudit)
 	s.mux.HandleFunc("/v1/audit/batch", s.handleAuditBatch)
@@ -243,7 +242,7 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "not_found", "no such endpoint: "+r.URL.Path)
 	})
-	go s.merger(s.stop)
+	go s.merger(s.stop, s.done)
 	return s
 }
 
@@ -275,9 +274,14 @@ func recoverMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// Close stops the background merger. Requests still being served finish
-// normally: every request does its work on its own handler goroutine.
-func (s *Server) Close() { s.once.Do(func() { close(s.stop) }) }
+// Close stops the background merger and returns once it has: a merge step
+// already running finishes first, so none lands after Close. Requests still
+// being served finish normally: every request does its work on its own
+// handler goroutine.
+func (s *Server) Close() {
+	s.once.Do(func() { close(s.stop) })
+	<-s.done
+}
 
 // Drain marks the server as shutting down: /v1/readyz flips to 503 so
 // load balancers stop routing here, while in-flight work keeps completing.
@@ -295,7 +299,7 @@ func (s *Server) Replay() ReplayInfo { return s.replay }
 func (s *Server) PublishDocuments(names, texts []string) (version uint64, indexed int, err error) {
 	var seg *similarity.Segment
 	if len(names) > 0 {
-		seg = similarity.BuildSegment(names, texts, s.workers)
+		seg = similarity.BuildSegment(names, texts, 0)
 	}
 	res, err := s.replace(seg, nil)
 	return res.version, res.live, err

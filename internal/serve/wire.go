@@ -163,9 +163,9 @@ type HealthResponse struct {
 	UptimeSeconds float64 `json:"uptime_s"`
 }
 
-// ReadyResponse is the GET /v1/readyz 200 payload: snapshot replay has
-// completed and the server is not draining. Not-ready states answer 503
-// with the structured error envelope (codes "not_ready", "draining").
+// ReadyResponse is the GET /v1/readyz 200 payload: the server is not
+// draining (snapshot replay ends before NewServer returns). A draining
+// server answers 503 with the structured error envelope (code "draining").
 type ReadyResponse struct {
 	Ready         bool   `json:"ready"`
 	CorpusVersion uint64 `json:"corpus_version"`

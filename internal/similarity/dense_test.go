@@ -286,19 +286,31 @@ func termLists(g *Segment) map[string][]posting {
 	return out
 }
 
-// requireListsOf demands that g's lists be, bit for bit, the ones a rebuild
-// of texts computes with termCounts — count over the norm of every count in
-// the document — which shares no code with the builder's log or the arenas.
-func requireListsOf(t *testing.T, ctx string, g *Segment, texts []string) {
-	t.Helper()
-	want := map[string][]posting{}
+// textLists is the lists a rebuild of texts computes with termCounts, keyed
+// as termLists keys them: each posting's weight is its count over the norm of
+// every count in the document. It shares no code with the builder's log, the
+// arenas, a merge or the decoder.
+func textLists(texts []string) map[string][]posting {
+	lists := map[string][]posting{}
 	for d, text := range texts {
 		counts, order := termCounts(text)
 		norm := normOf(counts)
 		for _, term := range order {
-			want[term] = append(want[term], posting{int32(d), counts[term] / norm})
+			lists[term] = append(lists[term], posting{int32(d), counts[term] / norm})
 		}
 	}
+	return lists
+}
+
+// requireListsOf demands that g's lists be, bit for bit, textLists(texts).
+func requireListsOf(t *testing.T, ctx string, g *Segment, texts []string) {
+	t.Helper()
+	requireLists(t, ctx, g, textLists(texts))
+}
+
+// requireLists demands that g's lists be, bit for bit, want.
+func requireLists(t *testing.T, ctx string, g *Segment, want map[string][]posting) {
+	t.Helper()
 	got := termLists(g)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d non-empty lists, a rebuild has %d", ctx, len(got), len(want))
@@ -614,7 +626,8 @@ func TestDenseNormBoundsDenseContribution(t *testing.T) {
 }
 
 // oracleSeg is a segment as the reference scorer reads it: its lists by term
-// string (termLists), its names and its tombstones.
+// string (textLists of its texts, or termLists of a built segment), its names
+// and its tombstones.
 type oracleSeg struct {
 	names []string
 	lists map[string][]posting
@@ -631,22 +644,24 @@ func oracleSegs(s *Snapshot) []oracleSeg {
 	return out
 }
 
-// oracleTopK is the reference scorer. It shares no code with the query parser,
-// the resolver or either engine: the query's terms are Tokenize's tokens, each
-// one added and then the bigram it forms with the token before it, first
-// appearance fixing the order and the norm taken over every count; each term
-// is looked up in each segment by its string, and each live document adds the
-// terms' products in that order, one rounded product at a time. Documents are
-// numbered by live rank across the segments.
-func oracleTopK(segs []oracleSeg, query string, k int) []Match {
+// oracleQuery is a query as the reference scorer reads it, sharing no code
+// with the query parser: its terms are Tokenize's tokens, each one added and
+// then the bigram it forms with the token before it, first appearance fixing
+// the order, and its norm is taken over every count.
+type oracleQuery struct {
+	order []string
+	cnt   map[string]float64
+	norm  float64
+}
+
+func newOracleQuery(query string) oracleQuery {
 	toks := Tokenize(query)
-	cnt := map[string]float64{}
-	var order []string
+	q := oracleQuery{cnt: map[string]float64{}}
 	add := func(term string) {
-		if cnt[term] == 0 {
-			order = append(order, term)
+		if q.cnt[term] == 0 {
+			q.order = append(q.order, term)
 		}
-		cnt[term]++
+		q.cnt[term]++
 	}
 	for i, tok := range toks {
 		add(tok)
@@ -655,16 +670,24 @@ func oracleTopK(segs []oracleSeg, query string, k int) []Match {
 		}
 	}
 	var sq float64
-	for _, term := range order {
-		sq += cnt[term] * cnt[term]
+	for _, term := range q.order {
+		sq += q.cnt[term] * q.cnt[term]
 	}
-	qnorm := math.Sqrt(sq)
+	q.norm = math.Sqrt(sq)
+	return q
+}
+
+// topK is the reference scorer. It shares no code with the resolver or either
+// engine: each term is looked up in each segment by its string, and each live
+// document adds the terms' products in the query's order, one rounded product
+// at a time. Documents are numbered by live rank across the segments.
+func (q oracleQuery) topK(segs []oracleSeg, k int) []Match {
 	out, rank := []Match{}, 0
 	for _, sg := range segs {
 		acc := make([]float64, len(sg.names))
-		for _, term := range order {
+		for _, term := range q.order {
 			for _, p := range sg.lists[term] {
-				acc[p.doc] += float64(cnt[term] * p.w)
+				acc[p.doc] += float64(q.cnt[term] * p.w)
 			}
 		}
 		for d, a := range acc {
@@ -672,13 +695,18 @@ func oracleTopK(segs []oracleSeg, query string, k int) []Match {
 				continue
 			}
 			if a > 0 {
-				out = append(out, Match{Name: sg.names[d], Index: rank, Score: a / qnorm})
+				out = append(out, Match{Name: sg.names[d], Index: rank, Score: a / q.norm})
 			}
 			rank++
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return matchWorse(out[j], out[i]) })
 	return out[:min(k, len(out))]
+}
+
+// oracleTopK is query's top k over segs by the reference scorer.
+func oracleTopK(segs []oracleSeg, query string, k int) []Match {
+	return newOracleQuery(query).topK(segs, k)
 }
 
 // canonicalOracle is oracleTopK over g alone under the tombstones dead, with
@@ -703,75 +731,6 @@ func requireEnginesMatchOracle(t *testing.T, ctx string, g *Segment, queries []s
 			}
 		}
 	}
-}
-
-// A homogeneous corpus whose every term sits in 50-99 % of the documents:
-// nearly all lists are dense without being total, so rows are full of +0
-// slots, the gather engine's bounds come from partial lists, and documents
-// outside a list — tombstoned ones among them — pass through axpy. Both
-// engines and the oracle agree bit for bit, and the tombstoned segment
-// agrees with a rebuild of its live documents, whose dense set differs.
-func TestMajorityListsBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1550))
-	const n, vocab = 203, 40
-	names := make([]string, n)
-	texts := make([]string, n)
-	for d := range texts {
-		names[d] = fmt.Sprintf("h%d", d)
-		var sb strings.Builder
-		for range 1 + rng.Intn(3) {
-			for v := 0; v < vocab; v++ {
-				if rng.Intn(100) < 50+(49*v)/(vocab-1) { // term v: 50 % ... 99 % of documents
-					fmt.Fprintf(&sb, "t%d ", v)
-				}
-			}
-		}
-		texts[d] = sb.String()
-	}
-	texts[n-1] = texts[11] // a top tie
-	g := BuildSegment(names, texts, 1)
-	partial := 0
-	for _, df := range g.ddf {
-		if int(df) < n {
-			partial++
-		}
-	}
-	if partial < vocab/2 {
-		t.Fatalf("only %d of %d dense lists are partial: the corpus does not exercise +0 slots", partial, len(g.dense))
-	}
-	// Tombstones: the top-tie pair's first member and a third of the rest.
-	dead := make([]uint64, (n+63)/64)
-	dead[11>>6] |= 1 << (11 & 63)
-	var liveNames, liveTexts []string
-	for d := range texts {
-		if d != 11 && rng.Intn(3) == 0 {
-			dead[d>>6] |= 1 << (d & 63)
-		}
-		if !deadBit(dead, int32(d)) {
-			liveNames, liveTexts = append(liveNames, names[d]), append(liveTexts, texts[d])
-		}
-	}
-	queries := []string{
-		texts[11],                     // exact copy of a tombstoned document and its live twin
-		texts[50] + " t3 t3 unseen_x", // near-duplicate
-		"t0 t1 t2 t39 t38 t0 t7",      // short probe
-		"t5 unseen_a unseen_b t6 t5",  // mostly out of dictionary
-		strings.Repeat("t20 t21 ", 9), // one bigram repeated
-	}
-	for qi, q := range queries {
-		for _, dd := range [][]uint64{nil, dead} {
-			for _, k := range []int{1, 5, n} {
-				ctx := fmt.Sprintf("query %d k=%d tombstones=%v", qi, k, dd != nil)
-				want := canonicalOracle(g, q, k, dd)
-				if len(want) == 0 {
-					t.Fatalf("%s: oracle found nothing", ctx)
-				}
-				matchesEqual(t, ctx+" pruned", g.searchTopK(q, k, searchPruned, dd), want)
-				matchesEqual(t, ctx+" exhaustive", g.searchTopK(q, k, searchExhaustive, dd), want)
-			}
-		}
-	}
-	assertSnapshotEquiv(t, "tombstoned", SnapshotOf([]*Segment{g}, [][]uint64{dead}), liveNames, liveTexts, queries)
 }
 
 // A group of queries shares one tiled pass, a lone one takes the untiled

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,36 +13,17 @@ import (
 	"unicode/utf8"
 )
 
-// FuzzScoringEquivalence pins the pruned scorer to two references on
-// arbitrary corpora and queries:
-//
-//  1. The exhaustive accumulator must agree bit for bit — same indices,
-//     same float64 scores, zero tolerance. Pruning's claim is that it
-//     computes the identical sums in the identical order, just skipping
-//     documents it can prove lose.
-//  2. The public map-based oracle (NewVector + Cosine) must agree within
-//     float tolerance. The oracle shares no code with the postings index —
-//     it recomputes tf vectors in hash-map order — so it catches indexing
-//     bugs (dropped terms, wrong counts, bad norms) that both index paths
-//     would share. Map iteration randomizes addition order, hence the
-//     small epsilon.
-//
-// The corpus — 2 to 65 documents, so that lists in fewer than 1/rowShare
-// of them are arena lists of more than one posting — mixes diverse
-// documents, forced duplicates (tie pressure), and a document derived from
-// the query itself (near-dup pressure). It is
-// built with a fuzzed worker count, which BuildSegment now ignores.
-//
-// A third phase pins the segmented index: the same documents
-// appended as a fuzzed number of segments, a fuzzed tombstone pattern
-// removed and a fuzzed adjacent run merged, as the publisher derives its
-// snapshots, must return Best/TopK BIT-identical (== on the float64 scores)
-// to a single-segment full rebuild of the live documents — and BestBatch
-// over the query and three siblings must return what Best returns for each.
-// oracleTopK, which shares no code with the query parser or the resolver,
-// must agree bit for bit with Best and TopK on that snapshot, on the rebuild
-// and on the live documents split into two and into eight segments, so some
-// terms are in one segment only.
+// FuzzScoringEquivalence holds the index to the model's oracle on arbitrary
+// corpora and queries, with the step check TestIndexAgainstModel runs: both
+// engines of every segment, Best, TopK and BestBatch, bit for bit. The corpus
+// — 2 to 65 documents, so that lists in fewer than 1/rowShare of them are
+// arena lists of more than one posting — mixes diverse documents, a forced
+// duplicate (tie pressure) and a document derived from the query itself
+// (near-dup pressure). It is checked sealed as one segment, then appended as a
+// fuzzed number of segments with a fuzzed tombstone pattern removed and a
+// fuzzed adjacent run merged, as the publisher derives its snapshots. The
+// queries are the fuzzed one among three siblings, as a generation harness
+// sends them.
 func FuzzScoringEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), "module top(input clk); wire a = b ^ c; endmodule")
 	f.Add(int64(42), uint8(3), "assign out = in1 & in2;")
@@ -62,143 +42,46 @@ func FuzzScoringEquivalence(f *testing.F) {
 			names[i] = fmt.Sprintf("d%d.v", i)
 			texts[i] = diverseVerilog(rng, int(seed&0xffff)+i)
 		}
-		// Tie pressure: duplicate one document.
 		texts[n-1] = texts[rng.Intn(n)]
-		// Near-dup pressure: one document borrows the query's text.
 		if len(query) > 0 {
 			texts[rng.Intn(n)] = query + "\nwire fuzz_tail = 1'b1;\n"
 		}
-		workers := 1 + int(seed&3)
-		c := BuildSegment(names, texts, workers)
-
-		for _, k := range []int{1, 3, n} {
-			pruned := c.searchTopK(query, k, searchPruned, nil)
-			exhaustive := c.searchTopK(query, k, searchExhaustive, nil)
-			if len(pruned) != len(exhaustive) {
-				t.Fatalf("k=%d: pruned %d matches, exhaustive %d", k, len(pruned), len(exhaustive))
-			}
-			for i := range pruned {
-				if pruned[i] != exhaustive[i] {
-					t.Fatalf("k=%d rank %d: pruned %+v != exhaustive %+v", k, i, pruned[i], exhaustive[i])
-				}
-			}
-		}
-
-		// Independent oracle: brute-force cosine over public vectors.
-		const tol = 1e-9
-		qv := NewVector(query)
-		oracle := make([]float64, n)
-		var oracleMax float64
-		for i, txt := range texts {
-			oracle[i] = Cosine(qv, NewVector(txt))
-			if oracle[i] > oracleMax {
-				oracleMax = oracle[i]
-			}
-		}
-		best := SnapshotOf([]*Segment{c}, nil).Best(query)
-		if best.Index < 0 {
-			if oracleMax > tol {
-				t.Fatalf("Best found nothing but oracle max is %v", oracleMax)
-			}
-			return
-		}
-		if d := math.Abs(best.Score - oracle[best.Index]); d > tol {
-			t.Fatalf("Best doc %d: index score %v vs oracle %v (Δ%g)", best.Index, best.Score, oracle[best.Index], d)
-		}
-		if best.Score < oracleMax-tol {
-			t.Fatalf("Best score %v but oracle says doc scoring %v exists", best.Score, oracleMax)
-		}
-		// Ties resolve to the lowest index: no earlier doc may score
-		// meaningfully >= the winner.
-		for i := 0; i < best.Index; i++ {
-			if oracle[i] > best.Score+tol {
-				t.Fatalf("doc %d scores %v > winner %d at %v", i, oracle[i], best.Index, best.Score)
-			}
-		}
-
-		// Phase 3: segmented snapshot equivalence. Split, tombstone, merge —
-		// then demand bit-identity against the filtered full rebuild.
 		srng := rand.New(rand.NewSource(seed ^ 0x5e9))
-		parts := 1 + srng.Intn(n)
-		snap := new(Snapshot)
-		off := 0
-		for p := 0; p < parts; p++ {
-			sz := (n - off) / (parts - p)
-			if p == parts-1 {
-				sz = n - off
-			}
-			b := NewSegmentBuilder()
-			for i := off; i < off+sz; i++ {
-				b.Add(names[i], texts[i])
-			}
-			if b.Len() > 0 {
-				snap = snap.Append(b.Seal())
-			}
-			off += sz
-		}
-		dead := make([]bool, n)
-		var removeNames []string
-		for i := range names {
-			if srng.Intn(3) == 0 {
-				removeNames = append(removeNames, names[i])
-				dead[i] = true
-			}
-		}
-		snap, _ = snap.Remove(removeNames)
-		if snap.Segments() > 1 && srng.Intn(2) == 0 {
-			lo := srng.Intn(snap.Segments() - 1)
-			snap = snap.ReplaceRun(snap, lo, lo+1, MergeSegments(
-				[]*Segment{snap.Segment(lo), snap.Segment(lo + 1)}, [][]uint64{snap.SegmentDead(lo), snap.SegmentDead(lo + 1)}))
-		}
-		var liveNames, liveTexts []string
-		for i := range names {
-			if !dead[i] {
-				liveNames = append(liveNames, names[i])
-				liveTexts = append(liveTexts, texts[i])
-			}
-		}
-		full := SealCorpus(liveNames, liveTexts, workers)
-		if snap.Len() != full.Len() {
-			t.Fatalf("segmented live %d != rebuilt %d", snap.Len(), full.Len())
-		}
-		if sb, fb := snap.Best(query), full.Best(query); sb != fb {
-			t.Fatalf("segmented Best %+v != rebuilt %+v (parts=%d)", sb, fb, parts)
-		}
-		// The query among three siblings, as a generation harness sends them:
-		// one pass per segment for the group, the same answers one by one.
-		group := []string{
+		queries := []string{
 			texts[srng.Intn(n)] + "\nwire sibling_tail;",
 			query,
 			diverseVerilog(srng, int(seed&0xffff)+n),
 			query + " " + texts[srng.Intn(n)],
 		}
-		for i, m := range snap.BestBatch(workers, group) {
-			if sb, fb := snap.Best(group[i]), full.Best(group[i]); m != sb || m != fb {
-				t.Fatalf("BestBatch slot %d %+v != segmented Best %+v / rebuilt Best %+v (parts=%d)", i, m, sb, fb, parts)
+
+		one := newModelRun(t, srng)
+		one.ctx = "one segment"
+		one.appendDocs(names, texts)
+		one.check(queries)
+
+		r := newModelRun(t, srng)
+		r.ctx = "segmented"
+		parts := 1 + srng.Intn(n)
+		for p, off := 0, 0; p < parts; p++ {
+			sz := (n - off) / (parts - p)
+			if p == parts-1 {
+				sz = n - off
+			}
+			r.appendDocs(names[off:off+sz], texts[off:off+sz])
+			off += sz
+		}
+		var removed []string
+		for _, name := range names {
+			if srng.Intn(3) == 0 {
+				removed = append(removed, name)
 			}
 		}
-		parts2, parts8 := splitSizes(len(liveNames), 2, srng), splitSizes(len(liveNames), 8, srng)
-		for _, s := range []*Snapshot{snap, full, appendSegs(buildSegmented(liveNames, liveTexts, parts2)), appendSegs(buildSegmented(liveNames, liveTexts, parts8))} {
-			segs := oracleSegs(s)
-			for _, q := range append(group, query) {
-				want := oracleTopK(segs, q, 3)
-				matchesEqual(t, fmt.Sprintf("%d segments, TopK(%q, 3) against the oracle", s.Segments(), q), s.TopK(q, 3), want)
-				if best := s.Best(q); len(want) > 0 && best != want[0] || len(want) == 0 && best.Index >= 0 {
-					t.Fatalf("%d segments: Best(%q) = %+v, the oracle's top %+v", s.Segments(), q, best, want)
-				}
-			}
+		r.remove(removed)
+		if len(r.m) > 1 && srng.Intn(2) == 0 {
+			lo := srng.Intn(len(r.m) - 1)
+			r.merge(lo, lo+1)
 		}
-		for _, k := range []int{1, 3, n} {
-			sk, fk := snap.TopK(query, k), full.TopK(query, k)
-			if len(sk) != len(fk) {
-				t.Fatalf("k=%d: segmented %d matches, rebuilt %d", k, len(sk), len(fk))
-			}
-			for i := range sk {
-				if sk[i] != fk[i] {
-					t.Fatalf("k=%d rank %d: segmented %+v != rebuilt %+v", k, i, sk[i], fk[i])
-				}
-			}
-		}
+		r.check(queries)
 	})
 }
 

@@ -33,12 +33,12 @@ package similarity
 // sum. On bench/'s corpus a novel candidate keeps one to a few hundred
 // documents: documents built from one template tie exactly.
 //
-// The gather engine is 7x faster than the accumulator on diverse
-// near-duplicates (75 against 511 µs at 16 000 documents), 3x on bench/'s
-// homogeneous corpus (≈ 100 against ≈ 340 µs at 8 000) and within 10% of it
-// where it bails, so it stays; a k > 1 MaxScore DAAT engine lost to the
-// accumulator in every cell and was deleted in PR 13. ROADMAP's decision
-// records have the tables; bench/README.md has current numbers
+// On bench/'s near-duplicates the gather engine reads 86–103 µs against the
+// forced accumulator's 199–249 (one segment, -cpu 1), on a diverse 2 000-
+// document corpus 44 against 52–57, and where it bails (novel candidates)
+// the two read alike, so it stays; a k > 1 MaxScore DAAT engine lost to the
+// accumulator in every cell and was deleted. ROADMAP item 6(e) and its
+// decision records have the readings; bench/README.md has current numbers
 // (similarity.topk10_us, best_neardup_us, best_novel_us,
 // bestbatch_us_per_cand).
 //

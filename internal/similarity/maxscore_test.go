@@ -9,35 +9,6 @@ import (
 	"testing"
 )
 
-// diverseVerilog emits a small synthetic module whose token mix varies per
-// index — unlike randDoc's shared vocabulary, documents are mostly
-// dissimilar, so threshold-based pruning has something to prune. This is
-// the realistic audit shape: a generated file either plagiarizes one
-// protected file (near-dup, scores ~1.0) or none (scores well below the
-// 0.8 threshold).
-func diverseVerilog(rng *rand.Rand, idx int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module mod_%d(input wire clk_%d, output reg [7:0] out_%d);\n", idx, idx%97, idx)
-	for j := 0; j < 8+rng.Intn(12); j++ {
-		fmt.Fprintf(&sb, "  wire [7:0] sig_%d_%d = reg_%d ^ 8'h%02X;\n", idx, j, rng.Intn(50), rng.Intn(256))
-	}
-	fmt.Fprintf(&sb, "  always @(posedge clk_%d) out_%d <= sig_%d_0;\nendmodule\n", idx%97, idx, idx)
-	return sb.String()
-}
-
-// buildDiverse builds an n-document corpus of diverse modules, seeded
-// deterministically.
-func buildDiverse(seed int64, n int) ([]string, []string, *Corpus) {
-	rng := rand.New(rand.NewSource(seed))
-	names := make([]string, n)
-	texts := make([]string, n)
-	for i := range texts {
-		names[i] = fmt.Sprintf("d%d.v", i)
-		texts[i] = diverseVerilog(rng, i)
-	}
-	return names, texts, NewCorpus(names, texts)
-}
-
 // searchTopK is one text through searchBatch on one segment, with the
 // engine forced by mode.
 func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
@@ -59,95 +30,6 @@ func matchesEqual(t *testing.T, ctx string, got, want []Match) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: rank %d differs\n got: %+v\nwant: %+v", ctx, i, got[i], want[i])
-		}
-	}
-}
-
-// The pruned search must return results bit-identical to the exhaustive
-// accumulator — every query shape, every k, corpora above and below the
-// auto cutoff, shared-vocabulary (homogeneous, bailout-heavy) and diverse
-// (skip-heavy) alike.
-func TestPrunedBitExactEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	type corpusCase struct {
-		name  string
-		texts []string
-		c     *Corpus
-	}
-	var cases []corpusCase
-
-	// Homogeneous: randDoc's shared vocabulary makes every document score
-	// against every query — the adversarial case where pruning must bail
-	// out yet stay exact.
-	for _, n := range []int{40, 130} {
-		texts := make([]string, n)
-		names := make([]string, n)
-		for i := range texts {
-			names[i] = fmt.Sprintf("d%d", i)
-			texts[i] = randDoc(rng, 60, 40+rng.Intn(120))
-		}
-		texts[n/3] = texts[n/7] // force top ties
-		cases = append(cases, corpusCase{fmt.Sprintf("homog%d", n), texts, NewCorpus(names, texts)})
-	}
-	// Diverse: pruning actually skips here.
-	for _, n := range []int{96, 400} {
-		_, texts, c := buildDiverse(int64(n), n)
-		cases = append(cases, corpusCase{fmt.Sprintf("diverse%d", n), texts, c})
-	}
-
-	for _, cc := range cases {
-		n := len(cc.texts)
-		queries := []string{
-			cc.texts[n/2],                          // exact duplicate: score 1.0
-			cc.texts[n/3],                          // exact duplicate of a tie pair
-			cc.texts[0] + " extra tail tokens xyz", // near-duplicate
-			randDoc(rng, 60, 50),                   // shared-vocab probe
-			diverseVerilog(rng, 999999),            // mostly-unknown probe
-		}
-		for qi, q := range queries {
-			for _, k := range []int{1, 2, 10, n} {
-				pruned := cc.c.Segment(0).searchTopK(q, k, searchPruned, nil)
-				exhaustive := cc.c.Segment(0).searchTopK(q, k, searchExhaustive, nil)
-				matchesEqual(t, fmt.Sprintf("%s q%d k%d", cc.name, qi, k), pruned, exhaustive)
-			}
-			// And the public surface agrees with both.
-			best := cc.c.Best(q)
-			if top := cc.c.Segment(0).searchTopK(q, 1, searchPruned, nil); len(top) > 0 {
-				if best != top[0] {
-					t.Fatalf("%s q%d: Best %+v != pruned top1 %+v", cc.name, qi, best, top[0])
-				}
-			} else if best.Index != -1 {
-				t.Fatalf("%s q%d: Best %+v but pruned found nothing", cc.name, qi, best)
-			}
-		}
-	}
-}
-
-// Duplicated documents must keep resolving to the lowest index on both
-// paths: the tie-safety argument for pruning (a pruned candidate always
-// has a higher index than every kept match) gets exercised directly.
-func TestPrunedTieDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	n := 200
-	names := make([]string, n)
-	texts := make([]string, n)
-	base := make([]string, 10)
-	for i := range base {
-		base[i] = diverseVerilog(rng, i)
-	}
-	for i := range texts {
-		names[i] = fmt.Sprintf("d%d", i)
-		texts[i] = base[i%len(base)] // every doc duplicated 20x
-	}
-	c := NewCorpus(names, texts)
-	for qi, q := range base {
-		for _, k := range []int{1, 5, 40} {
-			pruned := c.Segment(0).searchTopK(q, k, searchPruned, nil)
-			exhaustive := c.Segment(0).searchTopK(q, k, searchExhaustive, nil)
-			matchesEqual(t, fmt.Sprintf("q%d k%d", qi, k), pruned, exhaustive)
-			if pruned[0].Index != qi {
-				t.Fatalf("q%d: tie must resolve to lowest index %d, got %d", qi, qi, pruned[0].Index)
-			}
 		}
 	}
 }
@@ -239,36 +121,6 @@ func TestGiantRepetitiveQuery(t *testing.T) {
 	}
 	for _, k := range []int{1, 5} {
 		matchesEqual(t, "giant", c.Segment(0).searchTopK(q, k, searchPruned, nil), c.Segment(0).searchTopK(q, k, searchExhaustive, nil))
-	}
-}
-
-// BestBatch must be deterministic across worker counts — the pruned path
-// keeps per-query evaluation independent of scheduling, so any fan-out
-// yields byte-identical matches.
-func TestBestBatchDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	_, texts, s := buildDiverse(21, 250)
-	queries := make([]string, 64)
-	for i := range queries {
-		switch i % 4 {
-		case 0:
-			queries[i] = texts[rng.Intn(len(texts))]
-		case 1:
-			queries[i] = texts[rng.Intn(len(texts))] + " wire extra;"
-		case 2:
-			queries[i] = diverseVerilog(rng, 100000+i)
-		default:
-			queries[i] = queries[rng.Intn(i)] // force duplicates
-		}
-	}
-	want := s.BestBatch(1, queries)
-	for _, workers := range []int{2, 4, 13} {
-		got := s.BestBatch(workers, queries)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d query %d: %+v != %+v", workers, i, got[i], want[i])
-			}
-		}
 	}
 }
 

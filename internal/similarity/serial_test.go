@@ -12,16 +12,6 @@ import (
 	"testing"
 )
 
-func randomDoc(rng *rand.Rand, idx int) string {
-	var sb bytes.Buffer
-	fmt.Fprintf(&sb, "module m%d(input clk, output reg [7:0] q);\n", idx)
-	for j := 0; j < 4+rng.Intn(12); j++ {
-		fmt.Fprintf(&sb, "  wire [7:0] w%d_%d = q ^ 8'h%02X; // π\n", idx, j, rng.Intn(256))
-	}
-	sb.WriteString("endmodule\n")
-	return sb.String()
-}
-
 // A decoded snapshot must answer every query bit-identically to the one
 // that was encoded — Best, TopK, and BestBatch alike.
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
@@ -31,7 +21,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	texts := make([]string, n)
 	for i := range texts {
 		names[i] = fmt.Sprintf("doc%d.v", i)
-		texts[i] = randomDoc(rng, i)
+		texts[i] = diverseVerilog(rng, i)
 	}
 	texts[5] = "" // empty document: no postings
 	orig := SealCorpus(names, texts, 0)
@@ -45,7 +35,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	queries := make([]string, 0, 30)
 	for i := 0; i < 20; i++ {
-		queries = append(queries, randomDoc(rng, 1000+i))
+		queries = append(queries, diverseVerilog(rng, 1000+i))
 	}
 	queries = append(queries, texts[0], texts[7], "", "garbage þ tokens")
 	for qi, q := range queries {

@@ -8,8 +8,8 @@
 // precomputed unit-normalized weights) with accumulator-based scoring, so a
 // query touches only the postings of its own terms instead of intersecting
 // its term map against every document vector. Cosine and NewVector remain
-// as the reference implementation; index_test.go proves the index
-// equivalent to a brute-force cosine scan on random corpora.
+// as a map-based reference; index_test.go holds every scoring path, bit for
+// bit, to an oracle built from the texts at every state of the index.
 package similarity
 
 import (

@@ -55,40 +55,6 @@ func TestCosineDiscriminatesModules(t *testing.T) {
 	}
 }
 
-func TestCorpusBest(t *testing.T) {
-	corpus := NewCorpus(
-		[]string{"a", "b", "c"},
-		[]string{
-			"module a(input x, output y); assign y = x; endmodule",
-			"module b(input clk, output reg [3:0] q); always @(posedge clk) q <= q + 1; endmodule",
-			"module c(input [7:0] d, output [7:0] q); assign q = ~d; endmodule",
-		})
-	m := corpus.Best("module b2(input clk, output reg [3:0] q); always @(posedge clk) q <= q + 1; endmodule")
-	if m.Name != "b" {
-		t.Fatalf("best = %+v", m)
-	}
-	if m.Score < 0.9 {
-		t.Fatalf("score too low: %v", m.Score)
-	}
-}
-
-func TestTopKOrdering(t *testing.T) {
-	corpus := NewCorpus(nil, []string{"a b c d", "a b x y", "p q r s"})
-	// "p q r s" shares no term with the query, so only two docs match.
-	ms := corpus.TopK("a b c d", 3)
-	if len(ms) != 2 {
-		t.Fatalf("got %d matches", len(ms))
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Score > ms[i-1].Score {
-			t.Fatalf("not sorted: %+v", ms)
-		}
-	}
-	if ms[0].Index != 0 {
-		t.Fatalf("wrong best: %+v", ms[0])
-	}
-}
-
 func TestTokenizeNonASCIIRunes(t *testing.T) {
 	toks := Tokenize("assign y = a; // 加法器")
 	for _, tok := range toks {
@@ -119,30 +85,6 @@ func TestTokenizeNonASCIIRunes(t *testing.T) {
 	bad := Tokenize("\xff\xfe\xff")
 	if len(bad) != 3 || bad[0] != "\xff" || bad[1] != "\xfe" {
 		t.Fatalf("invalid UTF-8 tokens = %q", bad)
-	}
-}
-
-func TestTopKNoZeroPadding(t *testing.T) {
-	corpus := NewCorpus(
-		[]string{"a", "b", "c", "d"},
-		[]string{"alpha beta gamma", "alpha delta", "p q r s", "t u v w"})
-	// Only two documents share any term with the query; k=4 must not pad
-	// the result with score-0 entries for "c" and "d".
-	ms := corpus.TopK("alpha beta", 4)
-	if len(ms) != 2 {
-		t.Fatalf("want 2 matches, got %+v", ms)
-	}
-	for _, m := range ms {
-		if m.Score == 0 {
-			t.Fatalf("zero-score entry reported as match: %+v", m)
-		}
-	}
-	if ms[0].Name != "a" || ms[1].Name != "b" {
-		t.Fatalf("wrong matches: %+v", ms)
-	}
-	// A query sharing nothing with the corpus matches nothing.
-	if ms := corpus.TopK("zz yy xx", 3); len(ms) != 0 {
-		t.Fatalf("disjoint query matched: %+v", ms)
 	}
 }
 

@@ -39,44 +39,7 @@ func TestSealedBuilderRejectsAdd(t *testing.T) {
 		t.Fatalf("sealed segment grew to %d docs", snap.Len())
 	}
 	for i, q := range queries {
-		requireSameMatches(t, q, append(snap.TopK(q, 2), snap.Best(q)), want[i])
-	}
-}
-
-// BestBatch must be byte-identical to per-query Best, including duplicate
-// and empty texts, at any worker count.
-func TestBestBatchMatchesBest(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 25
-	texts := make([]string, n)
-	names := make([]string, n)
-	for i := range texts {
-		names[i] = fmt.Sprintf("d%d", i)
-		texts[i] = randDoc(rng, 30, 20+rng.Intn(60))
-	}
-	snap := SealCorpus(names, texts, 0)
-	queries := []string{}
-	for q := 0; q < 20; q++ {
-		queries = append(queries, randDoc(rng, 50, 5+rng.Intn(40)))
-	}
-	queries = append(queries, "", queries[0], queries[3], queries[3])
-	want := make([]Match, len(queries))
-	for i, q := range queries {
-		want[i] = snap.Best(q)
-	}
-	for _, workers := range []int{1, 2, 7, 0} {
-		got := snap.BestBatch(workers, queries)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: len %d != %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d query %d: %+v != %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
-	if snap.BestBatch(0, nil) != nil {
-		t.Fatal("empty batch should be nil")
+		matchesEqual(t, q, append(snap.TopK(q, 2), snap.Best(q)), want[i])
 	}
 }
 

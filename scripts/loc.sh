@@ -5,7 +5,9 @@
 # is the figure the simplicity ISSUEs set their line targets in; run it on
 # the parent commit and on the change instead of counting by hand. (PR 18
 # and earlier quoted a total that counted the analyzer fixtures under
-# internal/analysis/testdata and left out the assembly.)
+# internal/analysis/testdata and left out the assembly.) The last line is a
+# report only: every tracked *_test.go file, testdata included, so that a
+# change to the tests alone shows in CI's log too.
 #
 # Usage: scripts/loc.sh   (from anywhere inside the repo)
 set -eu
@@ -25,3 +27,4 @@ git ls-files -z -- '*.go' '*.s' |
 		printf "%7d  total\n", total
 	}' |
 	sort -k2
+git ls-files -z -- '*_test.go' | xargs -0 cat | wc -l | awk '{ printf "%7d  test lines (*_test.go)\n", $1 }'
