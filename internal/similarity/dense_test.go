@@ -239,6 +239,107 @@ func BenchmarkDenseRun(b *testing.B) {
 	}
 }
 
+// scanRef is scan as one plain loop over the tile, the reference both
+// bodies of scanFrom are held to.
+func scanRef(sc *searchScratch, acc []float64, acci []int32, inv []float64, lo, k int, dead []uint64) {
+	inflate, theta := 1+sc.slack, sc.bar(k)
+	for i, f := range acc {
+		a := f + float64(float64(acci[i])*inv[i])
+		if a*inflate < theta || a == 0 || deadBit(dead, int32(lo+i)) {
+			continue
+		}
+		sc.cand, sc.candA = append(sc.cand, int32(lo+i)), append(sc.candA, a)
+		if sc.offer(a, k) {
+			theta = sc.bar(k)
+		}
+	}
+}
+
+// The scan's operands come from small grids, so that sums tie, reach the
+// bar exactly and are 0: acc from scanAcc, acci from scanAcci and inv from
+// scanInv. A document is three bytes, each picking from a grid by its low
+// three bits; bit 3 of the third marks the document dead.
+var (
+	scanAcc  = [8]float64{0, 0.25, 0.5, 1, 1.5, 2, 0x1p-1000, 3}
+	scanAcci = [8]int32{0, 0, 1, 2, 3, 7, 1 << 20, math.MaxInt32}
+	scanInv  = [8]float64{0, 1, 0.5, 0.25, 1.0 / 3, 0.1, 1e-7, 2}
+)
+
+// scanDocs encodes documents for FuzzScan: acc, acci and inv grid indices
+// and a dead bit each.
+func scanDocs(docs ...[4]int) []byte {
+	var out []byte
+	for _, d := range docs {
+		out = append(out, byte(d[0]), byte(d[1]), byte(d[2]|d[3]<<3))
+	}
+	return out
+}
+
+// FuzzScan holds scan, on every body the host runs, to scanRef: the same
+// candidates, approximate dot products and k best, bit for bit. The first
+// byte of data is how many of the bytes after it are approximations already
+// offered (a bar carried over from an earlier tile; at most three, each an
+// scanAcc value), then come the documents (scanDocs). slack picks 0 (a sum
+// can then equal the bar exactly), the accumulator's (n+32)·epsUlp or 1e-3;
+// the tile starts at document lo of the segment, for the dead bits. The
+// seeds cover a sum whose inflation equals the bar, sums of 0, a bar of 0
+// while fewer than k are kept, tails of 1 to 3 past the 4-wide steps, dead
+// documents and a bar rising mid-tile.
+func FuzzScan(f *testing.F) {
+	seed := func(prior []byte, docs []byte, k, lo, slack uint8) {
+		f.Add(append(append([]byte{byte(len(prior))}, prior...), docs...), k, lo, slack)
+	}
+	seed([]byte{3}, scanDocs([4]int{0, 3, 2, 0}, [4]int{3, 0, 0, 0}, [4]int{2, 0, 0, 0}, [4]int{1, 2, 2, 0}, [4]int{3, 1, 1, 0}), 0, 0, 0) // a = 1 = the bar
+	seed(nil, scanDocs([4]int{0, 0, 1, 0}, [4]int{0, 4, 0, 0}, [4]int{0, 0, 0, 0}, [4]int{1, 0, 0, 0}, [4]int{0, 2, 3, 0}), 1, 0, 1)       // a = 0
+	seed([]byte{2}, scanDocs([4]int{5, 0, 0, 0}, [4]int{1, 0, 0, 0}, [4]int{2, 0, 0, 0}, [4]int{0, 0, 0, 0}, [4]int{6, 0, 0, 0}), 3, 0, 1) // the bar 0 below k
+	seed(nil, scanDocs([4]int{1, 0, 0, 0}), 0, 0, 1)                                                                                       // tails
+	seed(nil, scanDocs([4]int{1, 0, 0, 0}, [4]int{4, 0, 0, 0}), 0, 7, 1)
+	seed(nil, scanDocs([4]int{1, 0, 0, 0}, [4]int{4, 0, 0, 0}, [4]int{3, 0, 0, 0}), 1, 63, 1)
+	seed(nil, scanDocs([4]int{5, 0, 0, 1}, [4]int{7, 7, 7, 1}, [4]int{3, 0, 0, 0}, [4]int{5, 0, 0, 1}, [4]int{2, 0, 0, 0}, [4]int{5, 5, 1, 1}, [4]int{1, 0, 0, 0}), 0, 61, 1) // dead
+	var rising []byte
+	for i := range 13 {
+		rising = append(rising, scanDocs([4]int{i % 8, i % 4, 1 + i%3, 0})...)
+	}
+	seed([]byte{1}, rising, 0, 0, 2)
+	seed(nil, rising, 1, 0, 0)
+	f.Fuzz(func(t *testing.T, data []byte, k, lo, slack uint8) {
+		if len(data) == 0 {
+			return
+		}
+		nPrior := min(int(data[0]%4), len(data)-1)
+		prior, docs := data[1:1+nPrior], data[1+nPrior:]
+		n := len(docs) / 3
+		acc, acci, inv := make([]float64, n), make([]int32, n), make([]float64, n)
+		var dead []uint64
+		for i := range n {
+			acc[i], acci[i], inv[i] = scanAcc[docs[3*i]&7], scanAcci[docs[3*i+1]&7], scanInv[docs[3*i+2]&7]
+			if d := int(lo) + i; docs[3*i+2]&8 != 0 {
+				if dead == nil {
+					dead = make([]uint64, (int(lo)+n+63)/64)
+				}
+				dead[d>>6] |= 1 << (d & 63)
+			}
+		}
+		kk := 1 + int(k%4)
+		fresh := func() *searchScratch {
+			sc := &searchScratch{slack: [3]float64{0, float64(n+32) * epsUlp, 1e-3}[slack%3]}
+			for _, p := range prior {
+				sc.offer(scanAcc[p&7], kk)
+			}
+			return sc
+		}
+		want := fresh()
+		scanRef(want, acc, acci, inv, int(lo), kk, dead)
+		for _, body := range denseRunBodies() {
+			got := fresh()
+			withDenseRunBody(body, func() { got.scan(acc, acci, inv, int(lo), kk, dead) })
+			if !slices.Equal(got.cand, want.cand) || !slices.Equal(got.candA, want.candA) || !slices.Equal(got.top, want.top) {
+				t.Fatalf("%s: candidates %v %v, top %v; the plain loop's %v %v, top %v", body, got.cand, got.candA, got.top, want.cand, want.candA, want.top)
+			}
+		}
+	})
+}
+
 // posting is one (document, weight) pair of a list.
 type posting struct {
 	doc int32
@@ -325,7 +426,7 @@ func requireLists(t *testing.T, ctx string, g *Segment, want map[string][]postin
 
 // isDense reports whether unigram term's list is one of g's rows.
 func isDense(g *Segment, term string) bool {
-	id, _ := g.dict.findTerm(term)
+	id, _ := g.dict.findTerm(term, termHash(term))
 	return id >= 0 && slices.Contains(g.dense, id)
 }
 
@@ -518,7 +619,7 @@ func TestRowTmaxAcrossProductOrder(t *testing.T) {
 	if 3*g.inv[0] <= 17*g.inv[1] || w0 >= w1 {
 		t.Fatalf("weights %v, %v and products %v, %v are in the same order: the case is not made", w0, w1, 3*g.inv[0], 17*g.inv[1])
 	}
-	if id, _ := g.dict.findTerm("t"); !isDense(g, "t") || g.tmax[id] != w1 {
+	if id, _ := g.dict.findTerm("t", termHash("t")); !isDense(g, "t") || g.tmax[id] != w1 {
 		t.Fatalf("tmax of \"t\" is %v, its largest weight %v", g.tmax[id], w1)
 	}
 	requireDenseForm(t, "built", g)
@@ -911,7 +1012,9 @@ func benchNearDupOf(rng *rand.Rand, texts []string, i int) string {
 // 16 mutated base documents, as publish_mixed publishes them; the queries are
 // the same in every shape. ns/posting divides by the postings of the query's
 // resolved terms in every segment — what the exhaustive accumulator would
-// read.
+// read. resolve is what every query pays before any scoring, over the novel
+// and near-duplicate queries in turn: parseQuery, then cursors on each
+// segment; ns/term divides by the query's distinct terms times the segments.
 func BenchmarkBestBenchCorpus(b *testing.B) {
 	names, texts := protectedDocs(8000)
 	segs := []*Segment{BuildSegment(names, texts, 0)}
@@ -971,6 +1074,21 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(read), "ns/posting")
 			})
 		}
+	}
+	resolve := append(slices.Clip(queries["novel"]), queries["neardup"]...)
+	for _, n := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("resolve/segs=%d", n), func(b *testing.B) {
+			sc, terms := &searchScratch{}, 0
+			for i := 0; i < b.N; i++ {
+				q := parseQuery(resolve[i%len(resolve)])
+				for _, g := range segs[:n] {
+					g.cursors(q, sc)
+				}
+				terms += n * len(q.keys)
+				putQuery(q)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(terms), "ns/term")
+		})
 	}
 	for _, n := range []int{1, 2, 8} {
 		snap := SnapshotOf(segs[:n], nil)

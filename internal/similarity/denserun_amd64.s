@@ -78,6 +78,49 @@ done:
 	VZEROUPPER
 	RET
 
+// func scanAVX2(acc []float64, acci []int32, inv []float64, inflate, theta float64) int
+//
+// scanFrom's loop, four documents a step over the first len(acc)&^3: a =
+// acc[i] + float64(acci[i])·inv[i], each operation rounded as Go rounds it,
+// then Go's !(a·inflate < theta) and !(a == 0) (NLT_UQ, NEQ_UQ). It returns
+// the first i where both hold, or len(acc)&^3; scanFrom has checked that
+// acci and inv are as long as acc.
+TEXT ·scanAVX2(SB), NOSPLIT, $0-96
+	MOVQ acc_base+0(FP), SI
+	MOVQ acc_len+8(FP), CX
+	MOVQ acci_base+24(FP), DX
+	MOVQ inv_base+48(FP), R8
+	VBROADCASTSD inflate+72(FP), Y14
+	VBROADCASTSD theta+80(FP), Y15
+	VXORPD Y13, Y13, Y13
+	ANDQ $~3, CX
+	XORQ AX, AX               // i
+
+step:
+	CMPQ AX, CX
+	JGE  done
+	VCVTDQ2PD (DX)(AX*4), Y0  // acci[i:i+4]
+	VMULPD (R8)(AX*8), Y0, Y0 // · inv[i:i+4]
+	VADDPD (SI)(AX*8), Y0, Y0 // + acc[i:i+4]: a
+	VMULPD Y14, Y0, Y1
+	VCMPPD $0x05, Y15, Y1, Y1 // !(a·inflate < theta)
+	VCMPPD $0x04, Y13, Y0, Y0 // !(a == 0)
+	VANDPD Y0, Y1, Y1
+	VMOVMSKPD Y1, BX
+	TESTL BX, BX
+	JNZ  found
+	ADDQ $4, AX
+	JMP  step
+
+found:
+	BSFL BX, BX
+	ADDQ BX, AX
+
+done:
+	MOVQ AX, ret+88(FP)
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX2() bool
 //
 // Whether the CPU has AVX2 (CPUID.7.0:EBX bit 5) and the OS saves the YMM

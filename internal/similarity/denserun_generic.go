@@ -18,3 +18,24 @@ func denseRunBody(acc []int32, rows []int16, offs []int, qs []uint32) {
 		}
 	}
 }
+
+// scanFrom returns the first document i >= from whose approximate dot
+// product a = acc[i] + acci[i]·inv[i] may join the candidates (see scan), or
+// len(acc): scanAVX2 over whole steps of four where useAVX2, this Go loop on
+// the rest and everywhere else.
+func scanFrom(acc []float64, acci []int32, inv []float64, from int, inflate, theta float64) int {
+	acci, inv, i := acci[:len(acc)], inv[:len(acc)], from
+	if useAVX2 {
+		n := (len(acc) - i) &^ 3
+		if j := scanAVX2(acc[i:], acci[i:], inv[i:], inflate, theta); j < n {
+			return i + j
+		}
+		i += n
+	}
+	for ; i < len(acc); i++ {
+		if a := acc[i] + float64(float64(acci[i])*inv[i]); !(a*inflate < theta) && a != 0 {
+			break
+		}
+	}
+	return i
+}

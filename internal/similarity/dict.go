@@ -87,10 +87,13 @@ func slot(h uint64, n int) int { return int(h >> bits.LeadingZeros64(uint64(n-1)
 // termBytes returns the bytes of the unigram with ordinal o.
 func (d *dict) termBytes(o int) []byte { return d.arena[d.toff[o]:d.toff[o+1]] }
 
+// termHash is unigram t's hash in every dictionary: they share dictSeed.
+func termHash(t string) uint64 { return maphash.String(dictSeed, t) }
+
 // findTerm returns unigram t's postings id and table slot, or -1 and the
-// empty slot its probe ended at.
-func (d *dict) findTerm(t string) (id int32, at int) {
-	h, mask := maphash.String(dictSeed, t), uint32(len(d.ttab)-1)
+// empty slot its probe ended at; h is termHash(t).
+func (d *dict) findTerm(t string, h uint64) (id int32, at int) {
+	mask := uint32(len(d.ttab) - 1)
 	for at = slot(h, len(d.ttab)); ; at = (at + 1) & int(mask) {
 		switch e := d.ttab[at]; {
 		case e == 0:
@@ -101,12 +104,13 @@ func (d *dict) findTerm(t string) (id int32, at int) {
 	}
 }
 
-// lookup returns unigram t's id, or -1.
-func (d *dict) lookup(t string) int32 {
+// lookup returns unigram t's id, or -1; h is termHash(t), unread for a
+// one-byte term.
+func (d *dict) lookup(t string, h uint64) int32 {
 	if len(t) == 1 {
 		return d.one[t[0]] - 1
 	}
-	id, _ := d.findTerm(t)
+	id, _ := d.findTerm(t, h)
 	return id
 }
 
@@ -121,14 +125,16 @@ func (d *dict) next() int32 {
 }
 
 // internTerm returns the id unigram t is under: id, with a copy of t added,
-// when t is new. id must exceed every unigram id before it.
-func (d *dict) internTerm(t string, id int32) int32 {
+// when t is new. id must exceed every unigram id before it. It returns
+// termHash(t) too, or 0 for a one-byte term it already holds.
+func (d *dict) internTerm(t string, id int32) (int32, uint64) {
 	if len(t) == 1 && d.one[t[0]] != 0 {
-		return d.one[t[0]] - 1
+		return d.one[t[0]] - 1, 0
 	}
-	have, at := d.findTerm(t)
+	h := termHash(t)
+	have, at := d.findTerm(t, h)
 	if have >= 0 {
-		return have
+		return have, h
 	}
 	if uint64(len(d.arena))+uint64(len(t)) > math.MaxUint32 {
 		panic("similarity: more than 2^32 bytes of unigrams")
@@ -137,19 +143,20 @@ func (d *dict) internTerm(t string, id int32) int32 {
 		d.ttab = make([]uint32, 2*len(d.ttab))
 		for o := range d.tid {
 			u := bstr(d.termBytes(o))
-			_, at := d.findTerm(u)
-			d.ttab[at] = uint32(maphash.String(dictSeed, u))&^uint32(len(d.ttab)-1) | uint32(o+1)
+			hu := termHash(u)
+			_, at := d.findTerm(u, hu)
+			d.ttab[at] = uint32(hu)&^uint32(len(d.ttab)-1) | uint32(o+1)
 		}
-		_, at = d.findTerm(t)
+		_, at = d.findTerm(t, h)
 	}
 	d.arena = append(d.arena, t...)
 	d.toff = append(d.toff, uint32(len(d.arena)))
 	d.tid = append(d.tid, id)
-	d.ttab[at] = uint32(maphash.String(dictSeed, t))&^uint32(len(d.ttab)-1) | uint32(len(d.tid))
+	d.ttab[at] = uint32(h)&^uint32(len(d.ttab)-1) | uint32(len(d.tid))
 	if len(t) == 1 {
 		d.one[t[0]] = id + 1
 	}
-	return id
+	return id, h
 }
 
 // findPair is findTerm for the bigram with key k.

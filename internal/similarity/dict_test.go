@@ -51,8 +51,8 @@ func TestDictAgainstMaps(t *testing.T) {
 				if got := string(d.termBytes(o)); got != term || d.tid[o] != wantTerms[term] {
 					t.Fatalf("%s: ordinal %d is %q under id %d, want %q under %d", when, o, got, d.tid[o], term, wantTerms[term])
 				}
-				if id, _ := d.findTerm(term); id != wantTerms[term] || d.lookup(term) != id {
-					t.Fatalf("%s: findTerm(%q) = %d, lookup %d, want %d", when, term, id, d.lookup(term), wantTerms[term])
+				if id, _ := d.findTerm(term, termHash(term)); id != wantTerms[term] || d.lookup(term, termHash(term)) != id {
+					t.Fatalf("%s: findTerm(%q) = %d, lookup %d, want %d", when, term, id, d.lookup(term, termHash(term)), wantTerms[term])
 				}
 			}
 			for k, want := range wantPairs {
@@ -72,8 +72,8 @@ func TestDictAgainstMaps(t *testing.T) {
 			if !had {
 				want, wantTerms[term], order = id, id, append(order, term)
 			}
-			if got := d.internTerm(term, id); got != want {
-				t.Fatalf("internTerm(%q, %d) = %d, want %d", term, id, got, want)
+			if got, h := d.internTerm(term, id); got != want || h != termHash(term) && (len(term) > 1 || !had || h != 0) {
+				t.Fatalf("internTerm(%q, %d) = %d, %#x, want %d, %#x", term, id, got, h, want, termHash(term))
 			}
 			id++
 			want, had = wantPairs[key]
@@ -89,10 +89,10 @@ func TestDictAgainstMaps(t *testing.T) {
 			if want, had = wantTerms[probe]; !had {
 				want = -1
 			}
-			if got, _ := d.findTerm(probe); got != want || d.lookup(probe) != want {
-				t.Fatalf("findTerm(%q) = %d, lookup %d, want %d", probe, got, d.lookup(probe), want)
+			if got, _ := d.findTerm(probe, termHash(probe)); got != want || d.lookup(probe, termHash(probe)) != want {
+				t.Fatalf("findTerm(%q) = %d, lookup %d, want %d", probe, got, d.lookup(probe, termHash(probe)), want)
 			}
-			if got, _ := d.findTerm(bstr([]byte(probe))); got != want {
+			if got, _ := d.findTerm(bstr([]byte(probe)), termHash(bstr([]byte(probe)))); got != want {
 				t.Fatalf("findTerm(%q) by []byte = %d, want %d", probe, got, want)
 			}
 			if want, had = wantPairs[probeKey]; !had {

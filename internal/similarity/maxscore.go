@@ -18,6 +18,11 @@ package similarity
 //     of every document: short tiles cost the hardware prefetcher its
 //     streams and buy it nothing.
 //
+// Both start from the query resolved against the segment (cursors): each
+// distinct unigram probes the dictionary with the hash parseQuery kept (all
+// dictionaries share dictSeed), and a row list finds its row by a rank over
+// the segment's row bitmap (Segment.list), with no search.
+//
 // The accumulator ranks, then re-scores. Per tile a query scatters its
 // sparse lists into float64 sums and adds its dense rows — int16 counts —
 // into int32 sums, two rows per AVX2 VPMADDWD (denseRun), exact in any
@@ -25,12 +30,13 @@ package similarity
 // sum times the reciprocal of its norm, with no division on the way, and the
 // scan keeps every live document whose approximation, inflated by a slack
 // covering the roundings of both sums, reaches the k-th best so far,
-// deflated. Only those are then scored exactly (rescore): every query term
-// in canonical order, a row's weight read as its count over the norm — the
-// division the weight was stored from, so the same float64 bit for bit. A
-// document the scan drops is strictly worse than k others, so ties are
-// never pruned and every score, tie and verdict is the canonical float64
-// sum. On bench/'s corpus a novel candidate keeps one to a few hundred
+// deflated; it tests four documents an AVX2 step (scanFrom) and stops in Go
+// only at one that may join. Only those are then scored exactly (rescore):
+// every query term in canonical order, a row's weight read as its count over
+// the norm — the division the weight was stored from, so the same float64
+// bit for bit. A document the scan drops is strictly worse than k others, so
+// ties are never pruned and every score, tie and verdict is the canonical
+// float64 sum. On bench/'s corpus a novel candidate keeps one to a few hundred
 // documents: documents built from one template tie exactly.
 //
 // On bench/'s near-duplicates the gather engine reads 86–103 µs against the
@@ -42,20 +48,18 @@ package similarity
 // (similarity.topk10_us, best_neardup_us, best_novel_us,
 // bestbatch_us_per_cand).
 //
-// Why a special engine at all: similarity here is tf-only cosine — there
-// is no idf — so corpus-universal terms (Verilog keywords, punctuation)
-// carry enormous upper bounds. Classic MaxScore, which keeps the
-// highest-bound terms essential, would surface every document as a
-// candidate and prune nothing on whole-file audit queries. The gather
-// engine therefore splits the query's posting lists three ways and scores
-// by gathering rather than by cursor merging:
+// Why a special engine at all: similarity here is tf-only cosine, with no
+// idf, so corpus-universal terms (Verilog keywords, punctuation) carry
+// enormous upper bounds, and classic MaxScore would surface every document
+// on whole-file audit queries. The gather engine splits the query's posting
+// lists three ways and scores by gathering, not cursor merging:
 //
 //   - Dense lists — at least 1/rowShare of the segment's documents,
 //     rowShare·df >= docs, the one definition Segment.layout applies, which
 //     stores each of them only doc-indexed (Segment.rows, count 0 for a
 //     document outside it) — never generate candidates, and are bounded
-//     together, not term by term: by Cauchy–Schwarz they give document d at most
-//     ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
+//     together, not term by term: by Cauchy–Schwarz they give document d at
+//     most ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
 //     lists times the norm seal keeps of d's weights over all of them. A
 //     sum of per-term maxima charges every keyword at the weight of the
 //     document fullest of it: on bench/'s corpus it reads 1.17 of the query
@@ -89,44 +93,36 @@ package similarity
 //     bound is at most the largest dense bound plus the absorbed prefix,
 //     which the partition holds strictly below a threshold that only rises.
 //
-// The threshold that powers all of this is primed before scoring starts
-// (see searchPrunedBest): near-duplicate queries carry nearly-unique
-// "pointer" terms that vote for the matching document, whose exact score
-// — accumulated in canonical order, so bit-identical to what the main
-// pass would compute — is pushed into the heap up front.
+// The threshold is primed before scoring starts (searchPrunedBest): a
+// near-duplicate's nearly unique "pointer" terms vote for the matching
+// document, whose exact score is pushed into the heap up front.
 //
-// Exactness is non-negotiable here (the serving layer's golden fixtures
-// and the offline/online byte-equality tests pin scores bit-for-bit), and
-// rests on two invariants:
+// Exactness is non-negotiable (the serving layer's golden fixtures and the
+// offline/online byte-equality tests pin scores bit for bit) and rests on
+// two invariants:
 //
 //  1. Bit-identical sums. A fully evaluated document accumulates its dot
-//     product in exactly the order the accumulator's re-scoring uses, so
-//     the kept scores are not merely close — they are the same float64s.
-//  2. Conservative bounds. Upper bounds are inflated and the threshold
-//     deflated by a slack factor covering worst-case float64 summation
-//     error (bounds and scores are sums in different orders, so exact
-//     comparison would be unsound), and a candidate is pruned only when
-//     its bound is STRICTLY below the threshold — so only documents
-//     provably worse than the best are ever skipped. Ties are never
-//     pruned: a tying document always reaches full evaluation, where the
-//     heap's lowest-index tie rule (matchWorse) decides, independent of
-//     visit order. That strictness is also what makes threshold priming
-//     sound: pushing a real document's exact score early can never cause
-//     a different document with an equal or better score to be skipped.
+//     product in the order the accumulator's re-scoring uses, so the kept
+//     scores are the same float64s, not merely close ones.
+//  2. Conservative bounds. Bounds are inflated and the threshold deflated
+//     by a slack covering worst-case float64 summation error (bounds and
+//     scores sum in different orders), and a candidate is pruned only when
+//     its bound is STRICTLY below the threshold. Ties are never pruned: a
+//     tying document reaches full evaluation, where the heap's lowest-index
+//     rule (matchWorse) decides whatever the visit order, and pushing a
+//     real document's exact score early (priming) can never make an equal
+//     or better one be skipped.
 //
 // Worst case, the segment is so homogeneous that no threshold separates
-// documents (every doc scores within the bounds' slack of the best — the
-// adversarial case for any exact pruner). The gather engine detects that
-// pruning is not paying — the best known score does not clear the largest
-// dense bound, or more than half the postings would be streamed, or a
-// quarter have been read — and falls back to the exhaustive accumulator,
-// bounding the regression to a small constant factor while keeping the
-// large wins on selective workloads. A novel candidate — 97% of what a
-// clean model sends — always ends there, so the accumulator is the audit: a
-// scatter per sparse list, the dense rows two at a time as integers, and the
-// exact re-scoring of the documents the scan kept.
+// documents (all within the slack of the best). The gather engine detects
+// that pruning is not paying — the best known score does not clear the
+// largest dense bound, more than half the postings would be streamed, or a
+// quarter have been read — and falls back to the accumulator, bounding the
+// regression to a constant factor. A novel candidate — 97% of what a clean
+// model sends — always ends there, so the accumulator is the audit.
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
 	"slices"
@@ -416,7 +412,7 @@ func (g *Segment) cursors(q *query, sc *searchScratch) (totalPostings int) {
 	for qid, k1 := range q.keys {
 		id := int32(-1)
 		if k1 == 0 {
-			id = g.dict.lookup(bstr(q.d.termBytes(o)))
+			id = g.dict.lookup(bstr(q.d.termBytes(o)), q.hash[o])
 			o++
 		} else if a, b := ids[(k1-1)>>32], ids[uint32(k1-1)]; a >= 0 && b >= 0 {
 			id, _ = g.dict.findPair(pairKey(a, b))
@@ -460,18 +456,12 @@ func pushMatch(h *matchHeap, k int, m Match) bool {
 func canonicalTails(sc *searchScratch, inflate float64) []float64 {
 	curs := sc.curs
 	n := len(curs)
-	tail := sc.tail[:0]
-	if cap(tail) < n+1 {
-		tail = make([]float64, n+1)
-	}
-	tail = tail[:n+1]
-	tail[n] = 0
+	tail := zeros(&sc.tail, n+1)
 	rcum := 0.0
 	for i := n - 1; i >= 0; i-- {
 		rcum += curs[i].ub
 		tail[i] = rcum * inflate
 	}
-	sc.tail = tail
 	return tail
 }
 
@@ -632,8 +622,8 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 			}
 		}
 		sc.prime = collect
-		var primeDocs [primeBudget]int32
-		var cnts [primeBudget]int
+		type vote struct{ d, n int32 } // a document and how many pointer terms name it
+		var votes [primeBudget]vote
 		nPrime := 0
 		slices.Sort(collect)
 		// Keep the primeBudget docs with the longest runs (= named by
@@ -643,36 +633,27 @@ func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn
 		for i, j := 0, 0; i < len(collect); i = j {
 			for j = i + 1; j < len(collect) && collect[j] == collect[i]; j++ {
 			}
-			switch run := j - i; {
-			case deadBit(dead, collect[i]): // a tombstoned doc must not seed the threshold
+			switch v, mi := (vote{collect[i], int32(j - i)}), 0; {
+			case deadBit(dead, v.d): // a tombstoned doc must not seed the threshold
 			case nPrime < primeBudget:
-				primeDocs[nPrime], cnts[nPrime] = collect[i], run
-				nPrime++
+				votes[nPrime], nPrime = v, nPrime+1
 			default:
-				mi := 0
 				for s := 1; s < primeBudget; s++ {
-					if cnts[s] < cnts[mi] {
+					if votes[s].n < votes[mi].n {
 						mi = s
 					}
 				}
-				if run > cnts[mi] {
-					primeDocs[mi], cnts[mi] = collect[i], run
+				if v.n > votes[mi].n {
+					votes[mi] = v
 				}
 			}
 		}
 		// Best guess first (descending vote count, ties by lower doc id):
 		// the leader alone decides whether pruning is viable, so the
 		// hopeless check can run after one evaluation instead of four.
-		for i := 1; i < nPrime; i++ {
-			d, ct := primeDocs[i], cnts[i]
-			j := i
-			for j > 0 && (cnts[j-1] < ct || (cnts[j-1] == ct && primeDocs[j-1] > d)) {
-				primeDocs[j], cnts[j] = primeDocs[j-1], cnts[j-1]
-				j--
-			}
-			primeDocs[j], cnts[j] = d, ct
-		}
-		for pi, d := range primeDocs[:nPrime] {
+		slices.SortFunc(votes[:nPrime], func(a, b vote) int { return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.d, b.d)) })
+		for pi, v := range votes[:nPrime] {
+			d := v.d
 			acc, _ := g.evalCanonical(curs, tail, d, -1)
 			visited += uint64(n)
 			if acc > 0 {
@@ -825,22 +806,17 @@ func gallop(docs []int32, d int32) (int, bool) {
 // posting (ub/df): the absorption order that buys the most skipped
 // postings per unit of threshold budget. Compared via cross-
 // multiplication (no division), ties by ascending index — deterministic.
-// Insertion sort: n is small and the slice is reused across queries.
+// Insertion sort: n is small, and it measured faster here than
+// slices.SortFunc.
 func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 	less := func(a, b int32) bool {
-		ra := curs[a].ub * float64(len(curs[b].docs))
-		rb := curs[b].ub * float64(len(curs[a].docs))
-		if ra != rb {
-			return ra < rb
-		}
-		return a < b
+		ra, rb := curs[a].ub*float64(len(curs[b].docs)), curs[b].ub*float64(len(curs[a].docs))
+		return ra < rb || ra == rb && a < b
 	}
 	for i := 1; i < len(ord); i++ {
-		v := ord[i]
-		j := i - 1
-		for j >= 0 && less(v, ord[j]) {
+		v, j := ord[i], i-1
+		for ; j >= 0 && less(v, ord[j]); j-- {
 			ord[j+1] = ord[j]
-			j--
 		}
 		ord[j+1] = v
 	}
@@ -931,15 +907,15 @@ func (g *Segment) tileSums(sc *searchScratch, lo, hi int) (acc []float64, acci [
 // scan offers the live documents of one tile to the query's candidates: a
 // document joins them unless its approximate dot product, inflated, is below
 // the deflated k-th best one so far (see accumulate). A document with no
-// term in common scores 0 and never does.
+// term in common scores 0 and never does. scanFrom finds the next document
+// that may join, four a step in AVX2; this loop takes each from there.
 func (sc *searchScratch) scan(acc []float64, acci []int32, inv []float64, lo, k int, dead []uint64) {
 	inflate, theta := 1+sc.slack, sc.bar(k)
-	acci, inv = acci[:len(acc)], inv[:len(acc)]
-	for i, f := range acc {
-		a := f + float64(float64(acci[i])*inv[i])
-		if a*inflate < theta || a == 0 || deadBit(dead, int32(lo+i)) {
+	for i := scanFrom(acc, acci, inv, 0, inflate, theta); i < len(acc); i = scanFrom(acc, acci, inv, i+1, inflate, theta) {
+		if deadBit(dead, int32(lo+i)) {
 			continue // tombstoned: must not win or raise the bar
 		}
+		a := acc[i] + float64(float64(acci[i])*inv[i])
 		sc.cand, sc.candA = append(sc.cand, int32(lo+i)), append(sc.candA, a)
 		if sc.offer(a, k) {
 			theta = sc.bar(k)

@@ -106,6 +106,37 @@ func TestQueryCountsSaturate(t *testing.T) {
 	q.d.next()
 }
 
+// putQuery leaves an outsized query to the collector, so the pool never
+// hands it out again: one whose dictionary tables a text of 5 000 distinct
+// unigrams grew past 4 096 slots, and one whose per-unigram hash slice grew
+// past 4 096 entries while its tables stayed small. The second is set by
+// hand, as a text that grows the slice grows the tables with it.
+func TestPutQueryDropsOutsized(t *testing.T) {
+	var wide strings.Builder
+	for i := range 5000 {
+		fmt.Fprintf(&wide, "t%d ", i)
+	}
+	big := parseQuery(wide.String())
+	hashes := parseQuery("module m ; endmodule")
+	hashes.hash = append(make([]uint64, 0, 1<<12+1), hashes.hash...)
+	if len(big.d.ttab) <= 1<<12 || len(hashes.d.ttab) > 1<<12 || len(hashes.d.pkey) > 1<<12 {
+		t.Fatalf("tables of %d and %d, %d slots: the cases are not made", len(big.d.ttab), len(hashes.d.ttab), len(hashes.d.pkey))
+	}
+	for _, q := range []*query{big, hashes} {
+		putQuery(q)
+		var got []*query
+		for range 4 {
+			got = append(got, queryPool.Get().(*query))
+			if got[len(got)-1] == q {
+				t.Fatalf("the pool handed out a query of %d table slots and %d hashes", len(q.d.ttab), cap(q.hash))
+			}
+		}
+		for _, p := range got {
+			putQuery(p)
+		}
+	}
+}
+
 // A massively repetitive query (one term repeated far beyond any sane
 // document) must still score exactly: counts stay exact integers, qnorm
 // stays finite, and the self-match is found.

@@ -84,7 +84,7 @@ func MergeSegments(segs []*Segment, deads [][]uint64) *Segment {
 			}
 			var outID int32
 			if key1 == 0 {
-				outID = out.dict.internTerm(bstr(src.dict.termBytes(ord)), out.dict.next())
+				outID, _ = out.dict.internTerm(bstr(src.dict.termBytes(ord)), out.dict.next())
 			} else {
 				oa, ob := toOut[(key1-1)>>32], toOut[uint32(key1-1)]
 				if oa < 0 || ob < 0 {

@@ -3,6 +3,7 @@ package similarity
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -62,14 +63,18 @@ import (
 // (0 for a document with no postings), so the scan that combines a row sum
 // with the float sums never divides.
 //
-// tmax, dnorm, inv, rowMax and byName are derived by seal, never
-// serialized. byName is the document ids sorted by (name, id), so a removal
-// finds every document of a name by binary search. tmax[id] is list id's
-// largest weight. dnorm[d] is the 2-norm of document d's dense weights,
-// rounded up (see seal), and dnormMax the largest: by Cauchy–Schwarz no query
-// gets more than ‖its dense counts‖·dnorm[d] out of d's dense lists, the one
-// dense bound the gather engine uses. rowMax is the largest count in rows,
-// which bounds what a run of rows can add to an int32.
+// tmax, dnorm, inv, rowMax, isRow, rowRank and byName are derived by seal,
+// never serialized. Bit id of isRow is set when list id is a row, and
+// rowRank[w] counts the rows among the lists before word w's first, so list
+// finds a row in O(1) for 1.5 bits a list: 89 KB on bench/'s 474 k-list
+// base, where an int32 a list would take 1.9 MB. byName is the document ids
+// sorted by (name, id), so a removal finds every document of a name by binary
+// search. tmax[id] is list id's largest weight. dnorm[d] is the 2-norm of
+// document d's dense weights, rounded up (see seal), and dnormMax the
+// largest: by Cauchy–Schwarz no query gets more than ‖its dense
+// counts‖·dnorm[d] out of d's dense lists, the one dense bound the gather
+// engine uses. rowMax is the largest count in rows, which bounds what a run
+// of rows can add to an int32.
 //
 // The zero id means "not yet assigned": internal/snapstore assigns a
 // store-unique id the first time the segment is persisted, and the id
@@ -84,6 +89,8 @@ type Segment struct {
 	dense    []int32
 	ddf      []uint32
 	rows     []int16
+	isRow    []uint64
+	rowRank  []uint32
 	rowMax   int32
 	norm     []float64
 	inv      []float64
@@ -195,13 +202,12 @@ func (g *Segment) place(cur []uint32, id int, d int32, c uint32) {
 
 // list returns list id as a cursor with no query side: a dense list's row
 // index, docs nil, or its arena range, and its df (0: a list nothing is in).
-// Only an empty range is looked up in dense.
+// Only an empty range is looked up in isRow.
 func (g *Segment) list(id int32) pruneCursor {
 	lo, hi := g.off[id], g.off[id+1]
-	if lo == hi {
-		if r, ok := slices.BinarySearch(g.dense, id); ok {
-			return pruneCursor{row: int32(r), df: g.ddf[r]}
-		}
+	if bit := uint64(1) << (id & 63); lo == hi && g.isRow[id>>6]&bit != 0 {
+		r := g.rowRank[id>>6] + uint32(bits.OnesCount64(g.isRow[id>>6]&(bit-1)))
+		return pruneCursor{row: int32(r), df: g.ddf[r]}
 	}
 	return pruneCursor{docs: g.docs[lo:hi], ws: g.ws[lo:hi], row: -1, df: hi - lo}
 }
@@ -236,15 +242,22 @@ func (g *Segment) postings(id int32) func(yield func(int32, uint32) bool) {
 	}
 }
 
-// seal installs the offset table from the fill cursors, derives tmax, the
-// reciprocal norms and the documents' dense norms from the arenas and rows
-// and sorts the name order, then returns the now-frozen segment.
+// seal installs the offset table from the fill cursors and the row bitmap
+// from dense, derives tmax, the reciprocal and dense norms from the arenas
+// and rows, and sorts the name order; it returns the now-frozen segment.
 func (g *Segment) seal() *Segment {
 	nDocs := len(g.names)
 	for id := 1; id < len(g.off); id++ { // a dense list's empty range ends where the list before it does
 		if ^g.off[id] < uint32(len(g.dense)) {
 			g.off[id] = g.off[id-1]
 		}
+	}
+	g.isRow, g.rowRank = make([]uint64, g.lists()/64+1), make([]uint32, g.lists()/64+1)
+	for _, id := range g.dense {
+		g.isRow[id>>6] |= 1 << (id & 63)
+	}
+	for w := 1; w < len(g.rowRank); w++ {
+		g.rowRank[w] = g.rowRank[w-1] + uint32(bits.OnesCount64(g.isRow[w-1]))
 	}
 	g.tmax = make([]float64, g.lists())
 	for id := range g.tmax {
@@ -354,7 +367,8 @@ func (b *SegmentBuilder) Add(name, text string) {
 	g := b.open("Add")
 	d, s := &g.dict, termScanner{text: text, low: b.low}
 	for t, ok := s.next(); ok; t, ok = s.next() {
-		b.tids = append(b.tids, d.internTerm(t, d.next()))
+		id, _ := d.internTerm(t, d.next())
+		b.tids = append(b.tids, id)
 	}
 	g.names, b.low = append(g.names, name), s.low
 	if need := g.lists() + len(b.tids); need > len(b.cnt) { // room for every bigram to be new

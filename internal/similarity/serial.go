@@ -288,7 +288,7 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		if r.err || id <= prev || int(id) >= nPost {
 			return nil, ErrCorruptSnapshot
 		}
-		if g.dict.internTerm(bstr(term), id) != id { // a duplicate: already there, under an earlier id
+		if have, _ := g.dict.internTerm(bstr(term), id); have != id { // a duplicate: already there, under an earlier id
 			return nil, ErrCorruptSnapshot
 		}
 		isUni[id] = true

@@ -273,7 +273,7 @@ func TestDecodeRecoversCounts(t *testing.T) {
 	}
 
 	small := BuildSegment([]string{"four.v", "ab.v", "b.v"}, []string{"a a a a", "a b", "b b a"}, 0)
-	if id, _ := small.dict.findTerm("a"); !slices.Contains(small.dense, id) {
+	if id, _ := small.dict.findTerm("a", termHash("a")); !slices.Contains(small.dense, id) {
 		t.Fatal(`"a" is not a row`)
 	}
 	secs := small.EncodeSections()
@@ -297,7 +297,7 @@ func TestDecodeRecoversCounts(t *testing.T) {
 	// Counts of 40 000 and 39 999: the norm takes the second pass, and then
 	// the list of "a" the arenas, as the builder put it there.
 	long := BuildSegment([]string{"long.v", "ab.v", "bac.v"}, []string{strings.Repeat("a ", 40000), "a b", "b a c"}, 0)
-	if id, _ := long.dict.findTerm("a"); slices.Contains(long.dense, id) {
+	if id, _ := long.dict.findTerm("a", termHash("a")); slices.Contains(long.dense, id) {
 		t.Fatal(`"a" is a row`)
 	}
 	dlong, err := DecodeSegment(long.EncodeSections())

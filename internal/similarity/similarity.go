@@ -7,9 +7,9 @@
 // Corpus lookups run on an inverted index (term -> postings with
 // precomputed unit-normalized weights) with accumulator-based scoring, so a
 // query touches only the postings of its own terms instead of intersecting
-// its term map against every document vector. Cosine and NewVector remain
-// as a map-based reference; index_test.go holds every scoring path, bit for
-// bit, to an oracle built from the texts at every state of the index.
+// its term map against every document vector. index_test.go holds every
+// scoring path, bit for bit, to an oracle built from the texts at every state
+// of the index; the map-based Cosine it grew from is in similarity_test.go.
 package similarity
 
 import (
@@ -21,13 +21,6 @@ import (
 
 // DefaultThreshold is the paper's violation threshold.
 const DefaultThreshold = 0.8
-
-// Vector is a sparse TF vector keyed by term hash, pre-normalized to unit
-// length at construction.
-type Vector struct {
-	terms map[string]float64
-	norm  float64
-}
 
 // Byte classes of the term scanner: an ASCII word byte (identifier, keyword
 // or number), cUpper also set on A–Z, and cSpace; every other ASCII byte is a
@@ -113,64 +106,6 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// termCounts builds the unigram+bigram term frequencies of text. order
-// lists the distinct terms in first-appearance order, giving every
-// consumer a deterministic iteration sequence.
-func termCounts(text string) (counts map[string]float64, order []string) {
-	toks := Tokenize(text)
-	counts = make(map[string]float64, len(toks)*2)
-	order = make([]string, 0, len(toks)*2)
-	bump := func(t string) {
-		if _, ok := counts[t]; !ok {
-			order = append(order, t)
-		}
-		counts[t]++
-	}
-	for i, t := range toks {
-		bump(t)
-		if i+1 < len(toks) {
-			bump(t + "\x00" + toks[i+1])
-		}
-	}
-	return counts, order
-}
-
-func normOf(counts map[string]float64) float64 {
-	var sum float64
-	for _, f := range counts {
-		sum += f * f //freehw:nolint mapord -- term counts are integer-valued; float64 sums of small ints are exact in any order
-	}
-	return math.Sqrt(sum)
-}
-
-// NewVector builds a unit-normalized TF vector over word unigrams and
-// bigrams. Bigrams give the metric sensitivity to local structure so that
-// different modules built from the same keyword vocabulary do not collide.
-func NewVector(text string) Vector {
-	counts, _ := termCounts(text)
-	return Vector{terms: counts, norm: normOf(counts)}
-}
-
-// Cosine returns the cosine similarity in [0,1]. It and NewVector are
-// exported for internal/corpus's tests: the scoring oracle that shares no
-// code with the index.
-func Cosine(a, b Vector) float64 {
-	if a.norm == 0 || b.norm == 0 {
-		return 0
-	}
-	small, large := a.terms, b.terms
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	var dot float64
-	for t, f := range small {
-		if g, ok := large[t]; ok {
-			dot += f * g //freehw:nolint mapord -- raw counts are integers, products and sums stay exact in any order
-		}
-	}
-	return dot / (a.norm * b.norm)
-}
-
 // Match is the best corpus match for a query.
 type Match struct {
 	Name  string
@@ -190,13 +125,16 @@ type Match struct {
 // ordinals ascend with id, as in a segment) and pairKey+1 for a bigram, keyed
 // by its unigrams' query ids; cnt[id] is the term's count, saturating at
 // 2^32-1 rather than wrapping, and norm is the 2-norm of every count, the
-// terms no segment knows included. A segment resolves it with one lookup per
-// distinct unigram and one findPair per distinct bigram whose two unigrams it
-// knows (Segment.cursors).
+// terms no segment knows included. hash[o] is the termHash of the unigram
+// with ordinal o, kept from interning it, since every segment's dictionary
+// hashes alike. A segment resolves the query with one lookup per distinct
+// unigram and one findPair per distinct bigram whose two unigrams it knows
+// (Segment.cursors).
 type query struct {
 	d    dict
 	keys []uint64
 	cnt  []uint32
+	hash []uint64
 	norm float64
 	low  []byte // the term scanner's scratch
 }
@@ -211,7 +149,10 @@ func parseQuery(text string) *query {
 	prev := int32(-1)
 	s := termScanner{text: text, low: q.low}
 	for t, ok := s.next(); ok; t, ok = s.next() {
-		id := q.d.internTerm(t, q.d.next())
+		id, h := q.d.internTerm(t, q.d.next())
+		if int(id) == len(q.cnt) {
+			q.hash = append(q.hash, h)
+		}
 		q.add(id, 0)
 		if prev >= 0 {
 			k := pairKey(prev, id)
@@ -239,15 +180,15 @@ func (q *query) add(id int32, key1 uint64) {
 	}
 }
 
-// putQuery returns q to the pool, empty. A query whose tables an outsized
-// text grew past 4 096 slots is left to the collector instead, so that no
-// query after it clears them.
+// putQuery returns q to the pool, empty. A query whose tables or hashes an
+// outsized text grew past 4 096 slots is left to the collector instead, so
+// that no query after it clears or carries them.
 func putQuery(q *query) {
-	if len(q.d.ttab) > 1<<12 || len(q.d.pkey) > 1<<12 {
+	if len(q.d.ttab) > 1<<12 || len(q.d.pkey) > 1<<12 || cap(q.hash) > 1<<12 {
 		return
 	}
 	q.d.reset()
-	q.keys, q.cnt, q.norm = q.keys[:0], q.cnt[:0], 0
+	q.keys, q.cnt, q.hash, q.norm = q.keys[:0], q.cnt[:0], q.hash[:0], 0
 	queryPool.Put(q)
 }
 

@@ -9,6 +9,73 @@ import (
 	"unicode/utf8"
 )
 
+// Vector is a sparse TF vector over word unigrams and bigrams, with its
+// norm: the map-based cosine the index replaced, kept as a reference that
+// shares no code with it.
+type Vector struct {
+	terms map[string]float64
+	norm  float64
+}
+
+// termCounts builds the unigram+bigram term frequencies of text. order
+// lists the distinct terms in first-appearance order, giving every
+// consumer a deterministic iteration sequence.
+func termCounts(text string) (counts map[string]float64, order []string) {
+	toks := Tokenize(text)
+	counts = make(map[string]float64, len(toks)*2)
+	order = make([]string, 0, len(toks)*2)
+	bump := func(t string) {
+		if _, ok := counts[t]; !ok {
+			order = append(order, t)
+		}
+		counts[t]++
+	}
+	for i, t := range toks {
+		bump(t)
+		if i+1 < len(toks) {
+			bump(t + "\x00" + toks[i+1])
+		}
+	}
+	return counts, order
+}
+
+// normOf is the 2-norm of counts. The counts are integers, so the float64
+// sum of their squares is exact in any map order.
+func normOf(counts map[string]float64) float64 {
+	var sum float64
+	for _, f := range counts {
+		sum += f * f
+	}
+	return math.Sqrt(sum)
+}
+
+// NewVector builds text's TF vector. Bigrams give the metric sensitivity to
+// local structure, so that different modules built from the same keyword
+// vocabulary do not collide.
+func NewVector(text string) Vector {
+	counts, _ := termCounts(text)
+	return Vector{terms: counts, norm: normOf(counts)}
+}
+
+// Cosine returns the cosine similarity of a and b, in [0,1]. The counts
+// are integers, so the products and their sum are exact in any map order.
+func Cosine(a, b Vector) float64 {
+	if a.norm == 0 || b.norm == 0 {
+		return 0
+	}
+	small, large := a.terms, b.terms
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	var dot float64
+	for t, f := range small {
+		if g, ok := large[t]; ok {
+			dot += f * g
+		}
+	}
+	return dot / (a.norm * b.norm)
+}
+
 func TestCosineIdentical(t *testing.T) {
 	v := NewVector("module m (input a, output y); assign y = ~a; endmodule")
 	if got := Cosine(v, v); math.Abs(got-1) > 1e-12 {

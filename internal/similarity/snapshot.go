@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -313,19 +314,8 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 	// Per-segment lists carry exact scores (bit-identical to the full
 	// rebuild's), so a plain sort on (score desc, index asc) reproduces
 	// the one-segment heap order exactly.
-	slices.SortFunc(all, func(a, b Match) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return a.Index - b.Index
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	slices.SortFunc(all, func(a, b Match) int { return cmp.Or(cmp.Compare(b.Score, a.Score), a.Index-b.Index) })
+	return all[:min(k, len(all))]
 }
 
 // BestBatch scores a batch of queries in one pass over the snapshot:
@@ -352,9 +342,7 @@ func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 	for i, t := range texts {
 		j, ok := index[t]
 		if !ok {
-			j = len(distinct)
-			index[t] = j
-			distinct = append(distinct, t)
+			j, index[t], distinct = len(distinct), len(distinct), append(distinct, t)
 		}
 		slot[i] = j
 	}
