@@ -80,7 +80,7 @@ func (s *Server) batchFits(w http.ResponseWriter, candidates int) bool {
 // In /v1/stats a single audit is one scoring pass of one candidate.
 //
 //freehw:hotpath
-func (s *Server) score(text string, k int, entry *vcache.Entry) auditResult {
+func (s *Server) score(text string, k int, key vcache.Key) auditResult {
 	st := s.current()
 	s.m.batches.Add(1)
 	s.m.batchedJobs.Add(1)
@@ -96,6 +96,6 @@ func (s *Server) score(text string, k int, entry *vcache.Entry) auditResult {
 			res.best = res.matches[0]
 		}
 	}
-	entry.StoreBestMatch(st.version, res.best)
+	s.store.StoreBestMatch(key, st.version, res.best.Index, res.best.Score)
 	return res
 }

@@ -45,13 +45,13 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if threshold <= 0 {
 		threshold = s.cfg.Threshold
 	}
-	entry := s.store.Entry(req.Code)
+	key := vcache.KeyOf(req.Code)
 
 	// Cross-request memo: same content under the live snapshot generation
 	// answers without taking an admission slot or touching the index.
 	if req.TopK <= 1 {
 		st := s.current()
-		if m, ok := entry.CachedBestMatch(st.version); ok {
+		if m, ok := s.remembered(st, key); ok {
 			s.m.auditCacheHits.Add(1)
 			s.respondAudit(w, auditResult{best: m, version: st.version, length: st.snap.Len()}, threshold, true)
 			s.m.lat.record(time.Since(startT)) //freehw:nolint hotpath -- latency metric needs the second read; boundary cost, not per-posting
@@ -63,8 +63,27 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.admit }() // deferred, so a panic cannot leak the slot
-	s.respondAudit(w, s.score(req.Code, req.TopK, entry), threshold, false)
+	s.respondAudit(w, s.score(req.Code, req.TopK, key), threshold, false)
 	s.m.lat.record(time.Since(startT)) //freehw:nolint hotpath -- latency metric needs the second read; boundary cost, not per-posting
+}
+
+// remembered returns the verdict the store remembers for key under st's
+// version, named from st's snapshot. A record holds no name, and the
+// snapshot of the version it was computed under names its index exactly:
+// a merge swaps at the same version and keeps every global live index,
+// and every other publish mints a new version.
+//
+//freehw:hotpath
+func (s *Server) remembered(st *corpusState, key vcache.Key) (similarity.Match, bool) {
+	i, score, ok := s.store.CachedBestMatch(key, st.version)
+	if !ok {
+		return similarity.Match{}, false
+	}
+	m := similarity.Match{Index: i, Score: score}
+	if i >= 0 {
+		m.Name = st.snap.Name(i)
+	}
+	return m, true
 }
 
 func (s *Server) respondAudit(w http.ResponseWriter, res auditResult, threshold float64, cached bool) {
@@ -140,12 +159,12 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Violations++
 		}
 	}
-	entries := make([]*vcache.Entry, n)
+	keys := make([]vcache.Key, n)
 	missIdx := make([]int, 0, n)
 	missTexts := make([]string, 0, n)
 	for i, c := range req.Candidates {
-		entries[i] = s.store.Entry(c.Code)
-		if m, ok := entries[i].CachedBestMatch(st.version); ok {
+		keys[i] = vcache.KeyOf(c.Code)
+		if m, ok := s.remembered(st, keys[i]); ok {
 			s.m.auditCacheHits.Add(1)
 			verdict(i, m, true)
 		} else {
@@ -157,7 +176,7 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 		s.m.batches.Add(1)
 		s.m.batchedJobs.Add(int64(len(missTexts)))
 		for j, m := range st.snap.BestBatch(s.cfg.Workers, missTexts) {
-			entries[missIdx[j]].StoreBestMatch(st.version, m)
+			s.store.StoreBestMatch(keys[missIdx[j]], st.version, m.Index, m.Score)
 			verdict(missIdx[j], m, false)
 		}
 	}

@@ -216,6 +216,17 @@ type lifecycle struct {
 	nextDoc    int
 	step       int
 	mustCommit bool // the previous op crashed without committing
+
+	// The audit memo's model: the texts srv has audited at version memoVer
+	// (the only ones it can answer cached:true), the snapshot that served
+	// them, the last check's queries (the next check asks them again), and
+	// how many checks a merge at the same version came between.
+	memo     map[string]bool
+	memoSrv  *Server
+	memoVer  uint64
+	memoSnap *similarity.Snapshot
+	asked    []string
+	merged   int
 }
 
 // fresh returns n documents no generation has held.
@@ -454,7 +465,9 @@ func (l *lifecycle) race() {
 // mergeFault arms FPMergeSwap on a settled server and publishes deltas
 // until the layout is one segment past the policy: the merger must reach
 // the swap, and the abandoned merge leaves the published layout serving.
-// Disarmed, the next delta's kick compacts.
+// The check audits that layout; disarmed, a kick compacts it at the same
+// version, and the next check's remembered verdicts must name their
+// documents from the merged snapshot. Then a delta's kick compacts too.
 func (l *lifecycle) mergeFault(mode string) {
 	l.settle()
 	hit := make(chan struct{}, 1)
@@ -472,7 +485,15 @@ func (l *lifecycle) mergeFault(mode string) {
 	if got := l.srv.current().snap.Segments(); got != segs+n {
 		l.t.Fatalf("step %d: an abandoned merge left %d segments, the deltas published %d", l.step, got, segs+n)
 	}
+	l.check()
 	failpoint.DisableAll()
+	merged := l.merged
+	l.srv.kickMerger()
+	l.settle()
+	l.check()
+	if l.merged != merged+1 {
+		l.t.Fatalf("step %d: no merge at version %d came between two checks", l.step, l.m.version)
+	}
 	l.publish(true, 1, "", false, nil)
 	l.settle()
 }
@@ -544,7 +565,13 @@ func (l *lifecycle) restart() {
 // check holds the served state to the model after every step: the store
 // holds exactly the versions the sweep has left, and every audited verdict
 // is bit for bit that of a one-segment rebuild of the model's documents,
-// at the model's version.
+// at the model's version. The check audits a few texts and the last
+// check's again, as a batch, then re-asks each as a batch and alone: a
+// text answers cached:true exactly when this server audited it at this
+// version, so the first audit after a version change or a restart is
+// never cached, a re-asked one always is, and a verdict remembered before
+// a merge swapped the layout at the same version names its document from
+// the merged snapshot.
 func (l *lifecycle) check() {
 	l.t.Helper()
 	if l.durable {
@@ -563,24 +590,60 @@ func (l *lifecycle) check() {
 	for i := 0; i < 3 && i < len(l.m.texts); i++ {
 		queries = append(queries, l.m.texts[l.rng.Intn(len(l.m.texts))])
 	}
+	queries, l.asked = append(queries, l.asked...), queries
+	if l.memoSrv != l.srv || l.memoVer != l.m.version {
+		l.memo, l.memoSrv, l.memoVer = map[string]bool{}, l.srv, l.m.version
+	} else if len(l.memo) > 0 && l.srv.current().snap != l.memoSnap {
+		l.merged++
+	}
+	cached := make([]bool, len(queries))
+	for i, q := range queries {
+		cached[i] = l.memo[q]
+	}
+	offline := similarity.SealCorpus(l.m.names, l.m.texts, 1)
+	l.auditBatch("audit", queries, cached, offline)
+	for i, q := range queries {
+		l.memo[q], cached[i] = true, true
+	}
+	l.memoSnap = l.srv.current().snap
+	l.auditBatch("re-asked audit", queries, cached, offline)
+	for _, q := range queries {
+		var resp AuditResponse
+		if code := postJSON(l.t, l.h, "/v1/audit", AuditRequest{Code: q}, &resp); code != http.StatusOK || resp.CorpusVersion != l.m.version || resp.CorpusLen != len(l.m.names) {
+			l.t.Fatalf("step %d: single audit = %d at version %d with %d docs, model has version %d with %d",
+				l.step, code, resp.CorpusVersion, resp.CorpusLen, l.m.version, len(l.m.names))
+		}
+		l.judgeAudit("re-asked single audit", q, resp.Best, resp.Cached, true, offline)
+	}
+}
+
+// auditBatch audits queries as one /v1/audit/batch and judges each result.
+func (l *lifecycle) auditBatch(what string, queries []string, cached []bool, offline *similarity.Snapshot) {
+	l.t.Helper()
 	req := AuditBatchRequest{}
 	for _, q := range queries {
 		req.Candidates = append(req.Candidates, AuditBatchCandidate{Code: q})
 	}
 	var resp AuditBatchResponse
 	if code := postJSON(l.t, l.h, "/v1/audit/batch", req, &resp); code != http.StatusOK || resp.CorpusVersion != l.m.version || resp.CorpusLen != len(l.m.names) {
-		l.t.Fatalf("step %d: audit = %d at version %d with %d docs, model has version %d with %d",
-			l.step, code, resp.CorpusVersion, resp.CorpusLen, l.m.version, len(l.m.names))
+		l.t.Fatalf("step %d: %s = %d at version %d with %d docs, model has version %d with %d",
+			l.step, what, code, resp.CorpusVersion, resp.CorpusLen, l.m.version, len(l.m.names))
 	}
-	offline := similarity.SealCorpus(l.m.names, l.m.texts, 1)
 	for i, q := range queries {
-		got := similarity.Match{Index: -1}
-		if b := resp.Results[i].Best; b != nil {
-			got = similarity.Match{Name: b.Name, Index: b.Index, Score: b.Score}
-		}
-		if want := offline.Best(q); got != want {
-			l.t.Fatalf("step %d: served %+v != model %+v", l.step, got, want)
-		}
+		l.judgeAudit(what, q, resp.Results[i].Best, resp.Results[i].Cached, cached[i], offline)
+	}
+}
+
+// judgeAudit fails unless a served verdict is the offline rebuild's, name
+// included, and answered from the memo exactly when the model says.
+func (l *lifecycle) judgeAudit(what, q string, b *AuditMatch, cached, wantCached bool, offline *similarity.Snapshot) {
+	l.t.Helper()
+	got := similarity.Match{Index: -1}
+	if b != nil {
+		got = similarity.Match{Name: b.Name, Index: b.Index, Score: b.Score}
+	}
+	if want := offline.Best(q); got != want || cached != wantCached {
+		l.t.Fatalf("step %d: %s served %+v (cached %v) != model %+v (cached %v)", l.step, what, got, cached, want, wantCached)
 	}
 }
 

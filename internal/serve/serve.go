@@ -112,9 +112,10 @@ type Config struct {
 	Curation curation.Options
 	// CacheBudget bounds the verdict cache's resident bytes (segmented-
 	// LRU eviction, see vcache.SetBudget) as the store measures them: the
-	// entry of a content that was only audited, its analyses and dedup
-	// artifacts on top for one that was filtered. Every distinct audited/
-	// scanned content inserts an entry, so a long-lived server must be
+	// audit record of a content that was audited, the entry of one that
+	// was filtered, scanned or syntax-checked, with its analyses and dedup
+	// artifacts on top. Every distinct audited content inserts a record and
+	// every other distinct content an entry, so a long-lived server must be
 	// bounded: 0 selects the 256 MiB default, negative means unbounded.
 	CacheBudget int64
 	// MaxBatchCandidates caps candidates per /v1/audit/batch or

@@ -168,23 +168,15 @@ func (ss *snapSeg) selectLive(r int) int32 {
 	if ss.dead == nil {
 		return int32(r)
 	}
-	// Find the word containing the r-th live doc (rank is nondecreasing),
-	// then select the bit within it.
-	w := 0
-	for w+1 < len(ss.rank) && int(ss.rank[w+1]) <= r {
-		w++
+	// The r-th live doc is in the last word with at most r live docs before
+	// it (rank is nondecreasing, so a binary search finds it); clear the
+	// word's lower live bits until it is the lowest.
+	w, _ := slices.BinarySearch(ss.rank, int32(r)+1)
+	m := ^ss.dead[w-1]
+	for need := r - int(ss.rank[w-1]); need > 0; need-- {
+		m &= m - 1
 	}
-	need := r - int(ss.rank[w])
-	m := ^ss.dead[w]
-	for b := 0; b < 64; b++ {
-		if m&(1<<uint(b)) != 0 {
-			if need == 0 {
-				return int32(w<<6 + b)
-			}
-			need--
-		}
-	}
-	panic("similarity: live rank out of range")
+	return int32((w-1)<<6 + bits.TrailingZeros64(m))
 }
 
 // Corpus is the offline API's old name for a snapshot. Reproduction code

@@ -68,3 +68,32 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Name finds a live document's word by binary search over its segment's
+// rank table: across whole dead words, a partly dead last word and random
+// tombstones elsewhere, Name(i) is the i-th live name in order.
+func TestNameAcrossDeadWords(t *testing.T) {
+	const n = 300
+	names, texts := make([]string, n), make([]string, n)
+	for i := range names {
+		names[i], texts[i] = fmt.Sprintf("d%d", i), fmt.Sprintf("alpha w%d", i)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var gone, live []string
+	for i, name := range names {
+		if 64 <= i && i < 192 || i >= 290 || rng.Intn(3) == 0 {
+			gone = append(gone, name)
+		} else {
+			live = append(live, name)
+		}
+	}
+	snap, removed := SealCorpus(names, texts, 0).Remove(gone)
+	if removed != len(gone) || snap.Len() != len(live) {
+		t.Fatalf("removed %d of %d, %d live of %d", removed, len(gone), snap.Len(), len(live))
+	}
+	for i, name := range live {
+		if got := snap.Name(i); got != name {
+			t.Fatalf("Name(%d) = %q, want %q", i, got, name)
+		}
+	}
+}

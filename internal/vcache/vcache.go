@@ -7,30 +7,35 @@
 // re-curating a corpus (pprof: ~30% syntax filter, ~16% MinHash signing)
 // collapses to a hash lookup on the second pass.
 //
-// A Store shards its entry map by key so concurrent funnel workers do not
+// A Store shards its contents by key so concurrent funnel workers do not
 // serialize on one lock. An Entry is one small object per content: the
-// audit memo inline, the curation analyses behind a pointer allocated on
-// first use, each under its own sync.Once — the first caller computes,
-// everyone else waits, and a value is never computed twice no matter how
-// many funnel variants share the store.
+// curation analyses behind a pointer allocated on first use, each under
+// its own sync.Once — the first caller computes, everyone else waits, and
+// a value is never computed twice no matter how many funnel variants
+// share the store. The audit memo is not in the entry: each shard keeps a
+// pointer-free table of records (key, snapshot version, the best match's
+// global live index and score; see record.go), so a remembered audit
+// verdict is one table slot the collector never scans, and a content that
+// was only ever audited has no Entry at all.
 //
 // Stores are unbounded by default; SetBudget bounds the measured resident
-// bytes with a two-generation clock (segmented-LRU) eviction policy, so a
-// long-lived server curating many disjoint corpora holds its working set
-// hot while one-shot sweeps wash through probation. Eviction only forgets
-// memoized verdicts — recomputation yields identical values — so curation
-// output is byte-identical at any budget.
+// bytes of entries and records together with a two-generation clock
+// (segmented-LRU) eviction policy, so a long-lived server curating many
+// disjoint corpora holds its working set hot while one-shot sweeps wash
+// through probation. Eviction only forgets memoized verdicts —
+// recomputation yields identical values — so curation output is
+// byte-identical at any budget.
 package vcache
 
 import (
 	"crypto/sha256"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"freehw/internal/dedup"
 	"freehw/internal/license"
-	"freehw/internal/similarity"
 	"freehw/internal/vlog"
 )
 
@@ -48,10 +53,9 @@ func KeyOf(content string) Key {
 	return sha256.Sum256(unsafe.Slice(unsafe.StringData(content), len(content)))
 }
 
-// Entry is the only per-content object: the clock bookkeeping its store
-// keeps under the shard lock, the audit best-match memo, and a pointer to
-// the curation analyses, nil until one of them is first asked for — an
-// entry that was only ever audited never pays for them. The entry from
+// Entry is the curation funnel's per-content object: the clock bookkeeping
+// its store keeps under the shard lock and a pointer to the curation
+// analyses, nil until one of them is first asked for. The entry from
 // NewEntry works standalone (no Store) as a pure per-file memo, as does a
 // stored entry its store has since evicted.
 type Entry struct {
@@ -61,16 +65,6 @@ type Entry struct {
 	cost int64  // bytes charged to the shard for this entry
 
 	an atomic.Pointer[analyses]
-
-	// Audit best-match memo. Unlike the analyses, an audit verdict depends
-	// on the corpus index as well as the content, so the memo is keyed by
-	// the snapshot version it was computed under: publishing a new corpus
-	// invalidates it, and a stale in-flight batch can never clobber a
-	// verdict computed against a newer snapshot.
-	bmMu  sync.Mutex
-	bmVer uint64
-	bm    similarity.Match
-	bmOK  bool
 
 	ref bool // shard lock: referenced since the clock hand last passed
 	hot bool // shard lock: protected generation (survived a sweep with a hit)
@@ -196,32 +190,6 @@ func (e *Entry) SyntaxErr(content string) (err error) {
 	return err
 }
 
-// CachedBestMatch returns the memoized best corpus match for this content
-// under snapshot version ver, if one was stored. A memo from any other
-// version misses: the verdict is a function of (content, index), and only
-// the version identifies the index.
-func (e *Entry) CachedBestMatch(ver uint64) (similarity.Match, bool) {
-	e.bmMu.Lock()
-	defer e.bmMu.Unlock()
-	if e.bmOK && e.bmVer == ver {
-		return e.bm, true
-	}
-	return similarity.Match{}, false
-}
-
-// StoreBestMatch records the best-match verdict computed under snapshot
-// version ver. Writes from snapshots older than the resident memo are
-// dropped, so a slow batch finishing after a corpus swap cannot roll the
-// entry back to a stale index's verdict.
-func (e *Entry) StoreBestMatch(ver uint64, m similarity.Match) {
-	e.bmMu.Lock()
-	defer e.bmMu.Unlock()
-	if e.bmOK && e.bmVer > ver {
-		return
-	}
-	e.bmVer, e.bm, e.bmOK = ver, m, true
-}
-
 // storeShards is the lock-stripe count; a power of two so shard selection
 // is a mask. 64 stripes keep contention negligible at any realistic core
 // count without bloating small stores.
@@ -233,22 +201,40 @@ type shard struct {
 	ring  []*Entry // clock order (insertion order, hand wraps); nil = tombstone
 	hand  int
 	dead  int // tombstone count in ring
-	bytes int64
+	recs  recTable
+	bytes int64 // the entries' costs and recordBytes per record
 }
 
 // evict runs the two-generation clock until the shard fits its budget.
-// Probationary entries (hot=false) are evicted on their first unreferenced
-// visit; referenced entries get promoted to the protected generation, which
-// must be demoted once before eviction — a segmented-LRU approximation
-// that keeps the funnel's re-scanned entries resident while one-shot
-// corpus sweeps wash through probation. Each visit strictly downgrades an
-// entry (ref→clear, hot→demote, cold→evict), so the sweep terminates.
+// Probationary entries and records are evicted on their first
+// unreferenced visit; referenced ones get promoted to the protected
+// generation, which must be demoted once before eviction — a segmented-LRU
+// approximation that keeps the funnel's re-scanned entries and re-asked
+// audits resident while one-shot sweeps wash through probation. Each visit
+// strictly downgrades (ref→clear, hot→demote, cold→evict), so the sweep
+// terminates.
+//
+// Entries and records have a hand each, and the kind holding more of the
+// shard's bytes gives way: a flood of one kind is swept out of its own
+// kind until it weighs what the other does, and a kind is swept only while
+// it weighs at least what the other does.
 //
 // Evicted entries become nil tombstones (O(1)); the ring compacts in one
 // pass once tombstones outnumber live entries, keeping steady-state inserts
 // amortized O(1) instead of copying the ring tail per eviction.
 func (sh *shard) evict(budget int64, evictions *atomic.Int64) {
-	for sh.bytes > budget && len(sh.ring) > sh.dead {
+	for sh.bytes > budget {
+		recs := int64(sh.recs.n) * recordBytes
+		if sh.recs.n > 0 && (2*recs >= sh.bytes || len(sh.ring) == sh.dead) {
+			if sh.recs.step() {
+				sh.bytes -= recordBytes
+				evictions.Add(1)
+			}
+			continue
+		}
+		if len(sh.ring) == sh.dead {
+			break
+		}
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
@@ -295,10 +281,11 @@ func (sh *shard) compact() {
 	sh.dead = 0
 }
 
-// Store is a sharded content-hash -> Entry map that accounts what its
-// entries weigh and holds them to an optional budget. All entries' dedup
-// artifacts are computed under the store's dedup Options; analyses that do
-// not depend on those options (scans, syntax) are options-agnostic.
+// Store is a sharded content-hash -> Entry map and audit record table
+// that accounts what its entries and records weigh and holds them to an
+// optional budget. All entries' dedup artifacts are computed under the
+// store's dedup Options; analyses that do not depend on those options
+// (scans, syntax) are options-agnostic.
 //
 // Eviction only ever forgets memoized verdicts — a later lookup recomputes
 // them from content — so results are byte-identical at any budget; only
@@ -328,15 +315,18 @@ func prepKey(dopt dedup.Options) dedup.Options {
 // bound it.
 func NewStore(dopt dedup.Options) *Store {
 	s := &Store{opt: prepKey(dopt)}
+	seed := maphash.MakeSeed()
 	for i := range s.shards {
 		s.shards[i].m = map[Key]*Entry{}
+		s.shards[i].recs.seed = seed
 	}
 	return s
 }
 
-// SetBudget bounds the store's accounted resident bytes; budget <= 0
-// removes the bound. A tighter budget takes effect immediately (resident
-// entries are swept down to fit) and on every subsequent insertion.
+// SetBudget bounds the store's accounted resident bytes, entries' and
+// records' together; budget <= 0 removes the bound. A tighter budget takes
+// effect immediately (residents are swept down to fit) and on every
+// subsequent insertion.
 func (s *Store) SetBudget(budget int64) {
 	s.budget.Store(budget)
 	if budget <= 0 {
@@ -402,19 +392,23 @@ func (s *Store) Entry(content string) *Entry {
 	return e
 }
 
-// Len returns the number of distinct contents resident. Like Stats, it
+// Len returns the number of entries and records resident. Like Stats, it
 // is weakly consistent: exact only in quiescence, under load a monitoring
 // figure, never a linearizable snapshot.
 func (s *Store) Len() int { return s.Stats().Entries }
 
 // Stats reports lookup traffic and residency.
 type Stats struct {
+	// Hits and Misses count Entry calls that found the content resident or
+	// inserted it, and CachedBestMatch calls that answered or did not.
 	Hits, Misses int64
-	Entries      int
-	// Bytes is what the resident entries weigh: entryBytes each, plus the
-	// analyses and dedup artifacts of those that materialised them.
+	// Entries counts resident entries and audit records.
+	Entries int
+	// Bytes is what they weigh: entryBytes an entry, plus the analyses and
+	// dedup artifacts of those that materialised them, and recordBytes a
+	// record.
 	Bytes int64
-	// Evictions counts entries dropped by the budget clock.
+	// Evictions counts entries and records dropped by the budget clock.
 	Evictions int64
 }
 
@@ -422,8 +416,8 @@ type Stats struct {
 //
 // The snapshot is weakly consistent, not a point-in-time view: the atomic
 // counters are read before the per-shard walk, and each shard is summed
-// under its own lock while the others keep moving, so concurrent Entry and
-// eviction traffic can be double-counted or missed. Invariants callers may
+// under its own lock while the others keep moving, so concurrent lookups,
+// records and eviction traffic can be double-counted or missed. Invariants callers may
 // rely on: every field is non-negative, Entries/Bytes never exceed what
 // the store has ever admitted, and once the store is quiescent Stats
 // agrees exactly with the final contents. Callers must not expect
@@ -438,7 +432,7 @@ func (s *Store) Stats() Stats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		st.Entries += len(sh.m)
+		st.Entries += len(sh.m) + sh.recs.n
 		st.Bytes += sh.bytes
 		sh.mu.Unlock()
 	}
