@@ -17,19 +17,23 @@ import (
 	"freehw/internal/corpus"
 )
 
-// denseRunBodies are the pair bodies denseRun can run on this host, by name:
-// the Go loop, and the AVX2 assembly where the CPU has it.
+// denseRunBodies are the kernel bodies this host can run, by name: the Go
+// loops, the AVX2 assembly where the CPU has it, and the AVX-512 VNNI row
+// sums (AVX2 for the rest) where it has that too.
 func denseRunBodies() []string {
-	if useAVX2 {
+	switch {
+	case useVNNI:
+		return []string{"vnni", "avx2", "go"}
+	case useAVX2:
 		return []string{"avx2", "go"}
 	}
 	return []string{"go"}
 }
 
-// withDenseRunBody runs f with denseRun on the named body.
+// withDenseRunBody runs f with the kernels on the named body.
 func withDenseRunBody(body string, f func()) {
-	defer func(was bool) { useAVX2 = was }(useAVX2)
-	useAVX2 = body == "avx2"
+	defer func(avx2, vnni bool) { useAVX2, useVNNI = avx2, vnni }(useAVX2, useVNNI)
+	useAVX2, useVNNI = body != "go", body == "vnni"
 	f()
 }
 
@@ -67,35 +71,49 @@ func requireDenseRunEqual(t *testing.T, ctx string, acc []int32, rows []int16, o
 	}
 }
 
-// useAVX2 is what /proc/cpuinfo says of the host on linux/amd64: the CPU
-// detection and the kernel agree on AVX2.
+// useAVX2 and useVNNI are what /proc/cpuinfo says of the host on linux/amd64:
+// the CPU detection and the kernel agree on AVX2, and on AVX-512F, BW and
+// VNNI together (the kernel lists none of them when the OS does not save
+// their registers).
 func TestCPUDetectionMatchesCPUInfo(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skip("/proc/cpuinfo flags are read on linux/amd64 only")
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the CPU is detected on amd64 only")
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
-		t.Fatal(err)
+		t.Skip("no /proc/cpuinfo:", err)
 	}
 	for _, line := range strings.Split(string(info), "\n") {
 		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			if avx2 := slices.Contains(strings.Fields(flags), "avx2"); avx2 != useAVX2 {
-				t.Fatalf("/proc/cpuinfo lists avx2: %v; CPUID and XGETBV: %v", avx2, useAVX2)
+			has := func(names ...string) bool {
+				for _, n := range names {
+					if !slices.Contains(strings.Fields(flags), n) {
+						return false
+					}
+				}
+				return true
 			}
+			avx2, vnni := has("avx2"), has("avx2", "avx512f", "avx512bw", "avx512_vnni")
+			if avx2 != useAVX2 || vnni != useVNNI {
+				t.Fatalf("/proc/cpuinfo lists avx2: %v, avx512f+bw+vnni: %v; CPUID and XGETBV: %v, %v", avx2, vnni, useAVX2, useVNNI)
+			}
+			t.Logf("avx2 %v, vnni %v", useAVX2, useVNNI)
 			return
 		}
 	}
 	t.Fatal("/proc/cpuinfo has no flags line")
 }
 
-// Both pair bodies, the Go loop and a row-at-a-time pass are the same function:
-// every tail length around the 32-wide body, a tile and a corpus-sized row,
-// runs of no rows up to a novel query's 38 (odd ones leave a row without a
-// partner), operands that start on odd 2-byte boundaries, counts of 0, 1 and
-// 32 767, and query counts up to and past 32 767 — which take the Go loop —
-// to the largest a qterm can carry, where the sums wrap as int32s do. A row
-// that would end past rows is a panic, not a read.
+// Every pair body, the Go loop and a row-at-a-time pass are the same function:
+// every tail length around the 32-wide body, 64-wide chunks followed by a
+// 32-wide one, a tile and a corpus-sized row, runs of no rows up to a novel
+// query's 38 (odd ones leave a row without a partner), operands that start
+// on odd 2-byte boundaries, counts of 0, 1 and 32 767, and query counts up
+// to and past 32 767 — which take the Go loop — to the largest a qterm can
+// carry, where the sums wrap as int32s do. A row that would end past rows is
+// a panic, not a read.
 func TestDenseRunMatchesReference(t *testing.T) {
+	t.Logf("bodies %v", denseRunBodies())
 	rng := rand.New(rand.NewSource(17))
 	count := func() int16 {
 		switch rng.Intn(6) {
@@ -109,7 +127,7 @@ func TestDenseRunMatchesReference(t *testing.T) {
 		return int16(1 + rng.Intn(40))
 	}
 	qcounts := []uint32{1, 2, 3, 39, math.MaxInt16, math.MaxInt16 + 1, 1 << 20, math.MaxUint32}
-	lengths := []int{1024, 8000}
+	lengths := []int{99, 165, 1024, 8000} // 99 and 165: chunks of 64, one of 32 and a tail
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
@@ -172,6 +190,12 @@ func FuzzDenseRun(f *testing.F) {
 	f.Add([]byte{0xff, 0x7f, 1, 0, 2, 0}, uint32(3), uint8(1), uint8(1))
 	f.Add(make([]byte, 2*(33*3+5)), uint32(math.MaxInt16), uint8(2), uint8(5))
 	f.Add(make([]byte, 2*(64*4+1)), uint32(math.MaxInt16+1), uint8(3), uint8(39))
+	slots := make([]byte, 2*(3*163)) // 163 slots: two chunks of 64, one of 32 and a tail of 3
+	for i := range slots {
+		slots[i] = byte(i*7 + 3)
+	}
+	f.Add(slots, uint32(math.MaxInt16), uint8(0), uint8(7))
+	f.Logf("bodies %v", denseRunBodies())
 	f.Fuzz(func(t *testing.T, data []byte, q uint32, off, nRows uint8) {
 		vals := make([]int16, len(data)/2)
 		for i := range vals {
@@ -302,6 +326,7 @@ func FuzzScan(f *testing.F) {
 	}
 	seed([]byte{1}, rising, 0, 0, 2)
 	seed(nil, rising, 1, 0, 0)
+	f.Logf("bodies %v", denseRunBodies())
 	f.Fuzz(func(t *testing.T, data []byte, k, lo, slack uint8) {
 		if len(data) == 0 {
 			return
@@ -335,6 +360,86 @@ func FuzzScan(f *testing.F) {
 			withDenseRunBody(body, func() { got.scan(acc, acci, inv, int(lo), kk, dead) })
 			if !slices.Equal(got.cand, want.cand) || !slices.Equal(got.candA, want.candA) || !slices.Equal(got.top, want.top) {
 				t.Fatalf("%s: candidates %v %v, top %v; the plain loop's %v %v, top %v", body, got.cand, got.candA, got.top, want.cand, want.candA, want.top)
+			}
+		}
+	})
+}
+
+// rescoreRow panics rather than read outside the row, on every body: a
+// document past its end or negative.
+func TestRescoreRowChecksDocuments(t *testing.T) {
+	for _, body := range denseRunBodies() {
+		for _, docs := range [][]int32{{0, 1, 2, 40}, {-1, 0, 1, 2}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: docs %v: rescoreRow returned", body, docs)
+					}
+				}()
+				withDenseRunBody(body, func() { rescoreRow(make([]float64, 4), make([]int16, 40), docs, []float64{1, 1, 1, 1}, 1) })
+			}()
+		}
+	}
+}
+
+// FuzzRescoreRows holds rescoreRow, on every body the host runs, to the
+// scalar loop bit for bit: two rows added in order to 0-67 candidates' sums
+// (tails of 1-3 past the 4-wide steps) at documents spread over twice as
+// many, with counts from 0 to 32 767, norms as seal makes them (the root of
+// an integer sum of squares at least the squared counts) and query counts
+// up to 2^31. Candidate j is eight bytes of data: its count in each row
+// (low 15 bits of two), 24 bits more of its sum of squares, and its sum so
+// far in 256ths (whose low bit also moves its document one slot).
+func FuzzRescoreRows(f *testing.F) {
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 67} {
+		data := make([]byte, 8*n)
+		for j := range data {
+			data[j] = byte(j*37 + n)
+		}
+		f.Add(data, uint32(1), uint32(39))
+		if n == 67 {
+			for j := 0; j < n; j += 2 {
+				copy(data[8*j:], []byte{0xff, 0x7f, 0, 0, 0, 0, 0, 0}) // 32 767 over its own norm, and 0
+			}
+			f.Add(data, uint32(1<<31), uint32(math.MaxUint32))
+		}
+	}
+	bodies := slices.DeleteFunc(denseRunBodies(), func(b string) bool { return b == "vnni" }) // the row sums' body only
+	f.Logf("bodies %v", bodies)
+	f.Fuzz(func(t *testing.T, data []byte, q0, q1 uint32) {
+		n := min(len(data)/8, 67)
+		var cnt [2][]int32
+		norm, sums := make([]float64, n), make([]float64, n)
+		for j := range n {
+			c := data[8*j:]
+			cnt[0] = append(cnt[0], int32(binary.LittleEndian.Uint16(c)&0x7fff))
+			cnt[1] = append(cnt[1], int32(binary.LittleEndian.Uint16(c[2:])&0x7fff))
+			sq := uint64(cnt[0][j]*cnt[0][j]) + uint64(cnt[1][j]*cnt[1][j]) + (uint64(c[4]) | uint64(c[5])<<8 | uint64(c[6])<<16)
+			norm[j], sums[j] = math.Sqrt(float64(max(sq, 1))), float64(c[7])/256
+		}
+		qw := [2]float64{float64(q0 % (1<<31 + 1)), float64(q1 % (1<<31 + 1))}
+		want := slices.Clone(sums)
+		for r := range cnt {
+			for j := range want {
+				want[j] += float64(qw[r] * (float64(cnt[r][j]) / norm[j]))
+			}
+		}
+		docs, rows := make([]int32, n), [2][]int16{make([]int16, 2*n), make([]int16, 2*n)}
+		for j := range docs {
+			docs[j] = int32(2*j + int(data[8*j+7]&1)) // ascending, with gaps
+			rows[0][docs[j]], rows[1][docs[j]] = int16(cnt[0][j]), int16(cnt[1][j])
+		}
+		for _, body := range bodies {
+			got := slices.Clone(sums)
+			withDenseRunBody(body, func() {
+				for r := range rows {
+					rescoreRow(got, rows[r], docs, norm, qw[r])
+				}
+			})
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s: candidate %d of %d: %v, the scalar loop %v", body, j, n, got[j], want[j])
+				}
 			}
 		}
 	})
@@ -1007,10 +1112,11 @@ func benchNearDupOf(rng *rand.Rand, texts []string, i int) string {
 // BenchmarkBestBenchCorpus is Snapshot.Best on bench/'s corpus with
 // bench/'s two candidate shapes (bench/inputs.go's coldStream): a freshly
 // generated module, and a protected file with one line replaced. batch16 is
-// BestBatch over the same shapes. Each runs on the 8 000-document base alone
-// (segs=1) and with 1 and 7 delta segments after it (segs=2, segs=8), each
-// 16 mutated base documents, as publish_mixed publishes them; the queries are
-// the same in every shape. ns/posting divides by the postings of the query's
+// BestBatch over the same shapes, and seq16 the same 16 candidates a Best
+// each, the rent of the batch's shared tiles. Each runs on the 8 000-document
+// base alone (segs=1) and with 1 and 7 delta segments after it (segs=2,
+// segs=8), each 16 mutated base documents, as publish_mixed publishes them;
+// the queries are the same in every shape. ns/posting divides by the postings of the query's
 // resolved terms in every segment — what the exhaustive accumulator would
 // read. resolve is what every query pays before any scoring, over the novel
 // and near-duplicate queries in turn: parseQuery, then cursors on each
@@ -1096,6 +1202,17 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if ms := snap.BestBatch(1, batches[i%len(batches)]); ms[0].Index < 0 {
 					b.Fatal("no match")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
+		})
+	}
+	for _, n := range []int{1, 2} { // what the batch saves: the same candidates, one Best each
+		snap := SnapshotOf(segs[:n], nil)
+		b.Run(fmt.Sprintf("seq16/segs=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, text := range batches[i%len(batches)] {
+					snap.Best(text)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")

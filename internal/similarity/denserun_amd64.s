@@ -121,14 +121,164 @@ done:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
+// func denseRunVNNI(acc []int32, rows []int16, offs []int, qs []uint32)
+//
+// denseRunAVX2 at twice the width: 64 documents a chunk summed in Z8-Z11,
+// where one AVX-512 VNNI VPDPWSSD multiplies a document's two terms and adds
+// them to its sum (it does not saturate, so it wraps as VPADDD does).
+// VPUNPCKLWD and VPUNPCKHWD interleave within each of the four 128-bit
+// lanes, so Z8 sums documents 0-3, 8-11, 16-19 and 24-27 and Z9 the four
+// after each; VPERMI2Q by permLo and permHi restores the order at the store.
+// denseRunBody passes whole chunks of 64 only and the rest to denseRunAVX2;
+// denseRun has checked what denseRunAVX2 relies on.
+TEXT ·denseRunVNNI(SB), NOSPLIT, $0-96
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	MOVQ rows_base+24(FP), SI
+	MOVQ offs_base+48(FP), R8
+	MOVQ qs_base+72(FP), R10
+	MOVQ qs_len+80(FP), R9
+	LEAQ (R10)(R9*4), R9      // &qs[len(qs)]
+	VMOVDQU64 permLo<>(SB), Z12
+	VMOVDQU64 permHi<>(SB), Z13
+	XORQ AX, AX               // i
+
+chunk:
+	CMPQ AX, CX
+	JGE  done
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	LEAQ (SI)(AX*2), R11      // &rows[i]
+	MOVQ R8, DX               // &offs[2j]
+	MOVQ R10, BX              // &qs[j]
+
+pair:
+	CMPQ BX, R9
+	JGE  store
+	MOVQ (DX), R12
+	MOVQ 8(DX), R13
+	VPBROADCASTD (BX), Z0     // (qa, qb) in every doubleword
+	VMOVDQU16 (R11)(R12*2), Z1  // rows[offs[2j]+i:][:32]
+	VMOVDQU16 64(R11)(R12*2), Z2
+	VMOVDQU16 (R11)(R13*2), Z3  // rows[offs[2j+1]+i:][:32]
+	VMOVDQU16 64(R11)(R13*2), Z4
+	VPUNPCKHWD Z3, Z1, Z5
+	VPUNPCKLWD Z3, Z1, Z1
+	VPUNPCKHWD Z4, Z2, Z6
+	VPUNPCKLWD Z4, Z2, Z2
+	VPDPWSSD Z1, Z0, Z8
+	VPDPWSSD Z5, Z0, Z9
+	VPDPWSSD Z2, Z0, Z10
+	VPDPWSSD Z6, Z0, Z11
+	ADDQ $16, DX
+	ADDQ $4, BX
+	JMP  pair
+
+store:
+	VMOVDQA64 Z12, Z0
+	VPERMI2Q Z9, Z8, Z0       // documents 0-15
+	VMOVDQA64 Z13, Z1
+	VPERMI2Q Z9, Z8, Z1       // 16-31
+	VMOVDQA64 Z12, Z2
+	VPERMI2Q Z11, Z10, Z2     // 32-47
+	VMOVDQA64 Z13, Z3
+	VPERMI2Q Z11, Z10, Z3     // 48-63
+	VPADDD (DI)(AX*4), Z0, Z0
+	VPADDD 64(DI)(AX*4), Z1, Z1
+	VPADDD 128(DI)(AX*4), Z2, Z2
+	VPADDD 192(DI)(AX*4), Z3, Z3
+	VMOVDQU32 Z0, (DI)(AX*4)
+	VMOVDQU32 Z1, 64(DI)(AX*4)
+	VMOVDQU32 Z2, 128(DI)(AX*4)
+	VMOVDQU32 Z3, 192(DI)(AX*4)
+	ADDQ $64, AX
+	JMP  chunk
+
+done:
+	VZEROUPPER
+	RET
+
+// The quadword orders VPERMI2Q takes from (Z8, Z9): 0-7 name Z8's and 8-15
+// Z9's, a 128-bit lane being two. permLo gathers the first two lanes of
+// each, documents 0-15; permHi the last two, documents 16-31.
+DATA permLo<>+0(SB)/8, $0
+DATA permLo<>+8(SB)/8, $1
+DATA permLo<>+16(SB)/8, $8
+DATA permLo<>+24(SB)/8, $9
+DATA permLo<>+32(SB)/8, $2
+DATA permLo<>+40(SB)/8, $3
+DATA permLo<>+48(SB)/8, $10
+DATA permLo<>+56(SB)/8, $11
+GLOBL permLo<>(SB), RODATA|NOPTR, $64
+DATA permHi<>+0(SB)/8, $4
+DATA permHi<>+8(SB)/8, $5
+DATA permHi<>+16(SB)/8, $12
+DATA permHi<>+24(SB)/8, $13
+DATA permHi<>+32(SB)/8, $6
+DATA permHi<>+40(SB)/8, $7
+DATA permHi<>+48(SB)/8, $14
+DATA permHi<>+56(SB)/8, $15
+GLOBL permHi<>(SB), RODATA|NOPTR, $64
+
+// func rescoreRowAVX2(exact []float64, row []int16, docs []int32, norm []float64, qw float64)
+//
+// rescoreRow's loop, four documents a step over len(exact), a multiple of 4:
+// exact[j] += qw·(float64(row[docs[j]])/norm[j]), converted, divided,
+// multiplied and added as Go does each, with no FMA, so every lane is the
+// scalar loop's float64 bit for bit. The four counts are loaded one by one
+// and inserted (a VPGATHERDD is microcode on Downfall-mitigated hosts);
+// rescoreRow has checked that docs and norm are as long as exact and that
+// every document is in row.
+TEXT ·rescoreRowAVX2(SB), NOSPLIT, $0-104
+	MOVQ exact_base+0(FP), DI
+	MOVQ exact_len+8(FP), CX
+	MOVQ row_base+24(FP), SI
+	MOVQ docs_base+48(FP), DX
+	MOVQ norm_base+72(FP), R8
+	VBROADCASTSD qw+96(FP), Y15
+	XORQ AX, AX               // j
+
+step:
+	CMPQ AX, CX
+	JGE  done
+	MOVLQSX (DX)(AX*4), R9    // docs[j:j+4]
+	MOVLQSX 4(DX)(AX*4), R10
+	MOVLQSX 8(DX)(AX*4), R11
+	MOVLQSX 12(DX)(AX*4), R12
+	MOVWLSX (SI)(R9*2), R9    // their counts
+	MOVWLSX (SI)(R10*2), R10
+	MOVWLSX (SI)(R11*2), R11
+	MOVWLSX (SI)(R12*2), R12
+	VMOVD R9, X0
+	VPINSRD $1, R10, X0, X0
+	VPINSRD $2, R11, X0, X0
+	VPINSRD $3, R12, X0, X0
+	VCVTDQ2PD X0, Y0
+	VDIVPD (R8)(AX*8), Y0, Y0 // / norm[j:j+4]
+	VMULPD Y15, Y0, Y0        // · qw
+	VADDPD (DI)(AX*8), Y0, Y0 // + exact[j:j+4]
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  step
+
+done:
+	VZEROUPPER
+	RET
+
+// func cpuFeatures() (avx2, vnni bool)
 //
 // Whether the CPU has AVX2 (CPUID.7.0:EBX bit 5) and the OS saves the YMM
 // registers: CPUID.1:ECX has OSXSAVE (bit 27) and AVX (bit 28), and
 // XGETBV(0) has the SSE and AVX state bits (1 and 2). XSAVE support, which
-// OSXSAVE implies, needs leaf 0DH, so leaf 7 exists once those pass.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// OSXSAVE implies, needs leaf 0DH, so leaf 7 exists once those pass. vnni
+// needs avx2, AVX-512F (EBX bit 16), AVX-512BW (EBX bit 30) and AVX-512
+// VNNI (ECX bit 11), and the OS saving the opmask and ZMM registers too
+// (XCR0 bits 5, 6 and 7).
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, vnni+1(FP)
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
@@ -137,6 +287,7 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JNE  no
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8               // XCR0
 	ANDL $6, AX
 	CMPL AX, $6
 	JNE  no
@@ -144,7 +295,16 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	XORL CX, CX
 	CPUID
 	BTL  $5, BX
-	SETCS ret+0(FP)
+	JCC  no
+	MOVB $1, avx2+0(FP)
+	ANDL $0xe0, R8
+	CMPL R8, $0xe0
+	JNE  no
+	ANDL $0x40010000, BX
+	CMPL BX, $0x40010000
+	JNE  no
+	BTL  $11, CX
+	SETCS vnni+1(FP)
 
 no:
 	RET

@@ -13,10 +13,9 @@ package similarity
 //     GROUP of up to accBatch queries (searchBatch lets the ones that need
 //     it wait for each other). Siblings read mostly the same dense rows, so
 //     the pass cuts the documents into tiles of accTile and every query
-//     finishes a tile before any moves on: the rows come into L2 once, and
-//     each query's 12 KB of sums stays in L1. A lone query takes one tile
-//     of every document: short tiles cost the hardware prefetcher its
-//     streams and buy it nothing.
+//     finishes a tile before any moves on: the rows come into L2 once. A
+//     lone query takes one tile of every document: short tiles cost the
+//     hardware prefetcher its streams and buy it nothing.
 //
 // Both start from the query resolved against the segment (cursors): each
 // distinct unigram probes the dictionary with the hash parseQuery kept (all
@@ -25,28 +24,19 @@ package similarity
 //
 // The accumulator ranks, then re-scores. Per tile a query scatters its
 // sparse lists into float64 sums and adds its dense rows — int16 counts —
-// into int32 sums, two rows per AVX2 VPMADDWD (denseRun), exact in any
-// order. A document's approximate dot product is its float sum plus its row
-// sum times the reciprocal of its norm, with no division on the way, and the
-// scan keeps every live document whose approximation, inflated by a slack
-// covering the roundings of both sums, reaches the k-th best so far,
-// deflated; it tests four documents an AVX2 step (scanFrom) and stops in Go
-// only at one that may join. Only those are then scored exactly (rescore):
-// every query term in canonical order, a row's weight read as its count over
-// the norm — the division the weight was stored from, so the same float64
-// bit for bit. A document the scan drops is strictly worse than k others, so
-// ties are never pruned and every score, tie and verdict is the canonical
-// float64 sum. On bench/'s corpus a novel candidate keeps one to a few hundred
-// documents: documents built from one template tie exactly.
-//
-// On bench/'s near-duplicates the gather engine reads 86–103 µs against the
-// forced accumulator's 199–249 (one segment, -cpu 1), on a diverse 2 000-
-// document corpus 44 against 52–57, and where it bails (novel candidates)
-// the two read alike, so it stays; a k > 1 MaxScore DAAT engine lost to the
-// accumulator in every cell and was deleted. ROADMAP item 6(e) and its
-// decision records have the readings; bench/README.md has current numbers
-// (similarity.topk10_us, best_neardup_us, best_novel_us,
-// bestbatch_us_per_cand).
+// into int32 sums, exact in any order (denseRun: two rows a VPDPWSSD over
+// 64 documents with AVX-512 VNNI, a VPMADDWD over 32 with AVX2). The scan
+// (scanFrom, four documents an AVX2 step) keeps every live document whose
+// approximate dot product — float sum plus row sum times the reciprocal of
+// the norm — inflated by a slack covering both sums' roundings, reaches the
+// k-th best so far, deflated. Only those are scored exactly (rescore): every
+// query term in canonical order, a row's weight its count over the norm, the
+// division it was stored from (rescoreRow, four documents a VDIVPD), so the
+// same float64 bit for bit. A document the scan drops is strictly worse than
+// k others, so ties are never pruned and every score, tie and verdict is the
+// canonical float64 sum. A novel candidate on bench/'s corpus keeps one to a
+// few hundred documents: template-built documents tie exactly. ROADMAP item
+// 6(e) has the readings that keep the gather engine beside it.
 //
 // Why a special engine at all: similarity here is tf-only cosine, with no
 // idf, so corpus-universal terms (Verilog keywords, punctuation) carry
@@ -54,41 +44,30 @@ package similarity
 // on whole-file audit queries. The gather engine splits the query's posting
 // lists three ways and scores by gathering, not cursor merging:
 //
-//   - Dense lists — at least 1/rowShare of the segment's documents,
-//     rowShare·df >= docs, the one definition Segment.layout applies, which
-//     stores each of them only doc-indexed (Segment.rows, count 0 for a
-//     document outside it) — never generate candidates, and are bounded
-//     together, not term by term: by Cauchy–Schwarz they give document d at
-//     most ‖q_dense‖·dnorm[d], the norm of the query's counts over its dense
-//     lists times the norm seal keeps of d's weights over all of them. A
-//     sum of per-term maxima charges every keyword at the weight of the
-//     document fullest of it: on bench/'s corpus it reads 1.17 of the query
-//     norm for a near-duplicate whose best score is 0.98, which makes the
-//     audit the paper's verdict exists for look hopeless. The norm bound
-//     reads 0.88 there (0.81 against 0.91 for a novel candidate, whose best
-//     is 0.60 — hopeless either way; medians of 256 queries of each shape)
-//     and costs one float per document.
+//   - Dense lists (rowShare·df >= docs: Segment.rows) never generate
+//     candidates and are bounded together by Cauchy–Schwarz: document d
+//     gets at most ‖q_dense‖·dnorm[d] out of them, the norm of the query's
+//     dense counts times the norm seal keeps of d's dense weights. A sum of
+//     per-term maxima would charge every keyword at the weight of the
+//     document fullest of it and make any near-duplicate look hopeless.
 //   - The cheapest sparse lists — ordered by upper bound per posting, the
 //     absorption order that buys the most skipped postings per unit of
 //     threshold budget — are absorbed into a non-essential prefix while
 //     their summed bounds plus the largest dense bound stay strictly below
 //     the threshold. Their postings are never read.
 //   - The remaining essential sparse lists are streamed into a
-//     per-document accumulator (the gather). Each touched document is
-//     then bounded by dense bound + absorbed-prefix bound + its exact
-//     gathered sum. The partition is progressive: absorbing right up to
-//     the threshold leaves every document that shares a few lines with the
+//     per-document accumulator (the gather). Each touched document is then
+//     bounded by dense bound + absorbed-prefix bound + its exact gathered
+//     sum. The partition is progressive: absorbing right up to the
+//     threshold leaves every document that shares a few lines with the
 //     match straddling it, so while more than a handful of touched
 //     documents do, the absorbed budget is halved and the lists that frees
-//     are streamed too. The rule looks at the candidates because a fixed
-//     "absorb half the budget" bought the same near-duplicate and cost the
-//     diverse 16 000-document corpus 57 → 155 µs (ISSUE 22's sizing).
-//   - Survivors are evaluated fully — every query term, in canonical
-//     query order (first appearance in the query — a property of the
-//     query alone, so the same order in every segment), the same order
-//     the accumulator's re-scoring uses — with early abandonment against
-//     canonical-order tail bounds. On a selective audit that is one
-//     document: the match.
+//     are streamed too (a fixed share cost diverse corpora dearly).
+//   - Survivors are evaluated fully — every query term, in canonical query
+//     order (first appearance in the query, so the same order in every
+//     segment), the order the accumulator's re-scoring uses — with early
+//     abandonment against canonical-order tail bounds. On a selective audit
+//     that is one document: the match.
 //   - Documents touched by no essential list are never visited: their
 //     bound is at most the largest dense bound plus the absorbed prefix,
 //     which the partition holds strictly below a threshold that only rises.
@@ -109,17 +88,13 @@ package similarity
 //     scores sum in different orders), and a candidate is pruned only when
 //     its bound is STRICTLY below the threshold. Ties are never pruned: a
 //     tying document reaches full evaluation, where the heap's lowest-index
-//     rule (matchWorse) decides whatever the visit order, and pushing a
-//     real document's exact score early (priming) can never make an equal
-//     or better one be skipped.
+//     rule (matchWorse) decides whatever the visit order, and priming can
+//     never make an equal or better document be skipped.
 //
-// Worst case, the segment is so homogeneous that no threshold separates
-// documents (all within the slack of the best). The gather engine detects
-// that pruning is not paying — the best known score does not clear the
-// largest dense bound, more than half the postings would be streamed, or a
-// quarter have been read — and falls back to the accumulator, bounding the
-// regression to a constant factor. A novel candidate — 97% of what a clean
-// model sends — always ends there, so the accumulator is the audit.
+// Where no threshold separates documents the gather engine sees pruning not
+// paying (see bail) and falls back to the accumulator. A novel candidate —
+// 97% of what a clean model sends — always ends there: the accumulator is
+// the audit.
 
 import (
 	"cmp"
@@ -146,8 +121,7 @@ const (
 	// accBatch queries at most share one accumulator pass, accTile documents
 	// at a time: a tile of every dense row a novel query adds (38 at the
 	// median on bench/'s corpus: 78 KB of counts) stays in L2 until the last
-	// query of the group has added it. With float64 rows, tiles of 512 and
-	// 2 048 measured within noise of 1 024 and 256 was ~12% slower.
+	// query of the group has added it (ROADMAP weighs whether that pays).
 	accBatch = 16
 	accTile  = 1024
 
@@ -248,7 +222,7 @@ type searchScratch struct {
 	h     matchHeap
 	qnorm float64
 
-	acc   []float64   // the gather engine's per-document sums, then one tile of the accumulator's sparse sums
+	acc   []float64   // the gather engine's per-document sums, then one tile of the accumulator's sparse sums, then the candidates' norms
 	acci  []int32     // one tile of the accumulator's row sums
 	offs  []int       // the dense cursors' rows, span by span: where each starts in Segment.rows
 	qs    []uint32    // and the counts they are added with
@@ -961,7 +935,7 @@ func (g *Segment) rescore(sc *searchScratch, k int) {
 		}
 	}
 	exact := zeros(&sc.candA, len(cand))
-	g.evalCanonicalAll(sc.curs, cand, exact)
+	g.evalCanonicalAll(sc, cand, exact)
 	for j, d := range cand {
 		if exact[j] > 0 {
 			pushMatch(&sc.h, k, Match{Name: g.names[d], Index: int(d), Score: exact[j] / sc.qnorm})
@@ -971,17 +945,19 @@ func (g *Segment) rescore(sc *searchScratch, k int) {
 
 // evalCanonicalAll is evalCanonical for the documents docs, ascending, into
 // exact (zeroed), term by term: a row's count at every document over its
-// norm, with no branch on the count (a 0 adds +0, which changes nothing),
-// and a sparse list searched for the documents in order, each search
-// galloping from where the last one ended.
-func (g *Segment) evalCanonicalAll(curs []pruneCursor, docs []int32, exact []float64) {
-	for i := range curs {
-		cur := &curs[i]
+// norm (rescoreRow, four documents a division; a 0 adds +0, which changes
+// nothing), and a sparse list searched for the documents in order, each
+// search galloping from where the last one ended. The tile sums are spent by
+// now, so sc.acc holds the documents' norms.
+func (g *Segment) evalCanonicalAll(sc *searchScratch, docs []int32, exact []float64) {
+	norm := zeros(&sc.acc, len(docs))
+	for j, d := range docs {
+		norm[j] = g.norm[d]
+	}
+	for i := range sc.curs {
+		cur := &sc.curs[i]
 		if cur.row >= 0 {
-			row := g.row(cur.row)
-			for j, d := range docs {
-				exact[j] += float64(cur.qw * (float64(row[d]) / g.norm[d]))
-			}
+			rescoreRow(exact, g.row(cur.row), docs, norm, cur.qw)
 			continue
 		}
 		p := 0
@@ -998,11 +974,10 @@ func (g *Segment) evalCanonicalAll(curs []pruneCursor, docs []int32, exact []flo
 // qs[r]·rows[offs[r]+i] for every row r and every i, in int32 arithmetic
 // (which wraps: planDense keeps a span's sums in range). Integer sums are the
 // same in any order, so rows go whichever way is fastest: those whose count
-// fits an int16 to denseRunBody two at a time (AVX2 VPMADDWD where the CPU
-// has it, a Go pair loop elsewhere; an odd one out is paired with itself at
-// count 0), a larger count's row to denseRunGo, and the last len(acc) mod 32
-// slots of every row to denseRunGo too. It panics rather than read outside
-// rows: the assembly behind it checks nothing.
+// fits an int16 to denseRunBody two at a time (an odd one out is paired with
+// itself at count 0), a larger count's row and the last len(acc) mod 32
+// slots of every row to denseRunGo. It panics rather than read outside rows:
+// the assembly behind it checks nothing.
 func denseRun(acc []int32, rows []int16, offs []int, qs []uint32) {
 	if len(qs) < len(offs) {
 		panic("similarity: denseRun has fewer counts than rows")

@@ -103,20 +103,10 @@ type Segment struct {
 // rowShare is the one dense definition: a list is a row once it holds at
 // least 1/rowShare of the segment's documents (rowShare·df >= docs). A row
 // (2·docs bytes) is added as integers, 0.05–0.1 ns a slot; in the arenas (12·df
-// bytes) a list is scattered, ≈ 1 ns a posting. Swept on bench/'s 8 000
-// documents: BenchmarkBestBenchCorpus at segs=1 (medians of 7 alternating
-// rounds, taskset -c 0; 3 for 2 and 4) and BenchmarkBuildSegment:
-//
-//	rowShare  rows    MB  novel µs  neardup µs  batch16 ms  live-B/posting
-//	    2       79  1.26     140        163        2.12         18.77
-//	    4      179  2.86     103        104        1.33         17.91
-//	    6      237  3.79      99         85        1.52         17.63
-//	    8      270  4.32      92         77        1.57         17.69
-//	   12      297  4.75     100         81        1.46         17.80
-//	   16      343  5.49      96         74        1.38         18.06
-//
-// 6 to 16 read the same within the host's noise (±15 %); 6 and 8 keep the
-// smallest segment, and 8 leaves a novel query 123 sparse postings, not 307.
+// bytes) a list is scattered, ≈ 1 ns a posting. ROADMAP's decision records
+// have the sweep on bench/'s 8 000 documents: 6 to 16 read the same within
+// the host's noise, 6 and 8 keep the smallest segment, and 8 leaves a novel
+// query 123 sparse postings, not 307.
 const rowShare = 8
 
 // maxRowCount is the largest count a row holds: an int16, which the kernel
