@@ -133,7 +133,8 @@ func Syntax() Stage { return syntaxStage{} }
 // similarityStage rejects candidates whose best cosine match against a
 // sealed protected-corpus snapshot reaches the violation threshold — the
 // paper's §III-A infringement check as a composable stage. Batch execution
-// shares one deduplicated BestBatch pass over the snapshot.
+// goes through one deduplicated BestBatch over the snapshot: one Best per
+// distinct text.
 type similarityStage struct {
 	snap      *similarity.Snapshot
 	threshold float64

@@ -117,9 +117,9 @@ func auditResponse(res *auditResult, threshold float64, violation, cached bool) 
 }
 
 // handleAuditBatch audits a whole candidate batch against one snapshot
-// load: memo hits answer immediately, the misses share a single
-// deduplicated BestBatch index pass. This is the bulk face of /v1/audit —
-// same verdicts, amortized cost.
+// load: memo hits answer immediately, the misses go through one
+// deduplicated BestBatch, one Best per distinct text. This is the bulk face
+// of /v1/audit — same verdicts, amortized cost.
 func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 	var req AuditBatchRequest
 	if !s.decodeBulk(w, r, &req) {

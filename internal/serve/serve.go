@@ -5,8 +5,8 @@
 //	POST /v1/audit       — §III-A infringement verdict for one candidate
 //	                       (cosine vs the protected corpus, violation at
 //	                       threshold 0.8)
-//	POST /v1/audit/batch — many candidates in one deduplicated BestBatch
-//	                       index pass
+//	POST /v1/audit/batch — many candidates through one deduplicated
+//	                       BestBatch, one Best per distinct text
 //	POST /v1/filter      — run any stage subset (license, dedup,
 //	                       copyright, syntax, similarity) over a candidate
 //	                       batch; returns pipeline Verdict envelopes

@@ -243,9 +243,9 @@ type AuditBatchCandidate struct {
 }
 
 // AuditBatchRequest audits many candidates in one request: the whole batch
-// shares a single snapshot load and one deduplicated BestBatch index pass,
-// so screening a RAG corpus or a sampler's n-best list costs far less than
-// n separate /v1/audit calls.
+// shares a single snapshot load and one deduplicated BestBatch, which
+// scores each distinct text once, so screening a RAG corpus or a sampler's
+// n-best list costs far less than n separate /v1/audit calls.
 type AuditBatchRequest struct {
 	Candidates []AuditBatchCandidate `json:"candidates"`
 	// Threshold overrides the server's violation threshold when > 0.

@@ -106,12 +106,12 @@ func TestCPUDetectionMatchesCPUInfo(t *testing.T) {
 
 // Every pair body, the Go loop and a row-at-a-time pass are the same function:
 // every tail length around the 32-wide body, 64-wide chunks followed by a
-// 32-wide one, a tile and a corpus-sized row, runs of no rows up to a novel
-// query's 38 (odd ones leave a row without a partner), operands that start
-// on odd 2-byte boundaries, counts of 0, 1 and 32 767, and query counts up
-// to and past 32 767 — which take the Go loop — to the largest a qterm can
-// carry, where the sums wrap as int32s do. A row that would end past rows is
-// a panic, not a read.
+// 32-wide one, 1 024 slots and a corpus-sized row, runs of no rows up to a
+// novel query's 38 (odd ones leave a row without a partner), operands that
+// start on odd 2-byte boundaries, counts of 0, 1 and 32 767, and query counts
+// up to and past 32 767 — which take the Go loop — to the largest a qterm
+// can carry, where the sums wrap as int32s do. A row that would end past rows
+// is a panic, not a read.
 func TestDenseRunMatchesReference(t *testing.T) {
 	t.Logf("bodies %v", denseRunBodies())
 	rng := rand.New(rand.NewSource(17))
@@ -220,12 +220,11 @@ func FuzzDenseRun(f *testing.F) {
 }
 
 // BenchmarkDenseRun times denseRun, the kernel that adds a query's dense
-// rows, on each body the host runs (avx2, go): runs of 1, 5 and 38 rows — a
-// lone row, a mean run, every dense list of a novel query on bench/'s corpus
-// — into one accTile tile of row sums from tiles that stay in L1 (what the
-// 2nd to 16th query of a group see) and into a corpus-sized one from
-// 8 000-slot rows streamed out of bench/'s 270 (4.32 MB, what a lone query
-// sees). A slot is one count multiplied and added.
+// rows, on each body the host runs (vnni, avx2, go): runs of 1, 5 and 38
+// rows — a lone row, a mean run, every dense list of a novel query on
+// bench/'s corpus — into a corpus-sized run of row sums from 8 000-slot rows
+// streamed out of bench/'s 270 (4.32 MB, what every query sees). A slot is
+// one count multiplied and added.
 func BenchmarkDenseRun(b *testing.B) {
 	const nDocs, nDense = 8000, 270 // bench/'s corpus: 270 dense lists
 	rows := make([]int16, nDense*nDocs)
@@ -238,41 +237,33 @@ func BenchmarkDenseRun(b *testing.B) {
 			for r := range qs {
 				qs[r] = uint32(r + 1)
 			}
-			for _, bc := range []struct {
-				name  string
-				slots int
-			}{{"tile", accTile}, {"stream", nDocs}} {
-				b.Run(fmt.Sprintf("%s/rows=%d/%s", body, nRows, bc.name), func(b *testing.B) {
-					acc := make([]int32, bc.slots)
-					offs := make([]int, nRows)
-					withDenseRunBody(body, func() {
-						for i := 0; i < b.N; i++ {
-							for r := range offs {
-								offs[r] = r * nDocs // tile: the same 2 KB of each row every time
-								if bc.slots == nDocs {
-									offs[r] = (i*nRows + r) % nDense * nDocs
-								}
-							}
-							denseRun(acc, rows, offs, qs) // the sums wrap, as they may here
+			b.Run(fmt.Sprintf("%s/rows=%d/stream", body, nRows), func(b *testing.B) {
+				acc := make([]int32, nDocs)
+				offs := make([]int, nRows)
+				withDenseRunBody(body, func() {
+					for i := 0; i < b.N; i++ {
+						for r := range offs {
+							offs[r] = (i*nRows + r) % nDense * nDocs
 						}
-					})
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows*bc.slots), "ns/slot")
+						denseRun(acc, rows, offs, qs) // the sums wrap, as they may here
+					}
 				})
-			}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows*nDocs), "ns/slot")
+			})
 		}
 	}
 }
 
-// scanRef is scan as one plain loop over the tile, the reference both
+// scanRef is scan as one plain loop over the documents, the reference both
 // bodies of scanFrom are held to.
-func scanRef(sc *searchScratch, acc []float64, acci []int32, inv []float64, lo, k int, dead []uint64) {
+func scanRef(sc *searchScratch, acc []float64, acci []int32, inv []float64, k int, dead []uint64) {
 	inflate, theta := 1+sc.slack, sc.bar(k)
 	for i, f := range acc {
 		a := f + float64(float64(acci[i])*inv[i])
-		if a*inflate < theta || a == 0 || deadBit(dead, int32(lo+i)) {
+		if a*inflate < theta || a == 0 || deadBit(dead, int32(i)) {
 			continue
 		}
-		sc.cand, sc.candA = append(sc.cand, int32(lo+i)), append(sc.candA, a)
+		sc.cand, sc.candA = append(sc.cand, int32(i)), append(sc.candA, a)
 		if sc.offer(a, k) {
 			theta = sc.bar(k)
 		}
@@ -302,32 +293,44 @@ func scanDocs(docs ...[4]int) []byte {
 // FuzzScan holds scan, on every body the host runs, to scanRef: the same
 // candidates, approximate dot products and k best, bit for bit. The first
 // byte of data is how many of the bytes after it are approximations already
-// offered (a bar carried over from an earlier tile; at most three, each an
+// offered (a bar the gather engine's heap left; at most three, each an
 // scanAcc value), then come the documents (scanDocs). slack picks 0 (a sum
-// can then equal the bar exactly), the accumulator's (n+32)·epsUlp or 1e-3;
-// the tile starts at document lo of the segment, for the dead bits. The
-// seeds cover a sum whose inflation equals the bar, sums of 0, a bar of 0
-// while fewer than k are kept, tails of 1 to 3 past the 4-wide steps, dead
-// documents and a bar rising mid-tile.
+// can then equal the bar exactly), the accumulator's (n+32)·epsUlp or 1e-3.
+// The seeds cover a sum whose inflation equals the bar, sums of 0, a bar of
+// 0 while fewer than k are kept, tails of 1 to 3 past the 4-wide steps, dead
+// documents, among them 63 and 64 either side of a bitmap word's edge, and a
+// bar rising mid-scan.
 func FuzzScan(f *testing.F) {
-	seed := func(prior []byte, docs []byte, k, lo, slack uint8) {
-		f.Add(append(append([]byte{byte(len(prior))}, prior...), docs...), k, lo, slack)
+	seed := func(prior []byte, docs []byte, k, slack uint8) {
+		f.Add(append(append([]byte{byte(len(prior))}, prior...), docs...), k, slack)
 	}
-	seed([]byte{3}, scanDocs([4]int{0, 3, 2, 0}, [4]int{3, 0, 0, 0}, [4]int{2, 0, 0, 0}, [4]int{1, 2, 2, 0}, [4]int{3, 1, 1, 0}), 0, 0, 0) // a = 1 = the bar
-	seed(nil, scanDocs([4]int{0, 0, 1, 0}, [4]int{0, 4, 0, 0}, [4]int{0, 0, 0, 0}, [4]int{1, 0, 0, 0}, [4]int{0, 2, 3, 0}), 1, 0, 1)       // a = 0
-	seed([]byte{2}, scanDocs([4]int{5, 0, 0, 0}, [4]int{1, 0, 0, 0}, [4]int{2, 0, 0, 0}, [4]int{0, 0, 0, 0}, [4]int{6, 0, 0, 0}), 3, 0, 1) // the bar 0 below k
-	seed(nil, scanDocs([4]int{1, 0, 0, 0}), 0, 0, 1)                                                                                       // tails
-	seed(nil, scanDocs([4]int{1, 0, 0, 0}, [4]int{4, 0, 0, 0}), 0, 7, 1)
-	seed(nil, scanDocs([4]int{1, 0, 0, 0}, [4]int{4, 0, 0, 0}, [4]int{3, 0, 0, 0}), 1, 63, 1)
-	seed(nil, scanDocs([4]int{5, 0, 0, 1}, [4]int{7, 7, 7, 1}, [4]int{3, 0, 0, 0}, [4]int{5, 0, 0, 1}, [4]int{2, 0, 0, 0}, [4]int{5, 5, 1, 1}, [4]int{1, 0, 0, 0}), 0, 61, 1) // dead
+	seed([]byte{3}, scanDocs([4]int{0, 3, 2, 0}, [4]int{3, 0, 0, 0}, [4]int{2, 0, 0, 0}, [4]int{1, 2, 2, 0}, [4]int{3, 1, 1, 0}), 0, 0) // a = 1 = the bar
+	seed(nil, scanDocs([4]int{0, 0, 1, 0}, [4]int{0, 4, 0, 0}, [4]int{0, 0, 0, 0}, [4]int{1, 0, 0, 0}, [4]int{0, 2, 3, 0}), 1, 1)       // a = 0
+	seed([]byte{2}, scanDocs([4]int{5, 0, 0, 0}, [4]int{1, 0, 0, 0}, [4]int{2, 0, 0, 0}, [4]int{0, 0, 0, 0}, [4]int{6, 0, 0, 0}), 3, 1) // the bar 0 below k
+	seed(nil, scanDocs([4]int{1, 0, 0, 0}), 0, 1)                                                                                       // tails
+	seed(nil, scanDocs([4]int{1, 0, 0, 0}, [4]int{4, 0, 0, 0}), 0, 1)
+	seed(nil, scanDocs([4]int{1, 0, 0, 0}, [4]int{4, 0, 0, 0}, [4]int{3, 0, 0, 0}), 1, 1)
+	var edge []byte // 67 documents, the ones either side of the first word edge dead
+	for i := range 67 {
+		d := [4]int{1 + i%5, i % 3, 1 + i%2, 0}
+		if i == 62 || i == 65 {
+			d = [4]int{7, 7, 7, 0} // live, and as high as the dead ones
+		}
+		if i == 63 || i == 64 {
+			d = [4]int{7, 7, 7, 1}
+		}
+		edge = append(edge, scanDocs(d)...)
+	}
+	seed(nil, edge, 0, 1)
+	seed(nil, edge, 2, 0)
 	var rising []byte
 	for i := range 13 {
 		rising = append(rising, scanDocs([4]int{i % 8, i % 4, 1 + i%3, 0})...)
 	}
-	seed([]byte{1}, rising, 0, 0, 2)
-	seed(nil, rising, 1, 0, 0)
+	seed([]byte{1}, rising, 0, 2)
+	seed(nil, rising, 1, 0)
 	f.Logf("bodies %v", denseRunBodies())
-	f.Fuzz(func(t *testing.T, data []byte, k, lo, slack uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, k, slack uint8) {
 		if len(data) == 0 {
 			return
 		}
@@ -338,11 +341,11 @@ func FuzzScan(f *testing.F) {
 		var dead []uint64
 		for i := range n {
 			acc[i], acci[i], inv[i] = scanAcc[docs[3*i]&7], scanAcci[docs[3*i+1]&7], scanInv[docs[3*i+2]&7]
-			if d := int(lo) + i; docs[3*i+2]&8 != 0 {
+			if docs[3*i+2]&8 != 0 {
 				if dead == nil {
-					dead = make([]uint64, (int(lo)+n+63)/64)
+					dead = make([]uint64, (n+63)/64)
 				}
-				dead[d>>6] |= 1 << (d & 63)
+				dead[i>>6] |= 1 << (i & 63)
 			}
 		}
 		kk := 1 + int(k%4)
@@ -354,10 +357,10 @@ func FuzzScan(f *testing.F) {
 			return sc
 		}
 		want := fresh()
-		scanRef(want, acc, acci, inv, int(lo), kk, dead)
+		scanRef(want, acc, acci, inv, kk, dead)
 		for _, body := range denseRunBodies() {
 			got := fresh()
-			withDenseRunBody(body, func() { got.scan(acc, acci, inv, int(lo), kk, dead) })
+			withDenseRunBody(body, func() { got.scan(acc, acci, inv, kk, dead) })
 			if !slices.Equal(got.cand, want.cand) || !slices.Equal(got.candA, want.candA) || !slices.Equal(got.top, want.top) {
 				t.Fatalf("%s: candidates %v %v, top %v; the plain loop's %v %v, top %v", body, got.cand, got.candA, got.top, want.cand, want.candA, want.top)
 			}
@@ -939,26 +942,28 @@ func requireEnginesMatchOracle(t *testing.T, ctx string, g *Segment, queries []s
 	}
 }
 
-// A group of queries shares one tiled pass, a lone one takes the untiled
-// pass, and neither changes a bit. Homogeneous corpora — every query bails
-// to the accumulator — one document short of a tile, exactly one tile, one
-// document over, and two and a half tiles; as one segment, as two and as
-// eight, with terms that only one segment holds (each document's own
+// A batch scores each text as Best does, bit for bit. Homogeneous corpora —
+// most queries bail to the accumulator — of 1 023, 1 024, 1 025 and 2 500
+// documents: one short of, exactly on and one past a whole number of the
+// kernels' 64-document chunks and of the tombstone bitmap's 64-bit words,
+// and 2 500 with a tail of 4 past the last chunk; as one segment, as two and
+// as eight, with terms that only one segment holds (each document's own
 // identifier, one `;`); a fifth of the documents tombstoned, among them the
-// one the near-duplicate queries would win with and the documents either side
-// of the first tile edge. Every BestBatch slot equals Best of its text, and
-// every Best and TopK equals oracleTopK over the snapshot's segments and over
-// a rebuild of the live documents. The queries repeat upper-case identifiers
-// after other upper-case tokens, and carry non-ASCII runes, invalid bytes and
-// single bytes no dictionary or only one segment's holds.
-func TestBatchSharesOnePass(t *testing.T) {
+// one the near-duplicate queries would win with and documents 1 023 and
+// 1 024, either side of a bitmap word's edge. Every BestBatch slot equals
+// Best of its text, and every Best and TopK equals oracleTopK over the
+// snapshot's segments and over a rebuild of the live documents. The queries
+// repeat upper-case identifiers after other upper-case tokens, and carry
+// non-ASCII runes, invalid bytes and single bytes no dictionary or only one
+// segment's holds.
+func TestBatchEqualsBest(t *testing.T) {
 	EnablePruneStats(true)
 	ResetPruneStats()
 	defer EnablePruneStats(false)
 	same := func(a, b Match) bool {
 		return a.Name == b.Name && a.Index == b.Index && math.Float64bits(a.Score) == math.Float64bits(b.Score)
 	}
-	for _, n := range []int{accTile - 1, accTile, accTile + 1, 2500} {
+	for _, n := range []int{1023, 1024, 1025, 2500} {
 		rng := rand.New(rand.NewSource(int64(1700 + n)))
 		names := make([]string, n)
 		texts := make([]string, n)
@@ -970,7 +975,7 @@ func TestBatchSharesOnePass(t *testing.T) {
 					if rng.Intn(100) < 50+(49*v)/29 { // majority term v: 50 % ... 99 % of documents
 						fmt.Fprintf(&sb, "t%d ", v)
 					}
-					if rng.Intn(100) < 1+v { // minority term v: sparse lists resumed at every tile edge
+					if rng.Intn(100) < 1+v { // minority term v: sparse lists
 						fmt.Fprintf(&sb, "s%d ", v)
 					}
 				}
@@ -979,11 +984,11 @@ func TestBatchSharesOnePass(t *testing.T) {
 			texts[d] = sb.String()
 		}
 		const winner = 700
-		twin := n - 3 // the tombstoned winner's live copy: never a tile-edge document
+		twin := n - 3 // the tombstoned winner's live copy: never an edge document
 		texts[twin] = texts[winner]
 		texts[5] += " ; t1" // the one `;`, in the first segment of any split
 		dead := make([]bool, n)
-		for _, d := range []int{winner, accTile - 1, accTile} {
+		for _, d := range []int{winner, 1023, 1024} {
 			if d < n {
 				dead[d] = true
 			}
@@ -1025,7 +1030,7 @@ func TestBatchSharesOnePass(t *testing.T) {
 		}
 
 		pool := []string{
-			"", "zz_unknown qq_unknown", texts[winner], texts[winner] + " t3 t3 unseen_x", texts[accTile-2] + " s4",
+			"", "zz_unknown qq_unknown", texts[winner], texts[winner] + " t3 t3 unseen_x", texts[1022] + " s4",
 			strings.ToUpper(texts[winner]),
 			fmt.Sprintf("T3 S4 T3 OWN%d T3 S4 t3 OWN%d own%d S4", n-1, n-1, n-1),
 			"größe t7 ÜBER t7 über \xff t8 \xfe\xff t7 t8",
@@ -1069,7 +1074,7 @@ func TestBatchSharesOnePass(t *testing.T) {
 			t.Fatalf("%d docs: a copy of tombstoned document %d matches %+v, want its twin %s", n, winner, w, names[twin])
 		}
 
-		for _, size := range []int{1, 2, accBatch - 1, accBatch, accBatch + 1, 2*accBatch + 1} {
+		for _, size := range []int{1, 2, 15, 16, 17, 33} {
 			group := make([]string, size)
 			for i := range group {
 				group[i] = pool[rng.Intn(len(pool))]
@@ -1112,8 +1117,9 @@ func benchNearDupOf(rng *rand.Rand, texts []string, i int) string {
 // BenchmarkBestBenchCorpus is Snapshot.Best on bench/'s corpus with
 // bench/'s two candidate shapes (bench/inputs.go's coldStream): a freshly
 // generated module, and a protected file with one line replaced. batch16 is
-// BestBatch over the same shapes, and seq16 the same 16 candidates a Best
-// each, the rent of the batch's shared tiles. Each runs on the 8 000-document
+// BestBatch over the same shapes on one worker, and seq16 the same 16
+// candidates a Best each: the reference batch16 is read against, which adds
+// the batch's dedup and fan-out to it. Each runs on the 8 000-document
 // base alone (segs=1) and with 1 and 7 delta segments after it (segs=2,
 // segs=8), each 16 mutated base documents, as publish_mixed publishes them;
 // the queries are the same in every shape. ns/posting divides by the postings of the query's
@@ -1147,14 +1153,15 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 	}
 	// publish_mixed's request: 16 sibling candidates, one in ten a near-
 	// duplicate, through BestBatch on one worker.
+	const batch = 16
 	batches := make([][]string, 16)
 	for bi := range batches {
-		for i := 0; i < accBatch; i++ {
+		for i := 0; i < batch; i++ {
 			shape := "novel"
 			if rng.Intn(10) == 0 {
 				shape = "neardup"
 			}
-			batches[bi] = append(batches[bi], shapes[shape](bi*accBatch+i))
+			batches[bi] = append(batches[bi], shapes[shape](bi*batch+i))
 		}
 	}
 	for _, shape := range []string{"novel", "neardup"} {
@@ -1204,10 +1211,10 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 					b.Fatal("no match")
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "µs/candidate")
 		})
 	}
-	for _, n := range []int{1, 2} { // what the batch saves: the same candidates, one Best each
+	for _, n := range []int{1, 2} { // the reference: the same candidates, one Best each
 		snap := SnapshotOf(segs[:n], nil)
 		b.Run(fmt.Sprintf("seq16/segs=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -1215,7 +1222,7 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 					snap.Best(text)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*accBatch), "µs/candidate")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "µs/candidate")
 		})
 	}
 }
@@ -1229,7 +1236,7 @@ func BenchmarkBestBenchCorpus(b *testing.B) {
 // 32 767 ("y", "w": 40 000 each) sends its row through the Go loop; two such
 // rows could pass 2^31-1 between them, so they are two spans; a count whose
 // row alone could ("v": 70 000) is a span of its own, scaled as it leaves
-// the tile, and the row after it starts the span the scan reads. Every
+// the row sums, and the row after it starts the span the scan reads. Every
 // engine, before and after decoding and merging, and over tombstones, scores
 // as the oracle.
 func TestDenseRowLimits(t *testing.T) {
@@ -1292,7 +1299,7 @@ func TestDenseRowLimits(t *testing.T) {
 
 // The scan's premise: a document's approximate dot product — its sparse
 // float sum plus its row sum over its norm, spans moved out of the int32
-// tile on the way — and its exact one in canonical order are each within
+// row sums on the way — and its exact one in canonical order are each within
 // (n+3) roundings of the real dot product, n the query's lists, so they are
 // within 2n+6 roundings of each other, and one is 0 exactly when the other
 // is. The slack accumulate prunes with, (n+32)·epsUlp on either side, covers
@@ -1333,9 +1340,8 @@ func TestApproximationWithinSlack(t *testing.T) {
 			q, sc := parseQuery(text), &searchScratch{}
 			g.cursors(q, sc)
 			putQuery(q)
-			zeros(&sc.pos, len(sc.curs))
 			sc.planDense(g.rowMax, g.Docs())
-			acc, acci := g.tileSums(sc, 0, g.Docs())
+			acc, acci := g.sums(sc)
 			bound := float64(2*len(sc.curs)+6) * 0x1p-53
 			for d := range acc {
 				a := acc[d] + float64(acci[d])*g.inv[d]
@@ -1376,9 +1382,8 @@ func TestScanKeepsInversions(t *testing.T) {
 			q, sc := parseQuery(sb.String()), &searchScratch{}
 			g.cursors(q, sc)
 			putQuery(q)
-			zeros(&sc.pos, len(sc.curs))
 			sc.planDense(g.rowMax, n)
-			acc, acci := g.tileSums(sc, 0, n)
+			acc, acci := g.sums(sc)
 			best, bestS := 0, -1.0
 			for d := range n {
 				if s, _ := g.evalCanonical(sc.curs, nil, int32(d), -1); s > bestS {

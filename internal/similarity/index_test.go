@@ -311,7 +311,7 @@ func (r *modelRun) decode(i int) {
 // segments, tombstones, live counts, Len and Name; each new segment's lists
 // against the termCounts rebuild of its documents; Best, TopK (k = 1, 3,
 // Len()+2) and BestBatch (1 and 4 workers, every query at least twice, more
-// than accBatch texts) against oracleTopK over the model's live texts; and
+// than 16 texts) against oracleTopK over the model's live texts; and
 // each segment's two engines, forced, against the oracle over that segment's
 // live documents. The snapshot and its answers join the past.
 func (r *modelRun) check(queries []string) {
@@ -389,7 +389,7 @@ func (r *modelRun) check(queries []string) {
 		t.Fatalf("%s: BestBatch of no texts = %v", r.ctx, got)
 	}
 	batch := slices.Concat(queries, queries)
-	for len(batch) > 0 && len(batch) <= accBatch {
+	for len(batch) > 0 && len(batch) <= 16 { // more texts than workers
 		batch = append(batch, queries...)
 	}
 	for _, workers := range []int{1, 4} {

@@ -9,23 +9,19 @@ package similarity
 //     below, which skips most of the index on selective queries and asks
 //     for the accumulator when it detects that pruning is not paying.
 //   - Everything else — k > 1 (TopK), tiny segments, every bail-out — ends
-//     in accumulate, over every posting of every query term, once per
-//     GROUP of up to accBatch queries (searchBatch lets the ones that need
-//     it wait for each other). Siblings read mostly the same dense rows, so
-//     the pass cuts the documents into tiles of accTile and every query
-//     finishes a tile before any moves on: the rows come into L2 once. A
-//     lone query takes one tile of every document: short tiles cost the
-//     hardware prefetcher its streams and buy it nothing.
+//     in accumulate, one pass over every posting of every query term. A
+//     query is scored the same way whether it comes alone or in a batch:
+//     BestBatch runs one Best per distinct text.
 //
 // Both start from the query resolved against the segment (cursors): each
 // distinct unigram probes the dictionary with the hash parseQuery kept (all
 // dictionaries share dictSeed), and a row list finds its row by a rank over
 // the segment's row bitmap (Segment.list), with no search.
 //
-// The accumulator ranks, then re-scores. Per tile a query scatters its
-// sparse lists into float64 sums and adds its dense rows — int16 counts —
-// into int32 sums, exact in any order (denseRun: two rows a VPDPWSSD over
-// 64 documents with AVX-512 VNNI, a VPMADDWD over 32 with AVX2). The scan
+// The accumulator ranks, then re-scores. A query scatters its sparse lists
+// into float64 sums and adds its dense rows — int16 counts — into int32
+// sums, exact in any order (denseRun: two rows a VPDPWSSD over 64 documents
+// with AVX-512 VNNI, a VPMADDWD over 32 with AVX2). The scan
 // (scanFrom, four documents an AVX2 step) keeps every live document whose
 // approximate dot product — float sum plus row sum times the reciprocal of
 // the norm — inflated by a slack covering both sums' roundings, reaches the
@@ -118,13 +114,6 @@ const (
 	// accumulator.
 	bailEvalDen = 4
 
-	// accBatch queries at most share one accumulator pass, accTile documents
-	// at a time: a tile of every dense row a novel query adds (38 at the
-	// median on bench/'s corpus: 78 KB of counts) stays in L2 until the last
-	// query of the group has added it (ROADMAP weighs whether that pays).
-	accBatch = 16
-	accTile  = 1024
-
 	// epsUlp is one float64 ulp at 1.0; the slack factors scale it by the
 	// number of terms in a sum (plus margin) to bound accumulated
 	// rounding error of nonnegative sums-of-products.
@@ -190,8 +179,7 @@ func ResetPruneStats() {
 // Segment.dense, and of its counts in Segment.rows (-1 otherwise), and docs
 // and ws are nil: the row is the list. There is no position here: the
 // gather engine reads lists by streaming, by doc-indexed access (dense) or by
-// binary search, and the accumulator keeps where each sparse list stopped at
-// the last tile edge in searchScratch.pos.
+// binary search, and the accumulator scatters a sparse list whole.
 type pruneCursor struct {
 	docs []int32
 	ws   []float64
@@ -209,8 +197,8 @@ type pruneCursor struct {
 // on amd64, which never fuses).
 
 // searchScratch holds one query's state from resolution to result, pooled
-// across queries: its cursors, the gather engine's work arrays, and what the
-// accumulator carries from tile to tile.
+// across queries: its cursors, the gather engine's work arrays, and the
+// accumulator's sums and candidates.
 type searchScratch struct {
 	ids   []int32 // per query id: its postings id in the segment, -1 absent
 	curs  []pruneCursor
@@ -222,12 +210,11 @@ type searchScratch struct {
 	h     matchHeap
 	qnorm float64
 
-	acc   []float64   // the gather engine's per-document sums, then one tile of the accumulator's sparse sums, then the candidates' norms
-	acci  []int32     // one tile of the accumulator's row sums
+	acc   []float64   // the gather engine's per-document sums, then the accumulator's sparse sums, then the candidates' norms
+	acci  []int32     // the accumulator's row sums
 	offs  []int       // the dense cursors' rows, span by span: where each starts in Segment.rows
 	qs    []uint32    // and the counts they are added with
 	spans []denseSpan // runs of offs that an int32 holds; see planDense
-	pos   []int32     // per cursor: the first posting of a sparse list at or past the current tile
 	slack float64     // the relative error the scan's sums and the exact ones may have between them, see accumulate
 	cand  []int32     // live documents the scan could not rule out, ascending
 	candA []float64   // their approximate dot products, then their exact ones
@@ -235,7 +222,7 @@ type searchScratch struct {
 }
 
 // denseSpan is one run of a query's dense rows: offs[previous end:end],
-// whose sums are multiplied by scale when they leave the int32 tile.
+// whose sums are multiplied by scale when they leave the int32 row sums.
 type denseSpan struct {
 	end   int
 	scale float64
@@ -256,11 +243,11 @@ func zeros[T any](buf *[]T, n int) []T {
 // planDense lists the query's sparse cursors in sc.ord, in any order, and
 // lays its dense rows out as spans for accumulate. A row adds at most
 // qw·rowMax to a document; a span's rows add up to at most 2^31-1 between
-// them, so its sums are exact in the int32 tile, and a new span starts where
-// the next row could pass that. A row whose count alone could is a span of
-// its own, added at count 1 and scaled by its count as it leaves the tile
-// (float64 holds count·rowMax < 2^47 exactly). Every span but the last
-// leaves the tile; the last stays for the scan, so it is never a scaled one.
+// them, so its sums are exact in the int32 row sums, and a new span starts
+// where the next row could pass that. A row whose count alone could is a
+// span of its own, added at count 1 and scaled by its count as it leaves the
+// row sums (float64 holds count·rowMax < 2^47 exactly). Every span but the
+// last leaves them; the last stays for the scan, so it is never a scaled one.
 func (sc *searchScratch) planDense(rowMax int32, nDocs int) {
 	ord, offs, qs, spans := sc.ord[:0], sc.offs[:0], sc.qs[:0], sc.spans[:0]
 	room := -1.0 // what the open span may still add; none is open
@@ -305,16 +292,13 @@ func deadBit(dead []uint64, d int32) bool {
 	return dead != nil && dead[d>>6]&(1<<(uint32(d)&63)) != 0
 }
 
-// searchBatch is the one scoring entry behind Best, TopK and BestBatch:
-// out[i] receives the exact top-k matches of qs[i] over the segment's live
-// documents, best first, indices segment-local (nil when the query or the
-// segment is empty). At most accBatch queries; out is the caller's, so a
-// single query allocates nothing a batch needs. mode selects the engine
-// (searchAuto: the gather engine for k == 1 on at least pruneMinDocs
-// documents, the accumulator for everything else); every choice returns
-// bit-identical results. Each query resolves and runs the gather engine on
-// its own; the ones that need the accumulator — k > 1, tiny segments, every
-// bail-out — wait, and share one pass (see accumulate).
+// search is the one scoring entry behind Best, TopK and BestBatch: the exact
+// top-k matches of q over the segment's live documents, best first, indices
+// segment-local (nil when the query or the segment is empty). mode selects
+// the engine (searchAuto: the gather engine for k == 1 on at least
+// pruneMinDocs documents, the accumulator for everything else); every choice
+// returns bit-identical results. k > 1 and tiny segments go straight to the
+// accumulator, and a query the gather engine gives up on ends there too.
 //
 // dead is the snapshot's tombstone bitmap for this segment: dead documents
 // never reach the heap AND never set the pruning threshold (a dead doc's
@@ -322,55 +306,36 @@ func deadBit(dead []uint64, d int32) bool {
 // bit-identical to scoring a segment that never contained them. dead may
 // be nil (no tombstones — the common case, zero overhead on the scan
 // loops beyond one predictable branch).
-func (g *Segment) searchBatch(qs []*query, k int, mode int, dead []uint64, out [][]Match) {
-	clear(out)
+func (g *Segment) search(q *query, k int, mode int, dead []uint64) []Match {
 	nDocs := len(g.names)
-	if k <= 0 || nDocs == 0 {
-		return
+	if k <= 0 || nDocs == 0 || q.norm == 0 {
+		return nil
 	}
 	k = min(k, nDocs)
+	sc := scratchPool.Get().(*searchScratch)
+	sc.qnorm = q.norm
+	totalPostings := g.cursors(q, sc)
+	if len(sc.curs) == 0 {
+		scratchPool.Put(sc)
+		return []Match{}
+	}
+
+	sc.h = sc.h[:0]
+	if cap(sc.h) < k {
+		sc.h = make(matchHeap, 0, k)
+	}
 	usePruned := k == 1 && (mode == searchPruned || (mode == searchAuto && nDocs >= pruneMinDocs))
 	statsOn := pruneStatsOn.Load()
-	var wait [accBatch]*searchScratch
-	var slot [accBatch]int
-	nWait := 0
-	for qi, q := range qs {
-		if q.norm == 0 {
-			continue
+	if statsOn {
+		pruneCounters.total.Add(uint64(totalPostings))
+		if usePruned {
+			pruneCounters.queries.Add(1)
 		}
-		sc := scratchPool.Get().(*searchScratch)
-		sc.qnorm = q.norm
-		totalPostings := g.cursors(q, sc)
-		if len(sc.curs) == 0 {
-			scratchPool.Put(sc)
-			out[qi] = []Match{}
-			continue
-		}
-
-		sc.h = sc.h[:0]
-		if cap(sc.h) < k {
-			sc.h = make(matchHeap, 0, k)
-		}
-		if statsOn {
-			pruneCounters.total.Add(uint64(totalPostings))
-			if usePruned {
-				pruneCounters.queries.Add(1)
-			}
-		}
-		if usePruned && g.searchPrunedBest(sc, totalPostings, statsOn, dead) {
-			out[qi] = sc.drain()
-			continue
-		}
-		wait[nWait], slot[nWait] = sc, qi
-		nWait++
 	}
-	if nWait == 0 {
-		return
+	if !usePruned || !g.searchPrunedBest(sc, totalPostings, statsOn, dead) {
+		g.accumulate(sc, k, statsOn, dead)
 	}
-	g.accumulate(wait[:nWait], k, statsOn, dead)
-	for i, sc := range wait[:nWait] {
-		out[slot[i]] = sc.drain()
-	}
+	return sc.drain()
 }
 
 // cursors resolves q against the segment into sc.curs, in canonical order —
@@ -470,8 +435,7 @@ func (g *Segment) evalCanonical(curs []pruneCursor, tail []float64, d int32, the
 // already-known document a no-op, which is what lets priming and the
 // accumulator re-score documents freely. It reports whether the heap holds
 // the answer; false means the query needs the accumulator (every list dense,
-// or pruning not paying), which the caller runs — for this query alone or
-// for a group of them — over the heap as it was left.
+// or pruning not paying), which the caller runs over the heap as it was left.
 func (g *Segment) searchPrunedBest(sc *searchScratch, totalPostings int, statsOn bool, dead []uint64) (done bool) {
 	curs := sc.curs
 	n := len(curs)
@@ -797,9 +761,9 @@ func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 }
 
 // accumulate is the exhaustive engine (the package comment has its shape):
-// per tile, tileSums and scan for each query; after the last tile rescore
-// folds the exact scores of the documents the scans kept into each query's
-// heap, in ascending doc order. The gather engine's bail-outs end here too;
+// one pass of sums and scan over every document, then rescore folds the
+// exact scores of the documents the scan kept into the query's heap, in
+// ascending doc order. The gather engine's bail-outs end here too;
 // re-pushing the document a size-1 heap already holds is a no-op.
 //
 // A document's approximate dot product is its sparse float sum plus its row
@@ -812,85 +776,68 @@ func sortSparseByRatio(ord []int32, curs []pruneCursor) {
 // The scan keeps a document unless its approximation, inflated, is below
 // the k-th best approximation seen, deflated: a document it drops is
 // strictly worse than k others, and a tie is never dropped.
-func (g *Segment) accumulate(queries []*searchScratch, k int, statsOn bool, dead []uint64) {
-	nDocs := len(g.names)
-	tile := accTile
-	if len(queries) == 1 {
-		tile = nDocs
-	}
-	for _, sc := range queries {
-		sc.planDense(g.rowMax, nDocs)
-		zeros(&sc.pos, len(sc.curs))
-		sc.slack = float64(len(sc.curs)+32) * epsUlp
-		sc.cand, sc.candA, sc.top = sc.cand[:0], sc.candA[:0], sc.top[:0]
-		if statsOn {
-			var visited uint64
-			for i := range sc.curs {
-				visited += uint64(sc.curs[i].df) // postings, not the slots of a dense row
-			}
-			pruneCounters.visited.Add(visited)
+func (g *Segment) accumulate(sc *searchScratch, k int, statsOn bool, dead []uint64) {
+	sc.planDense(g.rowMax, len(g.names))
+	sc.slack = float64(len(sc.curs)+32) * epsUlp
+	sc.cand, sc.candA, sc.top = sc.cand[:0], sc.candA[:0], sc.top[:0]
+	if statsOn {
+		var visited uint64
+		for i := range sc.curs {
+			visited += uint64(sc.curs[i].df) // postings, not the slots of a dense row
 		}
+		pruneCounters.visited.Add(visited)
 	}
-	for lo := 0; lo < nDocs; lo += tile {
-		hi := min(lo+tile, nDocs)
-		for _, sc := range queries {
-			acc, acci := g.tileSums(sc, lo, hi)
-			sc.scan(acc, acci, g.inv[lo:hi], lo, k, dead)
-		}
-	}
-	for _, sc := range queries {
-		g.rescore(sc, k)
-	}
+	acc, acci := g.sums(sc)
+	sc.scan(acc, acci, g.inv, k, dead)
+	g.rescore(sc, k)
 }
 
-// tileSums sums documents lo to hi of one query: its sparse lists (sc.ord)
-// scattered into sc.acc, each resumed where it stopped at the last tile edge
-// (tiles come in order), and its dense rows added into sc.acci a span at a
+// sums sums every document of one query: its sparse lists (sc.ord)
+// scattered into sc.acc, and its dense rows added into sc.acci a span at a
 // time, every span but the last moved into sc.acc times its scale over the
 // norms. A document's approximate dot product is acc + acci·inv.
-func (g *Segment) tileSums(sc *searchScratch, lo, hi int) (acc []float64, acci []int32) {
+func (g *Segment) sums(sc *searchScratch) (acc []float64, acci []int32) {
 	// The row sums run on to a whole number of the kernel's 32-document
-	// chunks: seal pads the rows for it, and the scan never reads past hi.
-	acc, inv := zeros(&sc.acc, hi-lo), g.inv[lo:hi]
-	acci = zeros(&sc.acci, (hi-lo+31)&^31)
+	// chunks: seal pads the rows for it, and the scan never reads past the
+	// last document.
+	nDocs, inv := len(g.names), g.inv
+	acc, acci = zeros(&sc.acc, nDocs), zeros(&sc.acci, (nDocs+31)&^31)
 	for _, i := range sc.ord {
 		cur := &sc.curs[i]
-		p, qw := int(sc.pos[i]), cur.qw
-		docs := cur.docs
+		docs, qw := cur.docs, cur.qw
 		ws := cur.ws[:len(docs)] // one bound, checks eliminated below
-		for ; p < len(docs) && int(docs[p]) < hi; p++ {
-			acc[int(docs[p])-lo] += float64(qw * ws[p])
+		for p, d := range docs {
+			acc[d] += float64(qw * ws[p])
 		}
-		sc.pos[i] = int32(p)
 	}
 	start := 0
 	for si, sp := range sc.spans {
-		denseRun(acci, g.rows[lo:], sc.offs[start:sp.end], sc.qs[start:sp.end])
+		denseRun(acci, g.rows, sc.offs[start:sp.end], sc.qs[start:sp.end])
 		start = sp.end
 		if si == len(sc.spans)-1 {
 			break
 		}
-		for j, n := range acci[:hi-lo] { // exact products: n·scale < 2^53
+		for j, n := range acci[:nDocs] { // exact products: n·scale < 2^53
 			acc[j] += float64(float64(n) * sp.scale * inv[j])
 			acci[j] = 0
 		}
 	}
-	return acc, acci[:hi-lo]
+	return acc, acci[:nDocs]
 }
 
-// scan offers the live documents of one tile to the query's candidates: a
-// document joins them unless its approximate dot product, inflated, is below
-// the deflated k-th best one so far (see accumulate). A document with no
-// term in common scores 0 and never does. scanFrom finds the next document
-// that may join, four a step in AVX2; this loop takes each from there.
-func (sc *searchScratch) scan(acc []float64, acci []int32, inv []float64, lo, k int, dead []uint64) {
+// scan offers the live documents to the query's candidates: a document joins
+// them unless its approximate dot product, inflated, is below the deflated
+// k-th best one so far (see accumulate). A document with no term in common
+// scores 0 and never does. scanFrom finds the next document that may join,
+// four a step in AVX2; this loop takes each from there.
+func (sc *searchScratch) scan(acc []float64, acci []int32, inv []float64, k int, dead []uint64) {
 	inflate, theta := 1+sc.slack, sc.bar(k)
 	for i := scanFrom(acc, acci, inv, 0, inflate, theta); i < len(acc); i = scanFrom(acc, acci, inv, i+1, inflate, theta) {
-		if deadBit(dead, int32(lo+i)) {
+		if deadBit(dead, int32(i)) {
 			continue // tombstoned: must not win or raise the bar
 		}
 		a := acc[i] + float64(float64(acci[i])*inv[i])
-		sc.cand, sc.candA = append(sc.cand, int32(lo+i)), append(sc.candA, a)
+		sc.cand, sc.candA = append(sc.cand, int32(i)), append(sc.candA, a)
 		if sc.offer(a, k) {
 			theta = sc.bar(k)
 		}
@@ -947,8 +894,8 @@ func (g *Segment) rescore(sc *searchScratch, k int) {
 // exact (zeroed), term by term: a row's count at every document over its
 // norm (rescoreRow, four documents a division; a 0 adds +0, which changes
 // nothing), and a sparse list searched for the documents in order, each
-// search galloping from where the last one ended. The tile sums are spent by
-// now, so sc.acc holds the documents' norms.
+// search galloping from where the last one ended. The sums are spent by now,
+// so sc.acc holds the documents' norms.
 func (g *Segment) evalCanonicalAll(sc *searchScratch, docs []int32, exact []float64) {
 	norm := zeros(&sc.acc, len(docs))
 	for j, d := range docs {
@@ -970,7 +917,7 @@ func (g *Segment) evalCanonicalAll(sc *searchScratch, docs []int32, exact []floa
 	}
 }
 
-// denseRun adds a run of dense rows to one tile of row sums: acc[i] +=
+// denseRun adds a run of dense rows to a query's row sums: acc[i] +=
 // qs[r]·rows[offs[r]+i] for every row r and every i, in int32 arithmetic
 // (which wraps: planDense keeps a span's sums in range). Integer sums are the
 // same in any order, so rows go whichever way is fastest: those whose count

@@ -9,14 +9,12 @@ import (
 	"testing"
 )
 
-// searchTopK is one text through searchBatch on one segment, with the
-// engine forced by mode.
+// searchTopK is one text through search on one segment, with the engine
+// forced by mode.
 func (g *Segment) searchTopK(text string, k int, mode int, dead []uint64) []Match {
 	q := parseQuery(text)
 	defer putQuery(q)
-	var out [1][]Match
-	g.searchBatch([]*query{q}, k, mode, dead, out[:])
-	return out[0]
+	return g.search(q, k, mode, dead)
 }
 
 // matchesEqual demands bit-for-bit identity — same names, same indices,

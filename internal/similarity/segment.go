@@ -173,7 +173,7 @@ func (g *Segment) layout(n []uint32, wide []bool) (cur []uint32) {
 	g.off = n[:len(n)-1]
 	g.docs = make([]int32, total)
 	g.ws = make([]float64, total)
-	g.rows = make([]int16, uint64(len(g.dense))*nDocs+31) // and 31 slots past the last row: see tileSums
+	g.rows = make([]int16, uint64(len(g.dense))*nDocs+31) // and 31 slots past the last row: see sums
 	return n
 }
 

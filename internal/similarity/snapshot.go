@@ -231,50 +231,32 @@ func (s *Snapshot) Name(i int) string {
 // Best returns the closest live document to the query text, or
 // Match{Name: "", Index: -1, Score: 0} when nothing scores above zero —
 // the documented no-match value callers must check before using Index.
+// The text is parsed once and each live segment searched with its tombstone
+// bitmap; candidates merge on (score descending, global index ascending) —
+// the tie rule within a segment, made consistent across segments by the
+// global live-rank indexing.
 //
 //freehw:hotpath
 func (s *Snapshot) Best(text string) Match {
-	var out [1]Match
-	s.bestGroup([]string{text}, out[:])
-	return out[0]
-}
-
-// bestGroup is Best for up to accBatch texts at once: out[i] = Best(texts[i]).
-// Each text is parsed once, and each segment is handed the whole group with
-// its tombstone bitmap, so the queries that end in its accumulator share one
-// pass; candidates merge on (score descending, global index ascending) — the
-// tie rule within a segment, made consistent across segments by the global
-// live-rank indexing.
-//
-//freehw:hotpath
-func (s *Snapshot) bestGroup(texts []string, out []Match) {
-	var qs [accBatch]*query
-	for i, t := range texts {
-		out[i], qs[i] = Match{Index: -1}, parseQuery(t)
-	}
-	defer func() {
-		for _, q := range qs[:len(texts)] {
-			putQuery(q)
-		}
-	}()
-	var found [accBatch][]Match
+	q := parseQuery(text)
+	defer putQuery(q)
+	best := Match{Index: -1}
 	for si := range s.segs {
 		ss := &s.segs[si]
 		if ss.live == 0 {
 			continue
 		}
-		ss.seg.searchBatch(qs[:len(texts)], 1, searchAuto, ss.dead, found[:len(texts)])
-		for i, ms := range found[:len(texts)] {
-			if len(ms) == 0 {
-				continue
-			}
-			m := ms[0]
-			m.Index = ss.offset + ss.liveRank(int32(m.Index))
-			if out[i].Index < 0 || m.Score > out[i].Score {
-				out[i] = m
-			}
+		ms := ss.seg.search(q, 1, searchAuto, ss.dead)
+		if len(ms) == 0 {
+			continue
+		}
+		m := ms[0]
+		m.Index = ss.offset + ss.liveRank(int32(m.Index))
+		if best.Index < 0 || m.Score > best.Score {
+			best = m
 		}
 	}
+	return best
 }
 
 // TopK returns the k closest live matches, best first (score descending,
@@ -296,9 +278,7 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 		if ss.live == 0 {
 			continue
 		}
-		var found [1][]Match
-		ss.seg.searchBatch([]*query{q}, k, searchAuto, ss.dead, found[:])
-		for _, m := range found[0] {
+		for _, m := range ss.seg.search(q, k, searchAuto, ss.dead) {
 			m.Index = ss.offset + ss.liveRank(int32(m.Index))
 			all = append(all, m)
 		}
@@ -310,15 +290,11 @@ func (s *Snapshot) TopK(text string, k int) []Match {
 	return all[:min(k, len(all))]
 }
 
-// BestBatch scores a batch of queries in one pass over the snapshot:
-// identical texts are deduplicated — generation pipelines resample the
-// same candidate, and every duplicate shares one scoring — and the
-// distinct queries go through the scorer in groups of up to accBatch, the
-// groups fanned out across at most workers goroutines (<= 0 means
-// GOMAXPROCS) and sized so that every worker has one. Each query is parsed
-// once, resolves against each segment's dictionary and adds what Best adds,
-// in the same order, so results are byte-identical to calling Best per text,
-// in input order.
+// BestBatch scores a batch of queries: identical texts are deduplicated —
+// generation pipelines resample the same candidate, and every duplicate
+// shares one scoring — and each distinct text is one Best, fanned out across
+// at most workers goroutines (<= 0 means GOMAXPROCS). Results are
+// byte-identical to calling Best per text, in input order.
 func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 	if len(texts) == 0 {
 		return nil
@@ -338,14 +314,7 @@ func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 		}
 		slot[i] = j
 	}
-	scored := make([]Match, len(distinct))
-	w := par.Workers(workers)
-	size := min(accBatch, (len(distinct)+w-1)/w)
-	par.ForEach(workers, (len(distinct)+size-1)/size, func(gi int) {
-		lo := gi * size
-		hi := min(lo+size, len(distinct))
-		s.bestGroup(distinct[lo:hi], scored[lo:hi])
-	})
+	scored := par.Map(workers, len(distinct), func(i int) Match { return s.Best(distinct[i]) })
 	out := make([]Match, len(texts))
 	for i := range texts {
 		out[i] = scored[slot[i]]
